@@ -252,15 +252,6 @@ let budget_unit = function "pct" -> true | _ -> false
 
 let budget_slack_points = 5.0
 
-(* Speedup factors (unit "x" — e.g. E18's lockfree-over-mutex pipeline
-   gain): the recorded ratio is the claim, so a drop past [factor_slack]
-   of the baseline is fatal even when plain timing entries only warn —
-   both sides of a ratio run in the same process, so runner noise mostly
-   cancels and a shrinking factor means the win itself regressed. *)
-let factor_unit = function "x" -> true | _ -> false
-
-let factor_slack = 0.15
-
 (* Correctness counters (the soak harness's IVL verdicts): zero tolerance.
    A single violation is a correctness break, not noise, so any increase
    over the baseline — which is always 0 — is fatal regardless of
@@ -346,15 +337,6 @@ let main args =
                           "STRUCTURAL %s: %.1f -> %.1f %s (hot path now \
                            allocates)"
                           o.key o.mean nw.mean o.unit_;
-                        "FAIL"
-                      end
-                      else "ok"
-                    else if factor_unit o.unit_ then
-                      if nw.mean < o.mean *. (1.0 -. factor_slack) then begin
-                        fatal
-                          "FACTOR %s: %.2fx -> %.2fx (speedup dropped more \
-                           than %.0f%% below the recorded baseline)"
-                          o.key o.mean nw.mean (factor_slack *. 100.0);
                         "FAIL"
                       end
                       else "ok"

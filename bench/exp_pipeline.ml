@@ -31,8 +31,8 @@ module Cm =
 
 module Pcm_pipe = Pipeline.Engine.Make (Cm)
 
-let pipeline_cm_time ?(queue = `Mutex) ~feeders stream =
-  let p = Pcm_pipe.create ~queue ~queue_capacity:4096 ~batch:2048 ~shards () in
+let pipeline_cm_time ~feeders stream =
+  let p = Pcm_pipe.create ~queue_capacity:4096 ~batch:2048 ~shards () in
   let chunks = Workload.Stream.chunks stream ~pieces:feeders in
   let (), dt =
     Conc.Runner.timed (fun () ->
@@ -125,8 +125,6 @@ let run () =
       (fun feeders ->
         let pipe = measure ~name:"countmin-pipeline" ~feeders (fun () ->
             pipeline_cm_time ~feeders stream) in
-        let lf = measure ~name:"countmin-pipeline-lockfree" ~feeders (fun () ->
-            pipeline_cm_time ~queue:`Lockfree ~feeders stream) in
         let pcm = measure ~name:"countmin-pcm" ~feeders (fun () ->
             pcm_time ~feeders stream) in
         let locked = measure ~name:"countmin-locked" ~feeders (fun () ->
@@ -134,7 +132,6 @@ let run () =
         [
           string_of_int feeders;
           Bench_util.fmt_float ~digits:2 pipe;
-          Bench_util.fmt_float ~digits:2 lf;
           Bench_util.fmt_float ~digits:2 pcm;
           Bench_util.fmt_float ~digits:2 locked;
         ])
@@ -142,7 +139,7 @@ let run () =
   in
   Bench_util.table
     ~header:
-      [ "feeders"; "pipeline CM"; "lockfree ring"; "PCM (atomics)"; "locked CM" ]
+      [ "feeders"; "pipeline CM"; "PCM (atomics)"; "locked CM" ]
     rows;
 
   Bench_util.subsection "KMV distinct-count (4 feeders, Mops/s)";

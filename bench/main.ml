@@ -6,7 +6,7 @@
    Run with: dune exec bench/main.exe            (all experiments)
             dune exec bench/main.exe -- steps    (one section)
    Sections: steps checker error throughput morris quantiles pq ablation
-   pipeline queue durable obs net micro
+   pipeline durable obs net micro
 
    The harness doubles as the regression gate:
             dune exec bench/main.exe -- compare OLD.json NEW.json
@@ -91,7 +91,6 @@ let sections =
     ("ablation", Exp_ablation.run);
     ("pq", Exp_pq.run);
     ("pipeline", Exp_pipeline.run);
-    ("queue", Exp_queue.run);
     ("durable", Exp_durable.run);
     ("obs", Exp_obs.run);
     ("net", Exp_net.run);

@@ -933,7 +933,7 @@ let print_pipeline_stats snap ~shards ~combine ~steal ~supervise ~last_errors =
    traffic for the rest of the run. *)
 
 let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
-    ~(report : s -> unit) ~shards ~stream ~batch ~queue_impl ~queue_cap
+    ~(report : s -> unit) ~shards ~stream ~batch ~steal ~queue_cap
     ~feeders ~combine ~chaos_kill ~kills ~seed ~wal_dir ~checkpoint_every
     ~kill_and_recover ~supervise ~max_restarts ~metrics_out ~http_port
     ~trace_sample ~trace_dump =
@@ -1016,9 +1016,8 @@ let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
       Some { Pipeline.Engine.default_supervisor with max_restarts }
     else None
   in
-  let steal = queue_impl = `Lockfree in
   let p =
-    P.create ~queue:queue_impl ~queue_capacity:queue_cap ~batch ~combine
+    P.create ~steal ~queue_capacity:queue_cap ~batch ~combine
       ?on_tick ?on_merge
       ~checkpoint_every:(if wal_dir = None then 0 else checkpoint_every)
       ?on_checkpoint ?supervisor ~metrics:reg ~trace:tr ?tracer ~shards ()
@@ -1215,7 +1214,7 @@ let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
       print_endline "pipeline: FAIL";
       1
 
-let pipeline sk shards ops shape skew universe batch queue queue_cap feeders
+let pipeline sk shards ops shape skew universe batch steal queue_cap feeders
     combine chaos kills seed wal_dir checkpoint_every kill_and_recover
     supervise max_restarts metrics_out http_port trace_sample trace_dump =
   if shards < 1 || feeders < 1 || ops < 1 || batch < 1 || queue_cap < 1
@@ -1225,14 +1224,6 @@ let pipeline sk shards ops shape skew universe batch queue queue_cap feeders
        >= 1\n";
     exit 1
   end;
-  let queue_impl =
-    match Pipeline.Squeue.impl_of_string queue with
-    | Some impl -> impl
-    | None ->
-        Printf.eprintf "pipeline: unknown --queue %s (available: mutex \
-                        lockfree)\n" queue;
-        exit 1
-  in
   if checkpoint_every < 0 || max_restarts < 0 then begin
     Printf.eprintf
       "pipeline: --checkpoint-every and --max-restarts must be >= 0\n";
@@ -1260,9 +1251,11 @@ let pipeline sk shards ops shape skew universe batch queue queue_cap feeders
     Workload.Stream.generate ~seed:(Int64.add seed 101L) shape ~length:ops
   in
   Printf.printf
-    "pipeline: %s, %d shards (batch %d, queue %s cap %d), %d feeders, %s, %d \
+    "pipeline: %s, %d shards (batch %d, queue cap %d%s), %d feeders, %s, %d \
      items%s\n"
-    sk shards batch queue queue_cap feeders
+    sk shards batch queue_cap
+    (if steal then ", stealing" else "")
+    feeders
     (Workload.Stream.describe shape)
     ops
     (if chaos_kill then Printf.sprintf ", chaos kills %d shard(s)" kills else "");
@@ -1272,7 +1265,7 @@ let pipeline sk shards ops shape skew universe batch queue queue_cap feeders
     e
   in
   let run m report =
-    run_pipeline m ~report ~shards ~stream ~batch ~queue_impl ~queue_cap
+    run_pipeline m ~report ~shards ~stream ~batch ~steal ~queue_cap
       ~feeders ~combine ~chaos_kill ~kills ~seed ~wal_dir ~checkpoint_every
       ~kill_and_recover ~supervise ~max_restarts ~metrics_out ~http_port
       ~trace_sample ~trace_dump
@@ -1557,6 +1550,17 @@ let trace_sample_flag =
           "distributed tracing: sample about one batch in N for a \
            cross-stage waterfall of spans (0 = tracing off)")
 
+(* Shared engine flag: pipeline and the pipeline soak both build an
+   in-process engine and pass this straight to [Engine.create ~steal]. *)
+let steal_flag =
+  Arg.(
+    value & flag
+    & info [ "steal" ]
+        ~doc:
+          "idle shard workers steal batches from the most loaded other \
+           shard: more throughput on skewed streams, paid in visibility \
+           latency (ignored by soak --served)")
+
 let replay_cmd =
   let scenario =
     Arg.(value & pos 0 string "example9" & info [] ~docv:"SCENARIO" ~doc:"example9 or figure2")
@@ -1684,15 +1688,6 @@ let pipeline_cmd =
             "items per shard delta — the merge cadence: smaller tightens the \
              freshness/IVL slack, larger buys throughput")
   in
-  let queue =
-    Arg.(
-      value & opt string "mutex"
-      & info [ "queue" ]
-          ~doc:
-            "shard queue implementation: mutex (blocking reference) or \
-             lockfree (Vyukov ring, allocation-free hot paths, idle workers \
-             steal batches from loaded shards)")
-  in
   let queue_cap = Arg.(value & opt int 1024 & info [ "queue-cap" ] ~doc:"shard queue capacity (backpressure bound)") in
   let feeders = Arg.(value & opt int 2 & info [ "feeders" ] ~doc:"feeder domains") in
   let combine =
@@ -1772,7 +1767,7 @@ let pipeline_cmd =
           merges) and check its IVL envelope")
     Term.(
       const pipeline $ sketch $ shards $ ops $ shape $ skew $ universe $ batch
-      $ queue $ queue_cap $ feeders $ combine $ chaos $ kills $ seed $ wal
+      $ steal_flag $ queue_cap $ feeders $ combine $ chaos $ kills $ seed $ wal
       $ checkpoint_every $ kill_and_recover $ supervise $ max_restarts
       $ metrics_flag $ http_port_flag $ trace_sample_flag $ trace_dump)
 
@@ -2047,16 +2042,8 @@ let clear_soak_dir dir =
   end
 
 let soak_run trace_file ops universe seed dir shards feeders rounds kills chaos
-    tear queue bench_out metrics_out http_port =
+    tear steal bench_out metrics_out http_port =
   let module S = Workload.Soak in
-  let queue =
-    match Pipeline.Squeue.impl_of_string queue with
-    | Some impl -> impl
-    | None ->
-        Printf.eprintf "soak: unknown --queue %s (available: mutex lockfree)\n"
-          queue;
-        exit 2
-  in
   let spec, trace =
     match trace_file with
     | Some path -> (
@@ -2087,7 +2074,7 @@ let soak_run trace_file ops universe seed dir shards feeders rounds kills chaos
       rounds;
       kills_per_round;
       tear_tail = tear && rounds > 1;
-      queue;
+      steal;
     }
   in
   let reg = Obs.Registry.create () in
@@ -2777,7 +2764,7 @@ let served_soak_run sketch trace_file ops universe seed dir shards conns feeders
       if v.Net.Soak.pass then 0 else 1
 
 let soak_dispatch served sketch trace_file ops universe seed dir shards feeders
-    rounds kills chaos tear queue bench_out conns restarts partitions down_time
+    rounds kills chaos tear steal bench_out conns restarts partitions down_time
     partition_time latency corrupt reset drop record_trace metrics_out http_port
     trace_sample =
   if served then
@@ -2786,7 +2773,7 @@ let soak_dispatch served sketch trace_file ops universe seed dir shards feeders
       record_trace metrics_out http_port trace_sample bench_out
   else
     soak_run trace_file ops universe seed dir shards feeders rounds kills chaos
-      tear queue bench_out metrics_out http_port
+      tear steal bench_out metrics_out http_port
 
 let soak_cmd =
   let served =
@@ -2847,14 +2834,6 @@ let soak_cmd =
       value & opt bool true
       & info [ "tear-tail" ]
           ~doc:"tear the WAL tail mid-frame between rounds (crash during append)")
-  in
-  let queue =
-    Arg.(
-      value & opt string "mutex"
-      & info [ "queue" ]
-          ~doc:
-            "shard queue implementation for the pipeline soak: mutex or \
-             lockfree (ring + work stealing)")
   in
   let bench_out =
     Arg.(
@@ -2924,7 +2903,7 @@ let soak_cmd =
           end-to-end IVL PASS/FAIL verdict")
     Term.(
       const soak_dispatch $ served $ sketch $ trace_file $ ops $ universe $ seed
-      $ dir $ shards $ feeders $ rounds $ kills $ chaos $ tear $ queue
+      $ dir $ shards $ feeders $ rounds $ kills $ chaos $ tear $ steal_flag
       $ bench_out $ conns $ restarts $ partitions $ down_time $ partition_time
       $ latency $ corrupt $ reset $ drop $ record_trace $ metrics_flag
       $ http_port_flag $ trace_sample_flag)

@@ -120,6 +120,14 @@ let attempt t st ~seq ~ctx keys =
         | Ok frame -> (
             match Frame.decode_response frame with
             | Ok (Frame.Ack { accepted; dup; _ }) -> `Acked (accepted, dup)
+            | Ok (Frame.Err { code = Frame.Malformed; _ }) ->
+                (* The server could not decode what arrived: damage in
+                   transit, not in the batch. Resend it like any transport
+                   failure — a retry of an already-applied batch must reach
+                   the dedup window to be acked, or its weight is published
+                   without ever being acked. *)
+                drop_conn st;
+                `Transport
             | Ok (Frame.Err { code; msg }) ->
                 `Rejected (Frame.err_code_to_string code ^ ": " ^ msg)
             | Ok (Frame.Result _) | Error _ ->

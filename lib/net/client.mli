@@ -20,11 +20,13 @@
     server's dedup window ({!Dedup}) recognises the retry and acks the
     original accepted count with [dup = true] instead of re-applying — so
     [acked] stays exact under arbitrary connection drops, and retried
-    batches can never double-count. The one residual hazard is retry
-    {e exhaustion}: a batch dropped after its last failed attempt may or
-    may not have been applied, so its keys are counted in both [shed] and
-    [exhausted] — envelope verdicts require [exhausted = 0] to certify a
-    run. Passing [~session:0L] opts out of dedup entirely (the legacy
+    batches can never double-count. An [Err Malformed] answer means the
+    server could not decode what arrived (damage in transit), so it is
+    retried the same way; any other [Err] rejects the batch. The one
+    residual hazard is retry {e exhaustion}: a batch dropped after its
+    last failed attempt may or may not have been applied, so its keys are
+    counted in both [shed] and [exhausted] — envelope verdicts require
+    [exhausted = 0] to certify a run. Passing [~session:0L] opts out of dedup entirely (the legacy
     at-least-once behaviour, kept for the regression test that
     demonstrates the double-count).
 

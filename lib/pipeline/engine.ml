@@ -28,7 +28,7 @@ module Make (M : Mergeable.S) = struct
   }
 
   type shard = {
-    q : int Squeue.t;
+    q : int Mpsc.t;
     enqueued : int Atomic.t;
     dropped : int Atomic.t;
     consumed : int Atomic.t;
@@ -48,9 +48,9 @@ module Make (M : Mergeable.S) = struct
     (* One-slot mailbox for a sampled batch's trace context: [trace_mark]
        stores (ctx, mark time) when a traced key lands in this shard's
        queue, and the worker's next flush claims it — the span covers
-       queue residency plus fold, for either queue implementation. One
-       slot suffices at 1/sample_every tracing; a second mark before the
-       next flush just replaces the first (lossy, like the trace rings). *)
+       queue residency plus fold. One slot suffices at 1/sample_every
+       tracing; a second mark before the next flush just replaces the first
+       (lossy, like the trace rings). *)
     pending : (Obs.Span.context * int) option Atomic.t;
   }
 
@@ -83,7 +83,7 @@ module Make (M : Mergeable.S) = struct
 
   type t = {
     shards : shard array;
-    mq : delta Squeue.t;
+    mq : delta Mpsc.t;
     batch : int;
     steal : bool; (* idle workers rebalance batches from loaded shards *)
     combine : bool; (* aggregate duplicate keys per batch before updating *)
@@ -122,14 +122,14 @@ module Make (M : Mergeable.S) = struct
 
   (* One refresh serves a whole scrape: every per-shard gauge lands within
      this window, and queue depth is an operational signal, not an exact
-     invariant (Squeue.length is already approximate for the ring). *)
+     invariant. *)
   let depth_ttl = 0.02
 
   let queue_depth t i =
     Mutex.lock t.depth_m;
     let now = Unix.gettimeofday () in
     if now -. t.depths_at > depth_ttl then begin
-      Array.iteri (fun j (s : shard) -> t.depths.(j) <- Squeue.length s.q)
+      Array.iteri (fun j (s : shard) -> t.depths.(j) <- Mpsc.length s.q)
         t.shards;
       t.depths_at <- now
     end;
@@ -150,9 +150,8 @@ module Make (M : Mergeable.S) = struct
     let s = t.shards.(i) in
     let n_shards = Array.length t.shards in
     (* Worker-private pop buffer: both local pops and steals land here, so
-       the steady-state consume path allocates nothing (the ring's
-       [try_pop_into] is allocation-free; the mutex queue only boxes on
-       the push side). *)
+       the steady-state consume path allocates nothing (the queue only
+       boxes on the push side). *)
     let buf = Array.make t.batch 0 in
     let local = ref (M.create ()) in
     let count = ref 0 in
@@ -209,7 +208,7 @@ module Make (M : Mergeable.S) = struct
           { shard = i; seq = !seq; weight = !count;
             born = Unix.gettimeofday (); ctx; blob }
         in
-        if Squeue.push t.mq d then begin
+        if Mpsc.push t.mq d then begin
           ignore (Atomic.fetch_and_add s.flushed_items !count);
           ignore (Atomic.fetch_and_add s.flushes 1);
           match t.trace with
@@ -234,7 +233,7 @@ module Make (M : Mergeable.S) = struct
       let best = ref (-1) and best_len = ref 0 in
       for j = 0 to n_shards - 1 do
         if j <> i then begin
-          let l = Squeue.length_relaxed t.shards.(j).q in
+          let l = Mpsc.length_relaxed t.shards.(j).q in
           if l > !best_len then begin
             best := j;
             best_len := l
@@ -244,7 +243,7 @@ module Make (M : Mergeable.S) = struct
       if !best < 0 then 0
       else begin
         let want = min t.batch (max 1 (!best_len / 2)) in
-        let k = Squeue.try_pop_into t.shards.(!best).q buf ~max:want in
+        let k = Mpsc.try_pop_into t.shards.(!best).q buf ~max:want in
         if k > 0 then begin
           ignore (Atomic.fetch_and_add s.steals k);
           ignore (Atomic.fetch_and_add s.stolen_batches 1);
@@ -258,14 +257,14 @@ module Make (M : Mergeable.S) = struct
       ignore (Atomic.fetch_and_add s.beats 1);
       (match t.on_tick with Some f -> f ~shard:i | None -> ());
       let n =
-        if t.steal then Squeue.try_pop_into s.q buf ~max:t.batch
+        if t.steal then Mpsc.try_pop_into s.q buf ~max:t.batch
         else
-          (* No stealing: count the would-block, then park exactly like
-             the pre-ring engine did. *)
-          match Squeue.try_pop_into s.q buf ~max:t.batch with
+          (* No stealing: count the would-block, then block on our own
+             queue until an element arrives or it closes. *)
+          match Mpsc.try_pop_into s.q buf ~max:t.batch with
           | 0 ->
               ignore (Atomic.fetch_and_add s.parks 1);
-              Squeue.pop_into s.q buf ~max:t.batch
+              Mpsc.pop_into s.q buf ~max:t.batch
           | n -> n
       in
       if n > 0 then begin
@@ -305,13 +304,13 @@ module Make (M : Mergeable.S) = struct
            flushed records how much). *)
         Atomic.set s.last_error (Some (Printexc.to_string e));
         trace_death ();
-        Squeue.close s.q;
+        Mpsc.close s.q;
         Atomic.set s.alive false
     | e ->
         Atomic.set s.failed (Some e);
         Atomic.set s.last_error (Some (Printexc.to_string e));
         trace_death ();
-        Squeue.close s.q;
+        Mpsc.close s.q;
         Atomic.set s.alive false
 
   (* The merger is the pipeline's only writer of the global sketch: decode
@@ -325,7 +324,7 @@ module Make (M : Mergeable.S) = struct
   let merger t =
     let dom = shard_count t in
     let rec loop () =
-      match Squeue.pop t.mq with
+      match Mpsc.pop t.mq with
       | None -> ()
       | Some d ->
           (match M.decode d.blob with
@@ -446,7 +445,7 @@ module Make (M : Mergeable.S) = struct
               Domain.join t.workers.(i);
               let r = Atomic.fetch_and_add s.restarts 1 in
               trace_event "restart" ~a:i ~b:(r + 1);
-              Squeue.reopen s.q;
+              Mpsc.reopen s.q;
               Atomic.set s.alive true;
               t.workers.(i) <- Domain.spawn (fun () -> worker t i)
           | Some _ -> ()
@@ -557,14 +556,12 @@ module Make (M : Mergeable.S) = struct
           "Idle waits: no local work and nothing stealable" (fun s -> s.parks))
       t.shards
 
-  let create ?(queue = `Mutex) ?steal ?(queue_capacity = 1024) ?(batch = 512)
+  let create ?(steal = false) ?(queue_capacity = 1024) ?(batch = 512)
       ?(combine = false) ?on_tick ?on_merge ?(checkpoint_every = 0)
       ?on_checkpoint ?supervisor ?metrics ?trace ?tracer ?initial ~shards () =
-    (* Stealing defaults on exactly when the lock-free ring is selected:
-       the ring's multi-consumer pops make steals cheap, and without them
-       a skewed trace pins one shard while the others spin empty. *)
-    let steal = match steal with Some b -> b | None -> queue = `Lockfree in
     if shards <= 0 then invalid_arg "Engine.create: shards must be positive";
+    if queue_capacity <= 0 then
+      invalid_arg "Engine.create: queue_capacity must be positive";
     (match initial with
     | Some (_, epoch0, published0) when epoch0 < 0 || published0 < 0 ->
         invalid_arg "Engine.create: initial epoch/published must be non-negative"
@@ -587,7 +584,7 @@ module Make (M : Mergeable.S) = struct
     | _ -> ());
     let mk_shard _ =
       {
-        q = Squeue.create ~impl:queue ~capacity:queue_capacity;
+        q = Mpsc.create ~capacity:queue_capacity;
         enqueued = Atomic.make 0;
         dropped = Atomic.make 0;
         consumed = Atomic.make 0;
@@ -610,11 +607,7 @@ module Make (M : Mergeable.S) = struct
     let t =
       {
         shards = Array.init shards mk_shard;
-        (* The merger queue stays on the mutex implementation regardless of
-           [queue]: it is low-rate (one delta per batch), its consumer
-           blocks on empty, and exact blocking semantics matter more there
-           than CAS throughput. *)
-        mq = Squeue.create ~impl:`Mutex ~capacity:(max 4 (2 * shards));
+        mq = Mpsc.create ~capacity:(max 4 (2 * shards));
         batch;
         steal;
         combine;
@@ -678,13 +671,13 @@ module Make (M : Mergeable.S) = struct
      queue mutex here once per ingest serialized feeders against the
      consumer (the stats-path race this replaces). *)
   let note_depth s =
-    let depth = Squeue.length_relaxed s.q in
+    let depth = Mpsc.length_relaxed s.q in
     if depth > Atomic.get s.max_depth then Atomic.set s.max_depth depth
 
   let ingest t x =
     let s = t.shards.(shard_of t x) in
     note_depth s;
-    if Squeue.push s.q x then begin
+    if Mpsc.push s.q x then begin
       ignore (Atomic.fetch_and_add s.enqueued 1);
       true
     end
@@ -706,7 +699,7 @@ module Make (M : Mergeable.S) = struct
   let try_ingest t x =
     let s = t.shards.(shard_of t x) in
     note_depth s;
-    match Squeue.try_push s.q x with
+    match Mpsc.try_push s.q x with
     | `Ok ->
         ignore (Atomic.fetch_and_add s.enqueued 1);
         true
@@ -724,15 +717,15 @@ module Make (M : Mergeable.S) = struct
       Atomic.set t.stopping true;
       (match t.watchdog with Some d -> Domain.join d | None -> ());
       t.watchdog <- None;
-      Array.iter (fun (s : shard) -> Squeue.close s.q) t.shards;
+      Array.iter (fun (s : shard) -> Mpsc.close s.q) t.shards;
       Array.iter Domain.join t.workers;
       (* Whatever a dead worker left queued was never summarized: drops. *)
       Array.iter
         (fun (s : shard) ->
-          let left = Squeue.drain_remaining s.q in
+          let left = Mpsc.drain_remaining s.q in
           if left > 0 then ignore (Atomic.fetch_and_add s.dropped left))
         t.shards;
-      Squeue.close t.mq;
+      Mpsc.close t.mq;
       (match t.merger with Some d -> Domain.join d | None -> ());
       t.merger <- None;
       t.drained <- true

@@ -101,7 +101,6 @@ module Make (M : Mergeable.S) : sig
   }
 
   val create :
-    ?queue:Squeue.impl ->
     ?steal:bool ->
     ?queue_capacity:int ->
     ?batch:int ->
@@ -120,22 +119,21 @@ module Make (M : Mergeable.S) : sig
     unit ->
     t
   (** Spawn [shards] worker domains plus one merger domain (plus a watchdog
-      domain when [supervisor] is given). [queue_capacity] (default 1024)
-      bounds each shard queue; [batch] (default 512) is the merge cadence in
-      items.
+      domain when [supervisor] is given). Every shard queue and the merger
+      queue is a {!Mpsc}. [queue_capacity] (default 1024) bounds each shard
+      queue; [batch] (default 512) is the merge cadence in items.
 
-      [queue] selects the shard-queue implementation (default [`Mutex], the
-      blocking reference): [`Lockfree] swaps in the {!Ring} — padded CAS
-      cursors, allocation-free batch pops, capacity rounded up to a power
-      of two internally while backpressure still triggers at exactly
-      [queue_capacity]. The merger queue always stays on [`Mutex]
-      (low-rate, blocking consumer). [steal] (default: on iff
-      [queue = `Lockfree]) enables batch rebalancing: an idle worker claims
-      up to half of the deepest other shard's backlog (capped at one
-      batch) and folds it into its own delta, so skewed traces don't pin
-      one shard while the rest sleep. Stolen items count in the thief's
-      [consumed]/[flushed_items]; conservation then holds as
-      Σ flushed = Σ enqueued across shards rather than per shard.
+      [steal] (default [false]) enables batch rebalancing: an idle worker
+      claims up to half of the deepest other shard's backlog (capped at
+      one batch) with one {!Mpsc.try_pop_into} on that shard's queue —
+      safe because every pop runs under the queue mutex — and folds it
+      into its own delta, so skewed traces don't pin one shard while the
+      rest sleep. An idle stealing worker naps 0.1 ms between scans
+      instead of blocking on its own queue. Stolen items count in the
+      thief's [consumed]/[flushed_items]; conservation then holds as
+      Σ flushed = Σ enqueued across shards rather than per shard. Stealing
+      trades freshness for throughput: more keys are in flight at once, so
+      visibility latency grows (docs/PERFORMANCE.md §7).
 
       [on_tick] runs in the worker's domain once per batch loop — the
       chaos hook: raising {!Conc.Chaos.Killed} from it crash-stops that
@@ -194,8 +192,8 @@ module Make (M : Mergeable.S) : sig
 
       [tracer] enables distributed-tracing spans for sampled batches: after
       {!trace_mark} tags a shard with a context, that worker's next flush
-      records a ["queue"] span (mark → flush: queue residency plus fold,
-      both queue implementations) and attaches the context to the delta;
+      records a ["queue"] span (mark → flush: queue residency plus fold)
+      and attaches the context to the delta;
       the merger then records a ["merge"] span (encode → merged, the same
       window as [pipeline_merge_lag_seconds]) and hands the re-parented
       context to [on_merge]. Unsampled traffic pays one atomic-load branch
@@ -208,8 +206,10 @@ module Make (M : Mergeable.S) : sig
       one synchronous update op before any domain spawns, so the IVL
       envelope checker accounts for the pre-crash base. This is how a soak
       run chains engine incarnations over one WAL ([Workload.Soak]).
-      @raise Invalid_argument if [shards <= 0], [batch <= 0],
-      [checkpoint_every < 0], the supervisor config is malformed,
+      @raise Invalid_argument if [shards <= 0], [queue_capacity <= 0],
+      [batch <= 0], [checkpoint_every < 0], the supervisor config is
+      malformed (negative [max_restarts] or [backoff_base], or
+      [poll_interval <= 0]),
       [initial]'s epoch or published weight is negative, or
       [trace] has fewer than [shards + 2] lanes. *)
 

@@ -40,8 +40,8 @@ val try_pop_into : 'a t -> 'a array -> max:int -> int
     [min max (Array.length buf)] elements, FIFO, into [buf.(0..n-1)] and
     returns the count — [0] means empty-but-open, [-1] means closed and
     drained. Allocation-free at steady state. Runs under the queue mutex,
-    so it is safe from any domain — this is also the steal entry point
-    when the engine rebalances batches against the mutex queue.
+    so it is safe from any domain — this is the engine's steal entry
+    point: an idle worker calls it on another shard's queue.
     @raise Invalid_argument if [max <= 0]. *)
 
 val pop_into : 'a t -> 'a array -> max:int -> int

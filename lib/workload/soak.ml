@@ -28,7 +28,7 @@ type config = {
   feeders : int;
   rounds : int;
   batch : int;
-  queue : Pipeline.Squeue.impl;
+  steal : bool;
   queue_capacity : int;
   checkpoint_every : int;
   fsync_every : int;
@@ -50,7 +50,7 @@ let default_config ~dir =
     feeders = 2;
     rounds = 4;
     batch = 256;
-    queue = `Mutex;
+    steal = false;
     queue_capacity = 1024;
     checkpoint_every = 8;
     fsync_every = 16;
@@ -233,7 +233,7 @@ let run ?(progress = fun _ -> ()) ?metrics c ~spec ~ops () =
     in
     let base = rec_pub in
     let eng =
-      P.create ~queue:c.queue ~queue_capacity:c.queue_capacity ~batch:c.batch
+      P.create ~steal:c.steal ~queue_capacity:c.queue_capacity ~batch:c.batch
         ~on_tick:(fun ~shard -> Conc.Chaos.point_once chaos ~domain:shard)
         ~on_merge:(fun ~ctx:_ ~epoch ~weight ~blob ->
           Durable.Wal.append wal ~epoch ~weight ~blob)

@@ -35,8 +35,9 @@ type config = {
   feeders : int;  (** driver feeder domains per round *)
   rounds : int;  (** engine incarnations; [rounds - 1] crash/recover cycles *)
   batch : int;
-  queue : Pipeline.Squeue.impl;
-      (** shard-queue implementation; [`Lockfree] also enables stealing *)
+  steal : bool;
+      (** idle shard workers steal batches from loaded shards
+          ({!Pipeline.Engine.Make.create}'s [steal]) *)
   queue_capacity : int;
   checkpoint_every : int;  (** epochs between checkpoints *)
   fsync_every : int;  (** WAL {!Durable.Wal.fsync_policy} [Every_n] *)
@@ -54,9 +55,10 @@ type config = {
 }
 
 val default_config : dir:string -> config
-(** 4 shards, 2 feeders, 4 rounds (3 recoveries), batch 256, checkpoint
-    every 8 epochs, fsync every 16 appends, 2 kills/round within 16 ticks,
-    torn tails on, CountMin 4×2048, reader every 0.5 ms, 4096 sampled keys. *)
+(** 4 shards, 2 feeders, 4 rounds (3 recoveries), batch 256, no stealing,
+    queue capacity 1024, checkpoint every 8 epochs, fsync every 16
+    appends, 2 kills/round within 16 ticks, torn tails on, CountMin
+    4×2048, reader every 0.5 ms, 4096 sampled keys. *)
 
 type round_report = {
   round : int;

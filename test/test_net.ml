@@ -483,6 +483,74 @@ let test_client_dead_server () =
   check_bool "errors counted" true (cs.Net.Client.errors > 0);
   check_bool "push after close is refused" true (not (Net.Client.push cli 1))
 
+let test_client_retries_malformed () =
+  (* Regression: a retry damaged in transit is answered [Err Malformed],
+     and the client must resend it, not give the batch up — otherwise a
+     batch whose first attempt was applied (ack lost) is published but
+     never acked. A scripted peer plays the three attempts: ack lost,
+     Malformed, then the dedup window's duplicate ack. *)
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 4;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let ack ~accepted ~dup =
+    Frame.encode_response (Frame.Ack { epoch = 1; accepted; dup })
+  in
+  let replies =
+    [
+      None;
+      Some
+        (Frame.encode_response
+           (Frame.Err { code = Frame.Malformed; msg = "payload checksum mismatch" }));
+      Some (ack ~accepted:8 ~dup:true);
+    ]
+  in
+  let peer =
+    Domain.spawn (fun () ->
+        (* Bounded accepts: a client that stops retrying must fail the
+           test, not hang it. *)
+        let rec serve = function
+          | [] -> ()
+          | reply :: rest -> (
+              match Unix.select [ lsock ] [] [] 5.0 with
+              | [], _, _ -> ()
+              | _ ->
+                  let fd, _ = Unix.accept lsock in
+                  let c = Conn.of_fd fd in
+                  (match Conn.recv c with
+                  | Ok _ -> ignore (Conn.send c (ack ~accepted:0 ~dup:false))
+                  | Error _ -> ());
+                  (match (Conn.recv c, reply) with
+                  | Ok _, Some r -> ignore (Conn.send c r)
+                  | _ -> ());
+                  Conn.close c;
+                  serve rest)
+        in
+        serve replies;
+        Unix.close lsock)
+  in
+  let cli =
+    (* a long flush_age: only the size trigger fires, so the 8 keys travel
+       as the one batch the peer's script expects *)
+    Net.Client.create ~conns:1 ~batch:8 ~flush_age:5.0 ~retries:4
+      ~session:77L ~host:"127.0.0.1" ~port ()
+  in
+  for i = 1 to 8 do
+    ignore (Net.Client.push cli i)
+  done;
+  Net.Client.close cli;
+  Domain.join peer;
+  let cs = Net.Client.stats cli in
+  check_int "acked through the dedup window" 8 cs.Net.Client.acked;
+  check_int "nothing shed" 0 cs.Net.Client.shed;
+  check_int "nothing exhausted" 0 cs.Net.Client.exhausted;
+  check_int "duplicate ack seen" 1 cs.Net.Client.duplicates_suppressed;
+  check_int "two failed attempts" 2 cs.Net.Client.errors
+
 (* Satellite: the driver's sink seam. The default engine sink and the
    client sink implement the same signature; a bare Sink.make fills the
    optional operations with safe defaults. *)
@@ -1245,6 +1313,8 @@ let () =
         [
           Alcotest.test_case "batched roundtrip" `Quick test_client_roundtrip;
           Alcotest.test_case "dead server sheds" `Quick test_client_dead_server;
+          Alcotest.test_case "retries a batch answered Malformed" `Quick
+            test_client_retries_malformed;
           Alcotest.test_case "sink seam" `Quick test_sink_seam;
           Alcotest.test_case "tracing waterfall over loopback" `Quick
             test_trace_waterfall;

@@ -473,6 +473,58 @@ let test_concurrent_drain_exactly_once () =
   Alcotest.(check int) "drop accounting stable" dropped
     (Array.fold_left (fun a (s : PC.shard_stats) -> a + s.dropped) 0 st2.PC.shards)
 
+(* ------------------------- create contract ------------------------- *)
+
+let test_create_rejects_bad_config () =
+  (* Every documented [Invalid_argument] of [Engine.create], raised by the
+     engine itself (not a callee) and before any domain is spawned. *)
+  let sup f = f Pipeline.Engine.default_supervisor in
+  let cases =
+    [
+      ("shards <= 0", fun () -> PC.create ~shards:0 ());
+      ("queue_capacity <= 0", fun () -> PC.create ~queue_capacity:0 ~shards:1 ());
+      ("batch <= 0", fun () -> PC.create ~batch:0 ~shards:1 ());
+      ( "checkpoint_every < 0",
+        fun () -> PC.create ~checkpoint_every:(-1) ~shards:1 () );
+      ( "supervisor max_restarts < 0",
+        fun () ->
+          PC.create ~supervisor:(sup (fun c -> { c with max_restarts = -1 }))
+            ~shards:1 () );
+      ( "supervisor backoff_base < 0",
+        fun () ->
+          PC.create ~supervisor:(sup (fun c -> { c with backoff_base = -1.0 }))
+            ~shards:1 () );
+      ( "supervisor poll_interval <= 0",
+        fun () ->
+          PC.create ~supervisor:(sup (fun c -> { c with poll_interval = 0.0 }))
+            ~shards:1 () );
+      ( "initial epoch < 0",
+        fun () ->
+          PC.create ~initial:(Pipeline.Targets.Counter.create (), -1, 0)
+            ~shards:1 () );
+      ( "initial published < 0",
+        fun () ->
+          PC.create ~initial:(Pipeline.Targets.Counter.create (), 0, -1)
+            ~shards:1 () );
+      ( "trace lanes < shards + 2",
+        fun () ->
+          PC.create ~trace:(Obs.Trace.create ~lanes:3 ~capacity:16 ()) ~shards:2
+            () );
+    ]
+  in
+  List.iter
+    (fun (what, create) ->
+      match create () with
+      | p ->
+          PC.drain p;
+          Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: raised by Engine.create (%s)" what msg)
+            true
+            (String.starts_with ~prefix:"Engine.create:" msg))
+    cases
+
 (* ------------------------- supervisor ------------------------- *)
 
 (* A fast supervisor config so restart soaks finish in milliseconds. *)
@@ -569,29 +621,26 @@ let test_supervisor_restart_cap_sheds () =
        st.PC.shards);
   Alcotest.(check bool) "no unexpected failures" true (PC.failures p = [])
 
-(* ------------------- queue contract (both implementations) ------------------- *)
+(* ------------------------- queue contract ------------------------- *)
 
-(* Every test below runs against the mutex queue AND the lock-free ring
-   through the {!Pipeline.Squeue} seam: the implementations must stay
-   behaviourally interchangeable or the engine's `queue knob silently
-   changes pipeline semantics. *)
+(* The bounded-queue contract the engine relies on, checked against
+   {!Pipeline.Mpsc} — the mutex queue behind every shard and the merger. *)
 
-module Sq = Pipeline.Squeue
+module Sq = Pipeline.Mpsc
 
-let test_q_fifo impl () =
-  let q = Sq.create ~impl ~capacity:4 in
+let test_q_fifo () =
+  let q = Sq.create ~capacity:4 in
   List.iter (fun x -> Alcotest.(check bool) "push" true (Sq.push q x)) [ 1; 2; 3 ];
   Alcotest.(check int) "length" 3 (Sq.length q);
   Alcotest.(check (list int)) "batch pops FIFO" [ 1; 2 ] (Sq.pop_batch q ~max:2);
   Alcotest.(check (option int)) "pop" (Some 3) (Sq.pop q);
   Alcotest.(check bool) "try_push ok" true (Sq.try_push q 9 = `Ok)
 
-let test_q_exact_capacity impl () =
-  (* The ring rounds its slot array up to a power of two, but the logical
-     capacity must be enforced exactly — backpressure semantics are part of
-     the contract, not an implementation detail. *)
+let test_q_exact_capacity () =
+  (* Capacity is enforced exactly — backpressure semantics are part of the
+     contract, not an implementation detail. *)
   let cap = 5 in
-  let q = Sq.create ~impl ~capacity:cap in
+  let q = Sq.create ~capacity:cap in
   for x = 1 to cap do
     Alcotest.(check bool) (Printf.sprintf "push %d fits" x) true
       (Sq.try_push q x = `Ok)
@@ -604,8 +653,8 @@ let test_q_exact_capacity impl () =
   Alcotest.(check bool) "slot freed" true (Sq.try_push q 6 = `Ok);
   Alcotest.(check bool) "full again" true (Sq.try_push q 7 = `Full)
 
-let test_q_close_semantics impl () =
-  let q = Sq.create ~impl ~capacity:2 in
+let test_q_close_semantics () =
+  let q = Sq.create ~capacity:2 in
   ignore (Sq.push q 1);
   ignore (Sq.push q 2);
   Alcotest.(check bool) "try_push full" true (Sq.try_push q 3 = `Full);
@@ -613,13 +662,14 @@ let test_q_close_semantics impl () =
   Alcotest.(check bool) "closed" true (Sq.is_closed q);
   Alcotest.(check bool) "push after close" false (Sq.push q 4);
   Alcotest.(check bool) "try_push closed" true (Sq.try_push q 4 = `Closed);
+  (* Consumer still drains the queued elements, then sees the end mark. *)
   Alcotest.(check (option int)) "drain 1" (Some 1) (Sq.pop q);
   Alcotest.(check (list int)) "drain 2" [ 2 ] (Sq.pop_batch q ~max:8);
   Alcotest.(check (option int)) "end" None (Sq.pop q);
   Alcotest.(check (list int)) "end batch" [] (Sq.pop_batch q ~max:8)
 
-let test_q_reopen_backlog impl () =
-  let q = Sq.create ~impl ~capacity:8 in
+let test_q_reopen_backlog () =
+  let q = Sq.create ~capacity:8 in
   List.iter (fun x -> ignore (Sq.push q x)) [ 1; 2; 3 ];
   Sq.close q;
   Alcotest.(check bool) "push rejected while closed" false (Sq.push q 9);
@@ -629,8 +679,8 @@ let test_q_reopen_backlog impl () =
   Alcotest.(check (list int)) "backlog first, in order" [ 1; 2; 3; 4 ]
     (Sq.pop_batch q ~max:8)
 
-let test_q_pop_into_conventions impl () =
-  let q = Sq.create ~impl ~capacity:8 in
+let test_q_pop_into_conventions () =
+  let q = Sq.create ~capacity:8 in
   let buf = Array.make 8 0 in
   Alcotest.(check int) "empty open = 0" 0 (Sq.try_pop_into q buf ~max:8);
   List.iter (fun x -> ignore (Sq.push q x)) [ 10; 20; 30 ];
@@ -646,17 +696,17 @@ let test_q_pop_into_conventions impl () =
   Alcotest.(check int) "blocking sees end mark too" (-1)
     (Sq.pop_into q buf ~max:8)
 
-let test_q_drain_remaining impl () =
-  let q = Sq.create ~impl ~capacity:8 in
+let test_q_drain_remaining () =
+  let q = Sq.create ~capacity:8 in
   List.iter (fun x -> ignore (Sq.push q x)) [ 1; 2; 3; 4; 5 ];
   Sq.close q;
   Alcotest.(check int) "drain counts leftovers" 5 (Sq.drain_remaining q);
   Alcotest.(check int) "empty after drain" 0 (Sq.length q)
 
-let test_q_blocked_producer_wakeup impl () =
+let test_q_blocked_producer_wakeup () =
   (* A producer parked on a full queue must wake when the consumer frees a
-     slot — for the ring this exercises the eventcount park/wake path. *)
-  let q = Sq.create ~impl ~capacity:1 in
+     slot. *)
+  let q = Sq.create ~capacity:1 in
   ignore (Sq.push q 0);
   let d =
     Domain.spawn (fun () ->
@@ -673,9 +723,9 @@ let test_q_blocked_producer_wakeup impl () =
   Alcotest.(check bool) "all pushes accepted" true (Domain.join d);
   Alcotest.(check int) "all elements popped" 201 !seen
 
-let test_q_close_wakes_all_producers impl () =
+let test_q_close_wakes_all_producers () =
   let producers = 4 in
-  let q = Sq.create ~impl ~capacity:1 in
+  let q = Sq.create ~capacity:1 in
   ignore (Sq.push q 0);
   let returned = Array.init producers (fun _ -> Atomic.make None) in
   let doms =
@@ -700,13 +750,13 @@ let test_q_close_wakes_all_producers impl () =
     returned;
   Alcotest.(check (option int)) "backlog intact" (Some 0) (Sq.pop q)
 
-let test_q_mpsc_stress impl () =
+let test_q_mpsc_stress () =
   (* Multi-producer stress through a small queue: every accepted element is
      popped exactly once, and each producer's elements arrive in its push
      order (per-source FIFO — the property hash-routed ingest relies on). *)
   let producers = 3 in
   let per = 20_000 in
-  let q = Sq.create ~impl ~capacity:64 in
+  let q = Sq.create ~capacity:64 in
   let doms =
     Array.init producers (fun d ->
         Domain.spawn (fun () ->
@@ -741,32 +791,35 @@ let test_q_mpsc_stress impl () =
   Domain.join closer;
   Alcotest.(check int) "popped everything exactly once" (producers * per) !count
 
-let contract_suite impl =
-  let n = Sq.impl_to_string impl in
+(* "mutex:" names the implementation under test: Mpsc is a mutex +
+   condition-variable queue. *)
+let contract_suite =
   [
-    Alcotest.test_case (n ^ ": fifo") `Quick (test_q_fifo impl);
-    Alcotest.test_case (n ^ ": exact capacity") `Quick (test_q_exact_capacity impl);
-    Alcotest.test_case (n ^ ": close semantics") `Quick (test_q_close_semantics impl);
-    Alcotest.test_case (n ^ ": reopen backlog") `Quick (test_q_reopen_backlog impl);
-    Alcotest.test_case (n ^ ": pop_into conventions") `Quick
-      (test_q_pop_into_conventions impl);
-    Alcotest.test_case (n ^ ": drain_remaining") `Quick (test_q_drain_remaining impl);
-    Alcotest.test_case (n ^ ": blocked producer wakeup") `Quick
-      (test_q_blocked_producer_wakeup impl);
-    Alcotest.test_case (n ^ ": close wakes all producers") `Quick
-      (test_q_close_wakes_all_producers impl);
-    Alcotest.test_case (n ^ ": mpsc stress exact + per-source fifo") `Slow
-      (test_q_mpsc_stress impl);
+    Alcotest.test_case "mutex: fifo" `Quick test_q_fifo;
+    Alcotest.test_case "mutex: exact capacity" `Quick test_q_exact_capacity;
+    Alcotest.test_case "mutex: close semantics" `Quick test_q_close_semantics;
+    Alcotest.test_case "mutex: reopen backlog" `Quick test_q_reopen_backlog;
+    Alcotest.test_case "mutex: pop_into conventions" `Quick
+      test_q_pop_into_conventions;
+    Alcotest.test_case "mutex: drain_remaining" `Quick test_q_drain_remaining;
+    Alcotest.test_case "mutex: blocked producer wakeup" `Quick
+      test_q_blocked_producer_wakeup;
+    Alcotest.test_case "mutex: close wakes all producers" `Quick
+      test_q_close_wakes_all_producers;
+    Alcotest.test_case "mutex: mpsc stress exact + per-source fifo" `Slow
+      test_q_mpsc_stress;
   ]
 
 (* ------------------------- stealing ------------------------- *)
 
-let test_ring_concurrent_steal_exact () =
-  (* Two consumers (owner + thief) pop the same ring concurrently while two
-     producers push: every element must be claimed by exactly one consumer,
-     and within each consumer's claim sequence any single producer's
-     elements must appear in push order (head-CAS claims are monotone). *)
-  let module R = Pipeline.Ring in
+let test_mpsc_concurrent_steal_exact () =
+  (* The steal substrate: two consumers (owner + thief) race
+     [try_pop_into] on one queue while two producers push and a closer
+     ends the stream. Every element must be claimed by exactly one
+     consumer, and within each consumer's claim sequence any single
+     producer's elements must appear in push order (pops are serialized
+     under the queue mutex and each takes a FIFO prefix). *)
+  let module R = Pipeline.Mpsc in
   let producers = 2 and per = 25_000 in
   let q = R.create ~capacity:128 in
   let prods =
@@ -832,8 +885,8 @@ let shard_of_key ~shards x =
 
 let test_engine_steal_exact () =
   (* Worst-case skew: every item is the same key, so hash routing pins the
-     whole stream to one shard. With the lock-free queue + stealing, the
-     idle shards must rebalance (stolen > 0) and every delta must still be
+     whole stream to one shard. With stealing on, the idle shards must
+     rebalance (stolen > 0) and every delta must still be
      merged exactly once: published = n with zero drops. The hot shard's
      worker is slowed via on_tick so a backlog actually builds. *)
   let shards = 3 in
@@ -841,7 +894,7 @@ let test_engine_steal_exact () =
   let hot = shard_of_key ~shards key in
   let n = 30_000 in
   let p =
-    PC.create ~queue:`Lockfree ~queue_capacity:256 ~batch:64
+    PC.create ~steal:true ~queue_capacity:256 ~batch:64
       ~on_tick:(fun ~shard -> if shard = hot then Unix.sleepf 0.0003)
       ~shards ()
   in
@@ -872,15 +925,14 @@ let test_engine_steal_exact () =
     (List.length (Mono.violations (PC.history p)));
   Alcotest.(check bool) "no unexpected failures" true (PC.failures p = [])
 
-let test_lockfree_conservation () =
-  (* The clean-run conservation test, replayed over the lock-free queue:
-     per-shard exactness is replaced by the cross-shard sum (stealing moves
+let test_steal_conservation () =
+  (* The clean-run conservation test, replayed with stealing on: per-shard exactness is replaced by the cross-shard sum (stealing moves
      flushes between shards) but the global ledger must stay exact. *)
   let n = 10_000 in
   let stream =
     Workload.Stream.generate ~seed:3L (Workload.Stream.Uniform 1000) ~length:n
   in
-  let p = PC.create ~queue:`Lockfree ~queue_capacity:64 ~batch:37 ~shards:3 () in
+  let p = PC.create ~steal:true ~queue_capacity:64 ~batch:37 ~shards:3 () in
   let accepted = feed p stream ~feeders:2 in
   PC.drain p;
   Alcotest.(check int) "all accepted" n accepted;
@@ -895,8 +947,8 @@ let test_lockfree_conservation () =
     (List.length (Mono.violations (PC.history p)));
   Alcotest.(check bool) "no unexpected failures" true (PC.failures p = [])
 
-let test_lockfree_chaos_kill_drain () =
-  (* Chaos kill under the lock-free queue: drain must complete, the global
+let test_steal_chaos_kill_drain () =
+  (* Chaos kill with stealing on: drain must complete, the global
      ledger must balance (published = Σ flushed, accepted = Σ enqueued +
      nothing lost beyond the dead shard's unflushed delta and queue), and
      the envelope must hold. Per-shard loss accounting is skipped: a thief
@@ -916,7 +968,7 @@ let test_lockfree_chaos_kill_drain () =
       ~domains:shards
   in
   let p =
-    PC.create ~queue:`Lockfree ~queue_capacity:64 ~batch:50
+    PC.create ~steal:true ~queue_capacity:64 ~batch:50
       ~on_tick:(fun ~shard -> Conc.Chaos.point ch ~domain:shard)
       ~shards ()
   in
@@ -970,6 +1022,8 @@ let () =
             test_combine_counter_weight_exact;
           Alcotest.test_case "concurrent drain is exactly-once" `Quick
             test_concurrent_drain_exactly_once;
+          Alcotest.test_case "create rejects bad config" `Quick
+            test_create_rejects_bad_config;
         ] );
       ( "chaos",
         [
@@ -985,16 +1039,16 @@ let () =
           Alcotest.test_case "restart cap degrades to shedding" `Quick
             test_supervisor_restart_cap_sheds;
         ] );
-      ("queue-contract", contract_suite `Mutex @ contract_suite `Lockfree);
+      ("queue-contract", contract_suite);
       ( "stealing",
         [
-          Alcotest.test_case "ring concurrent steal is exact" `Slow
-            test_ring_concurrent_steal_exact;
+          Alcotest.test_case "mpsc concurrent steal is exact" `Slow
+            test_mpsc_concurrent_steal_exact;
           Alcotest.test_case "engine steals under worst-case skew" `Quick
             test_engine_steal_exact;
-          Alcotest.test_case "lock-free conservation through drain" `Quick
-            test_lockfree_conservation;
-          Alcotest.test_case "lock-free chaos kill drain" `Quick
-            test_lockfree_chaos_kill_drain;
+          Alcotest.test_case "steal conservation through drain" `Quick
+            test_steal_conservation;
+          Alcotest.test_case "steal chaos kill drain" `Quick
+            test_steal_chaos_kill_drain;
         ] );
     ]
