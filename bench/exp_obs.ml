@@ -2,8 +2,8 @@
 
    The design claim behind lib/obs is that IVL instruments are cheap enough
    to leave on: a counter add is one striped fetch-and-add, a gauge set one
-   padded plain store, a trace emit three plain stores plus a stamp tick —
-   none of them allocate, none of them lock. This experiment pins that:
+   padded plain store, a histogram observe a bucket add — none of them
+   allocate, none of them lock. This experiment pins that:
 
    - allocation audits (B/op) on every hot-path primitive, gated
      structurally by `bench compare` — a nonzero counter-add audit is a
@@ -12,7 +12,7 @@
      registry scrape, so the "scrapes don't perturb writers" story has a
      number attached;
    - the headline: end-to-end pipeline ingestion throughput bare vs fully
-     instrumented (metrics registry + trace rings + merge-lag timer),
+     instrumented (metrics registry + merge-lag timer + 1/64 spans),
      recorded both as Mops/s rows and as one "pct" overhead entry that
      `bench compare` gates on absolute drift (docs/OBSERVABILITY.md
      documents the few-percent budget). *)
@@ -37,7 +37,6 @@ let alloc_audits () =
   let c = Obs.Counter.create () in
   let g = Obs.Gauge.create () in
   let h = Obs.Histogram.create () in
-  let tr = Obs.Trace.create ~lanes:1 ~capacity:1024 () in
   (* Compare matches entries by (name, params): the "-alloc" suffix keeps
      these from colliding with the ns/op rows for the same paths. *)
   let audit name f =
@@ -53,8 +52,6 @@ let alloc_audits () =
          caller, not the instrument — the audit isolates the store. *)
       audit "e14-gauge-set" (fun () -> Obs.Gauge.set g 2.5);
       audit "e14-histogram-observe" (fun () -> Obs.Histogram.observe h 0.003);
-      audit "e14-trace-emit" (fun () ->
-          Obs.Trace.emit tr ~lane:0 ~tag:"bench" ~a:1 ~b:2);
     ]
 
 (* ---------------- single-op latencies ---------------- *)
@@ -63,7 +60,6 @@ let micro () =
   let c = Obs.Counter.create () in
   let g = Obs.Gauge.create () in
   let h = Obs.Histogram.create () in
-  let tr = Obs.Trace.create ~lanes:1 ~capacity:1024 () in
   let reg = Obs.Registry.create () in
   let rc = Obs.Registry.counter reg "bench_total" in
   Obs.Counter.add rc 1;
@@ -79,8 +75,6 @@ let micro () =
       Test.make ~name:"e14-gauge-set" (Staged.stage (fun () -> Obs.Gauge.set g 2.5));
       Test.make ~name:"e14-histogram-observe"
         (Staged.stage (fun () -> Obs.Histogram.observe h 0.003));
-      Test.make ~name:"e14-trace-emit"
-        (Staged.stage (fun () -> Obs.Trace.emit tr ~lane:0 ~tag:"bench" ~a:1 ~b:2));
       Test.make ~name:"e14-registry-scrape"
         (Staged.stage (fun () -> ignore (Obs.Registry.snapshot reg)));
     ]
@@ -100,26 +94,20 @@ let micro () =
 
 (* ---------------- end-to-end pipeline overhead ---------------- *)
 
-(* One full ingestion run; instrumented runs carry the registry, the trace
-   rings, the merge-lag timer, and a span tracer sampling 1/64 batches with
+(* One full ingestion run; instrumented runs carry the registry, the
+   merge-lag timer, and a span tracer sampling 1/64 batches with
    the feeders rolling the die — the whole telemetry surface a production
    run would enable, distributed tracing included. Returns (elapsed
    seconds, registry). *)
 let run_once ~instrumented stream =
   let reg = if instrumented then Some (Obs.Registry.create ()) else None in
-  let tr =
-    if instrumented then
-      Some (Obs.Trace.create ~lanes:(shards + 2) ~capacity:1024 ())
-    else None
-  in
   let tracer =
     match reg with
     | Some reg -> Some (Obs.Tracer.create ~sample_every:64 ~metrics:reg ())
     | None -> None
   in
   let p =
-    P.create ~queue_capacity:4096 ~batch ?metrics:reg ?trace:tr ?tracer
-      ~shards ()
+    P.create ~queue_capacity:4096 ~batch ?metrics:reg ?tracer ~shards ()
   in
   let chunks = Workload.Stream.chunks stream ~pieces:feeders in
   let (), dt =
@@ -210,7 +198,7 @@ let pipeline_overhead () =
     [
       [ "bare"; Printf.sprintf "%.2f" bare; "-" ];
       [
-        "metrics + trace + lag timer + 1/64 spans";
+        "metrics + lag timer + 1/64 spans";
         Printf.sprintf "%.2f" instr;
         Printf.sprintf "%.1f%%" overhead;
       ];

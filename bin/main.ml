@@ -790,29 +790,6 @@ let ss_capacity = 64
 
 (* --------------------------- observability ---------------------------- *)
 
-(* Injected chaos faults land in the victim worker's own trace lane: the
-   engine runs chaos points from [on_tick] in the worker's domain, so the
-   lane stays single-writer. *)
-let chaos_trace_hook tr ~domain ~point ev =
-  let tag =
-    match ev with
-    | Conc.Chaos.Injected_yield -> "chaos-yield"
-    | Conc.Chaos.Injected_stall -> "chaos-stall"
-    | Conc.Chaos.Injected_kill -> "chaos-kill"
-  in
-  Obs.Trace.emit tr ~lane:domain ~tag ~a:point ~b:0
-
-let print_trace_tail tr n =
-  let entries = Obs.Trace.dump_tail tr n in
-  Printf.printf "trace: %d event(s) dropped by ring wrap; last %d of %d kept:\n"
-    (Obs.Trace.dropped tr) (List.length entries)
-    (List.length (Obs.Trace.dump tr));
-  List.iter
-    (fun (e : Obs.Trace.entry) ->
-      Printf.printf "  [%6d] lane %-2d %-12s a=%-8d b=%d\n" e.stamp e.lane e.tag
-        e.a e.b)
-    entries
-
 (* [--metrics -] prints both expositions to stdout; [--metrics PATH] writes
    PATH.prom and PATH.json. *)
 let write_metrics ~path snap =
@@ -943,12 +920,11 @@ let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
   let ops = Array.length stream in
   let reg = Obs.Registry.create () in
   let tracer = make_tracer ~reg trace_sample in
-  let tr = Obs.Trace.create ~lanes:(shards + 2) ~capacity:4096 () in
   let ch =
     if not chaos_kill then None
     else
       Some
-        (Conc.Chaos.instantiate ~on_event:(chaos_trace_hook tr)
+        (Conc.Chaos.instantiate
            (Conc.Chaos.plan
               ~kills:
                 (Conc.Chaos.random_kills ~seed ~domains:shards ~victims:kills
@@ -1020,7 +996,7 @@ let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
     P.create ~steal ~queue_capacity:queue_cap ~batch ~combine
       ?on_tick ?on_merge
       ~checkpoint_every:(if wal_dir = None then 0 else checkpoint_every)
-      ?on_checkpoint ?supervisor ~metrics:reg ~trace:tr ?tracer ~shards ()
+      ?on_checkpoint ?supervisor ~metrics:reg ?tracer ~shards ()
   in
   let stop = Atomic.make false in
   let reads = Atomic.make 0 in
@@ -1198,7 +1174,14 @@ let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
   let g, query_epoch = P.query p (fun g -> g) in
   Printf.printf "final query at epoch %d:\n" query_epoch;
   report g;
-  if trace_dump > 0 then print_trace_tail tr trace_dump;
+  (* One dump format: the same JSON span objects /trace?n=N serves, one
+     per line. *)
+  (match tracer with
+  | Some tr when trace_dump > 0 ->
+      List.iter
+        (fun r -> print_endline (Obs.Span.record_to_json r))
+        (Obs.Tracer.recent tr trace_dump)
+  | _ -> ());
   (* Re-scrape for the export so post-drain series (recovery, final WAL
      fsyncs) are included. *)
   Option.iter Obs.Http.stop http;
@@ -1231,6 +1214,12 @@ let pipeline sk shards ops shape skew universe batch steal queue_cap feeders
   end;
   if kill_and_recover && wal_dir = None then begin
     Printf.eprintf "pipeline: --kill-and-recover requires --wal DIR\n";
+    exit 1
+  end;
+  if trace_dump > 0 && trace_sample <= 0 then begin
+    Printf.eprintf
+      "pipeline: --trace-dump N prints sampled spans; it needs \
+       --trace-sample N > 0\n";
     exit 1
   end;
   let chaos_kill =
@@ -1447,21 +1436,20 @@ let recover dir sk seed =
 
 (* A self-contained instrumented soak: drive the counter pipeline under
    chaos and supervision with every observability hook wired — engine
-   metrics and trace lanes, WAL fsync latency, chaos fault events — then
+   metrics, WAL fsync latency, supervisor restarts — then
    render the one snapshot whichever way was asked. Exists so `ivl-cli
    metrics` demonstrates (and CI smoke-tests) the full telemetry path
    without the pipeline subcommand's checker machinery. *)
-let metrics_demo format events shards ops seed wal_dir =
+let metrics_demo format shards ops seed wal_dir =
   if shards < 1 || ops < 1 then begin
     Printf.eprintf "metrics: --shards and --ops must be >= 1\n";
     exit 1
   end;
   let module P = Pipeline.Engine.Make (Pipeline.Targets.Counter) in
   let reg = Obs.Registry.create () in
-  let tr = Obs.Trace.create ~lanes:(shards + 2) ~capacity:1024 () in
   let victims = if shards > 1 then 1 else 0 in
   let ch =
-    Conc.Chaos.instantiate ~on_event:(chaos_trace_hook tr)
+    Conc.Chaos.instantiate
       (Conc.Chaos.plan
          ~kills:
            (Conc.Chaos.random_kills ~seed ~domains:shards ~victims
@@ -1486,8 +1474,7 @@ let metrics_demo format events shards ops seed wal_dir =
   in
   let p =
     P.create ~batch:128 ~on_tick ?on_merge
-      ~supervisor:Pipeline.Engine.default_supervisor ~metrics:reg ~trace:tr
-      ~shards ()
+      ~supervisor:Pipeline.Engine.default_supervisor ~metrics:reg ~shards ()
   in
   let stream =
     Workload.Stream.generate
@@ -1511,7 +1498,6 @@ let metrics_demo format events shards ops seed wal_dir =
   | other ->
       Printf.eprintf "unknown format %s (available: table prom json)\n" other;
       exit 1);
-  if events > 0 then print_trace_tail tr events;
   0
 
 (* ------------------------------ cmdliner ------------------------------ *)
@@ -1757,8 +1743,8 @@ let pipeline_cmd =
       value & opt int 0
       & info [ "trace-dump" ] ~docv:"N"
           ~doc:
-            "print the last N per-domain trace-ring events (flushes, merges, \
-             deaths, restarts, injected chaos faults) after the run")
+            "after the run, print the tracer's last N spans as JSON lines \
+             (the /trace?n=N format); needs --trace-sample > 0")
   in
   Cmd.v
     (Cmd.info "pipeline"
@@ -1805,12 +1791,6 @@ let metrics_cmd =
       value & opt string "table"
       & info [ "format" ] ~doc:"table (human), prom (Prometheus text) or json")
   in
-  let events =
-    Arg.(
-      value & opt int 20
-      & info [ "events" ] ~docv:"N"
-          ~doc:"trace-ring events to dump after the snapshot (0 = none)")
-  in
   let shards = Arg.(value & opt int 4 & info [ "shards" ] ~doc:"shard worker domains") in
   let ops = Arg.(value & opt int 50_000 & info [ "ops" ] ~doc:"stream length") in
   let seed = Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"base seed") in
@@ -1825,8 +1805,8 @@ let metrics_cmd =
     (Cmd.info "metrics"
        ~doc:
          "Run an instrumented chaos soak of the counter pipeline and \
-          pretty-print its metrics snapshot and trace rings")
-    Term.(const metrics_demo $ format $ events $ shards $ ops $ seed $ wal)
+          pretty-print its metrics snapshot")
+    Term.(const metrics_demo $ format $ shards $ ops $ seed $ wal)
 
 (* --- trace: generate / record / inspect workload trace files ----------- *)
 

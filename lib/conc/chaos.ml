@@ -36,8 +36,6 @@ let random_kills ~seed ~domains ~victims ~max_point =
       pool := List.filter (fun x -> x <> d) !pool;
       (d, 1 + Rng.Splitmix.next_int g max_point))
 
-type event = Injected_yield | Injected_stall | Injected_kill
-
 type domain_state = {
   rng : Rng.Splitmix.t;
   mutable points : int;
@@ -48,10 +46,9 @@ type domain_state = {
 type t = {
   cfg : plan;
   per_domain : domain_state array;
-  on_event : (domain:int -> point:int -> event -> unit) option;
 }
 
-let instantiate ?on_event cfg ~domains =
+let instantiate cfg ~domains =
   if domains <= 0 then invalid_arg "Chaos.instantiate: domains must be positive";
   let kill_at d =
     List.filter_map (fun (v, p) -> if v = d then Some p else None) cfg.kills
@@ -67,33 +64,24 @@ let instantiate ?on_event cfg ~domains =
             kill_at = kill_at d;
             dead = false;
           });
-    on_event;
   }
 
 let point t ~domain =
   let st = t.per_domain.(domain) in
-  let notify ev =
-    match t.on_event with
-    | Some f -> f ~domain ~point:st.points ev
-    | None -> ()
-  in
   if st.dead then raise (Killed { domain; point = st.points });
   st.points <- st.points + 1;
   (match st.kill_at with
   | Some k when st.points >= k ->
       st.dead <- true;
-      notify Injected_kill;
       raise (Killed { domain; point = st.points })
   | _ -> ());
   let u = Rng.Splitmix.next_float st.rng in
   if u < t.cfg.stall_prob then begin
-    notify Injected_stall;
     for _ = 1 to t.cfg.stall_spins do
       Domain.cpu_relax ()
     done
   end
   else if u < t.cfg.stall_prob +. t.cfg.yield_prob then begin
-    notify Injected_yield;
     for _ = 1 to 1 + Rng.Splitmix.next_int st.rng 8 do
       Domain.cpu_relax ()
     done

@@ -57,18 +57,9 @@ val random_kills :
 
 type t
 
-type event = Injected_yield | Injected_stall | Injected_kill
-(** What {!point} injected, reported to the [on_event] hook. *)
-
-val instantiate :
-  ?on_event:(domain:int -> point:int -> event -> unit) -> plan -> domains:int -> t
-(** Fresh per-domain RNGs and kill countdowns for one run.
-
-    [on_event] is called from the injected domain, at the injection point,
-    for every fault actually delivered (before the stall spins or the
-    {!Killed} raise) — the hook observability layers use to record injected
-    faults as trace events without this library depending on them. Keep it
-    allocation-free and non-blocking; it runs inside hot loops. *)
+val instantiate : plan -> domains:int -> t
+(** Fresh per-domain RNGs and kill countdowns for one run. Delivered kills
+    are reported by {!killed}; yields and stalls leave no record. *)
 
 val point : t -> domain:int -> unit
 (** An injection point. May yield, stall, or raise {!Killed} (once per

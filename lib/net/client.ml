@@ -220,7 +220,7 @@ let sender_loop t i =
     | `Chunk (arr, oldest_at) ->
         (* Roll the sampling die per composed batch. A sampled chunk gets
            an "enqueue" span (oldest buffered arrival → take) and hands
-           its re-parented context to deliver, which speaks net-batch2. *)
+           its re-parented context to deliver, which puts it on the wire. *)
         let ctx =
           match t.tracer with
           | None -> Obs.Span.zero

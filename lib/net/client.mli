@@ -87,9 +87,9 @@ val create :
     [tracer] samples composed batches for distributed tracing: a sampled
     batch records an ["enqueue"] span (oldest buffered arrival → take)
     and a ["flush"] span (send → ack, retries included), and carries its
-    context on the wire as a [net-batch2] frame so the server continues
-    the waterfall. Unsampled batches are byte-identical to a tracerless
-    client's.
+    context in its [net-batch] frame so the server continues the
+    waterfall. Unsampled batches carry the zero context, exactly as a
+    tracerless client's do.
 
     @raise Invalid_argument on non-positive [conns]/[batch]/[queue]. *)
 

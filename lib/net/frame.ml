@@ -1,8 +1,7 @@
 (* Payload schemas (everything else — magic, version, kind, length,
    checksum — is Wire.Codec's framing):
 
-     net-batch      i64 session, i64 seq, u32 count, count * i64 keys
-     net-batch2     i64 session, i64 seq, i64 trace_id, i64 parent,
+     net-batch      i64 session, i64 seq, i64 trace_id, i64 parent,
                     u32 count, count * i64 keys
      net-query      u8 tag (0 total | 1 point | 2 quantile | 3 top), arg
      net-reply      u8 tag (0 ack | 1 result | 2 err), body
@@ -17,11 +16,8 @@
    Unknown_kind — the server's "unsupported" answer — while a known but
    out-of-place kind (a checkpoint on a client connection) is Wrong_kind.
 
-   Trace contexts ride net-batch2, but only when sampled: a batch whose
-   context is Obs.Span.zero encodes as a plain net-batch, byte-identical
-   to the PR 8 schema, so an untraced sender interoperates with any peer
-   and a traced sender only speaks the new kind for the ~1/sample_every
-   batches that carry a context. *)
+   Every batch carries its trace context, zero (untraced) or not, so there
+   is one batch kind and one parser; an untraced batch pays 16 bytes. *)
 
 module Codec = Wire.Codec
 
@@ -31,7 +27,7 @@ type request =
   | Batch of {
       session : int64;
       seq : int;
-      ctx : Obs.Span.context;  (* Span.zero = untraced, legacy wire kind *)
+      ctx : Obs.Span.context;  (* Span.zero = untraced *)
       keys : int array;
     }
   | Query of query
@@ -66,20 +62,13 @@ let query_to_string = function
 let encode_request = function
   | Batch { session; seq; ctx; keys } ->
       if seq < 0 then invalid_arg "Net.Frame: negative batch seq";
-      if Obs.Span.is_zero ctx then
-        Codec.encode ~kind:Codec.net_batch_kind (fun b ->
-            Codec.i64 b session;
-            Codec.int_ b seq;
-            Codec.u32 b (Array.length keys);
-            Array.iter (fun k -> Codec.int_ b k) keys)
-      else
-        Codec.encode ~kind:Codec.net_batch2_kind (fun b ->
-            Codec.i64 b session;
-            Codec.int_ b seq;
-            Codec.i64 b ctx.Obs.Span.trace_id;
-            Codec.i64 b ctx.Obs.Span.parent;
-            Codec.u32 b (Array.length keys);
-            Array.iter (fun k -> Codec.int_ b k) keys)
+      Codec.encode ~kind:Codec.net_batch_kind (fun b ->
+          Codec.i64 b session;
+          Codec.int_ b seq;
+          Codec.i64 b ctx.Obs.Span.trace_id;
+          Codec.i64 b ctx.Obs.Span.parent;
+          Codec.u32 b (Array.length keys);
+          Array.iter (fun k -> Codec.int_ b k) keys)
   | Query q ->
       Codec.encode ~kind:Codec.net_query_kind (fun b ->
           match q with
@@ -102,22 +91,18 @@ let encode_request = function
   | Hello { session } ->
       Codec.encode ~kind:Codec.net_hello_kind (fun b -> Codec.i64 b session)
 
-let parse_batch ~traced r =
+let parse_batch r =
   let session = Codec.read_i64 r in
   let seq = Codec.read_int r in
   if seq < 0 then Codec.corrupt "negative batch seq %d" seq;
-  let ctx =
-    if not traced then Obs.Span.zero
-    else begin
-      let trace_id = Codec.read_i64 r in
-      let parent = Codec.read_i64 r in
-      if Int64.equal trace_id 0L then
-        Codec.corrupt "net-batch2 with zero trace id";
-      { Obs.Span.trace_id; parent }
-    end
-  in
-  let n = Codec.read_u32 r in
-  Batch { session; seq; ctx; keys = Array.init n (fun _ -> Codec.read_int r) }
+  let trace_id = Codec.read_i64 r in
+  let parent = Codec.read_i64 r in
+  (* An untraced batch has no parent span to point at. *)
+  if Int64.equal trace_id 0L && not (Int64.equal parent 0L) then
+    Codec.corrupt "net-batch with zero trace id but parent %Lx" parent;
+  let n = Codec.read_count r ~elt_bytes:8 in
+  let keys = Array.init n (fun _ -> Codec.read_int r) in
+  Batch { session; seq; ctx = { Obs.Span.trace_id; parent }; keys }
 
 let parse_query r =
   match Codec.read_u8 r with
@@ -144,10 +129,7 @@ let parse_hello r = Hello { session = Codec.read_i64 r }
 let decode_request bytes =
   match Codec.frame_kind bytes with
   | Error e -> Error e
-  | Ok k when k = Codec.net_batch_kind ->
-      Codec.decode ~kind:k (parse_batch ~traced:false) bytes
-  | Ok k when k = Codec.net_batch2_kind ->
-      Codec.decode ~kind:k (parse_batch ~traced:true) bytes
+  | Ok k when k = Codec.net_batch_kind -> Codec.decode ~kind:k parse_batch bytes
   | Ok k when k = Codec.net_query_kind -> Codec.decode ~kind:k parse_query bytes
   | Ok k when k = Codec.net_subscribe_kind ->
       Codec.decode ~kind:k parse_subscribe bytes

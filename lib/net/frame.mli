@@ -41,10 +41,12 @@ type request =
     }
       (** Update keys, applied in order. [(session, seq)] identifies the
           batch across retries; [session = 0L] means no dedup. [ctx] is
-          the sampled trace context: {!Obs.Span.zero} (the common case)
-          encodes as the legacy [net-batch] kind, byte-identical to the
-          PR 8 wire schema; a nonzero context rides the [net-batch2]
-          kind with trace id + parent span id after [seq]. *)
+          the sampled trace context, {!Obs.Span.zero} for the common
+          untraced batch. Every batch travels as the one [net-batch] kind
+          with trace id and parent span id after [seq], zero or not; a
+          zero trace id with a nonzero parent decodes as [Corrupt]. The
+          key count is checked against the frame's payload before the key
+          array is allocated. *)
   | Query of query
   | Subscribe of { from_epoch : int }
       (** Replication handshake. [from_epoch] is reserved (send 0): the

@@ -122,7 +122,7 @@ module Make (M : Pipeline.Mergeable.S) : sig
       point it at the WAL directory.
 
       [tracer] continues the waterfall of batches that arrive with a
-      sampled trace context ([net-batch2] frames): a ["decode"] span
+      sampled (nonzero) trace context in their [net-batch] frame: a ["decode"] span
       around the frame parse and an ["ingest"] span around the key loop,
       with {!P.trace_mark} handing the context to the engine so the shard
       flush and merge legs follow. Pass the same tracer to the engine

@@ -3,9 +3,8 @@
     A {!context} is what travels — on the wire inside a batch frame
     ([Net.Frame]), and in-process attached to a shard delta
     ([Pipeline.Engine]). It is deliberately tiny (two int64s) so an
-    unsampled request pays nothing beyond comparing against {!zero}: the
-    all-zero context is the opt-out that keeps the PR 8 wire schema
-    byte-identical for untraced batches.
+    unsampled request pays nothing beyond comparing against {!zero}. Every
+    batch frame carries one (16 bytes), zero or not.
 
     A {!record} is what a {!Tracer} keeps locally once a stage completes:
     the context plus this stage's own span id, name and timing. Records
@@ -19,7 +18,7 @@ type context = {
 }
 
 val zero : context
-(** The untraced context: both fields 0. Encodes as a legacy batch frame. *)
+(** The untraced context: both fields 0. *)
 
 val is_zero : context -> bool
 (** Sampled or not — the single branch every stage takes. *)

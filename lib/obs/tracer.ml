@@ -7,16 +7,13 @@ type t = {
   ring : Span.record option array;  (* keep most-recent spans, ring-indexed *)
   mutable written : int;
   stamp : int Atomic.t;  (* monotone record tick, shared across domains *)
-  trace : Trace.t option;
-  lane : int;
   metrics : Registry.t option;
   stage_timers : (string, Timer.t) Hashtbl.t;
   sampled_n : int Atomic.t;
   spans_n : int Atomic.t;
 }
 
-let create ?(sample_every = 64) ?(seed = 0x7ace5L) ?(keep = 512) ?trace
-    ?(lane = 0) ?metrics () =
+let create ?(sample_every = 64) ?(seed = 0x7ace5L) ?(keep = 512) ?metrics () =
   if sample_every < 0 then invalid_arg "Obs.Tracer.create: sample_every < 0";
   if keep <= 0 then invalid_arg "Obs.Tracer.create: keep <= 0";
   let t =
@@ -27,8 +24,6 @@ let create ?(sample_every = 64) ?(seed = 0x7ace5L) ?(keep = 512) ?trace
       ring = Array.make keep None;
       written = 0;
       stamp = Atomic.make 0;
-      trace;
-      lane;
       metrics;
       stage_timers = Hashtbl.create 8;
       sampled_n = Atomic.make 0;
@@ -114,14 +109,6 @@ let record t ~ctx ~stage ~start_ns ~end_ns =
     in
     Mutex.unlock t.m;
     Atomic.incr t.spans_n;
-    (match t.trace with
-    | Some tr ->
-        (* a/b carry the low trace-id bits and the latency so a ring dump
-           still correlates with the waterfall after the span ring wraps *)
-        Trace.emit tr ~lane:t.lane ~tag:stage
-          ~a:(Int64.to_int (Int64.logand ctx.Span.trace_id 0x3FFFFFFFFFFFFFFFL))
-          ~b:dur_ns
-    | None -> ());
     (match timer with
     | Some timer -> Timer.observe timer (float_of_int dur_ns *. 1e-9)
     | None -> ());

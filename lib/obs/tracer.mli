@@ -13,9 +13,11 @@
       it was handed. No-op on a zero context (the hot path is one load and
       one compare). For sampled work it mints a span id, stamps a
       tracer-local monotone tick, appends the span to a bounded in-memory
-      ring (what [/trace?n=K] serves), optionally mirrors a compact event
-      into an {!Trace} lane, and feeds the duration into a per-stage KLL
-      timer ([trace_stage_seconds{stage="..."}]).
+      ring (what [/trace?n=K] and [pipeline --trace-dump K] print), and
+      feeds the duration into a per-stage KLL timer
+      ([trace_stage_seconds{stage="..."}]). The tracer is the process's only
+      tracing path; lifecycle facts such as restarts and sheds are counted
+      by registry series, not spans.
 
     Recording takes a mutex — acceptable because only sampled batches
     (1/[sample_every]) ever reach it; the unsampled path is wait-free. *)
@@ -26,15 +28,12 @@ val create :
   ?sample_every:int ->
   ?seed:int64 ->
   ?keep:int ->
-  ?trace:Trace.t ->
-  ?lane:int ->
   ?metrics:Registry.t ->
   unit ->
   t
 (** [sample_every] (default 64): expected batches per sampled trace; [1]
     traces everything, [0] disables sampling entirely. [keep] (default
-    512) bounds the recent-span ring. [trace]/[lane] mirror each recorded
-    span into an existing lossy trace ring. [metrics] registers
+    512) bounds the recent-span ring. [metrics] registers
     [trace_sampled_total], [trace_spans_total], [trace_spans_dropped_total]
     and lazily one [trace_stage_seconds] timer per stage.
     @raise Invalid_argument if [sample_every < 0] or [keep <= 0]. *)
@@ -54,8 +53,8 @@ val record :
 (** [record t ~ctx ~stage ~start_ns ~end_ns] logs one completed stage and
     returns its minted span id — pass it downstream via
     {!Span.with_parent}. Returns [0L] without recording when [ctx] is
-    {!Span.zero}. [stage] must be a preallocated constant (it is stored by
-    reference in the trace ring). *)
+    {!Span.zero}. [stage] should be a preallocated constant (it is stored by
+    reference in the span ring). *)
 
 val recent : t -> int -> Span.record list
 (** The most recent [n] spans, oldest first. Spans beyond the [keep]

@@ -20,7 +20,6 @@ let default_supervisor =
 module Make (M : Mergeable.S) = struct
   type delta = {
     shard : int;
-    seq : int; (* per-incarnation flush sequence number *)
     weight : int; (* stream items summarized in the blob *)
     born : float; (* encode time, for merge-lag percentiles *)
     ctx : Obs.Span.context; (* trace context, Span.zero for untraced deltas *)
@@ -50,7 +49,7 @@ module Make (M : Mergeable.S) = struct
        queue, and the worker's next flush claims it — the span covers
        queue residency plus fold. One slot suffices at 1/sample_every
        tracing; a second mark before the next flush just replaces the first
-       (lossy, like the trace rings). *)
+       (lossy, like the span ring). *)
     pending : (Obs.Span.context * int) option Atomic.t;
   }
 
@@ -102,7 +101,6 @@ module Make (M : Mergeable.S) = struct
     decode_failures : int Atomic.t;
     merger_failed : exn option Atomic.t;
     lag_timer : Obs.Timer.t option; (* merge-lag quantiles, observed per merge *)
-    trace : Obs.Trace.t option; (* lanes: worker i -> i, merger -> n, watchdog -> n+1 *)
     tracer : Obs.Tracer.t option; (* span sink for queue/merge stages *)
     rec_ : (int, int, int) Conc.Recorder.t;
     mutable workers : unit Domain.t array;
@@ -155,7 +153,6 @@ module Make (M : Mergeable.S) = struct
     let buf = Array.make t.batch 0 in
     let local = ref (M.create ()) in
     let count = ref 0 in
-    let seq = ref 0 in
     (* Combining buffer: one worker-private table, reset per batch. Keys a
        batch repeats cost one [update_many] instead of k sketch updates —
        the win grows with stream skew, and per-batch scoping keeps the
@@ -203,17 +200,13 @@ module Make (M : Mergeable.S) = struct
                   Obs.Span.with_parent ctx sid)
         in
         let blob = M.encode !local in
-        incr seq;
         let d =
-          { shard = i; seq = !seq; weight = !count;
+          { shard = i; weight = !count;
             born = Unix.gettimeofday (); ctx; blob }
         in
         if Mpsc.push t.mq d then begin
           ignore (Atomic.fetch_and_add s.flushed_items !count);
-          ignore (Atomic.fetch_and_add s.flushes 1);
-          match t.trace with
-          | Some tr -> Obs.Trace.emit tr ~lane:i ~tag:"flush" ~a:d.weight ~b:d.seq
-          | None -> ()
+          ignore (Atomic.fetch_and_add s.flushes 1)
         end;
         local := M.create ();
         count := 0
@@ -292,24 +285,16 @@ module Make (M : Mergeable.S) = struct
        happens after our close — never the other way around, which would
        leave a freshly restarted worker blocked on a closed queue. Closing
        also turns ingest into fail-fast drops while the shard is down. *)
-    let trace_death () =
-      (* [count] items were absorbed but never flushed: the crash's loss. *)
-      match t.trace with
-      | Some tr -> Obs.Trace.emit tr ~lane:i ~tag:"death" ~a:!count ~b:!seq
-      | None -> ()
-    in
     try loop () with
     | Conc.Chaos.Killed _ as e ->
         (* Crash-stop: the delta under accumulation is lost (consumed >
            flushed records how much). *)
         Atomic.set s.last_error (Some (Printexc.to_string e));
-        trace_death ();
         Mpsc.close s.q;
         Atomic.set s.alive false
     | e ->
         Atomic.set s.failed (Some e);
         Atomic.set s.last_error (Some (Printexc.to_string e));
-        trace_death ();
         Mpsc.close s.q;
         Atomic.set s.alive false
 
@@ -346,11 +331,6 @@ module Make (M : Mergeable.S) = struct
               (match t.lag_timer with
               | Some tm -> Obs.Timer.observe tm !lag
               | None -> ());
-              (match t.trace with
-              | Some tr ->
-                  Obs.Trace.emit tr ~lane:dom ~tag:"merge" ~a:!stamped
-                    ~b:d.weight
-              | None -> ());
               (* The merge span starts at the delta's encode time, so it
                  covers merger-queue residency plus the fold itself —
                  the same window [lag_timer] measures. *)
@@ -379,11 +359,6 @@ module Make (M : Mergeable.S) = struct
                 and epoch = t.epoch
                 and published = t.published in
                 Mutex.unlock t.gm;
-                (match t.trace with
-                | Some tr ->
-                    Obs.Trace.emit tr ~lane:dom ~tag:"checkpoint" ~a:epoch
-                      ~b:published
-                | None -> ());
                 match t.on_checkpoint with
                 | Some f -> f ~epoch ~published ~blob
                 | None -> ()
@@ -400,11 +375,6 @@ module Make (M : Mergeable.S) = struct
   let watchdog t cfg =
     let g = Rng.Splitmix.create cfg.seed in
     let n = shard_count t in
-    let trace_event tag ~a ~b =
-      match t.trace with
-      | Some tr -> Obs.Trace.emit tr ~lane:(n + 1) ~tag ~a ~b
-      | None -> ()
-    in
     let restart_at = Array.make n None in
     while not (Atomic.get t.stopping) do
       Unix.sleepf cfg.poll_interval;
@@ -426,8 +396,7 @@ module Make (M : Mergeable.S) = struct
                         cfg.max_restarts
                         (Option.value ~default:"unknown"
                            (Atomic.get s.last_error))));
-                Atomic.set s.shed true;
-                trace_event "shed" ~a:i ~b:r
+                Atomic.set s.shed true
               end
               else begin
                 let backoff =
@@ -443,8 +412,7 @@ module Make (M : Mergeable.S) = struct
               restart_at.(i) <- None;
               (* The old incarnation has exited; reap it before respawning. *)
               Domain.join t.workers.(i);
-              let r = Atomic.fetch_and_add s.restarts 1 in
-              trace_event "restart" ~a:i ~b:(r + 1);
+              ignore (Atomic.fetch_and_add s.restarts 1);
               Mpsc.reopen s.q;
               Atomic.set s.alive true;
               t.workers.(i) <- Domain.spawn (fun () -> worker t i)
@@ -558,7 +526,7 @@ module Make (M : Mergeable.S) = struct
 
   let create ?(steal = false) ?(queue_capacity = 1024) ?(batch = 512)
       ?(combine = false) ?on_tick ?on_merge ?(checkpoint_every = 0)
-      ?on_checkpoint ?supervisor ?metrics ?trace ?tracer ?initial ~shards () =
+      ?on_checkpoint ?supervisor ?metrics ?tracer ?initial ~shards () =
     if shards <= 0 then invalid_arg "Engine.create: shards must be positive";
     if queue_capacity <= 0 then
       invalid_arg "Engine.create: queue_capacity must be positive";
@@ -574,14 +542,6 @@ module Make (M : Mergeable.S) = struct
         if c.max_restarts < 0 || c.backoff_base < 0.0 || c.poll_interval <= 0.0
         then invalid_arg "Engine.create: malformed supervisor config"
     | None -> ());
-    (match trace with
-    | Some tr when Obs.Trace.lanes tr < shards + 2 ->
-        invalid_arg
-          (Printf.sprintf
-             "Engine.create: trace needs %d lanes (one per shard, merger, \
-              watchdog), got %d"
-             (shards + 2) (Obs.Trace.lanes tr))
-    | _ -> ());
     let mk_shard _ =
       {
         q = Mpsc.create ~capacity:queue_capacity;
@@ -630,7 +590,6 @@ module Make (M : Mergeable.S) = struct
                 ~help:"Seconds from delta encode to merge into the global"
                 "pipeline_merge_lag_seconds")
             metrics;
-        trace;
         tracer;
         rec_ = Conc.Recorder.create ~domains:(shards + 2);
         workers = [||];

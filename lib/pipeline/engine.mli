@@ -112,7 +112,6 @@ module Make (M : Mergeable.S) : sig
     ?on_checkpoint:(epoch:int -> published:int -> blob:Bytes.t -> unit) ->
     ?supervisor:supervisor ->
     ?metrics:Obs.Registry.t ->
-    ?trace:Obs.Trace.t ->
     ?tracer:Obs.Tracer.t ->
     ?initial:M.t * int * int ->
     shards:int ->
@@ -183,21 +182,16 @@ module Make (M : Mergeable.S) : sig
       summing [enqueued] so the reported gap is a sound staleness bound;
       docs/OBSERVABILITY.md).
 
-      [trace] points the engine at an {!Obs.Trace.t} whose lanes map to the
-      pipeline's domains: worker [i] writes lane [i] ([flush] and [death]
-      events), the merger writes lane [shards] ([merge], [checkpoint]),
-      the watchdog lane [shards + 1] ([restart], [shed]). Emits are
-      single-writer plain stores into preallocated rings — lossy by design,
-      never blocking.
-
-      [tracer] enables distributed-tracing spans for sampled batches: after
+      [tracer] is the engine's only tracing hook. It enables distributed-tracing spans for sampled batches: after
       {!trace_mark} tags a shard with a context, that worker's next flush
       records a ["queue"] span (mark → flush: queue residency plus fold)
       and attaches the context to the delta;
       the merger then records a ["merge"] span (encode → merged, the same
       window as [pipeline_merge_lag_seconds]) and hands the re-parented
       context to [on_merge]. Unsampled traffic pays one atomic-load branch
-      per flush.
+      per flush. Lifecycle facts (flushes, merges, restarts, sheds, the
+      last error of a dead shard) are not spans: they are already counted
+      by the [metrics] series above and {!stats}.
 
       [initial (sketch, epoch, published)] seeds the engine with recovered
       state ([Durable.Recovery]) instead of an empty sketch: the global
@@ -210,8 +204,7 @@ module Make (M : Mergeable.S) : sig
       [batch <= 0], [checkpoint_every < 0], the supervisor config is
       malformed (negative [max_restarts] or [backoff_base], or
       [poll_interval <= 0]),
-      [initial]'s epoch or published weight is negative, or
-      [trace] has fewer than [shards + 2] lanes. *)
+      or [initial]'s epoch or published weight is negative. *)
 
   val ingest : t -> int -> bool
   (** Route an element to its shard (by hash) and enqueue it, blocking while

@@ -53,7 +53,6 @@ let net_subscribe_kind = 14
 let net_delta_kind = 15
 let net_hello_kind = 16
 let net_session_kind = 17
-let net_batch2_kind = 18
 
 let kind_name = function
   | 1 -> "countmin"
@@ -73,10 +72,9 @@ let kind_name = function
   | 15 -> "net-delta"
   | 16 -> "net-hello"
   | 17 -> "net-session"
-  | 18 -> "net-batch2"
   | k -> Printf.sprintf "unknown(%d)" k
 
-let known_kind k = k >= 1 && k <= 18
+let known_kind k = k >= 1 && k <= 17
 
 let corrupt fmt = Printf.ksprintf (fun msg -> raise (Decode_error (Corrupt msg))) fmt
 
@@ -151,6 +149,14 @@ let read_i64 r =
   let v = Bytes.get_int64_be r.buf r.pos in
   r.pos <- r.pos + 8;
   v
+
+(* A count prefix is checked against the unread payload before the caller
+   allocates anything sized by it: a forged count fails here as Truncated
+   instead of reaching Array.make. *)
+let read_count r ~elt_bytes =
+  let n = read_u32 r in
+  need r (n * elt_bytes);
+  n
 
 let read_int r =
   let v = read_i64 r in

@@ -72,7 +72,9 @@ val trace_block_kind : int
     ([Workload.Trace]). *)
 
 val net_batch_kind : int
-(** A served-tier ingest request: a batch of update keys ([Net.Frame]). *)
+(** A served-tier ingest request: session, sequence number, trace context
+    and a batch of update keys ([Net.Frame]). Every batch travels as this
+    one kind, traced or not. *)
 
 val net_query_kind : int
 (** A served-tier query request ([Net.Frame]). *)
@@ -96,17 +98,11 @@ val net_session_kind : int
     count) triple, persisted so the dedup window survives a WAL restart
     ([Net.Dedup]). *)
 
-val net_batch2_kind : int
-(** A served-tier ingest request carrying a sampled trace context
-    (trace id + parent span id) between session/seq and the keys.
-    Batches with a zero context still travel as {!net_batch_kind}, so
-    peers that predate tracing interoperate unchanged ([Net.Frame]). *)
-
 val kind_name : int -> string
 
 val known_kind : int -> bool
-(** Whether this build understands the kind tag. Frames carrying an unknown
-    tag decode to {!Unknown_kind}. *)
+(** Whether this build understands the kind tag ([1..17]). Frames carrying
+    an unknown tag decode to {!Unknown_kind}. *)
 
 val frame_kind : Bytes.t -> (int, error) result
 (** [frame_kind blob] validates magic and version and returns the raw kind
@@ -145,6 +141,12 @@ val read_u8 : reader -> int
 val read_u32 : reader -> int
 val read_i64 : reader -> int64
 val read_int : reader -> int
+
+val read_count : reader -> elt_bytes:int -> int
+(** [read_count r ~elt_bytes] reads a [u32] element count and fails with
+    [Truncated] if [count * elt_bytes] exceeds the unread payload — before
+    the caller allocates anything sized by the count. *)
+
 val read_float : reader -> float
 val read_bytes : reader -> Bytes.t
 

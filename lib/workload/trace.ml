@@ -282,7 +282,8 @@ let decode_block blob =
     (fun r ->
       let open Wire.Codec in
       let phase = read_u32 r in
-      let count = read_u32 r in
+      (* 9 B per op: a u8 tag and an i64 key *)
+      let count = read_count r ~elt_bytes:9 in
       let ops =
         Array.init count (fun _ ->
             let tag = read_u8 r in

@@ -166,45 +166,71 @@ let test_frame_schema_validation () =
   | _ -> Alcotest.fail "truncated batch accepted"
 
 let test_span_ctx_wire () =
-  (* A sampled batch rides the net-batch2 frame and the context survives
-     the wire exactly, alongside the effectively-once fields. *)
-  let ctx =
-    { Obs.Span.trace_id = 0x1122334455667788L; parent = 0x0102030405060708L }
+  (* Every batch rides the one net-batch frame, and its context survives
+     the wire exactly, alongside the effectively-once fields — a sampled
+     context and the untraced zero alike. *)
+  let roundtrip ctx =
+    let bytes = Frame.encode_request (batch ~session:9L ~seq:4 ~ctx [| 1; 2; 3 |]) in
+    (match Codec.peek bytes with
+    | Ok (name, _) -> Alcotest.(check string) "one batch kind" "net-batch" name
+    | Error e -> Alcotest.failf "peek: %s" (Codec.error_to_string e));
+    match Frame.decode_request bytes with
+    | Ok (Frame.Batch { session; seq; ctx = ctx'; keys }) ->
+        check_bool "session" true (Int64.equal session 9L);
+        check_int "seq" 4 seq;
+        check_bool "trace id" true
+          (Int64.equal ctx'.Obs.Span.trace_id ctx.Obs.Span.trace_id);
+        check_bool "parent" true
+          (Int64.equal ctx'.Obs.Span.parent ctx.Obs.Span.parent);
+        check_int "keys" 3 (Array.length keys)
+    | Ok _ -> Alcotest.fail "not a batch"
+    | Error e -> Alcotest.failf "decode: %s" (Codec.error_to_string e)
   in
-  let traced = Frame.encode_request (batch ~session:9L ~seq:4 ~ctx [| 1; 2; 3 |]) in
-  (match Codec.peek traced with
-  | Ok (name, _) -> Alcotest.(check string) "traced kind" "net-batch2" name
-  | Error e -> Alcotest.failf "peek: %s" (Codec.error_to_string e));
-  (match Frame.decode_request traced with
-  | Ok (Frame.Batch { session; seq; ctx = ctx'; keys }) ->
-      check_bool "session" true (Int64.equal session 9L);
-      check_int "seq" 4 seq;
-      check_bool "trace id" true
-        (Int64.equal ctx'.Obs.Span.trace_id 0x1122334455667788L);
-      check_bool "parent" true
-        (Int64.equal ctx'.Obs.Span.parent 0x0102030405060708L);
-      check_int "keys" 3 (Array.length keys)
+  roundtrip
+    { Obs.Span.trace_id = 0x1122334455667788L; parent = 0x0102030405060708L };
+  roundtrip { Obs.Span.trace_id = 1L; parent = 0L };
+  roundtrip Obs.Span.zero;
+  (* A parent span without a trace is the one malformed context. *)
+  let orphan =
+    Codec.encode ~kind:Codec.net_batch_kind (fun w ->
+        Codec.i64 w 9L;
+        Codec.int_ w 4;
+        Codec.i64 w 0L;
+        Codec.i64 w 5L;
+        Codec.u32 w 0)
+  in
+  match Frame.decode_request orphan with
+  | Error (Codec.Corrupt _) -> ()
+  | Ok _ -> Alcotest.fail "zero trace id with a parent accepted"
+  | Error e -> Alcotest.failf "expected Corrupt: %s" (Codec.error_to_string e)
+
+(* A hand-sealed batch whose u32 key count is [count] and whose payload
+   holds [keys] keys: checksum and framing valid, only the count lies. *)
+let sealed_batch ~count keys =
+  Codec.encode ~kind:Codec.net_batch_kind (fun w ->
+      Codec.i64 w 0L;
+      Codec.int_ w 0;
+      Codec.i64 w 0L;
+      Codec.i64 w 0L;
+      Codec.u32 w count;
+      Array.iter (Codec.int_ w) keys)
+
+let test_batch_count_bounded () =
+  (* A 4-billion-key count behind one real key must fail on the count,
+     before a 32 GiB key array is requested. *)
+  (match Frame.decode_request (sealed_batch ~count:0xFFFFFFFF [| 7 |]) with
+  | Error (Codec.Truncated _) -> ()
+  | Ok _ -> Alcotest.fail "oversized count accepted"
+  | Error e -> Alcotest.failf "expected Truncated: %s" (Codec.error_to_string e));
+  (match Frame.decode_request (sealed_batch ~count:3 [| 7; 8 |]) with
+  | Error (Codec.Truncated _) -> ()
+  | _ -> Alcotest.fail "count one past the payload accepted");
+  (* A count that exactly fills the payload is the boundary, and decodes. *)
+  match Frame.decode_request (sealed_batch ~count:2 [| 7; 8 |]) with
+  | Ok (Frame.Batch { keys; _ }) ->
+      Alcotest.(check (array int)) "exact count" [| 7; 8 |] keys
   | Ok _ -> Alcotest.fail "not a batch"
-  | Error e -> Alcotest.failf "decode: %s" (Codec.error_to_string e));
-  (* The opt-out: a zero context encodes byte-identical to the legacy
-     net-batch frame, so untraced senders are indistinguishable from
-     pre-tracing builds on the wire. *)
-  let plain =
-    Frame.encode_request (batch ~session:9L ~seq:4 [| 1; 2; 3 |])
-  in
-  let explicit_zero =
-    Frame.encode_request
-      (batch ~session:9L ~seq:4 ~ctx:Obs.Span.zero [| 1; 2; 3 |])
-  in
-  check_bool "zero ctx = legacy bytes" true (Bytes.equal plain explicit_zero);
-  (match Codec.peek plain with
-  | Ok (name, _) -> Alcotest.(check string) "legacy kind" "net-batch" name
-  | Error e -> Alcotest.failf "peek: %s" (Codec.error_to_string e));
-  (* A half-zero context is still sampled: only the all-zero pair opts out. *)
-  let half = { Obs.Span.trace_id = 1L; parent = 0L } in
-  match Codec.peek (Frame.encode_request (batch ~ctx:half [| 7 |])) with
-  | Ok (name, _) -> Alcotest.(check string) "root ctx still traced" "net-batch2" name
-  | Error e -> Alcotest.failf "peek: %s" (Codec.error_to_string e)
+  | Error e -> Alcotest.failf "exact count: %s" (Codec.error_to_string e)
 
 (* Satellite regression: a kind tag this build does not know at all. *)
 let test_unknown_kind () =
@@ -219,6 +245,12 @@ let test_unknown_kind () =
   (match Frame.decode_request foreign with
   | Error (Codec.Unknown_kind 99) -> ()
   | _ -> Alcotest.fail "decode_request must surface Unknown_kind");
+  (* Kind 18 (a retired second batch kind) is foreign to this build. *)
+  check_bool "18 unknown" false (Codec.known_kind 18);
+  Alcotest.(check string) "18 unnamed" "unknown(18)" (Codec.kind_name 18);
+  (match Frame.decode_request (Codec.encode ~kind:18 (fun w -> Codec.u8 w 0)) with
+  | Error (Codec.Unknown_kind 18) -> ()
+  | _ -> Alcotest.fail "kind 18 must decode to Unknown_kind 18");
   (* The checksum is validated even for unknown kinds? No: frame_kind
      dispatches before checksum, and the distinct error is the point. *)
   check_bool "message names the tag" true
@@ -289,11 +321,11 @@ let test_server_batch_ack () =
   let est = Srv.P.stats (Srv.engine srv) in
   check_int "published = ingested" 100 est.Srv.P.published
 
-let test_server_unknown_kind_over_wire () =
+let test_server_unknown_kind_over_wire ~kind () =
   let srv = start_server () in
   let c = dial srv in
   check_int "warmup" 4 (expect_ack c (batch [| 1; 2; 3; 4 |]));
-  let foreign = Codec.encode ~kind:77 (fun w -> Codec.u8 w 1) in
+  let foreign = Codec.encode ~kind (fun w -> Codec.u8 w 1) in
   check_bool "send foreign" true (Conn.send c foreign);
   (match Conn.recv c with
   | Ok frame -> (
@@ -1301,12 +1333,16 @@ let () =
           Alcotest.test_case "unknown kind" `Quick test_unknown_kind;
           Alcotest.test_case "span context on the wire" `Quick
             test_span_ctx_wire;
+          Alcotest.test_case "batch count bounded by payload" `Quick
+            test_batch_count_bounded;
         ] );
       ( "server",
         [
           Alcotest.test_case "batch/ack/query" `Quick test_server_batch_ack;
           Alcotest.test_case "unknown kind over wire" `Quick
-            test_server_unknown_kind_over_wire;
+            (test_server_unknown_kind_over_wire ~kind:77);
+          Alcotest.test_case "retired kind 18 over wire" `Quick
+            (test_server_unknown_kind_over_wire ~kind:18);
           Alcotest.test_case "adversarial peers" `Quick test_adversarial_peers;
         ] );
       ( "client",

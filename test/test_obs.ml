@@ -1,6 +1,6 @@
 (* Tests for the observability layer: the IVL semantics of each instrument
-   (counter scans, histogram buckets, timer sketches), the lossy-by-design
-   trace rings, registry identity rules, the pure exposition formats, and —
+   (counter scans, histogram buckets, timer sketches), the sampled span
+   tracer, registry identity rules, the pure exposition formats, and —
    the Theorem-6-style headline — that the live envelope-width gauge is a
    sound bound on the staleness of every concurrent [read_total]. *)
 
@@ -158,69 +158,6 @@ let test_timer_time_and_empty () =
   Alcotest.(check int) "thunk result" 42 x;
   Alcotest.(check int) "duration observed" 1 (Obs.Timer.count t);
   Alcotest.(check bool) "duration nonnegative" true (Obs.Timer.sum t >= 0.0)
-
-(* ------------------------- trace ------------------------- *)
-
-let test_trace_wrap_and_dropped () =
-  let tr = Obs.Trace.create ~lanes:2 ~capacity:4 () in
-  Alcotest.(check int) "lanes" 2 (Obs.Trace.lanes tr);
-  Alcotest.(check int) "capacity" 4 (Obs.Trace.capacity tr);
-  for k = 1 to 6 do
-    Obs.Trace.emit tr ~lane:0 ~tag:"tick" ~a:k ~b:0
-  done;
-  Obs.Trace.emit tr ~lane:1 ~tag:"other" ~a:99 ~b:1;
-  Alcotest.(check int) "written lane 0" 6 (Obs.Trace.written tr ~lane:0);
-  Alcotest.(check int) "written lane 1" 1 (Obs.Trace.written tr ~lane:1);
-  Alcotest.(check int) "dropped = overwritten only" 2 (Obs.Trace.dropped tr);
-  let events = Obs.Trace.dump tr in
-  Alcotest.(check int) "survivors" 5 (List.length events);
-  (* The two oldest lane-0 events (a = 1, 2) were overwritten. *)
-  let lane0 = List.filter (fun (e : Obs.Trace.entry) -> e.lane = 0) events in
-  Alcotest.(check (list int)) "ring keeps the newest" [ 3; 4; 5; 6 ]
-    (List.map (fun (e : Obs.Trace.entry) -> e.a) lane0);
-  let stamps = List.map (fun (e : Obs.Trace.entry) -> e.stamp) events in
-  Alcotest.(check bool) "dump ascending by stamp" true
-    (stamps = List.sort compare stamps);
-  let tail = Obs.Trace.dump_tail tr 2 in
-  Alcotest.(check (list string)) "tail is the most recent events"
-    [ "tick"; "other" ]
-    (List.map (fun (e : Obs.Trace.entry) -> e.tag) tail)
-
-let test_trace_stamps_respect_real_time () =
-  (* Two lanes written by two domains in strict alternation: the global
-     stamp clock must order them exactly like Recorder tickets do —
-     happens-before implies a smaller stamp. *)
-  let tr = Obs.Trace.create ~lanes:2 ~capacity:128 () in
-  let rounds = 50 in
-  let turn = Atomic.make 0 in
-  let _ =
-    Conc.Runner.parallel ~domains:2 (fun i ->
-        for k = 0 to rounds - 1 do
-          let my_turn = (2 * k) + i in
-          while Atomic.get turn <> my_turn do
-            Domain.cpu_relax ()
-          done;
-          Obs.Trace.emit tr ~lane:i ~tag:"turn" ~a:my_turn ~b:0;
-          Atomic.set turn (my_turn + 1)
-        done)
-  in
-  let events = Obs.Trace.dump tr in
-  Alcotest.(check int) "all events survive" (2 * rounds) (List.length events);
-  Alcotest.(check (list int)) "merged order = real-time order"
-    (List.init (2 * rounds) Fun.id)
-    (List.map (fun (e : Obs.Trace.entry) -> e.a) events)
-
-let test_trace_rejects_bad_shape () =
-  Alcotest.(check bool) "zero lanes rejected" true
-    (try
-       ignore (Obs.Trace.create ~lanes:0 ~capacity:8 ());
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "zero capacity rejected" true
-    (try
-       ignore (Obs.Trace.create ~lanes:1 ~capacity:0 ());
-       false
-     with Invalid_argument _ -> true)
 
 (* ------------------------- registry ------------------------- *)
 
@@ -438,8 +375,7 @@ let test_pipeline_metrics_registration () =
     Workload.Stream.generate ~seed:3L (Workload.Stream.Zipf (200, 1.1)) ~length:n
   in
   let reg = Obs.Registry.create () in
-  let tr = Obs.Trace.create ~lanes:(shards + 2) ~capacity:256 () in
-  let p = PC.create ~batch:64 ~combine:true ~metrics:reg ~trace:tr ~shards () in
+  let p = PC.create ~batch:64 ~combine:true ~metrics:reg ~shards () in
   Array.iter (fun x -> ignore (PC.ingest p x)) stream;
   PC.drain p;
   let st = PC.stats p in
@@ -464,30 +400,11 @@ let test_pipeline_metrics_registration () =
         (Obs.Snapshot.gauge_value snap ~labels "pipeline_shard_alive"))
     st.PC.shards;
   (* Merge-lag summary scraped with one observation per merge. *)
-  (match Obs.Snapshot.find snap "pipeline_merge_lag_seconds" with
+  match Obs.Snapshot.find snap "pipeline_merge_lag_seconds" with
   | Some (Obs.Snapshot.Summary s) ->
       Alcotest.(check int) "lag observations = merges" st.PC.merges
         s.Obs.Snapshot.s_count
-  | _ -> Alcotest.fail "merge-lag summary missing");
-  (* Trace lanes: every worker flushed at least once, the merger merged,
-     and nothing used the watchdog lane (no supervisor configured). *)
-  let events = Obs.Trace.dump tr in
-  Alcotest.(check bool) "flush events traced" true
-    (List.exists (fun (e : Obs.Trace.entry) -> e.tag = "flush") events);
-  Alcotest.(check bool) "merge events traced" true
-    (List.exists
-       (fun (e : Obs.Trace.entry) -> e.tag = "merge" && e.lane = shards)
-       events);
-  Alcotest.(check bool) "watchdog lane silent" true
-    (Obs.Trace.written tr ~lane:(shards + 1) = 0);
-  Alcotest.(check bool) "trace lanes validated" true
-    (try
-       ignore
-         (PC.create ~metrics:reg
-            ~trace:(Obs.Trace.create ~lanes:2 ~capacity:8 ())
-            ~shards:4 ());
-       false
-     with Invalid_argument _ -> true)
+  | _ -> Alcotest.fail "merge-lag summary missing"
 
 (* ------------------- Prometheus label-value escaping ------------------- *)
 
@@ -801,13 +718,6 @@ let () =
         [
           Alcotest.test_case "quantiles" `Quick test_timer_quantiles;
           Alcotest.test_case "time and empty" `Quick test_timer_time_and_empty;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "wrap and dropped" `Quick test_trace_wrap_and_dropped;
-          Alcotest.test_case "stamps respect real time" `Quick
-            test_trace_stamps_respect_real_time;
-          Alcotest.test_case "rejects bad shape" `Quick test_trace_rejects_bad_shape;
         ] );
       ( "registry",
         [

@@ -506,10 +506,6 @@ let test_create_rejects_bad_config () =
         fun () ->
           PC.create ~initial:(Pipeline.Targets.Counter.create (), 0, -1)
             ~shards:1 () );
-      ( "trace lanes < shards + 2",
-        fun () ->
-          PC.create ~trace:(Obs.Trace.create ~lanes:3 ~capacity:16 ()) ~shards:2
-            () );
     ]
   in
   List.iter

@@ -257,6 +257,48 @@ let test_trace_bitflip_rejected () =
   | Ok _ -> Alcotest.fail "bit-flipped trace accepted"
   | Error _ -> ()
 
+let test_trace_block_count_bounded () =
+  (* A two-op phase: the file is its real header frame plus one
+     hand-sealed block whose u32 op count is [count] over [ops] ops. *)
+  let spec =
+    {
+      Workload.Trace.seed = 1L;
+      phases =
+        [
+          { Workload.Trace.name = "p"; ops = 2; query_ratio = 0.0;
+            rate = Workload.Trace.Unlimited;
+            shape = Workload.Trace.Uniform { universe = 4 } };
+        ];
+    }
+  in
+  with_trace_file @@ fun path ->
+  (match Workload.Trace.write ~path spec (Workload.Trace.materialize spec) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "write: %s" e);
+  let header = List.hd (Wire.Segment.scan (read_file path)).Wire.Segment.frames in
+  let with_block ~count ops =
+    let block =
+      Wire.Codec.encode ~kind:Wire.Codec.trace_block_kind (fun w ->
+          Wire.Codec.u32 w 0;
+          Wire.Codec.u32 w count;
+          List.iter
+            (fun k ->
+              Wire.Codec.u8 w 0;
+              Wire.Codec.int_ w k)
+            ops)
+    in
+    write_file path (Bytes.cat header block);
+    Workload.Trace.read ~path
+  in
+  (match with_block ~count:0xFFFFFFFF [ 3 ] with
+  | Ok _ -> Alcotest.fail "oversized op count accepted"
+  | Error _ -> ());
+  match with_block ~count:2 [ 3; 1 ] with
+  | Ok (_, ops) ->
+      Alcotest.(check bool) "exact count decodes" true
+        (ops = [| [| Workload.Scenario.Update 3; Workload.Scenario.Update 1 |] |])
+  | Error e -> Alcotest.failf "exact count: %s" e
+
 let test_trace_validate_rejects_nonsense () =
   let phase shape =
     { Workload.Trace.name = "p"; ops = 10; query_ratio = 0.0;
@@ -344,6 +386,8 @@ let () =
           Alcotest.test_case "file roundtrip" `Quick test_trace_file_roundtrip;
           Alcotest.test_case "torn file rejected" `Quick test_trace_torn_file_rejected;
           Alcotest.test_case "bit flip rejected" `Quick test_trace_bitflip_rejected;
+          Alcotest.test_case "oversized block count rejected" `Quick
+            test_trace_block_count_bounded;
           Alcotest.test_case "validate rejects nonsense" `Quick
             test_trace_validate_rejects_nonsense;
         ] );
