@@ -1,5 +1,4 @@
-(* E16/E17: what the served tier costs over loopback, and whether it
-   survives a hostile network.
+(* E16: what the served tier costs over loopback.
 
    The pipeline's ingestion numbers (E10/E13) are in-process; this
    experiment puts the same engine behind the lib/net server and measures
@@ -16,11 +15,9 @@
      exactly (conservation over the wire). Unit "violations" makes any
      nonzero fatal in `bench compare` — loopback has no excuse.
 
-   E17 is the robustness counterpart: a small served chaos soak through
-   Net.Chaos_proxy (latency, bit flips, mid-frame resets, refused dials,
-   one full partition) with a server kill + WAL restart mid-trace. The
-   four soak verdicts land as zero-tolerance rows; resync and duplicate
-   counts ride along as informational. *)
+   The robustness counterpart (E17) is the served chaos soak itself:
+   `ivl-cli soak --served --bench-out`, gated against
+   bench/baselines/BENCH_served_soak.json. *)
 
 let ingest_ops = 200_000
 let query_rounds = 2_000
@@ -100,7 +97,7 @@ let query_run conns =
   let violations = if answered < conns * query_rounds then 1 else 0 in
   (float_of_int answered /. dt, violations)
 
-let rec run () =
+let run () =
   Bench_util.section
     "E16: served tier over loopback (ingest Mops/s, query QPS vs connections)";
   let violations = ref 0 in
@@ -133,62 +130,4 @@ let rec run () =
   Bench_util.record ~exp:"net" ~name:"e16-envelope-violations"
     ~unit_:"violations" (float_of_int !violations);
   Printf.printf "\nconservation violations across all runs: %d (gate: 0)\n"
-    !violations;
-  chaos_run ()
-
-(* --- E17: served chaos soak through the fault-injecting proxy --------- *)
-
-and chaos_run () =
-  Bench_util.section
-    "E17: served chaos soak (kill + WAL restart + partition behind the proxy)";
-  let module NS = Net.Soak.Make (MC) in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ivl-bench-chaos-%d" (Unix.getpid ()))
-  in
-  if Sys.file_exists dir then
-    Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir)
-  else Unix.mkdir dir 0o755;
-  let spec =
-    let s =
-      Workload.Trace.default_spec ~seed:0xE17L ~ops:60_000 ~universe:4096 ()
-    in
-    {
-      s with
-      Workload.Trace.phases =
-        List.map
-          (fun (p : Workload.Trace.phase) ->
-            { p with Workload.Trace.rate = Workload.Trace.Unlimited })
-          s.Workload.Trace.phases;
-    }
-  in
-  let ops = Workload.Trace.materialize spec in
-  let base = Net.Soak.default_config ~dir in
-  let cfg =
-    {
-      base with
-      Net.Soak.restarts = 1;
-      partitions = 1;
-      down_time = 0.2;
-      partition_time = 0.2;
-      seed = 0xE17C4A05L;
-    }
-  in
-  let v = NS.run cfg ~spec ~ops () in
-  print_string (NS.verdict_to_string v);
-  let flag b = if b then 0.0 else 1.0 in
-  let viol name value =
-    Bench_util.record ~exp:"net" ~name ~unit_:"violations" value
-  in
-  viol "e17-chaos-conservation" (flag v.Net.Soak.conservation);
-  viol "e17-chaos-ack" (flag v.Net.Soak.ack_envelope);
-  viol "e17-chaos-replica" (flag v.Net.Soak.replica_envelope);
-  viol "e17-chaos-convergence" (flag v.Net.Soak.convergence);
-  viol "e17-chaos-exhausted" (float_of_int v.Net.Soak.exhausted);
-  Bench_util.record ~exp:"net" ~name:"e17-chaos-resyncs" ~unit_:"count"
-    (float_of_int v.Net.Soak.resyncs);
-  Bench_util.record ~exp:"net" ~name:"e17-chaos-duplicates" ~unit_:"count"
-    (float_of_int v.Net.Soak.duplicates_server);
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Unix.rmdir dir
+    !violations

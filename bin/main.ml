@@ -1536,8 +1536,8 @@ let trace_sample_flag =
           "distributed tracing: sample about one batch in N for a \
            cross-stage waterfall of spans (0 = tracing off)")
 
-(* Shared engine flag: pipeline and the pipeline soak both build an
-   in-process engine and pass this straight to [Engine.create ~steal]. *)
+(* Shared engine flag: pipeline and soak both build engines and pass this
+   straight to [Engine.create ~steal]. *)
 let steal_flag =
   Arg.(
     value & flag
@@ -1545,7 +1545,7 @@ let steal_flag =
         ~doc:
           "idle shard workers steal batches from the most loaded other \
            shard: more throughput on skewed streams, paid in visibility \
-           latency (ignored by soak --served)")
+           latency")
 
 let replay_cmd =
   let scenario =
@@ -1933,163 +1933,7 @@ let trace_cmd =
     (Cmd.info "trace" ~doc:"Generate, record and inspect workload trace files")
     [ gen; record; cat ]
 
-(* --- soak: full-system chaos soak with end-to-end IVL verdicts ---------- *)
-
-let write_bench_soak path (cfg : Workload.Soak.config) ~total_ops
-    (v : Workload.Soak.verdict) =
-  let module S = Workload.Soak in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 v.S.rounds in
-  let maxf f = List.fold_left (fun acc r -> Float.max acc (f r)) 0.0 v.S.rounds in
-  let upper_excess =
-    sum (fun r -> max 0 (r.S.oracle_upper_failures - r.S.oracle_upper_allowance))
-  in
-  let driver_wall = List.fold_left (fun a r -> a +. r.S.driver.Workload.Driver.wall) 0.0 v.S.rounds in
-  let driver_issued = sum (fun r -> r.S.driver.Workload.Driver.issued) in
-  let achieved =
-    if driver_wall > 0.0 then float_of_int driver_issued /. driver_wall else 0.0
-  in
-  let phase_max f =
-    maxf (fun r ->
-        List.fold_left
-          (fun a (p : Workload.Driver.phase_report) -> Float.max a (f p))
-          0.0 r.S.driver.Workload.Driver.phases)
-  in
-  let lost_pct =
-    if v.S.accepted_total > 0 then
-      100.0 *. float_of_int v.S.lost_weight /. float_of_int v.S.accepted_total
-    else 0.0
-  in
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{ \"exp\": \"soak\",\n  \"entries\": [\n";
-  let first = ref true in
-  let entry name unit_ value =
-    if not !first then Buffer.add_string buf ",\n";
-    first := false;
-    Buffer.add_string buf
-      (Printf.sprintf
-         "    { \"name\": %S,\n      \"params\": {  },\n      \"unit\": %S,\n   \
-          \   \"reps\": %d,\n      \"mean\": %.17g, \"p50\": %.17g, \"p99\": \
-          %.17g }"
-         name unit_ cfg.S.rounds value value value)
-  in
-  (* Correctness gates: the "violations" unit is zero-tolerance in
-     `bench compare` — any nonzero here against a zero baseline is fatal. *)
-  entry "soak-monotone-violations" "violations"
-    (float_of_int (sum (fun r -> r.S.monotone_violations)));
-  entry "soak-oracle-lower-violations" "violations"
-    (float_of_int (sum (fun r -> r.S.oracle_lower_violations)));
-  entry "soak-oracle-upper-excess" "violations" (float_of_int upper_excess);
-  entry "soak-epoch-regressions" "violations"
-    (float_of_int (sum (fun r -> r.S.epoch_regressions)));
-  entry "soak-conservation-failures" "violations"
-    (float_of_int (sum (fun r -> r.S.conservation_failures)));
-  entry "soak-reader-regressions" "violations"
-    (float_of_int (sum (fun r -> r.S.reader_regressions)));
-  entry "soak-unexpected-failures" "violations"
-    (float_of_int (sum (fun r -> r.S.unexpected_failures)));
-  entry "soak-decode-failures" "violations"
-    (float_of_int (sum (fun r -> r.S.decode_failures)));
-  (* Budget: loss is a percentage of accepted weight; absolute-drift gated. *)
-  entry "soak-lost-weight-pct" "pct" lost_pct;
-  (* Timing: warn-gated by default (CI runners are noisy). *)
-  entry "soak-achieved-rate" "ops/s" achieved;
-  entry "soak-update-p99" "ns/op"
-    (1e9 *. phase_max (fun p -> p.Workload.Driver.update_p99));
-  entry "soak-query-p99" "ns/op"
-    (1e9 *. phase_max (fun p -> p.Workload.Driver.query_p99));
-  (* Informational. *)
-  entry "soak-recoveries" "count" (float_of_int v.S.recoveries);
-  entry "soak-restarts" "count" (float_of_int (sum (fun r -> r.S.restarts)));
-  entry "soak-kills" "count" (float_of_int (sum (fun r -> r.S.kills)));
-  entry "soak-total-ops" "count" (float_of_int total_ops);
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote %s\n" path
-
-(* A soak is a self-contained crash/recover chain: start from a clean
-   durable directory so round 0's oracle and the engine agree on zero. *)
-let clear_soak_dir dir =
-  if Sys.file_exists dir then begin
-    if not (Sys.is_directory dir) then begin
-      Printf.eprintf "soak: %s exists and is not a directory\n" dir;
-      exit 2
-    end;
-    Array.iter
-      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-      (Sys.readdir dir)
-  end
-
-let soak_run trace_file ops universe seed dir shards feeders rounds kills chaos
-    tear steal bench_out metrics_out http_port =
-  let module S = Workload.Soak in
-  let spec, trace =
-    match trace_file with
-    | Some path -> (
-        match Workload.Trace.read ~path with
-        | Ok (spec, t) -> (spec, t)
-        | Error msg ->
-            Printf.eprintf "soak: cannot read trace %s: %s\n" path msg;
-            exit 2)
-    | None ->
-        let spec = Workload.Trace.default_spec ~seed ~ops ~universe () in
-        (spec, Workload.Trace.materialize spec)
-  in
-  let kills_per_round =
-    match chaos with
-    | "none" -> 0
-    | "kill" -> kills
-    | other ->
-        Printf.eprintf "soak: unknown --chaos %s (expected none or kill)\n" other;
-        exit 2
-  in
-  clear_soak_dir dir;
-  let base = S.default_config ~dir in
-  let cfg =
-    {
-      base with
-      S.shards;
-      feeders;
-      rounds;
-      kills_per_round;
-      tear_tail = tear && rounds > 1;
-      steal;
-    }
-  in
-  let reg = Obs.Registry.create () in
-  let http =
-    Option.map
-      (fun p -> mount_http ~what:"soak" ~reg p)
-      http_port
-  in
-  let v = S.run ~progress:print_endline ~metrics:reg cfg ~spec ~ops:trace () in
-  print_string (S.verdict_to_string v);
-  Option.iter Obs.Http.stop http;
-  (match metrics_out with
-  | Some path -> write_metrics ~path (Obs.Registry.snapshot reg)
-  | None -> ());
-  (match bench_out with
-  | Some path ->
-      write_bench_soak path cfg ~total_ops:(Workload.Trace.total_ops spec) v
-  | None -> ());
-  if v.S.pass then 0 else 1
-
-(* soak_cmd is built after the net tier below: `soak --served` needs the
-   sketch dispatch (servable_of) and Net.Soak. *)
-
 (* ------------------------------ net tier ------------------------------ *)
-
-(* The served tier is sketch-generic, but each sketch answers a different
-   query family; SERVABLE pairs the mergeable with its query evaluator so
-   serve/replica dispatch stays one match on the sketch name. The seed
-   offset and dimension constants must match [mergeable_of]: a follower
-   decodes the leader's blobs, so both ends need identical hash families. *)
-module type SERVABLE = sig
-  module M : Pipeline.Mergeable.S
-
-  val eval : M.t -> Net.Frame.query -> (int * int) list option
-end
 
 let take_n n l =
   let rec go n = function
@@ -2098,7 +1942,14 @@ let take_n n l =
   in
   go n l
 
-let servable_of ~seed sk : (module SERVABLE) option =
+(* The served tier is sketch-generic, but each sketch answers a different
+   query family; a Net.Soak.SKETCH pairs the mergeable with its query
+   evaluator (and, for the soak's oracle, its point-error bound) so
+   serve/replica/soak dispatch stays one match on the sketch name. The
+   seed offset and dimension constants must match [mergeable_of]: a
+   follower decodes the leader's blobs, so both ends need identical hash
+   families. *)
+let servable_of ~seed sk : (module Net.Soak.SKETCH) option =
   match sk with
   | "counter" ->
       Some
@@ -2106,6 +1957,7 @@ let servable_of ~seed sk : (module SERVABLE) option =
           module M = Pipeline.Targets.Counter
 
           let eval _ (_ : Net.Frame.query) = None
+          let bound = None
         end)
   | "countmin" ->
       Some
@@ -2119,6 +1971,17 @@ let servable_of ~seed sk : (module SERVABLE) option =
           let eval g = function
             | Net.Frame.Point k -> Some [ (k, Sketches.Countmin.query g k) ]
             | _ -> None
+
+          (* est >= true always; est <= true + εn with ε = e/width, except
+             with probability δ = e^-rows *)
+          let bound =
+            Some
+              {
+                Net.Soak.estimate = Sketches.Countmin.query;
+                slack = Sketches.Countmin.error_bound;
+                epsilon = exp 1.0 /. float_of_int cm_width;
+                delta = exp (-.float_of_int cm_rows);
+              }
         end)
   | "spacesaving" ->
       Some
@@ -2131,6 +1994,8 @@ let servable_of ~seed sk : (module SERVABLE) option =
             | Net.Frame.Point k -> Some [ (k, Sketches.Space_saving.query g k) ]
             | Net.Frame.Top n -> Some (take_n n (Sketches.Space_saving.top g))
             | _ -> None
+
+          let bound = None
         end)
   | "quantiles" ->
       Some
@@ -2144,6 +2009,8 @@ let servable_of ~seed sk : (module SERVABLE) option =
             | Net.Frame.Quantile phi ->
                 Some [ (0, Sketches.Quantiles.quantile g phi) ]
             | _ -> None
+
+          let bound = None
         end)
   | _ -> None
 
@@ -2631,144 +2498,176 @@ let replica_cmd =
       const replica_run $ sketch $ host $ port $ seed $ duration $ settle
       $ metrics_flag $ http_port_flag $ trace_sample_flag)
 
-(* --- soak: round-based (in-process) or served (full tier via proxy) ---- *)
+(* --- soak: one runner, an in-process or served sink ------------------- *)
 
-let write_bench_served path (v : Net.Soak.verdict) ~total_ops =
+(* A soak is a self-contained crash/recover chain: start from a clean
+   durable directory so the first incarnation and the oracle agree on zero. *)
+let clear_soak_dir dir =
+  if Sys.file_exists dir then begin
+    if not (Sys.is_directory dir) then begin
+      Printf.eprintf "soak: %s exists and is not a directory\n" dir;
+      exit 2
+    end;
+    Array.iter
+      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+      (Sys.readdir dir)
+  end
+
+(* One BENCH_<exp>.json writer for both sinks; "violations" rows are
+   zero-tolerance in `bench compare`. *)
+let write_bench path ~reps (exp, rows) =
   let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{ \"exp\": \"served-soak\",\n  \"entries\": [\n";
-  let first = ref true in
-  let entry name unit_ value =
-    if not !first then Buffer.add_string buf ",\n";
-    first := false;
-    Buffer.add_string buf
-      (Printf.sprintf
-         "    { \"name\": %S,\n      \"params\": {  },\n      \"unit\": %S,\n   \
-          \   \"reps\": 1,\n      \"mean\": %.17g, \"p50\": %.17g, \"p99\": \
-          %.17g }"
-         name unit_ value value value)
-  in
-  let flag b = if b then 0.0 else 1.0 in
-  (* zero-tolerance gates ("violations" unit in `bench compare`) *)
-  entry "served-soak-conservation-violations" "violations" (flag v.Net.Soak.conservation);
-  entry "served-soak-ack-violations" "violations" (flag v.Net.Soak.ack_envelope);
-  entry "served-soak-replica-violations" "violations" (flag v.Net.Soak.replica_envelope);
-  entry "served-soak-convergence-violations" "violations" (flag v.Net.Soak.convergence);
-  entry "served-soak-exhausted" "violations" (float_of_int v.Net.Soak.exhausted);
-  entry "served-soak-follower-ahead" "violations" (float_of_int v.Net.Soak.follower_ahead);
-  (* informational *)
-  entry "served-soak-restarts" "count" (float_of_int v.Net.Soak.restarts_done);
-  entry "served-soak-partitions" "count" (float_of_int v.Net.Soak.partitions_done);
-  entry "served-soak-resyncs" "count" (float_of_int v.Net.Soak.resyncs);
-  entry "served-soak-duplicates" "count" (float_of_int v.Net.Soak.duplicates_server);
-  entry "served-soak-proxy-resets" "count"
-    (float_of_int v.Net.Soak.proxy.Net.Chaos_proxy.resets);
-  entry "served-soak-total-ops" "count" (float_of_int total_ops);
+  Printf.bprintf buf "{ \"exp\": %S,\n  \"entries\": [\n" exp;
+  List.iteri
+    (fun i (name, unit_, value) ->
+      if i > 0 then Buffer.add_string buf ",\n";
+      Printf.bprintf buf
+        "    { \"name\": %S,\n      \"params\": {  },\n      \"unit\": %S,\n   \
+         \   \"reps\": %d,\n      \"mean\": %.17g, \"p50\": %.17g, \"p99\": \
+         %.17g }"
+        name unit_ reps value value value)
+    rows;
   Buffer.add_string buf "\n  ]\n}\n";
   let oc = open_out path in
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf "wrote %s\n" path
 
-let served_soak_run sketch trace_file ops universe seed dir shards conns feeders
-    restarts partitions down_time partition_time latency corrupt reset drop
-    record_trace metrics_out http_port trace_sample bench_out =
+let soak_run served sketch trace_file ops universe seed dir shards feeders
+    restarts steal kills tear conns partitions outage latency corrupt reset
+    drop record_trace bench_out metrics_out http_port trace_sample =
+  let usage fmt =
+    Printf.ksprintf
+      (fun m ->
+        Printf.eprintf "soak: %s\n" m;
+        exit 2)
+      fmt
+  in
+  (* a fault lives in its sink: a flag the chosen sink cannot take is an
+     error, never silently ignored *)
+  let refuse sink flags =
+    List.iter
+      (fun (flag, given) ->
+        if given then usage "%s does not apply to the %s sink" flag sink)
+      flags
+  in
+  let sink =
+    if served then begin
+      refuse "served" [ ("--kills", kills <> None); ("--tear-tail", tear <> None) ];
+      let d = Net.Soak.default_served in
+      let pick o def = Option.value o ~default:def in
+      Net.Soak.Served
+        {
+          d with
+          Net.Soak.conns = pick conns d.conns;
+          partitions = pick partitions d.partitions;
+          outage = pick outage d.outage;
+          faults =
+            {
+              Net.Chaos_proxy.latency = (0.0, pick latency (snd d.faults.latency));
+              corrupt_prob = pick corrupt d.faults.corrupt_prob;
+              reset_prob = pick reset d.faults.reset_prob;
+              drop_conn_prob = pick drop d.faults.drop_conn_prob;
+            };
+        }
+    end
+    else begin
+      refuse "engine"
+        [
+          ("--conns", conns <> None);
+          ("--partitions", partitions <> None);
+          ("--outage", outage <> None);
+          ("--latency", latency <> None);
+          ("--corrupt", corrupt <> None);
+          ("--reset", reset <> None);
+          ("--drop", drop <> None);
+        ];
+      let d = Net.Soak.default_engine in
+      Net.Soak.Engine
+        {
+          d with
+          Net.Soak.kills = Option.value kills ~default:d.kills;
+          tear_tail = Option.value tear ~default:d.tear_tail;
+        }
+    end
+  in
   match servable_of ~seed sketch with
-  | None ->
-      Printf.eprintf "soak: unknown sketch %s (available: %s)\n" sketch
-        net_sketches;
-      2
-  | Some (module SV) ->
-      let module NS = Net.Soak.Make (SV.M) in
+  | None -> usage "unknown sketch %s (available: %s)" sketch net_sketches
+  | Some (module SK) ->
+      let module NS = Net.Soak.Make (SK) in
       let spec, trace =
         match trace_file with
         | Some path -> (
             match Workload.Trace.read ~path with
             | Ok (spec, t) -> (spec, t)
-            | Error msg ->
-                Printf.eprintf "soak: cannot read trace %s: %s\n" path msg;
-                exit 2)
+            | Error msg -> usage "cannot read trace %s: %s" path msg)
         | None ->
-            (* closed loop: the served soak's clock is the fault schedule,
-               not an offered-rate curve *)
             let spec = Workload.Trace.default_spec ~seed ~ops ~universe () in
+            (* closed loop when served: that soak's clock is the fault
+               schedule, not an offered-rate curve *)
+            let closed (p : Workload.Trace.phase) =
+              if served then { p with Workload.Trace.rate = Workload.Trace.Unlimited }
+              else p
+            in
             let spec =
-              {
-                spec with
-                Workload.Trace.phases =
-                  List.map
-                    (fun (p : Workload.Trace.phase) ->
-                      { p with Workload.Trace.rate = Workload.Trace.Unlimited })
-                    spec.Workload.Trace.phases;
-              }
+              { spec with Workload.Trace.phases = List.map closed spec.phases }
             in
             (spec, Workload.Trace.materialize spec)
       in
       clear_soak_dir dir;
-      let base = Net.Soak.default_config ~dir in
       let cfg =
         {
-          base with
+          (Net.Soak.default_config ~dir sink) with
           Net.Soak.shards;
-          conns;
           feeders;
           restarts;
-          partitions;
-          down_time;
-          partition_time;
+          steal;
           seed;
-          faults =
-            {
-              Net.Chaos_proxy.latency = (0.0, latency);
-              corrupt_prob = corrupt;
-              reset_prob = reset;
-              drop_conn_prob = drop;
-            };
         }
       in
       let reg = Obs.Registry.create () in
       let tracer = make_tracer ~reg trace_sample in
       let v =
-        NS.run
-          ~progress:(fun s -> Printf.printf "%s\n%!" s)
-          ~metrics:reg ?tracer ?http_port ?record:record_trace cfg ~spec
-          ~ops:trace ()
+        try
+          NS.run
+            ~progress:(fun s -> Printf.printf "%s\n%!" s)
+            ~metrics:reg ?tracer ?http_port ?record:record_trace cfg ~spec
+            ~ops:trace ()
+        with Invalid_argument m -> usage "%s" m
       in
-      print_string (NS.verdict_to_string v);
-      (match metrics_out with
-      | Some path -> write_metrics ~path (Obs.Registry.snapshot reg)
-      | None -> ());
-      (match bench_out with
-      | Some path ->
-          write_bench_served path v ~total_ops:(Workload.Trace.total_ops spec)
-      | None -> ());
+      print_string (Net.Soak.verdict_to_string v);
+      Option.iter
+        (fun path -> write_metrics ~path (Obs.Registry.snapshot reg))
+        metrics_out;
+      Option.iter
+        (fun path ->
+          write_bench path
+            ~reps:(List.length v.Net.Soak.incarnations)
+            (Net.Soak.bench v ~total_ops:(Workload.Trace.total_ops spec)))
+        bench_out;
       if v.Net.Soak.pass then 0 else 1
 
-let soak_dispatch served sketch trace_file ops universe seed dir shards feeders
-    rounds kills chaos tear steal bench_out conns restarts partitions down_time
-    partition_time latency corrupt reset drop record_trace metrics_out http_port
-    trace_sample =
-  if served then
-    served_soak_run sketch trace_file ops universe seed dir shards conns feeders
-      restarts partitions down_time partition_time latency corrupt reset drop
-      record_trace metrics_out http_port trace_sample bench_out
-  else
-    soak_run trace_file ops universe seed dir shards feeders rounds kills chaos
-      tear steal bench_out metrics_out http_port
-
 let soak_cmd =
+  let opt_int name doc = Arg.(value & opt (some int) None & info [ name ] ~doc) in
+  let opt_float name doc =
+    Arg.(value & opt (some float) None & info [ name ] ~doc)
+  in
   let served =
     Arg.(
       value & flag
       & info [ "served" ]
           ~doc:
-            "run the soak through the served tier: TCP server behind a \
-             fault-injecting proxy, batching clients, follower replica, \
-             server kill/WAL-restart cycles")
+            "served sink: the trace goes through batching clients into a \
+             TCP server behind a fault-injecting proxy, with a follower \
+             replica (default: the in-process engine sink)")
   in
   let sketch =
     Arg.(
-      value & opt string "counter"
-      & info [ "sketch" ] ~doc:("served-soak sketch: " ^ net_sketches))
+      value & opt string "countmin"
+      & info [ "sketch" ]
+          ~doc:
+            ("sketch under test: " ^ net_sketches
+           ^ "; countmin also checks its (ε,δ) bound against the oracle"))
   in
   let trace_file =
     Arg.(
@@ -2787,7 +2686,9 @@ let soak_cmd =
       value & opt int 8192
       & info [ "universe" ] ~doc:"key universe of the generated trace")
   in
-  let seed = Arg.(value & opt int64 0x1517L & info [ "seed" ] ~doc:"trace seed") in
+  let seed =
+    Arg.(value & opt int64 0x1517L & info [ "seed" ] ~doc:"trace and chaos seed")
+  in
   let dir =
     Arg.(
       value & opt string "_soak"
@@ -2796,97 +2697,59 @@ let soak_cmd =
   in
   let shards = Arg.(value & opt int 4 & info [ "shards" ] ~doc:"shard worker domains") in
   let feeders = Arg.(value & opt int 2 & info [ "feeders" ] ~doc:"driver feeder domains") in
-  let rounds =
+  let restarts =
     Arg.(
-      value & opt int 4
-      & info [ "rounds" ] ~doc:"engine incarnations (rounds - 1 crash/recover cycles)")
+      value & opt int 2
+      & info [ "restarts" ]
+          ~doc:
+            "crash/recover cycles (incarnations - 1), fired at even \
+             fractions of the update volume")
   in
-  let kills =
-    Arg.(value & opt int 2 & info [ "kills" ] ~doc:"chaos kills per round (at most shards)")
-  in
-  let chaos =
-    Arg.(
-      value & opt string "kill"
-      & info [ "chaos" ] ~doc:"none (no fault injection) or kill (shard worker kills)")
-  in
+  let kills = opt_int "kills" "engine: shard-worker kills per incarnation (default 2)" in
   let tear =
     Arg.(
-      value & opt bool true
+      value
+      & opt (some bool) None
       & info [ "tear-tail" ]
-          ~doc:"tear the WAL tail mid-frame between rounds (crash during append)")
+          ~doc:"engine: tear the WAL tail mid-frame before each recovery (default true)")
+  in
+  let conns = opt_int "conns" "served: client sender connections (default 2)" in
+  let partitions = opt_int "partitions" "served: full network partitions (default 1)" in
+  let outage =
+    opt_float "outage"
+      "served: seconds a restart leaves the server dead, and a partition lasts \
+       (default 0.3)"
+  in
+  let latency = opt_float "latency" "served: max injected delay per chunk, s (default 0.002)" in
+  let corrupt = opt_float "corrupt" "served: per-chunk bit-flip probability (default 0.005)" in
+  let reset = opt_float "reset" "served: per-chunk mid-frame reset probability (default 0.005)" in
+  let drop = opt_float "drop" "served: per-dial refusal probability (default 0.02)" in
+  let record_trace =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "record-trace" ] ~docv:"FILE"
+          ~doc:"freeze the driven ops to a replayable trace file")
   in
   let bench_out =
     Arg.(
       value
       & opt (some string) None
       & info [ "bench-out" ] ~docv:"FILE"
-          ~doc:"also write verdict counters and percentiles as a BENCH json")
-  in
-  let conns =
-    Arg.(
-      value & opt int 2
-      & info [ "conns" ] ~doc:"served: client sender connections")
-  in
-  let restarts =
-    Arg.(
-      value & opt int 2
-      & info [ "restarts" ] ~doc:"served: server kill + WAL-restart cycles")
-  in
-  let partitions =
-    Arg.(
-      value & opt int 1
-      & info [ "partitions" ] ~doc:"served: full network partitions")
-  in
-  let down_time =
-    Arg.(
-      value & opt float 0.3
-      & info [ "down-time" ] ~doc:"served: seconds the server stays dead")
-  in
-  let partition_time =
-    Arg.(
-      value & opt float 0.3
-      & info [ "partition-time" ] ~doc:"served: seconds per partition")
-  in
-  let latency =
-    Arg.(
-      value & opt float 0.002
-      & info [ "latency" ] ~doc:"served: max injected delay per chunk (s)")
-  in
-  let corrupt =
-    Arg.(
-      value & opt float 0.005
-      & info [ "corrupt" ] ~doc:"served: per-chunk bit-flip probability")
-  in
-  let reset =
-    Arg.(
-      value & opt float 0.005
-      & info [ "reset" ] ~doc:"served: per-chunk mid-frame reset probability")
-  in
-  let drop =
-    Arg.(
-      value & opt float 0.02
-      & info [ "drop" ] ~doc:"served: per-dial refusal probability")
-  in
-  let record_trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "record-trace" ] ~docv:"FILE"
-          ~doc:"served: freeze the driven ops to a replayable trace file")
+          ~doc:"also write the verdict counters as a BENCH json")
   in
   Cmd.v
     (Cmd.info "soak"
        ~doc:
-         "Full-system chaos soak: drive a phased trace through the WAL-backed \
-          pipeline across crash/recover rounds (or, with --served, through \
-          the whole TCP tier behind a fault-injecting proxy) and emit an \
-          end-to-end IVL PASS/FAIL verdict")
+         "Chaos soak: drive a phased trace into a chain of WAL-backed engine \
+          incarnations — in process, or with --served through the whole TCP \
+          tier behind a fault-injecting proxy — and emit end-to-end IVL \
+          PASS/FAIL verdicts")
     Term.(
-      const soak_dispatch $ served $ sketch $ trace_file $ ops $ universe $ seed
-      $ dir $ shards $ feeders $ rounds $ kills $ chaos $ tear $ steal_flag
-      $ bench_out $ conns $ restarts $ partitions $ down_time $ partition_time
-      $ latency $ corrupt $ reset $ drop $ record_trace $ metrics_flag
-      $ http_port_flag $ trace_sample_flag)
+      const soak_run $ served $ sketch $ trace_file $ ops $ universe $ seed $ dir
+      $ shards $ feeders $ restarts $ steal_flag $ kills $ tear $ conns
+      $ partitions $ outage $ latency $ corrupt $ reset $ drop $ record_trace
+      $ bench_out $ metrics_flag $ http_port_flag $ trace_sample_flag)
 
 let () =
   let doc = "Intermediate Value Linearizability: checkers, simulators, sketches" in

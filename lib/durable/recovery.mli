@@ -58,5 +58,5 @@ module Make (M : Pipeline.Mergeable.S) : sig
       longest-valid-prefix rule — truncate every record a later incarnation
       appends after it. Crash-safe: the checkpoint lands before any segment
       is removed, so an interrupted compaction re-recovers to the same
-      state. This is the restart step of a soak round ([Workload.Soak]). *)
+      state. This is the restart step of every soak incarnation ([Net.Soak]). *)
 end

@@ -205,11 +205,7 @@ let take t =
   r
 
 let sender_loop t i =
-  (* base 0L opts the whole client out of dedup: every sender stays 0L *)
-  let session =
-    if Int64.equal t.session_base 0L then 0L
-    else Int64.add t.session_base (Int64.of_int i)
-  in
+  let session = Int64.add t.session_base (Int64.of_int i) in
   let st = { session; seq = 0; conn = None; ever_connected = false } in
   let rec go () =
     match take t with
@@ -354,15 +350,14 @@ let stats t =
     queued;
   }
 
-(* A session id must be distinct across client processes and nonzero
-   (0L opts out of dedup server-side). Wall clock in microseconds mixed
-   with the pid is distinct enough for a test fleet; callers who need
-   determinism pass [?session]. Each sender gets base + its index. *)
+(* A session id must be distinct across client processes. Wall clock in
+   microseconds mixed with the pid is distinct enough for a test fleet;
+   callers who need determinism pass [?session]. Each sender gets base +
+   its index. *)
 let default_session_base () =
   let t = Int64.of_float (Unix.gettimeofday () *. 1e6) in
   let pid = Int64.of_int (Unix.getpid () land 0xffff) in
-  let base = Int64.logor (Int64.shift_left t 16) pid in
-  if Int64.equal base 0L then 1L else base
+  Int64.logor (Int64.shift_left t 16) pid
 
 let create ?(conns = 1) ?(batch = 256) ?(flush_age = 0.05) ?queue
     ?(overflow = Block) ?(retries = 3) ?(read_timeout = 10.0) ?session

@@ -26,9 +26,7 @@
     residual hazard is retry {e exhaustion}: a batch dropped after its
     last failed attempt may or may not have been applied, so its keys are
     counted in both [shed] and [exhausted] — envelope verdicts require
-    [exhausted = 0] to certify a run. Passing [~session:0L] opts out of dedup entirely (the legacy
-    at-least-once behaviour, kept for the regression test that
-    demonstrates the double-count).
+    [exhausted = 0] to certify a run.
 
     Queries use one dedicated, lazily-(re)connected connection, serialized
     by a mutex — the client is an ingest firehose with an occasional
@@ -76,7 +74,7 @@ val create :
 
     [session] overrides the session id base (sender [i] uses
     [session + i]); the default mixes wall clock and pid, distinct across
-    processes. [0L] disables dedup (legacy at-least-once).
+    processes.
 
     Senders do not pre-connect: the first batch dials. [metrics] registers
     [client_pushed_total], [client_acked_total], [client_shed_total],

@@ -128,10 +128,8 @@ let load_journal t ~path =
       (fun frame ->
         match decode_record frame with
         | Ok (session, seq, count) ->
-            if not (Int64.equal session 0L) then begin
-              note t ~session ~seq ~count;
-              t.recovered_records <- t.recovered_records + 1
-            end
+            note t ~session ~seq ~count;
+            t.recovered_records <- t.recovered_records + 1
         | Error _ -> ())
       scan.Wire.Segment.frames;
     (* The log is the longest valid prefix: truncate whatever a crash left
@@ -242,46 +240,39 @@ let append_journal t ~session ~seq ~count =
       t.appends_since_compact <- t.appends_since_compact + 1
 
 let register t ~session =
-  if not (Int64.equal session 0L) then begin
-    Mutex.lock t.m;
-    ignore (get_session t session);
-    Mutex.unlock t.m
-  end
+  Mutex.lock t.m;
+  ignore (get_session t session);
+  Mutex.unlock t.m
 
 let begin_batch t ~session ~seq ~count =
-  if Int64.equal session 0L then Fresh
-  else begin
-    Mutex.lock t.m;
-    let s = get_session t session in
-    let r =
-      match Hashtbl.find_opt s.window seq with
-      | Some k -> Duplicate k
-      | None when seq <= s.high ->
-          (* below the ring but at/under the high-water mark: seqs arrive
-             in order per sender, so this was applied long ago *)
-          Duplicate count
-      | None ->
-          append_journal t ~session ~seq ~count;
-          note t ~session ~seq ~count;
-          (* Compact only after [note]: the snapshot is written from the
-             in-memory state, so the record just journaled must be in the
-             window before the rewrite or compaction would drop it. *)
-          if t.appends_since_compact >= t.compact_every then compact_locked t;
-          Fresh
-    in
-    (match r with Duplicate _ -> t.duplicates <- t.duplicates + 1 | Fresh -> ());
-    Mutex.unlock t.m;
-    r
-  end
+  Mutex.lock t.m;
+  let s = get_session t session in
+  let r =
+    match Hashtbl.find_opt s.window seq with
+    | Some k -> Duplicate k
+    | None when seq <= s.high ->
+        (* below the ring but at/under the high-water mark: seqs arrive
+           in order per sender, so this was applied long ago *)
+        Duplicate count
+    | None ->
+        append_journal t ~session ~seq ~count;
+        note t ~session ~seq ~count;
+        (* Compact only after [note]: the snapshot is written from the
+           in-memory state, so the record just journaled must be in the
+           window before the rewrite or compaction would drop it. *)
+        if t.appends_since_compact >= t.compact_every then compact_locked t;
+        Fresh
+  in
+  (match r with Duplicate _ -> t.duplicates <- t.duplicates + 1 | Fresh -> ());
+  Mutex.unlock t.m;
+  r
 
 let record t ~session ~seq ~accepted =
-  if not (Int64.equal session 0L) then begin
-    Mutex.lock t.m;
-    (match Hashtbl.find_opt t.tbl session with
-    | Some s when Hashtbl.mem s.window seq -> Hashtbl.replace s.window seq accepted
-    | _ -> ());
-    Mutex.unlock t.m
-  end
+  Mutex.lock t.m;
+  (match Hashtbl.find_opt t.tbl session with
+  | Some s when Hashtbl.mem s.window seq -> Hashtbl.replace s.window seq accepted
+  | _ -> ());
+  Mutex.unlock t.m
 
 let stats t =
   Mutex.lock t.m;

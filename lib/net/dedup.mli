@@ -26,7 +26,7 @@
     high-water mark — seqs are emitted in order per sender, so anything
     at or below the mark that has left the ring is answered as a
     duplicate of its claimed size); at most [max_sessions] sessions are
-    kept, LRU-evicted. Session [0L] opts out of dedup entirely. *)
+    kept, LRU-evicted. Every session id, [0L] included, is deduplicated. *)
 
 type t
 

@@ -23,8 +23,7 @@
     numbers its batches sequentially, and resends the {e same} [(session,
     seq)] on retry — the server's dedup window ({!Dedup}) then acks a
     retried batch without re-applying it, with [dup = true] in the
-    {!Ack}. Session [0L] opts out (legacy at-least-once behaviour, kept
-    for the pre-fix regression test). *)
+    {!Ack}. *)
 
 type query =
   | Total  (** Published weight — served from the engine, sketch-agnostic. *)
@@ -40,7 +39,7 @@ type request =
       keys : int array;
     }
       (** Update keys, applied in order. [(session, seq)] identifies the
-          batch across retries; [session = 0L] means no dedup. [ctx] is
+          batch across retries. [ctx] is
           the sampled trace context, {!Obs.Span.zero} for the common
           untraced batch. Every batch travels as the one [net-batch] kind
           with trace id and parent span id after [seq], zero or not; a

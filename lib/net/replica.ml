@@ -176,6 +176,24 @@ module Make (M : Pipeline.Mergeable.S) = struct
             | _ -> ());
             Ok ())
 
+  (* Subscribe on [conn] and apply the seed snapshot. A receive timeout
+     keeps waiting, as in the apply loop: the leader answers every
+     subscribe with its seed, and a dead peer surfaces as an error. *)
+  let handshake t conn =
+    Conn.send conn (Frame.encode_request (Frame.Subscribe { from_epoch = 0 }))
+    &&
+    let rec seed () =
+      match Conn.recv ~max_frame:t.max_frame conn with
+      | Error `Timeout -> seed ()
+      | Error _ -> false
+      | Ok frame -> (
+          match Frame.decode_push frame with
+          | Ok (Frame.Snapshot { epoch; published; blob }) ->
+              Result.is_ok (apply_snapshot t ~epoch ~published ~blob)
+          | Ok (Frame.Delta _) | Error _ -> false)
+    in
+    seed ()
+
   (* Every failure funnels into [resync]: transport errors, decode
      failures, epoch gaps. The loop only exits on close or when the resync
      budget marks the stream [`Broken]. *)
@@ -266,9 +284,14 @@ module Make (M : Pipeline.Mergeable.S) = struct
         apply_d = None;
       }
     in
-    if not (Conn.send conn (Frame.encode_request (Frame.Subscribe { from_epoch = 0 })))
-    then begin
-      (* the apply domain's resync path picks the handshake back up *)
+    (* Synchronous handshake: the leader registers a subscription before
+       it sends the seed snapshot, so once the seed is applied every later
+       merge — a stopping leader's final fan-out included — is queued for
+       this follower. Returning any earlier, a leader stopped before it
+       registered the subscriber would reset it, and a follower cannot
+       resync from a dead leader. A handshake that fails hands over to
+       the apply domain's resync path. *)
+    if not (handshake t conn) then begin
       Conn.close conn;
       t.conn <- None
     end;

@@ -64,7 +64,13 @@ module Make (M : Pipeline.Mergeable.S) : sig
     port:int ->
     unit ->
     t
-  (** Dial the leader, send {!Frame.Subscribe}, and spawn the apply domain.
+  (** Dial the leader, send {!Frame.Subscribe}, apply the seed snapshot,
+      and spawn the apply domain. The leader registers the subscription
+      before it sends the seed, so when [connect] returns [`Live] every
+      later merge reaches this follower — including the final fan-out of
+      a leader stopped right after [connect]. A handshake that breaks
+      before the seed arrives returns [`Syncing] and heals through the
+      resync path.
       [read_timeout] (default 1 s) paces the apply loop's receive wait — an
       idle leader just means quiet patience, not failure. [resync_backoff]
       (default 50 ms) spaces redial attempts while [`Resyncing];

@@ -1,71 +1,91 @@
-(* Served chaos soak: the full tier — server, batching clients, follower
-   replica — driven through a fault-injecting proxy while the server is
-   killed and WAL-restarted underneath it.
+(* The chaos soak runner: one trace, one chain of engine incarnations over
+   one durable directory, one fault schedule, one sampler.
 
-   Topology:
+     Driver (background domain) -> sink -> incarnation i
+       Engine: feeders ingest in process; chaos kills shard workers
+       Served: Client -> Chaos_proxy -> Server, Replica subscribed
+     orchestrator, at even fractions of the update volume:
+       stop i (drain + checks) [-> tear the WAL tail | -> stay down]
+       -> recover_compact -> Engine.create ~initial -> i+1
 
-     feeders -> Client --\                      /-- WAL + dedup journal (dir)
-                          >-- Chaos_proxy --> Server (incarnation i)
-     Replica <-----------/                      \-- recover_compact -> i+1
+   Conservation is one check for both sinks, made per incarnation at
+   drain — Jagadeesan & Riely's in-flight bound read at quiescence:
+   published - base = flushed (the merger folds exactly what workers
+   shipped) and lost = accepted - (published - base) >= 0 (weight is
+   never invented). The engine sink tolerates loss (a killed worker's
+   unflushed delta, a torn WAL tail); the served sink has no kills and
+   drains through every restart, so it requires lost = 0 and each
+   recovery to resume exactly at the previous final.
 
-   Everything flows through the proxy: injected latency, bit corruption
-   (caught by frame checksums -> rejected, never applied), mid-frame
-   resets (client retries, dedup suppresses), refused dials, and full
-   partitions. The server is additionally stopped and restarted from its
-   WAL mid-trace, on a fresh port the proxy's upstream callback picks up
-   at the next dial.
+   Oracle soundness with loss (engine sink): every accepted update either
+   reaches the published sketch or is lost. Per-key loss cannot exceed
+   total loss [accepted - published], hence the unconditional lower bound
+   est(x) + lost >= true(x). *)
 
-   The five verdicts are the IVL story end-to-end:
-   - conservation: each incarnation's published weight equals its
-     recovered base plus its accepted ingests, and each recovery lands
-     exactly on the previous incarnation's final published weight — the
-     pipeline invents nothing, loses nothing, across kills;
-   - ack envelope: with zero retry-exhausted batches, the client's acked
-     total brackets the leader's published weight from above, within
-     [restarts * conns * client_batch] (a journal-replayed duplicate ack
-     reports the batch's claimed count, which may overstate a drain-time
-     partial accept — the only slack effectively-once leaves);
-   - replica envelope: the follower never reports more published weight
-     than the leader holds at a later instant (it lags, never leads),
-     sampled concurrently through every fault and resync;
-   - convergence: after quiescing the faults and draining the leader, the
-     follower reaches the leader's exact epoch and published weight with
-     a bit-for-bit identical encoded sketch;
-   - slo: the continuous envelope-SLO monitor (Obs.Slo, Theorem-6 budget
-     with chaos slack) never entered Breach — transient fault spikes may
-     arm Warning, but sustained over-budget burn is an incident, and the
-     zero-tolerance check reads the breach counter at drain. *)
-
-type config = {
-  dir : string;  (* WAL + checkpoint + dedup journal directory *)
-  shards : int;
-  batch : int;  (* engine micro-batch *)
-  conns : int;  (* client sender connections *)
-  feeders : int;
-  client_batch : int;
-  retries : int;  (* per-batch delivery attempts; must outlast outages *)
-  restarts : int;  (* server kill + WAL-restart cycles *)
-  down_time : float;  (* seconds the server stays dead per restart *)
-  partitions : int;  (* full network partitions *)
-  partition_time : float;
-  faults : Chaos_proxy.faults;  (* steady-state wire faults *)
-  seed : int64;
-  settle : float;  (* timeout for the final convergence barrier *)
+type 'sk bound = {
+  estimate : 'sk -> int -> int;
+  slack : 'sk -> float;
+  epsilon : float;
+  delta : float;
 }
 
-let default_config ~dir =
+module type SKETCH = sig
+  module M : Pipeline.Mergeable.S
+
+  val eval : M.t -> Frame.query -> (int * int) list option
+  val bound : M.t bound option
+end
+
+type engine = {
+  kills : int;
+  kill_window : int;
+  tear_tail : bool;
+  checkpoint_every : int;
+  fsync_every : int;
+}
+
+type served = {
+  conns : int;
+  client_batch : int;
+  retries : int;
+  partitions : int;
+  outage : float;
+  faults : Chaos_proxy.faults;
+  settle : float;
+}
+
+type sink = Engine of engine | Served of served
+
+type config = {
+  dir : string;
+  shards : int;
+  batch : int;
+  feeders : int;
+  steal : bool;
+  restarts : int;
+  seed : int64;
+  sink : sink;
+}
+
+let default_engine =
   {
-    dir;
-    shards = 4;
-    batch = 128;
+    kills = 2;
+    (* A worker ticks once per popped batch, not per item, so an
+       incarnation sees only a few dozen ticks: keep the window tight or
+       the kill never lands. *)
+    kill_window = 16;
+    tear_tail = true;
+    checkpoint_every = 8;
+    fsync_every = 16;
+  }
+
+let default_served =
+  {
     conns = 2;
-    feeders = 2;
     client_batch = 128;
     retries = 64;
-    restarts = 2;
-    down_time = 0.3;
     partitions = 1;
-    partition_time = 0.3;
+    outage = 0.3;
     faults =
       {
         Chaos_proxy.latency = (0.0, 0.002);
@@ -73,559 +93,985 @@ let default_config ~dir =
         reset_prob = 0.005;
         drop_conn_prob = 0.02;
       };
-    seed = 0xC4A05L;
     settle = 30.0;
   }
+
+let default_config ~dir sink =
+  {
+    dir;
+    shards = 4;
+    batch = 256;
+    feeders = 2;
+    steal = false;
+    restarts = 2;
+    seed = 0xC4405L;
+    sink;
+  }
+
+type oracle = { lower : int; upper : int; allowance : int; checked : int }
+
+type incarnation = {
+  index : int;
+  recovered_epoch : int;
+  recovered_published : int;
+  wal_bytes_truncated : int;
+  recovery_regressions : int;
+  kills : int;
+  worker_restarts : int;
+  end_epoch : int;
+  end_published : int;
+  accepted : int;
+  lost : int;
+  conservation_failures : int;
+  monotone_violations : int;
+  reader_regressions : int;
+  decode_failures : int;
+  unexpected_failures : int;
+  oracle : oracle option;
+  merge_lag : float array;
+}
+
+type served_report = {
+  duplicates_server : int;
+  resyncs : int;
+  follower_ahead : int;
+  client : Client.stats;
+  proxy : Chaos_proxy.stats;
+}
+
+type check = { name : string; ok : bool; detail : string }
 
 type verdict = {
   pass : bool;
   reasons : string list;
-  conservation : bool;
-  ack_envelope : bool;
-  replica_envelope : bool;
-  convergence : bool;
-  slo : bool;
-  slo_breaches : int;  (* times the burn-rate machine entered Breach *)
-  slo_state : Obs.Slo.state;  (* machine state at drain *)
+  checks : check list;
+  incarnations : incarnation list;
   restarts_done : int;
   partitions_done : int;
-  published : int;  (* leader's final published weight *)
-  final_epoch : int;
-  acked : int;
-  ack_allowance : int;
-  duplicates_client : int;  (* dup acks the client observed *)
-  duplicates_server : int;  (* batches the dedup window suppressed *)
-  exhausted : int;  (* keys lost to retry exhaustion (must be 0) *)
-  resyncs : int;  (* replica re-subscriptions *)
-  follower_ahead : int;  (* samples where the follower led (must be 0) *)
-  samples : int;  (* staleness-envelope samples taken *)
-  client : Client.stats;
-  proxy : Chaos_proxy.stats;
+  accepted : int;
+  published : int;
+  envelope_samples : float array;
+  served : served_report option;
   driver : Workload.Driver.report;
   wall : float;
 }
 
-let shape_universe = function
-  | Workload.Trace.Uniform { universe }
-  | Workload.Trace.Zipf { universe; _ }
-  | Workload.Trace.Drift { universe; _ }
-  | Workload.Trace.Burst { universe; _ }
-  | Workload.Trace.Hot_flip { universe; _ }
-  | Workload.Trace.Adversarial { universe }
-  | Workload.Trace.Recorded { universe } ->
-      universe
+let validate c ~spec ~ops =
+  let bad fmt = Printf.ksprintf invalid_arg fmt in
+  if c.shards <= 0 then bad "Net.Soak: shards must be positive";
+  if c.batch <= 0 then bad "Net.Soak: batch must be positive";
+  if c.feeders <= 0 then bad "Net.Soak: feeders must be positive";
+  if c.restarts < 0 then bad "Net.Soak: restarts must be >= 0";
+  (match c.sink with
+  | Engine e ->
+      if e.kills < 0 || e.kills > c.shards then
+        bad "Net.Soak: kills must be in [0, shards]";
+      if e.kill_window < 1 then bad "Net.Soak: kill_window must be >= 1";
+      if e.checkpoint_every <= 0 then
+        bad "Net.Soak: checkpoint_every must be positive";
+      if e.fsync_every <= 0 then bad "Net.Soak: fsync_every must be positive"
+  | Served s ->
+      if s.conns <= 0 then bad "Net.Soak: conns must be positive";
+      if s.client_batch <= 0 then bad "Net.Soak: client_batch must be positive";
+      if s.retries <= 0 then bad "Net.Soak: retries must be positive";
+      if s.partitions < 0 then bad "Net.Soak: partitions must be >= 0";
+      if s.outage < 0.0 then bad "Net.Soak: outage must be >= 0");
+  if Array.length ops <> List.length spec.Workload.Trace.phases then
+    bad "Net.Soak: ops do not match the spec's phases"
 
-let total_updates ops =
-  Array.fold_left
-    (fun a arr ->
-      Array.fold_left
-        (fun a op ->
-          match op with
-          | Workload.Scenario.Update _ -> a + 1
-          | Workload.Scenario.Query _ -> a)
-        a arr)
+let fold_ops f acc ops =
+  Array.fold_left (fun acc arr -> Array.fold_left f acc arr) acc ops
+
+let universe_of_ops ops =
+  1
+  + fold_ops
+      (fun a -> function
+        | Workload.Scenario.Update k | Workload.Scenario.Query k -> max a k)
+      0 ops
+
+let updates_of_ops ops =
+  fold_ops
+    (fun a -> function
+      | Workload.Scenario.Update _ -> a + 1 | Workload.Scenario.Query _ -> a)
     0 ops
 
-module Make (M : Pipeline.Mergeable.S) = struct
-  module Srv = Server.Make (M)
-  module Rep = Replica.Make (M)
-  module R = Durable.Recovery.Make (M)
+(* Freeze the driven operations as a closed-loop recorded trace: the
+   incident-capture path. *)
+let record_ops ~path spec ops =
+  let recorded (p : Workload.Trace.phase) =
+    {
+      p with
+      Workload.Trace.rate = Workload.Trace.Unlimited;
+      shape =
+        Workload.Trace.Recorded
+          { universe = Workload.Trace.universe_of p.shape };
+    }
+  in
+  Workload.Trace.write ~path
+    { spec with Workload.Trace.phases = List.map recorded spec.Workload.Trace.phases }
+    ops
 
-  type incarnation = { srv : Srv.t; wal : Durable.Wal.writer; base : int }
+(* Simulate a crash mid-append: cut up to 512 bytes off the newest WAL
+   segment, so the next recovery must truncate a torn frame. *)
+let tear_wal_tail ~rng dir =
+  let segs =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun n ->
+           String.length n = 16
+           && String.sub n 0 4 = "wal-"
+           && Filename.check_suffix n ".seg")
+    |> List.sort (fun a b -> compare b a)
+  in
+  match segs with
+  | [] -> None
+  | name :: _ ->
+      let path = Filename.concat dir name in
+      let size = (Unix.stat path).Unix.st_size in
+      if size <= 8 then None
+      else begin
+        let cut = 1 + Rng.Splitmix.next_int rng (min (size - 1) 512) in
+        Unix.truncate path (size - cut);
+        Some (path, cut)
+      end
 
-  let validate c =
-    let bad fmt = Printf.ksprintf invalid_arg fmt in
-    if c.shards <= 0 then bad "Net.Soak: shards must be positive";
-    if c.conns <= 0 then bad "Net.Soak: conns must be positive";
-    if c.feeders <= 0 then bad "Net.Soak: feeders must be positive";
-    if c.client_batch <= 0 then bad "Net.Soak: client_batch must be positive";
-    if c.restarts < 0 then bad "Net.Soak: restarts must be >= 0";
-    if c.partitions < 0 then bad "Net.Soak: partitions must be >= 0"
+(* Interleave restart, partition, restart, ... then the leftovers. *)
+let rec weave r p =
+  if r = 0 && p = 0 then []
+  else if r >= p && r > 0 then `Restart :: weave (r - 1) p
+  else `Partition :: weave r (p - 1)
 
-  let run ?(progress = fun _ -> ()) ?metrics ?tracer ?http_port ?record c
-      ~spec ~ops () =
-    validate c;
-    let reg =
-      match metrics with Some r -> r | None -> Obs.Registry.create ()
-    in
+let sum f l = List.fold_left (fun a x -> a + f x) 0 l
+
+let pctl samples p =
+  if Array.length samples = 0 then 0.0
+  else Stats.Percentile.percentile samples p
+
+let sampler_interval = 0.001
+let slo_every = 20 (* sampler ticks: ~20 ms between SLO evaluations *)
+let envelope_every = 8 (* sampler ticks between envelope-width samples *)
+let key_sample = 4096 (* max keys compared against the oracle *)
+
+(* One feeder's view of the engine sink: [gate] is held around every
+   ingest, so a restart that takes every gate has no ingest in flight;
+   [counts] is the feeder's slice of the ground-truth oracle. *)
+type feeder = {
+  gate : Mutex.t;
+  counts : int array;
+  mutable accepted : int;
+  mutable attempted : int;
+}
+
+module Make (S : SKETCH) = struct
+  module Srv = Server.Make (S.M)
+  module P = Srv.P
+  module Rep = Replica.Make (S.M)
+  module R = Durable.Recovery.Make (S.M)
+  module Mono = Ivl.Monotone.Make (Spec.Counter_spec)
+
+  (* One engine incarnation and its durable plumbing. [live] turns off
+     the sampler's [read_total] before the drain, so the history is read
+     once its reader has quiesced. *)
+  type life = {
+    index : int;
+    eng : P.t;
+    wal : Durable.Wal.writer;
+    base : int;
+    rec_epoch : int;
+    truncated : int;
+    regressions : int;
+    chaos : Conc.Chaos.t option;
+    accepted0 : int;
+    mutable srv : Srv.t option;
+    mutable live : bool;
+    mutable last_read : int;
+    mutable reader_regressions : int;
+  }
+
+  let run ?(progress = ignore) ?metrics ?tracer ?http_port ?record
+      ?(on_start = ignore) c ~spec ~ops () =
+    validate c ~spec ~ops;
+    let reg = match metrics with Some r -> r | None -> Obs.Registry.create () in
     let t_start = Unix.gettimeofday () in
-    (* ---- server incarnations over one durable directory ---- *)
+    let universe = universe_of_ops ops in
+    let feeders =
+      Array.init c.feeders (fun _ ->
+          {
+            gate = Mutex.create ();
+            counts = Array.make universe 0;
+            accepted = 0;
+            attempted = 0;
+          })
+    in
+    let fed f = Array.fold_left (fun a x -> a + f x) 0 feeders in
+    (* [sm] guards the current incarnation and the previous final state *)
     let sm = Mutex.create () in
     let cur = ref None in
-    let last_final = ref 0 in
-    let port_ref = ref 0 in
-    let conservation_failures = ref 0 in
-    let recovery_mismatches = ref 0 in
+    let last_end = ref (0, 0) in
+    let port = ref 0 in
+    let prev_rec_epoch = ref 0 in
+    let started = ref 0 in
+    let reports = ref [] in
     let dup_server = ref 0 in
-    let start_incarnation () =
-      let wal = ref None in
-      let base = ref 0 in
+    let envelope = ref [] in
+    let tear_rng = Rng.Splitmix.create (Int64.add c.seed 0x7EA7L) in
+    (* ---- one incarnation: recover, WAL, engine ---- *)
+    let open_life ~on_merge =
+      let index = !started in
+      let pre_ckpt = Durable.Checkpoint.latest ~dir:c.dir in
+      let initial, rec_epoch, base, truncated, regressions =
+        if index = 0 then (None, 0, 0, 0, 0)
+        else
+          match R.recover_compact ~metrics:reg ~dir:c.dir () with
+          | Error m -> failwith ("Net.Soak: recovery failed: " ^ m)
+          | Ok (sk, r) ->
+              let end_epoch, end_pub = !last_end in
+              let regress =
+                (match pre_ckpt with
+                | Some (s : Durable.Checkpoint.snapshot) ->
+                    Bool.to_int
+                      (r.R.recovered_epoch < s.epoch
+                      || r.R.recovered_published < s.published)
+                | None -> 0)
+                + Bool.to_int
+                    (r.R.recovered_epoch > end_epoch
+                    || r.R.recovered_published > end_pub)
+                + Bool.to_int (r.R.recovered_epoch < !prev_rec_epoch)
+              in
+              progress
+                (Printf.sprintf
+                   "incarnation %d: recovered epoch %d published %d (%d \
+                    bytes torn)%s"
+                   index r.R.recovered_epoch r.R.recovered_published
+                   r.R.bytes_truncated
+                   (if regress > 0 then " REGRESSION" else ""));
+              ( Some (sk, r.R.recovered_epoch, r.R.recovered_published),
+                r.R.recovered_epoch,
+                r.R.recovered_published,
+                r.R.bytes_truncated,
+                regress )
+      in
+      prev_rec_epoch := rec_epoch;
+      let fsync =
+        match c.sink with
+        | Engine e -> Some (Durable.Wal.Every_n e.fsync_every)
+        | Served _ -> None
+      in
+      let wal = Durable.Wal.create ?fsync ~metrics:reg ~dir:c.dir () in
+      let on_merge ~ctx ~epoch ~weight ~blob =
+        (* the WAL append is the waterfall's last server-side stage: time
+           it under the merged delta's context *)
+        let traced = tracer <> None && not (Obs.Span.is_zero ctx) in
+        let t0 = if traced then Obs.Tracer.now_ns () else 0 in
+        Durable.Wal.append wal ~epoch ~weight ~blob;
+        (match tracer with
+        | Some tr when traced ->
+            ignore
+              (Obs.Tracer.record tr ~ctx ~stage:"wal" ~start_ns:t0
+                 ~end_ns:(Obs.Tracer.now_ns ()))
+        | _ -> ());
+        on_merge ~ctx ~epoch ~weight ~blob
+      in
+      let chaos, eng =
+        match c.sink with
+        | Served _ ->
+            ( None,
+              P.create ~steal:c.steal ~batch:c.batch ~on_merge ~metrics:reg
+                ?tracer ?initial ~shards:c.shards () )
+        | Engine e ->
+            let kills =
+              Conc.Chaos.random_kills
+                ~seed:(Int64.add c.seed (Int64.of_int ((index * 7919) + 1)))
+                ~domains:c.shards ~victims:e.kills ~max_point:e.kill_window
+            in
+            let chaos =
+              Conc.Chaos.instantiate
+                (Conc.Chaos.plan ~yield_prob:0.05 ~stall_prob:0.01
+                   ~stall_spins:500 ~kills
+                   ~seed:(Int64.add c.seed (Int64.of_int index))
+                   ())
+                ~domains:c.shards
+            in
+            ( Some chaos,
+              P.create ~steal:c.steal ~batch:c.batch
+                ~on_tick:(fun ~shard -> Conc.Chaos.point_once chaos ~domain:shard)
+                ~on_merge ~checkpoint_every:e.checkpoint_every
+                ~on_checkpoint:(fun ~epoch ~published ~blob ->
+                  Durable.Checkpoint.write ~dir:c.dir ~epoch ~published ~blob ())
+                ~supervisor:Pipeline.Engine.default_supervisor ~metrics:reg
+                ?tracer ?initial ~shards:c.shards () )
+      in
+      incr started;
+      {
+        index;
+        eng;
+        wal;
+        base;
+        rec_epoch;
+        truncated;
+        regressions;
+        chaos;
+        accepted0 = fed (fun f -> f.accepted);
+        srv = None;
+        live = true;
+        last_read = -1;
+        reader_regressions = 0;
+      }
+    in
+    let start () =
+      let life = ref None in
+      let make_engine ~on_merge =
+        let l = open_life ~on_merge in
+        life := Some l;
+        l.eng
+      in
       let srv =
-        Srv.create ~host:"127.0.0.1" ~port:0 ~max_conns:(c.conns + 8)
-          ~read_timeout:5.0 ~sub_queue:4096 ~dedup_dir:c.dir ~metrics:reg
-          ?tracer
-          ~eval:(fun _ _ -> None)
-          ~make_engine:(fun ~on_merge ->
-            let initial =
-              if Result.is_ok (Durable.Wal.validate_dir ~dir:c.dir ()) then
-                match R.recover_compact ~metrics:reg ~dir:c.dir () with
-                | Ok (sk0, r) when r.R.recovered_epoch > 0 ->
-                    Some (sk0, r.R.recovered_epoch, r.R.recovered_published)
-                | _ -> None
-              else None
-            in
-            (match initial with Some (_, _, p) -> base := p | None -> ());
-            wal := Some (Durable.Wal.create ~dir:c.dir ~metrics:reg ());
-            let on_merge ~ctx ~epoch ~weight ~blob =
-              (match !wal with
-              | Some w ->
-                  (* the WAL append is the waterfall's last server-side
-                     stage: time it under the merged delta's context *)
-                  let t0 =
-                    match tracer with
-                    | Some _ when not (Obs.Span.is_zero ctx) ->
-                        Obs.Tracer.now_ns ()
-                    | _ -> 0
-                  in
-                  Durable.Wal.append w ~epoch ~weight ~blob;
-                  (match tracer with
-                  | Some tr when not (Obs.Span.is_zero ctx) ->
-                      ignore
-                        (Obs.Tracer.record tr ~ctx ~stage:"wal" ~start_ns:t0
-                           ~end_ns:(Obs.Tracer.now_ns ()))
-                  | _ -> ())
-              | None -> ());
-              on_merge ~ctx ~epoch ~weight ~blob
-            in
-            Srv.P.create ~shards:c.shards ~batch:c.batch ~metrics:reg
-              ?tracer ~on_merge ?initial ())
-          ()
+        match c.sink with
+        | Engine _ ->
+            ignore (make_engine ~on_merge:(fun ~ctx:_ ~epoch:_ ~weight:_ ~blob:_ -> ()));
+            None
+        | Served s ->
+            Some
+              (Srv.create ~host:"127.0.0.1" ~port:0 ~max_conns:(s.conns + 8)
+                 ~read_timeout:5.0 ~sub_queue:4096 ~dedup_dir:c.dir ~metrics:reg
+                 ?tracer ~eval:S.eval ~make_engine ())
       in
-      (* recovery exactness: each incarnation must resume precisely where
-         the previous one drained — the cross-restart half of conservation *)
-      if !base <> !last_final then incr recovery_mismatches;
-      let wal = match !wal with Some w -> w | None -> assert false in
-      let inc = { srv; wal; base = !base } in
-      Mutex.lock sm;
-      cur := Some inc;
-      port_ref := Srv.port srv;
-      Mutex.unlock sm;
-      inc
+      let l = Option.get !life in
+      l.srv <- srv;
+      on_start l.eng;
+      Mutex.protect sm (fun () ->
+          cur := Some l;
+          Option.iter (fun s -> port := Srv.port s) srv);
+      l
     in
-    let stop_incarnation () =
-      Mutex.lock sm;
-      let inc = !cur in
-      Mutex.unlock sm;
-      match inc with
-      | None -> ()
-      | Some { srv; wal; base } ->
-          (* [cur] stays set through the drain: the staleness sampler must
-             keep seeing the live engine's growing published weight — the
-             final fan-out reaches the replica before the drained total
-             lands in last_final, and a cleared [cur] would compare the
-             replica against the previous incarnation's stale final *)
-          let st = Srv.stop srv in
-          Durable.Wal.close wal;
-          let est = Srv.P.stats (Srv.engine srv) in
-          (* in-incarnation conservation: what drained is what was accepted *)
-          if est.Srv.P.published <> base + st.Srv.ingested then
-            incr conservation_failures;
-          dup_server := !dup_server + st.Srv.duplicates;
-          Mutex.lock sm;
-          last_final := est.Srv.P.published;
-          cur := None;
-          Mutex.unlock sm
+    (* ---- drain, check, retire ---- *)
+    let stop (l : life) =
+      Mutex.protect sm (fun () -> l.live <- false);
+      (* [cur] stays set through the drain: the staleness sampler must keep
+         seeing the live engine's growing published weight — the final
+         fan-out reaches the replica before the drained total lands in
+         [last_end] *)
+      let accepted =
+        match l.srv with
+        | Some srv ->
+            let st = Srv.stop srv in
+            dup_server := !dup_server + st.Srv.duplicates;
+            st.Srv.ingested
+        | None ->
+            P.drain l.eng;
+            fed (fun f -> f.accepted) - l.accepted0
+      in
+      Durable.Wal.close l.wal;
+      let st = P.stats l.eng in
+      let shards f = Array.fold_left (fun a s -> a + f s) 0 st.P.shards in
+      let flushed = shards (fun s -> s.P.flushed_items) in
+      let published = st.P.published - l.base in
+      let lost = accepted - published in
+      let exact = match c.sink with Served _ -> true | Engine _ -> false in
+      let conservation_failures =
+        Bool.to_int
+          ((st.P.decode_failures = 0 && published <> flushed)
+          || published > flushed)
+        + Bool.to_int (lost < 0)
+        + Bool.to_int (exact && lost > 0)
+      in
+      let engine_sink = not exact in
+      let oracle =
+        match S.bound with
+        | Some b when engine_sink ->
+            let truth = Array.make universe 0 in
+            Array.iter
+              (fun f -> Array.iteri (fun k v -> truth.(k) <- truth.(k) + v) f.counts)
+              feeders;
+            let lost_total = max 0 (fed (fun f -> f.accepted) - st.P.published) in
+            let stride = max 1 (universe / key_sample) in
+            let checked, lower, upper =
+              fst
+                (P.query l.eng (fun g ->
+                     let slack = b.slack g in
+                     let rec go k (n, lo, up) =
+                       if k >= universe then (n, lo, up)
+                       else
+                         let est = b.estimate g k in
+                         go (k + stride)
+                           ( n + 1,
+                             lo + Bool.to_int (est + lost_total < truth.(k)),
+                             up
+                             + Bool.to_int
+                                 (float_of_int est > float_of_int truth.(k) +. slack)
+                           )
+                     in
+                     go 0 (0, 0, 0)))
+            in
+            let allowance =
+              max 1 (int_of_float (ceil (3.0 *. b.delta *. float_of_int checked)))
+            in
+            Some { lower; upper; allowance; checked }
+        | _ -> None
+      in
+      let report : incarnation =
+        {
+          index = l.index;
+          recovered_epoch = l.rec_epoch;
+          recovered_published = l.base;
+          wal_bytes_truncated = l.truncated;
+          recovery_regressions = l.regressions;
+          kills =
+            (match l.chaos with
+            | Some ch -> List.length (Conc.Chaos.killed ch)
+            | None -> 0);
+          worker_restarts = shards (fun s -> s.P.restarts);
+          end_epoch = st.P.epoch;
+          end_published = st.P.published;
+          accepted;
+          lost;
+          conservation_failures;
+          monotone_violations =
+            (if engine_sink then List.length (Mono.violations (P.history l.eng))
+             else 0);
+          reader_regressions = l.reader_regressions;
+          decode_failures = st.P.decode_failures;
+          unexpected_failures = List.length (P.failures l.eng);
+          oracle;
+          merge_lag = st.P.merge_lag;
+        }
+      in
+      reports := report :: !reports;
+      progress
+        (Printf.sprintf
+           "incarnation %d: %d accepted, %d kills, %d worker restarts, epoch \
+            %d, published %d, lost %d"
+           l.index accepted report.kills report.worker_restarts st.P.epoch
+           st.P.published lost);
+      Mutex.protect sm (fun () ->
+          last_end := (st.P.epoch, st.P.published);
+          cur := None)
     in
-    ignore (start_incarnation ());
-    (* ---- the proxy everyone talks through ---- *)
-    let proxy =
-      Chaos_proxy.create ~seed:(Int64.add c.seed 0xBADL)
-        ~upstream:(fun () ->
-          Mutex.lock sm;
-          let p = !port_ref in
-          Mutex.unlock sm;
-          ("127.0.0.1", p))
-        ()
+    let published_now () =
+      Mutex.protect sm (fun () ->
+          match !cur with
+          | Some l -> (P.stats l.eng).P.published
+          | None -> snd !last_end)
     in
-    (* replica's first dial must land, so faults arm after the handshake *)
-    let rep =
-      Rep.connect ~read_timeout:1.0 ~resync_backoff:0.05 ~metrics:reg
-        ?tracer ~host:"127.0.0.1" ~port:(Chaos_proxy.port proxy) ()
+    ignore (start ());
+    (* ---- served: the proxy everyone talks through, client, replica ---- *)
+    let net =
+      match c.sink with
+      | Engine _ -> None
+      | Served s ->
+          let proxy =
+            Chaos_proxy.create ~seed:(Int64.add c.seed 0xBADL)
+              ~upstream:(fun () ->
+                ("127.0.0.1", Mutex.protect sm (fun () -> !port)))
+              ()
+          in
+          (* the replica's first dial must land, so faults arm after it *)
+          let rep =
+            Rep.connect ~read_timeout:1.0 ~resync_backoff:0.05 ~metrics:reg
+              ?tracer ~host:"127.0.0.1" ~port:(Chaos_proxy.port proxy) ()
+          in
+          let cli =
+            Client.create ~conns:s.conns ~batch:s.client_batch
+              ~retries:s.retries ~read_timeout:2.0 ~overflow:Client.Block
+              ~session:(Int64.add c.seed 0x5E55L) ~metrics:reg ?tracer
+              ~host:"127.0.0.1" ~port:(Chaos_proxy.port proxy) ()
+          in
+          Chaos_proxy.set_faults proxy s.faults;
+          (* Theorem-6 budget with slack 4.0 (double the theorem's default):
+             restarts park the merger and partitions freeze the replica.
+             A dimension reads -1 (unknown, in budget) while no incarnation
+             is live or the follower is mid-resync — a dead leader is a
+             restart in progress, not an SLO burn. *)
+          let with_life f () =
+            Mutex.protect sm (fun () ->
+                match !cur with None -> -1.0 | Some l -> f l)
+          in
+          let slo =
+            Obs.Slo.create ~metrics:reg
+              ~budget:
+                (Obs.Slo.theorem6_budget ~slack:4.0 ~shards:c.shards
+                   ~batch:c.batch ~queue_capacity:1024 ())
+              ~envelope:
+                (with_life (fun l ->
+                     let st = P.stats l.eng in
+                     let accepted =
+                       Array.fold_left
+                         (fun a (s : P.shard_stats) -> a + s.enqueued - s.dropped)
+                         0 st.P.shards
+                     in
+                     float_of_int (max 0 (l.base + accepted - st.P.published))))
+              ~staleness:(fun () ->
+                match (Rep.stats rep).Rep.status with
+                | `Live ->
+                    float_of_int (max 0 (published_now () - Rep.published rep))
+                | _ -> -1.0)
+              ~merge_lag:
+                (with_life (fun l ->
+                     let lag = (P.stats l.eng).P.merge_lag in
+                     let n = Array.length lag in
+                     if n = 0 then -1.0 else lag.(n - 1)))
+              ()
+          in
+          Some (s, proxy, rep, cli, slo)
     in
-    let cli =
-      Client.create ~conns:c.conns ~batch:c.client_batch ~retries:c.retries
-        ~read_timeout:2.0 ~overflow:Client.Block
-        ~session:(Int64.add c.seed 0x5E55L) ~metrics:reg ?tracer
-        ~host:"127.0.0.1" ~port:(Chaos_proxy.port proxy) ()
+    (* ---- the driver's sinks ---- *)
+    let make_sink =
+      match net with
+      | Some (_, _, _, cli, _) -> fun ~feeder:_ -> Client.sink cli
+      | None ->
+          fun ~feeder ->
+            let f = feeders.(feeder) in
+            (* [cur] only changes while every gate is held *)
+            let guarded ingest k =
+              Mutex.protect f.gate (fun () ->
+                  f.attempted <- f.attempted + 1;
+                  match !cur with
+                  | Some l when ingest l.eng k ->
+                      f.counts.(k) <- f.counts.(k) + 1;
+                      f.accepted <- f.accepted + 1;
+                      true
+                  | _ -> false)
+            in
+            Workload.Sink.make ~ingest:(guarded P.ingest)
+              ~try_ingest:(guarded P.try_ingest)
+              ~query:(fun k ->
+                Mutex.protect f.gate (fun () ->
+                    Option.iter
+                      (fun l ->
+                        ignore (P.query l.eng (fun g -> S.eval g (Frame.Point k))))
+                      !cur))
+              ()
     in
-    Chaos_proxy.set_faults proxy c.faults;
-    (* ---- staleness sampler: follower lags, never leads ---- *)
+    (* ---- one sampler domain ---- *)
     let sampler_stop = Atomic.make false in
-    let ahead = Atomic.make 0 in
-    let samples = Atomic.make 0 in
-    let leader_pub () =
-      Mutex.lock sm;
-      let p =
-        match !cur with
-        | Some inc -> (Srv.P.stats (Srv.engine inc.srv)).Srv.P.published
-        | None -> !last_final
-      in
-      Mutex.unlock sm;
-      p
-    in
-    (* ---- envelope SLO: Theorem-6 budget, burn-rate machine ----
-       slack 4.0 (double the theorem's default) because a chaos soak
-       legitimately spikes every dimension: restarts park the merger,
-       partitions freeze the replica. Dimensions read -1 (= unknown,
-       in-budget) when there is no live incarnation or the follower is
-       mid-resync — a dead leader is a restart in progress, not an SLO
-       burn. *)
-    let slo =
-      Obs.Slo.create ~metrics:reg
-        ~budget:
-          (Obs.Slo.theorem6_budget ~slack:4.0 ~shards:c.shards ~batch:c.batch
-             ~queue_capacity:1024 ())
-        ~envelope:(fun () ->
-          Mutex.lock sm;
-          let v =
-            match !cur with
-            | None -> -1.0
-            | Some inc ->
-                let st = Srv.P.stats (Srv.engine inc.srv) in
-                let accepted =
-                  Array.fold_left
-                    (fun a (s : Srv.P.shard_stats) ->
-                      a + s.Srv.P.enqueued - s.Srv.P.dropped)
-                    0 st.Srv.P.shards
-                in
-                float_of_int
-                  (max 0 (inc.base + accepted - st.Srv.P.published))
-          in
-          Mutex.unlock sm;
-          v)
-        ~staleness:(fun () ->
-          match (Rep.stats rep).Rep.status with
-          | `Live ->
-              float_of_int (max 0 (leader_pub () - Rep.published rep))
-          | _ -> -1.0)
-        ~merge_lag:(fun () ->
-          Mutex.lock sm;
-          let v =
-            match !cur with
-            | None -> -1.0
-            | Some inc ->
-                let lag =
-                  (Srv.P.stats (Srv.engine inc.srv)).Srv.P.merge_lag
-                in
-                let n = Array.length lag in
-                if n = 0 then -1.0 else lag.(n - 1)
-          in
-          Mutex.unlock sm;
-          v)
-        ()
+    let ahead = Atomic.make 0 and samples = Atomic.make 0 in
+    let sample tick =
+      match net with
+      | None ->
+          Mutex.protect sm (fun () ->
+              match !cur with
+              | Some l when l.live ->
+                  (* the one read_total caller: published never regresses
+                     within an incarnation *)
+                  let v = P.read_total l.eng in
+                  if v < l.last_read then
+                    l.reader_regressions <- l.reader_regressions + 1;
+                  l.last_read <- v;
+                  if tick mod envelope_every = 0 then begin
+                    let st = P.stats l.eng in
+                    let enq =
+                      Array.fold_left
+                        (fun a (s : P.shard_stats) -> a + s.enqueued)
+                        0 st.P.shards
+                    in
+                    envelope :=
+                      float_of_int (max 0 (enq - (st.P.published - l.base)))
+                      :: !envelope
+                  end
+              | _ -> ())
+      | Some (_, _, rep, _, slo) ->
+          (* follower first, leader second: the leader only grows, so
+             rep > lead is a genuine lead *)
+          let rp = Rep.published rep in
+          let lp = published_now () in
+          if rp > lp then Atomic.incr ahead;
+          Atomic.incr samples;
+          (* breach_after 5 at this cadence means >= 100 ms of sustained
+             over-budget burn, not one unlucky sample *)
+          if tick mod slo_every = 0 then ignore (Obs.Slo.eval slo)
     in
     let sampler =
       Domain.spawn (fun () ->
           let tick = ref 0 in
           while not (Atomic.get sampler_stop) do
-            (* order matters: read the follower first, the leader second —
-               the leader only grows, so rep > lead is a genuine lead *)
-            let rp = Rep.published rep in
-            let lp = leader_pub () in
-            if rp > lp then Atomic.incr ahead;
-            Atomic.incr samples;
             incr tick;
-            (* ~20ms SLO cadence: breach_after 5 then means >=100ms of
-               sustained over-budget burn, not one unlucky sample *)
-            if !tick mod 10 = 0 then ignore (Obs.Slo.eval slo);
-            Unix.sleepf 0.002
+            sample !tick;
+            Unix.sleepf sampler_interval
           done)
     in
-    (* ---- drive the trace from a background domain ---- *)
-    let driver_done = Atomic.make false in
-    let driver_res = ref None in
-    let driver_d =
-      Domain.spawn (fun () ->
-          let r =
-            Workload.Driver.run ~feeders:c.feeders ~metrics:reg
-              ~make_sink:(fun ~feeder:_ -> Client.sink cli)
-              ~spec ~ops ()
-          in
-          driver_res := Some r;
-          Atomic.set driver_done true)
-    in
-    (* ---- orchestrator: fire restarts and partitions mid-trace ---- *)
-    let restarts_done = ref 0 in
-    let partitions_done = ref 0 in
-    (* ---- live telemetry plane: scrape the soak while it burns ---- *)
+    (* ---- live telemetry plane ---- *)
+    let restarts_done = ref 0 and partitions_done = ref 0 in
     let http =
-      match http_port with
-      | None -> None
-      | Some p ->
+      Option.map
+        (fun p ->
           let health () =
             [
-              ("leader_published", string_of_int (leader_pub ()));
-              ("replica_published", string_of_int (Rep.published rep));
-              ("client_acked",
-               string_of_int (Client.stats cli).Client.acked);
+              ("published", string_of_int (published_now ()));
               ("restarts", string_of_int !restarts_done);
-              ("partitions", string_of_int !partitions_done);
             ]
+            @
+            match net with
+            | None -> [ ("accepted", string_of_int (fed (fun f -> f.accepted))) ]
+            | Some (_, _, rep, cli, _) ->
+                [
+                  ("replica_published", string_of_int (Rep.published rep));
+                  ("client_acked", string_of_int (Client.stats cli).Client.acked);
+                  ("partitions", string_of_int !partitions_done);
+                ]
           in
+          let slo = Option.map (fun (_, _, _, _, slo) -> slo) net in
           let h =
             Obs.Http.create ~port:p
               ~handler:
-                (Obs.Http.telemetry_handler ~registry:reg ?tracer ~slo
-                   ~health ())
+                (Obs.Http.telemetry_handler ~registry:reg ?tracer ?slo ~health ())
               ()
           in
           progress
             (Printf.sprintf "telemetry: http://127.0.0.1:%d/metrics"
                (Obs.Http.port h));
-          Some h
+          h)
+        http_port
     in
-    let fire = function
-      | `Restart ->
-          progress
-            (Printf.sprintf "restart %d: stopping server (published %d)"
-               (!restarts_done + 1) (leader_pub ()));
-          stop_incarnation ();
-          Unix.sleepf c.down_time;
-          let inc = start_incarnation () in
-          incr restarts_done;
-          progress
-            (Printf.sprintf "restart %d: recovered published %d on port %d"
-               !restarts_done inc.base (Srv.port inc.srv))
-      | `Partition ->
-          progress
-            (Printf.sprintf "partition %d: severing all flows for %.2fs"
-               (!partitions_done + 1) c.partition_time);
-          Chaos_proxy.set_partition proxy true;
-          Unix.sleepf c.partition_time;
-          Chaos_proxy.set_partition proxy false;
-          incr partitions_done
+    (* ---- drive the trace from a background domain ---- *)
+    let driver = Atomic.make None in
+    let driver_d =
+      Domain.spawn (fun () ->
+          Atomic.set driver
+            (Some
+               (Workload.Driver.run ~feeders:c.feeders ~metrics:reg ~make_sink
+                  ~spec ~ops ())))
+    in
+    (* ---- the fault schedule ---- *)
+    let restart () =
+      let l = Option.get (Mutex.protect sm (fun () -> !cur)) in
+      progress
+        (Printf.sprintf "restart %d: stopping incarnation %d (published %d)"
+           (!restarts_done + 1) l.index (published_now ()));
+      (match net with
+      | None ->
+          Array.iter (fun f -> Mutex.lock f.gate) feeders;
+          stop l;
+          (match c.sink with
+          | Engine { tear_tail = true; _ } -> (
+              match tear_wal_tail ~rng:tear_rng c.dir with
+              | Some (path, cut) ->
+                  progress (Printf.sprintf "tore %d bytes off %s" cut path)
+              | None -> ())
+          | _ -> ());
+          ignore (start ());
+          Array.iter (fun f -> Mutex.unlock f.gate) feeders
+      | Some (s, _, _, _, _) ->
+          stop l;
+          Unix.sleepf s.outage;
+          ignore (start ()));
+      incr restarts_done
+    in
+    let partition (s, proxy, _, _, _) =
+      progress
+        (Printf.sprintf "partition %d: severing all flows for %.2fs"
+           (!partitions_done + 1) s.outage);
+      Chaos_proxy.set_partition proxy true;
+      Unix.sleepf s.outage;
+      Chaos_proxy.set_partition proxy false;
+      incr partitions_done
     in
     let events =
-      (* interleave: restart, partition, restart, ... then leftovers *)
-      let rec weave r p =
-        if r = 0 && p = 0 then []
-        else if r >= p && r > 0 then `Restart :: weave (r - 1) p
-        else `Partition :: weave r (p - 1)
-      in
-      weave c.restarts c.partitions
+      weave c.restarts
+        (match net with Some (s, _, _, _, _) -> s.partitions | None -> 0)
     in
     let n_events = List.length events in
-    let updates = total_updates ops in
-    (* thresholds on the client's acked count: events land mid-stream, at
-       even fractions of the update volume, deterministically ordered *)
-    let threshold i = updates * (i + 1) / (n_events + 1) in
+    let updates = updates_of_ops ops in
+    let progressed () =
+      match net with
+      | Some (_, _, _, cli, _) -> (Client.stats cli).Client.acked
+      | None -> fed (fun f -> f.attempted)
+    in
     List.iteri
       (fun i ev ->
-        let target = threshold i in
-        let rec wait () =
-          if Atomic.get driver_done then ()
-          else if (Client.stats cli).Client.acked >= target then ()
-          else begin
-            Unix.sleepf 0.01;
-            wait ()
-          end
-        in
-        wait ();
-        fire ev)
+        let target = updates * (i + 1) / (n_events + 1) in
+        while Atomic.get driver = None && progressed () < target do
+          Unix.sleepf 0.01
+        done;
+        match (ev, net) with
+        | `Restart, _ -> restart ()
+        | `Partition, Some n -> partition n
+        | `Partition, None -> ())
       events;
     Domain.join driver_d;
-    let driver =
-      match !driver_res with Some r -> r | None -> assert false
-    in
-    (* ---- quiesce: transparent wire, resolve every in-flight batch ---- *)
-    Chaos_proxy.set_partition proxy false;
-    Chaos_proxy.set_faults proxy Chaos_proxy.no_faults;
-    Client.close cli;
-    let cli_stats = Client.stats cli in
-    (* ---- final drain + convergence barrier ---- *)
-    Mutex.lock sm;
-    let final_inc = !cur in
-    Mutex.unlock sm;
-    let final_epoch, final_pub, leader_blob =
-      match final_inc with
-      | None -> (-1, !last_final, Bytes.empty)
-      | Some { srv; _ } ->
-          let eng = Srv.engine srv in
-          Srv.P.drain eng;
-          let blob, ep, pub = Srv.P.snapshot eng in
-          (ep, pub, blob)
-    in
-    let caught_up = Rep.wait_epoch ~timeout:c.settle rep final_epoch in
-    Atomic.set sampler_stop true;
-    Domain.join sampler;
-    let rep_stats = Rep.stats rep in
-    let rep_blob =
-      match Rep.query rep M.encode with Some (b, _) -> Some b | None -> None
-    in
-    Rep.close rep;
-    stop_incarnation ();
-    let proxy_stats = Chaos_proxy.stop proxy in
-    (* one last advance of the burn-rate machine, then read its history *)
-    let slo_final = Obs.Slo.eval slo in
-    let slo_breaches = Obs.Slo.breaches slo in
-    (match http with Some h -> Obs.Http.stop h | None -> ());
-    (* ---- verdicts ---- *)
-    let reasons = ref [] in
+    let driver = Option.get (Atomic.get driver) in
+    (* ---- quiesce, retire the last incarnation, verdicts ---- *)
+    let reasons = ref [] and checks = ref [] in
     let add fmt = Printf.ksprintf (fun m -> reasons := m :: !reasons) fmt in
-    let conservation =
-      !conservation_failures = 0 && !recovery_mismatches = 0
+    let check name ok detail = checks := { name; ok; detail } :: !checks in
+    let final_l = Option.get (Mutex.protect sm (fun () -> !cur)) in
+    let stop_sampler () =
+      Atomic.set sampler_stop true;
+      Domain.join sampler
     in
-    if !conservation_failures > 0 then
-      add "%d incarnations broke published = recovered + ingested"
-        !conservation_failures;
-    if !recovery_mismatches > 0 then
-      add "%d recoveries missed the previous published weight"
-        !recovery_mismatches;
-    let ack_allowance = !restarts_done * c.conns * c.client_batch in
-    let ack_envelope =
-      cli_stats.Client.exhausted = 0
-      && cli_stats.Client.acked >= final_pub
-      && cli_stats.Client.acked - final_pub <= ack_allowance
+    let served =
+      match net with
+      | None ->
+          stop_sampler ();
+          stop final_l;
+          None
+      | Some (s, proxy, rep, cli, slo) ->
+          (* transparent wire, every in-flight batch resolved *)
+          Chaos_proxy.set_partition proxy false;
+          Chaos_proxy.set_faults proxy Chaos_proxy.no_faults;
+          Client.close cli;
+          let cs = Client.stats cli in
+          P.drain final_l.eng;
+          let leader_blob, epoch, pub = P.snapshot final_l.eng in
+          let caught_up = Rep.wait_epoch ~timeout:s.settle rep epoch in
+          stop_sampler ();
+          let rs = Rep.stats rep in
+          let rep_blob = Option.map fst (Rep.query rep S.M.encode) in
+          Rep.close rep;
+          stop final_l;
+          let proxy_stats = Chaos_proxy.stop proxy in
+          let slo_v = Obs.Slo.eval slo in
+          let incs = List.rev !reports in
+          let broken = sum (fun i -> Bool.to_int (i.conservation_failures > 0)) incs in
+          let rec missed = function
+            | (a : incarnation) :: (b :: _ as rest) ->
+                Bool.to_int (b.recovered_published <> a.end_published) + missed rest
+            | _ -> 0
+          in
+          let missed = missed incs in
+          if broken > 0 then
+            add "%d incarnations broke published = recovered + ingested" broken;
+          if missed > 0 then
+            add "%d recoveries missed the previous published weight" missed;
+          check "conservation" (broken = 0 && missed = 0)
+            (Printf.sprintf "published %d across %d restarts, %d partitions" pub
+               !restarts_done !partitions_done);
+          let acked = cs.Client.acked and exhausted = cs.Client.exhausted in
+          let allowance = !restarts_done * s.conns * s.client_batch in
+          if exhausted > 0 then
+            add "%d keys exhausted their retries (delivery fate unknown)" exhausted;
+          if acked < pub then
+            add "acked %d < published %d: weight appeared without an ack" acked pub;
+          if acked - pub > allowance then
+            add "acked %d exceeds published %d beyond the restart allowance %d"
+              acked pub allowance;
+          check "ack envelope"
+            (exhausted = 0 && acked >= pub && acked - pub <= allowance)
+            (Printf.sprintf "acked %d, published %d, slack <= %d, exhausted %d"
+               acked pub allowance exhausted);
+          let n_ahead = Atomic.get ahead and n_samples = Atomic.get samples in
+          if n_samples = 0 then add "no staleness samples taken";
+          if n_ahead > 0 then
+            add "follower led the leader in %d of %d samples" n_ahead n_samples;
+          if n_events > 0 && rs.Rep.resyncs < 1 then
+            add "no replica resync despite %d fault events" n_events;
+          check "replica envelope"
+            (n_samples > 0 && n_ahead = 0 && (n_events = 0 || rs.Rep.resyncs >= 1))
+            (Printf.sprintf "%d samples, %d follower-ahead, %d resyncs" n_samples
+               n_ahead rs.Rep.resyncs);
+          let blob_ok =
+            match rep_blob with Some b -> Bytes.equal b leader_blob | None -> false
+          in
+          if not caught_up then
+            add "replica failed to reach epoch %d within %.1fs (status %s)" epoch
+              s.settle
+              (match rs.Rep.status with
+              | `Syncing -> "syncing"
+              | `Live -> "live"
+              | `Resyncing m -> "resyncing: " ^ m
+              | `Broken m -> "broken: " ^ m
+              | `Closed -> "closed")
+          else if rs.Rep.published <> pub then
+            add "replica published %d <> leader %d" rs.Rep.published pub
+          else if rep_blob = None then add "replica held no sketch at the end"
+          else if not blob_ok then
+            add "replica sketch diverged from the leader bit-for-bit";
+          check "convergence"
+            (caught_up && rs.Rep.epoch = epoch && rs.Rep.published = pub && blob_ok)
+            (Printf.sprintf "epoch %d, bit-for-bit after quiesce" epoch);
+          (* zero tolerance at drain: Warning may arm during chaos, but a
+             Breach — sustained over-budget burn — fails the run *)
+          let breaches = Obs.Slo.breaches slo in
+          if breaches > 0 then
+            add "SLO breached %d times (worst dim %s at %.2fx budget)" breaches
+              slo_v.Obs.Slo.worst_dim slo_v.Obs.Slo.worst_ratio;
+          check "slo" (breaches = 0)
+            (Printf.sprintf "%d breaches, final state %s" breaches
+               (Obs.Slo.state_to_string slo_v.Obs.Slo.state));
+          Some
+            {
+              duplicates_server = !dup_server;
+              resyncs = rs.Rep.resyncs;
+              follower_ahead = n_ahead;
+              client = cs;
+              proxy = proxy_stats;
+            }
     in
-    if cli_stats.Client.exhausted > 0 then
-      add "%d keys exhausted their retries (delivery fate unknown)"
-        cli_stats.Client.exhausted;
-    if cli_stats.Client.acked < final_pub then
-      add "acked %d < published %d: weight appeared without an ack"
-        cli_stats.Client.acked final_pub;
-    if cli_stats.Client.acked - final_pub > ack_allowance then
-      add "acked %d exceeds published %d beyond the restart allowance %d"
-        cli_stats.Client.acked final_pub ack_allowance;
-    let replica_envelope =
-      Atomic.get samples > 0
-      && Atomic.get ahead = 0
-      && (n_events = 0 || rep_stats.Rep.resyncs >= 1)
+    Option.iter Obs.Http.stop http;
+    let incs = List.rev !reports in
+    let published = snd !last_end in
+    let accepted =
+      match served with
+      | Some s -> s.client.Client.acked
+      | None -> fed (fun f -> f.accepted)
     in
-    if Atomic.get samples = 0 then add "no staleness samples taken";
-    if Atomic.get ahead > 0 then
-      add "follower led the leader in %d of %d samples" (Atomic.get ahead)
-        (Atomic.get samples);
-    if n_events > 0 && rep_stats.Rep.resyncs < 1 then
-      add "no replica resync despite %d fault events" n_events;
-    let convergence =
-      caught_up
-      && rep_stats.Rep.epoch = final_epoch
-      && rep_stats.Rep.published = final_pub
-      && (match rep_blob with
-         | Some b -> Bytes.equal b leader_blob
-         | None -> false)
+    (* the engine sink's verdicts: per-incarnation counters, zero each *)
+    let counted name what count detail =
+      let n = sum count incs in
+      List.iter
+        (fun (i : incarnation) ->
+          if count i > 0 then add "incarnation %d: %d %s" i.index (count i) what)
+        incs;
+      check name (n = 0) (Option.value detail ~default:(Printf.sprintf "%d %s" n what))
     in
-    if not caught_up then
-      add "replica failed to reach epoch %d within %.1fs (status %s)"
-        final_epoch c.settle
-        (match rep_stats.Rep.status with
-        | `Syncing -> "syncing"
-        | `Live -> "live"
-        | `Resyncing m -> "resyncing: " ^ m
-        | `Broken m -> "broken: " ^ m
-        | `Closed -> "closed")
-    else begin
-      if rep_stats.Rep.published <> final_pub then
-        add "replica published %d <> leader %d" rep_stats.Rep.published
-          final_pub;
-      match rep_blob with
-      | Some b when not (Bytes.equal b leader_blob) ->
-          add "replica sketch diverged from the leader bit-for-bit";
-      | None -> add "replica held no sketch at the end"
-      | Some _ -> ()
+    if served = None then begin
+      let lost = max 0 (accepted - published) in
+      counted "monotone" "IVL monotone violations" (fun i -> i.monotone_violations) None;
+      counted "reader" "published-total regressions" (fun i -> i.reader_regressions) None;
+      counted "conservation" "weight conservation failures"
+        (fun i -> i.conservation_failures)
+        (Some
+           (Printf.sprintf "accepted %d, published %d, lost %d (%.3f%%)" accepted
+              published lost
+              (100.0 *. float_of_int lost /. float_of_int (max 1 accepted))));
+      counted "recovery envelope" "recoveries outside the envelope"
+        (fun i -> i.recovery_regressions)
+        (Some
+           (Printf.sprintf "%d recoveries, %d bytes torn" (List.length incs - 1)
+              (sum (fun i -> i.wal_bytes_truncated) incs)));
+      counted "decode" "blob decode failures" (fun i -> i.decode_failures) None;
+      counted "engine failures" "unexpected engine failures"
+        (fun i -> i.unexpected_failures) None;
+      Option.iter
+        (fun b ->
+          let o f = sum (fun i -> Option.fold ~none:0 ~some:f i.oracle) incs in
+          counted "oracle" "estimates outside the oracle bounds (low + excess high)"
+            (fun i ->
+              Option.fold ~none:0
+                ~some:(fun o -> o.lower + max 0 (o.upper - o.allowance))
+                i.oracle)
+            (Some
+               (Printf.sprintf
+                  "(ε,δ) = (%.4f, %.4f), %d keys checked, %d low, %d/%d high"
+                  b.epsilon b.delta (o (fun o -> o.checked)) (o (fun o -> o.lower))
+                  (o (fun o -> o.upper)) (o (fun o -> o.allowance)))))
+        S.bound
     end;
-    (* zero tolerance at drain: the machine may have armed Warning during
-       chaos, but an actual Breach — sustained over-budget burn — fails
-       the run *)
-    let slo_ok = slo_breaches = 0 in
-    if slo_breaches > 0 then
-      add "SLO breached %d times (worst dim %s at %.2fx budget)"
-        slo_breaches slo_final.Obs.Slo.worst_dim
-        slo_final.Obs.Slo.worst_ratio;
-    (* ---- optional incident capture: freeze the driven ops ---- *)
     (match record with
     | None -> ()
-    | Some path ->
-        let spec' =
-          {
-            spec with
-            Workload.Trace.phases =
-              List.map
-                (fun (p : Workload.Trace.phase) ->
-                  {
-                    p with
-                    Workload.Trace.rate = Workload.Trace.Unlimited;
-                    shape =
-                      Workload.Trace.Recorded
-                        { universe = shape_universe p.Workload.Trace.shape };
-                  })
-                spec.Workload.Trace.phases;
-          }
-        in
-        (match Workload.Trace.write ~path spec' ops with
+    | Some path -> (
+        match record_ops ~path spec ops with
         | Ok () -> progress (Printf.sprintf "recorded trace to %s" path)
         | Error m -> add "trace record failed: %s" m));
     {
       pass = !reasons = [];
       reasons = List.rev !reasons;
-      conservation;
-      ack_envelope;
-      replica_envelope;
-      convergence;
-      slo = slo_ok;
-      slo_breaches;
-      slo_state = slo_final.Obs.Slo.state;
+      checks = List.rev !checks;
+      incarnations = incs;
       restarts_done = !restarts_done;
       partitions_done = !partitions_done;
-      published = final_pub;
-      final_epoch;
-      acked = cli_stats.Client.acked;
-      ack_allowance;
-      duplicates_client = cli_stats.Client.duplicates_suppressed;
-      duplicates_server = !dup_server;
-      exhausted = cli_stats.Client.exhausted;
-      resyncs = rep_stats.Rep.resyncs;
-      follower_ahead = Atomic.get ahead;
-      samples = Atomic.get samples;
-      client = cli_stats;
-      proxy = proxy_stats;
+      accepted;
+      published;
+      envelope_samples = Array.of_list !envelope;
+      served;
       driver;
       wall = Unix.gettimeofday () -. t_start;
     }
-
-  let verdict_to_string v =
-    let b = Buffer.create 1024 in
-    let line name ok detail =
-      Buffer.add_string b
-        (Printf.sprintf "served-soak: %s %s (%s)\n" name
-           (if ok then "PASS" else "FAIL")
-           detail)
-    in
-    line "conservation" v.conservation
-      (Printf.sprintf "published %d across %d restarts, %d partitions"
-         v.published v.restarts_done v.partitions_done);
-    line "ack envelope" v.ack_envelope
-      (Printf.sprintf "acked %d, published %d, slack <= %d, exhausted %d"
-         v.acked v.published v.ack_allowance v.exhausted);
-    line "replica envelope" v.replica_envelope
-      (Printf.sprintf "%d samples, %d follower-ahead, %d resyncs" v.samples
-         v.follower_ahead v.resyncs);
-    line "convergence" v.convergence
-      (Printf.sprintf "epoch %d, bit-for-bit after quiesce" v.final_epoch);
-    line "slo" v.slo
-      (Printf.sprintf "%d breaches, final state %s" v.slo_breaches
-         (Obs.Slo.state_to_string v.slo_state));
-    Buffer.add_string b
-      (Printf.sprintf
-         "served-soak: %d duplicates suppressed (client saw %d), %d proxy \
-          resets, %d corruptions, %d refused dials, %d reconnects, %.1fs\n"
-         v.duplicates_server v.duplicates_client v.proxy.Chaos_proxy.resets
-         v.proxy.Chaos_proxy.corruptions v.proxy.Chaos_proxy.refused
-         v.client.Client.reconnects v.wall);
-    List.iter
-      (fun m -> Buffer.add_string b (Printf.sprintf "FAIL: %s\n" m))
-      v.reasons;
-    Buffer.add_string b
-      (Printf.sprintf "served-soak: %s\n" (if v.pass then "PASS" else "FAIL"));
-    Buffer.contents b
 end
+
+let verdict_to_string v =
+  let b = Buffer.create 1024 in
+  let pf fmt = Printf.bprintf b fmt in
+  pf
+    "incarnation  rec-epoch    rec-pub  torn  kills  w-restarts  end-epoch    \
+     end-pub   accepted   lost\n";
+  List.iter
+    (fun (i : incarnation) ->
+      pf "%11d %10d %10d %5d %6d %11d %10d %10d %10d %6d\n" i.index
+        i.recovered_epoch i.recovered_published i.wal_bytes_truncated i.kills
+        i.worker_restarts i.end_epoch i.end_published i.accepted i.lost)
+    v.incarnations;
+  List.iter
+    (fun c ->
+      pf "soak: %s %s (%s)\n" c.name (if c.ok then "PASS" else "FAIL") c.detail)
+    v.checks;
+  (match v.served with
+  | None ->
+      let lag = Array.concat (List.map (fun i -> i.merge_lag) v.incarnations) in
+      let env = v.envelope_samples in
+      pf
+        "freshness: merge lag p50/p99 = %.2f/%.2f ms, envelope width p50/p99 \
+         = %.0f/%.0f items\n"
+        (1e3 *. pctl lag 50.0) (1e3 *. pctl lag 99.0) (pctl env 50.0)
+        (pctl env 99.0)
+  | Some s ->
+      pf
+        "traffic: %d duplicates suppressed (client saw %d), %d proxy resets, \
+         %d corruptions, %d refused dials, %d reconnects\n"
+        s.duplicates_server s.client.Client.duplicates_suppressed
+        s.proxy.Chaos_proxy.resets
+        s.proxy.Chaos_proxy.corruptions s.proxy.Chaos_proxy.refused
+        s.client.Client.reconnects);
+  pf "%d restarts, %d partitions; %.1fs\n" v.restarts_done v.partitions_done
+    v.wall;
+  List.iter (fun m -> pf "FAIL: %s\n" m) v.reasons;
+  pf "soak: %s\n" (if v.pass then "PASS" else "FAIL");
+  Buffer.contents b
+
+let bench v ~total_ops =
+  let incs = v.incarnations in
+  let count n = float_of_int n in
+  let flag name =
+    List.exists (fun c -> c.name = name && not c.ok) v.checks |> Bool.to_int |> count
+  in
+  match v.served with
+  | Some s ->
+      ( "served-soak",
+        [
+          ("served-soak-conservation-violations", "violations", flag "conservation");
+          ("served-soak-ack-violations", "violations", flag "ack envelope");
+          ("served-soak-replica-violations", "violations", flag "replica envelope");
+          ("served-soak-convergence-violations", "violations", flag "convergence");
+          ("served-soak-exhausted", "violations", count s.client.Client.exhausted);
+          ("served-soak-follower-ahead", "violations", count s.follower_ahead);
+          ("served-soak-restarts", "count", count v.restarts_done);
+          ("served-soak-partitions", "count", count v.partitions_done);
+          ("served-soak-resyncs", "count", count s.resyncs);
+          ("served-soak-duplicates", "count", count s.duplicates_server);
+          ("served-soak-proxy-resets", "count", count s.proxy.Chaos_proxy.resets);
+          ("served-soak-total-ops", "count", count total_ops);
+        ] )
+  | None ->
+      let oracle f = sum (fun i -> match i.oracle with Some o -> f o | None -> 0) in
+      let phase_max f =
+        List.fold_left
+          (fun a (p : Workload.Driver.phase_report) -> Float.max a (f p))
+          0.0 v.driver.Workload.Driver.phases
+      in
+      let d = v.driver in
+      let lost = max 0 (v.accepted - v.published) in
+      ( "soak",
+        [
+          (* correctness gates: zero tolerance in `bench compare` *)
+          ("soak-monotone-violations", "violations",
+           count (sum (fun i -> i.monotone_violations) incs));
+          ("soak-oracle-lower-violations", "violations",
+           count (oracle (fun o -> o.lower) incs));
+          ("soak-oracle-upper-excess", "violations",
+           count (oracle (fun o -> max 0 (o.upper - o.allowance)) incs));
+          ("soak-epoch-regressions", "violations",
+           count (sum (fun i -> i.recovery_regressions) incs));
+          ("soak-conservation-failures", "violations",
+           count (sum (fun i -> i.conservation_failures) incs));
+          ("soak-reader-regressions", "violations",
+           count (sum (fun i -> i.reader_regressions) incs));
+          ("soak-unexpected-failures", "violations",
+           count (sum (fun i -> i.unexpected_failures) incs));
+          ("soak-decode-failures", "violations",
+           count (sum (fun i -> i.decode_failures) incs));
+          (* budget: loss as a percentage of accepted weight *)
+          ("soak-lost-weight-pct", "pct",
+           if v.accepted > 0 then 100.0 *. count lost /. count v.accepted else 0.0);
+          (* timing: warn-gated *)
+          ("soak-achieved-rate", "ops/s",
+           if d.Workload.Driver.wall > 0.0 then
+             count d.Workload.Driver.issued /. d.Workload.Driver.wall
+           else 0.0);
+          ("soak-update-p99", "ns/op",
+           1e9 *. phase_max (fun p -> p.Workload.Driver.update_p99));
+          ("soak-query-p99", "ns/op",
+           1e9 *. phase_max (fun p -> p.Workload.Driver.query_p99));
+          (* informational *)
+          ("soak-recoveries", "count", count (List.length incs - 1));
+          ("soak-restarts", "count", count (sum (fun i -> i.worker_restarts) incs));
+          ("soak-kills", "count", count (sum (fun i -> i.kills) incs));
+          ("soak-total-ops", "count", count total_ops);
+        ] )

@@ -199,7 +199,7 @@ module Make (M : Mergeable.S) : sig
       carried-over [published] weight is logged into the recorded history as
       one synchronous update op before any domain spawns, so the IVL
       envelope checker accounts for the pre-crash base. This is how a soak
-      run chains engine incarnations over one WAL ([Workload.Soak]).
+      run chains engine incarnations over one WAL ([Net.Soak]).
       @raise Invalid_argument if [shards <= 0], [queue_capacity <= 0],
       [batch <= 0], [checkpoint_every < 0], the supervisor config is
       malformed (negative [max_restarts] or [backoff_base], or

@@ -15,13 +15,3 @@ let make ?try_ingest ?(query = fun _ -> ()) ?(flush = fun () -> ())
     flush;
     close;
   }
-
-module Of_engine (M : Pipeline.Mergeable.S) = struct
-  module P = Pipeline.Engine.Make (M)
-
-  let sink eng ~query =
-    make ~ingest:(fun k -> P.ingest eng k)
-      ~try_ingest:(fun k -> P.try_ingest eng k)
-      ~query:(fun k -> fst (P.query eng (fun g -> query g k)))
-      ()
-end

@@ -1,9 +1,9 @@
 (** The ingest/query surface a {!Driver} pushes a trace through.
 
     Extracted from the driver so that anything that can accept keys — the
-    in-process [Pipeline.Engine] (the default, {!Of_engine}), a batching
-    network client ([Net.Client]), a mock in a test — slots under the trace
-    machinery without touching driver logic. A sink is five closures:
+    in-process [Pipeline.Engine] (the soak's engine sink, [Net.Soak]), a
+    batching network client ([Net.Client]), a mock in a test — slots under
+    the trace machinery without touching driver logic. A sink is five closures:
 
     - [ingest]/[try_ingest]: the blocking (closed-loop, backpressure) and
       non-blocking (open-loop, shed-on-full) update paths;
@@ -36,14 +36,3 @@ val make :
   t
 (** [try_ingest] defaults to [ingest] (a sink without a non-blocking path
     just blocks); [query], [flush] and [close] default to no-ops. *)
-
-(** The default implementation: wrap a pipeline engine. Applicative functor
-    equality makes this line up at the call site: if you built your engine
-    as [Pipeline.Engine.Make (M)] for a named [M], [Of_engine (M).sink]
-    accepts it directly. *)
-module Of_engine (M : Pipeline.Mergeable.S) : sig
-  val sink : Pipeline.Engine.Make(M).t -> query:(M.t -> int -> unit) -> t
-  (** [query g k] runs under the engine's snapshot read ([Engine.query]);
-      [flush]/[close] are no-ops — the engine's merge cadence and drain are
-      its owner's business. *)
-end

@@ -63,6 +63,8 @@ val block_ops : int
 (** Maximum operations per [trace-block] frame. *)
 
 val total_ops : spec -> int
+val universe_of : shape -> int
+(** The shape's declared key universe. *)
 
 val validate : spec -> (unit, string) result
 (** Check every phase for nonsensical parameters (empty universe, negative

@@ -27,9 +27,18 @@ module Rep = Net.Replica.Make (MC)
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* Session 0L opts out of dedup — the legacy wire shape most protocol
-   tests want; effectively-once tests pass a real session explicitly. *)
-let batch ?(session = 0L) ?(seq = 0) ?(ctx = Obs.Span.zero) keys =
+(* Every batch is deduplicated by (session, seq), so each call without an
+   explicit session gets a session of its own: protocol tests that resend
+   the same keys are not answered as retries. Effectively-once tests pass
+   their session and seq explicitly. *)
+let next_session = Atomic.make 0x7E57_0000
+
+let batch ?session ?(seq = 0) ?(ctx = Obs.Span.zero) keys =
+  let session =
+    match session with
+    | Some s -> s
+    | None -> Int64.of_int (Atomic.fetch_and_add next_session 1)
+  in
   Frame.Batch { session; seq; ctx; keys }
 
 (* ------------------------------------------------------------------ *)
@@ -52,14 +61,14 @@ let roundtrip_push p =
   | Error e -> Alcotest.failf "push decode: %s" (Codec.error_to_string e)
 
 let test_request_roundtrip () =
-  (match roundtrip_request (batch [| 1; 2; 3; 1000000; 0 |]) with
+  (match roundtrip_request (batch ~session:0L [| 1; 2; 3; 1000000; 0 |]) with
   | Frame.Batch { keys = ks; session; seq; ctx } ->
       check_int "batch len" 5 (Array.length ks);
       check_int "batch last" 0 ks.(4);
       check_int "batch big" 1000000 ks.(3);
-      check_bool "legacy session" true (Int64.equal session 0L);
-      check_int "legacy seq" 0 seq;
-      check_bool "legacy ctx" true (Obs.Span.is_zero ctx)
+      check_bool "zero session" true (Int64.equal session 0L);
+      check_int "zero seq" 0 seq;
+      check_bool "untraced ctx" true (Obs.Span.is_zero ctx)
   | _ -> Alcotest.fail "not a batch");
   (match roundtrip_request (batch [||]) with
   | Frame.Batch { keys = ks; _ } -> check_int "empty batch" 0 (Array.length ks)
@@ -765,6 +774,47 @@ let test_replica_convergence () =
   | None -> Alcotest.fail "follower never seeded");
   Rep.close rep
 
+(* Regression for the convergence flake: [Rep.connect] used to return
+   before the leader had registered the subscription, so a leader stopped
+   right after it (under load, before its handler had read the subscribe)
+   reset the follower, which could never resync from a dead leader. Now
+   the handshake is synchronous: when [connect] returns the follower is
+   Live and counted as a subscriber, and a stop with no pause in between
+   still delivers the final fan-out. No step here waits on a clock. *)
+let test_replica_stop_after_connect () =
+  let srv = start_server ~shards:2 ~batch:4 () in
+  let c = dial srv in
+  check_int "history" 40
+    (expect_ack c (batch (Array.init 40 (fun i -> i land 7))));
+  let rep =
+    Rep.connect ~read_timeout:0.5 ~host:"127.0.0.1" ~port:(Srv.port srv) ()
+  in
+  check_bool "live when connect returns" true (Rep.status rep = `Live);
+  check_int "subscribed when connect returns" 1 (Srv.stats srv).Srv.subscribers;
+  (* a tail smaller than the merge cadence: the stop's drain flushes the
+     partial shard deltas it leaves *)
+  check_int "tail" 6 (expect_ack c (batch (Array.init 6 (fun i -> i))));
+  Conn.close c;
+  ignore (Srv.stop srv);
+  let est = Srv.P.stats (Srv.engine srv) in
+  check_int "leader conserved" 46 est.Srv.P.published;
+  (* the final deltas were queued before the subscriber's close, so the
+     follower reaches them even though its resync can never succeed; the
+     deadline only bounds a regression, the pass never depends on it *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec settle () =
+    let rs = Rep.stats rep in
+    if rs.Rep.epoch >= est.Srv.P.epoch || Unix.gettimeofday () > deadline
+    then rs
+    else (
+      Unix.sleepf 0.005;
+      settle ())
+  in
+  let rs = settle () in
+  check_int "exact published convergence" est.Srv.P.published rs.Rep.published;
+  check_int "exact epoch convergence" est.Srv.P.epoch rs.Rep.epoch;
+  Rep.close rep
+
 (* ------------------------------------------------------------------ *)
 (* Effectively-once ingestion                                          *)
 (* ------------------------------------------------------------------ *)
@@ -793,28 +843,38 @@ let expect_ack_dup c req =
   | Frame.Err { msg; _ } -> Alcotest.failf "err instead of ack: %s" msg
   | _ -> Alcotest.fail "not an ack"
 
-(* Satellite (regression first): the at-least-once double-count. A sender
-   whose ack is lost after the server applied the batch must retry — and a
-   server with no dedup window cannot tell the retry from new data, so the
-   retried batch is applied twice and conservation (published = Σ acked,
-   counting each logical batch once) breaks. Session 0L is exactly that
-   pre-fix server; the same exchange under a real session is the fix. *)
+(* The at-least-once double-count, pinned at the dedup window. A sender
+   whose ack is lost after the server applied the batch must retry, and a
+   window that cannot tell the retry from new data applies it twice, so
+   conservation (published = sum of acked, each logical batch once)
+   breaks. Every session id, 0L included, must answer the second sight of
+   a (session, seq) as a duplicate of the recorded count. *)
 let test_at_least_once_double_count () =
-  (* The break, demonstrated: sessionless retry doubles published. *)
+  let d = Net.Dedup.create () in
+  List.iter
+    (fun session ->
+      (match Net.Dedup.begin_batch d ~session ~seq:0 ~count:32 with
+      | Net.Dedup.Fresh -> Net.Dedup.record d ~session ~seq:0 ~accepted:32
+      | Net.Dedup.Duplicate _ ->
+          Alcotest.failf "session %Ld: first send must be fresh" session);
+      (* the ack was "lost": the producer retries the identical batch *)
+      match Net.Dedup.begin_batch d ~session ~seq:0 ~count:32 with
+      | Net.Dedup.Duplicate 32 -> ()
+      | Net.Dedup.Duplicate k ->
+          Alcotest.failf "session %Ld: retry acked %d, not 32" session k
+      | Net.Dedup.Fresh ->
+          Alcotest.failf "session %Ld: retry re-applied (double count)"
+            session)
+    [ 0L; 42L ];
+  check_int "both retries suppressed" 2 (Net.Dedup.stats d).Net.Dedup.duplicates;
+  Net.Dedup.close d
+
+(* The same lost-ack exchange end to end: the retry is acked with the
+   original count, dup = true, and never re-applied. *)
+let test_lost_ack_retry () =
   let srv = start_server () in
   let c = dial srv in
   let keys = Array.init 32 (fun i -> i land 7) in
-  check_int "applied" 32 (expect_ack c (batch keys));
-  (* the ack was "lost": the producer retries the identical batch *)
-  check_int "retry re-applied" 32 (expect_ack c (batch keys));
-  Conn.close c;
-  ignore (Srv.stop srv);
-  check_int "double-counted: published = 2x the logical batch" 64
-    (Srv.P.stats (Srv.engine srv)).Srv.P.published;
-  (* The fix: the same lost-ack retry under a session is acked with the
-     original count, dup = true, and never re-applied. *)
-  let srv = start_server () in
-  let c = dial srv in
   check_int "hello acked" 0 (expect_ack c (Frame.Hello { session = 42L }));
   let sb = batch ~session:42L ~seq:0 keys in
   (match expect_ack_dup c sb with
@@ -859,16 +919,16 @@ let test_dedup_window () =
   | Net.Dedup.Duplicate 10 -> ()
   | Net.Dedup.Duplicate k -> Alcotest.failf "below-ring dup: got %d" k
   | Net.Dedup.Fresh -> Alcotest.fail "evicted seq must stay duplicate");
-  (* session 0L opts out entirely: the same (seq) is always fresh *)
+  (* session 0L is an ordinary id: its retry is a duplicate too *)
   (match Net.Dedup.begin_batch d ~session:0L ~seq:0 ~count:5 with
   | Net.Dedup.Fresh -> ()
-  | _ -> Alcotest.fail "session 0 must bypass dedup");
+  | _ -> Alcotest.fail "session 0 seq 0 must be fresh");
   (match Net.Dedup.begin_batch d ~session:0L ~seq:0 ~count:5 with
-  | Net.Dedup.Fresh -> ()
-  | _ -> Alcotest.fail "session 0 retry must bypass dedup");
+  | Net.Dedup.Duplicate 5 -> ()
+  | _ -> Alcotest.fail "session 0 retry must be duplicate");
   let st = Net.Dedup.stats d in
-  check_int "one live session (0L untracked)" 1 st.Net.Dedup.sessions;
-  check_int "duplicates counted" 2 st.Net.Dedup.duplicates;
+  check_int "two live sessions (0L tracked)" 2 st.Net.Dedup.sessions;
+  check_int "duplicates counted" 3 st.Net.Dedup.duplicates;
   Net.Dedup.close d
 
 let test_dedup_journal_survives_restart () =
@@ -1140,7 +1200,17 @@ let test_replica_resync () =
 (* Served chaos soak (Net.Soak) and the committed incident trace       *)
 (* ------------------------------------------------------------------ *)
 
-module NS = Net.Soak.Make (MC)
+module NS = Net.Soak.Make (struct
+  module M = MC
+
+  let eval _ _ = None
+  let bound = None
+end)
+
+let served_report (v : Net.Soak.verdict) =
+  match v.Net.Soak.served with
+  | Some s -> s
+  | None -> Alcotest.fail "served soak without a served report"
 
 let test_served_chaos_soak () =
   let dir = fresh_dir () in
@@ -1162,25 +1232,25 @@ let test_served_chaos_soak () =
         }
       in
       let ops = Workload.Trace.materialize spec in
-      let base = Net.Soak.default_config ~dir in
       let cfg =
         {
-          base with
+          (Net.Soak.default_config ~dir
+             (Net.Soak.Served
+                { Net.Soak.default_served with partitions = 1; outage = 0.15 }))
+          with
           Net.Soak.restarts = 1;
-          partitions = 1;
-          down_time = 0.15;
-          partition_time = 0.15;
         }
       in
       let reg = Obs.Registry.create () in
       let v = NS.run ~metrics:reg cfg ~spec ~ops () in
       if not v.Net.Soak.pass then
-        Alcotest.failf "served soak failed:\n%s" (NS.verdict_to_string v);
+        Alcotest.failf "served soak failed:\n%s" (Net.Soak.verdict_to_string v);
+      let s = served_report v in
       check_int "restart happened" 1 v.Net.Soak.restarts_done;
       check_int "partition happened" 1 v.Net.Soak.partitions_done;
-      check_bool "replica resynced" true (v.Net.Soak.resyncs >= 1);
-      check_int "no retry exhaustion" 0 v.Net.Soak.exhausted;
-      check_int "follower never ahead" 0 v.Net.Soak.follower_ahead;
+      check_bool "replica resynced" true (s.Net.Soak.resyncs >= 1);
+      check_int "no retry exhaustion" 0 s.Net.Soak.client.Net.Client.exhausted;
+      check_int "follower never ahead" 0 s.Net.Soak.follower_ahead;
       let snap = Obs.Registry.snapshot reg in
       check_bool "resyncs scraped" true
         (Obs.Snapshot.counter_value snap "replica_resyncs_total" >= 1))
@@ -1206,20 +1276,24 @@ let test_incident_trace_replay () =
       Fun.protect
         ~finally:(fun () -> rm_rf dir)
         (fun () ->
-          let base = Net.Soak.default_config ~dir in
           let cfg =
             {
-              base with
+              (Net.Soak.default_config ~dir
+                 (Net.Soak.Served
+                    {
+                      Net.Soak.default_served with
+                      partitions = 0;
+                      faults = Net.Chaos_proxy.no_faults;
+                    }))
+              with
               Net.Soak.restarts = 0;
-              partitions = 0;
-              faults = Net.Chaos_proxy.no_faults;
             }
           in
           let v = NS.run cfg ~spec ~ops () in
           if not v.Net.Soak.pass then
             Alcotest.failf "incident replay failed:\n%s"
-              (NS.verdict_to_string v);
-          check_int "replay conserves exactly" v.Net.Soak.acked
+              (Net.Soak.verdict_to_string v);
+          check_int "replay conserves exactly" v.Net.Soak.accepted
             v.Net.Soak.published)
 
 (* ------------------------------------------------------------------ *)
@@ -1359,6 +1433,8 @@ let () =
         [
           Alcotest.test_case "at-least-once double-count regression" `Quick
             test_at_least_once_double_count;
+          Alcotest.test_case "lost-ack retry acked, not re-applied" `Quick
+            test_lost_ack_retry;
           Alcotest.test_case "dedup window" `Quick test_dedup_window;
           Alcotest.test_case "dedup journal compaction" `Quick
             test_dedup_journal_compaction;
@@ -1377,6 +1453,8 @@ let () =
           Alcotest.test_case "envelope and exact convergence" `Quick
             test_replica_convergence;
           Alcotest.test_case "self-healing resync" `Quick test_replica_resync;
+          Alcotest.test_case "stop right after connect converges" `Quick
+            test_replica_stop_after_connect;
         ] );
       ( "soak",
         [

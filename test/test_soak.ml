@@ -1,7 +1,9 @@
-(* End-to-end soak harness tests: a miniature chaos soak (crash/recover
-   rounds, worker kills, torn WAL tails) must come back PASS with zero
-   violations, and the CLI must exit 2 with a diagnostic — not a stack
-   trace — when pointed at an unusable durable directory. *)
+(* End-to-end soak runner tests: a miniature engine-sink chaos soak
+   (crash/recover cycles, worker kills, torn WAL tails) must come back
+   PASS with zero violations; an injected defect must turn each sink's
+   verdict to FAIL with a reason; and the CLI must exit 2 with a
+   diagnostic — not a stack trace — on an unusable durable directory or a
+   flag the chosen sink cannot take. *)
 
 let dir_counter = ref 0
 
@@ -25,54 +27,146 @@ let with_dir f =
   let d = fresh_dir () in
   Fun.protect ~finally:(fun () -> rm_rf d) (fun () -> f d)
 
+module CM = Pipeline.Targets.Countmin (struct
+  let seed = 0x5EEDL
+  let rows = 4
+  let width = 2048
+end)
+
+(* CountMin with its stated bound, so the engine sink runs the oracle *)
+module Sk = struct
+  module M = CM
+
+  let eval g = function
+    | Net.Frame.Point k -> Some [ (k, Sketches.Countmin.query g k) ]
+    | _ -> None
+
+  let bound =
+    Some
+      {
+        Net.Soak.estimate = Sketches.Countmin.query;
+        slack = Sketches.Countmin.error_bound;
+        epsilon = exp 1.0 /. 2048.0;
+        delta = exp (-4.0);
+      }
+end
+
+module S = Net.Soak.Make (Sk)
+module Srv = Net.Server.Make (Sk.M)
+
+let engine_config ?(kills = 1) ~restarts dir =
+  {
+    (Net.Soak.default_config ~dir
+       (Net.Soak.Engine { Net.Soak.default_engine with kills }))
+    with
+    Net.Soak.shards = 2;
+    restarts;
+  }
+
+let contains s sub =
+  let n = String.length sub in
+  let rec has i = i + n <= String.length s && (String.sub s i n = sub || has (i + 1)) in
+  has 0
+
+let check_named (v : Net.Soak.verdict) name =
+  match List.find_opt (fun c -> c.Net.Soak.name = name) v.Net.Soak.checks with
+  | Some c -> c.Net.Soak.ok
+  | None -> Alcotest.failf "verdict has no %s check" name
+
 let test_tiny_soak_passes () =
   with_dir @@ fun dir ->
   let spec = Workload.Trace.default_spec ~seed:0xBEEFL ~ops:24_000 ~universe:1024 () in
   let ops = Workload.Trace.materialize spec in
-  let module S = Workload.Soak in
-  let cfg =
-    {
-      (S.default_config ~dir) with
-      S.shards = 2;
-      feeders = 2;
-      rounds = 2;
-      kills_per_round = 1;
-      key_sample = 512;
-    }
-  in
-  let v = S.run cfg ~spec ~ops () in
-  if not v.S.pass then
-    Alcotest.failf "soak failed: %s" (String.concat "; " v.S.reasons);
-  Alcotest.(check int) "one recovery" 1 v.S.recoveries;
-  Alcotest.(check int) "two rounds" 2 (List.length v.S.rounds);
+  let v = S.run (engine_config ~restarts:1 dir) ~spec ~ops () in
+  if not v.Net.Soak.pass then
+    Alcotest.failf "soak failed: %s" (String.concat "; " v.Net.Soak.reasons);
+  Alcotest.(check int) "one recovery" 1 v.Net.Soak.restarts_done;
+  Alcotest.(check int) "two incarnations" 2 (List.length v.Net.Soak.incarnations);
   List.iter
-    (fun (r : S.round_report) ->
-      Alcotest.(check int) "monotone clean" 0 r.S.monotone_violations;
-      Alcotest.(check int) "conservation holds" 0 r.S.conservation_failures;
-      Alcotest.(check int) "no epoch regressions" 0 r.S.epoch_regressions;
-      Alcotest.(check int) "oracle lower bound holds" 0 r.S.oracle_lower_violations;
-      Alcotest.(check bool) "oracle keys checked" true (r.S.checked_keys > 0))
-    v.S.rounds;
+    (fun (i : Net.Soak.incarnation) ->
+      Alcotest.(check int) "monotone clean" 0 i.monotone_violations;
+      Alcotest.(check int) "conservation holds" 0 i.conservation_failures;
+      Alcotest.(check int) "no epoch regressions" 0 i.recovery_regressions;
+      match i.oracle with
+      | None -> Alcotest.fail "a bounded sketch must run the oracle"
+      | Some o ->
+          Alcotest.(check int) "oracle lower bound holds" 0 o.lower;
+          Alcotest.(check bool) "oracle keys checked" true (o.checked > 0))
+    v.Net.Soak.incarnations;
   (* Weight only leaks, never appears: accepted covers published. *)
-  Alcotest.(check bool) "lost weight non-negative" true (v.S.lost_weight >= 0);
-  let s = S.verdict_to_string v in
-  Alcotest.(check bool) "verdict prints PASS" true
-    (String.length s >= 10
-    && (let rec has i =
-          i + 10 <= String.length s
-          && (String.sub s i 10 = "soak: PASS" || has (i + 1))
-        in
-        has 0))
+  Alcotest.(check bool) "lost weight non-negative" true
+    (v.Net.Soak.accepted >= v.Net.Soak.published);
+  let s = Net.Soak.verdict_to_string v in
+  Alcotest.(check bool) "verdict prints PASS" true (contains s "soak: PASS");
+  Alcotest.(check bool) "one line per check" true
+    (contains s "soak: oracle PASS" && contains s "soak: monotone PASS")
 
 let test_soak_rejects_bad_config () =
   with_dir @@ fun dir ->
   let spec = Workload.Trace.default_spec ~seed:1L ~ops:100 ~universe:16 () in
   let ops = Workload.Trace.materialize spec in
-  let module S = Workload.Soak in
-  let cfg = { (S.default_config ~dir) with S.shards = 2; kills_per_round = 3 } in
-  match S.run cfg ~spec ~ops () with
+  match S.run (engine_config ~kills:3 ~restarts:0 dir) ~spec ~ops () with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "kills_per_round > shards accepted"
+  | _ -> Alcotest.fail "kills > shards accepted"
+
+(* Negative controls: each sink's verdict must be able to FAIL. The
+   defect is injected through [on_start], which hands over every
+   incarnation's engine before traffic reaches it. *)
+
+(* Engine sink: one key reaches the engine a second time behind the
+   sink's back, so published exceeds what the sink accepted. No kills,
+   so no loss can mask the invented weight. *)
+let test_engine_double_ingest_fails () =
+  with_dir @@ fun dir ->
+  let spec = Workload.Trace.default_spec ~seed:0xD0DL ~ops:8_000 ~universe:512 () in
+  let ops = Workload.Trace.materialize spec in
+  let v =
+    S.run ~on_start:(fun eng -> ignore (Srv.P.ingest eng 7))
+      (engine_config ~kills:0 ~restarts:0 dir) ~spec ~ops ()
+  in
+  Alcotest.(check bool) "verdict FAIL" false v.Net.Soak.pass;
+  Alcotest.(check bool) "conservation FAIL" false (check_named v "conservation");
+  Alcotest.(check bool) "reason given" true
+    (List.exists (fun r -> contains r "conservation") v.Net.Soak.reasons);
+  Alcotest.(check bool) "prints FAIL" true
+    (contains (Net.Soak.verdict_to_string v) "soak: conservation FAIL")
+
+(* Served sink: one key put into the leader's engine without going
+   through the client is weight no ack accounts for. *)
+let test_served_unacked_weight_fails () =
+  with_dir @@ fun dir ->
+  let spec =
+    let s = Workload.Trace.default_spec ~seed:0x5E7L ~ops:8_000 ~universe:512 () in
+    {
+      s with
+      Workload.Trace.phases =
+        List.map
+          (fun (p : Workload.Trace.phase) ->
+            { p with Workload.Trace.rate = Workload.Trace.Unlimited })
+          s.Workload.Trace.phases;
+    }
+  in
+  let ops = Workload.Trace.materialize spec in
+  let cfg =
+    {
+      (Net.Soak.default_config ~dir
+         (Net.Soak.Served
+            {
+              Net.Soak.default_served with
+              partitions = 0;
+              faults = Net.Chaos_proxy.no_faults;
+            }))
+      with
+      Net.Soak.restarts = 0;
+    }
+  in
+  let v = S.run ~on_start:(fun eng -> ignore (Srv.P.ingest eng 7)) cfg ~spec ~ops () in
+  Alcotest.(check bool) "verdict FAIL" false v.Net.Soak.pass;
+  Alcotest.(check bool) "ack envelope FAIL" false (check_named v "ack envelope");
+  Alcotest.(check bool) "reason given" true
+    (List.exists
+       (fun r -> contains r "weight appeared without an ack")
+       v.Net.Soak.reasons)
 
 (* --- the CLI's friendly failures (S1 regression) ----------------------- *)
 
@@ -106,6 +200,18 @@ let test_cli_pipeline_bad_wal_parent_exits_2 () =
             (exe
            ^ " pipeline --ops 100 --wal /tmp/ivl-definitely-not-there/sub")))
 
+(* A flag the chosen sink cannot use is refused by name, before any run. *)
+let test_cli_soak_flag_for_other_sink_exits_2 () =
+  if not (Sys.file_exists exe) then ()
+  else begin
+    Alcotest.(check int) "soak --served --kills exits 2" 2
+      (Sys.command (quiet (exe ^ " soak --served --kills 3")));
+    Alcotest.(check int) "soak --partitions without --served exits 2" 2
+      (Sys.command (quiet (exe ^ " soak --partitions 2")));
+    Alcotest.(check int) "soak --served --tear-tail exits 2" 2
+      (Sys.command (quiet (exe ^ " soak --served --tear-tail false")))
+  end
+
 let () =
   Alcotest.run "soak"
     [
@@ -113,6 +219,10 @@ let () =
         [
           Alcotest.test_case "tiny chaos soak passes" `Quick test_tiny_soak_passes;
           Alcotest.test_case "bad config rejected" `Quick test_soak_rejects_bad_config;
+          Alcotest.test_case "engine: double ingest fails conservation" `Quick
+            test_engine_double_ingest_fails;
+          Alcotest.test_case "served: unacked weight fails ack envelope" `Quick
+            test_served_unacked_weight_fails;
         ] );
       ( "cli",
         [
@@ -122,5 +232,7 @@ let () =
             test_cli_recover_file_dir_exits_2;
           Alcotest.test_case "pipeline: bad --wal parent exits 2" `Quick
             test_cli_pipeline_bad_wal_parent_exits_2;
+          Alcotest.test_case "soak: flag for the other sink exits 2" `Quick
+            test_cli_soak_flag_for_other_sink_exits_2;
         ] );
     ]
