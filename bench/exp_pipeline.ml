@@ -7,7 +7,7 @@
    pay per-update synchronization on shared cache lines instead. The table
    makes the regime visible on this host: where the queue hop is cheaper
    than contention, the pipeline wins; where it is not, it loses — either
-   way the published state stays IVL (the CLI's `pipeline` subcommand
+   way the published state stays IVL (the CLI's `soak` engine sink
    checks the envelope on every run; here we only time). *)
 
 let total_updates = 100_000

@@ -775,18 +775,120 @@ let chaos target domains ops kills seed rounds =
     (List.length targets) !failures;
   if !failures = 0 then 0 else 1
 
-(* ------------------------------ pipeline ------------------------------ *)
+(* ------------------------------ sketches ------------------------------ *)
 
-(* Sketch parameters shared between the `pipeline` and `recover`
-   subcommands: recovery rebuilds deltas with M.decode and must construct
-   the exact same mergeable (hash family seeds, dimensions) the writing
-   pipeline used. *)
+(* The one sketch table. A WAL or a replication stream decodes only with
+   the writer's hash-family seeds and dimensions, so every subcommand that
+   names a sketch builds it here. A Net.Soak.SKETCH pairs the mergeable
+   with its query evaluator (and, for the soak's oracle, its point-error
+   bound). *)
 let cm_rows = 4
 let cm_width = 2048
 let hll_p = 12
 let kmv_k = 256
 let quantiles_k = 200
 let ss_capacity = 64
+
+let take_n n l =
+  let rec go n = function
+    | x :: rest when n > 0 -> x :: go (n - 1) rest
+    | _ -> []
+  in
+  go n l
+
+let sketch_names = "counter countmin hll kmv quantiles spacesaving"
+
+(* a sketch that answers no served query and states no point bound *)
+let unqueried (module X : Pipeline.Mergeable.S) : (module Net.Soak.SKETCH) =
+  (module struct
+    module M = X
+
+    let eval _ (_ : Net.Frame.query) = None
+    let bound = None
+  end)
+
+let sketch_of ~seed name : (module Net.Soak.SKETCH) option =
+  let seed = Int64.add seed 7L in
+  match name with
+  | "counter" -> Some (unqueried (module Pipeline.Targets.Counter))
+  | "countmin" ->
+      Some
+        (module struct
+          module M = Pipeline.Targets.Countmin (struct
+            let seed = seed
+            let rows = cm_rows
+            let width = cm_width
+          end)
+
+          let eval g = function
+            | Net.Frame.Point k -> Some [ (k, Sketches.Countmin.query g k) ]
+            | _ -> None
+
+          (* est >= true always; est <= true + εn with ε = e/width, except
+             with probability δ = e^-rows *)
+          let bound =
+            Some
+              {
+                Net.Soak.estimate = Sketches.Countmin.query;
+                slack = Sketches.Countmin.error_bound;
+                epsilon = exp 1.0 /. float_of_int cm_width;
+                delta = exp (-.float_of_int cm_rows);
+              }
+        end)
+  | "hll" ->
+      Some
+        (unqueried
+           (module Pipeline.Targets.Hll (struct
+             let seed = seed
+             let p = hll_p
+           end)))
+  | "kmv" ->
+      Some
+        (unqueried
+           (module Pipeline.Targets.Kmv (struct
+             let seed = seed
+             let k = kmv_k
+           end)))
+  | "quantiles" ->
+      Some
+        (module struct
+          module M = Pipeline.Targets.Quantiles (struct
+            let seed = seed
+            let k = quantiles_k
+          end)
+
+          let eval g = function
+            | Net.Frame.Quantile phi ->
+                Some [ (0, Sketches.Quantiles.quantile g phi) ]
+            | _ -> None
+
+          let bound = None
+        end)
+  | "spacesaving" ->
+      Some
+        (module struct
+          module M = Pipeline.Targets.Space_saving (struct
+            let capacity = ss_capacity
+          end)
+
+          let eval g = function
+            | Net.Frame.Point k -> Some [ (k, Sketches.Space_saving.query g k) ]
+            | Net.Frame.Top n -> Some (take_n n (Sketches.Space_saving.top g))
+            | _ -> None
+
+          let bound = None
+        end)
+  | _ -> None
+
+(* An unknown sketch name is a usage error, reported the same way by
+   every subcommand. *)
+let find_sketch ~cmd ~seed name =
+  match sketch_of ~seed name with
+  | Some sk -> sk
+  | None ->
+      Printf.eprintf "%s: unknown sketch %s (available: %s)\n" cmd name
+        sketch_names;
+      exit 2
 
 (* --------------------------- observability ---------------------------- *)
 
@@ -810,8 +912,8 @@ let write_metrics ~path snap =
   end
 
 (* Observability-plane seams shared by every serving command — one tracer
-   constructor and one HTTP mount, so pipeline/serve/replica/soak cannot
-   drift apart in how they expose the same plane. *)
+   constructor and one HTTP mount, so serve/replica/soak cannot drift
+   apart in how they expose the same plane. *)
 let make_tracer ~reg sample_every =
   if sample_every > 0 then
     Some (Obs.Tracer.create ~sample_every ~metrics:reg ())
@@ -828,573 +930,12 @@ let mount_http ~what ~reg ?tracer ?slo ?health port =
     (Obs.Http.port h);
   h
 
-(* One formatter over one scrape: the shard table, merger line, lag line and
-   supervisor line are all views of the same snapshot --metrics exports, so
-   the human output cannot drift from the machine output. [last_errors] is
-   the one non-numeric annotation (death reasons are strings, not metrics). *)
-let print_pipeline_stats snap ~shards ~combine ~steal ~supervise ~last_errors =
-  let c ?labels n = Obs.Snapshot.counter_value snap ?labels n in
-  let g ?labels n = Obs.Snapshot.gauge_value snap ?labels n in
-  for i = 0 to shards - 1 do
-    let l = [ ("shard", string_of_int i) ] in
-    let status =
-      if g ~labels:l "pipeline_shard_shed" > 0.5 then "SHED"
-      else if g ~labels:l "pipeline_shard_alive" > 0.5 then "alive"
-      else "KILLED"
-    in
-    let restarts = c ~labels:l "pipeline_shard_restarts_total" in
-    Printf.printf
-      "  shard %d: enq %-8d drop %-7d consumed %-8d flushed %-8d blobs %-5d \
-       depth<=%-5d %s%s\n"
-      i
-      (c ~labels:l "pipeline_shard_enqueued_total")
-      (c ~labels:l "pipeline_shard_dropped_total")
-      (c ~labels:l "pipeline_shard_consumed_total")
-      (c ~labels:l "pipeline_shard_flushed_items_total")
-      (c ~labels:l "pipeline_shard_flushes_total")
-      (c ~labels:l "pipeline_queue_max_depth")
-      status
-      ((if combine then
-          Printf.sprintf " coalesced %d"
-            (c ~labels:l "pipeline_shard_coalesced_total")
-        else "")
-      ^ (if steal then
-           Printf.sprintf " stole %d/%d parks %d"
-             (c ~labels:l "pipeline_shard_steals_total")
-             (c ~labels:l "pipeline_shard_stolen_batches_total")
-             (c ~labels:l "pipeline_shard_parks_total")
-         else "")
-      ^
-      if restarts > 0 then
-        Printf.sprintf " (restarts %d%s)" restarts
-          (match last_errors.(i) with Some e -> ", last: " ^ e | None -> "")
-      else "")
-  done;
-  Printf.printf
-    "merges %d  epoch %.0f  published %d  decode failures %d  envelope width \
-     %.0f\n"
-    (c "pipeline_merges_total") (g "pipeline_epoch")
-    (c "pipeline_published_total")
-    (c "pipeline_decode_failures_total")
-    (g "pipeline_envelope_width");
-  (match Obs.Snapshot.find snap "pipeline_merge_lag_seconds" with
-  | Some (Obs.Snapshot.Summary s) when s.s_count > 0 ->
-      let q phi =
-        match List.assoc_opt phi s.q with
-        | Some v -> v *. 1e3
-        | None -> Float.nan
-      in
-      Printf.printf "merge lag: p50 %.2fms  p90 %.2fms  p99 %.2fms  max %.2fms\n"
-        (q 0.5) (q 0.9) (q 0.99) (q 1.0)
-  | _ -> ());
-  if supervise then
-    Printf.printf "supervisor: %d restart(s), %.0f shed shard(s)\n"
-      (c "pipeline_restarts_total")
-      (g "pipeline_shed_shards")
-
-(* Drive the sharded ingestion pipeline end-to-end: feeder domains push a
-   synthetic stream through hash-routed bounded queues, shard workers batch
-   items into local sketches and ship them as wire blobs, the merger folds
-   the blobs into the global sketch, and a reader domain samples the
-   published total throughout. After drain, the recorded merge/read history
-   goes through the scalable monotone envelope checker — the pipeline's
-   published state must be IVL — alongside conservation checks tying
-   published weight to per-shard flush counters.
-
-   With [--wal DIR] every merged delta is also appended to a write-ahead log
-   (and, with [--checkpoint-every N], periodically checkpointed); with
-   [--kill-and-recover] the run finishes by recovering a fresh sketch from
-   DIR and validating the recovery envelope: recovered published total ∈
-   [last checkpoint total, pre-crash published total]. With [--supervise]
-   dead shard workers are restarted by a watchdog instead of shedding
-   traffic for the rest of the run. *)
-
-let run_pipeline (type s) (module M : Pipeline.Mergeable.S with type t = s)
-    ~(report : s -> unit) ~shards ~stream ~batch ~steal ~queue_cap
-    ~feeders ~combine ~chaos_kill ~kills ~seed ~wal_dir ~checkpoint_every
-    ~kill_and_recover ~supervise ~max_restarts ~metrics_out ~http_port
-    ~trace_sample ~trace_dump =
-  let module Mono = Ivl.Monotone.Make (Spec.Counter_spec) in
-  let module P = Pipeline.Engine.Make (M) in
-  let module R = Durable.Recovery.Make (M) in
-  let ops = Array.length stream in
-  let reg = Obs.Registry.create () in
-  let tracer = make_tracer ~reg trace_sample in
-  let ch =
-    if not chaos_kill then None
-    else
-      Some
-        (Conc.Chaos.instantiate
-           (Conc.Chaos.plan
-              ~kills:
-                (Conc.Chaos.random_kills ~seed ~domains:shards ~victims:kills
-                   ~max_point:(max 2 (ops / (batch * shards))))
-              ~seed ())
-           ~domains:shards)
-  in
-  let on_tick =
-    Option.map
-      (fun ch ->
-        if not supervise then fun ~shard -> Conc.Chaos.point ch ~domain:shard
-        else
-          (* Under supervision each chaos victim dies once: point_once lets
-             the restarted incarnation run the same hook harmlessly instead
-             of crash-looping into a shed. The crash-loop-to-shed path has
-             its own test. *)
-          fun ~shard -> Conc.Chaos.point_once ch ~domain:shard)
-      ch
-  in
-  (match wal_dir with
-  | Some dir -> (
-      match Durable.Wal.validate_dir ~must_exist:false ~dir () with
-      | Ok () -> ()
-      | Error msg ->
-          Printf.eprintf
-            "pipeline: unusable WAL directory: %s\n\
-             Pick a path whose parent exists and is writable.\n"
-            msg;
-          exit 2)
-  | None -> ());
-  let wal =
-    Option.map
-      (fun dir ->
-        Durable.Wal.create ~dir ~fsync:(Durable.Wal.Every_n 32) ~metrics:reg ())
-      wal_dir
-  in
-  let on_merge =
-    Option.map
-      (fun w ~ctx ~epoch ~weight ~blob ->
-        (* last in-process stage of a sampled batch's waterfall *)
-        let t0 =
-          match tracer with
-          | Some _ when not (Obs.Span.is_zero ctx) -> Obs.Tracer.now_ns ()
-          | _ -> 0
-        in
-        Durable.Wal.append w ~epoch ~weight ~blob;
-        match tracer with
-        | Some tr when not (Obs.Span.is_zero ctx) ->
-            ignore
-              (Obs.Tracer.record tr ~ctx ~stage:"wal" ~start_ns:t0
-                 ~end_ns:(Obs.Tracer.now_ns ()))
-        | _ -> ())
-      wal
-  in
-  let on_checkpoint =
-    if checkpoint_every > 0 then
-      Option.map
-        (fun dir ~epoch ~published ~blob ->
-          Durable.Checkpoint.write ~dir ~epoch ~published ~blob ())
-        wal_dir
-    else None
-  in
-  let supervisor =
-    if supervise then
-      Some { Pipeline.Engine.default_supervisor with max_restarts }
-    else None
-  in
-  let p =
-    P.create ~steal ~queue_capacity:queue_cap ~batch ~combine
-      ?on_tick ?on_merge
-      ~checkpoint_every:(if wal_dir = None then 0 else checkpoint_every)
-      ?on_checkpoint ?supervisor ~metrics:reg ?tracer ~shards ()
-  in
-  let stop = Atomic.make false in
-  let reads = Atomic.make 0 in
-  let reader =
-    Domain.spawn (fun () ->
-        let tick () =
-          ignore (P.read_total p);
-          Atomic.incr reads
-        in
-        while not (Atomic.get stop) do
-          tick ();
-          Unix.sleepf 0.0005
-        done;
-        (* One read after drain: must see the final published total. *)
-        tick ())
-  in
-  let chunks = Workload.Stream.chunks stream ~pieces:feeders in
-  let accepted = Atomic.make 0 in
-  (* Continuous SLO over the live engine: Theorem-6 budget scaled to this
-     run's shape; staleness is unknown (no replica in-process). Evaluated
-     from /healthz scrapes and once at drain — pull-based by design. *)
-  let slo =
-    Obs.Slo.create ~metrics:reg
-      ~budget:
-        (Obs.Slo.theorem6_budget ~shards ~batch ~queue_capacity:queue_cap ())
-      ~envelope:(fun () ->
-        let st = P.stats p in
-        let acc =
-          Array.fold_left
-            (fun a (s : P.shard_stats) -> a + s.enqueued - s.dropped)
-            0 st.P.shards
-        in
-        float_of_int (max 0 (acc - st.P.published)))
-      ~staleness:(fun () -> -1.0)
-      ~merge_lag:(fun () ->
-        let lag = (P.stats p).P.merge_lag in
-        let n = Array.length lag in
-        if n = 0 then -1.0 else lag.(n - 1))
-      ()
-  in
-  let http =
-    Option.map
-      (fun port ->
-        mount_http ~what:"pipeline" ~reg ?tracer ~slo
-          ~health:(fun () ->
-            let st = P.stats p in
-            [
-              ("published", string_of_int st.P.published);
-              ("epoch", string_of_int st.P.epoch);
-              ("accepted", string_of_int (Atomic.get accepted));
-            ])
-          port)
-      http_port
-  in
-  let (), dt =
-    Conc.Runner.timed (fun () ->
-        ignore
-          (Conc.Runner.parallel ~domains:feeders (fun i ->
-               let ok = ref 0 in
-               (* one die roll per engine batch, not per item: a sampled
-                  roll roots the waterfall with a zero-width "ingest" span
-                  and marks the key's shard so queue/merge/wal follow *)
-               let since = ref 0 in
-               Array.iter
-                 (fun x ->
-                   (match tracer with
-                   | Some tr ->
-                       incr since;
-                       if !since >= batch then begin
-                         since := 0;
-                         match Obs.Tracer.sample tr with
-                         | None -> ()
-                         | Some ctx ->
-                             let now = Obs.Tracer.now_ns () in
-                             let sid =
-                               Obs.Tracer.record tr ~ctx ~stage:"ingest"
-                                 ~start_ns:now ~end_ns:now
-                             in
-                             P.trace_mark p ~key:x
-                               ~ctx:(Obs.Span.with_parent ctx sid)
-                       end
-                   | None -> ());
-                   if P.ingest p x then incr ok)
-                 chunks.(i);
-               ignore (Atomic.fetch_and_add accepted !ok)));
-        P.drain p)
-  in
-  Atomic.set stop true;
-  Domain.join reader;
-  let { P.shards = sh; merges; decode_failures; published; epoch = _; merge_lag = _ }
-      =
-    P.stats p
-  in
-  Printf.printf "ingested %d/%d items in %.3fs (%.2f Mops/s, incl. drain)\n"
-    (Atomic.get accepted) ops dt
-    (float_of_int ops /. dt /. 1e6);
-  let snap = Obs.Registry.snapshot reg in
-  print_pipeline_stats snap ~shards ~combine ~steal
-    ~supervise:(supervise && chaos_kill)
-    ~last_errors:(Array.map (fun (s : P.shard_stats) -> s.last_error) sh);
-  (match ch with
-  | Some ch ->
-      Printf.printf "chaos: killed domains %s; dead shards %s\n"
-        (pp_int_list (Conc.Chaos.killed ch))
-        (pp_int_list (P.dead p))
-  | None -> ());
-  let viols = Mono.violations (P.history p) in
-  Printf.printf "envelope: %d merge updates + %d reads checked, %d violations\n"
-    merges (Atomic.get reads) (List.length viols);
-  let slo_v = Obs.Slo.eval slo in
-  Printf.printf "slo: %s at drain (worst %s at %.2fx budget, %d breaches)\n"
-    (Obs.Slo.state_to_string slo_v.Obs.Slo.state)
-    slo_v.Obs.Slo.worst_dim slo_v.Obs.Slo.worst_ratio slo_v.Obs.Slo.breaches;
-  let problems = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in
-  if viols <> [] then add "%d IVL envelope violations" (List.length viols);
-  if decode_failures > 0 then add "%d wire decode failures" decode_failures;
-  List.iter
-    (fun (who, e) -> add "%s died unexpectedly: %s" who (Printexc.to_string e))
-    (P.failures p);
-  let sum_flushed =
-    Array.fold_left (fun a (s : P.shard_stats) -> a + s.flushed_items) 0 sh
-  in
-  if published <> sum_flushed then
-    add "conservation: published %d <> flushed %d" published sum_flushed;
-  if steal then begin
-    (* Stolen items are flushed by the thief, not their home shard, so
-       conservation only holds as a sum: every enqueued item was either
-       flushed by SOME shard or lost to a death (no deaths here => exact). *)
-    let sum_enqueued =
-      Array.fold_left (fun a (s : P.shard_stats) -> a + s.enqueued) 0 sh
-    in
-    let clean =
-      Array.for_all (fun (s : P.shard_stats) -> s.alive && s.restarts = 0) sh
-    in
-    if clean && sum_flushed <> sum_enqueued then
-      add "conservation: flushed %d of %d enqueued across shards" sum_flushed
-        sum_enqueued
-  end;
-  Array.iteri
-    (fun i (s : P.shard_stats) ->
-      (* A restarted shard legitimately loses the dead incarnation's
-         unflushed local delta, so exact conservation only binds shards that
-         never died — and under stealing flushes migrate between shards, so
-         the per-shard form is replaced by the cross-shard sum above. *)
-      if
-        (not steal) && s.alive && s.restarts = 0
-        && s.flushed_items <> s.enqueued
-      then
-        add "surviving shard %d flushed %d of %d enqueued" i s.flushed_items
-          s.enqueued;
-      if s.restarts > 0 && not s.shed && not s.alive then
-        add "shard %d dead after %d restart(s) without being shed" i s.restarts)
-    sh;
-  Option.iter Durable.Wal.close wal;
-  (match (kill_and_recover, wal_dir) with
-  | false, _ | _, None -> ()
-  | true, Some dir -> (
-      match R.recover ~metrics:reg ~dir () with
-      | Error msg -> add "recovery failed: %s" msg
-      | Ok (_, r) ->
-          Printf.printf "recovery: %s\n" (R.report_to_string r);
-          if r.recovered_published < r.checkpoint_published then
-            add "recovery envelope: recovered %d < checkpoint %d"
-              r.recovered_published r.checkpoint_published;
-          if r.recovered_published > published then
-            add "recovery envelope: recovered %d > pre-crash published %d"
-              r.recovered_published published;
-          if
-            r.bytes_truncated = 0 && r.skipped = 0 && r.decode_failures = 0
-            && r.recovered_published <> published
-          then
-            add "recovery lost weight without truncation: recovered %d <> %d"
-              r.recovered_published published));
-  let g, query_epoch = P.query p (fun g -> g) in
-  Printf.printf "final query at epoch %d:\n" query_epoch;
-  report g;
-  (* One dump format: the same JSON span objects /trace?n=N serves, one
-     per line. *)
-  (match tracer with
-  | Some tr when trace_dump > 0 ->
-      List.iter
-        (fun r -> print_endline (Obs.Span.record_to_json r))
-        (Obs.Tracer.recent tr trace_dump)
-  | _ -> ());
-  (* Re-scrape for the export so post-drain series (recovery, final WAL
-     fsyncs) are included. *)
-  Option.iter Obs.Http.stop http;
-  Option.iter
-    (fun path -> write_metrics ~path (Obs.Registry.snapshot reg))
-    metrics_out;
-  match List.rev !problems with
-  | [] ->
-      print_endline "pipeline: PASS";
-      0
-  | ps ->
-      List.iter (Printf.printf "  PROBLEM: %s\n") ps;
-      print_endline "pipeline: FAIL";
-      1
-
-let pipeline sk shards ops shape skew universe batch steal queue_cap feeders
-    combine chaos kills seed wal_dir checkpoint_every kill_and_recover
-    supervise max_restarts metrics_out http_port trace_sample trace_dump =
-  if shards < 1 || feeders < 1 || ops < 1 || batch < 1 || queue_cap < 1
-  then begin
-    Printf.eprintf
-      "pipeline: --shards, --feeders, --ops, --batch and --queue-cap must be \
-       >= 1\n";
-    exit 1
-  end;
-  if checkpoint_every < 0 || max_restarts < 0 then begin
-    Printf.eprintf
-      "pipeline: --checkpoint-every and --max-restarts must be >= 0\n";
-    exit 1
-  end;
-  if kill_and_recover && wal_dir = None then begin
-    Printf.eprintf "pipeline: --kill-and-recover requires --wal DIR\n";
-    exit 1
-  end;
-  if trace_dump > 0 && trace_sample <= 0 then begin
-    Printf.eprintf
-      "pipeline: --trace-dump N prints sampled spans; it needs \
-       --trace-sample N > 0\n";
-    exit 1
-  end;
-  let chaos_kill =
-    match chaos with
-    | "none" -> false
-    | "kill" ->
-        if kills < 1 || kills > shards then begin
-          Printf.eprintf "pipeline: --kills must be in [1, shards]\n";
-          exit 1
-        end;
-        true
-    | other ->
-        Printf.eprintf "unknown chaos mode %s (available: none kill)\n" other;
-        exit 1
-  in
-  let shape = parse_shape shape skew universe in
-  let stream =
-    Workload.Stream.generate ~seed:(Int64.add seed 101L) shape ~length:ops
-  in
-  Printf.printf
-    "pipeline: %s, %d shards (batch %d, queue cap %d%s), %d feeders, %s, %d \
-     items%s\n"
-    sk shards batch queue_cap
-    (if steal then ", stealing" else "")
-    feeders
-    (Workload.Stream.describe shape)
-    ops
-    (if chaos_kill then Printf.sprintf ", chaos kills %d shard(s)" kills else "");
-  let exact () =
-    let e = Sketches.Exact.create () in
-    Array.iter (Sketches.Exact.update e) stream;
-    e
-  in
-  let run m report =
-    run_pipeline m ~report ~shards ~stream ~batch ~steal ~queue_cap
-      ~feeders ~combine ~chaos_kill ~kills ~seed ~wal_dir ~checkpoint_every
-      ~kill_and_recover ~supervise ~max_restarts ~metrics_out ~http_port
-      ~trace_sample ~trace_dump
-  in
-  match sk with
-  | "countmin" ->
-      let module M = Pipeline.Targets.Countmin (struct
-        let seed = Int64.add seed 7L
-        let rows = cm_rows
-        let width = cm_width
-      end) in
-      run
-        (module M : Pipeline.Mergeable.S with type t = Sketches.Countmin.t)
-        (fun g ->
-          let e = exact () in
-          Printf.printf "  %-8s %-10s %-10s %-8s\n" "element" "true" "estimate"
-            "excess";
-          List.iter
-            (fun x ->
-              let f = Sketches.Exact.frequency e x
-              and est = Sketches.Countmin.query g x in
-              Printf.printf "  %-8d %-10d %-10d %-8d\n" x f est (est - f))
-            (List.init 8 Fun.id);
-          Printf.printf "  (CountMin error bound %.0f over %d merged updates)\n"
-            (Sketches.Countmin.error_bound g)
-            (Sketches.Countmin.updates g))
-  | "hll" ->
-      let module M = Pipeline.Targets.Hll (struct
-        let seed = Int64.add seed 7L
-        let p = hll_p
-      end) in
-      run
-        (module M : Pipeline.Mergeable.S with type t = Sketches.Hyperloglog.t)
-        (fun g ->
-          Printf.printf "  distinct: true %d, estimated %.0f\n"
-            (Sketches.Exact.distinct (exact ()))
-            (Sketches.Hyperloglog.estimate g))
-  | "kmv" ->
-      let module M = Pipeline.Targets.Kmv (struct
-        let seed = Int64.add seed 7L
-        let k = kmv_k
-      end) in
-      run
-        (module M : Pipeline.Mergeable.S with type t = Sketches.Kmv.t)
-        (fun g ->
-          Printf.printf "  distinct: true %d, estimated %.0f\n"
-            (Sketches.Exact.distinct (exact ()))
-            (Sketches.Kmv.estimate g))
-  | "quantiles" ->
-      let module M = Pipeline.Targets.Quantiles (struct
-        let seed = Int64.add seed 7L
-        let k = quantiles_k
-      end) in
-      run
-        (module M : Pipeline.Mergeable.S with type t = Sketches.Quantiles.t)
-        (fun g ->
-          if Sketches.Quantiles.total g = 0 then
-            print_endline "  (empty sketch)"
-          else begin
-            let sorted = Array.copy stream in
-            Array.sort compare sorted;
-            let true_q phi =
-              sorted.(min (ops - 1) (int_of_float (phi *. float_of_int ops)))
-            in
-            List.iter
-              (fun phi ->
-                Printf.printf "  p%-4.1f true %-8d estimated %-8d\n"
-                  (100.0 *. phi) (true_q phi)
-                  (Sketches.Quantiles.quantile g phi))
-              [ 0.5; 0.9; 0.99 ]
-          end)
-  | "spacesaving" ->
-      let module M = Pipeline.Targets.Space_saving (struct
-        let capacity = ss_capacity
-      end) in
-      run
-        (module M : Pipeline.Mergeable.S with type t = Sketches.Space_saving.t)
-        (fun g ->
-          Printf.printf "  top-5 (error bound %d):\n"
-            (Sketches.Space_saving.guaranteed_error g);
-          List.iteri
-            (fun i (x, c) ->
-              if i < 5 then Printf.printf "    %-8d count<=%d\n" x c)
-            (Sketches.Space_saving.top g))
-  | "counter" ->
-      run
-        (module Pipeline.Targets.Counter
-          : Pipeline.Mergeable.S with type t = Sketches.Batched_counter.t)
-        (fun g ->
-          Printf.printf "  merged event count: %d\n"
-            (Sketches.Batched_counter.read g))
-  | other ->
-      Printf.eprintf
-        "unknown sketch %s (available: countmin hll kmv quantiles spacesaving \
-         counter)\n"
-        other;
-      exit 1
-
 (* ------------------------------ recover ------------------------------- *)
 
 (* Standalone recovery: rebuild the global sketch from a durability
-   directory written by `pipeline --wal`. The sketch name and seed must
-   match the writing run — decode needs the same hash-family parameters —
-   which is why the dimension constants above are shared between the two
-   subcommands. *)
-
-let mergeable_of ~seed = function
-  | "countmin" ->
-      Some
-        (module Pipeline.Targets.Countmin (struct
-          let seed = Int64.add seed 7L
-          let rows = cm_rows
-          let width = cm_width
-        end) : Pipeline.Mergeable.S)
-  | "hll" ->
-      Some
-        (module Pipeline.Targets.Hll (struct
-          let seed = Int64.add seed 7L
-          let p = hll_p
-        end) : Pipeline.Mergeable.S)
-  | "kmv" ->
-      Some
-        (module Pipeline.Targets.Kmv (struct
-          let seed = Int64.add seed 7L
-          let k = kmv_k
-        end) : Pipeline.Mergeable.S)
-  | "quantiles" ->
-      Some
-        (module Pipeline.Targets.Quantiles (struct
-          let seed = Int64.add seed 7L
-          let k = quantiles_k
-        end) : Pipeline.Mergeable.S)
-  | "spacesaving" ->
-      Some
-        (module Pipeline.Targets.Space_saving (struct
-          let capacity = ss_capacity
-        end) : Pipeline.Mergeable.S)
-  | "counter" -> Some (module Pipeline.Targets.Counter : Pipeline.Mergeable.S)
-  | _ -> None
-
+   directory a `soak` or `serve --wal` run wrote. The sketch name and seed
+   must match the writing run — decode needs the same hash-family
+   parameters. *)
 let recover dir sk seed =
   (* A bad directory is a usage error, not a recovery result: diagnose it
      up front with exit code 2 instead of letting a Sys_error surface from
@@ -1404,108 +945,33 @@ let recover dir sk seed =
   | Error msg ->
       Printf.eprintf
         "recover: %s\n\
-         Nothing to recover here: pass the directory a `pipeline --wal DIR` run \
-         wrote.\n"
+         Nothing to recover here: pass the directory a `soak --dir DIR` or \
+         `serve --wal DIR` run wrote.\n"
         msg;
       exit 2);
-  match mergeable_of ~seed sk with
-  | None ->
-      Printf.eprintf
-        "unknown sketch %s (available: countmin hll kmv quantiles spacesaving \
-         counter)\n"
-        sk;
-      exit 1
-  | Some (module M) -> (
-      let module R = Durable.Recovery.Make (M) in
-      match R.recover ~dir () with
-      | Error msg ->
-          Printf.eprintf "recover: %s\n" msg;
-          1
-      | Ok (_, r) ->
-          Printf.printf "recover: %s\n" (R.report_to_string r);
-          Printf.printf
-            "recovered sketch at epoch %d carrying published weight %d\n"
-            r.recovered_epoch r.recovered_published;
-          if r.truncated_reason <> None then
-            Printf.printf "  (WAL tail truncated: %s, %d bytes dropped)\n"
-              (Option.value ~default:"?" r.truncated_reason)
-              r.bytes_truncated;
-          0)
-
-(* ------------------------------ metrics ------------------------------- *)
-
-(* A self-contained instrumented soak: drive the counter pipeline under
-   chaos and supervision with every observability hook wired — engine
-   metrics, WAL fsync latency, supervisor restarts — then
-   render the one snapshot whichever way was asked. Exists so `ivl-cli
-   metrics` demonstrates (and CI smoke-tests) the full telemetry path
-   without the pipeline subcommand's checker machinery. *)
-let metrics_demo format shards ops seed wal_dir =
-  if shards < 1 || ops < 1 then begin
-    Printf.eprintf "metrics: --shards and --ops must be >= 1\n";
-    exit 1
-  end;
-  let module P = Pipeline.Engine.Make (Pipeline.Targets.Counter) in
-  let reg = Obs.Registry.create () in
-  let victims = if shards > 1 then 1 else 0 in
-  let ch =
-    Conc.Chaos.instantiate
-      (Conc.Chaos.plan
-         ~kills:
-           (Conc.Chaos.random_kills ~seed ~domains:shards ~victims
-              ~max_point:(max 2 (ops / (128 * shards))))
-         ~seed ())
-      ~domains:shards
-  in
-  (* Each victim dies once (point_once) so the supervisor's restart shows up
-     in the snapshot instead of a crash loop ending in shedding. *)
-  let on_tick ~shard = Conc.Chaos.point_once ch ~domain:shard in
-  let wal =
-    Option.map
-      (fun dir ->
-        Durable.Wal.create ~dir ~fsync:(Durable.Wal.Every_n 8) ~metrics:reg ())
-      wal_dir
-  in
-  let on_merge =
-    Option.map
-      (fun w ~ctx:_ ~epoch ~weight ~blob ->
-        Durable.Wal.append w ~epoch ~weight ~blob)
-      wal
-  in
-  let p =
-    P.create ~batch:128 ~on_tick ?on_merge
-      ~supervisor:Pipeline.Engine.default_supervisor ~metrics:reg ~shards ()
-  in
-  let stream =
-    Workload.Stream.generate
-      ~seed:(Int64.add seed 101L)
-      (Workload.Stream.Zipf (10_000, 1.1))
-      ~length:ops
-  in
-  let chunks = Workload.Stream.chunks stream ~pieces:2 in
-  ignore
-    (Conc.Runner.parallel ~domains:2 (fun i ->
-         Array.iter (fun x -> ignore (P.ingest p x)) chunks.(i)));
-  P.drain p;
-  Option.iter Durable.Wal.close wal;
-  let snap = Obs.Registry.snapshot reg in
-  (match format with
-  | "table" ->
-      Printf.printf "metrics snapshot (%d shards, %d items):\n" shards ops;
-      print_string (Obs.Expose.to_table snap)
-  | "prom" -> print_string (Obs.Expose.to_prometheus snap)
-  | "json" -> print_endline (Obs.Expose.to_json snap)
-  | other ->
-      Printf.eprintf "unknown format %s (available: table prom json)\n" other;
-      exit 1);
-  0
+  let (module SK) = find_sketch ~cmd:"recover" ~seed sk in
+  let module R = Durable.Recovery.Make (SK.M) in
+  match R.recover ~dir () with
+  | Error msg ->
+      Printf.eprintf "recover: %s\n" msg;
+      1
+  | Ok (_, r) ->
+      Printf.printf "recover: %s\n" (R.report_to_string r);
+      Printf.printf
+        "recovered sketch at epoch %d carrying published weight %d\n"
+        r.recovered_epoch r.recovered_published;
+      if r.truncated_reason <> None then
+        Printf.printf "  (WAL tail truncated: %s, %d bytes dropped)\n"
+          (Option.value ~default:"?" r.truncated_reason)
+          r.bytes_truncated;
+      0
 
 (* ------------------------------ cmdliner ------------------------------ *)
 
 open Cmdliner
 
-(* Shared observability flags: built once so pipeline, serve, client,
-   replica and soak parse --metrics/--http-port/--trace-sample
+(* Shared observability flags: built once so serve, client, replica and
+   soak parse --metrics/--http-port/--trace-sample
    identically (Arg values are pure and reusable across commands). *)
 let metrics_flag =
   Arg.(
@@ -1535,17 +1001,6 @@ let trace_sample_flag =
         ~doc:
           "distributed tracing: sample about one batch in N for a \
            cross-stage waterfall of spans (0 = tracing off)")
-
-(* Shared engine flag: pipeline and soak both build engines and pass this
-   straight to [Engine.create ~steal]. *)
-let steal_flag =
-  Arg.(
-    value & flag
-    & info [ "steal" ]
-        ~doc:
-          "idle shard workers steal batches from the most loaded other \
-           shard: more throughput on skewed streams, paid in visibility \
-           latency")
 
 let replay_cmd =
   let scenario =
@@ -1653,130 +1108,24 @@ let chaos_cmd =
           domain deaths")
     Term.(const chaos $ target $ domains $ ops $ kills $ seed $ rounds)
 
-let pipeline_cmd =
-  let sketch =
-    Arg.(
-      value
-      & opt string "countmin"
-      & info [ "sketch" ]
-          ~doc:"countmin, hll, kmv, quantiles, spacesaving or counter")
-  in
-  let shards = Arg.(value & opt int 4 & info [ "shards" ] ~doc:"shard worker domains") in
-  let ops = Arg.(value & opt int 200_000 & info [ "ops" ] ~doc:"stream length") in
-  let shape = Arg.(value & opt string "zipf" & info [ "shape" ] ~doc:"zipf, uniform or bursty") in
-  let skew = Arg.(value & opt float 1.1 & info [ "skew" ] ~doc:"zipf exponent") in
-  let universe = Arg.(value & opt int 50_000 & info [ "universe" ] ~doc:"element universe") in
-  let batch =
-    Arg.(
-      value & opt int 512
-      & info [ "batch" ]
-          ~doc:
-            "items per shard delta — the merge cadence: smaller tightens the \
-             freshness/IVL slack, larger buys throughput")
-  in
-  let queue_cap = Arg.(value & opt int 1024 & info [ "queue-cap" ] ~doc:"shard queue capacity (backpressure bound)") in
-  let feeders = Arg.(value & opt int 2 & info [ "feeders" ] ~doc:"feeder domains") in
-  let combine =
-    Arg.(
-      value & flag
-      & info [ "combine" ]
-          ~doc:
-            "give each shard worker a combining buffer: duplicate keys in a \
-             popped batch are aggregated locally and folded into the delta \
-             with one weighted update each — pays off on skewed streams; \
-             per-shard savings are reported as `coalesced'")
-  in
-  let chaos =
-    Arg.(
-      value & opt string "none"
-      & info [ "chaos" ]
-          ~doc:
-            "none, or kill: crash-stop random shard workers mid-run (drain \
-             must still complete and the envelope must still hold)")
-  in
-  let kills = Arg.(value & opt int 1 & info [ "kills" ] ~doc:"shard workers to kill (with --chaos kill)") in
-  let seed = Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"base seed") in
-  let wal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "wal" ] ~docv:"DIR"
-          ~doc:
-            "write-ahead-log every merged delta (and checkpoints) into DIR; \
-             `recover' can later rebuild the sketch from it")
-  in
-  let checkpoint_every =
-    Arg.(
-      value & opt int 0
-      & info [ "checkpoint-every" ] ~docv:"N"
-          ~doc:
-            "with --wal: snapshot the global sketch every N merge epochs so \
-             recovery replays only the log suffix (0 = no checkpoints)")
-  in
-  let kill_and_recover =
-    Arg.(
-      value & flag
-      & info [ "kill-and-recover" ]
-          ~doc:
-            "after drain, recover a fresh sketch from the --wal directory \
-             and fail unless its published weight lands inside the \
-             [checkpoint, pre-crash published] IVL envelope")
-  in
-  let supervise =
-    Arg.(
-      value & flag
-      & info [ "supervise" ]
-          ~doc:
-            "run the watchdog: restart dead shard workers with capped \
-             exponential backoff instead of shedding their traffic")
-  in
-  let max_restarts =
-    Arg.(
-      value & opt int 5
-      & info [ "max-restarts" ]
-          ~doc:
-            "with --supervise: per-shard restart budget before the shard is \
-             permanently shed")
-  in
-  let trace_dump =
-    Arg.(
-      value & opt int 0
-      & info [ "trace-dump" ] ~docv:"N"
-          ~doc:
-            "after the run, print the tracer's last N spans as JSON lines \
-             (the /trace?n=N format); needs --trace-sample > 0")
-  in
-  Cmd.v
-    (Cmd.info "pipeline"
-       ~doc:
-         "Run the sharded ingestion pipeline (wire-encoded deltas, global \
-          merges) and check its IVL envelope")
-    Term.(
-      const pipeline $ sketch $ shards $ ops $ shape $ skew $ universe $ batch
-      $ steal_flag $ queue_cap $ feeders $ combine $ chaos $ kills $ seed $ wal
-      $ checkpoint_every $ kill_and_recover $ supervise $ max_restarts
-      $ metrics_flag $ http_port_flag $ trace_sample_flag $ trace_dump)
-
 let recover_cmd =
   let dir =
     Arg.(
       required
       & opt (some string) None
-      & info [ "dir" ] ~docv:"DIR" ~doc:"durability directory written by pipeline --wal")
+      & info [ "dir" ] ~docv:"DIR"
+          ~doc:"durability directory written by soak --dir or serve --wal")
   in
   let sketch =
     Arg.(
       value
       & opt string "countmin"
-      & info [ "sketch" ]
-          ~doc:
-            "sketch the WAL was written with: countmin, hll, kmv, quantiles, \
-             spacesaving or counter")
+      & info [ "sketch" ] ~doc:("sketch the WAL was written with: " ^ sketch_names))
   in
   let seed =
     Arg.(
-      value & opt int64 1L
-      & info [ "seed" ] ~doc:"base seed of the writing pipeline run")
+      value & opt int64 42L
+      & info [ "seed" ] ~doc:"sketch hash seed of the writing run")
   in
   Cmd.v
     (Cmd.info "recover"
@@ -1784,29 +1133,6 @@ let recover_cmd =
          "Rebuild the global sketch from a WAL + checkpoint directory and \
           report the recovery envelope")
     Term.(const recover $ dir $ sketch $ seed)
-
-let metrics_cmd =
-  let format =
-    Arg.(
-      value & opt string "table"
-      & info [ "format" ] ~doc:"table (human), prom (Prometheus text) or json")
-  in
-  let shards = Arg.(value & opt int 4 & info [ "shards" ] ~doc:"shard worker domains") in
-  let ops = Arg.(value & opt int 50_000 & info [ "ops" ] ~doc:"stream length") in
-  let seed = Arg.(value & opt int64 1L & info [ "seed" ] ~doc:"base seed") in
-  let wal =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "wal" ] ~docv:"DIR"
-          ~doc:"also WAL the run into DIR so fsync latency appears in the snapshot")
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Run an instrumented chaos soak of the counter pipeline and \
-          pretty-print its metrics snapshot")
-    Term.(const metrics_demo $ format $ shards $ ops $ seed $ wal)
 
 (* --- trace: generate / record / inspect workload trace files ----------- *)
 
@@ -1935,236 +1261,130 @@ let trace_cmd =
 
 (* ------------------------------ net tier ------------------------------ *)
 
-let take_n n l =
-  let rec go n = function
-    | x :: rest when n > 0 -> x :: go (n - 1) rest
-    | _ -> []
-  in
-  go n l
-
-(* The served tier is sketch-generic, but each sketch answers a different
-   query family; a Net.Soak.SKETCH pairs the mergeable with its query
-   evaluator (and, for the soak's oracle, its point-error bound) so
-   serve/replica/soak dispatch stays one match on the sketch name. The
-   seed offset and dimension constants must match [mergeable_of]: a
-   follower decodes the leader's blobs, so both ends need identical hash
-   families. *)
-let servable_of ~seed sk : (module Net.Soak.SKETCH) option =
-  match sk with
-  | "counter" ->
-      Some
-        (module struct
-          module M = Pipeline.Targets.Counter
-
-          let eval _ (_ : Net.Frame.query) = None
-          let bound = None
-        end)
-  | "countmin" ->
-      Some
-        (module struct
-          module M = Pipeline.Targets.Countmin (struct
-            let seed = Int64.add seed 7L
-            let rows = cm_rows
-            let width = cm_width
-          end)
-
-          let eval g = function
-            | Net.Frame.Point k -> Some [ (k, Sketches.Countmin.query g k) ]
-            | _ -> None
-
-          (* est >= true always; est <= true + εn with ε = e/width, except
-             with probability δ = e^-rows *)
-          let bound =
-            Some
-              {
-                Net.Soak.estimate = Sketches.Countmin.query;
-                slack = Sketches.Countmin.error_bound;
-                epsilon = exp 1.0 /. float_of_int cm_width;
-                delta = exp (-.float_of_int cm_rows);
-              }
-        end)
-  | "spacesaving" ->
-      Some
-        (module struct
-          module M = Pipeline.Targets.Space_saving (struct
-            let capacity = ss_capacity
-          end)
-
-          let eval g = function
-            | Net.Frame.Point k -> Some [ (k, Sketches.Space_saving.query g k) ]
-            | Net.Frame.Top n -> Some (take_n n (Sketches.Space_saving.top g))
-            | _ -> None
-
-          let bound = None
-        end)
-  | "quantiles" ->
-      Some
-        (module struct
-          module M = Pipeline.Targets.Quantiles (struct
-            let seed = Int64.add seed 7L
-            let k = quantiles_k
-          end)
-
-          let eval g = function
-            | Net.Frame.Quantile phi ->
-                Some [ (0, Sketches.Quantiles.quantile g phi) ]
-            | _ -> None
-
-          let bound = None
-        end)
-  | _ -> None
-
-let net_sketches = "counter countmin spacesaving quantiles"
-
 let serve_run sketch host port shards batch max_conns read_timeout duration
     wal_dir metrics_out http_port trace_sample seed =
-  match servable_of ~seed sketch with
-  | None ->
-      Printf.eprintf "serve: unknown sketch %s (available: %s)\n" sketch
-        net_sketches;
-      2
-  | Some (module SV) ->
-      let module Srv = Net.Server.Make (SV.M) in
-      let reg = Obs.Registry.create () in
-      let tracer = make_tracer ~reg trace_sample in
-      let stop_flag = ref false in
-      let on_signal = Sys.Signal_handle (fun _ -> stop_flag := true) in
-      Sys.set_signal Sys.sigint on_signal;
-      Sys.set_signal Sys.sigterm on_signal;
-      let wal = ref None in
-      let base = ref 0 in
-      let srv =
-        Srv.create ~host ~port ~max_conns ~read_timeout ~metrics:reg
-          ?tracer ?dedup_dir:wal_dir ~eval:SV.eval
-          ~make_engine:(fun ~on_merge ->
-            let initial =
-              match wal_dir with
-              | Some dir
-                when Result.is_ok (Durable.Wal.validate_dir ~dir ()) -> (
-                  let module R = Durable.Recovery.Make (SV.M) in
-                  match R.recover_compact ~metrics:reg ~dir () with
-                  | Ok (sk0, r) when r.R.recovered_epoch > 0 ->
-                      Printf.printf
-                        "serve: recovered epoch %d carrying published weight \
-                         %d from %s\n\
-                         %!"
-                        r.R.recovered_epoch r.R.recovered_published dir;
-                      Some (sk0, r.R.recovered_epoch, r.R.recovered_published)
-                  | Ok _ -> None
-                  | Error msg ->
-                      Printf.eprintf "serve: recovery failed: %s\n%!" msg;
-                      None)
-              | _ -> None
-            in
-            (match initial with
-            | Some (_, _, p) -> base := p
-            | None -> ());
-            (match wal_dir with
-            | Some dir -> wal := Some (Durable.Wal.create ~dir ~metrics:reg ())
-            | None -> ());
-            let on_merge ~ctx ~epoch ~weight ~blob =
-              (match !wal with
-              | Some w ->
-                  let t0 =
-                    match tracer with
-                    | Some _ when not (Obs.Span.is_zero ctx) ->
-                        Obs.Tracer.now_ns ()
-                    | _ -> 0
-                  in
-                  Durable.Wal.append w ~epoch ~weight ~blob;
-                  (match tracer with
-                  | Some tr when not (Obs.Span.is_zero ctx) ->
-                      ignore
-                        (Obs.Tracer.record tr ~ctx ~stage:"wal" ~start_ns:t0
-                           ~end_ns:(Obs.Tracer.now_ns ()))
-                  | _ -> ())
-              | None -> ());
-              on_merge ~ctx ~epoch ~weight ~blob
-            in
-            Srv.P.create ~shards ~batch ~metrics:reg ?tracer ~on_merge
-              ?initial ())
-          ()
-      in
-      Printf.printf
-        "serve: %s on %s:%d (%d shards, batch %d, max %d conns)%s\n%!" sketch
-        host (Srv.port srv) shards batch max_conns
-        (match wal_dir with Some d -> " wal=" ^ d | None -> "");
-      let slo =
-        let stats () = Srv.P.stats (Srv.engine srv) in
-        Obs.Slo.create ~metrics:reg
-          ~budget:
-            (Obs.Slo.theorem6_budget ~shards ~batch ~queue_capacity:1024 ())
-          ~envelope:(fun () ->
-            let st = stats () in
-            let enq =
-              Array.fold_left
-                (fun a (s : Srv.P.shard_stats) -> a + s.enqueued - s.dropped)
-                0 st.Srv.P.shards
-            in
-            float_of_int (max 0 (!base + enq - st.Srv.P.published)))
-          ~staleness:(fun () -> -1.0)
-          ~merge_lag:(fun () ->
-            let lag = (stats ()).Srv.P.merge_lag in
-            let n = Array.length lag in
-            if n = 0 then -1.0 else lag.(n - 1))
-          ()
-      in
-      let http =
-        Option.map
-          (fun p ->
-            mount_http ~what:"serve" ~reg ?tracer ~slo
-              ~health:(fun () ->
-                let st = Srv.stats srv in
-                let est = Srv.P.stats (Srv.engine srv) in
-                [
-                  ("conns", string_of_int st.Srv.conns);
-                  ("published", string_of_int est.Srv.P.published);
-                  ("epoch", string_of_int est.Srv.P.epoch);
-                ])
-              p)
-          http_port
-      in
-      let deadline =
-        if duration > 0.0 then Unix.gettimeofday () +. duration else infinity
-      in
-      while (not !stop_flag) && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.05;
-        ignore (Obs.Slo.eval slo)
-      done;
-      let st = Srv.stop srv in
-      Option.iter Obs.Http.stop http;
-      (match !wal with Some w -> Durable.Wal.close w | None -> ());
-      let est = Srv.P.stats (Srv.engine srv) in
-      Printf.printf
-        "serve: %d conns (%d subscribers), %d frames in, %d frames out, %d \
-         decode errors\n"
-        st.Srv.conns st.Srv.subscribers st.Srv.frames_in st.Srv.frames_out
-        st.Srv.decode_errors;
-      Printf.printf
-        "serve: %d batches, %d ingested, %d shed, %d queries, %d sessions, %d \
-         duplicate batches suppressed\n"
-        st.Srv.batches st.Srv.ingested st.Srv.shed st.Srv.queries
-        st.Srv.sessions st.Srv.duplicates;
-      (* After a clean drain every accepted key is merged exactly once, so
-         published weight must equal the recovered base plus this run's
-         accepted ingests — the leader-side conservation verdict. *)
-      let expect = !base + st.Srv.ingested in
-      let pass = est.Srv.P.published = expect in
-      Printf.printf
-        "serve: conservation %s (published %d, expected %d = %d recovered + \
-         %d ingested)\n"
-        (if pass then "PASS" else "FAIL")
-        est.Srv.P.published expect !base st.Srv.ingested;
-      let slo_v = Obs.Slo.eval slo in
-      Printf.printf
-        "serve: slo %s at drain (worst %s at %.2fx budget, %d breaches)\n"
-        (Obs.Slo.state_to_string slo_v.Obs.Slo.state)
-        slo_v.Obs.Slo.worst_dim slo_v.Obs.Slo.worst_ratio
-        slo_v.Obs.Slo.breaches;
-      (match metrics_out with
-      | Some path -> write_metrics ~path (Obs.Registry.snapshot reg)
-      | None -> ());
-      if pass then 0 else 1
+  let (module SV) = find_sketch ~cmd:"serve" ~seed sketch in
+  let module Srv = Net.Server.Make (SV.M) in
+  let reg = Obs.Registry.create () in
+  let tracer = make_tracer ~reg trace_sample in
+  let stop_flag = ref false in
+  let on_signal = Sys.Signal_handle (fun _ -> stop_flag := true) in
+  Sys.set_signal Sys.sigint on_signal;
+  Sys.set_signal Sys.sigterm on_signal;
+  let wal = ref None in
+  let base = ref 0 in
+  let srv =
+    Srv.create ~host ~port ~max_conns ~read_timeout ~metrics:reg
+      ?tracer ?dedup_dir:wal_dir ~eval:SV.eval
+      ~make_engine:(fun ~on_merge ->
+        let initial =
+          match wal_dir with
+          | Some dir
+            when Result.is_ok (Durable.Wal.validate_dir ~dir ()) -> (
+              let module R = Durable.Recovery.Make (SV.M) in
+              match R.recover_compact ~metrics:reg ~dir () with
+              | Ok (sk0, r) when r.R.recovered_epoch > 0 ->
+                  Printf.printf
+                    "serve: recovered epoch %d carrying published weight \
+                     %d from %s\n\
+                     %!"
+                    r.R.recovered_epoch r.R.recovered_published dir;
+                  Some (sk0, r.R.recovered_epoch, r.R.recovered_published)
+              | Ok _ -> None
+              | Error msg ->
+                  Printf.eprintf "serve: recovery failed: %s\n%!" msg;
+                  None)
+          | _ -> None
+        in
+        (match initial with
+        | Some (_, _, p) -> base := p
+        | None -> ());
+        (match wal_dir with
+        | Some dir -> wal := Some (Durable.Wal.create ~dir ~metrics:reg ())
+        | None -> ());
+        let on_merge ~ctx ~epoch ~weight ~blob =
+          Option.iter
+            (fun w -> Durable.Wal.merge_hook ?tracer w ~ctx ~epoch ~weight ~blob)
+            !wal;
+          on_merge ~ctx ~epoch ~weight ~blob
+        in
+        Srv.P.create ~shards ~batch ~metrics:reg ?tracer ~on_merge
+          ?initial ())
+      ()
+  in
+  Printf.printf
+    "serve: %s on %s:%d (%d shards, batch %d, max %d conns)%s\n%!" sketch
+    host (Srv.port srv) shards batch max_conns
+    (match wal_dir with Some d -> " wal=" ^ d | None -> "");
+  let slo =
+    let stats () = Srv.P.stats (Srv.engine srv) in
+    Obs.Slo.create ~metrics:reg
+      ~budget:
+        (Obs.Slo.theorem6_budget ~shards ~batch ~queue_capacity:1024 ())
+      ~envelope:(fun () -> float_of_int (Srv.P.envelope_width (Srv.engine srv)))
+      ~staleness:(fun () -> -1.0)
+      ~merge_lag:(fun () ->
+        let lag = (stats ()).Srv.P.merge_lag in
+        let n = Array.length lag in
+        if n = 0 then -1.0 else lag.(n - 1))
+      ()
+  in
+  let http =
+    Option.map
+      (fun p ->
+        mount_http ~what:"serve" ~reg ?tracer ~slo
+          ~health:(fun () ->
+            let st = Srv.stats srv in
+            let est = Srv.P.stats (Srv.engine srv) in
+            [
+              ("conns", string_of_int st.Srv.conns);
+              ("published", string_of_int est.Srv.P.published);
+              ("epoch", string_of_int est.Srv.P.epoch);
+            ])
+          p)
+      http_port
+  in
+  let deadline =
+    if duration > 0.0 then Unix.gettimeofday () +. duration else infinity
+  in
+  while (not !stop_flag) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.05;
+    ignore (Obs.Slo.eval slo)
+  done;
+  let st = Srv.stop srv in
+  Option.iter Obs.Http.stop http;
+  (match !wal with Some w -> Durable.Wal.close w | None -> ());
+  let est = Srv.P.stats (Srv.engine srv) in
+  Printf.printf
+    "serve: %d conns (%d subscribers), %d frames in, %d frames out, %d \
+     decode errors\n"
+    st.Srv.conns st.Srv.subscribers st.Srv.frames_in st.Srv.frames_out
+    st.Srv.decode_errors;
+  Printf.printf
+    "serve: %d batches, %d ingested, %d shed, %d queries, %d sessions, %d \
+     duplicate batches suppressed\n"
+    st.Srv.batches st.Srv.ingested st.Srv.shed st.Srv.queries
+    st.Srv.sessions st.Srv.duplicates;
+  (* After a clean drain every accepted key is merged exactly once, so
+     published weight must equal the recovered base plus this run's
+     accepted ingests — the leader-side conservation verdict. *)
+  let expect = !base + st.Srv.ingested in
+  let pass = est.Srv.P.published = expect in
+  Printf.printf
+    "serve: conservation %s (published %d, expected %d = %d recovered + \
+     %d ingested)\n"
+    (if pass then "PASS" else "FAIL")
+    est.Srv.P.published expect !base st.Srv.ingested;
+  let slo_v = Obs.Slo.eval slo in
+  Printf.printf
+    "serve: slo %s at drain (worst %s at %.2fx budget, %d breaches)\n"
+    (Obs.Slo.state_to_string slo_v.Obs.Slo.state)
+    slo_v.Obs.Slo.worst_dim slo_v.Obs.Slo.worst_ratio
+    slo_v.Obs.Slo.breaches;
+  (match metrics_out with
+  | Some path -> write_metrics ~path (Obs.Registry.snapshot reg)
+  | None -> ());
+  if pass then 0 else 1
 
 let client_run host port trace_file ops universe seed feeders conns batch
     flush_age queue overflow slack metrics_out trace_sample =
@@ -2266,104 +1486,99 @@ let replica_status_string = function
 
 let replica_run sketch host port seed duration settle metrics_out http_port
     trace_sample =
-  match servable_of ~seed sketch with
-  | None ->
-      Printf.eprintf "replica: unknown sketch %s (available: %s)\n" sketch
-        net_sketches;
+  let (module SV) = find_sketch ~cmd:"replica" ~seed sketch in
+  let module R = Net.Replica.Make (SV.M) in
+  let reg = Obs.Registry.create () in
+  let tracer = make_tracer ~reg trace_sample in
+  match
+    let r = R.connect ~metrics:reg ?tracer ~host ~port () in
+    let qc = Net.Conn.connect ~host ~port in
+    (r, qc)
+  with
+  | exception Unix.Unix_error (err, _, _) ->
+      Printf.eprintf "replica: cannot reach %s:%d: %s\n" host port
+        (Unix.error_message err);
       2
-  | Some (module SV) -> (
-      let module R = Net.Replica.Make (SV.M) in
-      let reg = Obs.Registry.create () in
-      let tracer = make_tracer ~reg trace_sample in
-      match
-        let r = R.connect ~metrics:reg ?tracer ~host ~port () in
-        let qc = Net.Conn.connect ~host ~port in
-        (r, qc)
-      with
-      | exception Unix.Unix_error (err, _, _) ->
-          Printf.eprintf "replica: cannot reach %s:%d: %s\n" host port
-            (Unix.error_message err);
-          2
-      | r, qc ->
-      Net.Conn.set_read_timeout qc 5.0;
-      let http =
-        Option.map
-          (fun p ->
-            mount_http ~what:"replica" ~reg ?tracer
-              ~health:(fun () ->
-                let s = R.stats r in
-                [
-                  ("status", replica_status_string s.R.status);
-                  ("published", string_of_int s.R.published);
-                  ("epoch", string_of_int s.R.epoch);
-                  ("resyncs", string_of_int s.R.resyncs);
-                ])
-              p)
-          http_port
-      in
-      let leader_total () =
-        if
-          Net.Conn.send qc
-            (Net.Frame.encode_request (Net.Frame.Query Net.Frame.Total))
-        then
-          match Net.Conn.recv qc with
-          | Ok f -> (
-              match Net.Frame.decode_response f with
-              | Ok (Net.Frame.Result { pairs = [ (_, v) ]; _ }) -> Some v
-              | _ -> None)
-          | Error _ -> None
-        else None
-      in
-      let deadline = Unix.gettimeofday () +. duration in
-      let samples = ref 0
-      and violations = ref 0
-      and stable = ref 0
-      and last = ref (-1)
-      and final_leader = ref None
-      and converged = ref false in
-      while (not !converged) && Unix.gettimeofday () < deadline do
-        Unix.sleepf 0.05;
-        let f = R.published r in
-        match leader_total () with
-        | None -> ()
-        | Some l ->
-            incr samples;
-            (* the follower lags, never leads: its published weight must not
-               exceed the leader's, sampled after *)
-            if f > l then incr violations;
-            if l = !last then incr stable
-            else begin
-              stable := 0;
-              last := l
-            end;
-            final_leader := Some l;
-            if !stable >= settle && R.published r = l then converged := true
-      done;
-      let s = R.stats r in
-      R.close r;
-      Net.Conn.close qc;
-      Option.iter Obs.Http.stop http;
-      (match metrics_out with
-      | Some path -> write_metrics ~path (Obs.Registry.snapshot reg)
-      | None -> ());
-      Printf.printf
-        "replica: %d deltas applied, %d duplicates skipped, %d resyncs, \
-         epoch %d, published %d, status %s\n"
-        s.R.deltas s.R.skipped s.R.resyncs s.R.epoch s.R.published
-        (replica_status_string s.R.status);
-      let env_pass = !samples > 0 && !violations = 0 in
-      Printf.printf "replica: envelope %s (%d samples, %d follower-ahead)\n"
-        (if env_pass then "PASS" else "FAIL")
-        !samples !violations;
-      Printf.printf "replica: convergence %s (follower %d, leader %s)\n"
-        (if !converged then "PASS" else "FAIL")
-        s.R.published
-        (match !final_leader with Some l -> string_of_int l | None -> "?");
-      if env_pass && !converged then 0 else 1)
+  | r, qc ->
+  Net.Conn.set_read_timeout qc 5.0;
+  let http =
+    Option.map
+      (fun p ->
+        mount_http ~what:"replica" ~reg ?tracer
+          ~health:(fun () ->
+            let s = R.stats r in
+            [
+              ("status", replica_status_string s.R.status);
+              ("published", string_of_int s.R.published);
+              ("epoch", string_of_int s.R.epoch);
+              ("resyncs", string_of_int s.R.resyncs);
+            ])
+          p)
+      http_port
+  in
+  let leader_total () =
+    if
+      Net.Conn.send qc
+        (Net.Frame.encode_request (Net.Frame.Query Net.Frame.Total))
+    then
+      match Net.Conn.recv qc with
+      | Ok f -> (
+          match Net.Frame.decode_response f with
+          | Ok (Net.Frame.Result { pairs = [ (_, v) ]; _ }) -> Some v
+          | _ -> None)
+      | Error _ -> None
+    else None
+  in
+  let deadline = Unix.gettimeofday () +. duration in
+  let samples = ref 0
+  and violations = ref 0
+  and stable = ref 0
+  and last = ref (-1)
+  and final_leader = ref None
+  and converged = ref false in
+  while (not !converged) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.05;
+    let f = R.published r in
+    match leader_total () with
+    | None -> ()
+    | Some l ->
+        incr samples;
+        (* the follower lags, never leads: its published weight must not
+           exceed the leader's, sampled after *)
+        if f > l then incr violations;
+        if l = !last then incr stable
+        else begin
+          stable := 0;
+          last := l
+        end;
+        final_leader := Some l;
+        if !stable >= settle && R.published r = l then converged := true
+  done;
+  let s = R.stats r in
+  R.close r;
+  Net.Conn.close qc;
+  Option.iter Obs.Http.stop http;
+  (match metrics_out with
+  | Some path -> write_metrics ~path (Obs.Registry.snapshot reg)
+  | None -> ());
+  Printf.printf
+    "replica: %d deltas applied, %d duplicates skipped, %d resyncs, \
+     epoch %d, published %d, status %s\n"
+    s.R.deltas s.R.skipped s.R.resyncs s.R.epoch s.R.published
+    (replica_status_string s.R.status);
+  let env_pass = !samples > 0 && !violations = 0 in
+  Printf.printf "replica: envelope %s (%d samples, %d follower-ahead)\n"
+    (if env_pass then "PASS" else "FAIL")
+    !samples !violations;
+  Printf.printf "replica: convergence %s (follower %d, leader %s)\n"
+    (if !converged then "PASS" else "FAIL")
+    s.R.published
+    (match !final_leader with Some l -> string_of_int l | None -> "?");
+  if env_pass && !converged then 0 else 1
 
 let serve_cmd =
   let sketch =
-    Arg.(value & pos 0 string "counter" & info [] ~docv:"SKETCH" ~doc:net_sketches)
+    Arg.(value & pos 0 string "counter" & info [] ~docv:"SKETCH" ~doc:sketch_names)
   in
   let host = Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~doc:"bind address") in
   let port =
@@ -2468,7 +1683,7 @@ let client_cmd =
 
 let replica_cmd =
   let sketch =
-    Arg.(value & pos 0 string "counter" & info [] ~docv:"SKETCH" ~doc:net_sketches)
+    Arg.(value & pos 0 string "counter" & info [] ~docv:"SKETCH" ~doc:sketch_names)
   in
   let host = Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~doc:"leader address") in
   let port = Arg.(value & opt int 7070 & info [ "port" ] ~doc:"leader port") in
@@ -2503,15 +1718,10 @@ let replica_cmd =
 (* A soak is a self-contained crash/recover chain: start from a clean
    durable directory so the first incarnation and the oracle agree on zero. *)
 let clear_soak_dir dir =
-  if Sys.file_exists dir then begin
-    if not (Sys.is_directory dir) then begin
-      Printf.eprintf "soak: %s exists and is not a directory\n" dir;
-      exit 2
-    end;
+  if Sys.file_exists dir then
     Array.iter
       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
       (Sys.readdir dir)
-  end
 
 (* One BENCH_<exp>.json writer for both sinks; "violations" rows are
    zero-tolerance in `bench compare`. *)
@@ -2535,7 +1745,7 @@ let write_bench path ~reps (exp, rows) =
 
 let soak_run served sketch trace_file ops universe seed dir shards feeders
     restarts steal kills tear conns partitions outage latency corrupt reset
-    drop record_trace bench_out metrics_out http_port trace_sample =
+    drop record_trace bench_out metrics_out http_port trace_sample trace_dump =
   let usage fmt =
     Printf.ksprintf
       (fun m ->
@@ -2551,6 +1761,11 @@ let soak_run served sketch trace_file ops universe seed dir shards feeders
         if given then usage "%s does not apply to the %s sink" flag sink)
       flags
   in
+  if trace_dump > 0 && trace_sample <= 0 then
+    usage "--trace-dump N prints sampled spans; it needs --trace-sample N > 0";
+  (match Durable.Wal.validate_dir ~must_exist:false ~dir () with
+  | Ok () -> ()
+  | Error msg -> usage "unusable --dir: %s" msg);
   let sink =
     if served then begin
       refuse "served" [ ("--kills", kills <> None); ("--tear-tail", tear <> None) ];
@@ -2591,61 +1806,67 @@ let soak_run served sketch trace_file ops universe seed dir shards feeders
         }
     end
   in
-  match servable_of ~seed sketch with
-  | None -> usage "unknown sketch %s (available: %s)" sketch net_sketches
-  | Some (module SK) ->
-      let module NS = Net.Soak.Make (SK) in
-      let spec, trace =
-        match trace_file with
-        | Some path -> (
-            match Workload.Trace.read ~path with
-            | Ok (spec, t) -> (spec, t)
-            | Error msg -> usage "cannot read trace %s: %s" path msg)
-        | None ->
-            let spec = Workload.Trace.default_spec ~seed ~ops ~universe () in
-            (* closed loop when served: that soak's clock is the fault
-               schedule, not an offered-rate curve *)
-            let closed (p : Workload.Trace.phase) =
-              if served then { p with Workload.Trace.rate = Workload.Trace.Unlimited }
-              else p
-            in
-            let spec =
-              { spec with Workload.Trace.phases = List.map closed spec.phases }
-            in
-            (spec, Workload.Trace.materialize spec)
-      in
-      clear_soak_dir dir;
-      let cfg =
-        {
-          (Net.Soak.default_config ~dir sink) with
-          Net.Soak.shards;
-          feeders;
-          restarts;
-          steal;
-          seed;
-        }
-      in
-      let reg = Obs.Registry.create () in
-      let tracer = make_tracer ~reg trace_sample in
-      let v =
-        try
-          NS.run
-            ~progress:(fun s -> Printf.printf "%s\n%!" s)
-            ~metrics:reg ?tracer ?http_port ?record:record_trace cfg ~spec
-            ~ops:trace ()
-        with Invalid_argument m -> usage "%s" m
-      in
-      print_string (Net.Soak.verdict_to_string v);
-      Option.iter
-        (fun path -> write_metrics ~path (Obs.Registry.snapshot reg))
-        metrics_out;
-      Option.iter
-        (fun path ->
-          write_bench path
-            ~reps:(List.length v.Net.Soak.incarnations)
-            (Net.Soak.bench v ~total_ops:(Workload.Trace.total_ops spec)))
-        bench_out;
-      if v.Net.Soak.pass then 0 else 1
+  let (module SK) = find_sketch ~cmd:"soak" ~seed sketch in
+  let module NS = Net.Soak.Make (SK) in
+  let spec, trace =
+    match trace_file with
+    | Some path -> (
+        match Workload.Trace.read ~path with
+        | Ok (spec, t) -> (spec, t)
+        | Error msg -> usage "cannot read trace %s: %s" path msg)
+    | None ->
+        let spec = Workload.Trace.default_spec ~seed ~ops ~universe () in
+        (* closed loop when served: that soak's clock is the fault
+           schedule, not an offered-rate curve *)
+        let closed (p : Workload.Trace.phase) =
+          if served then { p with Workload.Trace.rate = Workload.Trace.Unlimited }
+          else p
+        in
+        let spec =
+          { spec with Workload.Trace.phases = List.map closed spec.phases }
+        in
+        (spec, Workload.Trace.materialize spec)
+  in
+  clear_soak_dir dir;
+  let cfg =
+    {
+      (Net.Soak.default_config ~dir sink) with
+      Net.Soak.shards;
+      feeders;
+      restarts;
+      steal;
+      seed;
+    }
+  in
+  let reg = Obs.Registry.create () in
+  let tracer = make_tracer ~reg trace_sample in
+  let v =
+    try
+      NS.run
+        ~progress:(fun s -> Printf.printf "%s\n%!" s)
+        ~metrics:reg ?tracer ?http_port ?record:record_trace cfg ~spec
+        ~ops:trace ()
+    with Invalid_argument m -> usage "%s" m
+  in
+  (* one dump format: the JSON span objects /trace?n=N serves, one per
+     line *)
+  (match tracer with
+  | Some tr when trace_dump > 0 ->
+      List.iter
+        (fun r -> print_endline (Obs.Span.record_to_json r))
+        (Obs.Tracer.recent tr trace_dump)
+  | _ -> ());
+  print_string (Net.Soak.verdict_to_string v);
+  Option.iter
+    (fun path -> write_metrics ~path (Obs.Registry.snapshot reg))
+    metrics_out;
+  Option.iter
+    (fun path ->
+      write_bench path
+        ~reps:(List.length v.Net.Soak.incarnations)
+        (Net.Soak.bench v ~total_ops:(Workload.Trace.total_ops spec)))
+    bench_out;
+  if v.Net.Soak.pass then 0 else 1
 
 let soak_cmd =
   let opt_int name doc = Arg.(value & opt (some int) None & info [ name ] ~doc) in
@@ -2666,7 +1887,7 @@ let soak_cmd =
       value & opt string "countmin"
       & info [ "sketch" ]
           ~doc:
-            ("sketch under test: " ^ net_sketches
+            ("sketch under test: " ^ sketch_names
            ^ "; countmin also checks its (ε,δ) bound against the oracle"))
   in
   let trace_file =
@@ -2738,6 +1959,23 @@ let soak_cmd =
       & info [ "bench-out" ] ~docv:"FILE"
           ~doc:"also write the verdict counters as a BENCH json")
   in
+  let steal =
+    Arg.(
+      value & flag
+      & info [ "steal" ]
+          ~doc:
+            "idle shard workers steal batches from the most loaded other \
+             shard: more throughput on skewed streams, paid in visibility \
+             latency")
+  in
+  let trace_dump =
+    Arg.(
+      value & opt int 0
+      & info [ "trace-dump" ] ~docv:"N"
+          ~doc:
+            "after the run, print the tracer's last N spans as JSON lines \
+             (the /trace?n=N format); needs --trace-sample > 0")
+  in
   Cmd.v
     (Cmd.info "soak"
        ~doc:
@@ -2747,9 +1985,10 @@ let soak_cmd =
           PASS/FAIL verdicts")
     Term.(
       const soak_run $ served $ sketch $ trace_file $ ops $ universe $ seed $ dir
-      $ shards $ feeders $ restarts $ steal_flag $ kills $ tear $ conns
+      $ shards $ feeders $ restarts $ steal $ kills $ tear $ conns
       $ partitions $ outage $ latency $ corrupt $ reset $ drop $ record_trace
-      $ bench_out $ metrics_flag $ http_port_flag $ trace_sample_flag)
+      $ bench_out $ metrics_flag $ http_port_flag $ trace_sample_flag
+      $ trace_dump)
 
 let () =
   let doc = "Intermediate Value Linearizability: checkers, simulators, sketches" in
@@ -2764,9 +2003,7 @@ let () =
             envelope_cmd;
             explore_cmd;
             chaos_cmd;
-            pipeline_cmd;
             recover_cmd;
-            metrics_cmd;
             trace_cmd;
             soak_cmd;
             serve_cmd;

@@ -200,6 +200,19 @@ let append w ~epoch ~weight ~blob =
       end
   | Never -> ()
 
+(* The engine's [on_merge] WAL hook. The append is the last server-side
+   stage of a sampled delta's waterfall, so it is timed under the merged
+   delta's context. *)
+let merge_hook ?tracer w ~ctx ~epoch ~weight ~blob =
+  match tracer with
+  | Some tr when not (Obs.Span.is_zero ctx) ->
+      let t0 = Obs.Tracer.now_ns () in
+      append w ~epoch ~weight ~blob;
+      ignore
+        (Obs.Tracer.record tr ~ctx ~stage:"wal" ~start_ns:t0
+           ~end_ns:(Obs.Tracer.now_ns ()))
+  | _ -> append w ~epoch ~weight ~blob
+
 let sync w =
   if not w.closed then begin
     writer_fsync w;

@@ -66,6 +66,19 @@ val append : writer -> epoch:int -> weight:int -> blob:Bytes.t -> unit
     @raise Invalid_argument on a stale epoch, negative weight, or a closed
     writer. *)
 
+val merge_hook :
+  ?tracer:Obs.Tracer.t ->
+  writer ->
+  ctx:Obs.Span.context ->
+  epoch:int ->
+  weight:int ->
+  blob:Bytes.t ->
+  unit
+(** [merge_hook ?tracer w] is {!append} in the shape of
+    [Pipeline.Engine.create]'s [on_merge] hook. With a [tracer] and a
+    nonzero [ctx] (a sampled delta) the append is recorded as the
+    waterfall's ["wal"] stage. *)
+
 val sync : writer -> unit
 (** Force an fsync now, regardless of policy. *)
 

@@ -11,10 +11,12 @@
    Conservation is one check for both sinks, made per incarnation at
    drain — Jagadeesan & Riely's in-flight bound read at quiescence:
    published - base = flushed (the merger folds exactly what workers
-   shipped) and lost = accepted - (published - base) >= 0 (weight is
-   never invented). The engine sink tolerates loss (a killed worker's
-   unflushed delta, a torn WAL tail); the served sink has no kills and
-   drains through every restart, so it requires lost = 0 and each
+   shipped), lost = accepted - (published - base) >= 0 (weight is never
+   invented), and, without stealing, flushed = enqueued on every shard
+   that never died. Only a worker death may lose weight (its unflushed
+   delta, its queued backlog), so an incarnation with no kill and no
+   restart requires lost = 0. The served sink has no kills and drains
+   through every restart, so it always requires lost = 0, and each
    recovery to resume exactly at the previous final.
 
    Oracle soundness with loss (engine sink): every accepted update either
@@ -256,6 +258,7 @@ let key_sample = 4096 (* max keys compared against the oracle *)
    [counts] is the feeder's slice of the ground-truth oracle. *)
 type feeder = {
   gate : Mutex.t;
+  mutable since : int; (* ingests since the last trace die roll *)
   counts : int array;
   mutable accepted : int;
   mutable attempted : int;
@@ -297,6 +300,7 @@ module Make (S : SKETCH) = struct
       Array.init c.feeders (fun _ ->
           {
             gate = Mutex.create ();
+            since = 0;
             counts = Array.make universe 0;
             accepted = 0;
             attempted = 0;
@@ -314,6 +318,7 @@ module Make (S : SKETCH) = struct
     let dup_server = ref 0 in
     let envelope = ref [] in
     let tear_rng = Rng.Splitmix.create (Int64.add c.seed 0x7EA7L) in
+    let torn = ref false (* the last restart tore the WAL tail *) in
     (* ---- one incarnation: recover, WAL, engine ---- *)
     let open_life ~on_merge =
       let index = !started in
@@ -332,9 +337,15 @@ module Make (S : SKETCH) = struct
                       (r.R.recovered_epoch < s.epoch
                       || r.R.recovered_published < s.published)
                 | None -> 0)
+                (* never past the previous final, and exactly at it when
+                   nothing tore the WAL tail *)
                 + Bool.to_int
-                    (r.R.recovered_epoch > end_epoch
-                    || r.R.recovered_published > end_pub)
+                    (if !torn then
+                       r.R.recovered_epoch > end_epoch
+                       || r.R.recovered_published > end_pub
+                     else
+                       (r.R.recovered_epoch, r.R.recovered_published)
+                       <> !last_end)
                 + Bool.to_int (r.R.recovered_epoch < !prev_rec_epoch)
               in
               progress
@@ -358,17 +369,7 @@ module Make (S : SKETCH) = struct
       in
       let wal = Durable.Wal.create ?fsync ~metrics:reg ~dir:c.dir () in
       let on_merge ~ctx ~epoch ~weight ~blob =
-        (* the WAL append is the waterfall's last server-side stage: time
-           it under the merged delta's context *)
-        let traced = tracer <> None && not (Obs.Span.is_zero ctx) in
-        let t0 = if traced then Obs.Tracer.now_ns () else 0 in
-        Durable.Wal.append wal ~epoch ~weight ~blob;
-        (match tracer with
-        | Some tr when traced ->
-            ignore
-              (Obs.Tracer.record tr ~ctx ~stage:"wal" ~start_ns:t0
-                 ~end_ns:(Obs.Tracer.now_ns ()))
-        | _ -> ());
+        Durable.Wal.merge_hook ?tracer wal ~ctx ~epoch ~weight ~blob;
         on_merge ~ctx ~epoch ~weight ~blob
       in
       let chaos, eng =
@@ -463,18 +464,29 @@ module Make (S : SKETCH) = struct
       Durable.Wal.close l.wal;
       let st = P.stats l.eng in
       let shards f = Array.fold_left (fun a s -> a + f s) 0 st.P.shards in
+      let count p = shards (fun s -> Bool.to_int (p s)) in
       let flushed = shards (fun s -> s.P.flushed_items) in
       let published = st.P.published - l.base in
       let lost = accepted - published in
-      let exact = match c.sink with Served _ -> true | Engine _ -> false in
+      let kills =
+        match l.chaos with
+        | Some ch -> List.length (Conc.Chaos.killed ch)
+        | None -> 0
+      in
+      let worker_restarts = shards (fun s -> s.P.restarts) in
       let conservation_failures =
         Bool.to_int
           ((st.P.decode_failures = 0 && published <> flushed)
           || published > flushed)
         + Bool.to_int (lost < 0)
-        + Bool.to_int (exact && lost > 0)
+        + Bool.to_int (kills = 0 && worker_restarts = 0 && lost > 0)
+        (* under stealing flushes migrate between shards, and the sums
+           above cover it *)
+        + count (fun s ->
+              (not c.steal) && s.P.alive && s.P.restarts = 0
+              && s.P.flushed_items <> s.P.enqueued)
       in
-      let engine_sink = not exact in
+      let engine_sink = match c.sink with Engine _ -> true | Served _ -> false in
       let oracle =
         match S.bound with
         | Some b when engine_sink ->
@@ -515,11 +527,8 @@ module Make (S : SKETCH) = struct
           recovered_published = l.base;
           wal_bytes_truncated = l.truncated;
           recovery_regressions = l.regressions;
-          kills =
-            (match l.chaos with
-            | Some ch -> List.length (Conc.Chaos.killed ch)
-            | None -> 0);
-          worker_restarts = shards (fun s -> s.P.restarts);
+          kills;
+          worker_restarts;
           end_epoch = st.P.epoch;
           end_published = st.P.published;
           accepted;
@@ -530,7 +539,12 @@ module Make (S : SKETCH) = struct
              else 0);
           reader_regressions = l.reader_regressions;
           decode_failures = st.P.decode_failures;
-          unexpected_failures = List.length (P.failures l.eng);
+          (* a shard dead after restarts yet not shed escaped the
+             supervisor *)
+          unexpected_failures =
+            List.length (P.failures l.eng)
+            + count (fun s ->
+                  s.P.restarts > 0 && (not s.P.alive) && not s.P.shed);
           oracle;
           merge_lag = st.P.merge_lag;
         }
@@ -576,60 +590,84 @@ module Make (S : SKETCH) = struct
               ~host:"127.0.0.1" ~port:(Chaos_proxy.port proxy) ()
           in
           Chaos_proxy.set_faults proxy s.faults;
-          (* Theorem-6 budget with slack 4.0 (double the theorem's default):
-             restarts park the merger and partitions freeze the replica.
-             A dimension reads -1 (unknown, in budget) while no incarnation
-             is live or the follower is mid-resync — a dead leader is a
-             restart in progress, not an SLO burn. *)
-          let with_life f () =
-            Mutex.protect sm (fun () ->
-                match !cur with None -> -1.0 | Some l -> f l)
-          in
-          let slo =
-            Obs.Slo.create ~metrics:reg
-              ~budget:
-                (Obs.Slo.theorem6_budget ~slack:4.0 ~shards:c.shards
-                   ~batch:c.batch ~queue_capacity:1024 ())
-              ~envelope:
-                (with_life (fun l ->
-                     let st = P.stats l.eng in
-                     let accepted =
-                       Array.fold_left
-                         (fun a (s : P.shard_stats) -> a + s.enqueued - s.dropped)
-                         0 st.P.shards
-                     in
-                     float_of_int (max 0 (l.base + accepted - st.P.published))))
-              ~staleness:(fun () ->
+          Some (s, proxy, rep, cli)
+    in
+    (* ---- the Theorem-6 SLO over the live incarnation ---- *)
+    (* A dimension reads -1 (unknown, in budget) while no incarnation is
+       live or the follower is mid-resync — a dead leader is a restart in
+       progress, not an SLO burn. The engine sink has no follower, so its
+       staleness is always unknown. *)
+    let with_life f () =
+      Mutex.protect sm (fun () -> match !cur with None -> -1.0 | Some l -> f l)
+    in
+    let slo =
+      Obs.Slo.create ~metrics:reg
+        ~budget:
+          (* served: slack 4.0 (double the theorem's default), since
+             restarts park the merger and partitions freeze the replica *)
+          (Obs.Slo.theorem6_budget
+             ?slack:(if Option.is_some net then Some 4.0 else None)
+             ~shards:c.shards ~batch:c.batch ~queue_capacity:1024 ())
+        ~envelope:(with_life (fun l -> float_of_int (P.envelope_width l.eng)))
+        ~staleness:
+          (match net with
+          | None -> fun () -> -1.0
+          | Some (_, _, rep, _) -> (
+              fun () ->
                 match (Rep.stats rep).Rep.status with
                 | `Live ->
                     float_of_int (max 0 (published_now () - Rep.published rep))
-                | _ -> -1.0)
-              ~merge_lag:
-                (with_life (fun l ->
-                     let lag = (P.stats l.eng).P.merge_lag in
-                     let n = Array.length lag in
-                     if n = 0 then -1.0 else lag.(n - 1)))
-              ()
-          in
-          Some (s, proxy, rep, cli, slo)
+                | _ -> -1.0))
+        ~merge_lag:
+          (with_life (fun l ->
+               let lag = (P.stats l.eng).P.merge_lag in
+               let n = Array.length lag in
+               if n = 0 then -1.0 else lag.(n - 1)))
+        ()
     in
     (* ---- the driver's sinks ---- *)
     let make_sink =
       match net with
-      | Some (_, _, _, cli, _) -> fun ~feeder:_ -> Client.sink cli
+      | Some (_, _, _, cli) -> fun ~feeder:_ -> Client.sink cli
       | None ->
           fun ~feeder ->
             let f = feeders.(feeder) in
+            (* one trace die roll per engine batch: a sampled roll roots the
+               waterfall with a zero-width "ingest" span and marks the key's
+               shard, so the queue, merge and wal stages follow *)
+            let mark eng k =
+              match tracer with
+              | None -> ()
+              | Some tr ->
+                  f.since <- f.since + 1;
+                  if f.since >= c.batch then begin
+                    f.since <- 0;
+                    match Obs.Tracer.sample tr with
+                    | None -> ()
+                    | Some ctx ->
+                        let now = Obs.Tracer.now_ns () in
+                        let sid =
+                          Obs.Tracer.record tr ~ctx ~stage:"ingest" ~start_ns:now
+                            ~end_ns:now
+                        in
+                        P.trace_mark eng ~key:k
+                          ~ctx:(Obs.Span.with_parent ctx sid)
+                  end
+            in
             (* [cur] only changes while every gate is held *)
             let guarded ingest k =
               Mutex.protect f.gate (fun () ->
                   f.attempted <- f.attempted + 1;
                   match !cur with
-                  | Some l when ingest l.eng k ->
-                      f.counts.(k) <- f.counts.(k) + 1;
-                      f.accepted <- f.accepted + 1;
-                      true
-                  | _ -> false)
+                  | None -> false
+                  | Some l ->
+                      mark l.eng k;
+                      let ok = ingest l.eng k in
+                      if ok then begin
+                        f.counts.(k) <- f.counts.(k) + 1;
+                        f.accepted <- f.accepted + 1
+                      end;
+                      ok)
             in
             Workload.Sink.make ~ingest:(guarded P.ingest)
               ~try_ingest:(guarded P.try_ingest)
@@ -656,19 +694,11 @@ module Make (S : SKETCH) = struct
                   if v < l.last_read then
                     l.reader_regressions <- l.reader_regressions + 1;
                   l.last_read <- v;
-                  if tick mod envelope_every = 0 then begin
-                    let st = P.stats l.eng in
-                    let enq =
-                      Array.fold_left
-                        (fun a (s : P.shard_stats) -> a + s.enqueued)
-                        0 st.P.shards
-                    in
+                  if tick mod envelope_every = 0 then
                     envelope :=
-                      float_of_int (max 0 (enq - (st.P.published - l.base)))
-                      :: !envelope
-                  end
+                      float_of_int (P.envelope_width l.eng) :: !envelope
               | _ -> ())
-      | Some (_, _, rep, _, slo) ->
+      | Some (_, _, rep, _) ->
           (* follower first, leader second: the leader only grows, so
              rep > lead is a genuine lead *)
           let rp = Rep.published rep in
@@ -701,18 +731,17 @@ module Make (S : SKETCH) = struct
             @
             match net with
             | None -> [ ("accepted", string_of_int (fed (fun f -> f.accepted))) ]
-            | Some (_, _, rep, cli, _) ->
+            | Some (_, _, rep, cli) ->
                 [
                   ("replica_published", string_of_int (Rep.published rep));
                   ("client_acked", string_of_int (Client.stats cli).Client.acked);
                   ("partitions", string_of_int !partitions_done);
                 ]
           in
-          let slo = Option.map (fun (_, _, _, _, slo) -> slo) net in
           let h =
             Obs.Http.create ~port:p
               ~handler:
-                (Obs.Http.telemetry_handler ~registry:reg ?tracer ?slo ~health ())
+                (Obs.Http.telemetry_handler ~registry:reg ?tracer ~slo ~health ())
               ()
           in
           progress
@@ -744,18 +773,19 @@ module Make (S : SKETCH) = struct
           | Engine { tear_tail = true; _ } -> (
               match tear_wal_tail ~rng:tear_rng c.dir with
               | Some (path, cut) ->
+                  torn := true;
                   progress (Printf.sprintf "tore %d bytes off %s" cut path)
-              | None -> ())
+              | None -> torn := false)
           | _ -> ());
           ignore (start ());
           Array.iter (fun f -> Mutex.unlock f.gate) feeders
-      | Some (s, _, _, _, _) ->
+      | Some (s, _, _, _) ->
           stop l;
           Unix.sleepf s.outage;
           ignore (start ()));
       incr restarts_done
     in
-    let partition (s, proxy, _, _, _) =
+    let partition (s, proxy, _, _) =
       progress
         (Printf.sprintf "partition %d: severing all flows for %.2fs"
            (!partitions_done + 1) s.outage);
@@ -766,13 +796,13 @@ module Make (S : SKETCH) = struct
     in
     let events =
       weave c.restarts
-        (match net with Some (s, _, _, _, _) -> s.partitions | None -> 0)
+        (match net with Some (s, _, _, _) -> s.partitions | None -> 0)
     in
     let n_events = List.length events in
     let updates = updates_of_ops ops in
     let progressed () =
       match net with
-      | Some (_, _, _, cli, _) -> (Client.stats cli).Client.acked
+      | Some (_, _, _, cli) -> (Client.stats cli).Client.acked
       | None -> fed (fun f -> f.attempted)
     in
     List.iteri
@@ -803,7 +833,7 @@ module Make (S : SKETCH) = struct
           stop_sampler ();
           stop final_l;
           None
-      | Some (s, proxy, rep, cli, slo) ->
+      | Some (s, proxy, rep, cli) ->
           (* transparent wire, every in-flight batch resolved *)
           Chaos_proxy.set_partition proxy false;
           Chaos_proxy.set_faults proxy Chaos_proxy.no_faults;

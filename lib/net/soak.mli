@@ -28,10 +28,14 @@
     - [Engine]: {e monotone} (each incarnation's recorded history
       satisfies {!Ivl.Monotone}), {e reader} (the published total never
       went backwards within an incarnation), {e conservation} (published
-      = recovered base + flushed, and accepted covers published: loss,
-      never invention), {e recovery envelope} (recovered state inside
-      [newest checkpoint, previous final], never regressing), {e decode}
-      and {e engine failures} (zero of each), and, when the sketch states
+      = recovered base + flushed; accepted covers published: loss, never
+      invention; no loss in an incarnation without a kill or a worker
+      restart; without stealing, flushed = enqueued on every shard that
+      never died), {e recovery envelope} (recovered state inside
+      [newest checkpoint, previous final], exactly the previous final
+      when the WAL tail was not torn, never regressing), {e decode}
+      and {e engine failures} (zero of each; a shard left dead after
+      restarts without being shed is an engine failure), and, when the sketch states
       a point-error bound, {e oracle} (every estimate at least its true
       count minus the lost weight, and at most true + slack outside a
       δ-sized allowance — the (ε,δ) bound read end to end);
@@ -182,7 +186,11 @@ module Make (S : SKETCH) : sig
       series re-bind to the newest one). [tracer] is shared by every tier,
       so one sampled batch yields its whole waterfall. [http_port] mounts
       {!Obs.Http.telemetry_handler} for the run: [/metrics], [/healthz]
-      (progress, plus the SLO verdict when served) and [/trace]. [record]
+      (progress and the Theorem-6 {!Obs.Slo} verdict; the engine sink's
+      staleness is unknown, and its SLO adds no verdict line) and
+      [/trace]. With a [tracer], the engine sink's feeders roll its die
+      once per engine batch, so a sampled batch yields the ingest, queue,
+      merge and wal spans. [record]
       freezes the driven operations to a replayable closed-loop trace
       file. [on_start] sees each incarnation's engine before traffic
       reaches it — the fault-injection seam the negative controls use.

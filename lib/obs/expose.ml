@@ -235,42 +235,3 @@ let to_json (snap : Snapshot.t) =
     snap.Snapshot.samples;
   Buffer.add_string b "]}";
   Buffer.contents b
-
-(* ---------------- Human table ---------------- *)
-
-let short_labels labels =
-  match labels with
-  | [] -> ""
-  | labels ->
-      "{" ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels) ^ "}"
-
-let human_value (v : Snapshot.value) =
-  match v with
-  | Snapshot.Counter c -> string_of_int c
-  | Snapshot.Gauge g -> float_repr g
-  | Snapshot.Histogram h ->
-      Printf.sprintf "count=%d sum=%s" h.Snapshot.h_count
-        (float_repr h.Snapshot.h_sum)
-  | Snapshot.Summary sv ->
-      String.concat " "
-        (List.map
-           (fun (phi, v) -> Printf.sprintf "p%g=%s" (phi *. 100.0) (prom_float v))
-           sv.Snapshot.q)
-      ^ Printf.sprintf " (n=%d)" sv.Snapshot.s_count
-
-let to_table (snap : Snapshot.t) =
-  let rows =
-    List.map
-      (fun (s : Snapshot.sample) ->
-        (s.name ^ short_labels s.labels, human_value s.value))
-      snap.Snapshot.samples
-  in
-  let w =
-    List.fold_left (fun acc (k, _) -> max acc (String.length k)) 0 rows
-  in
-  let b = Buffer.create 1024 in
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string b (Printf.sprintf "  %-*s  %s\n" w k v))
-    rows;
-  Buffer.contents b

@@ -12,7 +12,3 @@ val to_json : Snapshot.t -> string
     [{ "at": <float>, "metrics": [ { "name", "type", "labels",
        ("value" | "buckets" | "quantiles"), "count", "sum" } ] }].
     Metrics are in snapshot order (sorted by name then labels). *)
-
-val to_table : Snapshot.t -> string
-(** Aligned human-readable table — the single formatter the CLI's stats
-    output is a view over. *)

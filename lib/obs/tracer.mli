@@ -13,7 +13,7 @@
       it was handed. No-op on a zero context (the hot path is one load and
       one compare). For sampled work it mints a span id, stamps a
       tracer-local monotone tick, appends the span to a bounded in-memory
-      ring (what [/trace?n=K] and [pipeline --trace-dump K] print), and
+      ring (what [/trace?n=K] and [soak --trace-dump K] print), and
       feeds the duration into a per-stage KLL timer
       ([trace_stage_seconds{stage="..."}]). The tracer is the process's only
       tracing path; lifecycle facts such as restarts and sheds are counted

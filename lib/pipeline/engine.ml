@@ -40,7 +40,6 @@ module Make (M : Mergeable.S) = struct
     shed : bool Atomic.t; (* permanently degraded: restart cap exceeded *)
     last_error : string option Atomic.t;
     beats : int Atomic.t; (* worker heartbeat, one per batch loop *)
-    coalesced : int Atomic.t; (* updates folded away by the combining buffer *)
     steals : int Atomic.t; (* items this worker stole from other shards *)
     stolen_batches : int Atomic.t; (* steal operations by this worker *)
     parks : int Atomic.t; (* idle waits: nothing local, nothing stealable *)
@@ -65,7 +64,6 @@ module Make (M : Mergeable.S) = struct
     shed : bool;
     last_error : string option;
     beats : int;
-    coalesced : int;
     steals : int;
     stolen_batches : int;
     parks : int;
@@ -85,7 +83,6 @@ module Make (M : Mergeable.S) = struct
     mq : delta Mpsc.t;
     batch : int;
     steal : bool; (* idle workers rebalance batches from loaded shards *)
-    combine : bool; (* aggregate duplicate keys per batch before updating *)
     on_tick : (shard:int -> unit) option;
     on_merge :
       (ctx:Obs.Span.context -> epoch:int -> weight:int -> blob:Bytes.t -> unit)
@@ -96,6 +93,7 @@ module Make (M : Mergeable.S) = struct
     mutable global : M.t;
     mutable epoch : int;
     mutable published : int;
+    base : int; (* recovered published weight ([initial]), else 0 *)
     mutable lags : float list;
     merges : int Atomic.t;
     decode_failures : int Atomic.t;
@@ -153,29 +151,10 @@ module Make (M : Mergeable.S) = struct
     let buf = Array.make t.batch 0 in
     let local = ref (M.create ()) in
     let count = ref 0 in
-    (* Combining buffer: one worker-private table, reset per batch. Keys a
-       batch repeats cost one [update_many] instead of k sketch updates —
-       the win grows with stream skew, and per-batch scoping keeps the
-       table small and the flush cadence (hence the IVL envelope)
-       unchanged. *)
-    let tbl = if t.combine then Some (Hashtbl.create 64) else None in
     let absorb n =
-      (match tbl with
-      | None ->
-          for j = 0 to n - 1 do
-            M.update !local (Array.unsafe_get buf j)
-          done
-      | Some tbl ->
-          for j = 0 to n - 1 do
-            let x = Array.unsafe_get buf j in
-            match Hashtbl.find_opt tbl x with
-            | Some c -> Hashtbl.replace tbl x (c + 1)
-            | None -> Hashtbl.add tbl x 1
-          done;
-          let distinct = Hashtbl.length tbl in
-          Hashtbl.iter (fun x c -> M.update_many !local x ~count:c) tbl;
-          Hashtbl.reset tbl;
-          ignore (Atomic.fetch_and_add s.coalesced (n - distinct)));
+      for j = 0 to n - 1 do
+        M.update !local (Array.unsafe_get buf j)
+      done;
       count := !count + n;
       ignore (Atomic.fetch_and_add s.consumed n)
     in
@@ -421,14 +400,28 @@ module Make (M : Mergeable.S) = struct
       done
     done
 
+  (* The live IVL freshness gap: accepted weight not yet published. The
+     recovered base counts as accepted, since [published] starts at it.
+     [published] is read under the merge mutex BEFORE summing per-shard
+     [enqueued]: enqueued only grows, so the gap computed in that order
+     never understates how far a concurrent [read_total] can trail the true
+     total (docs/OBSERVABILITY.md proves this is the live v_max - v_min
+     freshness bound once ingest quiesces). [dropped] plays no part: it
+     also counts pushes that were never enqueued. *)
+  let envelope_width t =
+    Mutex.lock t.gm;
+    let p = t.published in
+    Mutex.unlock t.gm;
+    let e =
+      Array.fold_left
+        (fun acc (s : shard) -> acc + Atomic.get s.enqueued)
+        0 t.shards
+    in
+    max 0 (t.base + e - p)
+
   (* Exporting the pipeline is pure registration: every series below is a
      scrape-time callback over counters the engine already maintains, so
-     instrumentation costs the hot paths nothing. The one subtlety is the
-     envelope-width gauge: [published] must be read under the merge mutex
-     BEFORE summing per-shard [enqueued] — enqueued only grows, so the gap
-     [e - p] computed in that order never understates how far a concurrent
-     [read_total] can trail the true total (docs/OBSERVABILITY.md proves
-     this is the live v_max - v_min freshness bound once ingest quiesces). *)
+     instrumentation costs the hot paths nothing. *)
   let register_metrics t reg =
     let sum f =
       Array.fold_left (fun acc s -> acc + Atomic.get (f s)) 0 t.shards
@@ -444,9 +437,6 @@ module Make (M : Mergeable.S) = struct
       (fun () -> sum (fun (s : shard) -> s.consumed));
     counter "pipeline_flushed_items_total" "Elements shipped to the merger"
       (fun () -> sum (fun (s : shard) -> s.flushed_items));
-    counter "pipeline_coalesced_total"
-      "Sketch updates folded away by the combining buffers" (fun () ->
-        sum (fun (s : shard) -> s.coalesced));
     counter "pipeline_restarts_total" "Supervisor restarts across all shards"
       (fun () -> sum (fun (s : shard) -> s.restarts));
     counter "pipeline_merges_total" "Deltas folded into the global sketch"
@@ -474,11 +464,7 @@ module Make (M : Mergeable.S) = struct
              0 t.shards));
     gauge "pipeline_envelope_width"
       "Live IVL freshness gap: accepted weight not yet published" (fun () ->
-        Mutex.lock t.gm;
-        let p = t.published in
-        Mutex.unlock t.gm;
-        let e = sum (fun (s : shard) -> s.enqueued) in
-        float_of_int (max 0 (e - p)));
+        float_of_int (envelope_width t));
     Array.iteri
       (fun i (s : shard) ->
         let labels = [ ("shard", string_of_int i) ] in
@@ -509,9 +495,6 @@ module Make (M : Mergeable.S) = struct
             s.flushed_items);
         scounter "pipeline_shard_flushes_total" "Blobs this shard shipped"
           (fun s -> s.flushes);
-        scounter "pipeline_shard_coalesced_total"
-          "Updates this shard's combining buffer folded away" (fun s ->
-            s.coalesced);
         scounter "pipeline_shard_restarts_total"
           "Supervisor restarts of this shard's worker" (fun s -> s.restarts);
         scounter "pipeline_shard_steals_total"
@@ -524,9 +507,9 @@ module Make (M : Mergeable.S) = struct
           "Idle waits: no local work and nothing stealable" (fun s -> s.parks))
       t.shards
 
-  let create ?(steal = false) ?(queue_capacity = 1024) ?(batch = 512)
-      ?(combine = false) ?on_tick ?on_merge ?(checkpoint_every = 0)
-      ?on_checkpoint ?supervisor ?metrics ?tracer ?initial ~shards () =
+  let create ?(steal = false) ?(queue_capacity = 1024) ?(batch = 512) ?on_tick
+      ?on_merge ?(checkpoint_every = 0) ?on_checkpoint ?supervisor ?metrics
+      ?tracer ?initial ~shards () =
     if shards <= 0 then invalid_arg "Engine.create: shards must be positive";
     if queue_capacity <= 0 then
       invalid_arg "Engine.create: queue_capacity must be positive";
@@ -557,7 +540,6 @@ module Make (M : Mergeable.S) = struct
         shed = Atomic.make false;
         last_error = Atomic.make None;
         beats = Atomic.make 0;
-        coalesced = Atomic.make 0;
         steals = Atomic.make 0;
         stolen_batches = Atomic.make 0;
         parks = Atomic.make 0;
@@ -570,7 +552,6 @@ module Make (M : Mergeable.S) = struct
         mq = Mpsc.create ~capacity:(max 4 (2 * shards));
         batch;
         steal;
-        combine;
         on_tick;
         on_merge;
         checkpoint_every;
@@ -579,6 +560,7 @@ module Make (M : Mergeable.S) = struct
         global = M.create ();
         epoch = 0;
         published = 0;
+        base = (match initial with Some (_, _, p) -> p | None -> 0);
         lags = [];
         merges = Atomic.make 0;
         decode_failures = Atomic.make 0;
@@ -738,7 +720,6 @@ module Make (M : Mergeable.S) = struct
               shed = Atomic.get s.shed;
               last_error = Atomic.get s.last_error;
               beats = Atomic.get s.beats;
-              coalesced = Atomic.get s.coalesced;
               steals = Atomic.get s.steals;
               stolen_batches = Atomic.get s.stolen_batches;
               parks = Atomic.get s.parks;

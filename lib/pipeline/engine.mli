@@ -79,9 +79,6 @@ module Make (M : Mergeable.S) : sig
     shed : bool;  (** permanently degraded: restart cap exceeded *)
     last_error : string option;  (** most recent death (or shed) reason *)
     beats : int;  (** worker heartbeats, one per batch loop, all incarnations *)
-    coalesced : int;
-        (** sketch updates saved by the combining buffer (items absorbed
-            minus distinct keys, summed over batches); 0 without [combine] *)
     steals : int;
         (** elements this shard's worker stole from other shards' queues;
             counted in the {e thief}'s [consumed]/[flushed_items] while
@@ -104,7 +101,6 @@ module Make (M : Mergeable.S) : sig
     ?steal:bool ->
     ?queue_capacity:int ->
     ?batch:int ->
-    ?combine:bool ->
     ?on_tick:(shard:int -> unit) ->
     ?on_merge:
       (ctx:Obs.Span.context -> epoch:int -> weight:int -> blob:Bytes.t -> unit) ->
@@ -132,23 +128,13 @@ module Make (M : Mergeable.S) : sig
       thief's [consumed]/[flushed_items]; conservation then holds as
       Σ flushed = Σ enqueued across shards rather than per shard. Stealing
       trades freshness for throughput: more keys are in flight at once, so
-      visibility latency grows (docs/PERFORMANCE.md §7).
+      visibility latency grows (docs/PERFORMANCE.md §6).
 
       [on_tick] runs in the worker's domain once per batch loop — the
       chaos hook: raising {!Conc.Chaos.Killed} from it crash-stops that
       shard (under a supervisor, the restarted incarnation runs the same
       hook, so a hook that kills unconditionally produces a crash loop that
       ends in shedding — by design).
-
-      [combine] (default [false]) gives each worker a small combining
-      buffer: the keys of each popped batch are aggregated in a private
-      hash table and folded into the delta with one
-      {!Mergeable.S.update_many} per distinct key, so a skewed batch's
-      duplicates cost one sketch update instead of many. The delta after
-      the batch is identical for weight-linear sketches (CountMin,
-      Counter) and summary-equivalent for the rest; flush cadence, blobs,
-      and the IVL envelope are unchanged. Savings are reported per shard
-      as {!shard_stats.coalesced}.
 
       [on_merge ~ctx ~epoch ~weight ~blob] runs in the merger's domain after
       each merge, in strict epoch order, outside the query mutex — the WAL
@@ -165,7 +151,7 @@ module Make (M : Mergeable.S) : sig
       already keeps, so the hot paths pay nothing. Series registered:
       [pipeline_ingested_total], [pipeline_dropped_total],
       [pipeline_consumed_total], [pipeline_flushed_items_total],
-      [pipeline_coalesced_total], [pipeline_restarts_total],
+      [pipeline_restarts_total],
       [pipeline_merges_total], [pipeline_decode_failures_total],
       [pipeline_published_total], [pipeline_epoch],
       [pipeline_shed_shards], per-shard series labelled [shard="i"]
@@ -174,13 +160,10 @@ module Make (M : Mergeable.S) : sig
       contending per-gauge with the consumers — [pipeline_queue_max_depth],
       [pipeline_shard_alive], [pipeline_shard_shed], and
       [pipeline_shard_{enqueued,dropped,consumed,flushed_items,flushes,
-      coalesced,restarts,steals,stolen_batches,parks}_total]), a
+      restarts,steals,stolen_batches,parks}_total]), a
       [pipeline_merge_lag_seconds] summary
       observed by the merger, and [pipeline_envelope_width] — the live IVL
-      freshness gap
-      (accepted weight minus published weight, reading [published] before
-      summing [enqueued] so the reported gap is a sound staleness bound;
-      docs/OBSERVABILITY.md).
+      freshness gap, {!envelope_width}.
 
       [tracer] is the engine's only tracing hook. It enables distributed-tracing spans for sampled batches: after
       {!trace_mark} tags a shard with a context, that worker's next flush
@@ -250,6 +233,16 @@ module Make (M : Mergeable.S) : sig
       domain may call this (the recorder gives the reader one buffer). *)
 
   val epoch : t -> int
+
+  val envelope_width : t -> int
+  (** The live IVL freshness gap: accepted weight not yet published,
+      [initial]'s recovered weight + Σ [enqueued] − [published] (floored at
+      0). [published] is read before the shards' [enqueued], which only
+      grows, so the gap never understates how far a concurrent
+      {!read_total} trails the true total (docs/OBSERVABILITY.md). The
+      [pipeline_envelope_width] gauge and every SLO envelope callback read
+      this. Callable mid-run, and after {!drain}, where it is the accepted weight
+      that never got published. *)
 
   val stats : t -> stats
   (** Callable mid-run (racy per-shard counters, consistent merger block) or

@@ -26,15 +26,6 @@ module type S = sig
   val update : t -> int -> unit
   (** Fold one stream element into a delta. *)
 
-  val update_many : t -> int -> count:int -> unit
-  (** Fold [count] occurrences of one element into a delta, equivalent to
-      [count] calls to [update] but allowed to be (much) cheaper — this is
-      what the engine's combining buffer rides: a batch's duplicate keys
-      are aggregated shard-locally and folded in one call each.
-      Duplicate-insensitive sketches treat any [count > 0] as a single
-      [update]; [count = 0] is a no-op.
-      @raise Invalid_argument if [count < 0]. *)
-
   val merge : t -> t -> t
   (** Combine two summaries; neither input is mutated.
       @raise Invalid_argument on incompatible parameters (a pipeline bug —

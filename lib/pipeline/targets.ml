@@ -13,9 +13,6 @@ end) : Mergeable.S with type t = Sketches.Countmin.t = struct
   let family = Hashing.Family.seeded ~seed:C.seed ~rows:C.rows ~width:C.width
   let create () = Sketches.Countmin.create ~family
   let update = Sketches.Countmin.update
-
-  (* CM is linear: one pass over the rows adds the whole count. *)
-  let update_many = Sketches.Countmin.update_many
   let merge = Sketches.Countmin.merge
   let encode = Wire.Countmin.encode
   let decode = Wire.Countmin.decode
@@ -30,13 +27,6 @@ end) : Mergeable.S with type t = Sketches.Hyperloglog.t = struct
   let name = "hll"
   let create () = Sketches.Hyperloglog.create ~p:C.p ~seed:C.seed ()
   let update = Sketches.Hyperloglog.update
-
-  (* Duplicate-insensitive: seeing an element once or [count] times is the
-     same observation. *)
-  let update_many t x ~count =
-    if count < 0 then invalid_arg "Targets.Hll.update_many: negative count";
-    if count > 0 then Sketches.Hyperloglog.update t x
-
   let merge = Sketches.Hyperloglog.merge
   let encode = Wire.Hll.encode
   let decode = Wire.Hll.decode
@@ -51,12 +41,6 @@ end) : Mergeable.S with type t = Sketches.Kmv.t = struct
   let name = "kmv"
   let create () = Sketches.Kmv.create ~k:C.k ~seed:C.seed ()
   let update = Sketches.Kmv.update
-
-  (* Duplicate-insensitive, like Hll. *)
-  let update_many t x ~count =
-    if count < 0 then invalid_arg "Targets.Kmv.update_many: negative count";
-    if count > 0 then Sketches.Kmv.update t x
-
   let merge = Sketches.Kmv.merge
   let encode = Wire.Kmv.encode
   let decode = Wire.Kmv.decode
@@ -71,17 +55,6 @@ end) : Mergeable.S with type t = Sketches.Quantiles.t = struct
   let name = "quantiles"
   let create () = Sketches.Quantiles.create ~k:C.k ~seed:C.seed ()
   let update = Sketches.Quantiles.update
-
-  (* Rank sketches weight by multiplicity; no weighted insert exists, so
-     replay the duplicates. Combining still saves the hashing/dispatch the
-     engine would otherwise repeat per occurrence. *)
-  let update_many t x ~count =
-    if count < 0 then
-      invalid_arg "Targets.Quantiles.update_many: negative count";
-    for _ = 1 to count do
-      Sketches.Quantiles.update t x
-    done
-
   let merge = Sketches.Quantiles.merge
   let encode = Wire.Quantiles.encode
   let decode = Wire.Quantiles.decode
@@ -95,14 +68,6 @@ end) : Mergeable.S with type t = Sketches.Space_saving.t = struct
   let name = "space-saving"
   let create () = Sketches.Space_saving.create ~capacity:C.capacity
   let update = Sketches.Space_saving.update
-
-  let update_many t x ~count =
-    if count < 0 then
-      invalid_arg "Targets.Space_saving.update_many: negative count";
-    for _ = 1 to count do
-      Sketches.Space_saving.update t x
-    done
-
   let merge a b = Sketches.Space_saving.merge ~capacity:C.capacity a b
   let encode = Wire.Space_saving.encode
   let decode = Wire.Space_saving.decode
@@ -116,11 +81,6 @@ module Counter : Mergeable.S with type t = Sketches.Batched_counter.t = struct
 
   (* Every stream element is one event; the element's value is irrelevant. *)
   let update c _ = Sketches.Batched_counter.update c 1
-
-  (* The element's value is irrelevant; its multiplicity is the whole point. *)
-  let update_many c _ ~count =
-    if count < 0 then invalid_arg "Targets.Counter.update_many: negative count";
-    Sketches.Batched_counter.update c count
 
   let merge a b =
     let c = Sketches.Batched_counter.create () in

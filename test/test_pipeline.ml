@@ -184,67 +184,6 @@ let test_countmin_theorem6 () =
       (Sketches.Countmin.query g a)
   done
 
-(* ------------------------- combining buffer ------------------------- *)
-
-let test_combine_preserves_countmin () =
-  (* CM is linear, so aggregating a batch's duplicate keys before updating
-     must leave the merged global sketch exactly equal to the sequential
-     sketch over the same multiset — and a skewed stream must actually
-     exercise the buffer (coalesced > 0). *)
-  let module Cm = Pipeline.Targets.Countmin (struct
-    let seed = 31L
-    let rows = 4
-    let width = 128
-  end) in
-  let module P = Pipeline.Engine.Make (Cm) in
-  let n = 20_000 in
-  let universe = 200 in
-  let stream =
-    Workload.Stream.generate ~seed:12L (Workload.Stream.Zipf (universe, 1.4))
-      ~length:n
-  in
-  let p = P.create ~queue_capacity:256 ~batch:100 ~combine:true ~shards:4 () in
-  let chunks = Workload.Stream.chunks stream ~pieces:2 in
-  ignore
-    (Conc.Runner.parallel ~domains:2 (fun i ->
-         Array.iter (fun x -> ignore (P.ingest p x)) chunks.(i)));
-  P.drain p;
-  let stats = P.stats p in
-  Alcotest.(check int) "published weight counts every item" n stats.published;
-  let coalesced =
-    Array.fold_left
-      (fun a (s : P.shard_stats) -> a + s.coalesced)
-      0 stats.shards
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "skewed batches coalesced something (%d)" coalesced)
-    true (coalesced > 0);
-  let g, _ = P.query p (fun g -> g) in
-  Alcotest.(check int) "sketch saw every update" n (Sketches.Countmin.updates g);
-  let seq = Sketches.Countmin.create ~family:(Sketches.Countmin.family g) in
-  Array.iter (Sketches.Countmin.update seq) stream;
-  for a = 0 to universe - 1 do
-    Alcotest.(check int)
-      (Printf.sprintf "element %d matches sequential" a)
-      (Sketches.Countmin.query seq a)
-      (Sketches.Countmin.query g a)
-  done
-
-let test_combine_counter_weight_exact () =
-  (* The Counter target folds multiplicity straight into the batched
-     counter: total published weight must still be exact. *)
-  let module P = Pipeline.Engine.Make (Pipeline.Targets.Counter) in
-  let n = 10_000 in
-  let stream =
-    Workload.Stream.generate ~seed:13L (Workload.Stream.Uniform 8) ~length:n
-  in
-  let p = P.create ~queue_capacity:128 ~batch:64 ~combine:true ~shards:2 () in
-  Array.iter (fun x -> ignore (P.ingest p x)) stream;
-  P.drain p;
-  let g, _ = P.query p (fun g -> g) in
-  Alcotest.(check int) "counter exact" n (Sketches.Batched_counter.read g);
-  Alcotest.(check int) "published exact" n (P.read_total p)
-
 (* ------------------------- chaos ------------------------- *)
 
 let test_chaos_kill_drain () =
@@ -1012,10 +951,6 @@ let () =
           Alcotest.test_case "history envelope" `Quick test_history_envelope;
           Alcotest.test_case "Theorem 6 CountMin envelope" `Quick
             test_countmin_theorem6;
-          Alcotest.test_case "combining buffer preserves CountMin" `Quick
-            test_combine_preserves_countmin;
-          Alcotest.test_case "combining buffer exact counter weight" `Quick
-            test_combine_counter_weight_exact;
           Alcotest.test_case "concurrent drain is exactly-once" `Quick
             test_concurrent_drain_exactly_once;
           Alcotest.test_case "create rejects bad config" `Quick

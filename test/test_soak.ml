@@ -131,6 +131,38 @@ let test_engine_double_ingest_fails () =
   Alcotest.(check bool) "prints FAIL" true
     (contains (Net.Soak.verdict_to_string v) "soak: conservation FAIL")
 
+(* Engine sink: the merger fails to decode one delta, so weight is lost
+   although no worker died — only a death may lose weight. *)
+module Lossy = struct
+  module M = struct
+    include CM
+
+    let rejected = Atomic.make false
+
+    let decode b =
+      if Atomic.compare_and_set rejected false true then Error Wire.Codec.Bad_magic
+      else CM.decode b
+  end
+
+  let eval = Sk.eval
+  let bound = None
+end
+
+module SL = Net.Soak.Make (Lossy)
+
+let test_engine_loss_without_death_fails () =
+  with_dir @@ fun dir ->
+  let spec = Workload.Trace.default_spec ~seed:0x1055L ~ops:8_000 ~universe:512 () in
+  let ops = Workload.Trace.materialize spec in
+  let v = SL.run (engine_config ~kills:0 ~restarts:0 dir) ~spec ~ops () in
+  let i = List.hd v.Net.Soak.incarnations in
+  Alcotest.(check int) "no worker death" 0 (i.kills + i.worker_restarts);
+  Alcotest.(check bool) "accepted > published" true
+    (v.Net.Soak.accepted > v.Net.Soak.published);
+  Alcotest.(check bool) "conservation FAIL" false (check_named v "conservation");
+  Alcotest.(check bool) "prints FAIL" true
+    (contains (Net.Soak.verdict_to_string v) "soak: conservation FAIL")
+
 (* Served sink: one key put into the leader's engine without going
    through the client is weight no ack accounts for. *)
 let test_served_unacked_weight_fails () =
@@ -174,6 +206,15 @@ let exe = Filename.concat (Filename.concat ".." "bin") "main.exe"
 
 let quiet cmd = cmd ^ " >/dev/null 2>&1"
 
+(* Run [cmd], returning its exit code and its stdout. *)
+let run_cli cmd =
+  let out = Filename.temp_file "ivl-cli" ".out" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      let code = Sys.command (cmd ^ " >" ^ Filename.quote out ^ " 2>&1") in
+      (code, In_channel.with_open_bin out In_channel.input_all))
+
 let test_cli_recover_missing_dir_exits_2 () =
   if not (Sys.file_exists exe) then ()
   else
@@ -191,14 +232,43 @@ let test_cli_recover_file_dir_exits_2 () =
     Alcotest.(check int) "recover on a plain file exits 2" 2
       (Sys.command (quiet (exe ^ " recover --dir " ^ Filename.quote f)))
 
-let test_cli_pipeline_bad_wal_parent_exits_2 () =
+let test_cli_soak_bad_dir_parent_exits_2 () =
   if not (Sys.file_exists exe) then ()
   else
-    Alcotest.(check int) "pipeline --wal under a missing parent exits 2" 2
-      (Sys.command
-         (quiet
-            (exe
-           ^ " pipeline --ops 100 --wal /tmp/ivl-definitely-not-there/sub")))
+    let code, out =
+      run_cli (exe ^ " soak --ops 100 --dir /tmp/ivl-definitely-not-there/sub")
+    in
+    Alcotest.(check int) "soak --dir under a missing parent exits 2" 2 code;
+    Alcotest.(check bool) "names the directory" true
+      (contains out "/tmp/ivl-definitely-not-there")
+
+(* Every sketch in the CLI's table soaks, and [recover] reads what a soak
+   wrote with the same sketch and seed. *)
+let test_cli_soak_hll_passes () =
+  if not (Sys.file_exists exe) then ()
+  else
+    with_dir @@ fun dir ->
+    let code, out =
+      run_cli
+        (exe ^ " soak --sketch hll --ops 2000 --restarts 1 --dir "
+       ^ Filename.quote dir)
+    in
+    Alcotest.(check int) "soak --sketch hll exits 0" 0 code;
+    Alcotest.(check bool) "prints soak: PASS" true (contains out "soak: PASS")
+
+let test_cli_recover_reads_kmv_soak () =
+  if not (Sys.file_exists exe) then ()
+  else
+    with_dir @@ fun dir ->
+    let d = Filename.quote dir in
+    let code, _ =
+      run_cli (exe ^ " soak --sketch kmv --ops 4000 --restarts 1 --seed 9 --dir " ^ d)
+    in
+    Alcotest.(check int) "kmv soak exits 0" 0 code;
+    let code, out = run_cli (exe ^ " recover --sketch kmv --seed 9 --dir " ^ d) in
+    Alcotest.(check int) "recover --sketch kmv exits 0" 0 code;
+    Alcotest.(check bool) "reports the recovered weight" true
+      (contains out "carrying published weight")
 
 (* A flag the chosen sink cannot use is refused by name, before any run. *)
 let test_cli_soak_flag_for_other_sink_exits_2 () =
@@ -221,6 +291,8 @@ let () =
           Alcotest.test_case "bad config rejected" `Quick test_soak_rejects_bad_config;
           Alcotest.test_case "engine: double ingest fails conservation" `Quick
             test_engine_double_ingest_fails;
+          Alcotest.test_case "engine: loss without a death fails conservation"
+            `Quick test_engine_loss_without_death_fails;
           Alcotest.test_case "served: unacked weight fails ack envelope" `Quick
             test_served_unacked_weight_fails;
         ] );
@@ -230,8 +302,12 @@ let () =
             test_cli_recover_missing_dir_exits_2;
           Alcotest.test_case "recover: plain file exits 2" `Quick
             test_cli_recover_file_dir_exits_2;
-          Alcotest.test_case "pipeline: bad --wal parent exits 2" `Quick
-            test_cli_pipeline_bad_wal_parent_exits_2;
+          Alcotest.test_case "soak: bad --dir parent exits 2" `Quick
+            test_cli_soak_bad_dir_parent_exits_2;
+          Alcotest.test_case "soak: hll sketch passes" `Quick
+            test_cli_soak_hll_passes;
+          Alcotest.test_case "recover: reads a kmv soak" `Quick
+            test_cli_recover_reads_kmv_soak;
           Alcotest.test_case "soak: flag for the other sink exits 2" `Quick
             test_cli_soak_flag_for_other_sink_exits_2;
         ] );
