@@ -235,17 +235,10 @@ let segment_index w = w.seg_index
 type record = { epoch : int; weight : int; blob : Bytes.t }
 
 type read_report = {
-  records : record list;
   segments : int;
   bytes_truncated : int;
   truncated_reason : string option;
 }
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 let decode_record frame =
   Wire.Codec.decode ~kind:Wire.Codec.wal_record_kind
@@ -260,53 +253,56 @@ let decode_record frame =
 (* The log is the longest valid prefix — across segment boundaries too: the
    first bad frame (torn, checksum-corrupt, wrong kind, or epoch going
    backwards) truncates everything after it, later segments included, because
-   replay order past a hole cannot be trusted. *)
-let read ~dir =
+   replay order past a hole cannot be trusted. Segments are streamed frame by
+   frame, so a replay holds one record at a time, whatever the log's size. *)
+let iter ~dir f =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
-    { records = []; segments = 0; bytes_truncated = 0; truncated_reason = None }
+    { segments = 0; bytes_truncated = 0; truncated_reason = None }
   else begin
     let segs = segments_of dir in
-    let records = ref [] in
     let last_epoch = ref min_int in
     let truncated = ref None in
     let bytes_truncated = ref 0 in
     List.iter
       (fun (_, name) ->
-        let raw = Bytes.unsafe_of_string (read_file (Filename.concat dir name)) in
+        let path = Filename.concat dir name in
         match !truncated with
         | Some _ ->
             (* Already cut: everything later is dropped wholesale. *)
-            bytes_truncated := !bytes_truncated + Bytes.length raw
-        | None ->
-            let { Wire.Segment.frames; tail } = Wire.Segment.scan raw in
+            bytes_truncated := !bytes_truncated + (Unix.stat path).Unix.st_size
+        | None -> (
             let off = ref 0 in
-            List.iter
-              (fun frame ->
-                (match !truncated with
-                | Some _ -> ()
-                | None -> (
-                    match decode_record frame with
-                    | Ok r when r.epoch > !last_epoch ->
-                        last_epoch := r.epoch;
-                        records := r :: !records
-                    | Ok r ->
-                        truncated :=
-                          Some
-                            (Printf.sprintf
-                               "%s: epoch %d not increasing at offset %d" name
-                               r.epoch !off)
-                    | Error e ->
-                        truncated :=
-                          Some
-                            (Printf.sprintf "%s: bad record at offset %d: %s"
-                               name !off
-                               (Wire.Codec.error_to_string e))));
-                (match !truncated with
-                | Some _ -> bytes_truncated := !bytes_truncated + Bytes.length frame
-                | None -> ());
-                off := !off + Bytes.length frame)
-              frames;
-            (match tail with
+            let record frame =
+              (match !truncated with
+              | Some _ -> ()
+              | None -> (
+                  match decode_record frame with
+                  | Ok r when r.epoch > !last_epoch ->
+                      last_epoch := r.epoch;
+                      f r
+                  | Ok r ->
+                      truncated :=
+                        Some
+                          (Printf.sprintf
+                             "%s: epoch %d not increasing at offset %d" name
+                             r.epoch !off)
+                  | Error e ->
+                      truncated :=
+                        Some
+                          (Printf.sprintf "%s: bad record at offset %d: %s"
+                             name !off
+                             (Wire.Codec.error_to_string e))));
+              (match !truncated with
+              | Some _ -> bytes_truncated := !bytes_truncated + Bytes.length frame
+              | None -> ());
+              off := !off + Bytes.length frame
+            in
+            let ic = open_in_bin path in
+            match
+              Fun.protect
+                ~finally:(fun () -> close_in_noerr ic)
+                (fun () -> Wire.Segment.iter ic record)
+            with
             | Wire.Segment.Clean -> ()
             | Wire.Segment.Torn { dropped_bytes; reason; _ } ->
                 bytes_truncated := !bytes_truncated + dropped_bytes;
@@ -314,7 +310,6 @@ let read ~dir =
                   truncated := Some (Printf.sprintf "%s: %s" name reason)))
       segs;
     {
-      records = List.rev !records;
       segments = List.length segs;
       bytes_truncated = !bytes_truncated;
       truncated_reason = !truncated;

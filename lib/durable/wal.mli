@@ -94,13 +94,15 @@ val segment_index : writer -> int
 type record = { epoch : int; weight : int; blob : Bytes.t }
 
 type read_report = {
-  records : record list;  (** the longest valid prefix, in epoch order *)
   segments : int;  (** segment files present *)
   bytes_truncated : int;  (** bytes past the first bad frame, all segments *)
   truncated_reason : string option;  (** why the log was cut, if it was *)
 }
 
-val read : dir:string -> read_report
-(** Scan every segment in order and return the longest valid prefix. A
-    missing directory reads as an empty log. Never raises on corrupt data —
-    corruption is truncation, reported in the result. *)
+val iter : dir:string -> (record -> unit) -> read_report
+(** [iter ~dir f] scans every segment in order and calls [f] on each record
+    of the longest valid prefix, in epoch order. Segments are streamed
+    frame by frame ({!Wire.Segment.iter}): memory holds one record, not the
+    log. A missing directory reads as an empty log. Never raises on corrupt
+    data — corruption is truncation, reported in the result; exceptions
+    from [f] propagate. *)

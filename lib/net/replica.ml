@@ -111,6 +111,19 @@ module Make (M : Pipeline.Mergeable.S) = struct
       redial ()
     end
 
+  (* A seed snapshot that crossed the wire intact (its push frame's checksum
+     held) but does not decode is what the leader holds: another sketch,
+     shape or seed (the CountMin family fingerprint). Every resync would
+     fetch the same bytes, so the stream ends [`Broken] at once, and what
+     was never applied is never published. *)
+  let refuse t reason =
+    Mutex.lock t.m;
+    (match t.conn with Some c -> Conn.close c | None -> ());
+    t.conn <- None;
+    t.last_break <- Some reason;
+    if not t.closing then t.st <- `Broken reason;
+    Mutex.unlock t.m
+
   let apply_snapshot t ~epoch ~published ~blob =
     match M.decode blob with
     | Error e -> Error ("snapshot decode: " ^ Wire.Codec.error_to_string e)
@@ -132,7 +145,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
       match t.sketch with
       | None -> `Gap  (* a delta before any snapshot: broken handshake *)
       | Some _ when epoch <= t.epoch -> `Skip
-      | Some sk when epoch = t.epoch + 1 -> `Apply sk
+      | Some _ when epoch = t.epoch + 1 -> `Apply
       | Some _ -> `Gap
     in
     (match verdict with
@@ -143,10 +156,10 @@ module Make (M : Pipeline.Mergeable.S) = struct
     | `Skip -> Ok ()
     | `Gap ->
         Error (Printf.sprintf "epoch gap: got %d at local %d" epoch t.epoch)
-    | `Apply sk -> (
+    | `Apply -> (
         (* deltas arrive without a wire context (the fan-out strips it),
            so replica spans are locally sampled roots: the same tracer
-           rate decides, and a sampled apply times decode + merge *)
+           rate decides, and a sampled apply times validate + fold *)
         let ctx =
           match t.tracer with
           | None -> Obs.Span.zero
@@ -158,12 +171,13 @@ module Make (M : Pipeline.Mergeable.S) = struct
         let t0 =
           if Obs.Span.is_zero ctx then 0 else Obs.Tracer.now_ns ()
         in
-        match M.decode blob with
+        (* validated outside the mutex, folded in place under it: a bad
+           delta leaves the served state untouched and forces a resync *)
+        match M.fold blob with
         | Error e -> Error ("delta decode: " ^ Wire.Codec.error_to_string e)
-        | Ok delta ->
-            let merged = M.merge sk delta in
+        | Ok apply ->
             Mutex.lock t.m;
-            t.sketch <- Some merged;
+            t.sketch <- Option.map apply t.sketch;
             t.epoch <- epoch;
             t.published <- t.published + weight;
             t.deltas <- t.deltas + 1;
@@ -180,23 +194,29 @@ module Make (M : Pipeline.Mergeable.S) = struct
      keeps waiting, as in the apply loop: the leader answers every
      subscribe with its seed, and a dead peer surfaces as an error. *)
   let handshake t conn =
-    Conn.send conn (Frame.encode_request (Frame.Subscribe { from_epoch = 0 }))
-    &&
-    let rec seed () =
-      match Conn.recv ~max_frame:t.max_frame conn with
-      | Error `Timeout -> seed ()
-      | Error _ -> false
-      | Ok frame -> (
-          match Frame.decode_push frame with
-          | Ok (Frame.Snapshot { epoch; published; blob }) ->
-              Result.is_ok (apply_snapshot t ~epoch ~published ~blob)
-          | Ok (Frame.Delta _) | Error _ -> false)
-    in
-    seed ()
+    if
+      not
+        (Conn.send conn
+           (Frame.encode_request (Frame.Subscribe { from_epoch = 0 })))
+    then `Failed
+    else
+      let rec seed () =
+        match Conn.recv ~max_frame:t.max_frame conn with
+        | Error `Timeout -> seed ()
+        | Error _ -> `Failed
+        | Ok frame -> (
+            match Frame.decode_push frame with
+            | Ok (Frame.Snapshot { epoch; published; blob }) -> (
+                match apply_snapshot t ~epoch ~published ~blob with
+                | Ok () -> `Live
+                | Error msg -> `Refused msg)
+            | Ok (Frame.Delta _) | Error _ -> `Failed)
+      in
+      seed ()
 
-  (* Every failure funnels into [resync]: transport errors, decode
-     failures, epoch gaps. The loop only exits on close or when the resync
-     budget marks the stream [`Broken]. *)
+  (* Every failure funnels into [resync]: transport errors, delta decode
+     failures, epoch gaps. The loop only exits on close, when the resync
+     budget marks the stream [`Broken], or on a seed snapshot it [refuse]s. *)
   let rec apply_loop t =
     if not t.closing then
       match current_conn t with
@@ -214,7 +234,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
               | Ok (Frame.Snapshot { epoch; published; blob }) -> (
                   match apply_snapshot t ~epoch ~published ~blob with
                   | Ok () -> apply_loop t
-                  | Error msg -> if resync t msg then apply_loop t)
+                  | Error msg -> refuse t msg)
               | Ok (Frame.Delta { epoch; weight; blob }) -> (
                   match apply_delta t ~epoch ~weight ~blob with
                   | Ok () -> apply_loop t
@@ -291,10 +311,13 @@ module Make (M : Pipeline.Mergeable.S) = struct
        registered the subscriber would reset it, and a follower cannot
        resync from a dead leader. A handshake that fails hands over to
        the apply domain's resync path. *)
-    if not (handshake t conn) then begin
-      Conn.close conn;
-      t.conn <- None
-    end;
+    let seeded = handshake t conn in
+    (match seeded with
+    | `Live -> ()
+    | `Failed ->
+        Conn.close conn;
+        t.conn <- None
+    | `Refused msg -> refuse t msg);
     (match metrics with
     | None -> ()
     | Some reg ->
@@ -313,7 +336,10 @@ module Make (M : Pipeline.Mergeable.S) = struct
         g "replica_status"
           "0 syncing, 1 live, 2 resyncing, 3 broken, 4 closed" (fun () ->
             status_code (stats t).status));
-    t.apply_d <- Some (Domain.spawn (fun () -> apply_loop t));
+    (match seeded with
+    | `Refused _ -> ()
+    | `Live | `Failed ->
+        t.apply_d <- Some (Domain.spawn (fun () -> apply_loop t)));
     t
 
   let wait_epoch ?(timeout = 10.0) t e =

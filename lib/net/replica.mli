@@ -28,9 +28,12 @@
     epoch gap — transitions to [`Resyncing]: the connection is torn down
     and the replica redials with backoff until a new {!Frame.Subscribe}
     handshake lands, taking a fresh seed snapshot (whose epoch resets the
-    filter). Only exhausting [max_resyncs] makes the stream [`Broken];
-    silently resuming after a gap would undercount forever, so that is the
-    one thing the replica never does. *)
+    filter). Only two things make the stream [`Broken]: exhausting
+    [max_resyncs], and a seed snapshot that arrives intact but does not
+    decode — a leader of another sketch, shape or seed (the CountMin family
+    fingerprint), which every resync would fetch again; such a follower
+    publishes nothing. Silently resuming after a gap would undercount
+    forever, so that is the one thing the replica never does. *)
 
 module Make (M : Pipeline.Mergeable.S) : sig
   type t
@@ -40,7 +43,9 @@ module Make (M : Pipeline.Mergeable.S) : sig
     | `Live  (** snapshot applied; deltas streaming *)
     | `Resyncing of string
       (** stream broke (the reason); redialing, last state still served *)
-    | `Broken of string  (** resync budget exhausted: stream unsound *)
+    | `Broken of string
+      (** resync budget exhausted, or an undecodable seed snapshot: stream
+          unsound *)
     | `Closed ]
 
   type stats = {
@@ -70,7 +75,7 @@ module Make (M : Pipeline.Mergeable.S) : sig
       later merge reaches this follower — including the final fan-out of
       a leader stopped right after [connect]. A handshake that breaks
       before the seed arrives returns [`Syncing] and heals through the
-      resync path.
+      resync path; a seed that does not decode returns [`Broken].
       [read_timeout] (default 1 s) paces the apply loop's receive wait — an
       idle leader just means quiet patience, not failure. [resync_backoff]
       (default 50 ms) spaces redial attempts while [`Resyncing];
@@ -82,8 +87,8 @@ module Make (M : Pipeline.Mergeable.S) : sig
       [replica_status] gauges (status encoded 0 syncing / 1 live /
       2 resyncing / 3 broken / 4 closed).
 
-      [tracer] samples delta applies for ["replica_apply"] spans (decode +
-      merge under the replica mutex). Deltas cross the wire without a
+      [tracer] samples delta applies for ["replica_apply"] spans (the
+      delta is validated, then folded in place under the replica mutex). Deltas cross the wire without a
       trace context — the server's fan-out strips it — so these spans are
       locally-sampled roots at the tracer's own rate, not continuations of
       an ingest waterfall; they quantify the apply leg's cost on the same

@@ -277,10 +277,11 @@ module Make (M : Mergeable.S) = struct
         Mpsc.close s.q;
         Atomic.set s.alive false
 
-  (* The merger is the pipeline's only writer of the global sketch: decode
-     the blob, fold it in under the mutex, stamp a new epoch. The recorded
-     update op brackets exactly the merge critical section, so the history
-     seen by the envelope checker is the pipeline's published state. The
+  (* The merger is the pipeline's only writer of the global sketch:
+     validate the blob outside the mutex, fold it into the global in place
+     under it, stamp a new epoch. The recorded update op brackets exactly
+     the merge critical section, so the history seen by the envelope
+     checker is the pipeline's published state. The
      durability hooks run after the critical section, still in the merger's
      domain: epochs reach the WAL strictly in order without holding the
      mutex across disk writes (write-behind — a crash between merge and
@@ -291,21 +292,20 @@ module Make (M : Mergeable.S) = struct
       match Mpsc.pop t.mq with
       | None -> ()
       | Some d ->
-          (match M.decode d.blob with
+          (match M.fold d.blob with
           | Error _ -> ignore (Atomic.fetch_and_add t.decode_failures 1)
-          | Ok delta ->
+          | Ok apply ->
               let stamped = ref 0 in
               let lag = ref 0.0 in
               Conc.Recorder.record_update t.rec_ ~domain:dom ~obj:0 d.weight
                 (fun () ->
-                  Mutex.lock t.gm;
-                  t.global <- M.merge t.global delta;
-                  t.epoch <- t.epoch + 1;
-                  t.published <- t.published + d.weight;
-                  lag := Unix.gettimeofday () -. d.born;
-                  t.lags <- !lag :: t.lags;
-                  stamped := t.epoch;
-                  Mutex.unlock t.gm);
+                  Mutex.protect t.gm (fun () ->
+                      t.global <- apply t.global;
+                      t.epoch <- t.epoch + 1;
+                      t.published <- t.published + d.weight;
+                      lag := Unix.gettimeofday () -. d.born;
+                      t.lags <- !lag :: t.lags;
+                      stamped := t.epoch));
               ignore (Atomic.fetch_and_add t.merges 1);
               (match t.lag_timer with
               | Some tm -> Obs.Timer.observe tm !lag

@@ -11,15 +11,16 @@
       ingest ──hash──▶ [shard queue]──▶ worker: local delta ─┘      │
                                                                     ▼
                                                   [merger queue]──▶ merger:
-                                                       global ← merge(delta)
+                                                       global ← fold(delta)
                                                        epoch++, stamp, lag
                                       queries ──▶ snapshot of global @ epoch
     v}
 
     Each worker owns its shard's delta exclusively (no locks on the update
     path); every [batch] items it encodes the delta as a {!Wire.Codec} blob
-    and ships it to the merger, which decodes and folds it into the global
-    sketch under a mutex, bumping the epoch. A query therefore sees a
+    and ships it to the merger, which validates it outside a mutex and folds
+    it into the global sketch in place under it ({!Mergeable.S.fold}),
+    bumping the epoch. A query therefore sees a
     snapshot: some prefix of merges, never a torn delta — the merged counter
     of published weights is IVL by construction, and the recorded history
     ({!Make.history}: one update op per merge, one query op per
@@ -178,7 +179,8 @@ module Make (M : Mergeable.S) : sig
 
       [initial (sketch, epoch, published)] seeds the engine with recovered
       state ([Durable.Recovery]) instead of an empty sketch: the global
-      starts as [sketch], epoch numbering continues from [epoch], and the
+      starts as [sketch] (the engine owns it from then on: merges fold into
+      it in place), epoch numbering continues from [epoch], and the
       carried-over [published] weight is logged into the recorded history as
       one synchronous update op before any domain spawns, so the IVL
       envelope checker accounts for the pre-crash base. This is how a soak
@@ -217,7 +219,8 @@ module Make (M : Mergeable.S) : sig
   val query : t -> (M.t -> 'a) -> 'a * int
   (** Snapshot-consistent read of the global sketch: [f] runs under the
       merge mutex and the returned epoch identifies the exact prefix of
-      merges it saw. Keep [f] cheap — it delays merges, not ingests. *)
+      merges it saw. Keep [f] cheap — it delays merges, not ingests — and
+      do not let it return the sketch itself: merges fold into it in place. *)
 
   val snapshot : t -> Bytes.t * int * int
   (** [(blob, epoch, published)] — the encoded global sketch with the epoch

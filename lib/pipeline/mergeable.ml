@@ -2,13 +2,13 @@
 
     A [t] plays two roles: the {e shard-local delta} each worker accumulates
     (born empty via [create], fed by [update], shipped as a {!Wire.Codec}
-    blob), and the {e global sketch} the merger folds deltas into with
-    [merge]. The pipeline is correct for any summary where merge is
+    blob), and the {e global sketch} the merger folds encoded deltas into
+    with [fold]. The pipeline is correct for any summary where merge is
     associative and commutative with [create ()] as identity — the
     "mergeable summaries" algebra (Agarwal et al.) that every sketch in this
     repository satisfies; the merge-algebra property tests pin it down.
 
-    [encode]/[decode] put the wire codecs on the hot path: every delta a
+    [encode]/[fold] put the wire codecs on the hot path: every delta a
     worker ships to the merger is a versioned, checksummed blob, so codec
     bugs surface immediately as decode failures in the pipeline stats rather
     than lying dormant until a first networked deployment. *)
@@ -35,6 +35,17 @@ module type S = sig
   (** Serialize a delta for the merger queue. *)
 
   val decode : Bytes.t -> (t, Wire.Codec.error) result
-  (** Deserialize; never raises. A [Error] at the merger counts as a
-      decode failure in the pipeline stats (and loses that delta). *)
+  (** Deserialize; never raises. *)
+
+  val fold : Bytes.t -> (t -> t, Wire.Codec.error) result
+  (** [fold blob] validates the whole encoded delta and only then returns
+      [apply]; [apply acc] folds it into an accumulator the caller owns and
+      returns the result, which replaces [acc]. CountMin adds its non-zero
+      cells into [acc] in place, in O(non-zero cells); the other sketches
+      [decode] and [merge]. The staging lets a caller validate outside its
+      lock and mutate inside it. An [Error] touches nothing: at the merger
+      it counts as a decode failure (and loses that delta), at a replica it
+      forces a resync, in recovery it skips the record.
+      @raise Invalid_argument from [apply] on an incompatible accumulator
+      (a pipeline bug, as for [merge]). *)
 end

@@ -7,15 +7,21 @@ end) : Mergeable.S with type t = Sketches.Countmin.t = struct
 
   let name = "countmin"
 
-  (* One coin-flip vector for every delta and the global — decoded deltas
-     rebuild it from the serialized coefficients, and merge re-checks
-     compatibility. *)
+  (* One coin-flip vector for every delta and the global: blobs carry only
+     its fingerprint, and decode and fold reject any other. *)
   let family = Hashing.Family.seeded ~seed:C.seed ~rows:C.rows ~width:C.width
   let create () = Sketches.Countmin.create ~family
   let update = Sketches.Countmin.update
   let merge = Sketches.Countmin.merge
   let encode = Wire.Countmin.encode
-  let decode = Wire.Countmin.decode
+  let decode = Wire.Countmin.decode ~family
+
+  let fold blob =
+    Result.map
+      (fun apply acc ->
+        apply acc;
+        acc)
+      (Wire.Countmin.fold ~family blob)
 end
 
 module Hll (C : sig
@@ -30,6 +36,7 @@ end) : Mergeable.S with type t = Sketches.Hyperloglog.t = struct
   let merge = Sketches.Hyperloglog.merge
   let encode = Wire.Hll.encode
   let decode = Wire.Hll.decode
+  let fold blob = Result.map (fun d acc -> merge acc d) (decode blob)
 end
 
 module Kmv (C : sig
@@ -44,6 +51,7 @@ end) : Mergeable.S with type t = Sketches.Kmv.t = struct
   let merge = Sketches.Kmv.merge
   let encode = Wire.Kmv.encode
   let decode = Wire.Kmv.decode
+  let fold blob = Result.map (fun d acc -> merge acc d) (decode blob)
 end
 
 module Quantiles (C : sig
@@ -58,6 +66,7 @@ end) : Mergeable.S with type t = Sketches.Quantiles.t = struct
   let merge = Sketches.Quantiles.merge
   let encode = Wire.Quantiles.encode
   let decode = Wire.Quantiles.decode
+  let fold blob = Result.map (fun d acc -> merge acc d) (decode blob)
 end
 
 module Space_saving (C : sig
@@ -71,6 +80,7 @@ end) : Mergeable.S with type t = Sketches.Space_saving.t = struct
   let merge a b = Sketches.Space_saving.merge ~capacity:C.capacity a b
   let encode = Wire.Space_saving.encode
   let decode = Wire.Space_saving.decode
+  let fold blob = Result.map (fun d acc -> merge acc d) (decode blob)
 end
 
 module Counter : Mergeable.S with type t = Sketches.Batched_counter.t = struct
@@ -90,4 +100,5 @@ module Counter : Mergeable.S with type t = Sketches.Batched_counter.t = struct
 
   let encode = Wire.Counter.encode
   let decode = Wire.Counter.decode
+  let fold blob = Result.map (fun d acc -> merge acc d) (decode blob)
 end

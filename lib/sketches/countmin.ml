@@ -79,15 +79,10 @@ let merge a b =
   t.n <- a.n + b.n;
   t
 
-let of_cells ~family ~n cells =
-  let d = Hashing.Family.rows family and w = Hashing.Family.width family in
-  if n < 0 then invalid_arg "Countmin.of_cells: n must be non-negative";
-  if Array.length cells <> d then invalid_arg "Countmin.of_cells: wrong row count";
-  Array.iter
-    (fun row ->
-      if Array.length row <> w then invalid_arg "Countmin.of_cells: wrong row width";
-      Array.iter
-        (fun c -> if c < 0 then invalid_arg "Countmin.of_cells: negative counter")
-        row)
-    cells;
-  { family; cells = Array.map Array.copy cells; n }
+let add t ~row ~col c =
+  if c < 0 then invalid_arg "Countmin.add: negative count";
+  t.cells.(row).(col) <- t.cells.(row).(col) + c
+
+let add_updates t n =
+  if n < 0 then invalid_arg "Countmin.add_updates: negative count";
+  t.n <- t.n + n

@@ -63,8 +63,13 @@ val merge : t -> t -> t
     @raise Invalid_argument unless the families are
     {!Hashing.Family.compatible} (same coin-flip vector). *)
 
-val of_cells : family:Hashing.Family.t -> n:int -> int array array -> t
-(** Rebuild a sketch from a counter image (deep-copied): d×w cells and the
-    stream length [n]. The wire codec's decode path.
-    @raise Invalid_argument on dimension mismatches, negative counters or
-    negative [n]. *)
+val add : t -> row:int -> col:int -> int -> unit
+(** [add t ~row ~col c] adds [c] to one counter and leaves the stream length
+    alone — how a sparse wire delta folds into a sketch in place
+    ([Wire.Countmin.fold]), one call per non-zero cell, closed by one
+    {!add_updates}.
+    @raise Invalid_argument if [c < 0] or the cell is out of range. *)
+
+val add_updates : t -> int -> unit
+(** [add_updates t n] grows the stream length by [n].
+    @raise Invalid_argument if [n < 0]. *)

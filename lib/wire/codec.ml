@@ -10,7 +10,7 @@
    checksum break the checksum comparison. *)
 
 let magic = "IVLW"
-let version = 1
+let version = 2
 let header_size = 4 + 1 + 1 + 4 + 4
 
 type error =
@@ -107,6 +107,16 @@ let bytes_ b v =
   u32 b (Bytes.length v);
   Buffer.add_bytes b v
 
+(* LEB128: seven bits per byte, low group first, high bit = "more". *)
+let varint b v =
+  if v < 0 then invalid_arg "Wire.Codec.varint: negative";
+  let v = ref v in
+  while !v >= 0x80 do
+    Buffer.add_uint8 b (!v land 0x7F lor 0x80);
+    v := !v lsr 7
+  done;
+  Buffer.add_uint8 b !v
+
 let seal ~kind payload =
   let plen = Buffer.length payload in
   let total = header_size + plen in
@@ -165,6 +175,31 @@ let read_int r =
   n
 
 let read_float r = Int64.float_of_bits (read_i64 r)
+
+(* Exactly the bytes [varint] writes: at most 9 groups (a non-negative
+   native int has 62 bits), the 9th without a continuation and within
+   range, and no zero final group after the first — so every value has one
+   encoding and a canonical encoder's bytes are the only ones accepted. *)
+let read_varint r =
+  let acc = ref 0 and shift = ref 0 and more = ref true in
+  while !more do
+    let byte = read_u8 r in
+    acc := !acc lor ((byte land 0x7F) lsl !shift);
+    if byte land 0x80 = 0 then begin
+      if byte = 0 && !shift > 0 then corrupt "overlong varint (zero final group)";
+      if !shift = 56 && byte > 0x3F then corrupt "varint exceeds native range";
+      more := false
+    end
+    else if !shift = 56 then corrupt "overlong varint (more than 9 bytes)"
+    else shift := !shift + 7
+  done;
+  !acc
+
+let position r = r.pos
+
+let seek r pos =
+  if pos < header_size || pos > r.limit then invalid_arg "Wire.Codec.seek";
+  r.pos <- pos
 
 let read_bytes r =
   let len = read_u32 r in

@@ -129,6 +129,10 @@ val bytes_ : writer -> Bytes.t -> unit
 (** Length-prefixed byte string — used by envelope payloads (WAL records,
     checkpoints) that nest an already-framed blob. *)
 
+val varint : writer -> int -> unit
+(** Unsigned LEB128: 1 byte below 128, at most 9 for any native int.
+    @raise Invalid_argument on a negative value. *)
+
 val encode : kind:int -> (writer -> unit) -> Bytes.t
 (** [encode ~kind build] runs [build] on a fresh payload buffer and seals it
     with the header and checksum. *)
@@ -149,6 +153,17 @@ val read_count : reader -> elt_bytes:int -> int
 
 val read_float : reader -> float
 val read_bytes : reader -> Bytes.t
+
+val read_varint : reader -> int
+(** The inverse of {!varint}, and only of it: an overlong encoding (a zero
+    final group, more than 9 bytes) or a value past the native range is
+    [Corrupt], so equal values always arrive as equal bytes. *)
+
+val position : reader -> int
+val seek : reader -> int -> unit
+(** [seek r (position r)] rewinds a reader to a position it already passed —
+    for parsers that validate a payload in one pass and apply it in a second
+    ([Countmin.fold]). @raise Invalid_argument outside the payload. *)
 
 val corrupt : ('a, unit, string, 'b) format4 -> 'a
 (** [corrupt fmt …] raises {!Decode_error} with a [Corrupt] payload — for

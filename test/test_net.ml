@@ -815,6 +815,151 @@ let test_replica_stop_after_connect () =
   check_int "exact epoch convergence" est.Srv.P.epoch rs.Rep.epoch;
   Rep.close rep
 
+(* CountMin followers: the delta and the seed snapshot carry only a family
+   fingerprint, so the follower's own family must be the leader's. *)
+module Cm_of (S : sig
+  val seed : int64
+end) =
+Pipeline.Targets.Countmin (struct
+  let seed = S.seed
+  let rows = 4
+  let width = 64
+end)
+
+module CmA = Cm_of (struct
+  let seed = 0xA1L
+end)
+
+module CmB = Cm_of (struct
+  let seed = 0xB2L
+end)
+
+module SrvA = Net.Server.Make (CmA)
+module RepA = Net.Replica.Make (CmA)
+module RepB = Net.Replica.Make (CmB)
+
+(* A follower validates each delta whole before folding it in place: a
+   delta whose last row is bad (checksum intact) forces a resync and leaves
+   the served state as it was. A scripted leader sends a seed snapshot and
+   the bad delta, then holds the follower's resubscription without a new
+   snapshot, so the state seen after the resync dial is the pre-resync one. *)
+let test_replica_fold_all_or_nothing () =
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 4;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let seed = CmA.create () in
+  List.iter (CmA.update seed) [ 1; 2; 3 ];
+  let seed_blob = CmA.encode seed in
+  let family = Sketches.Countmin.family seed in
+  let release = Atomic.make false in
+  let peer =
+    Domain.spawn (fun () ->
+        let accept () =
+          match Unix.select [ lsock ] [] [] 5.0 with
+          | [], _, _ -> None
+          | _ ->
+              let fd, _ = Unix.accept lsock in
+              let c = Conn.of_fd fd in
+              Conn.set_read_timeout c 5.0;
+              ignore (Conn.recv c);
+              Some c
+        in
+        (match accept () with
+        | Some c ->
+            ignore
+              (Conn.send c
+                 (Frame.encode_push
+                    (Frame.Snapshot { epoch = 5; published = 3; blob = seed_blob })));
+            ignore
+              (Conn.send c
+                 (Frame.encode_push
+                    (Frame.Delta
+                       {
+                         epoch = 6;
+                         weight = 1;
+                         blob = Test_helpers.countmin_bad_last_row ~family;
+                       })));
+            (* the resync dial: accepted and subscribed, never seeded *)
+            (match accept () with
+            | Some c2 ->
+                while not (Atomic.get release) do
+                  Unix.sleepf 0.005
+                done;
+                Conn.close c2
+            | None -> ());
+            Conn.close c
+        | None -> ());
+        Unix.close lsock)
+  in
+  let rep =
+    RepA.connect ~read_timeout:0.2 ~resync_backoff:0.01 ~host:"127.0.0.1" ~port ()
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (RepA.stats rep).RepA.resyncs < 1 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.005
+  done;
+  let rs = RepA.stats rep in
+  let state = RepA.query rep CmA.encode in
+  Atomic.set release true;
+  RepA.close rep;
+  Domain.join peer;
+  check_int "resynced" 1 rs.RepA.resyncs;
+  check_bool "break names the delta decode" true
+    (match rs.RepA.last_break with
+    | Some why -> Test_helpers.contains why "delta decode"
+    | None -> false);
+  check_int "no delta applied" 0 rs.RepA.deltas;
+  check_int "epoch unchanged" 5 rs.RepA.epoch;
+  check_int "published unchanged" 3 rs.RepA.published;
+  match state with
+  | Some (blob, 5) -> check_bool "state bit-identical" true (Bytes.equal blob seed_blob)
+  | Some (_, e) -> Alcotest.failf "served epoch %d" e
+  | None -> Alcotest.fail "follower lost its state"
+
+(* A follower started with another seed than its leader must not adopt the
+   leader's state: the snapshot's fingerprint does not match the follower's
+   family, so the follower ends Broken at once, says why, and publishes
+   nothing. A same-seed follower is the control. *)
+let test_replica_seed_mismatch () =
+  let srv =
+    SrvA.create ~read_timeout:5.0
+      ~eval:(fun _ _ -> None)
+      ~make_engine:(fun ~on_merge -> SrvA.P.create ~shards:2 ~batch:4 ~on_merge ())
+      ()
+  in
+  let c = Conn.connect ~host:"127.0.0.1" ~port:(SrvA.port srv) in
+  Conn.set_read_timeout c 5.0;
+  check_int "history" 16 (expect_ack c (batch (Array.init 16 (fun i -> i))));
+  Conn.close c;
+  let same = RepA.connect ~host:"127.0.0.1" ~port:(SrvA.port srv) () in
+  check_bool "same seed goes Live" true (RepA.status same = `Live);
+  RepA.close same;
+  let other = RepB.connect ~host:"127.0.0.1" ~port:(SrvA.port srv) () in
+  let rs = RepB.stats other in
+  RepB.close other;
+  ignore (SrvA.stop srv);
+  (match rs.RepB.status with
+  | `Broken why ->
+      check_bool "names the fingerprint mismatch" true
+        (Test_helpers.contains why "fingerprint")
+  | _ -> Alcotest.fail "a follower of another seed must end Broken");
+  check_bool "last error names it too" true
+    (match rs.RepB.last_break with
+    | Some why -> Test_helpers.contains why "fingerprint"
+    | None -> false);
+  check_int "publishes nothing" 0 rs.RepB.published;
+  check_int "no epoch" (-1) rs.RepB.epoch;
+  check_int "no resync attempted" 0 rs.RepB.resyncs;
+  check_bool "nothing to query" true (RepB.query other CmB.encode = None);
+  check_bool "still Broken after close" true
+    (match RepB.status other with `Broken _ -> true | _ -> false)
+
 (* ------------------------------------------------------------------ *)
 (* Effectively-once ingestion                                          *)
 (* ------------------------------------------------------------------ *)
@@ -1455,6 +1600,10 @@ let () =
           Alcotest.test_case "self-healing resync" `Quick test_replica_resync;
           Alcotest.test_case "stop right after connect converges" `Quick
             test_replica_stop_after_connect;
+          Alcotest.test_case "countmin delta fold is all or nothing" `Quick
+            test_replica_fold_all_or_nothing;
+          Alcotest.test_case "follower of another seed ends Broken" `Quick
+            test_replica_seed_mismatch;
         ] );
       ( "soak",
         [

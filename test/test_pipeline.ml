@@ -184,6 +184,53 @@ let test_countmin_theorem6 () =
       (Sketches.Countmin.query g a)
   done
 
+(* The merger validates a delta whole before it folds any cell into the
+   global: a blob whose last row is bad (checksum intact) is one decode
+   failure that publishes nothing and leaves the global bit-identical. *)
+let test_merger_fold_all_or_nothing () =
+  let module Cm = Pipeline.Targets.Countmin (struct
+    let seed = 23L
+    let rows = 4
+    let width = 64
+  end) in
+  let poison = Atomic.make false in
+  let module Poisoned = struct
+    include Cm
+
+    let encode d =
+      if Atomic.get poison then
+        Test_helpers.countmin_bad_last_row ~family:(Sketches.Countmin.family d)
+      else Cm.encode d
+  end in
+  let module P = Pipeline.Engine.Make (Poisoned) in
+  let p = P.create ~batch:8 ~shards:1 () in
+  let settle what ok =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while (not (ok (P.stats p))) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    if not (ok (P.stats p)) then Alcotest.failf "timed out waiting for %s" what
+  in
+  for k = 1 to 8 do
+    ignore (P.ingest p k)
+  done;
+  settle "the first merge" (fun s -> s.P.merges = 1);
+  let blob0, epoch0, pub0 = P.snapshot p in
+  Atomic.set poison true;
+  for k = 1 to 8 do
+    ignore (P.ingest p k)
+  done;
+  settle "the decode failure" (fun s -> s.P.decode_failures = 1);
+  (* the snapshot encodes with the same [encode]: unpoison it first *)
+  Atomic.set poison false;
+  let blob1, epoch1, pub1 = P.snapshot p in
+  P.drain p;
+  Alcotest.(check int) "published before" 8 pub0;
+  Alcotest.(check int) "published unchanged" pub0 pub1;
+  Alcotest.(check int) "no epoch stamped" epoch0 epoch1;
+  Alcotest.(check bytes) "global bit-identical" blob0 blob1;
+  Alcotest.(check int) "one decode failure" 1 (P.stats p).P.decode_failures
+
 (* ------------------------- chaos ------------------------- *)
 
 let test_chaos_kill_drain () =
@@ -955,6 +1002,8 @@ let () =
             test_concurrent_drain_exactly_once;
           Alcotest.test_case "create rejects bad config" `Quick
             test_create_rejects_bad_config;
+          Alcotest.test_case "merger fold is all or nothing" `Quick
+            test_merger_fold_all_or_nothing;
         ] );
       ( "chaos",
         [
