@@ -1272,33 +1272,30 @@ let serve_run sketch host port shards batch max_conns read_timeout duration
   Sys.set_signal Sys.sigint on_signal;
   Sys.set_signal Sys.sigterm on_signal;
   let wal = ref None in
-  let base = ref 0 in
+  (* Recover before the server exists: a log this serve cannot decode
+     (another sketch or --seed) stays as it is, and nothing is appended
+     after it. *)
+  let initial =
+    match wal_dir with
+    | Some dir when Result.is_ok (Durable.Wal.validate_dir ~dir ()) -> (
+        let module R = Durable.Recovery.Make (SV.M) in
+        match R.recover_compact ~metrics:reg ~dir () with
+        | Ok (sk0, r) when r.R.recovered_epoch > 0 ->
+            Printf.printf
+              "serve: recovered epoch %d carrying published weight %d from %s\n%!"
+              r.R.recovered_epoch r.R.recovered_published dir;
+            Some (sk0, r.R.recovered_epoch, r.R.recovered_published)
+        | Ok _ -> None
+        | Error msg ->
+            Printf.eprintf "serve: recovery failed: %s\n%!" msg;
+            exit 2)
+    | _ -> None
+  in
+  let base = match initial with Some (_, _, p) -> p | None -> 0 in
   let srv =
     Srv.create ~host ~port ~max_conns ~read_timeout ~metrics:reg
       ?tracer ?dedup_dir:wal_dir ~eval:SV.eval
       ~make_engine:(fun ~on_merge ->
-        let initial =
-          match wal_dir with
-          | Some dir
-            when Result.is_ok (Durable.Wal.validate_dir ~dir ()) -> (
-              let module R = Durable.Recovery.Make (SV.M) in
-              match R.recover_compact ~metrics:reg ~dir () with
-              | Ok (sk0, r) when r.R.recovered_epoch > 0 ->
-                  Printf.printf
-                    "serve: recovered epoch %d carrying published weight \
-                     %d from %s\n\
-                     %!"
-                    r.R.recovered_epoch r.R.recovered_published dir;
-                  Some (sk0, r.R.recovered_epoch, r.R.recovered_published)
-              | Ok _ -> None
-              | Error msg ->
-                  Printf.eprintf "serve: recovery failed: %s\n%!" msg;
-                  None)
-          | _ -> None
-        in
-        (match initial with
-        | Some (_, _, p) -> base := p
-        | None -> ());
         (match wal_dir with
         | Some dir -> wal := Some (Durable.Wal.create ~dir ~metrics:reg ())
         | None -> ());
@@ -1368,13 +1365,13 @@ let serve_run sketch host port shards batch max_conns read_timeout duration
   (* After a clean drain every accepted key is merged exactly once, so
      published weight must equal the recovered base plus this run's
      accepted ingests — the leader-side conservation verdict. *)
-  let expect = !base + st.Srv.ingested in
+  let expect = base + st.Srv.ingested in
   let pass = est.Srv.P.published = expect in
   Printf.printf
     "serve: conservation %s (published %d, expected %d = %d recovered + \
      %d ingested)\n"
     (if pass then "PASS" else "FAIL")
-    est.Srv.P.published expect !base st.Srv.ingested;
+    est.Srv.P.published expect base st.Srv.ingested;
   let slo_v = Obs.Slo.eval slo in
   Printf.printf
     "serve: slo %s at drain (worst %s at %.2fx budget, %d breaches)\n"

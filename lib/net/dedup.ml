@@ -119,22 +119,20 @@ let note t ~session ~seq ~count =
 let load_journal t ~path =
   if Sys.file_exists path then begin
     let ic = open_in_bin path in
-    let len = in_channel_length ic in
-    let img = Bytes.create len in
-    really_input ic img 0 len;
-    close_in ic;
-    let scan = Wire.Segment.scan img in
-    List.iter
-      (fun frame ->
-        match decode_record frame with
-        | Ok (session, seq, count) ->
-            note t ~session ~seq ~count;
-            t.recovered_records <- t.recovered_records + 1
-        | Error _ -> ())
-      scan.Wire.Segment.frames;
+    let tail =
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          Wire.Segment.iter ic (fun frame ->
+              match decode_record frame with
+              | Ok (session, seq, count) ->
+                  note t ~session ~seq ~count;
+                  t.recovered_records <- t.recovered_records + 1
+              | Error _ -> ()))
+    in
     (* The log is the longest valid prefix: truncate whatever a crash left
        behind so the appender continues on a frame boundary. *)
-    match scan.Wire.Segment.tail with
+    match tail with
     | Wire.Segment.Clean -> ()
     | Wire.Segment.Torn { valid_prefix; _ } ->
         let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in

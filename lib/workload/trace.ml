@@ -338,57 +338,54 @@ let read ~path =
     let ic = open_in_bin path in
     Fun.protect
       ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+      (fun () ->
+        let frames = ref [] in
+        let tail = Wire.Segment.iter ic (fun f -> frames := f :: !frames) in
+        (List.rev !frames, tail))
   with
   | exception Sys_error m -> Error m
-  | exception End_of_file -> Error (path ^ ": truncated while reading")
-  | raw -> (
-      let scan = Wire.Segment.scan (Bytes.of_string raw) in
-      match scan.Wire.Segment.tail with
-      | Torn { valid_prefix; reason; _ } ->
-          Error
-            (Printf.sprintf "%s: torn trace file after %d bytes (%s)" path valid_prefix
-               reason)
-      | Clean -> (
-          match scan.Wire.Segment.frames with
-          | [] -> Error (path ^ ": empty trace file")
-          | header :: blocks -> (
-              match decode_header header with
-              | Error e -> Error (path ^ ": bad header: " ^ Wire.Codec.error_to_string e)
-              | Ok spec -> (
-                  let n_phases = List.length spec.phases in
-                  let acc = Array.make n_phases [] in
-                  let bad = ref None in
-                  List.iter
-                    (fun blob ->
-                      if !bad = None then
-                        match decode_block blob with
-                        | Error e ->
-                            bad := Some ("bad block: " ^ Wire.Codec.error_to_string e)
-                        | Ok (pi, ops) ->
-                            if pi < 0 || pi >= n_phases then
-                              bad := Some (Printf.sprintf "block for unknown phase %d" pi)
-                            else acc.(pi) <- ops :: acc.(pi))
-                    blocks;
-                  match !bad with
-                  | Some m -> Error (path ^ ": " ^ m)
-                  | None ->
-                      let ops =
-                        Array.map (fun bs -> Array.concat (List.rev bs)) acc
-                      in
-                      let mismatch = ref None in
-                      List.iteri
-                        (fun i p ->
-                          if !mismatch = None && Array.length ops.(i) <> p.ops then
-                            mismatch :=
-                              Some
-                                (Printf.sprintf
-                                   "phase %d (%s): header declares %d ops, file holds %d"
-                                   i p.name p.ops (Array.length ops.(i))))
-                        spec.phases;
-                      (match !mismatch with
-                      | Some m -> Error (path ^ ": " ^ m)
-                      | None -> Ok (spec, ops))))))
+  | _, Wire.Segment.Torn { valid_prefix; reason; _ } ->
+      Error
+        (Printf.sprintf "%s: torn trace file after %d bytes (%s)" path valid_prefix
+           reason)
+  | [], Clean -> Error (path ^ ": empty trace file")
+  | header :: blocks, Clean -> (
+      match decode_header header with
+      | Error e -> Error (path ^ ": bad header: " ^ Wire.Codec.error_to_string e)
+      | Ok spec -> (
+          let n_phases = List.length spec.phases in
+          let acc = Array.make n_phases [] in
+          let bad = ref None in
+          List.iter
+            (fun blob ->
+              if !bad = None then
+                match decode_block blob with
+                | Error e ->
+                    bad := Some ("bad block: " ^ Wire.Codec.error_to_string e)
+                | Ok (pi, ops) ->
+                    if pi < 0 || pi >= n_phases then
+                      bad := Some (Printf.sprintf "block for unknown phase %d" pi)
+                    else acc.(pi) <- ops :: acc.(pi))
+            blocks;
+          match !bad with
+          | Some m -> Error (path ^ ": " ^ m)
+          | None ->
+              let ops =
+                Array.map (fun bs -> Array.concat (List.rev bs)) acc
+              in
+              let mismatch = ref None in
+              List.iteri
+                (fun i p ->
+                  if !mismatch = None && Array.length ops.(i) <> p.ops then
+                    mismatch :=
+                      Some
+                        (Printf.sprintf
+                           "phase %d (%s): header declares %d ops, file holds %d"
+                           i p.name p.ops (Array.length ops.(i))))
+                spec.phases;
+              (match !mismatch with
+              | Some m -> Error (path ^ ": " ^ m)
+              | None -> Ok (spec, ops))))
 
 (* ------------------------------ defaults ------------------------------- *)
 

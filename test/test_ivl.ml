@@ -649,13 +649,8 @@ let test_explain_reports_out_of_bounds () =
       Alcotest.(check bool) "flagged" false r.Counter_explain.in_bounds
   | _ -> Alcotest.fail "expected one query report");
   let text = Counter_explain.to_string h in
-  let contains_substring hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-    nn = 0 || go 0
-  in
   Alcotest.(check bool) "mentions OUT OF BOUNDS" true
-    (contains_substring text "OUT OF BOUNDS")
+    (Test_helpers.contains text "OUT OF BOUNDS")
 
 let test_skeletons_are_always_ivl () =
   (* Erasing every return leaves nothing to violate: any history's skeleton

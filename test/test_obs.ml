@@ -234,10 +234,7 @@ let expose_fixture () =
   Obs.Timer.observe t 0.25;
   Obs.Registry.snapshot reg
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+let contains = Test_helpers.contains
 
 let test_expose_prometheus () =
   let text = Obs.Expose.to_prometheus (expose_fixture ()) in

@@ -275,7 +275,7 @@ let test_trace_block_count_bounded () =
   (match Workload.Trace.write ~path spec (Workload.Trace.materialize spec) with
   | Ok () -> ()
   | Error e -> Alcotest.failf "write: %s" e);
-  let header = List.hd (Wire.Segment.scan (read_file path)).Wire.Segment.frames in
+  let header = List.hd (fst (Test_helpers.read_segment path)) in
   let with_block ~count ops =
     let block =
       Wire.Codec.encode ~kind:Wire.Codec.trace_block_kind (fun w ->
