@@ -1314,16 +1314,13 @@ let serve_run sketch host port shards batch max_conns read_timeout duration
     host (Srv.port srv) shards batch max_conns
     (match wal_dir with Some d -> " wal=" ^ d | None -> "");
   let slo =
-    let stats () = Srv.P.stats (Srv.engine srv) in
     Obs.Slo.create ~metrics:reg
       ~budget:
         (Obs.Slo.theorem6_budget ~shards ~batch ~queue_capacity:1024 ())
       ~envelope:(fun () -> float_of_int (Srv.P.envelope_width (Srv.engine srv)))
       ~staleness:(fun () -> -1.0)
       ~merge_lag:(fun () ->
-        let lag = (stats ()).Srv.P.merge_lag in
-        let n = Array.length lag in
-        if n = 0 then -1.0 else lag.(n - 1))
+        Option.value ~default:(-1.0) (Srv.P.last_merge_lag (Srv.engine srv)))
       ()
   in
   let http =

@@ -134,21 +134,20 @@ module Make (M : Pipeline.Mergeable.S) = struct
         let ingest_start =
           match t.tracer with Some _ -> Obs.Tracer.now_ns () | None -> 0
         in
-        let accepted = ref 0 in
-        Array.iter (fun k -> if P.ingest t.eng k then incr accepted) keys;
+        let accepted = P.ingest_batch t.eng keys in
         (match t.tracer with
         | Some tr ->
             ignore
               (Obs.Tracer.record tr ~ctx ~stage:"ingest" ~start_ns:ingest_start
                  ~end_ns:(Obs.Tracer.now_ns ()))
         | None -> ());
-        let shed = Array.length keys - !accepted in
-        ignore (Atomic.fetch_and_add t.c_ingested !accepted);
+        let shed = Array.length keys - accepted in
+        ignore (Atomic.fetch_and_add t.c_ingested accepted);
         ignore (Atomic.fetch_and_add t.c_shed shed);
-        Dedup.record t.dedup ~session ~seq ~accepted:!accepted;
+        Dedup.record t.dedup ~session ~seq ~accepted;
         Conn.send conn
           (Frame.encode_response
-             (Frame.Ack { epoch = P.epoch t.eng; accepted = !accepted; dup = false }))
+             (Frame.Ack { epoch = P.epoch t.eng; accepted; dup = false }))
 
   let handle_hello t conn ~session =
     Dedup.register t.dedup ~session;

@@ -18,10 +18,12 @@
       duplicate [(session, seq)] is acked with its original accepted count
       and [dup = true] but {e never} re-applied (effectively-once
       ingestion — retried batches cannot double-count); a fresh batch is
-      journaled, then every key is a blocking [Engine.ingest] (TCP is the
-      backpressure channel: a full shard queue stalls the handler, which
-      stalls the client's sender), answered with an {!Frame.Ack} carrying
-      the accepted count;
+      journaled, then its keys enter the engine with one blocking
+      [Engine.ingest_batch], one slice per shard (TCP is the backpressure
+      channel: a full shard queue stalls the handler, which stalls the
+      client's sender), answered with an {!Frame.Ack} carrying the
+      accepted count — exactly the keys the engine enqueued, so a dead
+      shard's slice is not counted;
     - {!Frame.Query} → [Total] is answered from the server's replication
       state (published weight at the last merged epoch, no sketch access);
       everything else runs [eval] under the engine's snapshot mutex;
@@ -123,7 +125,7 @@ module Make (M : Pipeline.Mergeable.S) : sig
 
       [tracer] continues the waterfall of batches that arrive with a
       sampled (nonzero) trace context in their [net-batch] frame: a ["decode"] span
-      around the frame parse and an ["ingest"] span around the key loop,
+      around the frame parse and an ["ingest"] span around the engine push,
       with {!P.trace_mark} handing the context to the engine so the shard
       flush and merge legs follow. Pass the same tracer to the engine
       (via [make_engine]) for the in-engine spans. Untraced batches cost

@@ -620,9 +620,7 @@ module Make (S : SKETCH) = struct
                 | _ -> -1.0))
         ~merge_lag:
           (with_life (fun l ->
-               let lag = (P.stats l.eng).P.merge_lag in
-               let n = Array.length lag in
-               if n = 0 then -1.0 else lag.(n - 1)))
+               Option.value ~default:(-1.0) (P.last_merge_lag l.eng)))
         ()
     in
     (* ---- the driver's sinks ---- *)

@@ -149,6 +149,8 @@ module Make (M : Mergeable.S) = struct
        the steady-state consume path allocates nothing (the queue only
        boxes on the push side). *)
     let buf = Array.make t.batch 0 in
+    (* The worker's one delta: [M.ship] hands back an empty one to go on
+       with — this one, emptied in place, where the sketch can do that. *)
     let local = ref (M.create ()) in
     let count = ref 0 in
     let absorb n =
@@ -178,7 +180,8 @@ module Make (M : Mergeable.S) = struct
                   in
                   Obs.Span.with_parent ctx sid)
         in
-        let blob = M.encode !local in
+        let blob, empty = M.ship !local in
+        local := empty;
         let d =
           { shard = i; weight = !count;
             born = Unix.gettimeofday (); ctx; blob }
@@ -187,7 +190,6 @@ module Make (M : Mergeable.S) = struct
           ignore (Atomic.fetch_and_add s.flushed_items !count);
           ignore (Atomic.fetch_and_add s.flushes 1)
         end;
-        local := M.create ();
         count := 0
       end
     in
@@ -615,17 +617,51 @@ module Make (M : Mergeable.S) = struct
     let depth = Mpsc.length_relaxed s.q in
     if depth > Atomic.get s.max_depth then Atomic.set s.max_depth depth
 
+  (* Every ingest path settles a shard's counters here: [pushed] of the [n]
+     keys it offered [s] got into the queue, the rest were shed. *)
+  let account (s : shard) ~n ~pushed =
+    if pushed > 0 then ignore (Atomic.fetch_and_add s.enqueued pushed);
+    if pushed < n then ignore (Atomic.fetch_and_add s.dropped (n - pushed))
+
   let ingest t x =
     let s = t.shards.(shard_of t x) in
     note_depth s;
-    if Mpsc.push s.q x then begin
-      ignore (Atomic.fetch_and_add s.enqueued 1);
-      true
-    end
-    else begin
-      ignore (Atomic.fetch_and_add s.dropped 1);
-      false
-    end
+    let ok = Mpsc.push s.q x in
+    account s ~n:1 ~pushed:(Bool.to_int ok);
+    ok
+
+  (* A stable counting sort by shard turns the batch into one slice per
+     shard, each pushed with one [Mpsc.push_slice]: a 256-key frame costs a
+     few lock holds and wake-ups per shard instead of one per key. *)
+  let ingest_batch t keys =
+    let n = Array.length keys and ns = shard_count t in
+    let shard = Array.make n 0 and start = Array.make (ns + 1) 0 in
+    for i = 0 to n - 1 do
+      let j = shard_of t keys.(i) in
+      shard.(i) <- j;
+      start.(j + 1) <- start.(j + 1) + 1
+    done;
+    for j = 1 to ns do
+      start.(j) <- start.(j) + start.(j - 1)
+    done;
+    let sorted = Array.make n 0 and next = Array.sub start 0 ns in
+    for i = 0 to n - 1 do
+      let j = shard.(i) in
+      sorted.(next.(j)) <- keys.(i);
+      next.(j) <- next.(j) + 1
+    done;
+    let accepted = ref 0 in
+    for j = 0 to ns - 1 do
+      let len = start.(j + 1) - start.(j) in
+      if len > 0 then begin
+        let s = t.shards.(j) in
+        note_depth s;
+        let pushed = Mpsc.push_slice s.q sorted ~off:start.(j) ~len in
+        account s ~n:len ~pushed;
+        accepted := !accepted + pushed
+      end
+    done;
+    !accepted
 
   (* Mark one key's shard as carrying a sampled trace context: the worker's
      next flush claims the mark and records the queue-residency span. Call
@@ -640,13 +676,9 @@ module Make (M : Mergeable.S) = struct
   let try_ingest t x =
     let s = t.shards.(shard_of t x) in
     note_depth s;
-    match Mpsc.try_push s.q x with
-    | `Ok ->
-        ignore (Atomic.fetch_and_add s.enqueued 1);
-        true
-    | `Full | `Closed ->
-        ignore (Atomic.fetch_and_add s.dropped 1);
-        false
+    let ok = Mpsc.try_push s.q x = `Ok in
+    account s ~n:1 ~pushed:(Bool.to_int ok);
+    ok
 
   let drain t =
     (* The mutex makes drain safe for any number of concurrent callers: one
@@ -698,6 +730,10 @@ module Make (M : Mergeable.S) = struct
     let e = t.epoch in
     Mutex.unlock t.gm;
     e
+
+  let last_merge_lag t =
+    Mutex.protect t.gm (fun () ->
+        match t.lags with [] -> None | lag :: _ -> Some lag)
 
   let stats t =
     Mutex.lock t.gm;

@@ -6,19 +6,23 @@
     the published state is a textbook IVL object:
 
     {v
-      ingest ──hash──▶ [shard queue]──▶ worker: local delta ─┐
-      ingest ──hash──▶ [shard queue]──▶ worker: local delta ─┤ encoded blobs
-      ingest ──hash──▶ [shard queue]──▶ worker: local delta ─┘      │
-                                                                    ▼
+      batch ─sort by shard─▶ slice ─▶ [shard queue]──▶ worker: delta ─┐
+                             slice ─▶ [shard queue]──▶ worker: delta ─┤ blobs
+                             slice ─▶ [shard queue]──▶ worker: delta ─┘   │
+                                                                          ▼
                                                   [merger queue]──▶ merger:
                                                        global ← fold(delta)
                                                        epoch++, stamp, lag
                                       queries ──▶ snapshot of global @ epoch
     v}
 
+    Keys enter in per-shard slices: {!Make.ingest_batch} sorts a batch by
+    shard and pushes each shard's keys with one {!Mpsc.push_slice}, so a
+    frame costs each shard queue a few lock holds, not one per key.
     Each worker owns its shard's delta exclusively (no locks on the update
-    path); every [batch] items it encodes the delta as a {!Wire.Codec} blob
-    and ships it to the merger, which validates it outside a mutex and folds
+    path) and keeps it for its whole life; every [batch] items it encodes
+    the delta as a {!Wire.Codec} blob, empties it ({!Mergeable.S.ship}) and
+    ships the blob to the merger, which validates it outside a mutex and folds
     it into the global sketch in place under it ({!Mergeable.S.fold}),
     bumping the epoch. A query therefore sees a
     snapshot: some prefix of merges, never a torn delta — the merged counter
@@ -197,6 +201,23 @@ module Make (M : Mergeable.S) : sig
       worker is dead, or the pipeline is drained. Any number of domains may
       ingest concurrently. *)
 
+  val ingest_batch : t -> int array -> int
+  (** Ingest a batch as one slice per shard: the keys are stably sorted by
+      shard and each non-empty shard's slice is enqueued with one
+      {!Mpsc.push_slice}, blocking while that queue is full. Returns the
+      number of keys accepted. Within a shard the keys keep the batch's
+      order; each shard's [enqueued], [dropped] and depth high-water mark
+      are updated once per slice.
+
+      Partial acceptance is exact: a shard whose worker is dead (its queue
+      closed) accepts only the prefix of its slice enqueued before the
+      close, and every later key of the slice counts in its [dropped]; the
+      other shards' slices are unaffected. After {!drain} every key is
+      dropped and the result is [0]. So the result always equals the growth
+      of Σ [enqueued] this call caused. A slice counts in [enqueued] when its
+      push returns, so while it is in flight {!envelope_width} can trail the
+      true gap by up to the keys of the slices being pushed. *)
+
   val try_ingest : t -> int -> bool
   (** Non-blocking variant: a full queue is an immediate drop (counted). *)
 
@@ -242,10 +263,16 @@ module Make (M : Mergeable.S) : sig
       [initial]'s recovered weight + Σ [enqueued] − [published] (floored at
       0). [published] is read before the shards' [enqueued], which only
       grows, so the gap never understates how far a concurrent
-      {!read_total} trails the true total (docs/OBSERVABILITY.md). The
+      {!read_total} trails the total of the pushes that have returned
+      (docs/OBSERVABILITY.md). The
       [pipeline_envelope_width] gauge and every SLO envelope callback read
       this. Callable mid-run, and after {!drain}, where it is the accepted weight
       that never got published. *)
+
+  val last_merge_lag : t -> float option
+  (** The newest merge's lag in seconds (the last element of {!stats}'s
+      [merge_lag]), [None] before the first merge. O(1): what a periodic
+      SLO probe should read instead of copying every lag with {!stats}. *)
 
   val stats : t -> stats
   (** Callable mid-run (racy per-shard counters, consistent merger block) or

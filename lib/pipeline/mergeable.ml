@@ -2,7 +2,8 @@
 
     A [t] plays two roles: the {e shard-local delta} each worker accumulates
     (born empty via [create], fed by [update], shipped as a {!Wire.Codec}
-    blob), and the {e global sketch} the merger folds encoded deltas into
+    blob by [ship], which hands back the empty delta the worker goes on
+    with), and the {e global sketch} the merger folds encoded deltas into
     with [fold]. The pipeline is correct for any summary where merge is
     associative and commutative with [create ()] as identity — the
     "mergeable summaries" algebra (Agarwal et al.) that every sketch in this
@@ -32,7 +33,14 @@ module type S = sig
       all deltas come from [create]). *)
 
   val encode : t -> Bytes.t
-  (** Serialize a delta for the merger queue. *)
+  (** Serialize a summary: a checkpoint, the replica's seed snapshot. *)
+
+  val ship : t -> Bytes.t * t
+  (** [ship d] is [(encode d, e)], [e] an empty delta equal to [create ()]
+      — how a worker flushes: it ships the blob and goes on with [e], and
+      never touches [d] again. CountMin empties [d] in place and returns it,
+      so a worker keeps one delta for its whole life; a sketch without an
+      in-place empty returns [create ()]. *)
 
   val decode : Bytes.t -> (t, Wire.Codec.error) result
   (** Deserialize; never raises. *)

@@ -44,6 +44,32 @@ let push t x =
   Mutex.unlock t.m;
   ok
 
+(* One lock hold per chunk: as much of the slice as fits goes in under one
+   acquisition with one consumer signal, so a whole frame costs the queue a
+   handful of lock holds instead of one per element. *)
+let push_slice t src ~off ~len =
+  if off < 0 || len < 0 || off > Array.length src - len then
+    invalid_arg "Mpsc.push_slice: slice out of bounds";
+  Mutex.lock t.m;
+  let rec go pushed =
+    if pushed = len || t.closed then pushed
+    else if t.len = t.capacity then begin
+      Condition.wait t.not_full t.m;
+      go pushed
+    end
+    else begin
+      let k = min (len - pushed) (t.capacity - t.len) in
+      for j = off + pushed to off + pushed + k - 1 do
+        unsafe_put t (Array.unsafe_get src j)
+      done;
+      Condition.signal t.not_empty;
+      go (pushed + k)
+    end
+  in
+  let n = go 0 in
+  Mutex.unlock t.m;
+  n
+
 let try_push t x =
   Mutex.lock t.m;
   let r =

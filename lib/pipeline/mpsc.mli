@@ -23,6 +23,17 @@ val push : 'a t -> 'a -> bool
 (** Block while full; [false] iff the queue is (or becomes) closed — the
     element was not enqueued. *)
 
+val push_slice : 'a t -> 'a array -> off:int -> len:int -> int
+(** [push_slice q src ~off ~len] enqueues [src.(off) .. src.(off + len - 1)]
+    in order, blocking while the queue is full — the backpressure of
+    {!push}. Each lock hold enqueues as much of the rest of the slice as
+    fits and signals the consumer once. Returns the number enqueued: [len],
+    or fewer iff the queue is (or becomes) closed, in which case exactly
+    that prefix was enqueued and nothing after it. A slice longer than the
+    capacity completes as the consumer makes room. Concurrent producers'
+    slices may interleave between lock holds, never within one.
+    @raise Invalid_argument if the slice is not within [src]. *)
+
 val try_push : 'a t -> 'a -> [ `Ok | `Full | `Closed ]
 (** Non-blocking push. *)
 

@@ -14,6 +14,12 @@ end) : Mergeable.S with type t = Sketches.Countmin.t = struct
   let update = Sketches.Countmin.update
   let merge = Sketches.Countmin.merge
   let encode = Wire.Countmin.encode
+
+  let ship d =
+    let blob = encode d in
+    Sketches.Countmin.reset d;
+    (blob, d)
+
   let decode = Wire.Countmin.decode ~family
 
   let fold blob =
@@ -35,6 +41,7 @@ end) : Mergeable.S with type t = Sketches.Hyperloglog.t = struct
   let update = Sketches.Hyperloglog.update
   let merge = Sketches.Hyperloglog.merge
   let encode = Wire.Hll.encode
+  let ship d = (encode d, create ())
   let decode = Wire.Hll.decode
   let fold blob = Result.map (fun d acc -> merge acc d) (decode blob)
 end
@@ -50,6 +57,7 @@ end) : Mergeable.S with type t = Sketches.Kmv.t = struct
   let update = Sketches.Kmv.update
   let merge = Sketches.Kmv.merge
   let encode = Wire.Kmv.encode
+  let ship d = (encode d, create ())
   let decode = Wire.Kmv.decode
   let fold blob = Result.map (fun d acc -> merge acc d) (decode blob)
 end
@@ -65,6 +73,7 @@ end) : Mergeable.S with type t = Sketches.Quantiles.t = struct
   let update = Sketches.Quantiles.update
   let merge = Sketches.Quantiles.merge
   let encode = Wire.Quantiles.encode
+  let ship d = (encode d, create ())
   let decode = Wire.Quantiles.decode
   let fold blob = Result.map (fun d acc -> merge acc d) (decode blob)
 end
@@ -79,6 +88,7 @@ end) : Mergeable.S with type t = Sketches.Space_saving.t = struct
   let update = Sketches.Space_saving.update
   let merge a b = Sketches.Space_saving.merge ~capacity:C.capacity a b
   let encode = Wire.Space_saving.encode
+  let ship d = (encode d, create ())
   let decode = Wire.Space_saving.decode
   let fold blob = Result.map (fun d acc -> merge acc d) (decode blob)
 end
@@ -99,6 +109,7 @@ module Counter : Mergeable.S with type t = Sketches.Batched_counter.t = struct
     c
 
   let encode = Wire.Counter.encode
+  let ship d = (encode d, create ())
   let decode = Wire.Counter.decode
   let fold blob = Result.map (fun d acc -> merge acc d) (decode blob)
 end

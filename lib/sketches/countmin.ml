@@ -63,6 +63,13 @@ let error_bound t = Float.exp 1.0 /. float_of_int (width t) *. float_of_int t.n
 
 let cell t ~row ~col = t.cells.(row).(col)
 
+let iter_row t ~row f =
+  let r = t.cells.(row) in
+  for col = 0 to Array.length r - 1 do
+    let c = Array.unsafe_get r col in
+    if c <> 0 then f col c
+  done
+
 let reset t =
   Array.iter (fun r -> Array.fill r 0 (Array.length r) 0) t.cells;
   t.n <- 0

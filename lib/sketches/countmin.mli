@@ -51,6 +51,12 @@ val error_bound : t -> float
 val cell : t -> row:int -> col:int -> int
 (** Direct counter access (tests and debugging). *)
 
+val iter_row : t -> row:int -> (int -> int -> unit) -> unit
+(** [iter_row t ~row f] calls [f col count] on each non-zero counter of
+    [row], in ascending column order — one walk of the row, which is how
+    the wire encoder lists it.
+    @raise Invalid_argument if [row] is out of range. *)
+
 val reset : t -> unit
 (** Zero all counters and the update count. *)
 

@@ -45,29 +45,27 @@ let fingerprint family =
       done;
       !h
 
+(* One walk per row: its pairs go to a scratch buffer while they are
+   counted, then the count and the pairs are written. *)
 let encode cm =
   let fp = fingerprint (Sketches.Countmin.family cm) in
   let d = Sketches.Countmin.rows cm and w = Sketches.Countmin.width cm in
+  let pairs = Buffer.create 256 in
   Codec.encode ~kind (fun b ->
       Codec.u32 b d;
       Codec.u32 b w;
       Codec.i64 b fp;
       Codec.varint b (Sketches.Countmin.updates cm);
       for row = 0 to d - 1 do
-        let k = ref 0 in
-        for col = 0 to w - 1 do
-          if Sketches.Countmin.cell cm ~row ~col <> 0 then incr k
-        done;
+        Buffer.clear pairs;
+        let k = ref 0 and prev = ref (-1) in
+        Sketches.Countmin.iter_row cm ~row (fun col c ->
+            Codec.varint pairs (col - !prev - 1);
+            Codec.varint pairs c;
+            prev := col;
+            incr k);
         Codec.varint b !k;
-        let prev = ref (-1) in
-        for col = 0 to w - 1 do
-          let c = Sketches.Countmin.cell cm ~row ~col in
-          if c <> 0 then begin
-            Codec.varint b (col - !prev - 1);
-            Codec.varint b c;
-            prev := col
-          end
-        done
+        Buffer.add_buffer b pairs
       done)
 
 (* The header: dimensions and fingerprint must be the caller's family's,

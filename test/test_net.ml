@@ -330,6 +330,43 @@ let test_server_batch_ack () =
   let est = Srv.P.stats (Srv.engine srv) in
   check_int "published = ingested" 100 est.Srv.P.published
 
+(* A frame enters the engine one slice per shard. With shard 0's worker
+   dead, its slice is shed and the ack counts exactly the keys the live
+   shards took: the growth of Σ enqueued. *)
+let test_server_partial_ack_dead_shard () =
+  let srv =
+    Srv.create ~read_timeout:5.0
+      ~eval:(fun _ _ -> None)
+      ~make_engine:(fun ~on_merge ->
+        Srv.P.create ~shards:3 ~batch:8 ~on_merge
+          ~on_tick:(fun ~shard ->
+            if shard = 0 then
+              raise (Conc.Chaos.Killed { domain = 0; point = 1 }))
+          ())
+      ()
+  in
+  let eng = Srv.engine srv in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Srv.P.dead eng <> [ 0 ] && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  check_bool "shard 0 dead" true (Srv.P.dead eng = [ 0 ]);
+  let enqueued () =
+    Array.fold_left
+      (fun a (s : Srv.P.shard_stats) -> a + s.Srv.P.enqueued)
+      0 (Srv.P.stats eng).Srv.P.shards
+  in
+  let c = dial srv in
+  let before = enqueued () in
+  let accepted = expect_ack c (batch (Array.init 300 (fun i -> i * 11))) in
+  check_int "ack = growth of Σ enqueued" (enqueued () - before) accepted;
+  check_bool "dead shard's keys shed, the rest taken" true
+    (accepted > 0 && accepted < 300);
+  Conn.close c;
+  let stats = Srv.stop srv in
+  check_int "ingested" accepted stats.Srv.ingested;
+  check_int "shed" (300 - accepted) stats.Srv.shed
+
 let test_server_unknown_kind_over_wire ~kind () =
   let srv = start_server () in
   let c = dial srv in
@@ -1563,6 +1600,8 @@ let () =
           Alcotest.test_case "retired kind 18 over wire" `Quick
             (test_server_unknown_kind_over_wire ~kind:18);
           Alcotest.test_case "adversarial peers" `Quick test_adversarial_peers;
+          Alcotest.test_case "partial ack with a dead shard" `Quick
+            test_server_partial_ack_dead_shard;
         ] );
       ( "client",
         [

@@ -194,13 +194,16 @@ let test_merger_fold_all_or_nothing () =
     let width = 64
   end) in
   let poison = Atomic.make false in
+  (* Poison what a worker ships a delta with: [ship], not [encode]. *)
   let module Poisoned = struct
     include Cm
 
-    let encode d =
+    let ship d =
+      let blob, empty = Cm.ship d in
       if Atomic.get poison then
-        Test_helpers.countmin_bad_last_row ~family:(Sketches.Countmin.family d)
-      else Cm.encode d
+        (Test_helpers.countmin_bad_last_row ~family:(Sketches.Countmin.family d),
+         empty)
+      else (blob, empty)
   end in
   let module P = Pipeline.Engine.Make (Poisoned) in
   let p = P.create ~batch:8 ~shards:1 () in
@@ -221,8 +224,6 @@ let test_merger_fold_all_or_nothing () =
     ignore (P.ingest p k)
   done;
   settle "the decode failure" (fun s -> s.P.decode_failures = 1);
-  (* the snapshot encodes with the same [encode]: unpoison it first *)
-  Atomic.set poison false;
   let blob1, epoch1, pub1 = P.snapshot p in
   P.drain p;
   Alcotest.(check int) "published before" 8 pub0;
@@ -230,6 +231,177 @@ let test_merger_fold_all_or_nothing () =
   Alcotest.(check int) "no epoch stamped" epoch0 epoch1;
   Alcotest.(check bytes) "global bit-identical" blob0 blob1;
   Alcotest.(check int) "one decode failure" 1 (P.stats p).P.decode_failures
+
+(* A served frame enters the engine as one slice per shard. Whatever the
+   batch boundaries, the drained global is the one per-key ingest builds,
+   bit for bit, and the one a sequential sketch builds. *)
+let test_ingest_batch_matches_per_key () =
+  let module Cm = Pipeline.Targets.Countmin (struct
+    let seed = 29L
+    let rows = 4
+    let width = 128
+  end) in
+  let module P = Pipeline.Engine.Make (Cm) in
+  let stream =
+    Workload.Stream.generate ~seed:31L (Workload.Stream.Zipf (300, 1.1))
+      ~length:5_000
+  in
+  let per_key = P.create ~queue_capacity:64 ~batch:50 ~shards:3 () in
+  Array.iter (fun x -> ignore (P.ingest per_key x)) stream;
+  let batched = P.create ~queue_capacity:64 ~batch:50 ~shards:3 () in
+  (* batch sizes 0, 1, below, at and above the queue capacity, cycled *)
+  let sizes = [| 0; 1; 37; 64; 256; 300 |] in
+  let off = ref 0 and i = ref 0 and accepted = ref 0 in
+  while !off < Array.length stream do
+    let len = min sizes.(!i mod Array.length sizes) (Array.length stream - !off) in
+    accepted := !accepted + P.ingest_batch batched (Array.sub stream !off len);
+    off := !off + len;
+    incr i
+  done;
+  P.drain per_key;
+  P.drain batched;
+  Alcotest.(check int) "every key accepted" (Array.length stream) !accepted;
+  let blob_of p = let b, _, _ = P.snapshot p in b in
+  Alcotest.(check bytes) "global = per-key ingest's" (blob_of per_key)
+    (blob_of batched);
+  let seq = Cm.create () in
+  Array.iter (Cm.update seq) stream;
+  Alcotest.(check bytes) "global = sequential sketch" (Cm.encode seq)
+    (blob_of batched);
+  Alcotest.(check int) "published" (Array.length stream) (P.read_total batched)
+
+let enqueued_sum (st : PC.stats) =
+  Array.fold_left (fun a (s : PC.shard_stats) -> a + s.enqueued) 0 st.PC.shards
+
+let dropped_sum (st : PC.stats) =
+  Array.fold_left (fun a (s : PC.shard_stats) -> a + s.dropped) 0 st.PC.shards
+
+let test_ingest_batch_after_drain () =
+  let p = PC.create ~shards:2 () in
+  Alcotest.(check int) "accepted before drain" 100
+    (PC.ingest_batch p (Array.init 100 Fun.id));
+  PC.drain p;
+  let before = PC.stats p in
+  Alcotest.(check int) "accepted after drain" 0
+    (PC.ingest_batch p (Array.init 40 Fun.id));
+  let after = PC.stats p in
+  Alcotest.(check int) "dropped grows by n" (dropped_sum before + 40)
+    (dropped_sum after);
+  Alcotest.(check int) "enqueued unchanged" (enqueued_sum before)
+    (enqueued_sum after)
+
+(* Shard 0's worker dies at once and its queue closes: its slice is shed,
+   every other shard's keys are accepted, and the count returned is exactly
+   what Σ enqueued grew by. *)
+let test_ingest_batch_dead_shard () =
+  let p =
+    PC.create ~batch:16 ~shards:3
+      ~on_tick:(fun ~shard ->
+        if shard = 0 then raise (Conc.Chaos.Killed { domain = 0; point = 1 }))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while PC.dead p <> [ 0 ] && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  Alcotest.(check (list int)) "shard 0 dead" [ 0 ] (PC.dead p);
+  let n = 3_000 in
+  let before = PC.stats p in
+  let accepted = PC.ingest_batch p (Array.init n (fun i -> i * 7)) in
+  let after = PC.stats p in
+  Alcotest.(check int) "accepted = growth of Σ enqueued"
+    (enqueued_sum after - enqueued_sum before) accepted;
+  Alcotest.(check int) "the rest dropped" (n - accepted)
+    (dropped_sum after - dropped_sum before);
+  Alcotest.(check int) "dead shard took nothing" 0 after.PC.shards.(0).enqueued;
+  Alcotest.(check bool) "dead shard's keys shed" true (accepted < n);
+  Alcotest.(check bool) "live shards' keys accepted" true
+    (after.PC.shards.(1).enqueued > 0 && after.PC.shards.(2).enqueued > 0);
+  PC.drain p;
+  Alcotest.(check int) "survivors publish all they took" accepted
+    (PC.read_total p)
+
+let test_last_merge_lag () =
+  let p = PC.create ~batch:10 ~shards:2 () in
+  Alcotest.(check (option (float 0.0))) "none before any merge" None
+    (PC.last_merge_lag p);
+  ignore (PC.ingest_batch p (Array.init 95 Fun.id));
+  PC.drain p;
+  let lags = (PC.stats p).PC.merge_lag in
+  Alcotest.(check bool) "merged" true (Array.length lags > 1);
+  Alcotest.(check (option (float 0.0))) "the newest lag"
+    (Some lags.(Array.length lags - 1))
+    (PC.last_merge_lag p)
+
+(* ------------------------- reused delta ------------------------- *)
+
+(* A worker ships with [M.ship] and goes on with the delta it hands back.
+   Over rounds of random keys on one delta, the shipped bytes must be
+   [M.encode] of that delta, bit for bit, and the delta handed back must
+   encode as [create ()]. The CountMin shapes include a 1×1 and a 3×4
+   sketch, whose rows fill at once, and rounds with no keys. *)
+let ship_targets : (string * (module Pipeline.Mergeable.S)) list =
+  let cm rows width =
+    ( Printf.sprintf "countmin %dx%d" rows width,
+      (module Pipeline.Targets.Countmin (struct
+        let seed = 37L
+        let rows = rows
+        let width = width
+      end) : Pipeline.Mergeable.S) )
+  in
+  [
+    cm 4 2048;
+    cm 3 4;
+    cm 1 1;
+    ("counter", (module Pipeline.Targets.Counter));
+    ( "hll",
+      (module Pipeline.Targets.Hll (struct
+        let seed = 37L
+        let p = 6
+      end)) );
+    ( "kmv",
+      (module Pipeline.Targets.Kmv (struct
+        let seed = 37L
+        let k = 16
+      end)) );
+    ( "quantiles",
+      (module Pipeline.Targets.Quantiles (struct
+        let seed = 37L
+        let k = 16
+      end)) );
+    ( "space-saving",
+      (module Pipeline.Targets.Space_saving (struct
+        let capacity = 8
+      end)) );
+  ]
+
+let ship_rounds_ok (module M : Pipeline.Mergeable.S) rounds =
+  let empty = M.encode (M.create ()) in
+  let d = ref (M.create ()) in
+  List.for_all
+    (fun keys ->
+      List.iter (M.update !d) keys;
+      let want = M.encode !d in
+      let blob, e = M.ship !d in
+      d := e;
+      Bytes.equal blob want && Bytes.equal (M.encode e) empty)
+    rounds
+
+let ship_qcheck =
+  let rounds =
+    QCheck.Gen.(
+      list_size (int_range 1 4)
+        (list_size
+           (frequency [ (1, return 0); (4, int_bound 700) ])
+           (frequency [ (3, int_bound 64); (1, int_bound max_int) ])))
+  in
+  List.map
+    (fun (name, m) ->
+      QCheck_alcotest.to_alcotest
+        (QCheck.Test.make ~count:60 ~name:(name ^ ": shipped = encoded")
+           (QCheck.make rounds)
+           (fun rs -> ship_rounds_ok m rs)))
+    ship_targets
 
 (* ------------------------- chaos ------------------------- *)
 
@@ -773,6 +945,110 @@ let test_q_mpsc_stress () =
   Domain.join closer;
   Alcotest.(check int) "popped everything exactly once" (producers * per) !count
 
+let test_q_slice_fifo () =
+  let q = Sq.create ~capacity:8 in
+  let src = [| 10; 11; 12; 13; 14; 15 |] in
+  Alcotest.(check int) "middle slice" 3 (Sq.push_slice q src ~off:1 ~len:3);
+  Alcotest.(check bool) "single push" true (Sq.push q 99);
+  Alcotest.(check int) "empty slice" 0 (Sq.push_slice q src ~off:6 ~len:0);
+  Alcotest.(check int) "tail slice" 2 (Sq.push_slice q src ~off:4 ~len:2);
+  Alcotest.(check (list int)) "fifo" [ 11; 12; 13; 99; 14; 15 ]
+    (Sq.pop_batch q ~max:8);
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "slice %d+%d rejected" off len)
+        (Invalid_argument "Mpsc.push_slice: slice out of bounds") (fun () ->
+          ignore (Sq.push_slice q src ~off ~len)))
+    [ (-1, 1); (0, -1); (5, 2); (7, 0) ]
+
+(* A slice ten times the capacity goes in piece by piece as a concurrent
+   consumer makes room, and comes out whole and in order. *)
+let test_q_slice_past_capacity () =
+  let q = Sq.create ~capacity:4 in
+  let n = 40 in
+  let consumer =
+    Domain.spawn (fun () ->
+        let rec go acc =
+          if List.length acc = n then List.rev acc
+          else match Sq.pop q with Some x -> go (x :: acc) | None -> List.rev acc
+        in
+        go [])
+  in
+  let src = Array.init n Fun.id in
+  Alcotest.(check int) "whole slice enqueued" n (Sq.push_slice q src ~off:0 ~len:n);
+  Alcotest.(check (list int)) "in order" (Array.to_list src) (Domain.join consumer)
+
+(* Closing the queue under a blocked slice push returns exactly the prefix
+   that got in; nothing after it is enqueued, then or later. *)
+let test_q_slice_close_midway () =
+  let q = Sq.create ~capacity:4 in
+  let src = Array.init 10 (fun i -> 100 + i) in
+  let producer = Domain.spawn (fun () -> Sq.push_slice q src ~off:0 ~len:10) in
+  let wait_full () =
+    let deadline = Unix.gettimeofday () +. 5.0 in
+    while Sq.length q < 4 && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.001
+    done;
+    Alcotest.(check int) "queue full, producer blocked" 4 (Sq.length q)
+  in
+  wait_full ();
+  Alcotest.(check (list int)) "first pops" [ 100; 101 ] (Sq.pop_batch q ~max:2);
+  wait_full ();
+  Sq.close q;
+  Alcotest.(check int) "returns the enqueued prefix" 6 (Domain.join producer);
+  Alcotest.(check (list int)) "exactly that prefix is queued"
+    [ 102; 103; 104; 105 ] (Sq.pop_batch q ~max:10);
+  Alcotest.(check (list int)) "then the end mark" [] (Sq.pop_batch q ~max:10);
+  Alcotest.(check int) "a slice into a closed queue" 0
+    (Sq.push_slice q src ~off:0 ~len:3)
+
+(* Producers pushing slices of assorted lengths concurrently through a small
+   queue: the consumer gets exactly their multiset, each producer's
+   elements in its push order. *)
+let test_q_slice_producers () =
+  let producers = 3 and per = 5_000 in
+  let q = Sq.create ~capacity:32 in
+  let doms =
+    Array.init producers (fun d ->
+        Domain.spawn (fun () ->
+            let src = Array.init per (fun i -> (d * per) + i) in
+            let off = ref 0 and len = ref 1 in
+            while !off < per do
+              let l = min !len (per - !off) in
+              ignore (Sq.push_slice q src ~off:!off ~len:l);
+              off := !off + l;
+              len := 1 + ((!len * 7) mod 61)
+            done))
+  in
+  let closer =
+    Domain.spawn (fun () ->
+        Array.iter Domain.join doms;
+        Sq.close q)
+  in
+  let seen = Array.make (producers * per) 0 in
+  let last = Array.make producers (-1) in
+  let buf = Array.make 16 0 in
+  let rec consume () =
+    match Sq.pop_into q buf ~max:16 with
+    | -1 -> ()
+    | n ->
+        for j = 0 to n - 1 do
+          let x = buf.(j) in
+          let d = x / per in
+          if x mod per <= last.(d) then
+            Alcotest.failf "producer %d reordered: %d after %d" d (x mod per)
+              last.(d);
+          last.(d) <- x mod per;
+          seen.(x) <- seen.(x) + 1
+        done;
+        consume ()
+  in
+  consume ();
+  Domain.join closer;
+  Alcotest.(check bool) "every element exactly once" true
+    (Array.for_all (fun c -> c = 1) seen)
+
 (* "mutex:" names the implementation under test: Mpsc is a mutex +
    condition-variable queue. *)
 let contract_suite =
@@ -790,6 +1066,12 @@ let contract_suite =
       test_q_close_wakes_all_producers;
     Alcotest.test_case "mutex: mpsc stress exact + per-source fifo" `Slow
       test_q_mpsc_stress;
+    Alcotest.test_case "mutex: slice fifo" `Quick test_q_slice_fifo;
+    Alcotest.test_case "mutex: slice past capacity" `Quick
+      test_q_slice_past_capacity;
+    Alcotest.test_case "mutex: close mid-slice" `Quick test_q_slice_close_midway;
+    Alcotest.test_case "mutex: slices from 3 producers" `Quick
+      test_q_slice_producers;
   ]
 
 (* ------------------------- stealing ------------------------- *)
@@ -1004,7 +1286,15 @@ let () =
             test_create_rejects_bad_config;
           Alcotest.test_case "merger fold is all or nothing" `Quick
             test_merger_fold_all_or_nothing;
+          Alcotest.test_case "ingest_batch = per-key ingest" `Quick
+            test_ingest_batch_matches_per_key;
+          Alcotest.test_case "ingest_batch after drain" `Quick
+            test_ingest_batch_after_drain;
+          Alcotest.test_case "ingest_batch with a dead shard" `Quick
+            test_ingest_batch_dead_shard;
+          Alcotest.test_case "last_merge_lag" `Quick test_last_merge_lag;
         ] );
+      ("reused delta", ship_qcheck);
       ( "chaos",
         [
           Alcotest.test_case "kill one shard, drain completes" `Quick

@@ -517,6 +517,51 @@ let cm_qcheck =
        (QCheck.make QCheck.Gen.(pair (array_size (return cm_cells) cell) (int_bound 10_000)))
        (fun (counts, n) -> cm_roundtrips (cm_of_cells ~n counts)))
 
+(* The sparse form written the obvious way: count a row's non-zero cells,
+   then list them. [encode] walks each row once and must produce exactly
+   these bytes. *)
+let cm_reference_encode cm =
+  let module C = Wire.Codec in
+  let d = Sketches.Countmin.rows cm and w = Sketches.Countmin.width cm in
+  C.encode ~kind:C.countmin_kind (fun b ->
+      C.u32 b d;
+      C.u32 b w;
+      C.i64 b (Wire.Countmin.fingerprint (Sketches.Countmin.family cm));
+      C.varint b (Sketches.Countmin.updates cm);
+      for row = 0 to d - 1 do
+        let cols =
+          List.filter
+            (fun col -> Sketches.Countmin.cell cm ~row ~col <> 0)
+            (List.init w Fun.id)
+        in
+        C.varint b (List.length cols);
+        ignore
+          (List.fold_left
+             (fun prev col ->
+               C.varint b (col - prev - 1);
+               C.varint b (Sketches.Countmin.cell cm ~row ~col);
+               col)
+             (-1) cols)
+      done)
+
+let cm_reference_qcheck =
+  let cell = QCheck.Gen.(frequency [ (4, return 0); (3, int_bound 600); (1, int_range 0 max_int) ]) in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"encode = the two-pass reference" ~count:200
+       (QCheck.make
+          QCheck.Gen.(
+            pair
+              (frequency
+                 [
+                   (6, array_size (return cm_cells) cell);
+                   (1, array_size (return cm_cells) (int_range 1 600));
+                   (1, return (Array.make cm_cells 0));
+                 ])
+              (int_bound 10_000)))
+       (fun (counts, n) ->
+         let t = cm_of_cells ~n counts in
+         Bytes.equal (Wire.Countmin.encode t) (cm_reference_encode t)))
+
 (* ------------------------- segment reading ------------------------- *)
 
 (* A segment file is a concatenation of frames; [Wire.Segment.iter] must
@@ -644,6 +689,7 @@ let () =
           Alcotest.test_case "v1 dense blob is Unsupported_version 1" `Quick
             test_cm_v1_dense_unsupported;
           cm_qcheck;
+          cm_reference_qcheck;
         ] );
       ("properties", qcheck_tests);
     ]
