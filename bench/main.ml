@@ -6,7 +6,7 @@
    Run with: dune exec bench/main.exe            (all experiments)
             dune exec bench/main.exe -- steps    (one section)
    Sections: steps checker error throughput morris quantiles pq ablation
-   pipeline durable obs net micro
+   pipeline durable obs micro
 
    The harness doubles as the regression gate:
             dune exec bench/main.exe -- compare OLD.json NEW.json
@@ -93,7 +93,6 @@ let sections =
     ("pipeline", Exp_pipeline.run);
     ("durable", Exp_durable.run);
     ("obs", Exp_obs.run);
-    ("net", Exp_net.run);
     ("micro", micro);
   ]
 

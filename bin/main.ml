@@ -1316,7 +1316,8 @@ let serve_run sketch host port shards batch max_conns read_timeout duration
   let slo =
     Obs.Slo.create ~metrics:reg
       ~budget:
-        (Obs.Slo.theorem6_budget ~shards ~batch ~queue_capacity:1024 ())
+        (Obs.Slo.theorem6_budget ~shards ~batch
+           ~queue_capacity:Pipeline.Engine.default_queue_capacity ())
       ~envelope:(fun () -> float_of_int (Srv.P.envelope_width (Srv.engine srv)))
       ~staleness:(fun () -> -1.0)
       ~merge_lag:(fun () ->
@@ -1328,12 +1329,11 @@ let serve_run sketch host port shards batch max_conns read_timeout duration
       (fun p ->
         mount_http ~what:"serve" ~reg ?tracer ~slo
           ~health:(fun () ->
-            let st = Srv.stats srv in
-            let est = Srv.P.stats (Srv.engine srv) in
+            let st = Srv.stats srv and eng = Srv.engine srv in
             [
               ("conns", string_of_int st.Srv.conns);
-              ("published", string_of_int est.Srv.P.published);
-              ("epoch", string_of_int est.Srv.P.epoch);
+              ("published", string_of_int (Srv.P.published eng));
+              ("epoch", string_of_int (Srv.P.epoch eng));
             ])
           p)
       http_port
@@ -1471,13 +1471,6 @@ let client_run host port trace_file ops universe seed feeders conns batch
         t cs.Net.Client.acked lag slack cs.Net.Client.duplicates_suppressed;
       if pass then 0 else 1
 
-let replica_status_string = function
-  | `Syncing -> "syncing"
-  | `Live -> "live"
-  | `Resyncing msg -> "resyncing: " ^ msg
-  | `Broken msg -> "broken: " ^ msg
-  | `Closed -> "closed"
-
 let replica_run sketch host port seed duration settle metrics_out http_port
     trace_sample =
   let (module SV) = find_sketch ~cmd:"replica" ~seed sketch in
@@ -1502,7 +1495,7 @@ let replica_run sketch host port seed duration settle metrics_out http_port
           ~health:(fun () ->
             let s = R.stats r in
             [
-              ("status", replica_status_string s.R.status);
+              ("status", Net.Replica.status_to_string s.R.status);
               ("published", string_of_int s.R.published);
               ("epoch", string_of_int s.R.epoch);
               ("resyncs", string_of_int s.R.resyncs);
@@ -1559,7 +1552,7 @@ let replica_run sketch host port seed duration settle metrics_out http_port
     "replica: %d deltas applied, %d duplicates skipped, %d resyncs, \
      epoch %d, published %d, status %s\n"
     s.R.deltas s.R.skipped s.R.resyncs s.R.epoch s.R.published
-    (replica_status_string s.R.status);
+    (Net.Replica.status_to_string s.R.status);
   let env_pass = !samples > 0 && !violations = 0 in
   Printf.printf "replica: envelope %s (%d samples, %d follower-ahead)\n"
     (if env_pass then "PASS" else "FAIL")
@@ -1738,7 +1731,7 @@ let write_bench path ~reps (exp, rows) =
   Printf.printf "wrote %s\n" path
 
 let soak_run served sketch trace_file ops universe seed dir shards feeders
-    restarts steal kills tear conns partitions outage latency corrupt reset
+    restarts kills tear conns partitions outage latency corrupt reset
     drop record_trace bench_out metrics_out http_port trace_sample trace_dump =
   let usage fmt =
     Printf.ksprintf
@@ -1828,7 +1821,6 @@ let soak_run served sketch trace_file ops universe seed dir shards feeders
       Net.Soak.shards;
       feeders;
       restarts;
-      steal;
       seed;
     }
   in
@@ -1953,15 +1945,6 @@ let soak_cmd =
       & info [ "bench-out" ] ~docv:"FILE"
           ~doc:"also write the verdict counters as a BENCH json")
   in
-  let steal =
-    Arg.(
-      value & flag
-      & info [ "steal" ]
-          ~doc:
-            "idle shard workers steal batches from the most loaded other \
-             shard: more throughput on skewed streams, paid in visibility \
-             latency")
-  in
   let trace_dump =
     Arg.(
       value & opt int 0
@@ -1979,7 +1962,7 @@ let soak_cmd =
           PASS/FAIL verdicts")
     Term.(
       const soak_run $ served $ sketch $ trace_file $ ops $ universe $ seed $ dir
-      $ shards $ feeders $ restarts $ steal $ kills $ tear $ conns
+      $ shards $ feeders $ restarts $ kills $ tear $ conns
       $ partitions $ outage $ latency $ corrupt $ reset $ drop $ record_trace
       $ bench_out $ metrics_flag $ http_port_flag $ trace_sample_flag
       $ trace_dump)

@@ -1,3 +1,10 @@
+let status_to_string = function
+  | `Syncing -> "syncing"
+  | `Live -> "live"
+  | `Resyncing msg -> "resyncing: " ^ msg
+  | `Broken msg -> "broken: " ^ msg
+  | `Closed -> "closed"
+
 module Make (M : Pipeline.Mergeable.S) = struct
   type status =
     [ `Syncing | `Live | `Resyncing of string | `Broken of string | `Closed ]
@@ -18,7 +25,6 @@ module Make (M : Pipeline.Mergeable.S) = struct
     read_timeout : float;
     max_frame : int;
     resync_backoff : float;
-    max_resyncs : int;
     tracer : Obs.Tracer.t option;
     m : Mutex.t;
     mutable conn : Conn.t option;
@@ -61,19 +67,13 @@ module Make (M : Pipeline.Mergeable.S) = struct
      applied epoch, which still sits inside the leader's envelope (it can
      only lag further, never invent weight). Returns [true] once a new
      subscription is live on the wire (the fresh snapshot then resets the
-     epoch filter), [false] when the replica is done (closed, or out of
-     resync budget → [`Broken]). *)
+     epoch filter), [false] once the replica is closing. *)
   let resync t reason =
     Mutex.lock t.m;
     (match t.conn with Some c -> Conn.close c | None -> ());
     t.conn <- None;
     t.last_break <- Some reason;
     if t.closing then begin
-      Mutex.unlock t.m;
-      false
-    end
-    else if t.resyncs >= t.max_resyncs then begin
-      t.st <- `Broken reason;
       Mutex.unlock t.m;
       false
     end
@@ -278,7 +278,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
     | `Closed -> 4.
 
   let connect ?(read_timeout = 1.0) ?(max_frame = Conn.default_max_frame)
-      ?(resync_backoff = 0.05) ?max_resyncs ?metrics ?tracer ~host ~port () =
+      ?(resync_backoff = 0.05) ?metrics ?tracer ~host ~port () =
     let conn = Conn.connect ~host ~port in
     Conn.set_read_timeout conn read_timeout;
     let t =
@@ -288,7 +288,6 @@ module Make (M : Pipeline.Mergeable.S) = struct
         read_timeout;
         max_frame;
         resync_backoff;
-        max_resyncs = Option.value max_resyncs ~default:max_int;
         tracer;
         m = Mutex.create ();
         conn = Some conn;

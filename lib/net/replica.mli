@@ -28,12 +28,18 @@
     epoch gap — transitions to [`Resyncing]: the connection is torn down
     and the replica redials with backoff until a new {!Frame.Subscribe}
     handshake lands, taking a fresh seed snapshot (whose epoch resets the
-    filter). Only two things make the stream [`Broken]: exhausting
-    [max_resyncs], and a seed snapshot that arrives intact but does not
-    decode — a leader of another sketch, shape or seed (the CountMin family
-    fingerprint), which every resync would fetch again; such a follower
-    publishes nothing. Silently resuming after a gap would undercount
-    forever, so that is the one thing the replica never does. *)
+    filter). Only one thing makes the stream [`Broken]: a seed snapshot
+    that arrives intact but does not decode — a leader of another sketch,
+    shape or seed (the CountMin family fingerprint), which every resync
+    would fetch again; such a follower publishes nothing. Silently
+    resuming after a gap would undercount forever, so that is the one
+    thing the replica never does. *)
+
+val status_to_string :
+  [< `Syncing | `Live | `Resyncing of string | `Broken of string | `Closed ] ->
+  string
+(** ["live"], ["resyncing: <reason>"], ...: a {!Make.status} as the CLI
+    and the soak print it. *)
 
 module Make (M : Pipeline.Mergeable.S) : sig
   type t
@@ -44,8 +50,7 @@ module Make (M : Pipeline.Mergeable.S) : sig
     | `Resyncing of string
       (** stream broke (the reason); redialing, last state still served *)
     | `Broken of string
-      (** resync budget exhausted, or an undecodable seed snapshot: stream
-          unsound *)
+      (** an undecodable seed snapshot: stream unsound *)
     | `Closed ]
 
   type stats = {
@@ -62,7 +67,6 @@ module Make (M : Pipeline.Mergeable.S) : sig
     ?read_timeout:float ->
     ?max_frame:int ->
     ?resync_backoff:float ->
-    ?max_resyncs:int ->
     ?metrics:Obs.Registry.t ->
     ?tracer:Obs.Tracer.t ->
     host:string ->
@@ -78,9 +82,8 @@ module Make (M : Pipeline.Mergeable.S) : sig
       resync path; a seed that does not decode returns [`Broken].
       [read_timeout] (default 1 s) paces the apply loop's receive wait — an
       idle leader just means quiet patience, not failure. [resync_backoff]
-      (default 50 ms) spaces redial attempts while [`Resyncing];
-      [max_resyncs] (default unbounded) caps how many breaks are healed
-      before the stream is declared [`Broken].
+      (default 50 ms) spaces redial attempts while [`Resyncing]; every
+      break is healed, however many there are.
 
       [metrics] registers [replica_resyncs_total], [replica_deltas_total],
       [replica_skipped_total] and [replica_epoch], [replica_published],

@@ -344,8 +344,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
 
   let create ?(host = "127.0.0.1") ?(port = 0) ?(max_conns = 32)
       ?(max_frame = Conn.default_max_frame) ?(read_timeout = 30.0)
-      ?(sub_queue = 1024) ?(dedup_window = 128) ?(dedup_sessions = 1024)
-      ?dedup_dir ?metrics ?tracer ~eval ~make_engine () =
+      ?(sub_queue = 1024) ?dedup_dir ?metrics ?tracer ~eval ~make_engine () =
     if max_conns <= 0 then invalid_arg "Net.Server: max_conns must be positive";
     Conn.ignore_sigpipe ();
     let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -400,10 +399,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
     end
     else if !rep_epoch >= 0 && !rep_published < p0 then rep_published := p0;
     Mutex.unlock rep_m;
-    let dedup =
-      Dedup.create ~window:dedup_window ~max_sessions:dedup_sessions
-        ?dir:dedup_dir ()
-    in
+    let dedup = Dedup.create ?dir:dedup_dir () in
     let t =
       {
         eng;

@@ -85,8 +85,6 @@ module Make (M : Pipeline.Mergeable.S) : sig
     ?max_frame:int ->
     ?read_timeout:float ->
     ?sub_queue:int ->
-    ?dedup_window:int ->
-    ?dedup_sessions:int ->
     ?dedup_dir:string ->
     ?metrics:Obs.Registry.t ->
     ?tracer:Obs.Tracer.t ->
@@ -118,8 +116,8 @@ module Make (M : Pipeline.Mergeable.S) : sig
       caps declared payload lengths. [sub_queue] (default 1024) bounds each
       subscriber's delta queue.
 
-      [dedup_window] (default 128) and [dedup_sessions] (default 1024)
-      bound the per-session dedup window ({!Dedup}); [dedup_dir] persists
+      The per-session dedup window has {!Dedup.create}'s default bounds
+      (128 seqs per session, 1024 sessions); [dedup_dir] persists
       the session journal so retries that span a restart stay suppressed —
       point it at the WAL directory.
 

@@ -12,10 +12,10 @@
    drain — Jagadeesan & Riely's in-flight bound read at quiescence:
    published - base = flushed (the merger folds exactly what workers
    shipped), lost = accepted - (published - base) >= 0 (weight is never
-   invented), and, without stealing, flushed = enqueued on every shard
-   that never died. Only a worker death may lose weight (its unflushed
-   delta, its queued backlog), so an incarnation with no kill and no
-   restart requires lost = 0. The served sink has no kills and drains
+   invented), and flushed = enqueued on every shard that never died.
+   Only a worker death may lose weight (its unflushed delta, its queued
+   backlog), so an incarnation with no kill and no restart requires
+   lost = 0. The served sink has no kills and drains
    through every restart, so it always requires lost = 0, and each
    recovery to resume exactly at the previous final.
 
@@ -63,7 +63,6 @@ type config = {
   shards : int;
   batch : int;
   feeders : int;
-  steal : bool;
   restarts : int;
   seed : int64;
   sink : sink;
@@ -104,7 +103,6 @@ let default_config ~dir sink =
     shards = 4;
     batch = 256;
     feeders = 2;
-    steal = false;
     restarts = 2;
     seed = 0xC4405L;
     sink;
@@ -376,7 +374,7 @@ module Make (S : SKETCH) = struct
         match c.sink with
         | Served _ ->
             ( None,
-              P.create ~steal:c.steal ~batch:c.batch ~on_merge ~metrics:reg
+              P.create ~batch:c.batch ~on_merge ~metrics:reg
                 ?tracer ?initial ~shards:c.shards () )
         | Engine e ->
             let kills =
@@ -393,7 +391,7 @@ module Make (S : SKETCH) = struct
                 ~domains:c.shards
             in
             ( Some chaos,
-              P.create ~steal:c.steal ~batch:c.batch
+              P.create ~batch:c.batch
                 ~on_tick:(fun ~shard -> Conc.Chaos.point_once chaos ~domain:shard)
                 ~on_merge ~checkpoint_every:e.checkpoint_every
                 ~on_checkpoint:(fun ~epoch ~published ~blob ->
@@ -480,11 +478,8 @@ module Make (S : SKETCH) = struct
           || published > flushed)
         + Bool.to_int (lost < 0)
         + Bool.to_int (kills = 0 && worker_restarts = 0 && lost > 0)
-        (* under stealing flushes migrate between shards, and the sums
-           above cover it *)
         + count (fun s ->
-              (not c.steal) && s.P.alive && s.P.restarts = 0
-              && s.P.flushed_items <> s.P.enqueued)
+              s.P.alive && s.P.restarts = 0 && s.P.flushed_items <> s.P.enqueued)
       in
       let engine_sink = match c.sink with Engine _ -> true | Served _ -> false in
       let oracle =
@@ -563,7 +558,7 @@ module Make (S : SKETCH) = struct
     let published_now () =
       Mutex.protect sm (fun () ->
           match !cur with
-          | Some l -> (P.stats l.eng).P.published
+          | Some l -> P.published l.eng
           | None -> snd !last_end)
     in
     ignore (start ());
@@ -607,7 +602,8 @@ module Make (S : SKETCH) = struct
              restarts park the merger and partitions freeze the replica *)
           (Obs.Slo.theorem6_budget
              ?slack:(if Option.is_some net then Some 4.0 else None)
-             ~shards:c.shards ~batch:c.batch ~queue_capacity:1024 ())
+             ~shards:c.shards ~batch:c.batch
+             ~queue_capacity:Pipeline.Engine.default_queue_capacity ())
         ~envelope:(with_life (fun l -> float_of_int (P.envelope_width l.eng)))
         ~staleness:
           (match net with
@@ -891,12 +887,7 @@ module Make (S : SKETCH) = struct
           if not caught_up then
             add "replica failed to reach epoch %d within %.1fs (status %s)" epoch
               s.settle
-              (match rs.Rep.status with
-              | `Syncing -> "syncing"
-              | `Live -> "live"
-              | `Resyncing m -> "resyncing: " ^ m
-              | `Broken m -> "broken: " ^ m
-              | `Closed -> "closed")
+              (Replica.status_to_string rs.Rep.status)
           else if rs.Rep.published <> pub then
             add "replica published %d <> leader %d" rs.Rep.published pub
           else if rep_blob = None then add "replica held no sketch at the end"

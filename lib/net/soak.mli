@@ -30,8 +30,8 @@
       went backwards within an incarnation), {e conservation} (published
       = recovered base + flushed; accepted covers published: loss, never
       invention; no loss in an incarnation without a kill or a worker
-      restart; without stealing, flushed = enqueued on every shard that
-      never died), {e recovery envelope} (recovered state inside
+      restart; flushed = enqueued on every shard that never died),
+      {e recovery envelope} (recovered state inside
       [newest checkpoint, previous final], exactly the previous final
       when the WAL tail was not torn, never regressing), {e decode}
       and {e engine failures} (zero of each; a shard left dead after
@@ -96,7 +96,6 @@ type config = {
   shards : int;
   batch : int;  (** engine merge cadence *)
   feeders : int;  (** driver feeder domains *)
-  steal : bool;  (** idle shard workers steal batches *)
   restarts : int;  (** incarnations - 1 *)
   seed : int64;  (** chaos, proxy and session randomness *)
   sink : sink;
@@ -112,7 +111,7 @@ val default_served : served
     refused dials), 30 s settle. *)
 
 val default_config : dir:string -> sink -> config
-(** 4 shards, batch 256, 2 feeders, no stealing, 2 restarts. *)
+(** 4 shards, batch 256, 2 feeders, 2 restarts. *)
 
 type oracle = {
   lower : int;  (** estimates below truth - lost: unconditional *)

@@ -8,6 +8,8 @@ type supervisor = {
   seed : int64; (* backoff jitter *)
 }
 
+let default_queue_capacity = 1024
+
 let default_supervisor =
   {
     max_restarts = 5;
@@ -40,9 +42,7 @@ module Make (M : Mergeable.S) = struct
     shed : bool Atomic.t; (* permanently degraded: restart cap exceeded *)
     last_error : string option Atomic.t;
     beats : int Atomic.t; (* worker heartbeat, one per batch loop *)
-    steals : int Atomic.t; (* items this worker stole from other shards *)
-    stolen_batches : int Atomic.t; (* steal operations by this worker *)
-    parks : int Atomic.t; (* idle waits: nothing local, nothing stealable *)
+    parks : int Atomic.t; (* idle waits: own queue empty *)
     (* One-slot mailbox for a sampled batch's trace context: [trace_mark]
        stores (ctx, mark time) when a traced key lands in this shard's
        queue, and the worker's next flush claims it — the span covers
@@ -65,7 +65,6 @@ module Make (M : Mergeable.S) = struct
     last_error : string option;
     beats : int;
     steals : int;
-    stolen_batches : int;
     parks : int;
   }
 
@@ -82,7 +81,6 @@ module Make (M : Mergeable.S) = struct
     shards : shard array;
     mq : delta Mpsc.t;
     batch : int;
-    steal : bool; (* idle workers rebalance batches from loaded shards *)
     on_tick : (shard:int -> unit) option;
     on_merge :
       (ctx:Obs.Span.context -> epoch:int -> weight:int -> blob:Bytes.t -> unit)
@@ -144,10 +142,8 @@ module Make (M : Mergeable.S) = struct
 
   let worker t i =
     let s = t.shards.(i) in
-    let n_shards = Array.length t.shards in
-    (* Worker-private pop buffer: both local pops and steals land here, so
-       the steady-state consume path allocates nothing (the queue only
-       boxes on the push side). *)
+    (* Worker-private pop buffer, so the steady-state consume path
+       allocates nothing (the queue only boxes on the push side). *)
     let buf = Array.make t.batch 0 in
     (* The worker's one delta: [M.ship] hands back an empty one to go on
        with — this one, emptied in place, where the sketch can do that. *)
@@ -163,10 +159,7 @@ module Make (M : Mergeable.S) = struct
     let flush () =
       if !count > 0 then begin
         (* Claim any traced batch that landed here since the last flush and
-           close its queue-residency span. A stolen traced batch is folded
-           by the thief while the mark stays on the victim's shard — the
-           victim's next flush claims it, an accepted approximation (the
-           span still ends at a flush that ships the sampled window). *)
+           close its queue-residency span. *)
         let ctx =
           match Atomic.exchange s.pending None with
           | None -> Obs.Span.zero
@@ -193,70 +186,21 @@ module Make (M : Mergeable.S) = struct
         count := 0
       end
     in
-    (* Batch rebalancing: an idle worker scans the other shards' relaxed
-       queue lengths, picks the deepest backlog, and claims up to half of
-       it (capped at one batch) with a single steal. Stolen items are
-       folded into the THIEF's delta and counted in the thief's
-       consumed/flushed — per-shard ingest accounting (enqueued) stays on
-       the victim, so conservation becomes a cross-shard sum under
-       stealing (Σ flushed = Σ enqueued), which is what the soak and CLI
-       verdicts check. Stealing from a dead shard's still-closed queue is
-       deliberate: it rescues backlog the supervisor would otherwise make
-       the restarted incarnation replay. *)
-    let try_steal () =
-      let best = ref (-1) and best_len = ref 0 in
-      for j = 0 to n_shards - 1 do
-        if j <> i then begin
-          let l = Mpsc.length_relaxed t.shards.(j).q in
-          if l > !best_len then begin
-            best := j;
-            best_len := l
-          end
-        end
-      done;
-      if !best < 0 then 0
-      else begin
-        let want = min t.batch (max 1 (!best_len / 2)) in
-        let k = Mpsc.try_pop_into t.shards.(!best).q buf ~max:want in
-        if k > 0 then begin
-          ignore (Atomic.fetch_and_add s.steals k);
-          ignore (Atomic.fetch_and_add s.stolen_batches 1);
-          absorb k;
-          k
-        end
-        else 0
-      end
-    in
     let rec loop () =
       ignore (Atomic.fetch_and_add s.beats 1);
       (match t.on_tick with Some f -> f ~shard:i | None -> ());
+      (* Count the would-block, then block on our own queue until an
+         element arrives or it closes. *)
       let n =
-        if t.steal then Mpsc.try_pop_into s.q buf ~max:t.batch
-        else
-          (* No stealing: count the would-block, then block on our own
-             queue until an element arrives or it closes. *)
-          match Mpsc.try_pop_into s.q buf ~max:t.batch with
-          | 0 ->
-              ignore (Atomic.fetch_and_add s.parks 1);
-              Mpsc.pop_into s.q buf ~max:t.batch
-          | n -> n
+        match Mpsc.try_pop_into s.q buf ~max:t.batch with
+        | 0 ->
+            ignore (Atomic.fetch_and_add s.parks 1);
+            Mpsc.pop_into s.q buf ~max:t.batch
+        | n -> n
       in
       if n > 0 then begin
         absorb n;
         if !count >= t.batch then flush ();
-        loop ()
-      end
-      else if n = 0 then begin
-        (* Steal mode, own queue empty and open: rebalance, or nap briefly
-           (bounded, so backlogs building on OTHER shards are noticed —
-           a condition park on our own queue would sleep through them). *)
-        if try_steal () > 0 then begin
-          if !count >= t.batch then flush ()
-        end
-        else begin
-          ignore (Atomic.fetch_and_add s.parks 1);
-          Unix.sleepf 1e-4
-        end;
         loop ()
       end
       else flush () (* closed and drained: final flush, then exit *)
@@ -402,6 +346,12 @@ module Make (M : Mergeable.S) = struct
       done
     done
 
+  let published t =
+    Mutex.lock t.gm;
+    let p = t.published in
+    Mutex.unlock t.gm;
+    p
+
   (* The live IVL freshness gap: accepted weight not yet published. The
      recovered base counts as accepted, since [published] starts at it.
      [published] is read under the merge mutex BEFORE summing per-shard
@@ -411,9 +361,7 @@ module Make (M : Mergeable.S) = struct
      freshness bound once ingest quiesces). [dropped] plays no part: it
      also counts pushes that were never enqueued. *)
   let envelope_width t =
-    Mutex.lock t.gm;
-    let p = t.published in
-    Mutex.unlock t.gm;
+    let p = published t in
     let e =
       Array.fold_left
         (fun acc (s : shard) -> acc + Atomic.get s.enqueued)
@@ -448,10 +396,7 @@ module Make (M : Mergeable.S) = struct
         Atomic.get t.decode_failures);
     counter "pipeline_published_total"
       "Total weight merged into the published sketch" (fun () ->
-        Mutex.lock t.gm;
-        let p = t.published in
-        Mutex.unlock t.gm;
-        p);
+        published t);
     gauge "pipeline_epoch" "Merge counter stamping every query snapshot"
       (fun () ->
         Mutex.lock t.gm;
@@ -499,17 +444,11 @@ module Make (M : Mergeable.S) = struct
           (fun s -> s.flushes);
         scounter "pipeline_shard_restarts_total"
           "Supervisor restarts of this shard's worker" (fun s -> s.restarts);
-        scounter "pipeline_shard_steals_total"
-          "Elements this worker stole from other shards' queues" (fun s ->
-            s.steals);
-        scounter "pipeline_shard_stolen_batches_total"
-          "Steal operations performed by this worker" (fun s ->
-            s.stolen_batches);
         scounter "pipeline_shard_parks_total"
-          "Idle waits: no local work and nothing stealable" (fun s -> s.parks))
+          "Idle waits: the worker's queue was empty" (fun s -> s.parks))
       t.shards
 
-  let create ?(steal = false) ?(queue_capacity = 1024) ?(batch = 512) ?on_tick
+  let create ?(queue_capacity = default_queue_capacity) ?(batch = 512) ?on_tick
       ?on_merge ?(checkpoint_every = 0) ?on_checkpoint ?supervisor ?metrics
       ?tracer ?initial ~shards () =
     if shards <= 0 then invalid_arg "Engine.create: shards must be positive";
@@ -542,8 +481,6 @@ module Make (M : Mergeable.S) = struct
         shed = Atomic.make false;
         last_error = Atomic.make None;
         beats = Atomic.make 0;
-        steals = Atomic.make 0;
-        stolen_batches = Atomic.make 0;
         parks = Atomic.make 0;
         pending = Atomic.make None;
       }
@@ -553,7 +490,6 @@ module Make (M : Mergeable.S) = struct
         shards = Array.init shards mk_shard;
         mq = Mpsc.create ~capacity:(max 4 (2 * shards));
         batch;
-        steal;
         on_tick;
         on_merge;
         checkpoint_every;
@@ -756,8 +692,7 @@ module Make (M : Mergeable.S) = struct
               shed = Atomic.get s.shed;
               last_error = Atomic.get s.last_error;
               beats = Atomic.get s.beats;
-              steals = Atomic.get s.steals;
-              stolen_batches = Atomic.get s.stolen_batches;
+              steals = 0;
               parks = Atomic.get s.parks;
             })
           t.shards;

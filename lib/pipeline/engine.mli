@@ -66,6 +66,11 @@ type supervisor = {
   seed : int64;  (** jitter randomness (multiplier in [0.5, 1.5)) *)
 }
 
+val default_queue_capacity : int
+(** 1024: {!Make.create}'s [queue_capacity] default, and what the
+    Theorem-6 SLO budget ({!Obs.Slo.theorem6_budget}) assumes of an engine
+    built with it. *)
+
 val default_supervisor : supervisor
 (** 5 restarts, 2 ms base, 50 ms cap, 0.5 ms polling. *)
 
@@ -84,13 +89,8 @@ module Make (M : Mergeable.S) : sig
     shed : bool;  (** permanently degraded: restart cap exceeded *)
     last_error : string option;  (** most recent death (or shed) reason *)
     beats : int;  (** worker heartbeats, one per batch loop, all incarnations *)
-    steals : int;
-        (** elements this shard's worker stole from other shards' queues;
-            counted in the {e thief}'s [consumed]/[flushed_items] while
-            [enqueued] stays with the victim — under stealing, conservation
-            holds as a sum across shards, not per shard *)
-    stolen_batches : int;  (** steal operations performed by this worker *)
-    parks : int;  (** idle waits: queue empty and (if stealing) no victim *)
+    steals : int;  (** always [0]; [bench/stack] reports it as [engine.steals] *)
+    parks : int;  (** idle waits: the worker found its queue empty *)
   }
 
   type stats = {
@@ -103,7 +103,6 @@ module Make (M : Mergeable.S) : sig
   }
 
   val create :
-    ?steal:bool ->
     ?queue_capacity:int ->
     ?batch:int ->
     ?on_tick:(shard:int -> unit) ->
@@ -120,20 +119,15 @@ module Make (M : Mergeable.S) : sig
     t
   (** Spawn [shards] worker domains plus one merger domain (plus a watchdog
       domain when [supervisor] is given). Every shard queue and the merger
-      queue is a {!Mpsc}. [queue_capacity] (default 1024) bounds each shard
-      queue; [batch] (default 512) is the merge cadence in items.
+      queue is a {!Mpsc}. [queue_capacity] (default
+      {!Engine.default_queue_capacity}) bounds each shard queue; [batch]
+      (default 512) is the merge cadence in items.
 
-      [steal] (default [false]) enables batch rebalancing: an idle worker
-      claims up to half of the deepest other shard's backlog (capped at
-      one batch) with one {!Mpsc.try_pop_into} on that shard's queue —
-      safe because every pop runs under the queue mutex — and folds it
-      into its own delta, so skewed traces don't pin one shard while the
-      rest sleep. An idle stealing worker naps 0.1 ms between scans
-      instead of blocking on its own queue. Stolen items count in the
-      thief's [consumed]/[flushed_items]; conservation then holds as
-      Σ flushed = Σ enqueued across shards rather than per shard. Stealing
-      trades freshness for throughput: more keys are in flight at once, so
-      visibility latency grows (docs/PERFORMANCE.md §6).
+      Each worker consumes only its own shard's queue: it pops up to
+      [batch] items, blocks on the queue when it is empty, ships its delta
+      once it holds at least [batch] items, and ships the rest when the
+      queue closes. So a shard whose worker never died has
+      [flushed_items = enqueued] after {!drain}.
 
       [on_tick] runs in the worker's domain once per batch loop — the
       chaos hook: raising {!Conc.Chaos.Killed} from it crash-stops that
@@ -165,7 +159,7 @@ module Make (M : Mergeable.S) : sig
       contending per-gauge with the consumers — [pipeline_queue_max_depth],
       [pipeline_shard_alive], [pipeline_shard_shed], and
       [pipeline_shard_{enqueued,dropped,consumed,flushed_items,flushes,
-      restarts,steals,stolen_batches,parks}_total]), a
+      restarts,parks}_total]), a
       [pipeline_merge_lag_seconds] summary
       observed by the merger, and [pipeline_envelope_width] — the live IVL
       freshness gap, {!envelope_width}.
@@ -257,6 +251,11 @@ module Make (M : Mergeable.S) : sig
       domain may call this (the recorder gives the reader one buffer). *)
 
   val epoch : t -> int
+
+  val published : t -> int
+  (** Total published weight, as in {!stats}, without recording a query
+      op or copying the merge lags. O(1): what a periodic probe such as a
+      staleness SLO or a sampler should read. *)
 
   val envelope_width : t -> int
   (** The live IVL freshness gap: accepted weight not yet published,

@@ -109,8 +109,7 @@ let pop t = match pop_batch t ~max:1 with [] -> None | x :: _ -> Some x
 (* Array-based pops: same semantics as [pop_batch] but writing into a
    caller-owned buffer, so steady-state consumption allocates nothing.
    Because every consumer runs under the queue mutex these are also safe
-   for multiple concurrent consumers — which is how the engine's batch
-   stealing works. *)
+   for multiple concurrent consumers. *)
 
 let unsafe_take_into t buf n =
   for j = 0 to n - 1 do

@@ -51,8 +51,7 @@ val try_pop_into : 'a t -> 'a array -> max:int -> int
     [min max (Array.length buf)] elements, FIFO, into [buf.(0..n-1)] and
     returns the count — [0] means empty-but-open, [-1] means closed and
     drained. Allocation-free at steady state. Runs under the queue mutex,
-    so it is safe from any domain — this is the engine's steal entry
-    point: an idle worker calls it on another shard's queue.
+    so it is safe from any domain, concurrently with other consumers.
     @raise Invalid_argument if [max <= 0]. *)
 
 val pop_into : 'a t -> 'a array -> max:int -> int
