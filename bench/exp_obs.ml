@@ -2,8 +2,8 @@
 
    The design claim behind lib/obs is that IVL instruments are cheap enough
    to leave on: a counter add is one striped fetch-and-add, a gauge set one
-   padded plain store, a histogram observe a bucket add — none of them
-   allocate, none of them lock. This experiment pins that:
+   padded plain store — neither allocates, neither locks. This experiment
+   pins that:
 
    - allocation audits (B/op) on every hot-path primitive, gated
      structurally by `bench compare` — a nonzero counter-add audit is a
@@ -36,7 +36,6 @@ let alloc_audits () =
   Bench_util.subsection "allocation audits (bytes per op; 0 = silent hot path)";
   let c = Obs.Counter.create () in
   let g = Obs.Gauge.create () in
-  let h = Obs.Histogram.create () in
   (* Compare matches entries by (name, params): the "-alloc" suffix keeps
      these from colliding with the ns/op rows for the same paths. *)
   let audit name f =
@@ -51,7 +50,6 @@ let alloc_audits () =
       (* Constant operands: boxing a freshly computed float would bill the
          caller, not the instrument — the audit isolates the store. *)
       audit "e14-gauge-set" (fun () -> Obs.Gauge.set g 2.5);
-      audit "e14-histogram-observe" (fun () -> Obs.Histogram.observe h 0.003);
     ]
 
 (* ---------------- single-op latencies ---------------- *)
@@ -59,12 +57,10 @@ let alloc_audits () =
 let micro () =
   let c = Obs.Counter.create () in
   let g = Obs.Gauge.create () in
-  let h = Obs.Histogram.create () in
   let reg = Obs.Registry.create () in
   let rc = Obs.Registry.counter reg "bench_total" in
   Obs.Counter.add rc 1;
   ignore (Obs.Registry.gauge reg ~labels:[ ("shard", "0") ] "bench_depth");
-  ignore (Obs.Registry.histogram reg "bench_latency_seconds");
   let open Bechamel in
   let tests =
     [
@@ -73,8 +69,6 @@ let micro () =
       Test.make ~name:"e14-counter-read"
         (Staged.stage (fun () -> ignore (Obs.Counter.read c)));
       Test.make ~name:"e14-gauge-set" (Staged.stage (fun () -> Obs.Gauge.set g 2.5));
-      Test.make ~name:"e14-histogram-observe"
-        (Staged.stage (fun () -> Obs.Histogram.observe h 0.003));
       Test.make ~name:"e14-registry-scrape"
         (Staged.stage (fun () -> ignore (Obs.Registry.snapshot reg)));
     ]

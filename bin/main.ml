@@ -487,8 +487,13 @@ let pending_on_survivors h ~killed =
              o.Hist.Op.id o.Hist.Op.proc))
     (Hist.History.pending h)
 
-let chaos_counter ~domains ~ops ~kills ~seed =
-  let module Mono = Ivl.Monotone.Make (Spec.Counter_spec) in
+(* The recorded-chaos harness shared by the IVL objects: [domains] writers
+   apply [update_arg d k] for k = 1..ops, one reader queries
+   [query_arg k] ops/2 times, every operation recorded around chaos
+   points; the history must pass [violations] with nothing pending on a
+   survivor. *)
+let chaos_recorded name ~domains ~ops ~kills ~seed ~update_arg ~update
+    ~query_arg ~query ~violations =
   let writers = domains in
   let total = writers + 1 in
   let plan =
@@ -500,47 +505,56 @@ let chaos_counter ~domains ~ops ~kills ~seed =
   in
   let ch = Conc.Chaos.instantiate plan ~domains:total in
   let rec_ = Conc.Recorder.create ~domains:total in
-  let c = Conc.Ivl_counter.create ~procs:writers in
   let reads = max 1 (ops / 2) in
   let results =
     Conc.Runner.parallel_result ~domains:total (fun i ->
         if i < writers then
           for k = 1 to ops do
             Conc.Chaos.point ch ~domain:i;
-            Conc.Recorder.record_update rec_ ~domain:i ~obj:0
-              (1 + (k mod 3))
-              (fun () ->
+            let v = update_arg i k in
+            Conc.Recorder.record_update rec_ ~domain:i ~obj:0 v (fun () ->
                 Conc.Chaos.point ch ~domain:i;
-                Conc.Ivl_counter.update c ~proc:i (1 + (k mod 3));
+                update ~domain:i v;
                 Conc.Chaos.point ch ~domain:i)
           done
         else
-          for _ = 1 to reads do
+          for k = 1 to reads do
             Conc.Chaos.point ch ~domain:i;
+            let q = query_arg k in
             ignore
-              (Conc.Recorder.record_query rec_ ~domain:i ~obj:0 0 (fun () ->
+              (Conc.Recorder.record_query rec_ ~domain:i ~obj:0 q (fun () ->
                    Conc.Chaos.point ch ~domain:i;
-                   Conc.Ivl_counter.read c))
+                   query q))
           done)
   in
   let killed = Conc.Chaos.killed ch in
   let h = Conc.Recorder.history rec_ in
-  let viols = Mono.violations h in
+  let viols = violations h in
   let problems =
     unexpected_errors results
     @ pending_on_survivors h ~killed
     @
-    if viols = [] then []
-    else [ Printf.sprintf "%d IVL envelope violations" (List.length viols) ]
+    if viols = 0 then []
+    else [ Printf.sprintf "%d IVL envelope violations" viols ]
   in
   Printf.printf
-    "counter: %d writers + 1 reader, killed %s; %d ops recorded (%d left \
+    "%s: %d writers + 1 reader, killed %s; %d ops recorded (%d left \
      pending), envelope violations: %d\n"
-    writers (pp_int_list killed)
+    name writers (pp_int_list killed)
     (List.length (Hist.History.ops h))
     (List.length (Hist.History.pending h))
-    (List.length viols);
+    viols;
   problems
+
+let chaos_counter ~domains ~ops ~kills ~seed =
+  let module Mono = Ivl.Monotone.Make (Spec.Counter_spec) in
+  let c = Conc.Ivl_counter.create ~procs:domains in
+  chaos_recorded "counter" ~domains ~ops ~kills ~seed
+    ~update_arg:(fun _ k -> 1 + (k mod 3))
+    ~update:(fun ~domain v -> Conc.Ivl_counter.update c ~proc:domain v)
+    ~query_arg:(fun _ -> 0)
+    ~query:(fun _ -> Conc.Ivl_counter.read c)
+    ~violations:(fun h -> List.length (Mono.violations h))
 
 let chaos_pcm ~domains ~ops ~kills ~seed =
   let family = Hashing.Family.seeded ~seed:(Int64.add seed 13L) ~rows:3 ~width:64 in
@@ -548,60 +562,15 @@ let chaos_pcm ~domains ~ops ~kills ~seed =
     let family = family
   end) in
   let module Mono = Ivl.Monotone.Make (CmSpec) in
-  let writers = domains in
-  let total = writers + 1 in
   let universe = 128 in
-  let elem d k = (((d * 1_000_003) + (k * 7919)) land max_int) mod universe in
-  let plan =
-    Conc.Chaos.plan
-      ~kills:
-        (Conc.Chaos.random_kills ~seed ~domains:total ~victims:kills
-           ~max_point:ops)
-      ~seed ()
-  in
-  let ch = Conc.Chaos.instantiate plan ~domains:total in
-  let rec_ = Conc.Recorder.create ~domains:total in
   let pcm = Conc.Pcm.create ~family in
-  let reads = max 1 (ops / 2) in
-  let results =
-    Conc.Runner.parallel_result ~domains:total (fun i ->
-        if i < writers then
-          for k = 1 to ops do
-            Conc.Chaos.point ch ~domain:i;
-            let e = elem i k in
-            Conc.Recorder.record_update rec_ ~domain:i ~obj:0 e (fun () ->
-                Conc.Chaos.point ch ~domain:i;
-                Conc.Pcm.update pcm e;
-                Conc.Chaos.point ch ~domain:i)
-          done
-        else
-          for k = 1 to reads do
-            Conc.Chaos.point ch ~domain:i;
-            let e = k mod universe in
-            ignore
-              (Conc.Recorder.record_query rec_ ~domain:i ~obj:0 e (fun () ->
-                   Conc.Chaos.point ch ~domain:i;
-                   Conc.Pcm.query pcm e))
-          done)
-  in
-  let killed = Conc.Chaos.killed ch in
-  let h = Conc.Recorder.history rec_ in
-  let viols = Mono.violations h in
-  let problems =
-    unexpected_errors results
-    @ pending_on_survivors h ~killed
-    @
-    if viols = [] then []
-    else [ Printf.sprintf "%d IVL envelope violations" (List.length viols) ]
-  in
-  Printf.printf
-    "pcm: %d writers + 1 reader, killed %s; %d ops recorded (%d left \
-     pending), envelope violations: %d\n"
-    writers (pp_int_list killed)
-    (List.length (Hist.History.ops h))
-    (List.length (Hist.History.pending h))
-    (List.length viols);
-  problems
+  chaos_recorded "pcm" ~domains ~ops ~kills ~seed
+    ~update_arg:(fun d k ->
+      (((d * 1_000_003) + (k * 7919)) land max_int) mod universe)
+    ~update:(fun ~domain:_ e -> Conc.Pcm.update pcm e)
+    ~query_arg:(fun k -> k mod universe)
+    ~query:(Conc.Pcm.query pcm)
+    ~violations:(fun h -> List.length (Mono.violations h))
 
 (* The striped sketches publish in batches, so mid-stream queries may lag
    the envelope; the chaos soak checks liveness (no hangs, survivors finish)
@@ -1370,26 +1339,19 @@ let serve_run sketch host port shards batch max_conns read_timeout duration
     (if pass then "PASS" else "FAIL")
     est.Srv.P.published expect base st.Srv.ingested;
   let slo_v = Obs.Slo.eval slo in
-  Printf.printf
-    "serve: slo %s at drain (worst %s at %.2fx budget, %d breaches)\n"
+  Printf.printf "serve: slo %s at drain (%d breaches%s)\n"
     (Obs.Slo.state_to_string slo_v.Obs.Slo.state)
-    slo_v.Obs.Slo.worst_dim slo_v.Obs.Slo.worst_ratio
-    slo_v.Obs.Slo.breaches;
+    slo_v.Obs.Slo.breaches
+    (match Obs.Slo.last_breach slo with
+    | Some (dim, ratio) -> Printf.sprintf ", last by %s at %.2fx budget" dim ratio
+    | None -> "");
   (match metrics_out with
   | Some path -> write_metrics ~path (Obs.Registry.snapshot reg)
   | None -> ());
   if pass then 0 else 1
 
 let client_run host port trace_file ops universe seed feeders conns batch
-    flush_age queue overflow slack metrics_out trace_sample =
-  let overflow =
-    match overflow with
-    | "block" -> Net.Client.Block
-    | "shed" -> Net.Client.Shed
-    | other ->
-        Printf.eprintf "client: unknown --overflow %s (block or shed)\n" other;
-        exit 2
-  in
+    flush_age queue slack metrics_out trace_sample =
   let spec, trace =
     match trace_file with
     | Some path -> (
@@ -1407,7 +1369,7 @@ let client_run host port trace_file ops universe seed feeders conns batch
   let cl =
     Net.Client.create ~conns ~batch ~flush_age
       ?queue:(if queue > 0 then Some queue else None)
-      ~overflow ~metrics:reg ?tracer ~host ~port ()
+      ~metrics:reg ?tracer ~host ~port ()
   in
   let sink = Net.Client.sink cl in
   let report =
@@ -1644,11 +1606,6 @@ let client_cmd =
       value & opt int 0
       & info [ "queue" ] ~doc:"client buffer capacity in keys (0 = 8 * batch)")
   in
-  let overflow =
-    Arg.(
-      value & opt string "block"
-      & info [ "overflow" ] ~doc:"full-buffer policy: block or shed")
-  in
   let slack =
     Arg.(
       value & opt int 2048
@@ -1665,7 +1622,7 @@ let client_cmd =
           envelope")
     Term.(
       const client_run $ host $ port $ trace_file $ ops $ universe $ seed
-      $ feeders $ conns $ batch $ flush_age $ queue $ overflow $ slack
+      $ feeders $ conns $ batch $ flush_age $ queue $ slack
       $ metrics_flag $ trace_sample_flag)
 
 let replica_cmd =

@@ -1,5 +1,3 @@
-type overflow = Block | Shed
-
 type stats = {
   pushed : int;
   acked : int;
@@ -19,7 +17,6 @@ type t = {
   batch : int;
   flush_age : float;
   queue_cap : int;
-  overflow : overflow;
   retries : int;
   read_timeout : float;
   (* shared buffer; senders poll (stdlib Condition has no timed wait, so the
@@ -269,7 +266,7 @@ let push_aux t k ~block =
   Mutex.unlock t.m;
   ok
 
-let push t k = push_aux t k ~block:(t.overflow = Block)
+let push t k = push_aux t k ~block:true
 let try_push t k = push_aux t k ~block:false
 
 let flush t =
@@ -360,8 +357,8 @@ let default_session_base () =
   Int64.logor (Int64.shift_left t 16) pid
 
 let create ?(conns = 1) ?(batch = 256) ?(flush_age = 0.05) ?queue
-    ?(overflow = Block) ?(retries = 3) ?(read_timeout = 10.0) ?session
-    ?metrics ?tracer ~host ~port () =
+    ?(retries = 3) ?(read_timeout = 10.0) ?session ?metrics ?tracer ~host
+    ~port () =
   if conns <= 0 then invalid_arg "Net.Client: conns must be positive";
   if batch <= 0 then invalid_arg "Net.Client: batch must be positive";
   let session_base =
@@ -380,7 +377,6 @@ let create ?(conns = 1) ?(batch = 256) ?(flush_age = 0.05) ?queue
       batch;
       flush_age;
       queue_cap;
-      overflow;
       retries;
       read_timeout;
       m = Mutex.create ();

@@ -8,9 +8,9 @@
     oldest key has waited [flush_age] seconds ({e age} trigger), or when
     {!flush} or {!close} forces the residue out.
 
-    Backpressure is explicit: a full buffer either blocks the producer
-    ([Block] — the default, closed-loop behaviour) or sheds the key
-    ([Shed] / {!try_push} — open-loop behaviour, counted in {!stats}).
+    Backpressure is explicit: on a full buffer {!push} blocks the producer
+    (closed-loop behaviour) and {!try_push} sheds the key (open-loop
+    behaviour, counted in {!stats}).
 
     Delivery is {e effectively-once}: each sender owns a session id
     (announced with {!Frame.Hello} on every (re)connection) and numbers
@@ -34,13 +34,11 @@
 
 type t
 
-type overflow = Block | Shed
-
 type stats = {
   pushed : int;  (** keys accepted into the buffer *)
   acked : int;  (** keys the server acknowledged *)
   sent : int;  (** keys shipped in batches (acked + rejected remainder) *)
-  shed : int;  (** keys dropped: buffer full (Shed) or delivery failed *)
+  shed : int;  (** keys dropped: buffer full ({!try_push}) or delivery failed *)
   exhausted : int;
       (** keys dropped after retry exhaustion — fate unknown, the only
           shed class that can break the ack envelope *)
@@ -56,7 +54,6 @@ val create :
   ?batch:int ->
   ?flush_age:float ->
   ?queue:int ->
-  ?overflow:overflow ->
   ?retries:int ->
   ?read_timeout:float ->
   ?session:int64 ->
@@ -92,11 +89,12 @@ val create :
     @raise Invalid_argument on non-positive [conns]/[batch]/[queue]. *)
 
 val push : t -> int -> bool
-(** Buffer a key. Blocks while the buffer is full in [Block] mode; sheds
-    (returns [false]) in [Shed] mode. [false] also after {!close}. *)
+(** Buffer a key, blocking while the buffer is full. [false] after
+    {!close}. *)
 
 val try_push : t -> int -> bool
-(** Never blocks: a full buffer is a shed regardless of [overflow]. *)
+(** Never blocks: a full buffer sheds the key (returns [false], counted in
+    [shed]). [false] also after {!close}. *)
 
 val flush : t -> unit
 (** Force partial batches out and block until the buffer is empty {e and}

@@ -580,7 +580,7 @@ module Make (S : SKETCH) = struct
           in
           let cli =
             Client.create ~conns:s.conns ~batch:s.client_batch
-              ~retries:s.retries ~read_timeout:2.0 ~overflow:Client.Block
+              ~retries:s.retries ~read_timeout:2.0
               ~session:(Int64.add c.seed 0x5E55L) ~metrics:reg ?tracer
               ~host:"127.0.0.1" ~port:(Chaos_proxy.port proxy) ()
           in
@@ -899,9 +899,11 @@ module Make (S : SKETCH) = struct
           (* zero tolerance at drain: Warning may arm during chaos, but a
              Breach — sustained over-budget burn — fails the run *)
           let breaches = Obs.Slo.breaches slo in
-          if breaches > 0 then
-            add "SLO breached %d times (worst dim %s at %.2fx budget)" breaches
-              slo_v.Obs.Slo.worst_dim slo_v.Obs.Slo.worst_ratio;
+          (match Obs.Slo.last_breach slo with
+          | Some (dim, ratio) ->
+              add "SLO breached %d times (last by %s at %.2fx budget)" breaches
+                dim ratio
+          | None -> ());
           check "slo" (breaches = 0)
             (Printf.sprintf "%d breaches, final state %s" breaches
                (Obs.Slo.state_to_string slo_v.Obs.Slo.state));

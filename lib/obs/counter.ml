@@ -1,12 +1,7 @@
 type t = Conc.Striped_total.t
 
-let create ?slots () =
-  let slots =
-    match slots with
-    | Some s -> s
-    | None -> Domain.recommended_domain_count () + 4
-  in
-  Conc.Striped_total.create ~slots
+let create () =
+  Conc.Striped_total.create ~slots:(Domain.recommended_domain_count () + 4)
 
 let add = Conc.Striped_total.add
 let incr t = add t 1

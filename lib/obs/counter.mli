@@ -10,9 +10,8 @@
 
 type t
 
-val create : ?slots:int -> unit -> t
-(** [slots] defaults to a few more than
-    [Domain.recommended_domain_count ()]. *)
+val create : unit -> t
+(** A few more slots than [Domain.recommended_domain_count ()]. *)
 
 val add : t -> int -> unit
 (** Add [v] (any domain, any time). Wait-free, 0 B/op. *)

@@ -54,7 +54,7 @@ let prom_labels b labels =
         labels;
       Buffer.add_char b '}'
 
-(* le= / quantile= joins the sample's own labels *)
+(* quantile= joins the sample's own labels *)
 let prom_labels_plus b labels extra_k extra_v =
   Buffer.add_char b '{';
   List.iter
@@ -105,29 +105,6 @@ let to_prometheus (snap : Snapshot.t) =
           prom_labels b s.labels;
           Buffer.add_char b ' ';
           Buffer.add_string b (prom_float v);
-          Buffer.add_char b '\n'
-      | Snapshot.Histogram h ->
-          header s.name s.help "histogram";
-          Array.iter
-            (fun (bound, cum) ->
-              Buffer.add_string b s.name;
-              Buffer.add_string b "_bucket";
-              prom_labels_plus b s.labels "le" (prom_float bound);
-              Buffer.add_char b ' ';
-              Buffer.add_string b (string_of_int cum);
-              Buffer.add_char b '\n')
-            h.Snapshot.cumulative;
-          Buffer.add_string b s.name;
-          Buffer.add_string b "_sum";
-          prom_labels b s.labels;
-          Buffer.add_char b ' ';
-          Buffer.add_string b (prom_float h.Snapshot.h_sum);
-          Buffer.add_char b '\n';
-          Buffer.add_string b s.name;
-          Buffer.add_string b "_count";
-          prom_labels b s.labels;
-          Buffer.add_char b ' ';
-          Buffer.add_string b (string_of_int h.Snapshot.h_count);
           Buffer.add_char b '\n'
       | Snapshot.Summary sv ->
           header s.name s.help "summary";
@@ -190,7 +167,6 @@ let to_json (snap : Snapshot.t) =
       (match s.value with
       | Snapshot.Counter _ -> Buffer.add_string b "\"counter\""
       | Snapshot.Gauge _ -> Buffer.add_string b "\"gauge\""
-      | Snapshot.Histogram _ -> Buffer.add_string b "\"histogram\""
       | Snapshot.Summary _ -> Buffer.add_string b "\"summary\"");
       Buffer.add_string b ",\"labels\":";
       json_labels b s.labels;
@@ -201,21 +177,6 @@ let to_json (snap : Snapshot.t) =
       | Snapshot.Gauge v ->
           Buffer.add_string b ",\"value\":";
           Buffer.add_string b (json_float v)
-      | Snapshot.Histogram h ->
-          Buffer.add_string b ",\"buckets\":[";
-          Array.iteri
-            (fun j (bound, cum) ->
-              if j > 0 then Buffer.add_char b ',';
-              Buffer.add_string b "{\"le\":";
-              Buffer.add_string b (json_float bound);
-              Buffer.add_string b ",\"count\":";
-              Buffer.add_string b (string_of_int cum);
-              Buffer.add_char b '}')
-            h.Snapshot.cumulative;
-          Buffer.add_string b "],\"count\":";
-          Buffer.add_string b (string_of_int h.Snapshot.h_count);
-          Buffer.add_string b ",\"sum\":";
-          Buffer.add_string b (json_float h.Snapshot.h_sum)
       | Snapshot.Summary sv ->
           Buffer.add_string b ",\"quantiles\":[";
           List.iteri

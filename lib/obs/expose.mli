@@ -4,11 +4,11 @@
 
 val to_prometheus : Snapshot.t -> string
 (** Prometheus text format, version 0.0.4: [# HELP] / [# TYPE] headers,
-    histogram [_bucket{le="..."}] cumulative series plus [_sum]/[_count],
-    timers as summaries with [{quantile="..."}] series. *)
+    timers as summaries with [{quantile="..."}] series plus
+    [_sum]/[_count]. *)
 
 val to_json : Snapshot.t -> string
 (** Stable JSON:
     [{ "at": <float>, "metrics": [ { "name", "type", "labels",
-       ("value" | "buckets" | "quantiles"), "count", "sum" } ] }].
+       ("value" | "quantiles", "count", "sum") } ] }].
     Metrics are in snapshot order (sorted by name then labels). *)

@@ -7,10 +7,7 @@ type t = float array
 
 let hot = 8
 
-let create ?(initial = 0.0) () =
-  let t = Array.make 24 0.0 in
-  t.(hot) <- initial;
-  t
+let create () = Array.make 24 0.0
 
 let set (t : t) v = Array.unsafe_set t hot v
 let read (t : t) = Array.unsafe_get t hot

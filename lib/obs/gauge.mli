@@ -15,7 +15,8 @@
 
 type t
 
-val create : ?initial:float -> unit -> t
+val create : unit -> t
+(** A gauge reading 0. *)
 
 val set : t -> float -> unit
 (** Plain store, 0 B/op. *)

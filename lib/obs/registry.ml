@@ -3,8 +3,7 @@ type instrument =
   | I_counter_fn of (unit -> int)
   | I_gauge of Gauge.t
   | I_gauge_fn of (unit -> float)
-  | I_histogram of Histogram.t
-  | I_timer of Timer.t * float list
+  | I_timer of Timer.t
 
 type reg = {
   name : string;
@@ -24,7 +23,6 @@ let create ?(now = Unix.gettimeofday) () = { m = Mutex.create (); regs = []; now
 let kind_name = function
   | I_counter _ | I_counter_fn _ -> "counter"
   | I_gauge _ | I_gauge_fn _ -> "gauge"
-  | I_histogram _ -> "histogram"
   | I_timer _ -> "summary"
 
 (* Get-or-create under the registry mutex. [same] decides whether an
@@ -71,20 +69,14 @@ let gauge t ?(help = "") ?(labels = []) name =
       let g = Gauge.create () in
       (I_gauge g, g))
 
-let histogram t ?(help = "") ?(labels = []) ?buckets name =
-  intern t ~name ~help ~labels
-    ~same:(function I_histogram h -> Some h | _ -> None)
-    ~make:(fun () ->
-      let h = Histogram.create ?buckets () in
-      (I_histogram h, h))
+let timer_quantiles = [ 0.5; 0.9; 0.99; 1.0 ]
 
-let timer t ?(help = "") ?(labels = []) ?(quantiles = [ 0.5; 0.9; 0.99; 1.0 ])
-    ?(seed = 0x0B5EL) name =
+let timer t ?(help = "") ?(labels = []) name =
   intern t ~name ~help ~labels
-    ~same:(function I_timer (tm, _) -> Some tm | _ -> None)
+    ~same:(function I_timer tm -> Some tm | _ -> None)
     ~make:(fun () ->
-      let tm = Timer.create ~seed () in
-      (I_timer (tm, quantiles), tm))
+      let tm = Timer.create ~seed:0x0B5EL () in
+      (I_timer tm, tm))
 
 (* Callback registrations replace rather than raise: a restarted component
    re-exporting the same derived value is pointing the scrape at its fresh
@@ -119,17 +111,10 @@ let sample_of (r : reg) : Snapshot.sample =
     | I_counter_fn f -> Snapshot.Counter (f ())
     | I_gauge g -> Snapshot.Gauge (Gauge.read g)
     | I_gauge_fn f -> Snapshot.Gauge (f ())
-    | I_histogram h ->
-        Snapshot.Histogram
-          {
-            Snapshot.cumulative = Histogram.cumulative h;
-            h_count = Histogram.count h;
-            h_sum = Histogram.sum h;
-          }
-    | I_timer (tm, phis) ->
+    | I_timer tm ->
         Snapshot.Summary
           {
-            Snapshot.q = Timer.quantiles tm phis;
+            Snapshot.q = Timer.quantiles tm timer_quantiles;
             s_count = Timer.count tm;
             s_sum = Timer.sum tm;
           }

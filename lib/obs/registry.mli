@@ -28,24 +28,8 @@ val create : ?now:(unit -> float) -> unit -> t
 val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> Counter.t
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> Gauge.t
 
-val histogram :
-  t ->
-  ?help:string ->
-  ?labels:(string * string) list ->
-  ?buckets:float array ->
-  string ->
-  Histogram.t
-
-val timer :
-  t ->
-  ?help:string ->
-  ?labels:(string * string) list ->
-  ?quantiles:float list ->
-  ?seed:int64 ->
-  string ->
-  Timer.t
-(** [quantiles] (default [0.5; 0.9; 0.99; 1.0]) are the probes a snapshot
-    reports for this timer. *)
+val timer : t -> ?help:string -> ?labels:(string * string) list -> string -> Timer.t
+(** A snapshot reports every timer at the quantiles 0.5, 0.9, 0.99 and 1. *)
 
 val counter_fn :
   t -> ?help:string -> ?labels:(string * string) list -> string -> (unit -> int) -> unit

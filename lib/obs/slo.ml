@@ -45,6 +45,7 @@ type t = {
   mutable over_streak : int;  (* consecutive evals with some ratio >= 1 *)
   mutable clean_streak : int;  (* consecutive evals fully under warn_ratio *)
   mutable breaches_n : int;
+  mutable last_breach : (string * float) option;
   mutable last : verdict;
   mutable ratios : (string * float) list;  (* last per-dimension burn *)
 }
@@ -72,6 +73,7 @@ let create ?(budget = default_budget) ?(warn_ratio = 0.8) ?(breach_after = 5)
       over_streak = 0;
       clean_streak = 0;
       breaches_n = 0;
+      last_breach = None;
       last = { state = Ok; worst_dim = "none"; worst_ratio = 0.0; breaches = 0 };
       ratios = [];
     }
@@ -100,6 +102,7 @@ let create ?(budget = default_budget) ?(warn_ratio = 0.8) ?(breach_after = 5)
 
 let budget_of t = t.budget
 let breaches t = t.breaches_n
+let last_breach t = t.last_breach
 let current t = t.last
 
 (* A negative reading means "unknown" (no replica, no merges yet): score 0
@@ -137,7 +140,8 @@ let eval t =
   | Warning ->
       if t.over_streak >= t.breach_after then begin
         t.state <- Breach;
-        t.breaches_n <- t.breaches_n + 1
+        t.breaches_n <- t.breaches_n + 1;
+        t.last_breach <- Some (worst_dim, worst_ratio)
       end
       else if t.clean_streak >= t.clear_after then t.state <- Ok
   | Breach -> if t.clean_streak >= t.clear_after then t.state <- Warning);

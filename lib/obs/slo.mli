@@ -81,3 +81,9 @@ val current : t -> verdict
 val breaches : t -> int
 (** Times the machine has ever entered [Breach] — the soak's
     zero-tolerance drain check reads this after a final {!eval}. *)
+
+val last_breach : t -> (string * float) option
+(** The dimension and burn ratio of the evaluation that last moved the
+    machine into [Breach]; [None] before the first breach. A drain-time
+    verdict's [worst_dim] describes the drained system, not the incident,
+    so breach reports name this one. *)

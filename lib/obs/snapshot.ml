@@ -1,9 +1,3 @@
-type histogram_view = {
-  cumulative : (float * int) array;
-  h_count : int;
-  h_sum : float;
-}
-
 type summary_view = {
   q : (float * float) list;
   s_count : int;
@@ -13,7 +7,6 @@ type summary_view = {
 type value =
   | Counter of int
   | Gauge of float
-  | Histogram of histogram_view
   | Summary of summary_view
 
 type sample = {

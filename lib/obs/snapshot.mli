@@ -2,21 +2,15 @@
     share.
 
     "Consistent enough" is precise here: every sample is an intermediate-
-    value read of its instrument (counters and histogram buckets are
-    monotone, so each lies in its own [[v_inv, v_rsp]] envelope), but the
-    snapshot as a whole is {e not} atomic across instruments — two counters
-    scraped microseconds apart can disagree about which of them saw an
-    event first. That is the paper's trade made deliberately: no scrape
+    value read of its instrument (counters are monotone, so each lies in
+    its own [[v_inv, v_rsp]] envelope), but the snapshot as a whole is
+    {e not} atomic across instruments — two counters scraped microseconds
+    apart can disagree about which of them saw an event first. That is the paper's trade made deliberately: no scrape
     ever locks a hot path. *)
 
-type histogram_view = {
-  cumulative : (float * int) array;  (** (upper bound, count <= bound) *)
-  h_count : int;
-  h_sum : float;
-}
-
 type summary_view = {
-  q : (float * float) list;  (** (phi, value) probes *)
+  q : (float * float) list;
+      (** (phi, value) at phi = 0.5, 0.9, 0.99 and 1, for every timer *)
   s_count : int;
   s_sum : float;
 }
@@ -24,7 +18,6 @@ type summary_view = {
 type value =
   | Counter of int
   | Gauge of float
-  | Histogram of histogram_view
   | Summary of summary_view
 
 type sample = {

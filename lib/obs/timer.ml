@@ -10,21 +10,14 @@ type stripe = {
 
 type t = { stripes : stripe array }
 
-let create ?stripes ?(k = 200) ~seed () =
-  let stripes =
-    match stripes with
-    | Some s when s <= 0 -> invalid_arg "Timer.create: stripes must be positive"
-    | Some s -> s
-    | None -> Domain.recommended_domain_count () + 4
-  in
-  if k < 2 then invalid_arg "Timer.create: k must be >= 2";
+let create ~seed () =
   let root = Rng.Splitmix.create seed in
   {
     stripes =
-      Array.init stripes (fun _ ->
+      Array.init (Domain.recommended_domain_count () + 4) (fun _ ->
           {
             m = Mutex.create ();
-            q = Sketches.Quantiles.create ~k ~seed:(Rng.Splitmix.next_int64 root) ();
+            q = Sketches.Quantiles.create ~seed:(Rng.Splitmix.next_int64 root) ();
             count = 0;
             sum_nano = 0;
           });

@@ -1,8 +1,8 @@
-(** A striped quantile timer: KLL sketches behind per-stripe mutexes.
+(** A striped quantile timer: KLL sketches behind per-stripe mutexes — the
+    one latency instrument.
 
-    Where {!Histogram} trades quantile resolution for a wait-free observe
-    path, a [Timer] records every observation into a {!Sketches.Quantiles}
-    sketch (±εn rank error, ~1% at the default k) — the right tool for
+    A [Timer] records every observation into a {!Sketches.Quantiles}
+    sketch (±εn rank error, ~1% at k = 200) — the right tool for
     merge-lag and fsync-latency distributions where the interesting signal
     is a p99 shift well below a factor of 2.
 
@@ -14,9 +14,9 @@
 
 type t
 
-val create : ?stripes:int -> ?k:int -> seed:int64 -> unit -> t
-(** [stripes] defaults near the domain count; [k] (default 200) is the KLL
-    accuracy parameter. @raise Invalid_argument if either is non-positive. *)
+val create : seed:int64 -> unit -> t
+(** A few more stripes than [Domain.recommended_domain_count ()], each a
+    KLL sketch with k = 200 seeded from [seed]. *)
 
 val observe : t -> float -> unit
 (** Record one observation (e.g. seconds), from any domain. Takes the
@@ -28,8 +28,8 @@ val time : t -> (unit -> 'a) -> 'a
 val count : t -> int
 
 val sum : t -> float
-(** Sum of observed values (same nanounit accumulation as
-    {!Histogram.sum}). *)
+(** Sum of observed values, accumulated in integer nanounits (1e-9 of the
+    observed unit) — exact to 1e-9, overflows after ~9.2e9 unit-sums. *)
 
 val quantile : t -> float -> float
 (** Merged-sketch [phi]-quantile; 0 on an empty timer.

@@ -549,7 +549,7 @@ let test_client_dead_server () =
   in
   let cli =
     Net.Client.create ~conns:1 ~batch:8 ~flush_age:0.005 ~retries:1
-      ~overflow:Net.Client.Shed ~host:"127.0.0.1" ~port:dead_port ()
+      ~host:"127.0.0.1" ~port:dead_port ()
   in
   for i = 1 to 50 do
     ignore (Net.Client.push cli i)
@@ -628,6 +628,87 @@ let test_client_retries_malformed () =
   check_int "nothing exhausted" 0 cs.Net.Client.exhausted;
   check_int "duplicate ack seen" 1 cs.Net.Client.duplicates_suppressed;
   check_int "two failed attempts" 2 cs.Net.Client.errors
+
+let test_client_full_buffer () =
+  (* The two full-buffer contracts: [try_push] sheds and counts the key,
+     [push] waits until a sender drains the buffer. A scripted peer holds
+     the first batch unacked, so the buffer behind it stays full. *)
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 1;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let in_flight = Atomic.make false and release = Atomic.make false in
+  let peer =
+    Domain.spawn (fun () ->
+        (match Unix.select [ lsock ] [] [] 5.0 with
+        | [], _, _ -> ()
+        | _ ->
+            let fd, _ = Unix.accept lsock in
+            let c = Conn.of_fd fd in
+            let ack accepted =
+              ignore
+                (Conn.send c
+                   (Frame.encode_response
+                      (Frame.Ack { epoch = 1; accepted; dup = false })))
+            in
+            let rec serve () =
+              match Conn.recv c with
+              | Error _ -> ()
+              | Ok raw -> (
+                  match Frame.decode_request raw with
+                  | Ok (Frame.Batch { keys; _ }) ->
+                      Atomic.set in_flight true;
+                      while not (Atomic.get release) do
+                        Unix.sleepf 0.001
+                      done;
+                      ack (Array.length keys);
+                      serve ()
+                  | _ ->
+                      ack 0;
+                      serve ())
+            in
+            serve ();
+            Conn.close c);
+        Unix.close lsock)
+  in
+  let cli =
+    Net.Client.create ~conns:1 ~batch:4 ~queue:4 ~flush_age:5.0 ~session:78L
+      ~host:"127.0.0.1" ~port ()
+  in
+  for i = 1 to 4 do
+    check_bool "first batch buffered" true (Net.Client.push cli i)
+  done;
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while (not (Atomic.get in_flight)) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  check_bool "first batch in flight" true (Atomic.get in_flight);
+  for i = 5 to 8 do
+    check_bool "buffer refilled" true (Net.Client.push cli i)
+  done;
+  check_bool "try_push into a full buffer sheds" false (Net.Client.try_push cli 9);
+  check_int "shed counted" 1 (Net.Client.stats cli).Net.Client.shed;
+  let returned = Atomic.make false in
+  let pusher =
+    Domain.spawn (fun () ->
+        let ok = Net.Client.push cli 10 in
+        Atomic.set returned true;
+        ok)
+  in
+  Unix.sleepf 0.05;
+  check_bool "push waits while the buffer is full" false (Atomic.get returned);
+  Atomic.set release true;
+  check_bool "push lands once the sender drains" true (Domain.join pusher);
+  Net.Client.close cli;
+  Domain.join peer;
+  let cs = Net.Client.stats cli in
+  check_int "pushed" 9 cs.Net.Client.pushed;
+  check_int "acked" 9 cs.Net.Client.acked;
+  check_int "shed" 1 cs.Net.Client.shed
 
 (* Satellite: the driver's sink seam. The default engine sink and the
    client sink implement the same signature; a bare Sink.make fills the
@@ -1609,6 +1690,8 @@ let () =
           Alcotest.test_case "dead server sheds" `Quick test_client_dead_server;
           Alcotest.test_case "retries a batch answered Malformed" `Quick
             test_client_retries_malformed;
+          Alcotest.test_case "full buffer: try_push sheds, push waits" `Quick
+            test_client_full_buffer;
           Alcotest.test_case "sink seam" `Quick test_sink_seam;
           Alcotest.test_case "tracing waterfall over loopback" `Quick
             test_trace_waterfall;

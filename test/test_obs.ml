@@ -1,5 +1,5 @@
 (* Tests for the observability layer: the IVL semantics of each instrument
-   (counter scans, histogram buckets, timer sketches), the sampled span
+   (counter scans, timer sketches), the sampled span
    tracer, registry identity rules, the pure exposition formats, and —
    the Theorem-6-style headline — that the live envelope-width gauge is a
    sound bound on the staleness of every concurrent [read_total]. *)
@@ -62,8 +62,8 @@ let test_counter_reads_are_ivl () =
 (* ------------------------- gauge ------------------------- *)
 
 let test_gauge_set_read () =
-  let g = Obs.Gauge.create ~initial:2.5 () in
-  fcheck "initial" 2.5 (Obs.Gauge.read g);
+  let g = Obs.Gauge.create () in
+  fcheck "initial" 0.0 (Obs.Gauge.read g);
   Obs.Gauge.set g (-7.25);
   fcheck "set" (-7.25) (Obs.Gauge.read g);
   (* Racing setters: the read is one of the stored values, never a tear. *)
@@ -76,55 +76,6 @@ let test_gauge_set_read () =
   let v = Obs.Gauge.read g in
   Alcotest.(check bool) "one of the racing values" true
     (List.mem v [ 0.; 1.; 2.; 3. ])
-
-(* ------------------------- histogram ------------------------- *)
-
-let test_histogram_buckets () =
-  let h = Obs.Histogram.create ~buckets:[| 0.01; 0.1; 1.0 |] () in
-  List.iter (Obs.Histogram.observe h) [ 0.005; 0.05; 0.05; 0.5; 50.0 ];
-  Alcotest.(check int) "count" 5 (Obs.Histogram.count h);
-  fcheck "sum" 50.605 (Obs.Histogram.sum h);
-  let cum = Obs.Histogram.cumulative h in
-  Alcotest.(check int) "bucket array length" 4 (Array.length cum);
-  let counts = Array.map snd cum in
-  Alcotest.(check (array int)) "cumulative counts" [| 1; 3; 4; 5 |] counts;
-  fcheck "le 0.01" 0.01 (fst cum.(0));
-  Alcotest.(check bool) "+inf last" true (fst cum.(3) = infinity);
-  (* Quantiles resolve to within the enclosing bucket. *)
-  let p50 = Obs.Histogram.quantile h 0.5 in
-  Alcotest.(check bool) "p50 inside its bucket" true (p50 > 0.01 && p50 <= 0.1);
-  Alcotest.(check bool) "p100 clamps to largest finite bound" true
-    (Obs.Histogram.quantile h 1.0 <= 1.0);
-  Alcotest.check_raises "phi out of range"
-    (Invalid_argument "Histogram.quantile: phi outside [0,1]") (fun () ->
-      ignore (Obs.Histogram.quantile h 1.5))
-
-let test_histogram_rejects_bad_buckets () =
-  Alcotest.(check bool) "non-increasing rejected" true
-    (try
-       ignore (Obs.Histogram.create ~buckets:[| 1.0; 1.0 |] ());
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "empty rejected" true
-    (try
-       ignore (Obs.Histogram.create ~buckets:[||] ());
-       false
-     with Invalid_argument _ -> true)
-
-let test_histogram_concurrent_observes () =
-  let h = Obs.Histogram.create () in
-  let domains = 4 and per = 25_000 in
-  let _ =
-    Conc.Runner.parallel ~domains (fun i ->
-        for _ = 1 to per do
-          Obs.Histogram.observe h (0.0001 *. float_of_int (i + 1))
-        done)
-  in
-  Alcotest.(check int) "no observation lost" (domains * per)
-    (Obs.Histogram.count h);
-  let cum = Obs.Histogram.cumulative h in
-  Alcotest.(check int) "cumulative total = count" (domains * per)
-    (snd cum.(Array.length cum - 1))
 
 (* ------------------------- timer ------------------------- *)
 
@@ -225,12 +176,8 @@ let expose_fixture () =
   Obs.Counter.add c 3;
   let g = Obs.Registry.gauge reg ~labels:[ ("shard", "1") ] "depth" in
   Obs.Gauge.set g 4.0;
-  let h =
-    Obs.Registry.histogram reg ~buckets:[| 0.1; 1.0 |] "lat_seconds"
-  in
-  Obs.Histogram.observe h 0.05;
-  Obs.Histogram.observe h 5.0;
-  let t = Obs.Registry.timer reg ~quantiles:[ 0.5; 1.0 ] ~seed:7L "lag_seconds" in
+  Obs.Gauge.set (Obs.Registry.gauge reg "ceiling") infinity;
+  let t = Obs.Registry.timer reg "lag_seconds" in
   Obs.Timer.observe t 0.25;
   Obs.Registry.snapshot reg
 
@@ -248,14 +195,24 @@ let test_expose_prometheus () =
       "req_total 3";
       "# TYPE depth gauge";
       "depth{shard=\"1\"} 4.0";
-      "# TYPE lat_seconds histogram";
-      "lat_seconds_bucket{le=\"0.1\"} 1";
-      "lat_seconds_bucket{le=\"+Inf\"} 2";
-      "lat_seconds_count 2";
+      "ceiling +Inf";
       "# TYPE lag_seconds summary";
       "lag_seconds{quantile=\"0.5\"} 0.25";
       "lag_seconds_count 1";
     ];
+  (* Every timer exports exactly the fixed quantile probes. *)
+  let probes =
+    String.split_on_char '\n' text
+    |> List.filter (fun l -> contains l "lag_seconds{quantile=")
+  in
+  Alcotest.(check (list string)) "fixed quantiles"
+    [
+      "lag_seconds{quantile=\"0.5\"} 0.25";
+      "lag_seconds{quantile=\"0.9\"} 0.25";
+      "lag_seconds{quantile=\"0.99\"} 0.25";
+      "lag_seconds{quantile=\"1.0\"} 0.25";
+    ]
+    probes;
   Alcotest.(check bool) "ends with newline" true
     (String.length text > 0 && text.[String.length text - 1] = '\n')
 
@@ -272,11 +229,10 @@ let test_expose_json () =
       "\"type\":\"counter\"";
       "\"value\":3";
       "\"labels\":{\"shard\":\"1\"}";
-      "\"buckets\":[{\"le\":0.1,\"count\":1}";
-      "{\"le\":null,\"count\":2}";
       "\"quantiles\":[{\"phi\":0.5,";
+      "\"name\":\"ceiling\",\"type\":\"gauge\",\"labels\":{},\"value\":null";
     ];
-  (* NaN/inf must not leak into JSON: the +inf bucket bound is encoded as
+  (* NaN/inf must not leak into JSON: an infinite gauge is encoded as
      null, keeping every parser happy. *)
   Alcotest.(check bool) "no bare inf" false (contains json "inf");
   Alcotest.(check bool) "no NaN" false (contains json "nan")
@@ -616,6 +572,35 @@ let test_slo_burn_machine () =
        ~labels:[ ("dim", "envelope_width") ]
        "slo_ratio")
 
+let test_slo_breach_cause () =
+  (* Staleness over budget for breach_after evaluations, then back to 0:
+     the final verdict's worst dimension reads "none", but the breach
+     still names the dimension and ratio that caused it. *)
+  let stale = ref 0.0 in
+  let slo =
+    Obs.Slo.create
+      ~budget:{ Obs.Slo.envelope_width = 100.0; staleness = 10.0; merge_lag = 1.0 }
+      ~breach_after:3
+      ~envelope:(fun () -> 0.0)
+      ~staleness:(fun () -> !stale)
+      ~merge_lag:(fun () -> 0.0)
+      ()
+  in
+  Alcotest.(check bool) "no breach yet" true (Obs.Slo.last_breach slo = None);
+  stale := 25.0;
+  for _ = 1 to 3 do
+    ignore (Obs.Slo.eval slo)
+  done;
+  Alcotest.(check int) "one breach" 1 (Obs.Slo.breaches slo);
+  stale := 0.0;
+  let v = Obs.Slo.eval slo in
+  Alcotest.(check string) "final worst dim" "none" v.Obs.Slo.worst_dim;
+  match Obs.Slo.last_breach slo with
+  | Some (dim, ratio) ->
+      Alcotest.(check string) "breach dim" "staleness" dim;
+      fcheck "breach ratio" 2.5 ratio
+  | None -> Alcotest.fail "breach cause not recorded"
+
 let test_slo_theorem6_budget () =
   let b =
     Obs.Slo.theorem6_budget ~slack:2.0 ~shards:4 ~batch:512 ~queue_capacity:1024
@@ -728,14 +713,6 @@ let () =
           Alcotest.test_case "reads are IVL" `Quick test_counter_reads_are_ivl;
         ] );
       ("gauge", [ Alcotest.test_case "set/read" `Quick test_gauge_set_read ]);
-      ( "histogram",
-        [
-          Alcotest.test_case "buckets and quantiles" `Quick test_histogram_buckets;
-          Alcotest.test_case "rejects bad buckets" `Quick
-            test_histogram_rejects_bad_buckets;
-          Alcotest.test_case "concurrent observes" `Quick
-            test_histogram_concurrent_observes;
-        ] );
       ( "timer",
         [
           Alcotest.test_case "quantiles" `Quick test_timer_quantiles;
@@ -766,6 +743,7 @@ let () =
       ( "slo",
         [
           Alcotest.test_case "burn-rate machine" `Quick test_slo_burn_machine;
+          Alcotest.test_case "breach names its cause" `Quick test_slo_breach_cause;
           Alcotest.test_case "theorem-6 budget" `Quick test_slo_theorem6_budget;
         ] );
       ( "http",
