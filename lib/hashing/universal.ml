@@ -19,7 +19,7 @@ let of_coefficients ~a ~b ~width =
   let a = Prime_field.reduce (abs a) and b = Prime_field.reduce (abs b) in
   { a; b; w = width; mask = mask_of width }
 
-let apply h x =
+let[@inline] apply h x =
   let x = Prime_field.reduce (x land max_int) in
   let m = Prime_field.mul_add h.a x h.b in
   if h.mask >= 0 then m land h.mask else m mod h.w

@@ -90,7 +90,9 @@ module Make (M : Mergeable.S) : sig
     last_error : string option;  (** most recent death (or shed) reason *)
     beats : int;  (** worker heartbeats, one per batch loop, all incarnations *)
     steals : int;  (** always [0]; [bench/stack] reports it as [engine.steals] *)
-    parks : int;  (** idle waits: the worker found its queue empty *)
+    parks : int;
+        (** idle waits: the worker found its queue empty; at most four per
+            shipped delta, plus the one a close ends *)
   }
 
   type stats = {
@@ -124,9 +126,10 @@ module Make (M : Mergeable.S) : sig
       (default 512) is the merge cadence in items.
 
       Each worker consumes only its own shard's queue: it pops up to
-      [batch] items, blocks on the queue when it is empty, ships its delta
-      once it holds at least [batch] items, and ships the rest when the
-      queue closes. So a shard whose worker never died has
+      [batch] items, blocks on the queue when it is empty until enough
+      items arrive to complete its delta or fill a quarter batch (rounded
+      up), ships its delta once it holds at least [batch] items, and ships
+      the rest when the queue closes. So a shard whose worker never died has
       [flushed_items = enqueued] after {!drain}.
 
       [on_tick] runs in the worker's domain once per batch loop — the

@@ -54,10 +54,15 @@ val try_pop_into : 'a t -> 'a array -> max:int -> int
     so it is safe from any domain, concurrently with other consumers.
     @raise Invalid_argument if [max <= 0]. *)
 
-val pop_into : 'a t -> 'a array -> max:int -> int
-(** Blocking {!try_pop_into}: waits while empty and open; returns
-    [n > 0], or [-1] iff closed and drained.
-    @raise Invalid_argument if [max <= 0]. *)
+val pop_into : ?min:int -> 'a t -> 'a array -> max:int -> int
+(** Blocking {!try_pop_into}: waits while fewer than [min] (default 1,
+    capped at the capacity) elements are queued and the queue is open;
+    returns [n > 0], or [-1] iff closed and drained. While it waits,
+    producers signal only once [min] elements are queued or the queue is
+    full, so a consumer that wants a batch pays one wake-up for it, not one
+    per element; {!close} wakes it at once, with whatever is queued. [~min]
+    keeps one threshold per queue, so it assumes a single consumer.
+    @raise Invalid_argument if [max <= 0] or [min <= 0]. *)
 
 val close : 'a t -> unit
 (** Idempotent. Wakes every blocked producer and the consumer. *)

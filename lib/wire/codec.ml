@@ -78,12 +78,16 @@ let known_kind k = k >= 1 && k <= 17
 
 let corrupt fmt = Printf.ksprintf (fun msg -> raise (Decode_error (Corrupt msg))) fmt
 
+(* The low 32 bits of [(h lxor c) * prime] depend only on the low 32 bits
+   of [h], so masking once at the end gives the per-byte-masked value. *)
 let fnv1a bytes ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length bytes - len then
+    invalid_arg "Wire.Codec.fnv1a: range out of bounds";
   let h = ref 0x811c9dc5 in
   for i = off to off + len - 1 do
-    h := (!h lxor Char.code (Bytes.get bytes i)) * 0x01000193 land 0xFFFFFFFF
+    h := (!h lxor Char.code (Bytes.unsafe_get bytes i)) * 0x01000193
   done;
-  !h
+  !h land 0xFFFFFFFF
 
 (* ------------------------------ writer ------------------------------ *)
 
@@ -154,7 +158,9 @@ let read_u32 r =
   r.pos <- r.pos + 4;
   v
 
-let read_i64 r =
+(* Inlined, so the int64 [read_int] converts stays unboxed: reading a
+   frame's keys allocates nothing per key. *)
+let[@inline] read_i64 r =
   need r 8;
   let v = Bytes.get_int64_be r.buf r.pos in
   r.pos <- r.pos + 8;
@@ -180,7 +186,7 @@ let read_float r = Int64.float_of_bits (read_i64 r)
    native int has 62 bits), the 9th without a continuation and within
    range, and no zero final group after the first — so every value has one
    encoding and a canonical encoder's bytes are the only ones accepted. *)
-let read_varint r =
+let read_varint_groups r =
   let acc = ref 0 and shift = ref 0 and more = ref true in
   while !more do
     let byte = read_u8 r in
@@ -194,6 +200,19 @@ let read_varint r =
     else shift := !shift + 7
   done;
   !acc
+
+(* Most varints on the wire (column gaps, counts) are one byte: one bounds
+   check against [limit] (which never exceeds the buffer) and one load. *)
+let[@inline] read_varint r =
+  let pos = r.pos in
+  if pos < r.limit then
+    let byte = Char.code (Bytes.unsafe_get r.buf pos) in
+    if byte < 0x80 then begin
+      r.pos <- pos + 1;
+      byte
+    end
+    else read_varint_groups r
+  else read_varint_groups r
 
 let position r = r.pos
 

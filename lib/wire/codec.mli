@@ -113,7 +113,8 @@ val frame_kind : Bytes.t -> (int, error) result
 val fnv1a : Bytes.t -> off:int -> len:int -> int
 (** The framing checksum (FNV-1a-32) over [len] bytes at [off] — exposed so
     stream scanners ({!Segment}) can validate frames in place without
-    copying. *)
+    copying. @raise Invalid_argument if the range is not within the
+    bytes. *)
 
 (** {2 Payload writers} *)
 

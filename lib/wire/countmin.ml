@@ -84,10 +84,9 @@ let header ~family r =
     Codec.corrupt "family fingerprint %016Lx does not match %016Lx" fp want;
   Codec.read_varint r
 
-(* Walk the cell section, calling [f row col count] per non-zero cell. Every
-   rule of the form is checked on the way, so a walk that returns has
-   validated the whole section. *)
-let cells r ~rows ~width f =
+(* Walk the cell section checking every rule of the form, so a walk that
+   returns has validated the whole section. *)
+let check_cells r ~rows ~width =
   for row = 0 to rows - 1 do
     let k = Codec.read_varint r in
     if k > width then
@@ -98,10 +97,19 @@ let cells r ~rows ~width f =
       if gap >= width - 1 - !prev then
         Codec.corrupt "row %d: column gap %d runs past width %d" row gap width;
       let col = !prev + 1 + gap in
-      let c = Codec.read_varint r in
-      if c = 0 then Codec.corrupt "row %d col %d: explicit zero count" row col;
-      f row col c;
+      if Codec.read_varint r = 0 then
+        Codec.corrupt "row %d col %d: explicit zero count" row col;
       prev := col
+    done
+  done
+
+(* The second walk, over a section [check_cells] accepted: it only adds. *)
+let add_cells r ~rows acc =
+  for row = 0 to rows - 1 do
+    let col = ref (-1) in
+    for _ = 1 to Codec.read_varint r do
+      col := !col + 1 + Codec.read_varint r;
+      Sketches.Countmin.add acc ~row ~col:!col (Codec.read_varint r)
     done
   done
 
@@ -112,14 +120,12 @@ let fold ~family blob =
     (fun r ->
       let n = header ~family r in
       let start = Codec.position r in
-      cells r ~rows ~width (fun _ _ _ -> ());
+      check_cells r ~rows ~width;
       fun acc ->
         if not (Hashing.Family.compatible family (Sketches.Countmin.family acc))
         then invalid_arg "Wire.Countmin.fold: accumulator has another family";
-        (* the bytes were validated above; this second walk only adds *)
         Codec.seek r start;
-        cells r ~rows ~width (fun row col c ->
-            Sketches.Countmin.add acc ~row ~col c);
+        add_cells r ~rows acc;
         Sketches.Countmin.add_updates acc n)
     blob
 

@@ -115,6 +115,14 @@ let countmin_bad_last_row ~family =
       done;
       countmin_row b [ (3, 0) ])
 
+(* The golden pins' input: 512 fixed keys, negatives included, hashed by
+   the stack's deployment family (seed 49, 4 x 2048). The pinned columns
+   and blob were captured before the field multiply was rewritten; logs,
+   checkpoints and the replica's bit-for-bit check need them unchanged. *)
+let golden_keys = Array.init 512 (fun i -> ((i - 256) * 0x9E3779B97F4A7C1) + i)
+
+let golden_family () = Hashing.Family.seeded ~seed:49L ~rows:4 ~width:2048
+
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
   let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in

@@ -59,6 +59,52 @@ let test_mul_distributes () =
     Alcotest.(check int) "a(b+c) = ab+ac" left right
   done
 
+(* The limb multiply the library used before [mul_add] became one fused
+   kernel, kept here as the oracle the kernel must agree with value for
+   value: every logged hash, checkpoint and replica check depends on it. *)
+let oracle_mul_add a x b =
+  let reduce = Hashing.Prime_field.reduce in
+  let add a b = reduce (a + b) in
+  let shift_mod x k = reduce ((x lsr (61 - k)) + ((x lsl k) land p)) in
+  let a_hi = a lsr 31 and a_lo = a land 0x7FFFFFFF in
+  let x_hi = x lsr 31 and x_lo = x land 0x7FFFFFFF in
+  let hh = reduce (a_hi * x_hi) in
+  let cross = add (reduce (a_hi * x_lo)) (reduce (a_lo * x_hi)) in
+  let ll = reduce (a_lo * x_lo) in
+  add (add (add (shift_mod hh 1) (shift_mod cross 31)) ll) b
+
+let test_mul_add_edges () =
+  let edges =
+    [ 0; 1; (1 lsl 30) - 1; 1 lsl 30; (1 lsl 31) - 1; 1 lsl 31; 1 lsl 60;
+      p - 2; p - 1 ]
+  in
+  List.iter
+    (fun a ->
+      List.iter
+        (fun x ->
+          List.iter
+            (fun b ->
+              let got = Hashing.Prime_field.mul_add a x b in
+              if got <> oracle_mul_add a x b then
+                Alcotest.failf "mul_add %d %d %d = %d, oracle %d" a x b got
+                  (oracle_mul_add a x b))
+            edges)
+        edges)
+    edges;
+  Alcotest.(check int) "mul is mul_add _ _ 0" (p - 2)
+    (Hashing.Prime_field.mul (p - 1) 2)
+
+let test_mul_add_random () =
+  let g = Rng.Splitmix.create 61L in
+  let bad = ref 0 in
+  for _ = 1 to 1_000_000 do
+    let a = Hashing.Prime_field.random_element g
+    and x = Hashing.Prime_field.random_element g
+    and b = Hashing.Prime_field.random_element g in
+    if Hashing.Prime_field.mul_add a x b <> oracle_mul_add a x b then incr bad
+  done;
+  Alcotest.(check int) "random triples that disagree with the oracle" 0 !bad
+
 let test_random_element_range () =
   let g = Rng.Splitmix.create 9L in
   for _ = 1 to 1000 do
@@ -149,6 +195,25 @@ let test_family_seeded_reproducible () =
         (Hashing.Family.hash f2 ~row x)
     done
   done
+
+let test_family_golden_columns () =
+  let f = Test_helpers.golden_family () and keys = Test_helpers.golden_keys in
+  let col row i = Hashing.Family.hash f ~row keys.(i) in
+  Alcotest.(check (list int)) "row 0, first 8 keys"
+    [ 1402; 698; 2041; 1336; 1760; 1055; 351; 1694 ]
+    (List.init 8 (col 0));
+  Alcotest.(check int) "row 3, last key" 673 (col 3 511);
+  let b = Buffer.create 8192 in
+  for row = 0 to 3 do
+    Array.iteri
+      (fun i _ ->
+        Buffer.add_string b (string_of_int (col row i));
+        Buffer.add_char b ',')
+      keys
+  done;
+  Alcotest.(check string) "digest of all 4 x 512 columns"
+    "970f721711e57307a42a06c771da7533"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* --- Kirsch–Mitzenmacher double hashing --- *)
 
@@ -311,6 +376,10 @@ let () =
           Alcotest.test_case "mul fermat" `Quick test_mul_fermat;
           Alcotest.test_case "mul distributes" `Quick test_mul_distributes;
           Alcotest.test_case "random element range" `Quick test_random_element_range;
+          Alcotest.test_case "mul_add = oracle on edge triples" `Quick
+            test_mul_add_edges;
+          Alcotest.test_case "mul_add = oracle on 10^6 random triples" `Quick
+            test_mul_add_random;
         ] );
       ( "universal",
         [
@@ -328,6 +397,8 @@ let () =
           Alcotest.test_case "seeded reproducible" `Quick test_family_seeded_reproducible;
           Alcotest.test_case "probe/hash consistency (rows)" `Quick
             test_rows_probe_hash_consistency;
+          Alcotest.test_case "golden columns (seed 49, 4x2048)" `Quick
+            test_family_golden_columns;
         ] );
       ( "double-hashing",
         [

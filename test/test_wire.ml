@@ -411,6 +411,96 @@ let test_cm_negative_controls () =
   expect_corrupt "varint past the native range"
     (cm_blob ~n:1 (raw_first_count "\x81\x80\x80\x80\x80\x80\x80\x80\x40"))
 
+(* The codec's fast paths (a one-byte varint read, a checksum masked once)
+   must reject exactly what the checked walks rejected, through the fold
+   the served paths run as well as through decode. *)
+let expect_both what want blob =
+  let show = function
+    | Ok _ -> "Ok"
+    | Error e -> Wire.Codec.error_to_string e
+  in
+  let fold = Wire.Countmin.fold ~family:cm_family blob
+  and dec = cm_decode blob in
+  List.iter
+    (fun (path, r) ->
+      match r with
+      | Error e when want e -> ()
+      | r -> Alcotest.failf "%s via %s: got %s" what path (show r))
+    [ ("fold", Result.map ignore fold); ("decode", Result.map ignore dec) ]
+
+let is_truncated = function Wire.Codec.Truncated _ -> true | _ -> false
+let is_corrupt = function Wire.Codec.Corrupt _ -> true | _ -> false
+
+let test_cm_varint_edges () =
+  (* the first row's only pair, with its count written by hand *)
+  let raw_count bytes b =
+    Wire.Codec.varint b 1;
+    Wire.Codec.varint b 0;
+    Buffer.add_string b bytes
+  in
+  let rest b =
+    cm_row b [ (0, 1) ];
+    cm_row b [ (0, 1) ]
+  in
+  (match
+     Wire.Countmin.fold ~family:cm_family
+       (cm_blob ~n:1 (fun b -> raw_count "\x81\x01" b; rest b))
+   with
+  | Ok apply ->
+      let acc = Sketches.Countmin.create ~family:cm_family in
+      apply acc;
+      Alcotest.(check int) "control: two-byte count" 129
+        (Sketches.Countmin.cell acc ~row:0 ~col:0)
+  | Error e -> Alcotest.failf "control: %s" (Wire.Codec.error_to_string e));
+  expect_both "two-byte count cut at the payload's end" is_truncated
+    (cm_blob ~n:1 (raw_count "\x81"));
+  expect_both "nine-byte count cut at the payload's end" is_truncated
+    (cm_blob ~n:1 (raw_count "\x81\x80\x80\x80\x80\x80\x80\x80"));
+  expect_both "payload ends where a varint should start" is_truncated
+    (cm_blob ~n:1 (fun b -> Wire.Codec.varint b 1; Wire.Codec.varint b 0));
+  expect_both "zero final group" is_corrupt
+    (cm_blob ~n:1 (fun b -> raw_count "\x81\x00" b; rest b));
+  expect_both "more than 9 groups" is_corrupt
+    (cm_blob ~n:1 (fun b ->
+         raw_count "\x81\x80\x80\x80\x80\x80\x80\x80\x80\x01" b;
+         rest b));
+  expect_both "past the native range" is_corrupt
+    (cm_blob ~n:1 (fun b ->
+         raw_count "\x81\x80\x80\x80\x80\x80\x80\x80\x40" b;
+         rest b));
+  expect_both "overlong stream length" is_corrupt
+    (Wire.Codec.encode ~kind:Wire.Countmin.kind (fun b ->
+         Wire.Codec.u32 b (Hashing.Family.rows cm_family);
+         Wire.Codec.u32 b cm_width;
+         Wire.Codec.i64 b (Wire.Countmin.fingerprint cm_family);
+         Buffer.add_string b "\x80\x00";
+         one_per_row b))
+
+(* The per-byte-masked FNV-1a-32 the checksum must keep equal to. *)
+let fnv1a_reference bytes ~off ~len =
+  let h = ref 0x811c9dc5 in
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (Bytes.get bytes i)) * 0x01000193 land 0xFFFFFFFF
+  done;
+  !h
+
+let test_fnv1a () =
+  let g = Rng.Splitmix.create 3L in
+  let b = Bytes.init 4096 (fun _ -> Char.chr (Rng.Splitmix.next_int g 256)) in
+  List.iter
+    (fun (off, len) ->
+      Alcotest.(check int)
+        (Printf.sprintf "off %d len %d" off len)
+        (fnv1a_reference b ~off ~len)
+        (Wire.Codec.fnv1a b ~off ~len))
+    [ (0, 0); (0, 1); (0, 4096); (17, 1000); (4095, 1); (4096, 0) ];
+  List.iter
+    (fun (off, len) ->
+      match Wire.Codec.fnv1a b ~off ~len with
+      | _ -> Alcotest.failf "off %d len %d: no Invalid_argument" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 1); (0, 4097); (4096, 1); (4000, 97); (0, -1); (4097, 0) ]
+
 (* A sketch with the given counter image (row-major) and stream length. *)
 let cm_of_cells ?(n = 0) counts =
   let t = Sketches.Countmin.create ~family:cm_family in
@@ -456,6 +546,26 @@ let test_cm_canonical () =
   let blob = enc (cm_of xs) in
   match cm_decode blob with
   | Ok t -> Alcotest.(check bytes) "encode ∘ decode = id on bytes" blob (enc t)
+  | Error e -> Alcotest.failf "decode: %s" (Wire.Codec.error_to_string e)
+
+(* Captured before the field multiply and the codec readers were
+   rewritten: the deployment family's blob over the golden keys, each once
+   and the first 64 twice. *)
+let test_cm_golden_blob () =
+  let family = Test_helpers.golden_family () in
+  let cm = Sketches.Countmin.create ~family in
+  Array.iter (Sketches.Countmin.update cm) Test_helpers.golden_keys;
+  Array.iteri
+    (fun i k -> if i < 64 then Sketches.Countmin.update cm k)
+    Test_helpers.golden_keys;
+  let blob = Wire.Countmin.encode cm in
+  Alcotest.(check int64) "fingerprint" 0x3cf47302daf34a2eL
+    (Wire.Countmin.fingerprint family);
+  Alcotest.(check int) "length" 3784 (Bytes.length blob);
+  Alcotest.(check string) "digest" "bd4695699f456806e093616d9fdc5083"
+    (Digest.to_hex (Digest.bytes blob));
+  match Wire.Countmin.decode ~family blob with
+  | Ok t -> Alcotest.(check bytes) "decodes to itself" blob (Wire.Countmin.encode t)
   | Error e -> Alcotest.failf "decode: %s" (Wire.Codec.error_to_string e)
 
 let test_cm_fold_all_or_nothing () =
@@ -668,6 +778,7 @@ let () =
           Alcotest.test_case "future version" `Quick test_future_version;
           Alcotest.test_case "wrong kind" `Quick test_wrong_kind;
           Alcotest.test_case "trailing bytes" `Quick test_trailing_garbage;
+          Alcotest.test_case "fnv1a: value and range check" `Quick test_fnv1a;
         ] );
       ( "segment",
         [
@@ -690,6 +801,10 @@ let () =
             test_cm_v1_dense_unsupported;
           cm_qcheck;
           cm_reference_qcheck;
+          Alcotest.test_case "varint edges via fold and decode" `Quick
+            test_cm_varint_edges;
+          Alcotest.test_case "golden blob (seed 49, 4x2048)" `Quick
+            test_cm_golden_blob;
         ] );
       ("properties", qcheck_tests);
     ]
