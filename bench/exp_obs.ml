@@ -15,10 +15,12 @@
      instrumented (metrics registry + merge-lag timer + 1/64 spans),
      recorded both as Mops/s rows and as one "pct" overhead entry that
      `bench compare` gates on absolute drift (docs/OBSERVABILITY.md
-     documents the few-percent budget). *)
+     documents the few-percent budget). The overhead is the median over
+     [reps] back-to-back pairs of each pair's own overhead, so one run
+     that a busy host slows moves it little. *)
 
-let total_updates = 400_000
-let reps = 4
+let total_updates = 2_000_000
+let reps = 10
 let shards = 4
 let feeders = 4
 let batch = 512
@@ -177,14 +179,21 @@ let pipeline_overhead () =
         end)
   in
   let bare_rates = List.map fst pairs and instr_rates = List.map snd pairs in
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    let n = Array.length a in
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+  in
   Bench_util.record_samples ~exp:"obs" ~name:"e14-pipeline-bare" ~params
     bare_rates;
   Bench_util.record_samples ~exp:"obs" ~name:"e14-pipeline-instrumented" ~params
     instr_rates;
-  let mean l = List.fold_left ( +. ) 0.0 l /. float_of_int reps in
-  let bare = mean bare_rates and instr = mean instr_rates in
+  let bare = median bare_rates and instr = median instr_rates in
   let reg = !last_reg in
-  let overhead = (bare -. instr) /. bare *. 100.0 in
+  let overhead =
+    median (List.map (fun (b, i) -> (b -. i) /. b *. 100.0) pairs)
+  in
   Bench_util.record ~exp:"obs" ~name:"e14-pipeline-overhead" ~params ~unit_:"pct"
     overhead;
   Bench_util.table
@@ -215,9 +224,9 @@ let pipeline_overhead () =
 let run () =
   Bench_util.section "E14: observability overhead (lib/obs on the hot paths)";
   Printf.printf
-    "(counter pipeline, %d shards + 1 merger, batch %d, %d feeders; mean of %d \
-     reps)\n"
-    shards batch feeders reps;
+    "(counter pipeline, %d shards + 1 merger, batch %d, %d feeders; median of \
+     %d paired reps of %d updates)\n"
+    shards batch feeders reps total_updates;
   alloc_audits ();
   micro ();
   pipeline_overhead ()

@@ -253,6 +253,12 @@ let run () =
         fun () ->
           incr x;
           Conc.Pcm.update pcm !x );
+      ( "alloc-countmin-update",
+        let cm = Sketches.Countmin.create ~family in
+        let x = ref 0 in
+        fun () ->
+          incr x;
+          Sketches.Countmin.update cm !x );
       ( "alloc-pcm-query",
         let pcm = Conc.Pcm.create ~family in
         fun () -> ignore (Conc.Pcm.query pcm 42) );

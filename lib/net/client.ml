@@ -24,8 +24,13 @@ type t = {
   m : Mutex.t;
   nonfull : Condition.t;
   drained : Condition.t;
-  buf : int Queue.t;
-  mutable oldest : float;  (* arrival of the oldest buffered key *)
+  (* a ring of [queue_cap] keys: [len] of them from [head], wrapping *)
+  buf : int array;
+  mutable head : int;
+  mutable len : int;
+  (* one slot: arrival of the oldest buffered key, a flat float so a push
+     stores it without boxing *)
+  oldest : Float.Array.t;
   mutable force : int;  (* pending flush requests: take partials now *)
   mutable in_flight : int;
   mutable closed : bool;
@@ -45,18 +50,34 @@ type t = {
 }
 
 let poll_interval = 0.0005
+let window = 4
+let first_backoff = 0.005
 
 (* ------------------------------ senders ------------------------------- *)
+
+(* A batch on the wire, not yet acked. Its frame is encoded once and
+   resent as is, so a retry carries the same (session, seq). *)
+type unacked = {
+  n : int;  (* keys *)
+  frame : Bytes.t;
+  ctx : Obs.Span.context;
+  start_ns : int;  (* flush span start: when the batch was taken *)
+  mutable left : int;  (* retries left *)
+}
 
 (* Each sender owns a session: a distinct id announced with Hello on every
    (re)connection, plus a seq counter bumped once per composed batch.
    Retries resend the same (session, seq), which is what lets the server
-   suppress the re-application when only the ack was lost. *)
+   suppress the re-application when only the ack was lost. Up to [window]
+   batches are on the wire at once, oldest first in [unacked]; they were
+   all sent, in seq order, on [conn] when it is [Some]. *)
 type sender_state = {
   session : int64;
   mutable seq : int;
   mutable conn : Conn.t option;
   mutable ever_connected : bool;
+  unacked : unacked Queue.t;
+  mutable backoff : float;
 }
 
 let drop_conn st =
@@ -96,99 +117,118 @@ let ensure_conn t st =
           end
       | exception _ -> None)
 
-let attempt t st ~seq ~ctx keys =
-  match ensure_conn t st with
-  | None -> `Transport
-  | Some conn ->
-      if
-        not
-          (Conn.send conn
-             (Frame.encode_request
-                (Frame.Batch { session = st.session; seq; ctx; keys })))
-      then begin
-        drop_conn st;
-        `Transport
-      end
-      else begin
-        match Conn.recv conn with
-        | Error _ ->
-            drop_conn st;
-            `Transport
-        | Ok frame -> (
-            match Frame.decode_response frame with
-            | Ok (Frame.Ack { accepted; dup; _ }) -> `Acked (accepted, dup)
-            | Ok (Frame.Err { code = Frame.Malformed; _ }) ->
-                (* The server could not decode what arrived: damage in
-                   transit, not in the batch. Resend it like any transport
-                   failure — a retry of an already-applied batch must reach
-                   the dedup window to be acked, or its weight is published
-                   without ever being acked. *)
-                drop_conn st;
-                `Transport
-            | Ok (Frame.Err { code; msg }) ->
-                `Rejected (Frame.err_code_to_string code ^ ": " ^ msg)
-            | Ok (Frame.Result _) | Error _ ->
-                (* protocol confusion: the stream cannot be trusted *)
-                drop_conn st;
-                `Transport)
-      end
+(* A batch is resolved (acked, rejected or given up): [flush] may return
+   once none is left and the buffer is empty. *)
+let settle t =
+  Mutex.lock t.m;
+  t.in_flight <- t.in_flight - 1;
+  if t.in_flight = 0 && t.len = 0 then Condition.broadcast t.drained;
+  Mutex.unlock t.m
 
-let deliver t st ~ctx keys =
-  let n = Array.length keys in
-  (* one seq per composed batch — every retry below reuses it *)
-  let seq = st.seq in
-  st.seq <- st.seq + 1;
-  (* flush span: send attempt (retries included) through the server's ack *)
-  let start_ns = Obs.Tracer.now_ns () in
-  let rec go left backoff =
-    match attempt t st ~seq ~ctx keys with
-    | `Acked (k, dup) ->
-        if dup then Atomic.incr t.c_duplicates;
-        ignore (Atomic.fetch_and_add t.c_sent n);
-        ignore (Atomic.fetch_and_add t.c_acked k);
-        ignore (Atomic.fetch_and_add t.c_shed (n - k));
-        (match t.tracer with
-        | Some tr ->
-            ignore
-              (Obs.Tracer.record tr ~ctx ~stage:"flush" ~start_ns
-                 ~end_ns:(Obs.Tracer.now_ns ()))
-        | None -> ())
-    | `Rejected _ ->
-        (* the server answered: resending the same bytes cannot help *)
-        Atomic.incr t.c_errors;
-        ignore (Atomic.fetch_and_add t.c_sent n);
-        ignore (Atomic.fetch_and_add t.c_shed n)
-    | `Transport ->
-        Atomic.incr t.c_errors;
-        if left > 0 then begin
-          Unix.sleepf backoff;
-          go (left - 1) (Float.min 0.2 (backoff *. 2.0))
-        end
-        else begin
-          ignore (Atomic.fetch_and_add t.c_shed n);
-          (* retry budget gone with the batch's fate unknown: the server
-             may or may not have applied it — the one residual
-             at-least-once hazard, counted so verdicts can refuse to
-             certify a run that hit it *)
-          ignore (Atomic.fetch_and_add t.c_exhausted n)
-        end
-  in
-  go t.retries 0.005
+(* The connection is lost (transport failure, [Err Malformed], protocol
+   confusion) with its unacked batches' fate unknown: each spends one
+   attempt. One with none left is dropped, counted in both [shed] and
+   [exhausted] — the server may or may not have applied it, the one
+   residual at-least-once hazard, counted so verdicts can refuse to
+   certify a run that hit it. The rest wait for the next connection,
+   which resends them in seq order; the dedup window answers those that
+   had landed. *)
+let fail t st =
+  Atomic.incr t.c_errors;
+  drop_conn st;
+  for _ = 1 to Queue.length st.unacked do
+    let u = Queue.pop st.unacked in
+    if u.left > 0 then begin
+      u.left <- u.left - 1;
+      Queue.push u st.unacked
+    end
+    else begin
+      ignore (Atomic.fetch_and_add t.c_shed u.n);
+      ignore (Atomic.fetch_and_add t.c_exhausted u.n);
+      settle t
+    end
+  done;
+  if not (Queue.is_empty st.unacked) then begin
+    Unix.sleepf st.backoff;
+    st.backoff <- Float.min 0.2 (st.backoff *. 2.0)
+  end
+
+(* Dial and resend every unacked batch, oldest first. *)
+let resend t st =
+  match ensure_conn t st with
+  | None -> fail t st
+  | Some c ->
+      if not (Queue.fold (fun ok u -> ok && Conn.send c u.frame) true st.unacked)
+      then fail t st
+
+(* Read one response. The server answers a connection's frames one at a
+   time and in order, so it is the oldest unacked batch's. *)
+let await_response t st conn =
+  match Conn.recv conn with
+  | Error _ -> fail t st
+  | Ok frame -> (
+      match Frame.decode_response frame with
+      | Ok (Frame.Ack { accepted; dup; _ }) ->
+          let u = Queue.pop st.unacked in
+          if dup then Atomic.incr t.c_duplicates;
+          ignore (Atomic.fetch_and_add t.c_sent u.n);
+          ignore (Atomic.fetch_and_add t.c_acked accepted);
+          ignore (Atomic.fetch_and_add t.c_shed (u.n - accepted));
+          (match t.tracer with
+          | Some tr ->
+              ignore
+                (Obs.Tracer.record tr ~ctx:u.ctx ~stage:"flush"
+                   ~start_ns:u.start_ns ~end_ns:(Obs.Tracer.now_ns ()))
+          | None -> ());
+          st.backoff <- first_backoff;
+          settle t
+      | Ok (Frame.Err { code = Frame.Malformed; _ }) ->
+          (* The server could not decode what arrived: damage in transit,
+             not in the batch. Resend it like any transport failure — a
+             retry of an already-applied batch must reach the dedup window
+             to be acked, or its weight is published without ever being
+             acked. *)
+          fail t st
+      | Ok (Frame.Err _) ->
+          (* the server answered: resending the same bytes cannot help *)
+          let u = Queue.pop st.unacked in
+          Atomic.incr t.c_errors;
+          ignore (Atomic.fetch_and_add t.c_sent u.n);
+          ignore (Atomic.fetch_and_add t.c_shed u.n);
+          settle t
+      | Ok (Frame.Result _) | Error _ ->
+          (* protocol confusion: the stream cannot be trusted *)
+          fail t st)
+
+(* Whether a response is waiting on [conn], within [poll_interval]. If
+   select itself fails (a descriptor past FD_SETSIZE), say yes: the caller
+   then blocks on the response, which is correct, only not polled. *)
+let readable conn =
+  match Unix.select [ Conn.fd conn ] [] [] poll_interval with
+  | [], _, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
+  | exception Unix.Unix_error _ -> true
 
 let take t =
   Mutex.lock t.m;
-  let n = Queue.length t.buf in
+  let n = t.len in
   let due =
     n > 0
     && (n >= t.batch || t.force > 0 || t.closed
-       || Unix.gettimeofday () -. t.oldest >= t.flush_age)
+       || Unix.gettimeofday () -. Float.Array.get t.oldest 0 >= t.flush_age)
   in
   let r =
     if due then begin
       let k = min n t.batch in
-      let oldest_at = t.oldest in
-      let arr = Array.init k (fun _ -> Queue.pop t.buf) in
-      if Queue.is_empty t.buf then t.oldest <- infinity;
+      let oldest_at = Float.Array.get t.oldest 0 in
+      let arr = Array.make k 0 in
+      let run = min k (t.queue_cap - t.head) in
+      Array.blit t.buf t.head arr 0 run;
+      Array.blit t.buf 0 arr run (k - run);
+      t.head <- (if t.head + k >= t.queue_cap then t.head + k - t.queue_cap else t.head + k);
+      t.len <- n - k;
+      if t.len = 0 then Float.Array.set t.oldest 0 infinity;
       t.in_flight <- t.in_flight + 1;
       Condition.broadcast t.nonfull;
       (* oldest_at: arrival of the chunk's oldest key — the enqueue span's
@@ -201,65 +241,102 @@ let take t =
   Mutex.unlock t.m;
   r
 
+(* Number a taken chunk and encode its frame. A sampled chunk gets an
+   "enqueue" span (oldest buffered arrival → take) and carries its
+   re-parented context on the wire. *)
+let compose t st arr oldest_at =
+  let ctx =
+    match t.tracer with
+    | None -> Obs.Span.zero
+    | Some tr -> (
+        match Obs.Tracer.sample tr with
+        | None -> Obs.Span.zero
+        | Some ctx ->
+            let now = Obs.Tracer.now_ns () in
+            let start_ns =
+              if Float.is_finite oldest_at then int_of_float (oldest_at *. 1e9)
+              else now
+            in
+            let sid =
+              Obs.Tracer.record tr ~ctx ~stage:"enqueue" ~start_ns ~end_ns:now
+            in
+            Obs.Span.with_parent ctx sid)
+  in
+  let seq = st.seq in
+  st.seq <- seq + 1;
+  {
+    n = Array.length arr;
+    frame =
+      Frame.encode_request
+        (Frame.Batch { session = st.session; seq; ctx; keys = arr });
+    ctx;
+    start_ns = (match t.tracer with Some _ -> Obs.Tracer.now_ns () | None -> 0);
+    left = t.retries;
+  }
+
 let sender_loop t i =
   let session = Int64.add t.session_base (Int64.of_int i) in
-  let st = { session; seq = 0; conn = None; ever_connected = false } in
+  let st =
+    {
+      session;
+      seq = 0;
+      conn = None;
+      ever_connected = false;
+      unacked = Queue.create ();
+      backoff = first_backoff;
+    }
+  in
   let rec go () =
-    match take t with
-    | `Done -> drop_conn st
-    | `Wait ->
-        Unix.sleepf poll_interval;
+    match st.conn with
+    | None when not (Queue.is_empty st.unacked) ->
+        resend t st;
         go ()
-    | `Chunk (arr, oldest_at) ->
-        (* Roll the sampling die per composed batch. A sampled chunk gets
-           an "enqueue" span (oldest buffered arrival → take) and hands
-           its re-parented context to deliver, which puts it on the wire. *)
-        let ctx =
-          match t.tracer with
-          | None -> Obs.Span.zero
-          | Some tr -> (
-              match Obs.Tracer.sample tr with
-              | None -> Obs.Span.zero
-              | Some ctx ->
-                  let now = Obs.Tracer.now_ns () in
-                  let start_ns =
-                    if Float.is_finite oldest_at then
-                      int_of_float (oldest_at *. 1e9)
-                    else now
-                  in
-                  let sid =
-                    Obs.Tracer.record tr ~ctx ~stage:"enqueue" ~start_ns
-                      ~end_ns:now
-                  in
-                  Obs.Span.with_parent ctx sid)
-        in
-        deliver t st ~ctx arr;
-        Mutex.lock t.m;
-        t.in_flight <- t.in_flight - 1;
-        if t.in_flight = 0 && Queue.is_empty t.buf then
-          Condition.broadcast t.drained;
-        Mutex.unlock t.m;
+    | Some conn when Queue.length st.unacked >= window ->
+        await_response t st conn;
         go ()
+    | conn -> (
+        match (take t, conn) with
+        | `Chunk (arr, oldest_at), _ ->
+            let u = compose t st arr oldest_at in
+            Queue.push u st.unacked;
+            (* without a connection, the next turn dials and sends it *)
+            (match conn with
+            | Some c -> if not (Conn.send c u.frame) then fail t st
+            | None -> ());
+            go ()
+        | (`Wait | `Done), Some c when not (Queue.is_empty st.unacked) ->
+            (* poll the ack, not just the buffer: a batch that falls due
+               meanwhile goes out without waiting for it *)
+            if readable c then await_response t st c;
+            go ()
+        | `Wait, _ ->
+            Unix.sleepf poll_interval;
+            go ()
+        | `Done, _ -> drop_conn st)
   in
   go ()
 
 (* ------------------------------ producers ----------------------------- *)
 
+(* With [t.m] held: wait for a free slot. [false] once closed, or on a
+   full ring when [block] is false. *)
+let rec wait_room t ~block =
+  if t.closed then false
+  else if t.len < t.queue_cap then true
+  else if block then begin
+    Condition.wait t.nonfull t.m;
+    wait_room t ~block
+  end
+  else false
+
 let push_aux t k ~block =
   Mutex.lock t.m;
-  let rec wait_room () =
-    if t.closed then false
-    else if Queue.length t.buf < t.queue_cap then true
-    else if block then begin
-      Condition.wait t.nonfull t.m;
-      wait_room ()
-    end
-    else false
-  in
-  let ok = wait_room () in
+  let ok = wait_room t ~block in
   if ok then begin
-    if Queue.is_empty t.buf then t.oldest <- Unix.gettimeofday ();
-    Queue.push k t.buf;
+    if t.len = 0 then Float.Array.set t.oldest 0 (Unix.gettimeofday ());
+    let i = t.head + t.len in
+    t.buf.(if i >= t.queue_cap then i - t.queue_cap else i) <- k;
+    t.len <- t.len + 1;
     Atomic.incr t.c_pushed
   end
   else if not t.closed then Atomic.incr t.c_shed;
@@ -272,7 +349,7 @@ let try_push t k = push_aux t k ~block:false
 let flush t =
   Mutex.lock t.m;
   t.force <- t.force + 1;
-  while not (Queue.is_empty t.buf && t.in_flight = 0) do
+  while not (t.len = 0 && t.in_flight = 0) do
     Condition.wait t.drained t.m
   done;
   t.force <- t.force - 1;
@@ -333,7 +410,7 @@ let query t q =
 
 let stats t =
   Mutex.lock t.m;
-  let queued = Queue.length t.buf in
+  let queued = t.len in
   Mutex.unlock t.m;
   {
     pushed = Atomic.get t.c_pushed;
@@ -382,8 +459,10 @@ let create ?(conns = 1) ?(batch = 256) ?(flush_age = 0.05) ?queue
       m = Mutex.create ();
       nonfull = Condition.create ();
       drained = Condition.create ();
-      buf = Queue.create ();
-      oldest = infinity;
+      buf = Array.make queue_cap 0;
+      head = 0;
+      len = 0;
+      oldest = Float.Array.make 1 infinity;
       force = 0;
       in_flight = 0;
       closed = false;
@@ -424,7 +503,7 @@ let create ?(conns = 1) ?(batch = 256) ?(flush_age = 0.05) ?queue
       Obs.Registry.gauge_fn reg ~help:"Keys currently buffered"
         "client_queue_depth" (fun () ->
           Mutex.lock t.m;
-          let n = Queue.length t.buf in
+          let n = t.len in
           Mutex.unlock t.m;
           float_of_int n));
   t.senders <-

@@ -1,12 +1,19 @@
 (** Batching client for the served tier: a bounded shared buffer, a pool of
     sender connections, and size/age flush triggers.
 
-    Producers ({!push}/{!try_push}) append keys to one bounded queue;
-    [conns] sender domains each own a TCP connection and ship batches of up
-    to [batch] keys, synchronously awaiting each {!Frame.Ack}. A batch goes
-    out when the buffer holds a full batch ({e size} trigger), when its
-    oldest key has waited [flush_age] seconds ({e age} trigger), or when
-    {!flush} or {!close} forces the residue out.
+    Producers ({!push}/{!try_push}) append keys to one bounded ring of
+    [queue] slots; [conns] sender domains each own a TCP connection and
+    ship batches of up to [batch] keys. A batch goes out when the buffer
+    holds a full batch ({e size} trigger), when its oldest key has waited
+    [flush_age] seconds ({e age} trigger), or when {!flush} or {!close}
+    forces the residue out.
+
+    Senders are pipelined: each keeps up to {!window} batches sent and not
+    yet acked on its connection, and takes the next batch while earlier
+    ones are on the wire. The server answers a connection's frames one at
+    a time and in order, so each {!Frame.Ack} belongs to the oldest
+    unacked batch (FIFO). A sender waits for an ack only when its window
+    is full, or when it has batches in flight and nothing is due.
 
     Backpressure is explicit: on a full buffer {!push} blocks the producer
     (closed-loop behaviour) and {!try_push} sheds the key (open-loop
@@ -15,18 +22,20 @@
     Delivery is {e effectively-once}: each sender owns a session id
     (announced with {!Frame.Hello} on every (re)connection) and numbers
     its batches with a per-sender seq assigned once per composed batch. A
-    sender whose connection dies mid-exchange reconnects (bounded
-    attempts, backoff) and resends the {e same} [(session, seq)]; the
-    server's dedup window ({!Dedup}) recognises the retry and acks the
-    original accepted count with [dup = true] instead of re-applying — so
-    [acked] stays exact under arbitrary connection drops, and retried
-    batches can never double-count. An [Err Malformed] answer means the
-    server could not decode what arrived (damage in transit), so it is
-    retried the same way; any other [Err] rejects the batch. The one
-    residual hazard is retry {e exhaustion}: a batch dropped after its
-    last failed attempt may or may not have been applied, so its keys are
-    counted in both [shed] and [exhausted] — envelope verdicts require
-    [exhausted = 0] to certify a run.
+    transport failure, or an [Err Malformed] answer (the server could not
+    decode what arrived: damage in transit), loses the connection with
+    every unacked batch's fate unknown, so each of them spends one of its
+    [retries] attempts. The sender reconnects (backoff) and resends those
+    with attempts left, in seq order, with the {e same} [(session, seq)];
+    the server's dedup window ({!Dedup}) recognises the ones that already
+    landed and acks their original accepted count with [dup = true]
+    instead of re-applying — so [acked] stays exact under arbitrary
+    connection drops, and retried batches can never double-count. Any
+    other [Err] rejects only the oldest batch and the connection stays
+    open. The one residual hazard is retry {e exhaustion}: a batch dropped
+    after its last failed attempt may or may not have been applied, so its
+    keys are counted in both [shed] and [exhausted] — envelope verdicts
+    require [exhausted = 0] to certify a run.
 
     Queries use one dedicated, lazily-(re)connected connection, serialized
     by a mutex — the client is an ingest firehose with an occasional
@@ -66,8 +75,8 @@ val create :
 (** Spawn [conns] (default 1) sender domains. [batch] (default 256) keys
     per frame; [flush_age] (default 50 ms) bounds how long a key may sit in
     a partial batch; [queue] (default [8 * batch]) bounds the buffer;
-    [retries] (default 3) delivery attempts per batch; [read_timeout]
-    (default 10 s) bounds each ack/response wait.
+    [retries] (default 3) retries per batch after its first attempt;
+    [read_timeout] (default 10 s) bounds each ack/response wait.
 
     [session] overrides the session id base (sender [i] uses
     [session + i]); the default mixes wall clock and pid, distinct across
@@ -81,16 +90,23 @@ val create :
 
     [tracer] samples composed batches for distributed tracing: a sampled
     batch records an ["enqueue"] span (oldest buffered arrival → take)
-    and a ["flush"] span (send → ack, retries included), and carries its
+    and a ["flush"] span (take → its ack, retries included; with
+    pipelining this includes the time the frame waits behind the earlier
+    frames of its window), and carries its
     context in its [net-batch] frame so the server continues the
     waterfall. Unsampled batches carry the zero context, exactly as a
     tracerless client's do.
 
     @raise Invalid_argument on non-positive [conns]/[batch]/[queue]. *)
 
+val window : int
+(** Batches a sender keeps sent and unacked: 4. At most {!Dedup}'s
+    default window, so every resent batch is still in the server's dedup
+    window and is answered with its exact accepted count. *)
+
 val push : t -> int -> bool
 (** Buffer a key, blocking while the buffer is full. [false] after
-    {!close}. *)
+    {!close}. Stores the key in the ring and allocates nothing. *)
 
 val try_push : t -> int -> bool
 (** Never blocks: a full buffer sheds the key (returns [false], counted in
@@ -98,7 +114,8 @@ val try_push : t -> int -> bool
 
 val flush : t -> unit
 (** Force partial batches out and block until the buffer is empty {e and}
-    every in-flight batch is resolved (acked, rejected or retried out).
+    every in-flight batch is resolved (acked, rejected or retried out):
+    every sender's window is empty.
     Safe from multiple domains. *)
 
 val query : t -> Frame.query -> (Frame.response, string) result

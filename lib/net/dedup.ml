@@ -183,7 +183,9 @@ let compact_locked t =
       t.appends_since_compact <- 0;
       t.compactions <- t.compactions + 1
 
-let create ?(window = 128) ?(max_sessions = 1024) ?(compact_every = 4096) ?dir
+let default_window = 128
+
+let create ?(window = default_window) ?(max_sessions = 1024) ?(compact_every = 4096) ?dir
     () =
   if window <= 0 then invalid_arg "Net.Dedup: window must be positive";
   if max_sessions <= 0 then invalid_arg "Net.Dedup: max_sessions must be positive";

@@ -44,6 +44,10 @@ type stats = {
   compactions : int;  (** journal rewrites to the bounded snapshot *)
 }
 
+val default_window : int
+(** 128: the window {!create} keeps when none is given, and the one the
+    server uses. {!Client.window} must stay at most this. *)
+
 val create :
   ?window:int -> ?max_sessions:int -> ?compact_every:int -> ?dir:string ->
   unit -> t

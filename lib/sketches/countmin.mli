@@ -51,14 +51,22 @@ val error_bound : t -> float
 val cell : t -> row:int -> col:int -> int
 (** Direct counter access (tests and debugging). *)
 
+val nonzero : t -> row:int -> int
+(** Number of non-zero counters in [row], in O(1): each row keeps an
+    occupancy bitmap and a count that a counter's first non-zero value
+    sets, whichever operation wrote it.
+    @raise Invalid_argument if [row] is out of range. *)
+
 val iter_row : t -> row:int -> (int -> int -> unit) -> unit
 (** [iter_row t ~row f] calls [f col count] on each non-zero counter of
-    [row], in ascending column order — one walk of the row, which is how
-    the wire encoder lists it.
+    [row], in ascending column order — the wire encoder's walk. It visits
+    the set bits of the row's occupancy bitmap, so it costs
+    O(width/32 + non-zero counters), not O(width).
     @raise Invalid_argument if [row] is out of range. *)
 
 val reset : t -> unit
-(** Zero all counters and the update count. *)
+(** Zero all counters and the update count. Only the occupied counters are
+    written, so emptying a sparse delta costs what {!iter_row} does. *)
 
 val merge : t -> t -> t
 (** [merge a b] summarizes the concatenation of both inputs' streams:

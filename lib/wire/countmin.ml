@@ -45,27 +45,24 @@ let fingerprint family =
       done;
       !h
 
-(* One walk per row: its pairs go to a scratch buffer while they are
-   counted, then the count and the pairs are written. *)
+(* Each row's pair count comes first, from the sketch's occupancy count,
+   so the pairs are written straight into the frame as the row's walk
+   meets them: O(non-zero cells) per row, no intermediate buffer. *)
 let encode cm =
   let fp = fingerprint (Sketches.Countmin.family cm) in
   let d = Sketches.Countmin.rows cm and w = Sketches.Countmin.width cm in
-  let pairs = Buffer.create 256 in
   Codec.encode ~kind (fun b ->
       Codec.u32 b d;
       Codec.u32 b w;
       Codec.i64 b fp;
       Codec.varint b (Sketches.Countmin.updates cm);
       for row = 0 to d - 1 do
-        Buffer.clear pairs;
-        let k = ref 0 and prev = ref (-1) in
+        Codec.varint b (Sketches.Countmin.nonzero cm ~row);
+        let prev = ref (-1) in
         Sketches.Countmin.iter_row cm ~row (fun col c ->
-            Codec.varint pairs (col - !prev - 1);
-            Codec.varint pairs c;
-            prev := col;
-            incr k);
-        Codec.varint b !k;
-        Buffer.add_buffer b pairs
+            Codec.varint b (col - !prev - 1);
+            Codec.varint b c;
+            prev := col)
       done)
 
 (* The header: dimensions and fingerprint must be the caller's family's,

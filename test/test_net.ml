@@ -629,73 +629,127 @@ let test_client_retries_malformed () =
   check_int "duplicate ack seen" 1 cs.Net.Client.duplicates_suppressed;
   check_int "two failed attempts" 2 cs.Net.Client.errors
 
-let test_client_full_buffer () =
-  (* The two full-buffer contracts: [try_push] sheds and counts the key,
-     [push] waits until a sender drains the buffer. A scripted peer holds
-     the first batch unacked, so the buffer behind it stays full. *)
+(* ------------------------------------------------------------------ *)
+(* Scripted peers for the client's sender contracts                   *)
+(* ------------------------------------------------------------------ *)
+
+let send_ack c ~accepted ~dup =
+  ignore
+    (Conn.send c (Frame.encode_response (Frame.Ack { epoch = 1; accepted; dup })))
+
+(* The next batch frame's (seq, keys); [None] once the client is gone.
+   Any other request (a Hello) is acked with 0 and skipped. *)
+let rec recv_batch c =
+  match Conn.recv c with
+  | Error _ -> None
+  | Ok raw -> (
+      match Frame.decode_request raw with
+      | Ok (Frame.Batch { seq; keys; _ }) -> Some (seq, keys)
+      | _ ->
+          send_ack c ~accepted:0 ~dup:false;
+          recv_batch c)
+
+(* [k] batch frames, fewer if the client leaves first. *)
+let recv_batches c k = List.filter_map (fun _ -> recv_batch c) (List.init k Fun.id)
+
+(* Answer every further batch in full until the client leaves. *)
+let rec ack_rest c =
+  match recv_batch c with
+  | Some (_, keys) ->
+      send_ack c ~accepted:(Array.length keys) ~dup:false;
+      ack_rest c
+  | None -> ()
+
+(* A peer on an ephemeral loopback port that plays [scripts] in order, one
+   per accepted connection, on its own domain. Each accept waits at most
+   5 s, so a client that stops reconnecting fails its test instead of
+   hanging it. The peer answers the connection's first frame (the Hello)
+   before handing it to the script. *)
+let scripted_peer scripts =
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
   Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen lsock 1;
+  Unix.listen lsock 4;
   let port =
     match Unix.getsockname lsock with
     | Unix.ADDR_INET (_, p) -> p
     | _ -> assert false
   in
-  let in_flight = Atomic.make false and release = Atomic.make false in
   let peer =
     Domain.spawn (fun () ->
-        (match Unix.select [ lsock ] [] [] 5.0 with
-        | [], _, _ -> ()
-        | _ ->
-            let fd, _ = Unix.accept lsock in
-            let c = Conn.of_fd fd in
-            let ack accepted =
-              ignore
-                (Conn.send c
-                   (Frame.encode_response
-                      (Frame.Ack { epoch = 1; accepted; dup = false })))
-            in
-            let rec serve () =
-              match Conn.recv c with
-              | Error _ -> ()
-              | Ok raw -> (
-                  match Frame.decode_request raw with
-                  | Ok (Frame.Batch { keys; _ }) ->
-                      Atomic.set in_flight true;
-                      while not (Atomic.get release) do
-                        Unix.sleepf 0.001
-                      done;
-                      ack (Array.length keys);
-                      serve ()
-                  | _ ->
-                      ack 0;
-                      serve ())
-            in
-            serve ();
-            Conn.close c);
+        List.iter
+          (fun script ->
+            match Unix.select [ lsock ] [] [] 5.0 with
+            | [], _, _ -> ()
+            | _ ->
+                let fd, _ = Unix.accept lsock in
+                let c = Conn.of_fd fd in
+                Conn.set_read_timeout c 5.0;
+                (match Conn.recv c with
+                | Ok _ -> send_ack c ~accepted:0 ~dup:false
+                | Error _ -> ());
+                script c;
+                Conn.close c)
+          scripts;
         Unix.close lsock)
+  in
+  (port, peer)
+
+let seqs l = List.map fst l
+
+let test_client_full_buffer () =
+  (* The two full-buffer contracts: [try_push] sheds and counts the key,
+     [push] waits until a sender drains the buffer. A scripted peer reads
+     a full window of batches and holds every ack, so the sender can take
+     no more and the buffer behind the window stays full. *)
+  let in_flight = Atomic.make 0 and release = Atomic.make false in
+  let port, peer =
+    scripted_peer
+      [
+        (fun c ->
+          let rec hold got =
+            if List.length got < Net.Client.window then
+              match recv_batch c with
+              | Some b ->
+                  Atomic.incr in_flight;
+                  hold (b :: got)
+              | None -> got
+            else got
+          in
+          let held = List.rev (hold []) in
+          while not (Atomic.get release) do
+            Unix.sleepf 0.001
+          done;
+          List.iter
+            (fun (_, keys) ->
+              send_ack c ~accepted:(Array.length keys) ~dup:false)
+            held;
+          ack_rest c);
+      ]
   in
   let cli =
     Net.Client.create ~conns:1 ~batch:4 ~queue:4 ~flush_age:5.0 ~session:78L
       ~host:"127.0.0.1" ~port ()
   in
-  for i = 1 to 4 do
-    check_bool "first batch buffered" true (Net.Client.push cli i)
+  let on_wire = 4 * Net.Client.window in
+  for i = 1 to on_wire do
+    check_bool "window filled" true (Net.Client.push cli i)
   done;
   let deadline = Unix.gettimeofday () +. 5.0 in
-  while (not (Atomic.get in_flight)) && Unix.gettimeofday () < deadline do
+  while Atomic.get in_flight < Net.Client.window && Unix.gettimeofday () < deadline
+  do
     Unix.sleepf 0.001
   done;
-  check_bool "first batch in flight" true (Atomic.get in_flight);
-  for i = 5 to 8 do
-    check_bool "buffer refilled" true (Net.Client.push cli i)
+  check_int "window in flight" Net.Client.window (Atomic.get in_flight);
+  for i = 1 to 4 do
+    check_bool "buffer refilled" true (Net.Client.push cli (on_wire + i))
   done;
-  check_bool "try_push into a full buffer sheds" false (Net.Client.try_push cli 9);
+  check_bool "try_push into a full buffer sheds" false (Net.Client.try_push cli 0);
   check_int "shed counted" 1 (Net.Client.stats cli).Net.Client.shed;
   let returned = Atomic.make false in
   let pusher =
     Domain.spawn (fun () ->
-        let ok = Net.Client.push cli 10 in
+        let ok = Net.Client.push cli 0 in
         Atomic.set returned true;
         ok)
   in
@@ -706,9 +760,270 @@ let test_client_full_buffer () =
   Net.Client.close cli;
   Domain.join peer;
   let cs = Net.Client.stats cli in
-  check_int "pushed" 9 cs.Net.Client.pushed;
-  check_int "acked" 9 cs.Net.Client.acked;
+  check_int "pushed" (on_wire + 5) cs.Net.Client.pushed;
+  check_int "acked" (on_wire + 5) cs.Net.Client.acked;
   check_int "shed" 1 cs.Net.Client.shed
+
+let test_client_pipelines_window () =
+  (* The peer reads a full window of batch frames before it answers any:
+     a stop-and-wait sender would sit on its first frame until its read
+     timeout. The acks then carry different accepted counts, one per
+     batch in seq order; the totals are exact. *)
+  let seen = ref [] in
+  let port, peer =
+    scripted_peer
+      [
+        (fun c ->
+          seen := recv_batches c Net.Client.window;
+          List.iteri
+            (fun i _ -> send_ack c ~accepted:(4 - i) ~dup:false)
+            !seen;
+          ack_rest c);
+      ]
+  in
+  let cli =
+    Net.Client.create ~conns:1 ~batch:4 ~flush_age:5.0 ~read_timeout:2.0
+      ~session:79L ~host:"127.0.0.1" ~port ()
+  in
+  for i = 1 to 16 do
+    ignore (Net.Client.push cli i)
+  done;
+  Net.Client.close cli;
+  Domain.join peer;
+  check_int "window = 4" 4 Net.Client.window;
+  Alcotest.(check (list int)) "four frames before the first ack" [ 0; 1; 2; 3 ]
+    (seqs !seen);
+  Alcotest.(check (list (array int)))
+    "each frame carries its keys in push order"
+    [ [| 1; 2; 3; 4 |]; [| 5; 6; 7; 8 |]; [| 9; 10; 11; 12 |]; [| 13; 14; 15; 16 |] ]
+    (List.map snd !seen);
+  let cs = Net.Client.stats cli in
+  check_int "sent" 16 cs.Net.Client.sent;
+  check_int "acked = 4 + 3 + 2 + 1" 10 cs.Net.Client.acked;
+  check_int "shed = the rejected remainders" 6 cs.Net.Client.shed;
+  check_int "no errors" 0 cs.Net.Client.errors
+
+let test_client_fifo_acks () =
+  (* Acks resolve the oldest unacked batch. The peer acks the first two of
+     four frames (4 and 1 keys accepted) and cuts the connection; the
+     sender must resend exactly the other two, in seq order, and the
+     second peer's acks (3 as a duplicate, then 2) land on them. *)
+  let first = ref [] and second = ref [] in
+  let port, peer =
+    scripted_peer
+      [
+        (fun c ->
+          first := recv_batches c 4;
+          send_ack c ~accepted:4 ~dup:false;
+          send_ack c ~accepted:1 ~dup:false);
+        (fun c ->
+          second := recv_batches c 2;
+          send_ack c ~accepted:3 ~dup:true;
+          send_ack c ~accepted:2 ~dup:false;
+          ack_rest c);
+      ]
+  in
+  let cli =
+    Net.Client.create ~conns:1 ~batch:4 ~flush_age:5.0 ~session:80L
+      ~host:"127.0.0.1" ~port ()
+  in
+  for i = 1 to 16 do
+    ignore (Net.Client.push cli i)
+  done;
+  Net.Client.close cli;
+  Domain.join peer;
+  Alcotest.(check (list int)) "first connection" [ 0; 1; 2; 3 ] (seqs !first);
+  Alcotest.(check (list int)) "resent: the two unacked" [ 2; 3 ] (seqs !second);
+  Alcotest.(check (list (array int)))
+    "resent with their own keys"
+    [ [| 9; 10; 11; 12 |]; [| 13; 14; 15; 16 |] ]
+    (List.map snd !second);
+  let cs = Net.Client.stats cli in
+  check_int "acked = 4 + 1 + 3 + 2" 10 cs.Net.Client.acked;
+  check_int "sent" 16 cs.Net.Client.sent;
+  check_int "shed" 6 cs.Net.Client.shed;
+  check_int "one duplicate ack" 1 cs.Net.Client.duplicates_suppressed;
+  check_int "one failure" 1 cs.Net.Client.errors;
+  check_int "one reconnect" 1 cs.Net.Client.reconnects;
+  check_int "nothing exhausted" 0 cs.Net.Client.exhausted
+
+let test_client_cut_window_dedup () =
+  (* The connection is cut with a full window unacked, the first two of
+     which the real server already applied. A relay between the two
+     forwards the Hello and those two batches, withholds their acks,
+     swallows the other two frames and closes both sides; the next
+     connection it relays in full. The resend meets the server's dedup
+     window: the two applied batches are acked as duplicates, the other
+     two applied now, and acked = published exactly. *)
+  let srv = start_server () in
+  let upstream () =
+    let s = Conn.connect ~host:"127.0.0.1" ~port:(Srv.port srv) in
+    Conn.set_read_timeout s 5.0;
+    s
+  in
+  let forward c s =
+    match Conn.recv c with
+    | Error _ -> None
+    | Ok frame -> (
+        ignore (Conn.send s frame);
+        match Conn.recv s with Ok r -> Some r | Error _ -> None)
+  in
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 4;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let accept () =
+    match Unix.select [ lsock ] [] [] 5.0 with
+    | [], _, _ -> None
+    | _ ->
+        let fd, _ = Unix.accept lsock in
+        let c = Conn.of_fd fd in
+        Conn.set_read_timeout c 5.0;
+        Some c
+  in
+  let relay =
+    Domain.spawn (fun () ->
+        (match accept () with
+        | None -> ()
+        | Some c ->
+            let s = upstream () in
+            (match forward c s with
+            | Some hello_ack -> ignore (Conn.send c hello_ack)
+            | None -> ());
+            for i = 1 to 4 do
+              if i <= 2 then ignore (forward c s) else ignore (Conn.recv c)
+            done;
+            Conn.close s;
+            Conn.close c);
+        (match accept () with
+        | None -> ()
+        | Some c ->
+            let s = upstream () in
+            let rec pump () =
+              match forward c s with
+              | Some r ->
+                  ignore (Conn.send c r);
+                  pump ()
+              | None -> ()
+            in
+            pump ();
+            Conn.close s;
+            Conn.close c);
+        Unix.close lsock)
+  in
+  let cli =
+    Net.Client.create ~conns:1 ~batch:4 ~flush_age:5.0 ~session:81L
+      ~host:"127.0.0.1" ~port ()
+  in
+  for i = 1 to 16 do
+    ignore (Net.Client.push cli (i land 7))
+  done;
+  Net.Client.close cli;
+  Domain.join relay;
+  let stats = Srv.stop srv in
+  let cs = Net.Client.stats cli in
+  check_int "acked exact" 16 cs.Net.Client.acked;
+  check_int "two duplicates suppressed" 2 cs.Net.Client.duplicates_suppressed;
+  check_int "server suppressed the same two" 2 stats.Srv.duplicates;
+  check_int "nothing shed" 0 cs.Net.Client.shed;
+  check_int "published = acked" 16
+    (Srv.P.stats (Srv.engine srv)).Srv.P.published
+
+let test_client_window_exhausted () =
+  (* Every attempt fails: each connection reads the window's frames and
+     closes without an ack. Every unacked batch spends one attempt per
+     lost connection, so after 1 + retries connections each batch's keys
+     are counted in both shed and exhausted. *)
+  let drop c = ignore (recv_batches c 4) in
+  let port, peer = scripted_peer [ drop; drop; drop ] in
+  let cli =
+    Net.Client.create ~conns:1 ~batch:4 ~flush_age:5.0 ~retries:2
+      ~session:82L ~host:"127.0.0.1" ~port ()
+  in
+  for i = 1 to 16 do
+    ignore (Net.Client.push cli i)
+  done;
+  Net.Client.close cli;
+  Domain.join peer;
+  let cs = Net.Client.stats cli in
+  check_int "nothing acked" 0 cs.Net.Client.acked;
+  check_int "nothing sent to an answer" 0 cs.Net.Client.sent;
+  check_int "every key shed" 16 cs.Net.Client.shed;
+  check_int "every key exhausted" 16 cs.Net.Client.exhausted;
+  check_int "one failure per connection" 3 cs.Net.Client.errors
+
+let test_client_window_within_dedup () =
+  (* A resent batch is answered exactly only while its seq is still in
+     the server's dedup window, and a resend is at most [window] seqs
+     behind the newest. *)
+  check_bool "window >= 1" true (Net.Client.window >= 1);
+  check_bool "window <= dedup window" true
+    (Net.Client.window <= Net.Dedup.default_window)
+
+let test_client_ring_wraps () =
+  (* A queue that is not a multiple of the batch makes every take wrap
+     somewhere in the ring: keys still reach the peer in push order, and
+     the age trigger still ships a partial batch. *)
+  let m = Mutex.create () and got = ref [] and count = Atomic.make 0 in
+  let rec record c =
+    match recv_batch c with
+    | Some (_, keys) ->
+        Mutex.lock m;
+        Array.iter (fun k -> got := k :: !got) keys;
+        Mutex.unlock m;
+        ignore (Atomic.fetch_and_add count (Array.length keys));
+        send_ack c ~accepted:(Array.length keys) ~dup:false;
+        record c
+    | None -> ()
+  in
+  let port, peer = scripted_peer [ record ] in
+  let cli =
+    Net.Client.create ~conns:1 ~batch:3 ~queue:7 ~flush_age:0.02 ~session:83L
+      ~host:"127.0.0.1" ~port ()
+  in
+  for i = 1 to 100 do
+    check_bool "push" true (Net.Client.push cli i)
+  done;
+  Net.Client.flush cli;
+  check_int "flushed" 100 (Atomic.get count);
+  ignore (Net.Client.push cli 101);
+  ignore (Net.Client.push cli 102);
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Atomic.get count < 102 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  check_int "partial batch shipped by age" 102 (Atomic.get count);
+  Net.Client.close cli;
+  Domain.join peer;
+  Alcotest.(check (list int)) "push order" (List.init 102 succ) (List.rev !got);
+  check_int "acked" 102 (Net.Client.stats cli).Net.Client.acked
+
+let test_client_push_allocates_nothing () =
+  (* A push stores the key in the ring: no per-key cell, no boxed arrival
+     time. The sender domain's frames are its own domain's words. *)
+  let srv = start_server () in
+  let cli =
+    Net.Client.create ~conns:1 ~batch:256 ~flush_age:0.01 ~session:84L
+      ~host:"127.0.0.1" ~port:(Srv.port srv) ()
+  in
+  for i = 1 to 10_000 do
+    ignore (Net.Client.push cli i)
+  done;
+  let w0 = Gc.minor_words () in
+  for i = 1 to 100_000 do
+    ignore (Net.Client.push cli i)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Net.Client.close cli;
+  ignore (Srv.stop srv);
+  check_int "acked" 110_000 (Net.Client.stats cli).Net.Client.acked;
+  check_bool
+    (Printf.sprintf "%.0f minor words for 100k pushes" words)
+    true (words < 1000.0)
 
 (* Satellite: the driver's sink seam. The default engine sink and the
    client sink implement the same signature; a bare Sink.make fills the
@@ -1695,6 +2010,20 @@ let () =
           Alcotest.test_case "sink seam" `Quick test_sink_seam;
           Alcotest.test_case "tracing waterfall over loopback" `Quick
             test_trace_waterfall;
+          Alcotest.test_case "pipelined: a window before the first ack" `Quick
+            test_client_pipelines_window;
+          Alcotest.test_case "acks resolve batches in FIFO order" `Quick
+            test_client_fifo_acks;
+          Alcotest.test_case "cut window: dedup answers what landed" `Quick
+            test_client_cut_window_dedup;
+          Alcotest.test_case "cut window: every attempt fails" `Quick
+            test_client_window_exhausted;
+          Alcotest.test_case "window within the dedup window" `Quick
+            test_client_window_within_dedup;
+          Alcotest.test_case "ring wraps in push order" `Quick
+            test_client_ring_wraps;
+          Alcotest.test_case "push allocates nothing" `Quick
+            test_client_push_allocates_nothing;
         ] );
       ( "effectively-once",
         [

@@ -672,6 +672,126 @@ let cm_reference_qcheck =
          let t = cm_of_cells ~n counts in
          Bytes.equal (Wire.Countmin.encode t) (cm_reference_encode t)))
 
+(* Occupancy bitmaps: whatever writes, merges, resets and ships a sketch
+   goes through, [iter_row] and [nonzero] agree with a dense walk over
+   [cell], the cells agree with a model that applies the same writes, and
+   a ship sends the reference bytes and leaves every cell at 0. 70
+   columns: two full bitmap words and a partial third. *)
+module Occ_cm = Pipeline.Targets.Countmin (struct
+  let seed = 11L
+  let rows = 3
+  let width = 70
+end)
+
+type cm_op =
+  | Update of int
+  | Update_many of int * int
+  | Add of int * int * int
+  | Merge of int list
+  | Reset
+  | Ship
+
+let cm_op_gen =
+  let open QCheck.Gen in
+  let key = int_bound 500 in
+  frequency
+    [
+      (6, map (fun k -> Update k) key);
+      (2, map2 (fun k c -> Update_many (k, c)) key (int_bound 4));
+      ( 3,
+        map3
+          (fun r c v -> Add (r, c, v))
+          (int_bound 2) (int_bound 69)
+          (frequency [ (2, return 0); (1, int_range 1 5) ]) );
+      (1, map (fun ks -> Merge ks) (list_size (int_bound 20) key));
+      (1, return Reset);
+      (1, return Ship);
+    ]
+
+let occupancy_qcheck =
+  let module C = Sketches.Countmin in
+  let rows = 3 and width = 70 in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"occupancy = dense walk under any op sequence"
+       ~count:300
+       (QCheck.make
+          ~print:
+            (QCheck.Print.list (function
+              | Update k -> Printf.sprintf "Update %d" k
+              | Update_many (k, c) -> Printf.sprintf "Update_many (%d, %d)" k c
+              | Add (r, c, v) -> Printf.sprintf "Add (%d, %d, %d)" r c v
+              | Merge ks -> Printf.sprintf "Merge [%d keys]" (List.length ks)
+              | Reset -> "Reset"
+              | Ship -> "Ship"))
+          QCheck.Gen.(list_size (int_bound 80) cm_op_gen))
+       (fun ops ->
+         let t = ref (Occ_cm.create ()) in
+         let family = C.family !t in
+         let model = Array.make_matrix rows width 0 in
+         let bump_key k c =
+           for row = 0 to rows - 1 do
+             let col = Hashing.Family.hash family ~row k in
+             model.(row).(col) <- model.(row).(col) + c
+           done
+         in
+         let zero_model () = Array.iter (fun r -> Array.fill r 0 width 0) model in
+         let cols = List.init width Fun.id in
+         let agrees cm =
+           List.for_all
+             (fun row ->
+               let dense =
+                 List.filter_map
+                   (fun col ->
+                     let c = C.cell cm ~row ~col in
+                     if c <> 0 then Some (col, c) else None)
+                   cols
+               in
+               let walked = ref [] in
+               C.iter_row cm ~row (fun col c -> walked := (col, c) :: !walked);
+               List.rev !walked = dense
+               && C.nonzero cm ~row = List.length dense
+               && List.for_all (fun col -> C.cell cm ~row ~col = model.(row).(col)) cols)
+             (List.init rows Fun.id)
+         in
+         List.for_all
+           (fun op ->
+             let shipped_ok =
+               match op with
+               | Update k ->
+                   C.update !t k;
+                   bump_key k 1;
+                   true
+               | Update_many (k, c) ->
+                   C.update_many !t k ~count:c;
+                   bump_key k c;
+                   true
+               | Add (row, col, c) ->
+                   C.add !t ~row ~col c;
+                   model.(row).(col) <- model.(row).(col) + c;
+                   true
+               | Merge ks ->
+                   let o = Occ_cm.create () in
+                   List.iter
+                     (fun k ->
+                       C.update o k;
+                       bump_key k 1)
+                     ks;
+                   t := C.merge !t o;
+                   true
+               | Reset ->
+                   C.reset !t;
+                   zero_model ();
+                   C.updates !t = 0
+               | Ship ->
+                   let expect = cm_reference_encode !t in
+                   let blob, d = Occ_cm.ship !t in
+                   zero_model ();
+                   t := d;
+                   Bytes.equal blob expect && C.updates d = 0
+             in
+             shipped_ok && agrees !t)
+           ops))
+
 (* ------------------------- segment reading ------------------------- *)
 
 (* A segment file is a concatenation of frames; [Wire.Segment.iter] must
@@ -805,6 +925,7 @@ let () =
             test_cm_varint_edges;
           Alcotest.test_case "golden blob (seed 49, 4x2048)" `Quick
             test_cm_golden_blob;
+          occupancy_qcheck;
         ] );
       ("properties", qcheck_tests);
     ]
