@@ -862,19 +862,16 @@ let find_sketch ~cmd ~seed name =
 (* --------------------------- observability ---------------------------- *)
 
 (* [--metrics -] prints both expositions to stdout; [--metrics PATH] writes
-   PATH.prom and PATH.json. *)
-let write_metrics ~path snap =
+   PATH.prom and PATH.json; no --metrics, nothing. *)
+let write_metrics reg = Option.iter @@ fun path ->
+  let snap = Obs.Registry.snapshot reg in
   let prom = Obs.Expose.to_prometheus snap and json = Obs.Expose.to_json snap in
   if path = "-" then begin
     print_string prom;
     print_endline json
   end
   else begin
-    let out p s =
-      let oc = open_out p in
-      output_string oc s;
-      close_out oc
-    in
+    let out p s = Out_channel.with_open_text p (fun oc -> output_string oc s) in
     out (path ^ ".prom") prom;
     out (path ^ ".json") json;
     Printf.printf "metrics: wrote %s.prom and %s.json\n" path path
@@ -888,7 +885,46 @@ let make_tracer ~reg sample_every =
     Some (Obs.Tracer.create ~sample_every ~metrics:reg ())
   else None
 
-let mount_http ~what ~reg ?tracer ?slo ?health port =
+(* A trace file, or the default trace generated from [seed], [ops] and
+   [universe] ([adjust] edits its spec first). *)
+let load_trace ~cmd ?(adjust = Fun.id) ~seed ~ops ~universe = function
+  | Some path -> (
+      match Workload.Trace.read ~path with
+      | Ok st -> st
+      | Error msg ->
+          Printf.eprintf "%s: cannot read trace %s: %s\n" cmd path msg;
+          exit 2)
+  | None ->
+      let spec = adjust (Workload.Trace.default_spec ~seed ~ops ~universe ()) in
+      (spec, Workload.Trace.materialize spec)
+
+(* Quiescence: sample the leader's published total every [every] seconds
+   until it is non-zero and unchanged for [settle] samples, or until
+   [deadline]. [follower] is read before each leader sample (the leader
+   only grows, so follower > leader is a genuine lead). Returns the
+   (follower, leader) samples, newest first. *)
+let quiesce cl ?(follower = Fun.const 0) ~every ~settle ~deadline () =
+  let rec go stable acc =
+    if stable >= settle || Unix.gettimeofday () >= deadline then acc
+    else begin
+      Unix.sleepf every;
+      let f = follower () in
+      match Net.Client.query cl Net.Frame.Total with
+      | Ok (Net.Frame.Result { pairs = [ (_, l) ]; _ }) ->
+          let same = match acc with (_, last) :: _ -> l > 0 && l = last | [] -> false in
+          go (if same then stable + 1 else 0) ((f, l) :: acc)
+      | _ -> go stable acc
+    end
+  in
+  go 0 []
+
+(* serve, client and replica print the soak's verdict lines and exit 0
+   iff every check passed *)
+let verdict ~who checks =
+  print_string (Net.Soak.report ~who checks);
+  if List.for_all (fun c -> c.Net.Soak.ok) checks then 0 else 1
+
+let mount_http ~what ~reg ?tracer ?slo ?health = Option.map @@ fun port ->
   let h =
     Obs.Http.create ~port
       ~handler:
@@ -970,6 +1006,24 @@ let trace_sample_flag =
         ~doc:
           "distributed tracing: sample about one batch in N for a \
            cross-stage waterfall of spans (0 = tracing off)")
+
+(* The trace flags client and soak share, and the sketch serve and
+   replica name. *)
+let trace_file =
+  Arg.(
+    value & opt (some string) None
+    & info [ "trace" ] ~docv:"FILE" ~doc:"replay this trace file instead of generating one")
+
+let ops =
+  Arg.(
+    value & opt int 200_000
+    & info [ "ops" ] ~doc:"total generated operations (ignored with --trace)")
+
+let universe =
+  Arg.(value & opt int 8192 & info [ "universe" ] ~doc:"key universe of the generated trace")
+
+let served_sketch =
+  Arg.(value & pos 0 string "counter" & info [] ~docv:"SKETCH" ~doc:sketch_names)
 
 let replay_cmd =
   let scenario =
@@ -1294,17 +1348,14 @@ let serve_run sketch host port shards batch max_conns read_timeout duration
       ()
   in
   let http =
-    Option.map
-      (fun p ->
-        mount_http ~what:"serve" ~reg ?tracer ~slo
-          ~health:(fun () ->
-            let st = Srv.stats srv and eng = Srv.engine srv in
-            [
-              ("conns", string_of_int st.Srv.conns);
-              ("published", string_of_int (Srv.P.published eng));
-              ("epoch", string_of_int (Srv.P.epoch eng));
-            ])
-          p)
+    mount_http ~what:"serve" ~reg ?tracer ~slo
+      ~health:(fun () ->
+        let st = Srv.stats srv and eng = Srv.engine srv in
+        [
+          ("conns", string_of_int st.Srv.conns);
+          ("published", string_of_int (Srv.P.published eng));
+          ("epoch", string_of_int (Srv.P.epoch eng));
+        ])
       http_port
   in
   let deadline =
@@ -1330,46 +1381,29 @@ let serve_run sketch host port shards batch max_conns read_timeout duration
     st.Srv.sessions st.Srv.duplicates;
   (* After a clean drain every accepted key is merged exactly once, so
      published weight must equal the recovered base plus this run's
-     accepted ingests — the leader-side conservation verdict. *)
-  let expect = base + st.Srv.ingested in
-  let pass = est.Srv.P.published = expect in
-  Printf.printf
-    "serve: conservation %s (published %d, expected %d = %d recovered + \
-     %d ingested)\n"
-    (if pass then "PASS" else "FAIL")
-    est.Srv.P.published expect base st.Srv.ingested;
-  let slo_v = Obs.Slo.eval slo in
-  Printf.printf "serve: slo %s at drain (%d breaches%s)\n"
-    (Obs.Slo.state_to_string slo_v.Obs.Slo.state)
-    slo_v.Obs.Slo.breaches
-    (match Obs.Slo.last_breach slo with
-    | Some (dim, ratio) -> Printf.sprintf ", last by %s at %.2fx budget" dim ratio
-    | None -> "");
-  (match metrics_out with
-  | Some path -> write_metrics ~path (Obs.Registry.snapshot reg)
-  | None -> ());
-  if pass then 0 else 1
+     accepted ingests. *)
+  let checks =
+    [
+      Net.Soak.conservation
+        [ { base; ingested = st.Srv.ingested; published = est.Srv.P.published } ];
+      Net.Soak.slo slo;
+    ]
+  in
+  write_metrics reg metrics_out;
+  verdict ~who:"serve" checks
 
 let client_run host port trace_file ops universe seed feeders conns batch
     flush_age queue slack metrics_out trace_sample =
-  let spec, trace =
-    match trace_file with
-    | Some path -> (
-        match Workload.Trace.read ~path with
-        | Ok (spec, t) -> (spec, t)
-        | Error msg ->
-            Printf.eprintf "client: cannot read trace %s: %s\n" path msg;
-            exit 2)
-    | None ->
-        let spec = Workload.Trace.default_spec ~seed ~ops ~universe () in
-        (spec, Workload.Trace.materialize spec)
-  in
+  let spec, trace = load_trace ~cmd:"client" ~seed ~ops ~universe trace_file in
   let reg = Obs.Registry.create () in
   let tracer = make_tracer ~reg trace_sample in
   let cl =
-    Net.Client.create ~conns ~batch ~flush_age
-      ?queue:(if queue > 0 then Some queue else None)
-      ~metrics:reg ?tracer ~host ~port ()
+    try
+      Net.Client.create ~conns ~batch ~flush_age ?queue ~metrics:reg ?tracer
+        ~host ~port ()
+    with Invalid_argument m ->
+      Printf.eprintf "client: %s\n" m;
+      exit 2
   in
   let sink = Net.Client.sink cl in
   let report =
@@ -1379,24 +1413,11 @@ let client_run host port trace_file ops universe seed feeders conns batch
   in
   print_string (Workload.Driver.report_to_string report);
   Net.Client.flush cl;
-  let total () =
-    match Net.Client.query cl Net.Frame.Total with
-    | Ok (Net.Frame.Result { pairs = [ (_, v) ]; _ }) -> Some v
-    | _ -> None
+  (* the published total stops moving once the in-flight batches have
+     merged (partial shard deltas stay unflushed: the envelope's slack) *)
+  let samples =
+    quiesce cl ~every:0.1 ~settle:1 ~deadline:(Unix.gettimeofday () +. 5.0) ()
   in
-  (* quiescence: the published total stops moving once the in-flight batches
-     have merged (partial shard deltas stay unflushed and are the envelope's
-     slack term) *)
-  let rec settle last tries =
-    if tries = 0 then last
-    else begin
-      Unix.sleepf 0.1;
-      match total () with
-      | Some v when last = Some v -> last
-      | v -> settle v (tries - 1)
-    end
-  in
-  let t = settle (total ()) 50 in
   let cs = Net.Client.stats cl in
   Net.Client.close cl;
   Printf.printf
@@ -1405,33 +1426,17 @@ let client_run host port trace_file ops universe seed feeders conns batch
     cs.Net.Client.pushed cs.Net.Client.acked cs.Net.Client.sent
     cs.Net.Client.shed cs.Net.Client.errors cs.Net.Client.reconnects
     cs.Net.Client.duplicates_suppressed;
-  (match metrics_out with
-  | Some path -> write_metrics ~path (Obs.Registry.snapshot reg)
-  | None -> ());
-  match t with
-  | None ->
-      Printf.printf "client: envelope FAIL (leader answered no total)\n";
-      1
-  | Some t when cs.Net.Client.exhausted > 0 ->
-      (* a batch that ran out of retries has unknown fate (it may have been
-         applied before the connection died), so acked is no longer exact —
-         the envelope claim is unverifiable rather than violated. Transport
-         errors alone no longer cost exactness: the session/seq dedup window
-         makes retried batches ack-but-not-reapply. *)
-      Printf.printf
-        "client: envelope SKIP (total %d; %d keys exhausted retries, fate \
-         unknown)\n"
-        t cs.Net.Client.exhausted;
-      0
-  | Some t ->
-      let lag = cs.Net.Client.acked - t in
-      let pass = lag >= 0 && lag <= slack in
-      Printf.printf
-        "client: envelope %s (total %d, acked %d, lag %d, slack %d, %d dup \
-         acks)\n"
-        (if pass then "PASS" else "FAIL")
-        t cs.Net.Client.acked lag slack cs.Net.Client.duplicates_suppressed;
-      if pass then 0 else 1
+  write_metrics reg metrics_out;
+  match samples with
+  | [] ->
+      prerr_endline "client: the leader answered no total";
+      2
+  | (_, t) :: _ ->
+      verdict ~who:"client"
+        [
+          Net.Soak.ack_envelope ~acked:cs.Net.Client.acked ~published:t ~slack
+            ~exhausted:cs.Net.Client.exhausted;
+        ]
 
 let replica_run sketch host port seed duration settle metrics_out http_port
     trace_sample =
@@ -1439,96 +1444,67 @@ let replica_run sketch host port seed duration settle metrics_out http_port
   let module R = Net.Replica.Make (SV.M) in
   let reg = Obs.Registry.create () in
   let tracer = make_tracer ~reg trace_sample in
-  match
-    let r = R.connect ~metrics:reg ?tracer ~host ~port () in
-    let qc = Net.Conn.connect ~host ~port in
-    (r, qc)
-  with
+  match R.connect ~metrics:reg ?tracer ~host ~port () with
   | exception Unix.Unix_error (err, _, _) ->
       Printf.eprintf "replica: cannot reach %s:%d: %s\n" host port
         (Unix.error_message err);
       2
-  | r, qc ->
-  Net.Conn.set_read_timeout qc 5.0;
+  | r ->
+  let cl = Net.Client.create ~host ~port () in
   let http =
-    Option.map
-      (fun p ->
-        mount_http ~what:"replica" ~reg ?tracer
-          ~health:(fun () ->
-            let s = R.stats r in
-            [
-              ("status", Net.Replica.status_to_string s.R.status);
-              ("published", string_of_int s.R.published);
-              ("epoch", string_of_int s.R.epoch);
-              ("resyncs", string_of_int s.R.resyncs);
-            ])
-          p)
+    mount_http ~what:"replica" ~reg ?tracer
+      ~health:(fun () ->
+        let s = R.stats r in
+        [
+          ("status", Net.Replica.status_to_string s.R.status);
+          ("published", string_of_int s.R.published);
+          ("epoch", string_of_int s.R.epoch);
+          ("resyncs", string_of_int s.R.resyncs);
+        ])
       http_port
   in
-  let leader_total () =
-    if
-      Net.Conn.send qc
-        (Net.Frame.encode_request (Net.Frame.Query Net.Frame.Total))
-    then
-      match Net.Conn.recv qc with
-      | Ok f -> (
-          match Net.Frame.decode_response f with
-          | Ok (Net.Frame.Result { pairs = [ (_, v) ]; _ }) -> Some v
-          | _ -> None)
-      | Error _ -> None
-    else None
+  let samples =
+    quiesce cl ~follower:(fun () -> R.published r) ~every:0.05 ~settle
+      ~deadline:(Unix.gettimeofday () +. duration) ()
   in
-  let deadline = Unix.gettimeofday () +. duration in
-  let samples = ref 0
-  and violations = ref 0
-  and stable = ref 0
-  and last = ref (-1)
-  and final_leader = ref None
-  and converged = ref false in
-  while (not !converged) && Unix.gettimeofday () < deadline do
-    Unix.sleepf 0.05;
-    let f = R.published r in
-    match leader_total () with
-    | None -> ()
-    | Some l ->
-        incr samples;
-        (* the follower lags, never leads: its published weight must not
-           exceed the leader's, sampled after *)
-        if f > l then incr violations;
-        if l = !last then incr stable
-        else begin
-          stable := 0;
-          last := l
-        end;
-        final_leader := Some l;
-        if !stable >= settle && R.published r = l then converged := true
-  done;
-  let s = R.stats r in
+  (* the leader's state at one epoch, read through a second subscription;
+     then the follower must reach that epoch and hold the same bytes *)
+  let image r =
+    let s = R.stats r in
+    {
+      Net.Soak.epoch = s.R.epoch;
+      published = s.R.published;
+      blob = Option.map fst (R.query r SV.M.encode);
+    }
+  in
+  let leader =
+    match R.connect ~host ~port () with
+    | snap ->
+        R.close snap;
+        image snap
+    | exception Unix.Unix_error _ ->
+        { Net.Soak.epoch = -1; published = 0; blob = None }
+  in
+  ignore (R.wait_epoch r leader.Net.Soak.epoch);
+  let status = Net.Replica.status_to_string (R.status r) in
   R.close r;
-  Net.Conn.close qc;
+  let s = R.stats r in
+  Net.Client.close cl;
   Option.iter Obs.Http.stop http;
-  (match metrics_out with
-  | Some path -> write_metrics ~path (Obs.Registry.snapshot reg)
-  | None -> ());
+  write_metrics reg metrics_out;
   Printf.printf
     "replica: %d deltas applied, %d duplicates skipped, %d resyncs, \
      epoch %d, published %d, status %s\n"
-    s.R.deltas s.R.skipped s.R.resyncs s.R.epoch s.R.published
-    (Net.Replica.status_to_string s.R.status);
-  let env_pass = !samples > 0 && !violations = 0 in
-  Printf.printf "replica: envelope %s (%d samples, %d follower-ahead)\n"
-    (if env_pass then "PASS" else "FAIL")
-    !samples !violations;
-  Printf.printf "replica: convergence %s (follower %d, leader %s)\n"
-    (if !converged then "PASS" else "FAIL")
-    s.R.published
-    (match !final_leader with Some l -> string_of_int l | None -> "?");
-  if env_pass && !converged then 0 else 1
+    s.R.deltas s.R.skipped s.R.resyncs s.R.epoch s.R.published status;
+  verdict ~who:"replica"
+    [
+      Net.Soak.replica_envelope ~samples:(List.length samples)
+        ~ahead:(List.length (List.filter (fun (f, l) -> f > l) samples))
+        ~faults:0 ~resyncs:s.R.resyncs;
+      Net.Soak.convergence ~status ~leader ~follower:(image r) ();
+    ]
 
 let serve_cmd =
-  let sketch =
-    Arg.(value & pos 0 string "counter" & info [] ~docv:"SKETCH" ~doc:sketch_names)
-  in
   let host = Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~doc:"bind address") in
   let port =
     Arg.(value & opt int 7070 & info [ "port" ] ~doc:"TCP port (0 = ephemeral)")
@@ -1562,32 +1538,16 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Serve the pipeline over TCP: framed batch ingest, snapshot queries, \
-          and follower replication, with a conservation verdict at shutdown")
+          and follower replication, with conservation and slo verdicts at \
+          shutdown")
     Term.(
-      const serve_run $ sketch $ host $ port $ shards $ batch $ max_conns
+      const serve_run $ served_sketch $ host $ port $ shards $ batch $ max_conns
       $ read_timeout $ duration $ wal_dir $ metrics_flag $ http_port_flag
       $ trace_sample_flag $ seed)
 
 let client_cmd =
   let host = Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~doc:"server address") in
   let port = Arg.(value & opt int 7070 & info [ "port" ] ~doc:"server port") in
-  let trace_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"replay this trace file instead of generating one")
-  in
-  let ops =
-    Arg.(
-      value & opt int 200_000
-      & info [ "ops" ] ~doc:"total generated operations (ignored with --trace)")
-  in
-  let universe =
-    Arg.(
-      value & opt int 8192
-      & info [ "universe" ] ~doc:"key universe of the generated trace")
-  in
   let seed = Arg.(value & opt int64 0x1517L & info [ "seed" ] ~doc:"trace seed") in
   let feeders =
     Arg.(value & opt int 2 & info [ "feeders" ] ~doc:"driver feeder domains")
@@ -1603,8 +1563,10 @@ let client_cmd =
   in
   let queue =
     Arg.(
-      value & opt int 0
-      & info [ "queue" ] ~doc:"client buffer capacity in keys (0 = 8 * batch)")
+      value
+      & opt (some int) None
+      & info [ "queue" ]
+          ~doc:"client buffer capacity in keys (default: Net.Client's, 8 x --batch)")
   in
   let slack =
     Arg.(
@@ -1618,17 +1580,14 @@ let client_cmd =
     (Cmd.info "client"
        ~doc:
          "Drive a workload trace through the batching client into a served \
-          pipeline and check the leader's answers stay inside the IVL \
-          envelope")
+          pipeline and check the ack envelope: at quiescence the leader's \
+          published total is within --slack below the acked total")
     Term.(
       const client_run $ host $ port $ trace_file $ ops $ universe $ seed
       $ feeders $ conns $ batch $ flush_age $ queue $ slack
       $ metrics_flag $ trace_sample_flag)
 
 let replica_cmd =
-  let sketch =
-    Arg.(value & pos 0 string "counter" & info [] ~docv:"SKETCH" ~doc:sketch_names)
-  in
   let host = Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~doc:"leader address") in
   let port = Arg.(value & opt int 7070 & info [ "port" ] ~doc:"leader port") in
   let seed =
@@ -1645,16 +1604,18 @@ let replica_cmd =
     Arg.(
       value & opt int 10
       & info [ "settle" ]
-          ~doc:"consecutive unchanged leader samples that mean quiescence")
+          ~doc:
+            "consecutive unchanged, non-zero leader samples that mean \
+             quiescence")
   in
   Cmd.v
     (Cmd.info "replica"
        ~doc:
          "Follow a served leader as a replication subscriber; verify the \
-          follower never leads the leader and converges exactly at \
-          quiescence")
+          follower never leads the leader and, once the leader's published \
+          weight is non-zero and quiescent, holds its state bit-for-bit")
     Term.(
-      const replica_run $ sketch $ host $ port $ seed $ duration $ settle
+      const replica_run $ served_sketch $ host $ port $ seed $ duration $ settle
       $ metrics_flag $ http_port_flag $ trace_sample_flag)
 
 (* --- soak: one runner, an in-process or served sink ------------------- *)
@@ -1682,9 +1643,7 @@ let write_bench path ~reps (exp, rows) =
         name unit_ reps value value value)
     rows;
   Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
+  Out_channel.with_open_text path (fun oc -> Buffer.output_buffer oc buf);
   Printf.printf "wrote %s\n" path
 
 let soak_run served sketch trace_file ops universe seed dir shards feeders
@@ -1752,24 +1711,14 @@ let soak_run served sketch trace_file ops universe seed dir shards feeders
   in
   let (module SK) = find_sketch ~cmd:"soak" ~seed sketch in
   let module NS = Net.Soak.Make (SK) in
+  (* closed loop when served: that soak's clock is the fault schedule,
+     not an offered-rate curve *)
+  let closed (p : Workload.Trace.phase) =
+    if served then { p with Workload.Trace.rate = Workload.Trace.Unlimited } else p
+  in
   let spec, trace =
-    match trace_file with
-    | Some path -> (
-        match Workload.Trace.read ~path with
-        | Ok (spec, t) -> (spec, t)
-        | Error msg -> usage "cannot read trace %s: %s" path msg)
-    | None ->
-        let spec = Workload.Trace.default_spec ~seed ~ops ~universe () in
-        (* closed loop when served: that soak's clock is the fault
-           schedule, not an offered-rate curve *)
-        let closed (p : Workload.Trace.phase) =
-          if served then { p with Workload.Trace.rate = Workload.Trace.Unlimited }
-          else p
-        in
-        let spec =
-          { spec with Workload.Trace.phases = List.map closed spec.phases }
-        in
-        (spec, Workload.Trace.materialize spec)
+    load_trace ~cmd:"soak" ~seed ~ops ~universe trace_file
+      ~adjust:(fun spec -> { spec with phases = List.map closed spec.phases })
   in
   clear_soak_dir dir;
   let cfg =
@@ -1800,9 +1749,7 @@ let soak_run served sketch trace_file ops universe seed dir shards feeders
         (Obs.Tracer.recent tr trace_dump)
   | _ -> ());
   print_string (Net.Soak.verdict_to_string v);
-  Option.iter
-    (fun path -> write_metrics ~path (Obs.Registry.snapshot reg))
-    metrics_out;
+  write_metrics reg metrics_out;
   Option.iter
     (fun path ->
       write_bench path
@@ -1832,23 +1779,6 @@ let soak_cmd =
           ~doc:
             ("sketch under test: " ^ sketch_names
            ^ "; countmin also checks its (ε,δ) bound against the oracle"))
-  in
-  let trace_file =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:"replay this trace file instead of generating one")
-  in
-  let ops =
-    Arg.(
-      value & opt int 200_000
-      & info [ "ops" ] ~doc:"total generated operations (ignored with --trace)")
-  in
-  let universe =
-    Arg.(
-      value & opt int 8192
-      & info [ "universe" ] ~doc:"key universe of the generated trace")
   in
   let seed =
     Arg.(value & opt int64 0x1517L & info [ "seed" ] ~doc:"trace and chaos seed")

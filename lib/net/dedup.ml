@@ -43,7 +43,6 @@ type stats = {
 
 type t = {
   window : int;
-  max_sessions : int;
   compact_every : int;
   m : Mutex.t;
   tbl : (int64, session) Hashtbl.t;
@@ -76,6 +75,9 @@ let decode_record bytes =
       (session, seq, count))
     bytes
 
+let default_window = 128
+let max_sessions = 1024
+
 let fresh_session stamp =
   { last_used = stamp; high = -1; window = Hashtbl.create 64; order = Queue.create () }
 
@@ -90,7 +92,7 @@ let get_session t id =
       s.last_used <- t.stamp;
       s
   | None ->
-      if Hashtbl.length t.tbl >= t.max_sessions then begin
+      if Hashtbl.length t.tbl >= max_sessions then begin
         let victim = ref None in
         Hashtbl.iter
           (fun k s ->
@@ -183,18 +185,13 @@ let compact_locked t =
       t.appends_since_compact <- 0;
       t.compactions <- t.compactions + 1
 
-let default_window = 128
-
-let create ?(window = default_window) ?(max_sessions = 1024) ?(compact_every = 4096) ?dir
-    () =
+let create ?(window = default_window) ?(compact_every = 4096) ?dir () =
   if window <= 0 then invalid_arg "Net.Dedup: window must be positive";
-  if max_sessions <= 0 then invalid_arg "Net.Dedup: max_sessions must be positive";
   if compact_every <= 0 then
     invalid_arg "Net.Dedup: compact_every must be positive";
   let t =
     {
       window;
-      max_sessions;
       compact_every;
       m = Mutex.create ();
       tbl = Hashtbl.create 64;

@@ -25,7 +25,7 @@
     Per session the window keeps the last [window] seqs (plus a
     high-water mark — seqs are emitted in order per sender, so anything
     at or below the mark that has left the ring is answered as a
-    duplicate of its claimed size); at most [max_sessions] sessions are
+    duplicate of its claimed size); at most {!max_sessions} sessions are
     kept, LRU-evicted. Every session id, [0L] included, is deduplicated. *)
 
 type t
@@ -48,11 +48,13 @@ val default_window : int
 (** 128: the window {!create} keeps when none is given, and the one the
     server uses. {!Client.window} must stay at most this. *)
 
-val create :
-  ?window:int -> ?max_sessions:int -> ?compact_every:int -> ?dir:string ->
-  unit -> t
-(** [window] (default 128) recent seqs per session; [max_sessions]
-    (default 1024) sessions, LRU-evicted. With [dir], the journal at
+val max_sessions : int
+(** 1024: the sessions a table keeps. Registering one more evicts the
+    least recently used (touched by {!register} or {!begin_batch}). *)
+
+val create : ?window:int -> ?compact_every:int -> ?dir:string -> unit -> t
+(** [window] (default 128) recent seqs per session; at most
+    {!max_sessions} sessions, LRU-evicted. With [dir], the journal at
     [dir/sessions.log] is replayed (torn tail truncated) and then
     appended to, one flushed frame per fresh batch.
 

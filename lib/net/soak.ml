@@ -53,7 +53,6 @@ type served = {
   partitions : int;
   outage : float;
   faults : Chaos_proxy.faults;
-  settle : float;
 }
 
 type sink = Engine of engine | Served of served
@@ -94,7 +93,6 @@ let default_served =
         reset_prob = 0.005;
         drop_conn_prob = 0.02;
       };
-    settle = 30.0;
   }
 
 let default_config ~dir sink =
@@ -131,6 +129,107 @@ type incarnation = {
   merge_lag : float array;
 }
 
+type check = { name : string; ok : bool; detail : string }
+
+(* ---- the served checks: one decision per claim, one format ---- *)
+
+(* [reasons] holds a [Some why] per violated condition; the detail keeps
+   what was measured and appends every reason. *)
+let judge name detail reasons =
+  match List.filter_map Fun.id reasons with
+  | [] -> { name; ok = true; detail }
+  | why -> { name; ok = false; detail = detail ^ ": " ^ String.concat "; " why }
+
+let fail_if cond fmt = Printf.ksprintf (fun m -> if cond then Some m else None) fmt
+
+type leg = { base : int; ingested : int; published : int }
+
+let conservation ?(miscounts = 0) legs =
+  let n = List.length legs and first = List.hd legs in
+  let broken = List.filter (fun l -> l.published <> l.base + l.ingested) legs in
+  let rec missed = function
+    | a :: (b :: _ as rest) -> Bool.to_int (b.base <> a.published) + missed rest
+    | _ -> 0
+  in
+  judge "conservation"
+    (Printf.sprintf "published %d = %d recovered + %d ingested, %d incarnation%s"
+       (List.nth legs (n - 1)).published first.base
+       (List.fold_left (fun a l -> a + l.ingested) 0 legs)
+       n (if n = 1 then "" else "s"))
+    [
+      fail_if (broken <> [])
+        "%d of %d incarnations broke published = recovered + ingested"
+        (List.length broken) n;
+      fail_if (missed legs > 0) "%d recoveries missed the previous published weight"
+        (missed legs);
+      fail_if (miscounts > 0) "%d incarnations broke the drain-time flush accounting"
+        miscounts;
+    ]
+
+let ack_envelope ~acked ~published ~slack ~exhausted =
+  judge "ack envelope"
+    (Printf.sprintf "acked %d, published %d, slack <= %d, exhausted %d" acked
+       published slack exhausted)
+    [
+      fail_if (exhausted > 0) "%d keys exhausted their retries (fate unknown)" exhausted;
+      fail_if (acked < published)
+        "acked %d < published %d: weight appeared without an ack" acked published;
+      fail_if (acked - published > slack)
+        "acked %d exceeds published %d by more than the slack %d" acked published
+        slack;
+    ]
+
+let replica_envelope ~samples ~ahead ~faults ~resyncs =
+  judge "replica envelope"
+    (Printf.sprintf "%d samples, %d follower-ahead, %d resyncs" samples ahead resyncs)
+    [
+      fail_if (samples = 0) "no staleness samples taken";
+      fail_if (ahead > 0) "follower led the leader in %d of %d samples" ahead samples;
+      fail_if (faults > 0 && resyncs < 1) "no resync despite %d fault events" faults;
+    ]
+
+type image = { epoch : int; published : int; blob : Bytes.t option }
+
+let convergence ?status ~leader:l ~follower:f () =
+  (* the conditions cascade: only the first that fails is meaningful *)
+  let why =
+    if l.blob = None then Some "no leader snapshot"
+    else if l.published = 0 then Some "the leader never published"
+    else if f.epoch <> l.epoch then
+      Some
+        ("follower never reached the leader's epoch"
+        ^ Option.fold ~none:"" ~some:(Printf.sprintf " (status %s)") status)
+    else if f.published <> l.published then Some "published weights differ"
+    else if f.blob = None then Some "follower held no sketch"
+    else if f.blob <> l.blob then Some "follower sketch differs from the leader's"
+    else None
+  in
+  judge "convergence"
+    (Printf.sprintf "leader epoch %d published %d, follower epoch %d published %d%s"
+       l.epoch l.published f.epoch f.published
+       (if why = None then ", bit-for-bit" else ""))
+    [ why ]
+
+let slo m =
+  let v = Obs.Slo.eval m in
+  let state = Obs.Slo.state_to_string v.Obs.Slo.state in
+  judge "slo"
+    (Printf.sprintf "%d breaches, final state %s" v.Obs.Slo.breaches state)
+    [
+      Option.map
+        (fun (dim, ratio) -> Printf.sprintf "breached, last by %s at %.2fx budget" dim ratio)
+        (Obs.Slo.last_breach m);
+      fail_if (v.Obs.Slo.state <> Obs.Slo.Ok) "final state %s, not ok" state;
+    ]
+
+let report ~who checks =
+  let verdict ok = if ok then "PASS" else "FAIL" in
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%s: %s %s (%s)\n" who c.name (verdict c.ok) c.detail)
+       checks
+    @ [ Printf.sprintf "%s: %s\n" who (verdict (List.for_all (fun c -> c.ok) checks)) ])
+
 type served_report = {
   duplicates_server : int;
   resyncs : int;
@@ -139,11 +238,8 @@ type served_report = {
   proxy : Chaos_proxy.stats;
 }
 
-type check = { name : string; ok : bool; detail : string }
-
 type verdict = {
   pass : bool;
-  reasons : string list;
   checks : check list;
   incarnations : incarnation list;
   restarts_done : int;
@@ -250,6 +346,7 @@ let sampler_interval = 0.001
 let slo_every = 20 (* sampler ticks: ~20 ms between SLO evaluations *)
 let envelope_every = 8 (* sampler ticks between envelope-width samples *)
 let key_sample = 4096 (* max keys compared against the oracle *)
+let settle = 30.0 (* seconds the follower may take to reach the final epoch *)
 
 (* One feeder's view of the engine sink: [gate] is held around every
    ingest, so a restart that takes every gate has no ingest in flight;
@@ -595,7 +692,7 @@ module Make (S : SKETCH) = struct
     let with_life f () =
       Mutex.protect sm (fun () -> match !cur with None -> -1.0 | Some l -> f l)
     in
-    let slo =
+    let monitor =
       Obs.Slo.create ~metrics:reg
         ~budget:
           (* served: slack 4.0 (double the theorem's default), since
@@ -701,7 +798,7 @@ module Make (S : SKETCH) = struct
           Atomic.incr samples;
           (* breach_after 5 at this cadence means >= 100 ms of sustained
              over-budget burn, not one unlucky sample *)
-          if tick mod slo_every = 0 then ignore (Obs.Slo.eval slo)
+          if tick mod slo_every = 0 then ignore (Obs.Slo.eval monitor)
     in
     let sampler =
       Domain.spawn (fun () ->
@@ -735,7 +832,7 @@ module Make (S : SKETCH) = struct
           let h =
             Obs.Http.create ~port:p
               ~handler:
-                (Obs.Http.telemetry_handler ~registry:reg ?tracer ~slo ~health ())
+                (Obs.Http.telemetry_handler ~registry:reg ?tracer ~slo:monitor ~health ())
               ()
           in
           progress
@@ -813,15 +910,12 @@ module Make (S : SKETCH) = struct
     Domain.join driver_d;
     let driver = Option.get (Atomic.get driver) in
     (* ---- quiesce, retire the last incarnation, verdicts ---- *)
-    let reasons = ref [] and checks = ref [] in
-    let add fmt = Printf.ksprintf (fun m -> reasons := m :: !reasons) fmt in
-    let check name ok detail = checks := { name; ok; detail } :: !checks in
     let final_l = Option.get (Mutex.protect sm (fun () -> !cur)) in
     let stop_sampler () =
       Atomic.set sampler_stop true;
       Domain.join sampler
     in
-    let served =
+    let served_checks =
       match net with
       | None ->
           stop_sampler ();
@@ -835,90 +929,54 @@ module Make (S : SKETCH) = struct
           let cs = Client.stats cli in
           P.drain final_l.eng;
           let leader_blob, epoch, pub = P.snapshot final_l.eng in
-          let caught_up = Rep.wait_epoch ~timeout:s.settle rep epoch in
+          ignore (Rep.wait_epoch ~timeout:settle rep epoch);
           stop_sampler ();
           let rs = Rep.stats rep in
           let rep_blob = Option.map fst (Rep.query rep S.M.encode) in
           Rep.close rep;
           stop final_l;
           let proxy_stats = Chaos_proxy.stop proxy in
-          let slo_v = Obs.Slo.eval slo in
           let incs = List.rev !reports in
-          let broken = sum (fun i -> Bool.to_int (i.conservation_failures > 0)) incs in
-          let rec missed = function
-            | (a : incarnation) :: (b :: _ as rest) ->
-                Bool.to_int (b.recovered_published <> a.end_published) + missed rest
-            | _ -> 0
+          let n_ahead = Atomic.get ahead in
+          let checks =
+            [
+              conservation
+                ~miscounts:(sum (fun i -> Bool.to_int (i.conservation_failures > 0)) incs)
+                (List.map
+                   (fun i ->
+                     { base = i.recovered_published; ingested = i.accepted;
+                       published = i.end_published })
+                   incs);
+              ack_envelope ~acked:cs.Client.acked ~published:pub
+                ~slack:(!restarts_done * s.conns * s.client_batch)
+                ~exhausted:cs.Client.exhausted;
+              replica_envelope ~samples:(Atomic.get samples) ~ahead:n_ahead
+                ~faults:n_events ~resyncs:rs.Rep.resyncs;
+              convergence
+                ~status:(Replica.status_to_string rs.Rep.status)
+                ~leader:{ epoch; published = pub; blob = Some leader_blob }
+                ~follower:
+                  { epoch = rs.Rep.epoch; published = rs.Rep.published; blob = rep_blob }
+                ();
+              (* zero tolerance at drain: Warning may arm during chaos, but
+                 a Breach — sustained over-budget burn — fails the run *)
+              slo monitor;
+            ]
           in
-          let missed = missed incs in
-          if broken > 0 then
-            add "%d incarnations broke published = recovered + ingested" broken;
-          if missed > 0 then
-            add "%d recoveries missed the previous published weight" missed;
-          check "conservation" (broken = 0 && missed = 0)
-            (Printf.sprintf "published %d across %d restarts, %d partitions" pub
-               !restarts_done !partitions_done);
-          let acked = cs.Client.acked and exhausted = cs.Client.exhausted in
-          let allowance = !restarts_done * s.conns * s.client_batch in
-          if exhausted > 0 then
-            add "%d keys exhausted their retries (delivery fate unknown)" exhausted;
-          if acked < pub then
-            add "acked %d < published %d: weight appeared without an ack" acked pub;
-          if acked - pub > allowance then
-            add "acked %d exceeds published %d beyond the restart allowance %d"
-              acked pub allowance;
-          check "ack envelope"
-            (exhausted = 0 && acked >= pub && acked - pub <= allowance)
-            (Printf.sprintf "acked %d, published %d, slack <= %d, exhausted %d"
-               acked pub allowance exhausted);
-          let n_ahead = Atomic.get ahead and n_samples = Atomic.get samples in
-          if n_samples = 0 then add "no staleness samples taken";
-          if n_ahead > 0 then
-            add "follower led the leader in %d of %d samples" n_ahead n_samples;
-          if n_events > 0 && rs.Rep.resyncs < 1 then
-            add "no replica resync despite %d fault events" n_events;
-          check "replica envelope"
-            (n_samples > 0 && n_ahead = 0 && (n_events = 0 || rs.Rep.resyncs >= 1))
-            (Printf.sprintf "%d samples, %d follower-ahead, %d resyncs" n_samples
-               n_ahead rs.Rep.resyncs);
-          let blob_ok =
-            match rep_blob with Some b -> Bytes.equal b leader_blob | None -> false
-          in
-          if not caught_up then
-            add "replica failed to reach epoch %d within %.1fs (status %s)" epoch
-              s.settle
-              (Replica.status_to_string rs.Rep.status)
-          else if rs.Rep.published <> pub then
-            add "replica published %d <> leader %d" rs.Rep.published pub
-          else if rep_blob = None then add "replica held no sketch at the end"
-          else if not blob_ok then
-            add "replica sketch diverged from the leader bit-for-bit";
-          check "convergence"
-            (caught_up && rs.Rep.epoch = epoch && rs.Rep.published = pub && blob_ok)
-            (Printf.sprintf "epoch %d, bit-for-bit after quiesce" epoch);
-          (* zero tolerance at drain: Warning may arm during chaos, but a
-             Breach — sustained over-budget burn — fails the run *)
-          let breaches = Obs.Slo.breaches slo in
-          (match Obs.Slo.last_breach slo with
-          | Some (dim, ratio) ->
-              add "SLO breached %d times (last by %s at %.2fx budget)" breaches
-                dim ratio
-          | None -> ());
-          check "slo" (breaches = 0)
-            (Printf.sprintf "%d breaches, final state %s" breaches
-               (Obs.Slo.state_to_string slo_v.Obs.Slo.state));
           Some
-            {
-              duplicates_server = !dup_server;
-              resyncs = rs.Rep.resyncs;
-              follower_ahead = n_ahead;
-              client = cs;
-              proxy = proxy_stats;
-            }
+            ( checks,
+              {
+                duplicates_server = !dup_server;
+                resyncs = rs.Rep.resyncs;
+                follower_ahead = n_ahead;
+                client = cs;
+                proxy = proxy_stats;
+              } )
     in
     Option.iter Obs.Http.stop http;
     let incs = List.rev !reports in
     let published = snd !last_end in
+    let served = Option.map snd served_checks in
     let accepted =
       match served with
       | Some s -> s.client.Client.acked
@@ -927,55 +985,61 @@ module Make (S : SKETCH) = struct
     (* the engine sink's verdicts: per-incarnation counters, zero each *)
     let counted name what count detail =
       let n = sum count incs in
-      List.iter
-        (fun (i : incarnation) ->
-          if count i > 0 then add "incarnation %d: %d %s" i.index (count i) what)
-        incs;
-      check name (n = 0) (Option.value detail ~default:(Printf.sprintf "%d %s" n what))
+      let detail = Option.value detail ~default:(Printf.sprintf "%d %s" n what) in
+      judge name detail
+        (List.map
+           (fun (i : incarnation) ->
+             fail_if (count i > 0) "incarnation %d: %d %s" i.index (count i) what)
+           incs)
     in
-    if served = None then begin
+    let engine_checks () =
       let lost = max 0 (accepted - published) in
-      counted "monotone" "IVL monotone violations" (fun i -> i.monotone_violations) None;
-      counted "reader" "published-total regressions" (fun i -> i.reader_regressions) None;
-      counted "conservation" "weight conservation failures"
-        (fun i -> i.conservation_failures)
-        (Some
-           (Printf.sprintf "accepted %d, published %d, lost %d (%.3f%%)" accepted
-              published lost
-              (100.0 *. float_of_int lost /. float_of_int (max 1 accepted))));
-      counted "recovery envelope" "recoveries outside the envelope"
-        (fun i -> i.recovery_regressions)
-        (Some
-           (Printf.sprintf "%d recoveries, %d bytes torn" (List.length incs - 1)
-              (sum (fun i -> i.wal_bytes_truncated) incs)));
-      counted "decode" "blob decode failures" (fun i -> i.decode_failures) None;
-      counted "engine failures" "unexpected engine failures"
-        (fun i -> i.unexpected_failures) None;
-      Option.iter
-        (fun b ->
-          let o f = sum (fun i -> Option.fold ~none:0 ~some:f i.oracle) incs in
-          counted "oracle" "estimates outside the oracle bounds (low + excess high)"
-            (fun i ->
-              Option.fold ~none:0
-                ~some:(fun o -> o.lower + max 0 (o.upper - o.allowance))
-                i.oracle)
-            (Some
-               (Printf.sprintf
-                  "(ε,δ) = (%.4f, %.4f), %d keys checked, %d low, %d/%d high"
-                  b.epsilon b.delta (o (fun o -> o.checked)) (o (fun o -> o.lower))
-                  (o (fun o -> o.upper)) (o (fun o -> o.allowance)))))
-        S.bound
-    end;
-    (match record with
-    | None -> ()
-    | Some path -> (
-        match record_ops ~path spec ops with
-        | Ok () -> progress (Printf.sprintf "recorded trace to %s" path)
-        | Error m -> add "trace record failed: %s" m));
+      [
+        counted "monotone" "IVL monotone violations" (fun i -> i.monotone_violations) None;
+        counted "reader" "published-total regressions" (fun i -> i.reader_regressions) None;
+        counted "conservation" "weight conservation failures"
+          (fun i -> i.conservation_failures)
+          (Some
+             (Printf.sprintf "accepted %d, published %d, lost %d (%.3f%%)" accepted
+                published lost
+                (100.0 *. float_of_int lost /. float_of_int (max 1 accepted))));
+        counted "recovery envelope" "recoveries outside the envelope"
+          (fun i -> i.recovery_regressions)
+          (Some
+             (Printf.sprintf "%d recoveries, %d bytes torn" (List.length incs - 1)
+                (sum (fun i -> i.wal_bytes_truncated) incs)));
+        counted "decode" "blob decode failures" (fun i -> i.decode_failures) None;
+        counted "engine failures" "unexpected engine failures"
+          (fun i -> i.unexpected_failures) None;
+      ]
+      @ Option.fold ~none:[]
+          ~some:(fun b ->
+            let o f = sum (fun i -> Option.fold ~none:0 ~some:f i.oracle) incs in
+            [
+              counted "oracle" "estimates outside the oracle bounds (low + excess high)"
+                (fun i ->
+                  Option.fold ~none:0
+                    ~some:(fun o -> o.lower + max 0 (o.upper - o.allowance))
+                    i.oracle)
+                (Some
+                   (Printf.sprintf
+                      "(ε,δ) = (%.4f, %.4f), %d keys checked, %d low, %d/%d high"
+                      b.epsilon b.delta (o (fun o -> o.checked)) (o (fun o -> o.lower))
+                      (o (fun o -> o.upper)) (o (fun o -> o.allowance))));
+            ])
+          S.bound
+    in
+    let record_check path =
+      judge "record" ("trace to " ^ path)
+        [ Result.fold ~ok:(fun () -> None) ~error:Option.some (record_ops ~path spec ops) ]
+    in
+    let checks =
+      Option.fold ~none:(engine_checks ()) ~some:fst served_checks
+      @ Option.to_list (Option.map record_check record)
+    in
     {
-      pass = !reasons = [];
-      reasons = List.rev !reasons;
-      checks = List.rev !checks;
+      pass = List.for_all (fun c -> c.ok) checks;
+      checks;
       incarnations = incs;
       restarts_done = !restarts_done;
       partitions_done = !partitions_done;
@@ -1000,10 +1064,6 @@ let verdict_to_string v =
         i.recovered_epoch i.recovered_published i.wal_bytes_truncated i.kills
         i.worker_restarts i.end_epoch i.end_published i.accepted i.lost)
     v.incarnations;
-  List.iter
-    (fun c ->
-      pf "soak: %s %s (%s)\n" c.name (if c.ok then "PASS" else "FAIL") c.detail)
-    v.checks;
   (match v.served with
   | None ->
       let lag = Array.concat (List.map (fun i -> i.merge_lag) v.incarnations) in
@@ -1023,8 +1083,7 @@ let verdict_to_string v =
         s.client.Client.reconnects);
   pf "%d restarts, %d partitions; %.1fs\n" v.restarts_done v.partitions_done
     v.wall;
-  List.iter (fun m -> pf "FAIL: %s\n" m) v.reasons;
-  pf "soak: %s\n" (if v.pass then "PASS" else "FAIL");
+  Buffer.add_string b (report ~who:"soak" v.checks);
   Buffer.contents b
 
 let bench v ~total_ops =

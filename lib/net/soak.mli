@@ -23,30 +23,11 @@
     the incarnation, checks it, and starts the next one. One sampler
     domain watches the live system throughout.
 
-    Verdicts per sink (docs/SOAK.md has the table):
-
-    - [Engine]: {e monotone} (each incarnation's recorded history
-      satisfies {!Ivl.Monotone}), {e reader} (the published total never
-      went backwards within an incarnation), {e conservation} (published
-      = recovered base + flushed; accepted covers published: loss, never
-      invention; no loss in an incarnation without a kill or a worker
-      restart; flushed = enqueued on every shard that never died),
-      {e recovery envelope} (recovered state inside
-      [newest checkpoint, previous final], exactly the previous final
-      when the WAL tail was not torn, never regressing), {e decode}
-      and {e engine failures} (zero of each; a shard left dead after
-      restarts without being shed is an engine failure), and, when the sketch states
-      a point-error bound, {e oracle} (every estimate at least its true
-      count minus the lost weight, and at most true + slack outside a
-      δ-sized allowance — the (ε,δ) bound read end to end);
-    - [Served]: {e conservation} (exact: published = recovered base +
-      ingested, and each recovery resumes at the previous final), {e ack
-      envelope} (no retry exhaustion; the client's acked total brackets
-      published within the restart allowance), {e replica envelope} (the
-      follower never leads the leader, and resyncs after faults), {e
-      convergence} (after quiescing, the follower holds the leader's
-      exact epoch, published weight and encoded sketch) and {e slo} (the
-      {!Obs.Slo} monitor never entered Breach). *)
+    Verdicts per sink (docs/SOAK.md states each): [Engine] checks
+    {e monotone}, {e reader}, {e conservation}, {e recovery envelope},
+    {e decode}, {e engine failures} and, for a sketch with a point-error
+    bound, {e oracle}; [Served] runs the five served checks below after
+    quiescing the wire and draining the last incarnation. *)
 
 type 'sk bound = {
   estimate : 'sk -> int -> int;  (** point estimate of one key *)
@@ -86,7 +67,6 @@ type served = {
   outage : float;  (** seconds a restart leaves the server dead, and a
                        partition lasts *)
   faults : Chaos_proxy.faults;  (** steady-state wire faults *)
-  settle : float;  (** timeout of the final convergence barrier *)
 }
 
 type sink = Engine of engine | Served of served
@@ -108,7 +88,7 @@ val default_engine : engine
 val default_served : served
 (** 2 conns, client batch 128, 64 retries, 1 partition, 0.3 s outages,
     mild wire faults (sub-ms latency, 0.5% corruption and resets, 2%
-    refused dials), 30 s settle. *)
+    refused dials). *)
 
 val default_config : dir:string -> sink -> config
 (** 4 shards, batch 256, 2 feeders, 2 restarts. *)
@@ -141,6 +121,48 @@ type incarnation = {
   merge_lag : float array;  (** seconds, one per merge *)
 }
 
+type check = { name : string; ok : bool; detail : string }
+(** One verdict; [detail] is what was measured and, on FAIL, then why. *)
+
+(** {2 The served checks}
+
+    One function per served claim, over plain numbers: the served soak
+    and the [serve], [client] and [replica] commands judge alike. *)
+
+type leg = { base : int; ingested : int; published : int }
+(** One drained incarnation: the published weight it recovered, the keys
+    it accepted, the published weight after its drain. *)
+
+val conservation : ?miscounts:int -> leg list -> check
+(** Every leg of a non-empty chain publishes exactly [base + ingested]
+    and resumes at the previous leg's [published]. [miscounts] (default
+    0): incarnations whose drain-time flush accounting the caller found
+    broken. *)
+
+val ack_envelope : acked:int -> published:int -> slack:int -> exhausted:int -> check
+(** [published <= acked <= published + slack], and no batch exhausted its
+    retries (its fate is unknown, so [acked] is no longer exact). *)
+
+val replica_envelope : samples:int -> ahead:int -> faults:int -> resyncs:int -> check
+(** The follower led the leader in none of [samples > 0] samples, and
+    resynced at least once if [faults > 0] fault events fired. *)
+
+type image = { epoch : int; published : int; blob : Bytes.t option }
+(** A published state and its encoded sketch ([None]: none held). *)
+
+val convergence : ?status:string -> leader:image -> follower:image -> unit -> check
+(** Same epoch, same published weight, same bytes — and a leader that
+    published something: an empty follower equal to an empty leader shows
+    nothing. [status] (the follower's) is named when the epochs differ. *)
+
+val slo : Obs.Slo.t -> check
+(** One more {!Obs.Slo.eval}: zero breaches ever, and the final state
+    [Ok]. A breach is named by its {!Obs.Slo.last_breach}. *)
+
+val report : who:string -> check list -> string
+(** The one verdict format: [<who>: <check> PASS|FAIL (detail)] per
+    check, then [<who>: PASS|FAIL] (PASS iff every check passed). *)
+
 type served_report = {
   duplicates_server : int;  (** batches the dedup window suppressed *)
   resyncs : int;  (** replica re-subscriptions *)
@@ -149,11 +171,8 @@ type served_report = {
   proxy : Chaos_proxy.stats;
 }
 
-type check = { name : string; ok : bool; detail : string }
-
 type verdict = {
-  pass : bool;
-  reasons : string list;  (** why it failed; empty on PASS *)
+  pass : bool;  (** every check passed *)
   checks : check list;  (** the sink's verdicts, in print order *)
   incarnations : incarnation list;
   restarts_done : int;
@@ -191,7 +210,8 @@ module Make (S : SKETCH) : sig
       once per engine batch, so a sampled batch yields the ingest, queue,
       merge and wal spans. [record]
       freezes the driven operations to a replayable closed-loop trace
-      file. [on_start] sees each incarnation's engine before traffic
+      file and adds a [record] check, which fails if the file cannot be
+      written. [on_start] sees each incarnation's engine before traffic
       reaches it — the fault-injection seam the negative controls use.
       @raise Invalid_argument naming the first bad field: non-positive
       counts, negative restarts or partitions, [kills > shards], or [ops]
@@ -199,9 +219,9 @@ module Make (S : SKETCH) : sig
 end
 
 val verdict_to_string : verdict -> string
-(** The incarnation table, one [soak: <check> PASS|FAIL (detail)] line
-    per verdict, a traffic summary, any [FAIL:] reasons, and the overall
-    [soak: PASS|FAIL] line — what the CLI prints and CI greps. *)
+(** The incarnation table, a freshness or traffic summary, then
+    [report ~who:"soak"] over the checks — what the CLI prints and CI
+    greps. *)
 
 val bench : verdict -> total_ops:int -> string * (string * string * float) list
 (** The [--bench-out] experiment name and its [(name, unit, value)] rows:

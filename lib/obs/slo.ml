@@ -100,7 +100,6 @@ let create ?(budget = default_budget) ?(warn_ratio = 0.8) ?(breach_after = 5)
   | None -> ());
   t
 
-let budget_of t = t.budget
 let breaches t = t.breaches_n
 let last_breach t = t.last_breach
 let current t = t.last

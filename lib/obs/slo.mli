@@ -38,7 +38,6 @@ val theorem6_budget :
 type state = Ok | Warning | Breach
 
 val state_to_string : state -> string
-val state_code : state -> int  (** 0 / 1 / 2 — the [slo_status] gauge *)
 
 type verdict = {
   state : state;
@@ -67,8 +66,6 @@ val create :
     [slo_ratio{dim="..."}] gauges and [slo_breaches_total]. A negative
     callback value means "dimension unknown" (e.g. no replica attached)
     and is scored as in-budget. *)
-
-val budget_of : t -> budget
 
 val eval : t -> verdict
 (** Read all three dimensions, advance the state machine, return the

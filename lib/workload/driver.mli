@@ -47,9 +47,6 @@ type report = {
   queries : int;
 }
 
-val sample_stride : int
-(** Every [sample_stride]-th operation of each feeder is latency-timed. *)
-
 val run :
   ?feeders:int ->
   ?metrics:Obs.Registry.t ->

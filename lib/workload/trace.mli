@@ -56,12 +56,6 @@ type phase = {
 
 type spec = { seed : int64; phases : phase list }
 
-val format_version : int
-(** Version byte stamped into the trace header; bumped on layout change. *)
-
-val block_ops : int
-(** Maximum operations per [trace-block] frame. *)
-
 val total_ops : spec -> int
 val universe_of : shape -> int
 (** The shape's declared key universe. *)
@@ -91,9 +85,6 @@ val default_spec : ?seed:int64 -> ops:int -> universe:int -> unit -> spec
 (** A canonical mixed trace exercising every generator: steady Zipf, skew
     drift, burst trains, hot-key flips under a diurnal rate curve, and an
     adversarial single-key hammer. [ops] is the total across phases. *)
-
-val describe_shape : shape -> string
-val describe_rate : rate -> string
 
 val describe : spec -> string
 (** Multi-line human summary, one phase per line — the [trace cat] view. *)

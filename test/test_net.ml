@@ -1509,6 +1509,41 @@ let test_dedup_window () =
   check_int "duplicates counted" 3 st.Net.Dedup.duplicates;
   Net.Dedup.close d
 
+(* The session table holds at most [max_sessions]: one more evicts the
+   least recently used, and an evicted session's retry is fresh again.
+   Every session starts with one batch (seq 0) so survival is visible as
+   a duplicate answer. *)
+let test_dedup_session_lru () =
+  let d = Net.Dedup.create () in
+  let bound = Net.Dedup.max_sessions in
+  let open_session id =
+    match Net.Dedup.begin_batch d ~session:(Int64.of_int id) ~seq:0 ~count:1 with
+    | Net.Dedup.Fresh -> ()
+    | Net.Dedup.Duplicate _ -> Alcotest.failf "session %d seq 0 must be fresh" id
+  in
+  let survived id =
+    match Net.Dedup.begin_batch d ~session:(Int64.of_int id) ~seq:0 ~count:1 with
+    | Net.Dedup.Duplicate 1 -> true
+    | Net.Dedup.Duplicate k -> Alcotest.failf "session %d: dup count %d" id k
+    | Net.Dedup.Fresh -> false
+  in
+  (* sessions 0 .. bound-1, oldest first *)
+  for id = 0 to bound - 1 do
+    open_session id
+  done;
+  check_int "table full" bound (Net.Dedup.stats d).Net.Dedup.sessions;
+  (* touch session 1 just before the overflow: it is now the newest *)
+  Net.Dedup.register d ~session:1L;
+  open_session bound;
+  open_session (bound + 1);
+  check_int "sessions stay at the bound" bound (Net.Dedup.stats d).Net.Dedup.sessions;
+  (* the two overflows evicted the two least recently used: 0, then 2 *)
+  check_bool "touched session survives" true (survived 1);
+  check_bool "newest session survives" true (survived (bound + 1));
+  check_bool "least recently used evicted" false (survived 0);
+  check_bool "next least recently used evicted" false (survived 2);
+  Net.Dedup.close d
+
 let test_dedup_journal_survives_restart () =
   let dir = fresh_dir () in
   Fun.protect
@@ -2032,6 +2067,8 @@ let () =
           Alcotest.test_case "lost-ack retry acked, not re-applied" `Quick
             test_lost_ack_retry;
           Alcotest.test_case "dedup window" `Quick test_dedup_window;
+          Alcotest.test_case "dedup sessions: LRU at the bound" `Quick
+            test_dedup_session_lru;
           Alcotest.test_case "dedup journal compaction" `Quick
             test_dedup_journal_compaction;
           Alcotest.test_case "dedup journal survives restart" `Quick

@@ -1,7 +1,8 @@
 (* End-to-end soak runner tests: a miniature engine-sink chaos soak
    (crash/recover cycles, worker kills, torn WAL tails) must come back
    PASS with zero violations; an injected defect must turn each sink's
-   verdict to FAIL with a reason; and the CLI must exit 2 with a
+   verdict to FAIL with a reason; each shared served check must FAIL on
+   the input it exists to reject; and the CLI must exit 2 with a
    diagnostic — not a stack trace — on an unusable durable directory or a
    flag the chosen sink cannot take. *)
 
@@ -65,10 +66,12 @@ let engine_config ?(kills = 1) ~restarts dir =
 
 let contains = Test_helpers.contains
 
-let check_named (v : Net.Soak.verdict) name =
+let find_check (v : Net.Soak.verdict) name =
   match List.find_opt (fun c -> c.Net.Soak.name = name) v.Net.Soak.checks with
-  | Some c -> c.Net.Soak.ok
+  | Some c -> c
   | None -> Alcotest.failf "verdict has no %s check" name
+
+let check_named v name = (find_check v name).Net.Soak.ok
 
 let test_tiny_soak_passes () =
   with_dir @@ fun dir ->
@@ -76,7 +79,7 @@ let test_tiny_soak_passes () =
   let ops = Workload.Trace.materialize spec in
   let v = S.run (engine_config ~restarts:1 dir) ~spec ~ops () in
   if not v.Net.Soak.pass then
-    Alcotest.failf "soak failed: %s" (String.concat "; " v.Net.Soak.reasons);
+    Alcotest.failf "soak failed:\n%s" (Net.Soak.verdict_to_string v);
   Alcotest.(check int) "one recovery" 1 v.Net.Soak.restarts_done;
   Alcotest.(check int) "two incarnations" 2 (List.length v.Net.Soak.incarnations);
   List.iter
@@ -124,7 +127,8 @@ let test_engine_double_ingest_fails () =
   Alcotest.(check bool) "verdict FAIL" false v.Net.Soak.pass;
   Alcotest.(check bool) "conservation FAIL" false (check_named v "conservation");
   Alcotest.(check bool) "reason given" true
-    (List.exists (fun r -> contains r "conservation") v.Net.Soak.reasons);
+    (contains (find_check v "conservation").Net.Soak.detail
+       "weight conservation failures");
   Alcotest.(check bool) "prints FAIL" true
     (contains (Net.Soak.verdict_to_string v) "soak: conservation FAIL")
 
@@ -193,9 +197,128 @@ let test_served_unacked_weight_fails () =
   Alcotest.(check bool) "verdict FAIL" false v.Net.Soak.pass;
   Alcotest.(check bool) "ack envelope FAIL" false (check_named v "ack envelope");
   Alcotest.(check bool) "reason given" true
-    (List.exists
-       (fun r -> contains r "weight appeared without an ack")
-       v.Net.Soak.reasons)
+    (contains (find_check v "ack envelope").Net.Soak.detail
+       "weight appeared without an ack")
+
+(* --- the shared served checks: each one can FAIL ------------------------ *)
+
+let expect_fail (c : Net.Soak.check) why =
+  Alcotest.(check bool) (c.Net.Soak.name ^ " FAIL") false c.Net.Soak.ok;
+  if not (contains c.Net.Soak.detail why) then
+    Alcotest.failf "%s detail %S does not name %S" c.Net.Soak.name c.Net.Soak.detail
+      why
+
+let expect_pass (c : Net.Soak.check) =
+  if not c.Net.Soak.ok then
+    Alcotest.failf "%s FAIL (%s)" c.Net.Soak.name c.Net.Soak.detail
+
+let leg base ingested published = { Net.Soak.base; ingested; published }
+
+let test_check_conservation () =
+  expect_pass (Net.Soak.conservation [ leg 0 100 100; leg 100 50 150 ]);
+  expect_fail (Net.Soak.conservation [ leg 10 100 109 ])
+    "broke published = recovered + ingested";
+  expect_fail
+    (Net.Soak.conservation [ leg 0 100 100; leg 90 60 150 ])
+    "missed the previous published weight";
+  expect_fail
+    (Net.Soak.conservation ~miscounts:1 [ leg 0 100 100 ])
+    "flush accounting"
+
+let test_check_ack_envelope () =
+  let env ?(exhausted = 0) acked published =
+    Net.Soak.ack_envelope ~acked ~published ~slack:8 ~exhausted
+  in
+  expect_pass (env 100 100);
+  expect_pass (env 108 100);
+  expect_fail (env 99 100) "weight appeared without an ack";
+  expect_fail (env 109 100) "by more than the slack 8";
+  expect_fail (env ~exhausted:3 100 100) "exhausted their retries"
+
+let test_check_replica_envelope () =
+  let env ?(faults = 0) ?(resyncs = 0) samples ahead =
+    Net.Soak.replica_envelope ~samples ~ahead ~faults ~resyncs
+  in
+  expect_pass (env 10 0);
+  expect_pass (env ~faults:2 ~resyncs:1 10 0);
+  expect_fail (env 10 1) "follower led the leader in 1 of 10";
+  expect_fail (env 0 0) "no staleness samples";
+  expect_fail (env ~faults:2 10 0) "no resync despite 2 fault events"
+
+(* A replica that follows an idle leader holds what the leader holds —
+   nothing. Equal weights alone would call that convergence; the check
+   must not. *)
+let test_check_convergence_empty_leader () =
+  let empty =
+    { Net.Soak.epoch = 0; published = 0; blob = Some (Bytes.of_string "e") }
+  in
+  expect_fail (Net.Soak.convergence ~leader:empty ~follower:empty ())
+    "the leader never published";
+  expect_fail
+    (Net.Soak.convergence
+       ~leader:{ empty with blob = None }
+       ~follower:empty ())
+    "no leader snapshot"
+
+let test_check_convergence_bit_for_bit () =
+  let leader =
+    { Net.Soak.epoch = 7; published = 40; blob = Some (Bytes.of_string "abc") }
+  in
+  let c = Net.Soak.convergence ~leader ~follower:leader () in
+  expect_pass c;
+  Alcotest.(check bool) "names the weight" true
+    (contains c.Net.Soak.detail "follower epoch 7 published 40, bit-for-bit");
+  expect_fail
+    (Net.Soak.convergence ~leader
+       ~follower:{ leader with blob = Some (Bytes.of_string "abd") }
+       ())
+    "follower sketch differs from the leader's";
+  expect_fail
+    (Net.Soak.convergence ~leader ~follower:{ leader with blob = None } ())
+    "follower held no sketch";
+  expect_fail
+    (Net.Soak.convergence ~status:"resyncing: eof" ~leader
+       ~follower:{ leader with epoch = 6 }
+       ())
+    "never reached the leader's epoch (status resyncing: eof)";
+  expect_fail
+    (Net.Soak.convergence ~leader ~follower:{ leader with published = 39 } ())
+    "published weights differ"
+
+(* One breach fails the slo check, and so does a final state that is
+   not ok. *)
+let test_check_slo () =
+  let level = ref 0.0 in
+  let monitor =
+    Obs.Slo.create
+      ~budget:{ Obs.Slo.envelope_width = 100.0; staleness = 100.0; merge_lag = 1.0 }
+      ~breach_after:1 ~clear_after:1
+      ~envelope:(fun () -> !level)
+      ~staleness:(fun () -> -1.0)
+      ~merge_lag:(fun () -> -1.0)
+      ()
+  in
+  expect_pass (Net.Soak.slo monitor);
+  level := 90.0;
+  expect_fail (Net.Soak.slo monitor) "final state warning, not ok";
+  level := 200.0;
+  ignore (Obs.Slo.eval monitor);
+  (* back in budget: Breach -> Warning -> Ok, yet the breach stays *)
+  level := 0.0;
+  ignore (Obs.Slo.eval monitor);
+  let c = Net.Soak.slo monitor in
+  expect_fail c "breached, last by envelope_width at 2.00x";
+  Alcotest.(check bool) "only the breach fails it" true
+    (contains c.Net.Soak.detail "1 breaches, final state ok:")
+
+let test_report_format () =
+  let ok = { Net.Soak.name = "a"; ok = true; detail = "x" } in
+  let bad = { Net.Soak.name = "b c"; ok = false; detail = "y: z" } in
+  Alcotest.(check string) "pass" "serve: a PASS (x)\nserve: PASS\n"
+    (Net.Soak.report ~who:"serve" [ ok ]);
+  Alcotest.(check string) "fail"
+    "replica: a PASS (x)\nreplica: b c FAIL (y: z)\nreplica: FAIL\n"
+    (Net.Soak.report ~who:"replica" [ ok; bad ])
 
 (* --- the CLI's friendly failures (S1 regression) ----------------------- *)
 
@@ -308,6 +431,59 @@ let test_cli_soak_flag_for_other_sink_exits_2 () =
       (Sys.command (quiet (exe ^ " soak --served --tear-tail false")))
   end
 
+(* The replica command judges convergence with the shared check, against
+   a live leader: an in-process counter server. *)
+module CSrv = Net.Server.Make (Pipeline.Targets.Counter)
+
+let with_counter_server f =
+  let srv =
+    CSrv.create
+      ~eval:(fun _ _ -> None)
+      ~make_engine:(fun ~on_merge -> CSrv.P.create ~shards:2 ~batch:4 ~on_merge ())
+      ()
+  in
+  Fun.protect ~finally:(fun () -> ignore (CSrv.stop srv)) (fun () -> f srv)
+
+let replica_cli srv ~duration =
+  run_cli
+    (Printf.sprintf "%s replica counter --port %d --duration %g --settle 3" exe
+       (CSrv.port srv) duration)
+
+(* A replica following a leader that never publishes must not pass
+   convergence: two empty states equal each other and show nothing. *)
+let test_cli_replica_idle_leader_fails () =
+  if not (Sys.file_exists exe) then ()
+  else
+    with_counter_server @@ fun srv ->
+    let code, out = replica_cli srv ~duration:1.0 in
+    Alcotest.(check bool) "exits non-zero" true (code <> 0);
+    Alcotest.(check bool) "no convergence PASS" false (contains out "convergence PASS");
+    Alcotest.(check bool) "names the reason" true
+      (contains out "replica: convergence FAIL" && contains out "the leader never published");
+    Alcotest.(check bool) "overall FAIL" true (contains out "replica: FAIL")
+
+let test_cli_replica_converges () =
+  if not (Sys.file_exists exe) then ()
+  else
+    with_counter_server @@ fun srv ->
+    let eng = CSrv.engine srv in
+    for k = 1 to 64 do
+      ignore (CSrv.P.ingest eng k)
+    done;
+    let code, out = replica_cli srv ~duration:10.0 in
+    let published = CSrv.P.published eng and epoch = CSrv.P.epoch eng in
+    Alcotest.(check int) "exits 0" 0 code;
+    Alcotest.(check bool) "leader published" true (published > 0);
+    Alcotest.(check bool) "convergence PASS at the leader's state" true
+      (contains out
+         (Printf.sprintf
+            "replica: convergence PASS (leader epoch %d published %d, follower \
+             epoch %d published %d, bit-for-bit)"
+            epoch published epoch published));
+    Alcotest.(check bool) "envelope PASS" true
+      (contains out "replica: replica envelope PASS");
+    Alcotest.(check bool) "overall PASS" true (contains out "replica: PASS")
+
 let () =
   Alcotest.run "soak"
     [
@@ -338,5 +514,22 @@ let () =
             test_cli_serve_other_seed_keeps_wal;
           Alcotest.test_case "soak: flag for the other sink exits 2" `Quick
             test_cli_soak_flag_for_other_sink_exits_2;
+          Alcotest.test_case "replica: an idle leader fails convergence" `Quick
+            test_cli_replica_idle_leader_fails;
+          Alcotest.test_case "replica: converges on a published leader" `Quick
+            test_cli_replica_converges;
+        ] );
+      ( "checks",
+        [
+          Alcotest.test_case "conservation can fail" `Quick test_check_conservation;
+          Alcotest.test_case "ack envelope can fail" `Quick test_check_ack_envelope;
+          Alcotest.test_case "replica envelope can fail" `Quick
+            test_check_replica_envelope;
+          Alcotest.test_case "convergence: empty leader fails" `Quick
+            test_check_convergence_empty_leader;
+          Alcotest.test_case "convergence: bit-for-bit" `Quick
+            test_check_convergence_bit_for_bit;
+          Alcotest.test_case "slo: one breach fails" `Quick test_check_slo;
+          Alcotest.test_case "one report format" `Quick test_report_format;
         ] );
     ]
