@@ -47,30 +47,27 @@ let with_tmp_dir f =
     (fun () -> f dir)
 
 (* One full ingestion run; [wal] configures durability, [checkpoint_every]
-   only matters when a wal is given. Returns elapsed seconds. *)
+   only matters when a wal is given. Checkpoints are written from the merge
+   hook: the merger waits for it, so [P.snapshot] there is exactly that
+   epoch's state. Returns elapsed seconds. *)
 let run_once ?wal ?(checkpoint_every = 0) stream =
   let writer =
-    Option.map (fun (dir, fsync) -> Durable.Wal.create ~dir ~fsync ()) wal
+    Option.map (fun (dir, fsync) -> (dir, Durable.Wal.create ~dir ~fsync ())) wal
   in
+  let engine = ref None in
   let on_merge =
     Option.map
-      (fun w ~ctx:_ ~epoch ~weight ~blob ->
-        Durable.Wal.append w ~epoch ~weight ~blob)
+      (fun (dir, w) ~ctx:_ ~epoch ~weight ~blob ->
+        Durable.Wal.append w ~epoch ~weight ~blob;
+        match !engine with
+        | Some p when checkpoint_every > 0 && epoch mod checkpoint_every = 0 ->
+            let blob, epoch, published = P.snapshot p in
+            Durable.Checkpoint.write ~dir ~epoch ~published ~blob ()
+        | _ -> ())
       writer
   in
-  let on_checkpoint =
-    match (wal, checkpoint_every) with
-    | Some (dir, _), n when n > 0 ->
-        Some
-          (fun ~epoch ~published ~blob ->
-            Durable.Checkpoint.write ~dir ~epoch ~published ~blob ())
-    | _ -> None
-  in
-  let p =
-    P.create ~queue_capacity:4096 ~batch ?on_merge
-      ~checkpoint_every:(if wal = None then 0 else checkpoint_every)
-      ?on_checkpoint ~shards ()
-  in
+  let p = P.create ~queue_capacity:4096 ~batch ?on_merge ~shards () in
+  engine := Some p;
   let chunks = Workload.Stream.chunks stream ~pieces:feeders in
   let (), dt =
     Conc.Runner.timed (fun () ->
@@ -79,7 +76,7 @@ let run_once ?wal ?(checkpoint_every = 0) stream =
                Array.iter (fun x -> ignore (P.ingest p x)) chunks.(i)));
         P.drain p)
   in
-  Option.iter Durable.Wal.close writer;
+  Option.iter (fun (_, w) -> Durable.Wal.close w) writer;
   dt
 
 let rate dt = float_of_int total_updates /. dt /. 1e6

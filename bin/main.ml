@@ -1676,7 +1676,6 @@ let soak_run served sketch trace_file ops universe seed dir shards feeders
       let pick o def = Option.value o ~default:def in
       Net.Soak.Served
         {
-          d with
           Net.Soak.conns = pick conns d.conns;
           partitions = pick partitions d.partitions;
           outage = pick outage d.outage;
@@ -1703,7 +1702,6 @@ let soak_run served sketch trace_file ops universe seed dir shards feeders
       let d = Net.Soak.default_engine in
       Net.Soak.Engine
         {
-          d with
           Net.Soak.kills = Option.value kills ~default:d.kills;
           tear_tail = Option.value tear ~default:d.tear_tail;
         }

@@ -41,8 +41,9 @@ let decode frame =
       { epoch; published; blob })
     frame
 
-let write ?(keep = 2) ~dir ~epoch ~published ~blob () =
-  if keep < 1 then invalid_arg "Checkpoint.write: keep must be >= 1";
+let keep = 2
+
+let write ~dir ~epoch ~published ~blob () =
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let frame = encode { epoch; published; blob } in
   let final = Filename.concat dir (file_name epoch) in

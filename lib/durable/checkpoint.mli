@@ -9,13 +9,15 @@
 
 type snapshot = { epoch : int; published : int; blob : Bytes.t }
 
+val keep : int
+(** 2: the checkpoints {!write} leaves — keeping more than one means a
+    corrupt newest checkpoint degrades recovery to the previous epoch
+    instead of to empty. *)
+
 val write :
-  ?keep:int -> dir:string -> epoch:int -> published:int -> blob:Bytes.t ->
-  unit -> unit
+  dir:string -> epoch:int -> published:int -> blob:Bytes.t -> unit -> unit
 (** Install a snapshot (directory created if missing) and prune all but the
-    [keep] (default 2) newest — keeping more than one means a corrupt newest
-    checkpoint degrades recovery to the previous epoch instead of to empty.
-    @raise Invalid_argument if [keep < 1]. *)
+    {!keep} newest. *)
 
 val candidates : dir:string -> snapshot list * int
 (** Frame-valid snapshots newest-first, plus the count of corrupt checkpoint

@@ -154,7 +154,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
      any segment is removed: a crash between the two steps leaves both the
      snapshot and the (now redundant) segments, which a re-run simply
      recovers and compacts again. *)
-  let recover_compact ?metrics ?keep ~dir () =
+  let recover_compact ?metrics ~dir () =
     match recover ?metrics ~dir () with
     | Error _ as e -> e
     | Ok (_, { decode_error = Some why; _ }) ->
@@ -167,7 +167,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
              "Durable.recover_compact: %s; the WAL segments in %s are kept               (recover with the writer's sketch and hash-family seed)"
              why dir)
     | Ok (global, report) ->
-        Checkpoint.write ?keep ~dir ~epoch:report.recovered_epoch
+        Checkpoint.write ~dir ~epoch:report.recovered_epoch
           ~published:report.recovered_published ~blob:(M.encode global) ();
         ignore (Wal.remove_segments ~dir);
         Ok (global, report)

@@ -53,18 +53,18 @@ module Make (M : Pipeline.Mergeable.S) : sig
 
   val recover_compact :
     ?metrics:Obs.Registry.t ->
-    ?keep:int ->
     dir:string ->
     unit ->
     (M.t * report, string) result
   (** {!recover}, then make the directory safe for a {e new} writer:
-      checkpoint the recovered state (atomic install, [keep] as in
-      {!Checkpoint.write}) and delete the replayed WAL segments. Without
-      this, a torn tail left in an old segment would — by the
-      longest-valid-prefix rule — truncate every record a later incarnation
-      appends after it. Crash-safe: the checkpoint lands before any segment
-      is removed, so an interrupted compaction re-recovers to the same
-      state. This is the restart step of every soak incarnation ([Net.Soak]).
+      checkpoint the recovered state (atomic install, keeping
+      {!Checkpoint.keep} as {!Checkpoint.write} does) and delete the
+      replayed WAL segments. Without this, a torn tail left in an old
+      segment would — by the longest-valid-prefix rule — truncate every
+      record a later incarnation appends after it. Crash-safe: the
+      checkpoint lands before any segment is removed, so an interrupted
+      compaction re-recovers to the same state. This is the restart step
+      of every soak incarnation ([Net.Soak]).
 
       [Error], with nothing written or removed, when the report has a
       [decode_error]: a WAL record or every frame-valid checkpoint passed

@@ -74,9 +74,11 @@ let remove_segments ~dir =
 
 (* ------------------------------ writer ------------------------------ *)
 
+(* A segment rolls over once the next frame would take it past this. *)
+let segment_bytes = 4 * 1024 * 1024
+
 type writer = {
   dir : string;
-  segment_bytes : int;
   fsync : fsync_policy;
   mutable oc : out_channel;
   mutable seg_index : int;
@@ -111,10 +113,7 @@ let open_segment w i =
   w.seg_index <- i;
   w.seg_size <- 0
 
-let create ?(segment_bytes = 4 * 1024 * 1024) ?(fsync = Every_n 64) ?metrics
-    ~dir () =
-  if segment_bytes <= 0 then
-    invalid_arg "Wal.create: segment_bytes must be positive";
+let create ?(fsync = Every_n 64) ?metrics ~dir () =
   (match fsync with
   | Every_n n when n <= 0 -> invalid_arg "Wal.create: Every_n must be positive"
   | _ -> ());
@@ -128,7 +127,6 @@ let create ?(segment_bytes = 4 * 1024 * 1024) ?(fsync = Every_n 64) ?metrics
   let w =
     {
       dir;
-      segment_bytes;
       fsync;
       oc = stdout (* replaced below *);
       seg_index = next;
@@ -183,7 +181,7 @@ let append w ~epoch ~weight ~blob =
   if weight < 0 then invalid_arg "Wal.append: negative weight";
   w.last_epoch <- epoch;
   let frame = encode_record ~epoch ~weight ~blob in
-  if w.seg_size > 0 && w.seg_size + Bytes.length frame > w.segment_bytes then
+  if w.seg_size > 0 && w.seg_size + Bytes.length frame > segment_bytes then
     rotate w;
   output_bytes w.oc frame;
   w.seg_size <- w.seg_size + Bytes.length frame;

@@ -41,23 +41,23 @@ val remove_segments : dir:string -> int
 
 type writer
 
+val segment_bytes : int
+(** 4 MiB: a writer starts a new segment when the next frame would take the
+    current one past this (a larger frame still gets a segment of its
+    own). *)
+
 val create :
-  ?segment_bytes:int ->
-  ?fsync:fsync_policy ->
-  ?metrics:Obs.Registry.t ->
-  dir:string ->
-  unit ->
-  writer
+  ?fsync:fsync_policy -> ?metrics:Obs.Registry.t -> dir:string -> unit -> writer
 (** Open a fresh segment in [dir] (created if missing), numbered after any
     existing segments — a recovering writer never appends into a possibly
-    torn file. Defaults: 4 MiB segments, [Every_n 64].
+    torn file. [fsync] defaults to [Every_n 64].
 
     [metrics] exports the writer: [wal_appends_total],
     [wal_rotations_total], [wal_segment_index], [wal_unsynced] (the live
     fsync-loss window), and a [wal_fsync_seconds] latency summary observed
     at every durability point (policy-driven appends, rotations, explicit
     {!sync}, {!close}).
-    @raise Invalid_argument on non-positive [segment_bytes] or [Every_n]. *)
+    @raise Invalid_argument on a non-positive [Every_n]. *)
 
 val append : writer -> epoch:int -> weight:int -> blob:Bytes.t -> unit
 (** Append one record; rotates and applies the fsync policy as configured.

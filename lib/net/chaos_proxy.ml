@@ -200,7 +200,7 @@ let accept_loop t =
               end)
   done
 
-let create ?(host = "127.0.0.1") ?(faults = no_faults) ~seed ~upstream () =
+let create ?(host = "127.0.0.1") ~seed ~upstream () =
   Conn.ignore_sigpipe ();
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
@@ -218,7 +218,7 @@ let create ?(host = "127.0.0.1") ?(faults = no_faults) ~seed ~upstream () =
       upstream;
       seed;
       m = Mutex.create ();
-      faults;
+      faults = no_faults;
       partitioned = false;
       pairs = [];
       domains = [];

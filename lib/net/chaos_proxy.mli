@@ -44,13 +44,13 @@ type stats = {
 
 val create :
   ?host:string ->
-  ?faults:faults ->
   seed:int64 ->
   upstream:(unit -> string * int) ->
   unit ->
   t
 (** Bind an ephemeral port on [host] (default 127.0.0.1) and spawn the
-    accept domain. [faults] defaults to {!no_faults}; [seed] makes every
+    accept domain. The proxy starts as a transparent forwarder
+    ({!no_faults}); {!set_faults} arms a fault model. [seed] makes every
     fault decision reproducible. Two pump domains per forwarded
     connection. *)
 

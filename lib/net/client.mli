@@ -100,8 +100,8 @@ val create :
     @raise Invalid_argument on non-positive [conns]/[batch]/[queue]. *)
 
 val window : int
-(** Batches a sender keeps sent and unacked: 4. At most {!Dedup}'s
-    default window, so every resent batch is still in the server's dedup
+(** Batches a sender keeps sent and unacked: 4. At most
+    {!Dedup.window}, so every resent batch is still in the server's dedup
     window and is answered with its exact accepted count. *)
 
 val push : t -> int -> bool

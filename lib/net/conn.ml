@@ -15,7 +15,7 @@ let recv_error_to_string = function
   | `Oversized n -> Printf.sprintf "declared payload of %d bytes exceeds cap" n
   | `Bad_header -> "stream desync: bytes are not an IVLW frame"
 
-let default_max_frame = 16 * 1024 * 1024
+let max_frame = 16 * 1024 * 1024
 
 let sigpipe_ignored = Atomic.make false
 
@@ -69,7 +69,7 @@ let read_exact t buf off len =
 let header_size = Wire.Codec.header_size
 let magic = "IVLW"
 
-let recv ?(max_frame = default_max_frame) t =
+let recv t =
   let header = Bytes.create header_size in
   match read_exact t header 0 header_size with
   | Error e -> Error e

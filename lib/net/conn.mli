@@ -41,10 +41,10 @@ val set_read_timeout : t -> float -> unit
 (** Seconds of [SO_RCVTIMEO]; [0.] means block forever. Applies to every
     subsequent {!recv}. *)
 
-val recv : ?max_frame:int -> t -> (Bytes.t, recv_error) result
-(** Read exactly one framed blob (header + payload). [max_frame] bounds the
-    {e payload} length (default 16 MiB). The returned bytes are the whole
-    frame, ready for [Frame.decode_*]. *)
+val recv : t -> (Bytes.t, recv_error) result
+(** Read exactly one framed blob (header + payload) whose {e payload} is at
+    most {!max_frame} bytes. The returned bytes are the whole frame, ready
+    for [Frame.decode_*]. *)
 
 val send : t -> Bytes.t -> bool
 (** Write one frame, looping over partial writes. [false] if the peer is
@@ -62,4 +62,5 @@ val frames_in : t -> int
 val frames_out : t -> int
 (** Monotonic per-connection counters (bytes include framing). *)
 
-val default_max_frame : int
+val max_frame : int
+(** 16 MiB: the largest payload {!recv} accepts, for every endpoint. *)

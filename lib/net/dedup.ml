@@ -42,8 +42,6 @@ type stats = {
 }
 
 type t = {
-  window : int;
-  compact_every : int;
   m : Mutex.t;
   tbl : (int64, session) Hashtbl.t;
   mutable stamp : int;
@@ -75,7 +73,8 @@ let decode_record bytes =
       (session, seq, count))
     bytes
 
-let default_window = 128
+let window = 128
+let compact_every = 4096
 let max_sessions = 1024
 
 let fresh_session stamp =
@@ -113,7 +112,7 @@ let note t ~session ~seq ~count =
   if not (Hashtbl.mem s.window seq) then begin
     Hashtbl.replace s.window seq count;
     Queue.push seq s.order;
-    if Queue.length s.order > t.window then
+    if Queue.length s.order > window then
       Hashtbl.remove s.window (Queue.pop s.order)
   end;
   if seq > s.high then s.high <- seq
@@ -185,14 +184,9 @@ let compact_locked t =
       t.appends_since_compact <- 0;
       t.compactions <- t.compactions + 1
 
-let create ?(window = default_window) ?(compact_every = 4096) ?dir () =
-  if window <= 0 then invalid_arg "Net.Dedup: window must be positive";
-  if compact_every <= 0 then
-    invalid_arg "Net.Dedup: compact_every must be positive";
+let create ?dir () =
   let t =
     {
-      window;
-      compact_every;
       m = Mutex.create ();
       tbl = Hashtbl.create 64;
       stamp = 0;
@@ -257,7 +251,7 @@ let begin_batch t ~session ~seq ~count =
         (* Compact only after [note]: the snapshot is written from the
            in-memory state, so the record just journaled must be in the
            window before the rewrite or compaction would drop it. *)
-        if t.appends_since_compact >= t.compact_every then compact_locked t;
+        if t.appends_since_compact >= compact_every then compact_locked t;
         Fresh
   in
   (match r with Duplicate _ -> t.duplicates <- t.duplicates + 1 | Fresh -> ());

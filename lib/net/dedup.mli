@@ -44,29 +44,31 @@ type stats = {
   compactions : int;  (** journal rewrites to the bounded snapshot *)
 }
 
-val default_window : int
-(** 128: the window {!create} keeps when none is given, and the one the
-    server uses. {!Client.window} must stay at most this. *)
+val window : int
+(** 128: the recent seqs kept per session. {!Client.window} must stay at
+    most this. *)
+
+val compact_every : int
+(** 4096: journal appends between compactions. *)
 
 val max_sessions : int
 (** 1024: the sessions a table keeps. Registering one more evicts the
     least recently used (touched by {!register} or {!begin_batch}). *)
 
-val create : ?window:int -> ?compact_every:int -> ?dir:string -> unit -> t
-(** [window] (default 128) recent seqs per session; at most
-    {!max_sessions} sessions, LRU-evicted. With [dir], the journal at
+val create : ?dir:string -> unit -> t
+(** An empty table of at most {!max_sessions} sessions, LRU-evicted, each
+    keeping its last {!window} seqs. With [dir], the journal at
     [dir/sessions.log] is replayed (torn tail truncated) and then
     appended to, one flushed frame per fresh batch.
 
     The journal is append-only but the state it rebuilds is bounded, so
-    it is compacted — rewritten (tmp file + rename) as at most [window]
+    it is compacted — rewritten (tmp file + rename) as at most {!window}
     frames per live session, in arrival order — after every recovery
-    that replayed records and then again every [compact_every] (default
-    4096) appends. The file therefore stays within
+    that replayed records and then again every {!compact_every} appends.
+    The file therefore stays within
     [window * max_sessions + compact_every] frames regardless of uptime.
     Session LRU stamps are not persisted: after a restart, eviction
-    order among recovered sessions is approximate.
-    @raise Invalid_argument on non-positive bounds. *)
+    order among recovered sessions is approximate. *)
 
 val register : t -> session:int64 -> unit
 (** Touch a session (the {!Frame.Hello} path) so it is warm in the LRU. *)

@@ -6,7 +6,7 @@
      net-query      u8 tag (0 total | 1 point | 2 quantile | 3 top), arg
      net-reply      u8 tag (0 ack | 1 result | 2 err), body
                     (ack body: i64 epoch, i64 accepted, u8 dup)
-     net-subscribe  i64 from_epoch
+     net-subscribe  (empty)
      net-delta      u8 tag (0 snapshot | 1 delta), i64 epoch,
                     i64 published/weight, bytes blob
      net-hello      i64 session
@@ -31,7 +31,7 @@ type request =
       keys : int array;
     }
   | Query of query
-  | Subscribe of { from_epoch : int }
+  | Subscribe
   | Hello of { session : int64 }
 
 type err_code = Unsupported | Malformed | Overloaded | Internal
@@ -85,9 +85,7 @@ let encode_request = function
               if n <= 0 then invalid_arg "Net.Frame: top n must be positive";
               Codec.u8 b 3;
               Codec.int_ b n)
-  | Subscribe { from_epoch } ->
-      Codec.encode ~kind:Codec.net_subscribe_kind (fun b ->
-          Codec.int_ b from_epoch)
+  | Subscribe -> Codec.encode ~kind:Codec.net_subscribe_kind ignore
   | Hello { session } ->
       Codec.encode ~kind:Codec.net_hello_kind (fun b -> Codec.i64 b session)
 
@@ -119,11 +117,6 @@ let parse_query r =
       Query (Top n)
   | t -> Codec.corrupt "unknown query tag %d" t
 
-let parse_subscribe r =
-  let from_epoch = Codec.read_int r in
-  if from_epoch < 0 then Codec.corrupt "negative from_epoch %d" from_epoch;
-  Subscribe { from_epoch }
-
 let parse_hello r = Hello { session = Codec.read_i64 r }
 
 let decode_request bytes =
@@ -132,7 +125,7 @@ let decode_request bytes =
   | Ok k when k = Codec.net_batch_kind -> Codec.decode ~kind:k parse_batch bytes
   | Ok k when k = Codec.net_query_kind -> Codec.decode ~kind:k parse_query bytes
   | Ok k when k = Codec.net_subscribe_kind ->
-      Codec.decode ~kind:k parse_subscribe bytes
+      Codec.decode ~kind:k (fun _ -> Subscribe) bytes
   | Ok k when k = Codec.net_hello_kind -> Codec.decode ~kind:k parse_hello bytes
   | Ok k ->
       Error

@@ -47,9 +47,10 @@ type request =
           key count is checked against the frame's payload before the key
           array is allocated. *)
   | Query of query
-  | Subscribe of { from_epoch : int }
-      (** Replication handshake. [from_epoch] is reserved (send 0): the
-          leader currently always seeds with a full snapshot. *)
+  | Subscribe
+      (** Replication handshake, with an empty payload: the leader seeds
+          the follower with a full snapshot. A payload decodes as
+          [Corrupt]. *)
   | Hello of { session : int64 }
       (** Session handshake: sent once per (re)connection before the first
           batch, answered with an {!Ack} of [accepted = 0]. Registers the

@@ -5,6 +5,13 @@ let status_to_string = function
   | `Broken msg -> "broken: " ^ msg
   | `Closed -> "closed"
 
+(* The apply loop's receive wait: an idle leader means patience, not
+   failure. *)
+let read_timeout = 1.0
+
+(* The pause before each redial while resyncing. *)
+let resync_backoff = 0.05
+
 module Make (M : Pipeline.Mergeable.S) = struct
   type status =
     [ `Syncing | `Live | `Resyncing of string | `Broken of string | `Closed ]
@@ -22,9 +29,6 @@ module Make (M : Pipeline.Mergeable.S) = struct
   type t = {
     host : string;
     port : int;
-    read_timeout : float;
-    max_frame : int;
-    resync_backoff : float;
     tracer : Obs.Tracer.t option;
     m : Mutex.t;
     mutable conn : Conn.t option;
@@ -52,11 +56,9 @@ module Make (M : Pipeline.Mergeable.S) = struct
     match Conn.connect ~host:t.host ~port:t.port with
     | exception _ -> None
     | conn ->
-        Conn.set_read_timeout conn t.read_timeout;
-        if
-          Conn.send conn
-            (Frame.encode_request (Frame.Subscribe { from_epoch = 0 }))
-        then Some conn
+        Conn.set_read_timeout conn read_timeout;
+        if Conn.send conn (Frame.encode_request Frame.Subscribe) then
+          Some conn
         else begin
           Conn.close conn;
           None
@@ -88,7 +90,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
              and swallows the subscribe before resetting, so a completed
              handshake send is no proof the stream is healthy — without
              this the break-redial cycle spins at wire speed *)
-          Unix.sleepf t.resync_backoff;
+          Unix.sleepf resync_backoff;
           if t.closing then false
           else
             match dial t with
@@ -194,14 +196,11 @@ module Make (M : Pipeline.Mergeable.S) = struct
      keeps waiting, as in the apply loop: the leader answers every
      subscribe with its seed, and a dead peer surfaces as an error. *)
   let handshake t conn =
-    if
-      not
-        (Conn.send conn
-           (Frame.encode_request (Frame.Subscribe { from_epoch = 0 })))
-    then `Failed
+    if not (Conn.send conn (Frame.encode_request Frame.Subscribe)) then
+      `Failed
     else
       let rec seed () =
-        match Conn.recv ~max_frame:t.max_frame conn with
+        match Conn.recv conn with
         | Error `Timeout -> seed ()
         | Error _ -> `Failed
         | Ok frame -> (
@@ -222,7 +221,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
       match current_conn t with
       | None -> if resync t "no connection" then apply_loop t
       | Some conn -> (
-          match Conn.recv ~max_frame:t.max_frame conn with
+          match Conn.recv conn with
           | Error `Timeout -> apply_loop t (* idle leader: keep waiting *)
           | Error e ->
               if (not t.closing) && resync t (Conn.recv_error_to_string e)
@@ -277,17 +276,13 @@ module Make (M : Pipeline.Mergeable.S) = struct
     | `Broken _ -> 3.
     | `Closed -> 4.
 
-  let connect ?(read_timeout = 1.0) ?(max_frame = Conn.default_max_frame)
-      ?(resync_backoff = 0.05) ?metrics ?tracer ~host ~port () =
+  let connect ?metrics ?tracer ~host ~port () =
     let conn = Conn.connect ~host ~port in
     Conn.set_read_timeout conn read_timeout;
     let t =
       {
         host;
         port;
-        read_timeout;
-        max_frame;
-        resync_backoff;
         tracer;
         m = Mutex.create ();
         conn = Some conn;

@@ -64,9 +64,6 @@ module Make (M : Pipeline.Mergeable.S) : sig
   }
 
   val connect :
-    ?read_timeout:float ->
-    ?max_frame:int ->
-    ?resync_backoff:float ->
     ?metrics:Obs.Registry.t ->
     ?tracer:Obs.Tracer.t ->
     host:string ->
@@ -80,10 +77,10 @@ module Make (M : Pipeline.Mergeable.S) : sig
       a leader stopped right after [connect]. A handshake that breaks
       before the seed arrives returns [`Syncing] and heals through the
       resync path; a seed that does not decode returns [`Broken].
-      [read_timeout] (default 1 s) paces the apply loop's receive wait — an
-      idle leader just means quiet patience, not failure. [resync_backoff]
-      (default 50 ms) spaces redial attempts while [`Resyncing]; every
-      break is healed, however many there are.
+      A 1 s receive timeout paces the apply loop's wait — an idle leader
+      just means quiet patience, not failure. Redial attempts while
+      [`Resyncing] are 50 ms apart; every break is healed, however many
+      there are. Frames are capped at {!Conn.max_frame}.
 
       [metrics] registers [replica_resyncs_total], [replica_deltas_total],
       [replica_skipped_total] and [replica_epoch], [replica_published],

@@ -65,7 +65,6 @@ module Make (M : Pipeline.Mergeable.S) = struct
     tracer : Obs.Tracer.t option; (* decode/ingest spans for traced batches *)
     metrics : Obs.Registry.t option;
     eval : M.t -> Frame.query -> (int * int) list option;
-    max_frame : int;
     read_timeout : float;
     sub_cap : int;
   }
@@ -211,7 +210,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
     let conn = entry.conn in
     let continue = ref true in
     while !continue && not (Atomic.get t.stopping) do
-      match Conn.recv ~max_frame:t.max_frame conn with
+      match Conn.recv conn with
       | Error `Eof -> continue := false
       | Error `Timeout ->
           (* slow-loris or long-idle peer: reset without a response (there
@@ -257,7 +256,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
               if not (handle_hello t conn ~session) then continue := false
           | Ok (Frame.Query q) ->
               if not (handle_query t conn q) then continue := false
-          | Ok (Frame.Subscribe _) ->
+          | Ok Frame.Subscribe ->
               sender_loop t entry;
               continue := false)
     done
@@ -343,8 +342,8 @@ module Make (M : Pipeline.Mergeable.S) = struct
   (* ------------------------------ lifecycle --------------------------- *)
 
   let create ?(host = "127.0.0.1") ?(port = 0) ?(max_conns = 32)
-      ?(max_frame = Conn.default_max_frame) ?(read_timeout = 30.0)
-      ?(sub_queue = 1024) ?dedup_dir ?metrics ?tracer ~eval ~make_engine () =
+      ?(read_timeout = 30.0) ?(sub_queue = 1024) ?dedup_dir ?metrics ?tracer
+      ~eval ~make_engine () =
     if max_conns <= 0 then invalid_arg "Net.Server: max_conns must be positive";
     Conn.ignore_sigpipe ();
     let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -438,7 +437,6 @@ module Make (M : Pipeline.Mergeable.S) = struct
         tracer;
         metrics;
         eval;
-        max_frame;
         read_timeout;
         sub_cap = sub_queue;
       }

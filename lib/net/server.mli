@@ -82,7 +82,6 @@ module Make (M : Pipeline.Mergeable.S) : sig
     ?host:string ->
     ?port:int ->
     ?max_conns:int ->
-    ?max_frame:int ->
     ?read_timeout:float ->
     ?sub_queue:int ->
     ?dedup_dir:string ->
@@ -112,12 +111,12 @@ module Make (M : Pipeline.Mergeable.S) : sig
       reaches [eval].
 
       [read_timeout] (default 30 s) is each connection's [SO_RCVTIMEO]: a
-      peer that stalls mid-frame longer than this is reset. [max_frame]
-      caps declared payload lengths. [sub_queue] (default 1024) bounds each
-      subscriber's delta queue.
+      peer that stalls mid-frame longer than this is reset. A declared
+      payload over {!Conn.max_frame} is answered as malformed.
+      [sub_queue] (default 1024) bounds each subscriber's delta queue.
 
-      The per-session dedup window has {!Dedup.create}'s default bounds
-      (128 seqs per session, 1024 sessions); [dedup_dir] persists
+      The per-session dedup window has {!Dedup}'s bounds ({!Dedup.window}
+      seqs per session, {!Dedup.max_sessions} sessions); [dedup_dir] persists
       the session journal so retries that span a restart stay suppressed —
       point it at the WAL directory.
 

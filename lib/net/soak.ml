@@ -38,18 +38,10 @@ module type SKETCH = sig
   val bound : M.t bound option
 end
 
-type engine = {
-  kills : int;
-  kill_window : int;
-  tear_tail : bool;
-  checkpoint_every : int;
-  fsync_every : int;
-}
+type engine = { kills : int; tear_tail : bool }
 
 type served = {
   conns : int;
-  client_batch : int;
-  retries : int;
   partitions : int;
   outage : float;
   faults : Chaos_proxy.faults;
@@ -60,30 +52,30 @@ type sink = Engine of engine | Served of served
 type config = {
   dir : string;
   shards : int;
-  batch : int;
   feeders : int;
   restarts : int;
   seed : int64;
   sink : sink;
 }
 
-let default_engine =
-  {
-    kills = 2;
-    (* A worker ticks once per popped batch, not per item, so an
-       incarnation sees only a few dozen ticks: keep the window tight or
-       the kill never lands. *)
-    kill_window = 16;
-    tear_tail = true;
-    checkpoint_every = 8;
-    fsync_every = 16;
-  }
+(* Settings every soak runs with. [batch] is the engine's merge cadence.
+   A worker ticks once per popped batch, not per item, so an incarnation
+   sees only a few dozen ticks: a kill lands within [kill_window] ticks,
+   or it would never land. The engine sink checkpoints every
+   [checkpoint_every] epochs and fsyncs its WAL every [fsync_every]
+   appends; the served sink's client sends [client_batch]-key frames and
+   tries each batch [retries] times, enough to outlive an outage. *)
+let batch = 256
+let kill_window = 16
+let checkpoint_every = 8
+let fsync_every = 16
+let client_batch = 128
+let retries = 64
+let default_engine = { kills = 2; tear_tail = true }
 
 let default_served =
   {
     conns = 2;
-    client_batch = 128;
-    retries = 64;
     partitions = 1;
     outage = 0.3;
     faults =
@@ -99,7 +91,6 @@ let default_config ~dir sink =
   {
     dir;
     shards = 4;
-    batch = 256;
     feeders = 2;
     restarts = 2;
     seed = 0xC4405L;
@@ -255,21 +246,14 @@ type verdict = {
 let validate c ~spec ~ops =
   let bad fmt = Printf.ksprintf invalid_arg fmt in
   if c.shards <= 0 then bad "Net.Soak: shards must be positive";
-  if c.batch <= 0 then bad "Net.Soak: batch must be positive";
   if c.feeders <= 0 then bad "Net.Soak: feeders must be positive";
   if c.restarts < 0 then bad "Net.Soak: restarts must be >= 0";
   (match c.sink with
   | Engine e ->
       if e.kills < 0 || e.kills > c.shards then
-        bad "Net.Soak: kills must be in [0, shards]";
-      if e.kill_window < 1 then bad "Net.Soak: kill_window must be >= 1";
-      if e.checkpoint_every <= 0 then
-        bad "Net.Soak: checkpoint_every must be positive";
-      if e.fsync_every <= 0 then bad "Net.Soak: fsync_every must be positive"
+        bad "Net.Soak: kills must be in [0, shards]"
   | Served s ->
       if s.conns <= 0 then bad "Net.Soak: conns must be positive";
-      if s.client_batch <= 0 then bad "Net.Soak: client_batch must be positive";
-      if s.retries <= 0 then bad "Net.Soak: retries must be positive";
       if s.partitions < 0 then bad "Net.Soak: partitions must be >= 0";
       if s.outage < 0.0 then bad "Net.Soak: outage must be >= 0");
   if Array.length ops <> List.length spec.Workload.Trace.phases then
@@ -459,25 +443,34 @@ module Make (S : SKETCH) = struct
       prev_rec_epoch := rec_epoch;
       let fsync =
         match c.sink with
-        | Engine e -> Some (Durable.Wal.Every_n e.fsync_every)
+        | Engine _ -> Some (Durable.Wal.Every_n fsync_every)
         | Served _ -> None
       in
       let wal = Durable.Wal.create ?fsync ~metrics:reg ~dir:c.dir () in
+      (* The engine sink checkpoints every [checkpoint_every]-th epoch from
+         the merge hook: the merger waits for the hook, so [P.snapshot]
+         there is exactly this epoch's state. *)
+      let checkpoint_source = ref None in
       let on_merge ~ctx ~epoch ~weight ~blob =
         Durable.Wal.merge_hook ?tracer wal ~ctx ~epoch ~weight ~blob;
-        on_merge ~ctx ~epoch ~weight ~blob
+        on_merge ~ctx ~epoch ~weight ~blob;
+        match !checkpoint_source with
+        | Some eng when epoch mod checkpoint_every = 0 ->
+            let blob, epoch, published = P.snapshot eng in
+            Durable.Checkpoint.write ~dir:c.dir ~epoch ~published ~blob ()
+        | _ -> ()
       in
       let chaos, eng =
         match c.sink with
         | Served _ ->
             ( None,
-              P.create ~batch:c.batch ~on_merge ~metrics:reg
-                ?tracer ?initial ~shards:c.shards () )
+              P.create ~batch ~on_merge ~metrics:reg ?tracer ?initial
+                ~shards:c.shards () )
         | Engine e ->
             let kills =
               Conc.Chaos.random_kills
                 ~seed:(Int64.add c.seed (Int64.of_int ((index * 7919) + 1)))
-                ~domains:c.shards ~victims:e.kills ~max_point:e.kill_window
+                ~domains:c.shards ~victims:e.kills ~max_point:kill_window
             in
             let chaos =
               Conc.Chaos.instantiate
@@ -487,14 +480,14 @@ module Make (S : SKETCH) = struct
                    ())
                 ~domains:c.shards
             in
-            ( Some chaos,
-              P.create ~batch:c.batch
+            let eng =
+              P.create ~batch
                 ~on_tick:(fun ~shard -> Conc.Chaos.point_once chaos ~domain:shard)
-                ~on_merge ~checkpoint_every:e.checkpoint_every
-                ~on_checkpoint:(fun ~epoch ~published ~blob ->
-                  Durable.Checkpoint.write ~dir:c.dir ~epoch ~published ~blob ())
-                ~supervisor:Pipeline.Engine.default_supervisor ~metrics:reg
-                ?tracer ?initial ~shards:c.shards () )
+                ~on_merge ~supervised:true ~metrics:reg ?tracer ?initial
+                ~shards:c.shards ()
+            in
+            checkpoint_source := Some eng;
+            (Some chaos, eng)
       in
       incr started;
       {
@@ -672,13 +665,13 @@ module Make (S : SKETCH) = struct
           in
           (* the replica's first dial must land, so faults arm after it *)
           let rep =
-            Rep.connect ~read_timeout:1.0 ~resync_backoff:0.05 ~metrics:reg
-              ?tracer ~host:"127.0.0.1" ~port:(Chaos_proxy.port proxy) ()
+            Rep.connect ~metrics:reg ?tracer ~host:"127.0.0.1"
+              ~port:(Chaos_proxy.port proxy) ()
           in
           let cli =
-            Client.create ~conns:s.conns ~batch:s.client_batch
-              ~retries:s.retries ~read_timeout:2.0
-              ~session:(Int64.add c.seed 0x5E55L) ~metrics:reg ?tracer
+            Client.create ~conns:s.conns ~batch:client_batch ~retries
+              ~read_timeout:2.0 ~session:(Int64.add c.seed 0x5E55L)
+              ~metrics:reg ?tracer
               ~host:"127.0.0.1" ~port:(Chaos_proxy.port proxy) ()
           in
           Chaos_proxy.set_faults proxy s.faults;
@@ -699,7 +692,7 @@ module Make (S : SKETCH) = struct
              restarts park the merger and partitions freeze the replica *)
           (Obs.Slo.theorem6_budget
              ?slack:(if Option.is_some net then Some 4.0 else None)
-             ~shards:c.shards ~batch:c.batch
+             ~shards:c.shards ~batch
              ~queue_capacity:Pipeline.Engine.default_queue_capacity ())
         ~envelope:(with_life (fun l -> float_of_int (P.envelope_width l.eng)))
         ~staleness:
@@ -731,7 +724,7 @@ module Make (S : SKETCH) = struct
               | None -> ()
               | Some tr ->
                   f.since <- f.since + 1;
-                  if f.since >= c.batch then begin
+                  if f.since >= batch then begin
                     f.since <- 0;
                     match Obs.Tracer.sample tr with
                     | None -> ()
@@ -948,7 +941,7 @@ module Make (S : SKETCH) = struct
                        published = i.end_published })
                    incs);
               ack_envelope ~acked:cs.Client.acked ~published:pub
-                ~slack:(!restarts_done * s.conns * s.client_batch)
+                ~slack:(!restarts_done * s.conns * client_batch)
                 ~exhausted:cs.Client.exhausted;
               replica_envelope ~samples:(Atomic.get samples) ~ahead:n_ahead
                 ~faults:n_events ~resyncs:rs.Rep.resyncs;

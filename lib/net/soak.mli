@@ -49,49 +49,46 @@ module type SKETCH = sig
 end
 
 type engine = {
-  kills : int;  (** shard-worker kills per incarnation (at most shards) *)
-  kill_window : int;
-      (** a kill lands within this many worker ticks (one tick per popped
-          batch, so keep it small next to ops / shards / batch) *)
+  kills : int;
+      (** shard-worker kills per incarnation (at most shards), each within
+          the first 16 ticks of a worker (one tick per popped batch) *)
   tear_tail : bool;  (** tear the WAL tail before each recovery *)
-  checkpoint_every : int;  (** epochs between checkpoints *)
-  fsync_every : int;  (** WAL {!Durable.Wal.fsync_policy} [Every_n] *)
 }
+(** The engine sink checkpoints every 8 epochs (from the merge hook, via
+    [snapshot]) and fsyncs its WAL every 16 appends. *)
 
 type served = {
   conns : int;  (** client sender connections *)
-  client_batch : int;
-  retries : int;
-      (** per-batch delivery attempts: a batch must outlive [outage] *)
   partitions : int;  (** full network partitions *)
   outage : float;  (** seconds a restart leaves the server dead, and a
                        partition lasts *)
   faults : Chaos_proxy.faults;  (** steady-state wire faults *)
 }
+(** The served sink's client sends 128-key batches and tries each one 64
+    times, so a batch outlives an [outage]. *)
 
 type sink = Engine of engine | Served of served
 
 type config = {
   dir : string;  (** WAL, checkpoints and dedup journal; start it empty *)
   shards : int;
-  batch : int;  (** engine merge cadence *)
   feeders : int;  (** driver feeder domains *)
   restarts : int;  (** incarnations - 1 *)
   seed : int64;  (** chaos, proxy and session randomness *)
   sink : sink;
 }
+(** Each incarnation's engine ships a shard's delta every 256 keys (its
+    [batch]), for both sinks. *)
 
 val default_engine : engine
-(** 2 kills within 16 ticks, torn tails, checkpoint every 8 epochs, fsync
-    every 16 appends. *)
+(** 2 kills, torn tails. *)
 
 val default_served : served
-(** 2 conns, client batch 128, 64 retries, 1 partition, 0.3 s outages,
-    mild wire faults (sub-ms latency, 0.5% corruption and resets, 2%
-    refused dials). *)
+(** 2 conns, 1 partition, 0.3 s outages, mild wire faults (sub-ms
+    latency, 0.5% corruption and resets, 2% refused dials). *)
 
 val default_config : dir:string -> sink -> config
-(** 4 shards, batch 256, 2 feeders, 2 restarts. *)
+(** 4 shards, 2 feeders, 2 restarts. *)
 
 type oracle = {
   lower : int;  (** estimates below truth - lost: unconditional *)

@@ -32,11 +32,15 @@ type verdict = {
   breaches : int;
 }
 
+(* The burn-rate machine's thresholds: a ratio of [warn_ratio] arms
+   [Warning]; [breach_after] consecutive over-budget evaluations enter
+   [Breach]; [clear_after] consecutive clean ones step down a level. *)
+let warn_ratio = 0.8
+let breach_after = 5
+let clear_after = 3
+
 type t = {
   budget : budget;
-  warn_ratio : float;
-  breach_after : int;
-  clear_after : int;
   envelope : unit -> float;
   staleness : unit -> float;
   merge_lag : unit -> float;
@@ -53,18 +57,11 @@ type t = {
 let default_budget =
   { envelope_width = 1e6; staleness = 1e6; merge_lag = 5.0 }
 
-let create ?(budget = default_budget) ?(warn_ratio = 0.8) ?(breach_after = 5)
-    ?(clear_after = 3) ?metrics ~envelope ~staleness ~merge_lag () =
-  if warn_ratio <= 0.0 || warn_ratio > 1.0 then
-    invalid_arg "Obs.Slo.create: warn_ratio outside (0,1]";
-  if breach_after < 1 || clear_after < 1 then
-    invalid_arg "Obs.Slo.create: breach_after/clear_after < 1";
+let create ?(budget = default_budget) ?metrics ~envelope ~staleness ~merge_lag
+    () =
   let t =
     {
       budget;
-      warn_ratio;
-      breach_after;
-      clear_after;
       envelope;
       staleness;
       merge_lag;
@@ -125,7 +122,7 @@ let eval t =
     t.over_streak <- t.over_streak + 1;
     t.clean_streak <- 0
   end
-  else if worst_ratio < t.warn_ratio then begin
+  else if worst_ratio < warn_ratio then begin
     t.clean_streak <- t.clean_streak + 1;
     t.over_streak <- 0
   end
@@ -135,15 +132,15 @@ let eval t =
     t.clean_streak <- 0
   end;
   (match t.state with
-  | Ok -> if worst_ratio >= t.warn_ratio then t.state <- Warning
+  | Ok -> if worst_ratio >= warn_ratio then t.state <- Warning
   | Warning ->
-      if t.over_streak >= t.breach_after then begin
+      if t.over_streak >= breach_after then begin
         t.state <- Breach;
         t.breaches_n <- t.breaches_n + 1;
         t.last_breach <- Some (worst_dim, worst_ratio)
       end
-      else if t.clean_streak >= t.clear_after then t.state <- Ok
-  | Breach -> if t.clean_streak >= t.clear_after then t.state <- Warning);
+      else if t.clean_streak >= clear_after then t.state <- Ok
+  | Breach -> if t.clean_streak >= clear_after then t.state <- Warning);
   let v = { state = t.state; worst_dim; worst_ratio; breaches = t.breaches_n } in
   t.last <- v;
   Mutex.unlock t.m;

@@ -9,12 +9,12 @@
     callback, divided by a budget, and folded through a burn-rate state
     machine with hysteresis:
 
-    - [Ok] → [Warning] when any ratio crosses [warn_ratio];
-    - [Warning] → [Breach] only after [breach_after] {e consecutive}
+    - [Ok] → [Warning] when any ratio reaches {!warn_ratio};
+    - [Warning] → [Breach] only after {!breach_after} {e consecutive}
       over-budget evaluations (a single chaos-induced spike is not an
       incident);
-    - downgrades require [clear_after] consecutive in-budget evaluations
-      (no flapping at the boundary).
+    - downgrades require {!clear_after} consecutive evaluations under
+      {!warn_ratio} (no flapping at the boundary).
 
     Evaluation is pull-based ({!eval} from a scrape, the HTTP [/healthz]
     handler or a soak's sampler loop) or push-based (a [poll] domain). *)
@@ -48,21 +48,26 @@ type verdict = {
 
 type t
 
+val warn_ratio : float
+(** 0.8: the fraction of budget that arms [Warning]; ratios >= 1.0 are
+    over budget. *)
+
+val breach_after : int
+(** 5: consecutive over-budget evaluations that enter [Breach]. *)
+
+val clear_after : int
+(** 3: consecutive evaluations under {!warn_ratio} that step the state
+    down one level. *)
+
 val create :
   ?budget:budget ->
-  ?warn_ratio:float ->
-  ?breach_after:int ->
-  ?clear_after:int ->
   ?metrics:Registry.t ->
   envelope:(unit -> float) ->
   staleness:(unit -> float) ->
   merge_lag:(unit -> float) ->
   unit ->
   t
-(** [warn_ratio] (default 0.8) is the fraction of budget that arms
-    [Warning]; ratios >= 1.0 are over budget. [breach_after] (default 5)
-    and [clear_after] (default 3) are the hysteresis window lengths.
-    [metrics] registers [slo_status], [slo_burn_ratio],
+(** [metrics] registers [slo_status], [slo_burn_ratio],
     [slo_ratio{dim="..."}] gauges and [slo_breaches_total]. A negative
     callback value means "dimension unknown" (e.g. no replica attached)
     and is scored as in-budget. *)

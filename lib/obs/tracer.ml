@@ -13,9 +13,12 @@ type t = {
   spans_n : int Atomic.t;
 }
 
-let create ?(sample_every = 64) ?(seed = 0x7ace5L) ?(keep = 512) ?metrics () =
+(* Every tracer rolls the same die sequence, and keeps this many spans. *)
+let seed = 0x7ace5L
+let keep = 512
+
+let create ?(sample_every = 64) ?metrics () =
   if sample_every < 0 then invalid_arg "Obs.Tracer.create: sample_every < 0";
-  if keep <= 0 then invalid_arg "Obs.Tracer.create: keep <= 0";
   let t =
     {
       sample_every;

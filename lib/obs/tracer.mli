@@ -7,8 +7,8 @@
       or a bench feeder). A deterministic SplitMix64 die decides whether
       this batch is traced: roughly one in [sample_every] batches gets a
       fresh nonzero {!Span.context}; the rest get {!Span.zero} and every
-      downstream stage short-circuits. Same seed ⇒ same decision sequence,
-      so tests pin the dice.
+      downstream stage short-circuits. Every tracer rolls the same seeded
+      die ([0x7ace5]), so the decision sequence is reproducible.
     - {!record} — called by each stage as it completes, with the context
       it was handed. No-op on a zero context (the hot path is one load and
       one compare). For sampled work it mints a span id, stamps a
@@ -24,19 +24,13 @@
 
 type t
 
-val create :
-  ?sample_every:int ->
-  ?seed:int64 ->
-  ?keep:int ->
-  ?metrics:Registry.t ->
-  unit ->
-  t
+val create : ?sample_every:int -> ?metrics:Registry.t -> unit -> t
 (** [sample_every] (default 64): expected batches per sampled trace; [1]
-    traces everything, [0] disables sampling entirely. [keep] (default
-    512) bounds the recent-span ring. [metrics] registers
+    traces everything, [0] disables sampling entirely. The recent-span
+    ring keeps the last 512 spans. [metrics] registers
     [trace_sampled_total], [trace_spans_total], [trace_spans_dropped_total]
     and lazily one [trace_stage_seconds] timer per stage.
-    @raise Invalid_argument if [sample_every < 0] or [keep <= 0]. *)
+    @raise Invalid_argument if [sample_every < 0]. *)
 
 val sample_every : t -> int
 
@@ -57,7 +51,7 @@ val record :
     reference in the span ring). *)
 
 val recent : t -> int -> Span.record list
-(** The most recent [n] spans, oldest first. Spans beyond the [keep]
+(** The most recent [n] spans, oldest first. Spans beyond the 512-span
     window are gone (counted in [trace_spans_dropped_total]). *)
 
 val spans : t -> int

@@ -1,23 +1,14 @@
-(* Supervision policy: how the watchdog treats a dead shard worker. Lives
-   outside the functor so callers can build configs without naming a sketch. *)
-type supervisor = {
-  max_restarts : int; (* per shard; beyond it the shard is permanently shed *)
-  backoff_base : float; (* seconds; doubles per consecutive restart *)
-  backoff_cap : float;
-  poll_interval : float; (* watchdog scan period *)
-  seed : int64; (* backoff jitter *)
-}
-
 let default_queue_capacity = 1024
 
-let default_supervisor =
-  {
-    max_restarts = 5;
-    backoff_base = 0.002;
-    backoff_cap = 0.05;
-    poll_interval = 0.0005;
-    seed = 0xD1EDL;
-  }
+(* The watchdog's policy for a dead shard worker: at most [max_restarts]
+   restarts per shard, beyond which the shard is permanently shed; backoff
+   doubling from [backoff_base] up to [backoff_cap] seconds, jittered from
+   [jitter_seed]; a scan every [poll_interval] seconds. *)
+let max_restarts = 5
+let backoff_base = 0.002
+let backoff_cap = 0.05
+let poll_interval = 0.0005
+let jitter_seed = 0xD1EDL
 
 module Make (M : Mergeable.S) = struct
   type delta = {
@@ -85,8 +76,6 @@ module Make (M : Mergeable.S) = struct
     on_merge :
       (ctx:Obs.Span.context -> epoch:int -> weight:int -> blob:Bytes.t -> unit)
       option;
-    checkpoint_every : int; (* 0 = no checkpoints *)
-    on_checkpoint : (epoch:int -> published:int -> blob:Bytes.t -> unit) option;
     gm : Mutex.t; (* guards global/epoch/published/lags *)
     mutable global : M.t;
     mutable epoch : int;
@@ -288,24 +277,10 @@ module Make (M : Mergeable.S) = struct
                     Obs.Span.with_parent d.ctx sid
                 | _ -> d.ctx
               in
-              (match t.on_merge with
+              match t.on_merge with
               | Some f ->
                   f ~ctx:ctx_out ~epoch:!stamped ~weight:d.weight ~blob:d.blob
               | None -> ());
-              if
-                t.checkpoint_every > 0
-                && !stamped mod t.checkpoint_every = 0
-                && t.on_checkpoint <> None
-              then begin
-                Mutex.lock t.gm;
-                let blob = M.encode t.global
-                and epoch = t.epoch
-                and published = t.published in
-                Mutex.unlock t.gm;
-                match t.on_checkpoint with
-                | Some f -> f ~epoch ~published ~blob
-                | None -> ()
-              end);
           loop ()
     in
     try loop () with e -> Atomic.set t.merger_failed (Some e)
@@ -315,12 +290,12 @@ module Make (M : Mergeable.S) = struct
      jitter. A shard that keeps dying runs out of restart budget and is
      permanently shed — its queue stays closed, ingest fail-fast drops — with
      the reason kept in [last_error]. *)
-  let watchdog t cfg =
-    let g = Rng.Splitmix.create cfg.seed in
+  let watchdog t =
+    let g = Rng.Splitmix.create jitter_seed in
     let n = shard_count t in
     let restart_at = Array.make n None in
     while not (Atomic.get t.stopping) do
-      Unix.sleepf cfg.poll_interval;
+      Unix.sleepf poll_interval;
       for i = 0 to n - 1 do
         let s = t.shards.(i) in
         if
@@ -331,20 +306,20 @@ module Make (M : Mergeable.S) = struct
           match restart_at.(i) with
           | None ->
               let r = Atomic.get s.restarts in
-              if r >= cfg.max_restarts then begin
+              if r >= max_restarts then begin
                 Atomic.set s.last_error
                   (Some
                      (Printf.sprintf
                         "shed: restart cap %d exceeded (last error: %s)"
-                        cfg.max_restarts
+                        max_restarts
                         (Option.value ~default:"unknown"
                            (Atomic.get s.last_error))));
                 Atomic.set s.shed true
               end
               else begin
                 let backoff =
-                  Float.min cfg.backoff_cap
-                    (cfg.backoff_base *. (2.0 ** float_of_int r))
+                  Float.min backoff_cap
+                    (backoff_base *. (2.0 ** float_of_int r))
                 in
                 (* jitter in [0.5, 1.5) de-synchronizes mass restarts *)
                 let jitter = 0.5 +. Rng.Splitmix.next_float g in
@@ -467,8 +442,7 @@ module Make (M : Mergeable.S) = struct
       t.shards
 
   let create ?(queue_capacity = default_queue_capacity) ?(batch = 512) ?on_tick
-      ?on_merge ?(checkpoint_every = 0) ?on_checkpoint ?supervisor ?metrics
-      ?tracer ?initial ~shards () =
+      ?on_merge ?(supervised = false) ?metrics ?tracer ?initial ~shards () =
     if shards <= 0 then invalid_arg "Engine.create: shards must be positive";
     if queue_capacity <= 0 then
       invalid_arg "Engine.create: queue_capacity must be positive";
@@ -477,13 +451,6 @@ module Make (M : Mergeable.S) = struct
         invalid_arg "Engine.create: initial epoch/published must be non-negative"
     | _ -> ());
     if batch <= 0 then invalid_arg "Engine.create: batch must be positive";
-    if checkpoint_every < 0 then
-      invalid_arg "Engine.create: checkpoint_every must be non-negative";
-    (match supervisor with
-    | Some c ->
-        if c.max_restarts < 0 || c.backoff_base < 0.0 || c.poll_interval <= 0.0
-        then invalid_arg "Engine.create: malformed supervisor config"
-    | None -> ());
     let mk_shard _ =
       {
         q = Mpsc.create ~capacity:queue_capacity;
@@ -510,8 +477,6 @@ module Make (M : Mergeable.S) = struct
         batch;
         on_tick;
         on_merge;
-        checkpoint_every;
-        on_checkpoint;
         gm = Mutex.create ();
         global = M.create ();
         epoch = 0;
@@ -560,9 +525,7 @@ module Make (M : Mergeable.S) = struct
     (match metrics with Some reg -> register_metrics t reg | None -> ());
     t.workers <- Array.init shards (fun i -> Domain.spawn (fun () -> worker t i));
     t.merger <- Some (Domain.spawn (fun () -> merger t));
-    (match supervisor with
-    | Some cfg -> t.watchdog <- Some (Domain.spawn (fun () -> watchdog t cfg))
-    | None -> ());
+    if supervised then t.watchdog <- Some (Domain.spawn (fun () -> watchdog t));
     t
 
   (* Relaxed depth read: the high-water mark is a heuristic, and taking the

@@ -47,32 +47,20 @@
     Two optional layers turn crash-stop loss into resilience
     [docs/RECOVERY.md]:
 
-    - {e durability hooks} ([on_merge], [checkpoint_every]/[on_checkpoint])
-      let [Durable] write-ahead-log every published delta and snapshot the
-      global sketch, so a crashed pipeline restarts inside the IVL envelope
-      of its pre-crash history;
+    - a {e durability hook} ([on_merge]) lets [Durable] write-ahead-log
+      every published delta, and snapshot the global sketch with
+      {!Make.snapshot} from the same hook, so a crashed pipeline restarts
+      inside the IVL envelope of its pre-crash history;
     - a {e supervisor} (a watchdog domain) detects dead shard workers and
       restarts them with capped exponential backoff and jitter, reopening
       their queues so the backlog survives; a shard that exhausts its
       restart budget degrades to permanent shedding instead of
       crash-looping. *)
 
-type supervisor = {
-  max_restarts : int;
-      (** per-shard restart budget; exceeding it sheds the shard for good *)
-  backoff_base : float;  (** seconds; doubled per consecutive restart *)
-  backoff_cap : float;  (** backoff ceiling, seconds *)
-  poll_interval : float;  (** watchdog scan period, seconds *)
-  seed : int64;  (** jitter randomness (multiplier in [0.5, 1.5)) *)
-}
-
 val default_queue_capacity : int
 (** 1024: {!Make.create}'s [queue_capacity] default, and what the
     Theorem-6 SLO budget ({!Obs.Slo.theorem6_budget}) assumes of an engine
     built with it. *)
-
-val default_supervisor : supervisor
-(** 5 restarts, 2 ms base, 50 ms cap, 0.5 ms polling. *)
 
 module Make (M : Mergeable.S) : sig
   type t
@@ -110,9 +98,7 @@ module Make (M : Mergeable.S) : sig
     ?on_tick:(shard:int -> unit) ->
     ?on_merge:
       (ctx:Obs.Span.context -> epoch:int -> weight:int -> blob:Bytes.t -> unit) ->
-    ?checkpoint_every:int ->
-    ?on_checkpoint:(epoch:int -> published:int -> blob:Bytes.t -> unit) ->
-    ?supervisor:supervisor ->
+    ?supervised:bool ->
     ?metrics:Obs.Registry.t ->
     ?tracer:Obs.Tracer.t ->
     ?initial:M.t * int * int ->
@@ -120,8 +106,8 @@ module Make (M : Mergeable.S) : sig
     unit ->
     t
   (** Spawn [shards] worker domains plus one merger domain (plus a watchdog
-      domain when [supervisor] is given). Every shard queue and the merger
-      queue is a {!Mpsc}. [queue_capacity] (default
+      domain when [supervised], default [false]). Every shard queue and the
+      merger queue is a {!Mpsc}. [queue_capacity] (default
       {!Engine.default_queue_capacity}) bounds each shard queue; [batch]
       (default 512) is the merge cadence in items.
 
@@ -134,19 +120,25 @@ module Make (M : Mergeable.S) : sig
 
       [on_tick] runs in the worker's domain once per batch loop — the
       chaos hook: raising {!Conc.Chaos.Killed} from it crash-stops that
-      shard (under a supervisor, the restarted incarnation runs the same
+      shard (when [supervised], the restarted incarnation runs the same
       hook, so a hook that kills unconditionally produces a crash loop that
       ends in shedding — by design).
+
+      The supervisor restarts a dead shard's worker at most 5 times: after
+      [r] restarts the next one waits min(50 ms, 2 ms × 2{^r}) times a
+      jitter in [0.5, 1.5) (seeded [0xD1ED]); it scans every 0.5 ms. A
+      shard that dies a 6th time is shed for good.
 
       [on_merge ~ctx ~epoch ~weight ~blob] runs in the merger's domain after
       each merge, in strict epoch order, outside the query mutex — the WAL
       append point. [ctx] is the merged delta's trace context
       ({!Obs.Span.zero} unless the delta carried a sampled mark — see
       [tracer] below), already re-parented onto the merge span, so a WAL
-      wrapper can record its append as the next stage of the waterfall. When [checkpoint_every > 0], every [checkpoint_every]-th epoch
-      also calls [on_checkpoint] with a consistent [(epoch, published,
-      encoded sketch)] snapshot — the checkpoint write point. Exceptions
-      from either hook kill the merger and surface in {!failures}.
+      wrapper can record its append as the next stage of the waterfall.
+      It is also the checkpoint write point: the merger waits for the
+      hook, so {!snapshot} called from it returns exactly [(blob, epoch,
+      published)] as of this merge. An exception from the hook kills the
+      merger and surfaces in {!failures}.
 
       [metrics] exports the pipeline into an {!Obs.Registry.t} — pure
       registration of scrape-time callbacks over counters the engine
@@ -187,10 +179,8 @@ module Make (M : Mergeable.S) : sig
       envelope checker accounts for the pre-crash base. This is how a soak
       run chains engine incarnations over one WAL ([Net.Soak]).
       @raise Invalid_argument if [shards <= 0], [queue_capacity <= 0],
-      [batch <= 0], [checkpoint_every < 0], the supervisor config is
-      malformed (negative [max_restarts] or [backoff_base], or
-      [poll_interval <= 0]),
-      or [initial]'s epoch or published weight is negative. *)
+      [batch <= 0], or [initial]'s epoch or published weight is
+      negative. *)
 
   val ingest : t -> int -> bool
   (** Route an element to its shard (by hash) and enqueue it, blocking while
@@ -246,7 +236,8 @@ module Make (M : Mergeable.S) : sig
       merge mutex. The replication handshake: a follower seeded with this
       triple and then fed every [on_merge] delta with epoch > [epoch]
       reconstructs the leader's published state exactly ([Net.Replica]).
-      Costs one [M.encode] under the mutex — not for hot read paths. *)
+      Called from [on_merge] it is that merge's checkpoint. Costs one
+      [M.encode] under the mutex — not for hot read paths. *)
 
   val read_total : t -> int
   (** Total published weight (stream items merged so far), recorded into the

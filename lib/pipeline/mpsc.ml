@@ -105,27 +105,28 @@ let try_push t x =
   if wake then Condition.signal t.not_empty;
   r
 
-let pop_batch t ~max =
-  if max <= 0 then invalid_arg "Mpsc.pop_batch: max must be positive";
+(* One element per lock hold, the only allocation its [Some]: the merger
+   pops once per merge, each subscriber pump once per delta. *)
+let pop t =
   Mutex.lock t.m;
   while t.len = 0 && not t.closed do
     Condition.wait t.not_empty t.m
   done;
-  let n = min max t.len in
-  let items = ref [] in
-  for _ = 1 to n do
-    items := t.buf.(t.head) :: !items;
-    t.buf.(t.head) <- vacant ();
-    t.head <- (t.head + 1) mod t.capacity;
-    t.len <- t.len - 1
-  done;
-  if n > 0 then Condition.broadcast t.not_full;
+  let r =
+    if t.len = 0 then None
+    else begin
+      let x = t.buf.(t.head) in
+      t.buf.(t.head) <- vacant ();
+      t.head <- (t.head + 1) mod t.capacity;
+      t.len <- t.len - 1;
+      Condition.broadcast t.not_full;
+      Some x
+    end
+  in
   Mutex.unlock t.m;
-  List.rev !items
+  r
 
-let pop t = match pop_batch t ~max:1 with [] -> None | x :: _ -> Some x
-
-(* Array-based pops: same semantics as [pop_batch] but writing into a
+(* Array-based pops: up to [max] elements per lock hold, written into a
    caller-owned buffer, so steady-state consumption allocates nothing.
    Because every consumer runs under the queue mutex these are also safe
    for multiple concurrent consumers. *)
@@ -214,9 +215,3 @@ let length t =
    direction. The stats path uses it so scrapes and ingest-side
    depth tracking never contend with the consumer's lock. *)
 let length_relaxed t = t.len
-
-let is_closed t =
-  Mutex.lock t.m;
-  let c = t.closed in
-  Mutex.unlock t.m;
-  c

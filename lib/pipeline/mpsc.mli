@@ -39,12 +39,7 @@ val try_push : 'a t -> 'a -> [ `Ok | `Full | `Closed ]
 
 val pop : 'a t -> 'a option
 (** Block while empty and open; [None] iff closed and drained. Single
-    consumer. *)
-
-val pop_batch : 'a t -> max:int -> 'a list
-(** Like {!pop} but takes up to [max] elements in one lock acquisition, in
-    FIFO order; [[]] iff closed and drained.
-    @raise Invalid_argument if [max <= 0]. *)
+    consumer. Allocates only its [Some]. *)
 
 val try_pop_into : 'a t -> 'a array -> max:int -> int
 (** Non-blocking batch pop into a caller-owned buffer: takes up to
@@ -85,5 +80,3 @@ val length_relaxed : 'a t -> int
 (** Unsynchronized, approximate length — no lock, no contention with the
     consumer. For stats and depth heuristics only; immediates cannot
     tear, so the value is always one that was recently written. *)
-
-val is_closed : 'a t -> bool

@@ -20,8 +20,7 @@ type sink = Sink.t
 (** The ingest/query surface a feeder drives — see {!Sink}. The driver
     calls [sink.flush] at the end of each feeder's chunk (inside the
     feeder's measured wall time, before the phase barrier) so buffered
-    sinks like the net client are empty when a phase ends; it never calls
-    [sink.close]. *)
+    sinks like the net client are empty when a phase ends. *)
 
 type phase_report = {
   phase : string;

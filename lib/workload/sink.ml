@@ -3,15 +3,13 @@ type t = {
   try_ingest : int -> bool;
   query : int -> unit;
   flush : unit -> unit;
-  close : unit -> unit;
 }
 
-let make ?try_ingest ?(query = fun _ -> ()) ?(flush = fun () -> ())
-    ?(close = fun () -> ()) ~ingest () =
+let make ?try_ingest ?(query = fun _ -> ()) ?(flush = fun () -> ()) ~ingest
+    () =
   {
     ingest;
     try_ingest = (match try_ingest with Some f -> f | None -> ingest);
     query;
     flush;
-    close;
   }

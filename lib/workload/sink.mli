@@ -3,7 +3,8 @@
     Extracted from the driver so that anything that can accept keys — the
     in-process [Pipeline.Engine] (the soak's engine sink, [Net.Soak]), a
     batching network client ([Net.Client]), a mock in a test — slots under
-    the trace machinery without touching driver logic. A sink is five closures:
+    the trace machinery without touching driver logic. A sink is four
+    closures:
 
     - [ingest]/[try_ingest]: the blocking (closed-loop, backpressure) and
       non-blocking (open-loop, shed-on-full) update paths;
@@ -12,9 +13,10 @@
     - [flush]: push any buffered work downstream and wait for it to be
       accepted — the driver calls this at the end of every feeder's chunk so
       phase barriers (and post-run oracles) never race a sink-side buffer.
-      For unbuffered sinks this is a no-op;
-    - [close]: release sink-owned resources. The driver never calls it —
-      whoever built the sink owns its lifetime. *)
+      For unbuffered sinks this is a no-op.
+
+    Whoever built the sink owns what it holds (a client, an engine) and
+    closes it; the driver never does. *)
 
 type t = {
   ingest : int -> bool;
@@ -23,16 +25,14 @@ type t = {
   try_ingest : int -> bool;  (** Non-blocking; [false] on a full queue too. *)
   query : int -> unit;
   flush : unit -> unit;
-  close : unit -> unit;
 }
 
 val make :
   ?try_ingest:(int -> bool) ->
   ?query:(int -> unit) ->
   ?flush:(unit -> unit) ->
-  ?close:(unit -> unit) ->
   ingest:(int -> bool) ->
   unit ->
   t
 (** [try_ingest] defaults to [ingest] (a sink without a non-blocking path
-    just blocks); [query], [flush] and [close] default to no-ops. *)
+    just blocks); [query] and [flush] default to no-ops. *)

@@ -134,18 +134,23 @@ let test_wal_epoch_monotonicity_enforced () =
       Durable.Wal.append w ~epoch:5 ~weight:1 ~blob:(delta_blob 1));
   Durable.Wal.close w
 
+(* A blob of a quarter segment: three such records fill a segment and the
+   fourth rolls the writer over. The WAL stores blobs opaquely, so filler
+   bytes do. *)
+let quarter_segment = Bytes.make (Durable.Wal.segment_bytes / 4) 'w'
+
 let test_wal_rotation () =
   with_dir @@ fun dir ->
-  let w = Durable.Wal.create ~segment_bytes:256 ~dir () in
-  for e = 1 to 40 do
-    Durable.Wal.append w ~epoch:e ~weight:1 ~blob:(delta_blob 1)
+  let w = Durable.Wal.create ~dir () in
+  for e = 1 to 10 do
+    Durable.Wal.append w ~epoch:e ~weight:1 ~blob:quarter_segment
   done;
   Durable.Wal.close w;
-  Alcotest.(check bool) "rotated" true (Durable.Wal.rotations w > 0);
+  Alcotest.(check int) "three records a segment" 3 (Durable.Wal.rotations w);
   let records, r = wal_read dir in
   Alcotest.(check int) "segments on disk" (Durable.Wal.rotations w + 1)
     r.Durable.Wal.segments;
-  Alcotest.(check int) "all records across segments" 40
+  Alcotest.(check int) "all records across segments" 10
     (List.length records);
   Alcotest.(check bool) "clean" true (r.Durable.Wal.truncated_reason = None)
 
@@ -247,9 +252,10 @@ let test_wal_mid_log_corruption_truncates_rest () =
   (* Bit rot in segment 0 must cut the log there — including dropping the
      entirety of segment 1, because replay order past a hole is untrusted. *)
   with_dir @@ fun dir ->
-  let w = Durable.Wal.create ~segment_bytes:200 ~dir () in
-  for e = 1 to 30 do
-    Durable.Wal.append w ~epoch:e ~weight:1 ~blob:(delta_blob 1)
+  let w = Durable.Wal.create ~dir () in
+  for e = 1 to 6 do
+    Durable.Wal.append w ~epoch:e ~weight:1
+      ~blob:(if e <= 2 then delta_blob 1 else quarter_segment)
   done;
   Durable.Wal.close w;
   assert (Durable.Wal.rotations w > 0);
@@ -297,7 +303,7 @@ let test_checkpoint_roundtrip_and_prune () =
   with_dir @@ fun dir ->
   List.iter
     (fun e ->
-      Durable.Checkpoint.write ~keep:2 ~dir ~epoch:e ~published:(10 * e)
+      Durable.Checkpoint.write ~dir ~epoch:e ~published:(10 * e)
         ~blob:(delta_blob e) ())
     [ 1; 2; 3 ];
   let snaps, corrupt = Durable.Checkpoint.candidates ~dir in
@@ -371,15 +377,23 @@ let test_engine_recovery_envelope_random_crashes () =
      durable analogue of the paper's intermediate-value guarantee. *)
   with_dir @@ fun proto ->
   let wal = Durable.Wal.create ~dir:proto ~fsync:Durable.Wal.Never () in
+  (* Every 8th epoch also checkpoints from the merge hook, where the
+     snapshot is exactly that epoch's state. *)
+  let engine = ref None and merged = ref 0 and mismatched = ref 0 in
   let p =
     P.create ~queue_capacity:256 ~batch:64
       ~on_merge:(fun ~ctx:_ ~epoch ~weight ~blob ->
-        Durable.Wal.append wal ~epoch ~weight ~blob)
-      ~checkpoint_every:8
-      ~on_checkpoint:(fun ~epoch ~published ~blob ->
-        Durable.Checkpoint.write ~dir:proto ~epoch ~published ~blob ())
+        Durable.Wal.append wal ~epoch ~weight ~blob;
+        merged := !merged + weight;
+        match !engine with
+        | Some p when epoch mod 8 = 0 ->
+            let blob, at, published = P.snapshot p in
+            if at <> epoch || published <> !merged then incr mismatched;
+            Durable.Checkpoint.write ~dir:proto ~epoch:at ~published ~blob ()
+        | _ -> ())
       ~shards:2 ()
   in
+  engine := Some p;
   let n = 20_000 in
   let stream =
     Workload.Stream.generate ~seed:51L (Workload.Stream.Uniform 3000) ~length:n
@@ -392,6 +406,11 @@ let test_engine_recovery_envelope_random_crashes () =
   Durable.Wal.close wal;
   let published = (P.stats p).P.published in
   Alcotest.(check int) "clean run published everything" n published;
+  Alcotest.(check int) "each snapshot is its merge's state" 0 !mismatched;
+  (match Durable.Checkpoint.latest ~dir:proto with
+  | None -> Alcotest.fail "no checkpoint written"
+  | Some c ->
+      Alcotest.(check int) "checkpointed on an 8th epoch" 0 (c.epoch mod 8));
   let seg = sole_segment proto in
   let size = Bytes.length (read_file seg) in
   (* Full recovery first: must reproduce the pre-crash state exactly. *)
@@ -542,7 +561,7 @@ let test_fault_window_restart_in_envelope () =
         let p =
           P.create ~shards:2 ~batch:8 ~queue_capacity:64
             ~on_tick:(fun ~shard -> Conc.Chaos.point_once chaos ~domain:shard)
-            ~supervisor:Pipeline.Engine.default_supervisor
+            ~supervised:true
             ~initial:(g, rep.R.recovered_epoch, rec_pub)
             ()
         in

@@ -99,8 +99,8 @@ let test_request_roundtrip () =
   (match roundtrip_request (Frame.Query (Frame.Top 10)) with
   | Frame.Query (Frame.Top 10) -> ()
   | _ -> Alcotest.fail "not Top 10");
-  match roundtrip_request (Frame.Subscribe { from_epoch = 0 }) with
-  | Frame.Subscribe { from_epoch = 0 } -> ()
+  match roundtrip_request Frame.Subscribe with
+  | Frame.Subscribe -> ()
   | _ -> Alcotest.fail "not Subscribe"
 
 let test_response_roundtrip () =
@@ -275,8 +275,8 @@ let test_unknown_kind () =
 (* ------------------------------------------------------------------ *)
 
 let start_server ?metrics ?(shards = 2) ?(batch = 8) ?(read_timeout = 5.0)
-    ?max_frame ?max_conns () =
-  Srv.create ?metrics ?max_frame ?max_conns ~read_timeout
+    ?max_conns () =
+  Srv.create ?metrics ?max_conns ~read_timeout
     ~eval:(fun _ _ -> None)
     ~make_engine:(fun ~on_merge -> Srv.P.create ~shards ~batch ~on_merge ())
     ()
@@ -430,10 +430,29 @@ let expect_reset c what =
   | Error (`Oversized _) -> ()
   | Ok _ -> Alcotest.failf "%s: unexpected frame after reset" what
 
+(* Subscribe is a bare kind: a subscribe frame with bytes in its payload
+   decodes as Corrupt, and a live server answers it Err Malformed instead
+   of turning the connection into a replication stream. *)
+let test_subscribe_payload_malformed () =
+  let padded =
+    Codec.encode ~kind:Codec.net_subscribe_kind (fun b -> Codec.int_ b 0)
+  in
+  (match Frame.decode_request padded with
+  | Error (Codec.Corrupt _) -> ()
+  | Ok _ -> Alcotest.fail "subscribe with a payload decoded"
+  | Error e -> Alcotest.failf "expected Corrupt: %s" (Codec.error_to_string e));
+  let srv = start_server () in
+  let c = raw_dial srv in
+  send_raw c padded;
+  expect_err_malformed c "subscribe payload";
+  Conn.close c;
+  let stats = Srv.stop srv in
+  check_int "no subscriber registered" 0 stats.Srv.subscribers;
+  check_int "decode error counted" 1 stats.Srv.decode_errors
+
 let test_adversarial_peers () =
-  (* Short server-side read timeout so the slow-loris case resolves fast;
-     small max_frame so the oversized case is cheap to build. *)
-  let srv = start_server ~read_timeout:0.4 ~max_frame:4096 () in
+  (* Short server-side read timeout so the slow-loris case resolves fast. *)
+  let srv = start_server ~read_timeout:0.4 () in
   let good = Frame.encode_request (batch [| 1; 2; 3; 4; 5 |]) in
 
   (* 1. Truncated frame then FIN: server sees EOF mid-frame, resets. *)
@@ -452,12 +471,11 @@ let test_adversarial_peers () =
   expect_reset c "bit flip";
   Conn.close c;
 
-  (* 3. Oversized declared length: a real frame bigger than the server's
-     cap is refused before its payload is slurped. *)
+  (* 3. Oversized declared length: a real frame whose header declares one
+     byte over the cap is refused before its payload is slurped. *)
   let c = raw_dial srv in
-  let big = Frame.encode_request (batch (Array.init 5000 (fun i -> i))) in
-  check_bool "big frame exceeds cap" true
-    (Bytes.length big - Codec.header_size > 4096);
+  let big = Bytes.copy good in
+  Bytes.set_int32_be big 6 (Int32.of_int (Conn.max_frame + 1));
   send_raw c big;
   expect_err_malformed c "oversized";
   expect_reset c "oversized";
@@ -962,7 +980,7 @@ let test_client_window_within_dedup () =
      behind the newest. *)
   check_bool "window >= 1" true (Net.Client.window >= 1);
   check_bool "window <= dedup window" true
-    (Net.Client.window <= Net.Dedup.default_window)
+    (Net.Client.window <= Net.Dedup.window)
 
 let test_client_ring_wraps () =
   (* A queue that is not a multiple of the batch makes every take wrap
@@ -1039,9 +1057,8 @@ let test_sink_seam () =
   check_bool "ingest" true (sink.Workload.Sink.ingest 1);
   (* try_ingest defaults to the blocking path... *)
   check_bool "try_ingest default" true (sink.Workload.Sink.try_ingest 2);
-  (* ...and query/close default to no-ops. *)
+  (* ...and query defaults to a no-op. *)
   sink.Workload.Sink.query 3;
-  sink.Workload.Sink.close ();
   sink.Workload.Sink.flush ();
   check_int "both ingests landed" 2 !got;
   check_int "flush ran" 1 !flushed
@@ -1057,9 +1074,7 @@ let test_trace_waterfall () =
      enqueue -> flush -> decode -> ingest -> queue -> merge — all under
      one trace id, each stage parented on an earlier span. *)
   let reg = Obs.Registry.create () in
-  let tracer =
-    Obs.Tracer.create ~sample_every:1 ~seed:5L ~keep:4096 ~metrics:reg ()
-  in
+  let tracer = Obs.Tracer.create ~sample_every:1 ~metrics:reg () in
   let srv =
     Srv.create ~read_timeout:5.0 ~metrics:reg ~tracer
       ~eval:(fun _ _ -> None)
@@ -1163,7 +1178,7 @@ let test_replica_convergence () =
   check_int "pre-subscribe batch" 40
     (expect_ack c (batch (Array.init 40 (fun i -> i land 7))));
   let rep =
-    Rep.connect ~read_timeout:0.5 ~host:"127.0.0.1" ~port:(Srv.port srv) ()
+    Rep.connect ~host:"127.0.0.1" ~port:(Srv.port srv) ()
   in
   (* Stream more while the follower is live, sampling the envelope: the
      follower's published weight must never exceed the leader's (leader
@@ -1220,7 +1235,7 @@ let test_replica_stop_after_connect () =
   check_int "history" 40
     (expect_ack c (batch (Array.init 40 (fun i -> i land 7))));
   let rep =
-    Rep.connect ~read_timeout:0.5 ~host:"127.0.0.1" ~port:(Srv.port srv) ()
+    Rep.connect ~host:"127.0.0.1" ~port:(Srv.port srv) ()
   in
   check_bool "live when connect returns" true (Rep.status rep = `Live);
   check_int "subscribed when connect returns" 1 (Srv.stats srv).Srv.subscribers;
@@ -1331,7 +1346,7 @@ let test_replica_fold_all_or_nothing () =
         Unix.close lsock)
   in
   let rep =
-    RepA.connect ~read_timeout:0.2 ~resync_backoff:0.01 ~host:"127.0.0.1" ~port ()
+    RepA.connect ~host:"127.0.0.1" ~port ()
   in
   let deadline = Unix.gettimeofday () +. 5.0 in
   while (RepA.stats rep).RepA.resyncs < 1 && Unix.gettimeofday () < deadline do
@@ -1473,7 +1488,7 @@ let test_lost_ack_retry () =
     (Srv.P.stats (Srv.engine srv)).Srv.P.published
 
 let test_dedup_window () =
-  let d = Net.Dedup.create ~window:4 () in
+  let d = Net.Dedup.create () in
   Net.Dedup.register d ~session:7L;
   (match Net.Dedup.begin_batch d ~session:7L ~seq:0 ~count:10 with
   | Net.Dedup.Fresh -> ()
@@ -1485,12 +1500,12 @@ let test_dedup_window () =
   | Net.Dedup.Duplicate 9 -> ()
   | Net.Dedup.Duplicate k -> Alcotest.failf "exact dup count: got %d" k
   | Net.Dedup.Fresh -> Alcotest.fail "seq 0 retried must be duplicate");
-  for s = 1 to 6 do
+  for s = 1 to Net.Dedup.window + 2 do
     match Net.Dedup.begin_batch d ~session:7L ~seq:s ~count:1 with
     | Net.Dedup.Fresh -> Net.Dedup.record d ~session:7L ~seq:s ~accepted:1
     | Net.Dedup.Duplicate _ -> Alcotest.failf "seq %d must be fresh" s
   done;
-  (* seq 0 has left the 4-slot ring but sits under the high-water mark:
+  (* seq 0 has left the window's ring but sits under the high-water mark:
      still a duplicate (seqs are emitted in order), answered with the
      retry's claimed count *)
   (match Net.Dedup.begin_batch d ~session:7L ~seq:0 ~count:10 with
@@ -1597,48 +1612,51 @@ let test_dedup_journal_compaction () =
   Fun.protect
     ~finally:(fun () -> rm_rf dir)
     (fun () ->
-      let window = 4 in
-      let d = Net.Dedup.create ~window ~compact_every:8 ~dir () in
+      let window = Net.Dedup.window and every = Net.Dedup.compact_every in
+      let n5 = (2 * every) + 100 and n6 = 2 * window in
+      let d = Net.Dedup.create ~dir () in
       let fresh_seq session seq =
         match Net.Dedup.begin_batch d ~session ~seq ~count:(seq + 1) with
         | Net.Dedup.Fresh ->
             Net.Dedup.record d ~session ~seq ~accepted:(seq + 1)
         | Net.Dedup.Duplicate _ -> Alcotest.failf "seq %d must be fresh" seq
       in
-      for s = 0 to 99 do
+      for s = 0 to n5 - 1 do
         fresh_seq 5L s
       done;
-      for s = 0 to 49 do
+      for s = 0 to n6 - 1 do
         fresh_seq 6L s
       done;
       let st = Net.Dedup.stats d in
-      check_int "every fresh batch journaled" 150 st.Net.Dedup.journal_records;
+      check_int "every fresh batch journaled" (n5 + n6)
+        st.Net.Dedup.journal_records;
       check_bool "appends triggered compactions" true
-        (st.Net.Dedup.compactions >= 150 / 8);
+        (st.Net.Dedup.compactions >= (n5 + n6) / every);
       Net.Dedup.close d;
       (* Restart: the replay is bounded by the snapshot, not by history. *)
-      let d2 = Net.Dedup.create ~window ~dir () in
+      let d2 = Net.Dedup.create ~dir () in
       let st2 = Net.Dedup.stats d2 in
       (* Bound from the mli: window frames per live session in the snapshot
-         plus at most compact_every frames appended since the last rewrite
-         (here 8 + 150 mod 8 = 14) — against 150 total appends. *)
+         plus the frames appended since the last rewrite — against
+         n5 + n6 total appends. *)
       check_bool
         (Printf.sprintf "bounded replay (%d <= window*sessions + tail)"
            st2.Net.Dedup.recovered_records)
         true
-        (st2.Net.Dedup.recovered_records <= (window * 2) + 8);
+        (st2.Net.Dedup.recovered_records
+        <= (window * 2) + ((n5 + n6) mod every));
       check_bool "recovery itself compacted" true
         (st2.Net.Dedup.compactions >= 1);
       (* Suppression semantics survive the rewrite: a windowed seq answers
          its recorded count, an ancient seq dedups via the high-water mark. *)
-      (match Net.Dedup.begin_batch d2 ~session:5L ~seq:99 ~count:100 with
-      | Net.Dedup.Duplicate 100 -> ()
+      (match Net.Dedup.begin_batch d2 ~session:5L ~seq:(n5 - 1) ~count:n5 with
+      | Net.Dedup.Duplicate k when k = n5 -> ()
       | Net.Dedup.Duplicate k -> Alcotest.failf "windowed dup: got %d" k
       | Net.Dedup.Fresh -> Alcotest.fail "windowed seq must stay duplicate");
       (match Net.Dedup.begin_batch d2 ~session:5L ~seq:3 ~count:7 with
       | Net.Dedup.Duplicate _ -> ()
       | Net.Dedup.Fresh -> Alcotest.fail "below-ring seq must stay duplicate");
-      (match Net.Dedup.begin_batch d2 ~session:6L ~seq:50 ~count:1 with
+      (match Net.Dedup.begin_batch d2 ~session:6L ~seq:n6 ~count:1 with
       | Net.Dedup.Fresh -> ()
       | _ -> Alcotest.fail "next seq must be fresh");
       Net.Dedup.close d2;
@@ -1649,10 +1667,10 @@ let test_dedup_journal_compaction () =
       let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
       Unix.ftruncate fd (len - 2);
       Unix.close fd;
-      let d3 = Net.Dedup.create ~window ~dir () in
+      let d3 = Net.Dedup.create ~dir () in
       check_bool "torn compacted journal still replays" true
         ((Net.Dedup.stats d3).Net.Dedup.recovered_records > 0);
-      (match Net.Dedup.begin_batch d3 ~session:5L ~seq:99 ~count:100 with
+      (match Net.Dedup.begin_batch d3 ~session:5L ~seq:(n5 - 1) ~count:n5 with
       | Net.Dedup.Duplicate _ -> ()
       | Net.Dedup.Fresh -> Alcotest.fail "dup must survive the torn tail");
       Net.Dedup.close d3)
@@ -1661,8 +1679,8 @@ let test_dedup_journal_compaction () =
 (* Chaos proxy                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let proxy_for srv ?faults ~seed () =
-  Net.Chaos_proxy.create ?faults ~seed
+let proxy_for srv ~seed () =
+  Net.Chaos_proxy.create ~seed
     ~upstream:(fun () -> ("127.0.0.1", Srv.port srv))
     ()
 
@@ -1750,8 +1768,8 @@ let test_replica_resync () =
   check_int "seed history" 16
     (expect_ack c (batch (Array.init 16 (fun i -> i land 3))));
   let rep =
-    Rep.connect ~read_timeout:0.2 ~resync_backoff:0.02 ~metrics:reg
-      ~host:"127.0.0.1" ~port:(Net.Chaos_proxy.port px) ()
+    Rep.connect ~metrics:reg ~host:"127.0.0.1"
+      ~port:(Net.Chaos_proxy.port px) ()
   in
   let deadline = Unix.gettimeofday () +. 5.0 in
   while Rep.status rep <> `Live && Unix.gettimeofday () < deadline do
@@ -1931,7 +1949,7 @@ let test_served_soak () =
       ~host:"127.0.0.1" ~port:(Srv.port srv) ()
   in
   let rep =
-    Rep.connect ~read_timeout:0.5 ~host:"127.0.0.1" ~port:(Srv.port srv) ()
+    Rep.connect ~host:"127.0.0.1" ~port:(Srv.port srv) ()
   in
   (* An envelope sampler races the whole run. *)
   let stop_sampling = Atomic.make false in
@@ -2033,6 +2051,8 @@ let () =
           Alcotest.test_case "adversarial peers" `Quick test_adversarial_peers;
           Alcotest.test_case "partial ack with a dead shard" `Quick
             test_server_partial_ack_dead_shard;
+          Alcotest.test_case "subscribe with a payload is malformed" `Quick
+            test_subscribe_payload_malformed;
         ] );
       ( "client",
         [

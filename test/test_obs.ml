@@ -439,10 +439,10 @@ let test_span_context () =
 
 let test_tracer_sampling_deterministic () =
   let decisions t n = List.init n (fun _ -> Obs.Tracer.sample t <> None) in
-  let t1 = Obs.Tracer.create ~sample_every:8 ~seed:99L () in
-  let t2 = Obs.Tracer.create ~sample_every:8 ~seed:99L () in
+  let t1 = Obs.Tracer.create ~sample_every:8 () in
+  let t2 = Obs.Tracer.create ~sample_every:8 () in
   let d1 = decisions t1 2000 and d2 = decisions t2 2000 in
-  Alcotest.(check bool) "same seed, same decision sequence" true (d1 = d2);
+  Alcotest.(check bool) "every tracer, same decision sequence" true (d1 = d2);
   let hits = List.length (List.filter Fun.id d1) in
   Alcotest.(check int) "sampled counter agrees" hits (Obs.Tracer.sampled t1);
   (* roughly 1/8: a 4x band keeps the check seed-robust *)
@@ -450,12 +450,10 @@ let test_tracer_sampling_deterministic () =
     (Printf.sprintf "rate in ballpark (%d/2000)" hits)
     true
     (hits > 2000 / 32 && hits < 2000 / 2);
-  let t3 = Obs.Tracer.create ~sample_every:8 ~seed:100L () in
-  Alcotest.(check bool) "different seed diverges" false (decisions t3 2000 = d1);
-  let every = Obs.Tracer.create ~sample_every:1 ~seed:1L () in
+  let every = Obs.Tracer.create ~sample_every:1 () in
   Alcotest.(check bool) "sample_every 1 traces all" true
     (List.for_all Fun.id (decisions every 100));
-  let off = Obs.Tracer.create ~sample_every:0 ~seed:1L () in
+  let off = Obs.Tracer.create ~sample_every:0 () in
   Alcotest.(check bool) "sample_every 0 disables" true
     (List.for_all not (decisions off 100));
   Alcotest.(check bool) "negative rate rejected" true
@@ -466,7 +464,7 @@ let test_tracer_sampling_deterministic () =
 
 let test_tracer_ring_overflow_and_chain () =
   let reg = Obs.Registry.create () in
-  let tr = Obs.Tracer.create ~sample_every:1 ~seed:3L ~keep:16 ~metrics:reg () in
+  let tr = Obs.Tracer.create ~sample_every:1 ~metrics:reg () in
   (* Zero context: no span minted, nothing recorded. *)
   let sid =
     Obs.Tracer.record tr ~ctx:Obs.Span.zero ~stage:"decode" ~start_ns:0
@@ -496,33 +494,35 @@ let test_tracer_ring_overflow_and_chain () =
       Alcotest.(check bool) "stamps ordered" true
         (a.Obs.Span.stamp < b.Obs.Span.stamp)
   | l -> Alcotest.failf "expected 2 spans, got %d" (List.length l));
-  (* Overflow the keep=16 ring: only the most recent 16 survive and the
+  (* Overflow the 512-span ring: only the most recent 512 survive and the
      overwritten ones are counted as dropped. *)
-  for _ = 1 to 98 do
+  let ring = 512 and total = 600 in
+  for _ = 3 to total do
     let ctx = Option.get (Obs.Tracer.sample tr) in
     ignore (Obs.Tracer.record tr ~ctx ~stage:"decode" ~start_ns:0 ~end_ns:1)
   done;
-  Alcotest.(check int) "spans ever" 100 (Obs.Tracer.spans tr);
+  Alcotest.(check int) "spans ever" total (Obs.Tracer.spans tr);
   let recent = Obs.Tracer.recent tr 1000 in
-  Alcotest.(check int) "ring keeps 16" 16 (List.length recent);
+  Alcotest.(check int) "ring keeps 512" ring (List.length recent);
   let stamps = List.map (fun (r : Obs.Span.record) -> r.Obs.Span.stamp) recent in
   Alcotest.(check bool) "stamps strictly increasing" true
     (List.for_all2 ( < )
-       (List.filteri (fun i _ -> i < 15) stamps)
+       (List.filteri (fun i _ -> i < ring - 1) stamps)
        (List.tl stamps));
   let snap = Obs.Registry.snapshot reg in
-  Alcotest.(check int) "dropped accounting" 84
+  Alcotest.(check int) "dropped accounting" (total - ring)
     (Obs.Snapshot.counter_value snap "trace_spans_dropped_total");
-  Alcotest.(check int) "spans total" 100
+  Alcotest.(check int) "spans total" total
     (Obs.Snapshot.counter_value snap "trace_spans_total")
 
 (* --------------------------------- slo --------------------------------- *)
 
-let slo_fixture ?(warn_ratio = 0.5) ?(breach_after = 3) ?(clear_after = 2)
-    ?metrics width =
+(* The SLO runs its fixed thresholds: warn at 0.8 of budget, breach after
+   [Obs.Slo.breach_after] (5) over-budget evals, step down after
+   [Obs.Slo.clear_after] (3) clean ones. *)
+let slo_fixture ?metrics width =
   Obs.Slo.create ?metrics
     ~budget:{ Obs.Slo.envelope_width = 100.0; staleness = 10.0; merge_lag = 1.0 }
-    ~warn_ratio ~breach_after ~clear_after
     ~envelope:(fun () -> !width)
     ~staleness:(fun () -> -1.0) (* unknown: must score in-budget *)
     ~merge_lag:(fun () -> 0.0)
@@ -533,34 +533,47 @@ let test_slo_burn_machine () =
   let reg = Obs.Registry.create () in
   let slo = slo_fixture ~metrics:reg width in
   let eval () = (Obs.Slo.eval slo).Obs.Slo.state in
+  let evals n = for _ = 1 to n do ignore (eval ()) done in
   Alcotest.(check bool) "starts ok" true (eval () = Obs.Slo.Ok);
-  (* Warning arms immediately at warn_ratio, without hysteresis. *)
-  width := 60.0;
-  Alcotest.(check bool) "warn at 0.6x" true (eval () = Obs.Slo.Warning);
+  (* Under warn_ratio stays ok; warning arms at once at warn_ratio,
+     without hysteresis. *)
+  width := 70.0;
+  Alcotest.(check bool) "ok at 0.7x" true (eval () = Obs.Slo.Ok);
+  width := 90.0;
+  Alcotest.(check bool) "warn at 0.9x" true (eval () = Obs.Slo.Warning);
   (* Breach needs breach_after consecutive over-budget evals. *)
   width := 150.0;
-  Alcotest.(check bool) "over 1" true (eval () = Obs.Slo.Warning);
-  Alcotest.(check bool) "over 2" true (eval () = Obs.Slo.Warning);
-  Alcotest.(check bool) "over 3 breaches" true (eval () = Obs.Slo.Breach);
+  for i = 1 to Obs.Slo.breach_after - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "over %d still warning" i)
+      true
+      (eval () = Obs.Slo.Warning)
+  done;
+  Alcotest.(check bool) "the breach_after-th over breaches" true
+    (eval () = Obs.Slo.Breach);
   Alcotest.(check int) "one breach counted" 1 (Obs.Slo.breaches slo);
-  (* A single clean eval must not clear it (hysteresis)... *)
+  (* Fewer than clear_after clean evals must not clear it (hysteresis)... *)
   width := 10.0;
-  Alcotest.(check bool) "clean 1 still breach" true (eval () = Obs.Slo.Breach);
+  for i = 1 to Obs.Slo.clear_after - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "clean %d still breach" i)
+      true
+      (eval () = Obs.Slo.Breach)
+  done;
   (* ...but clear_after consecutive clean evals step it down one level. *)
-  Alcotest.(check bool) "clean 2 downgrades" true (eval () = Obs.Slo.Warning);
-  Alcotest.(check bool) "clean 3 clears" true (eval () = Obs.Slo.Ok);
+  Alcotest.(check bool) "clear_after-th clean downgrades" true
+    (eval () = Obs.Slo.Warning);
+  Alcotest.(check bool) "one more clean clears" true (eval () = Obs.Slo.Ok);
   Alcotest.(check int) "breach count sticky" 1 (Obs.Slo.breaches slo);
   let v = Obs.Slo.current slo in
   Alcotest.(check string) "worst dim" "envelope_width" v.Obs.Slo.worst_dim;
   (* An interrupted over-streak never reaches breach. *)
   width := 150.0;
-  ignore (eval ());
-  ignore (eval ());
+  evals (Obs.Slo.breach_after - 1);
   width := 10.0;
   ignore (eval ());
   width := 150.0;
-  ignore (eval ());
-  ignore (eval ());
+  evals (Obs.Slo.breach_after - 1);
   Alcotest.(check int) "streak reset prevented breach" 1
     (Obs.Slo.breaches slo);
   let snap = Obs.Registry.snapshot reg in
@@ -580,7 +593,6 @@ let test_slo_breach_cause () =
   let slo =
     Obs.Slo.create
       ~budget:{ Obs.Slo.envelope_width = 100.0; staleness = 10.0; merge_lag = 1.0 }
-      ~breach_after:3
       ~envelope:(fun () -> 0.0)
       ~staleness:(fun () -> !stale)
       ~merge_lag:(fun () -> 0.0)
@@ -588,7 +600,7 @@ let test_slo_breach_cause () =
   in
   Alcotest.(check bool) "no breach yet" true (Obs.Slo.last_breach slo = None);
   stale := 25.0;
-  for _ = 1 to 3 do
+  for _ = 1 to Obs.Slo.breach_after do
     ignore (Obs.Slo.eval slo)
   done;
   Alcotest.(check int) "one breach" 1 (Obs.Slo.breaches slo);
@@ -662,11 +674,11 @@ let http_get port path =
 let test_http_telemetry_plane () =
   let reg = Obs.Registry.create () in
   Obs.Counter.add (Obs.Registry.counter reg "requests_total") 3;
-  let tr = Obs.Tracer.create ~sample_every:1 ~seed:2L () in
+  let tr = Obs.Tracer.create ~sample_every:1 () in
   let ctx = Option.get (Obs.Tracer.sample tr) in
   ignore (Obs.Tracer.record tr ~ctx ~stage:"decode" ~start_ns:10 ~end_ns:20);
   let width = ref 150.0 in
-  let slo = slo_fixture ~warn_ratio:1.0 ~breach_after:1 width in
+  let slo = slo_fixture width in
   let h =
     Obs.Http.create ~port:0
       ~handler:
@@ -688,13 +700,18 @@ let test_http_telemetry_plane () =
   Alcotest.(check int) "trace 200" 200 status;
   Alcotest.(check bool) "trace body" true
     (contains body "\"stage\":\"decode\"");
-  (* First /healthz scrape drives Ok -> Warning (still 200); the second
-     completes the breach_after:1 streak -> Breach and must turn 503 so
-     curl -f and load balancers see it. *)
+  (* Each /healthz scrape is one evaluation. The first drives Ok ->
+     Warning (still 200); the breach_after-th completes the over-budget
+     streak -> Breach and must turn 503 so curl -f and load balancers see
+     it. *)
   let status, body = http_get port "/healthz" in
   Alcotest.(check int) "healthz warning is 200" 200 status;
   Alcotest.(check bool) "health kv present" true
     (contains body "\"role\":\"test\"");
+  for _ = 2 to Obs.Slo.breach_after - 1 do
+    let status, _ = http_get port "/healthz" in
+    Alcotest.(check int) "healthz still warning" 200 status
+  done;
   let status, body = http_get port "/healthz" in
   Alcotest.(check int) "healthz breach is 503" 503 status;
   Alcotest.(check bool) "breach visible" true (contains body "breach");

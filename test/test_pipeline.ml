@@ -8,12 +8,20 @@ module PC = Pipeline.Engine.Make (Pipeline.Targets.Counter)
 
 (* ------------------------- mpsc ------------------------- *)
 
+(* [Mpsc.pop_into] seen as a list: up to [max] queued elements, FIFO,
+   blocking while the queue is empty and open; [[]] once it is closed and
+   drained. *)
+let pop_list q ~max =
+  let buf = Array.make max 0 in
+  match Pipeline.Mpsc.pop_into q buf ~max with
+  | -1 -> []
+  | n -> Array.to_list (Array.sub buf 0 n)
+
 let test_mpsc_fifo () =
   let q = Pipeline.Mpsc.create ~capacity:4 in
   List.iter (fun x -> Alcotest.(check bool) "push" true (Pipeline.Mpsc.push q x)) [ 1; 2; 3 ];
   Alcotest.(check int) "length" 3 (Pipeline.Mpsc.length q);
-  Alcotest.(check (list int)) "batch pops FIFO" [ 1; 2 ]
-    (Pipeline.Mpsc.pop_batch q ~max:2);
+  Alcotest.(check (list int)) "batch pops FIFO" [ 1; 2 ] (pop_list q ~max:2);
   Alcotest.(check (option int)) "pop" (Some 3) (Pipeline.Mpsc.pop q);
   Alcotest.(check bool) "try_push ok" true (Pipeline.Mpsc.try_push q 9 = `Ok)
 
@@ -23,15 +31,14 @@ let test_mpsc_full_and_close () =
   ignore (Pipeline.Mpsc.push q 2);
   Alcotest.(check bool) "try_push full" true (Pipeline.Mpsc.try_push q 3 = `Full);
   Pipeline.Mpsc.close q;
-  Alcotest.(check bool) "closed" true (Pipeline.Mpsc.is_closed q);
   Alcotest.(check bool) "push after close" false (Pipeline.Mpsc.push q 4);
   Alcotest.(check bool) "try_push closed" true
     (Pipeline.Mpsc.try_push q 4 = `Closed);
   (* Consumer still drains the queued elements, then sees the end mark. *)
   Alcotest.(check (option int)) "drain 1" (Some 1) (Pipeline.Mpsc.pop q);
-  Alcotest.(check (list int)) "drain 2" [ 2 ] (Pipeline.Mpsc.pop_batch q ~max:8);
+  Alcotest.(check (list int)) "drain 2" [ 2 ] (pop_list q ~max:8);
   Alcotest.(check (option int)) "end" None (Pipeline.Mpsc.pop q);
-  Alcotest.(check (list int)) "end batch" [] (Pipeline.Mpsc.pop_batch q ~max:8)
+  Alcotest.(check (list int)) "end batch" [] (pop_list q ~max:8)
 
 let test_mpsc_blocking_producer () =
   (* A full queue blocks the producer until the consumer pops: real
@@ -601,11 +608,12 @@ let test_mpsc_close_wakes_all_producers () =
   (* The element that was queued before the close is still there. *)
   Alcotest.(check (option int)) "backlog intact" (Some 0) (Pipeline.Mpsc.pop q)
 
-let test_mpsc_pop_batch_bound_under_close_race () =
-  (* [pop_batch ~max] must never return more than [max] elements, including
+let test_mpsc_pop_into_bound_under_close_race () =
+  (* [pop_into ~max] must never return more than [max] elements, including
      in the window where producers are racing a close. *)
   let q = Pipeline.Mpsc.create ~capacity:64 in
   let max_batch = 5 in
+  let buf = Array.make 64 0 in
   let stop = Atomic.make false in
   let producers =
     Array.init 3 (fun d ->
@@ -624,13 +632,12 @@ let test_mpsc_pop_batch_bound_under_close_race () =
   in
   let popped = ref 0 in
   let rec consume () =
-    match Pipeline.Mpsc.pop_batch q ~max:max_batch with
-    | [] -> ()
-    | items ->
-        if List.length items > max_batch then
-          Alcotest.failf "pop_batch returned %d > max %d" (List.length items)
-            max_batch;
-        popped := !popped + List.length items;
+    match Pipeline.Mpsc.pop_into q buf ~max:max_batch with
+    | -1 -> ()
+    | n ->
+        if n > max_batch then
+          Alcotest.failf "pop_into returned %d > max %d" n max_batch;
+        popped := !popped + n;
         consume ()
   in
   consume ();
@@ -646,10 +653,10 @@ let test_mpsc_reopen_preserves_backlog () =
   Pipeline.Mpsc.close q;
   Alcotest.(check bool) "push rejected while closed" false (Pipeline.Mpsc.push q 9);
   Pipeline.Mpsc.reopen q;
-  Alcotest.(check bool) "reopened" false (Pipeline.Mpsc.is_closed q);
-  Alcotest.(check bool) "push accepted again" true (Pipeline.Mpsc.push q 4);
+  Alcotest.(check bool) "push accepted again" true
+    (Pipeline.Mpsc.try_push q 4 = `Ok);
   Alcotest.(check (list int)) "backlog first, in order" [ 1; 2; 3; 4 ]
-    (Pipeline.Mpsc.pop_batch q ~max:8)
+    (pop_list q ~max:8)
 
 (* ------------------------- concurrent drain ------------------------- *)
 
@@ -706,26 +713,11 @@ let test_concurrent_drain_exactly_once () =
 let test_create_rejects_bad_config () =
   (* Every documented [Invalid_argument] of [Engine.create], raised by the
      engine itself (not a callee) and before any domain is spawned. *)
-  let sup f = f Pipeline.Engine.default_supervisor in
   let cases =
     [
       ("shards <= 0", fun () -> PC.create ~shards:0 ());
       ("queue_capacity <= 0", fun () -> PC.create ~queue_capacity:0 ~shards:1 ());
       ("batch <= 0", fun () -> PC.create ~batch:0 ~shards:1 ());
-      ( "checkpoint_every < 0",
-        fun () -> PC.create ~checkpoint_every:(-1) ~shards:1 () );
-      ( "supervisor max_restarts < 0",
-        fun () ->
-          PC.create ~supervisor:(sup (fun c -> { c with max_restarts = -1 }))
-            ~shards:1 () );
-      ( "supervisor backoff_base < 0",
-        fun () ->
-          PC.create ~supervisor:(sup (fun c -> { c with backoff_base = -1.0 }))
-            ~shards:1 () );
-      ( "supervisor poll_interval <= 0",
-        fun () ->
-          PC.create ~supervisor:(sup (fun c -> { c with poll_interval = 0.0 }))
-            ~shards:1 () );
       ( "initial epoch < 0",
         fun () ->
           PC.create ~initial:(Pipeline.Targets.Counter.create (), -1, 0)
@@ -751,16 +743,6 @@ let test_create_rejects_bad_config () =
 
 (* ------------------------- supervisor ------------------------- *)
 
-(* A fast supervisor config so restart soaks finish in milliseconds. *)
-let fast_supervisor max_restarts =
-  {
-    Pipeline.Engine.max_restarts;
-    backoff_base = 0.001;
-    backoff_cap = 0.004;
-    poll_interval = 0.0002;
-    seed = 77L;
-  }
-
 let test_supervisor_restarts_shard () =
   (* Kill shard 0's worker once; the watchdog must restart it, the restarted
      incarnation must resume consuming its (reopened) queue, and the final
@@ -775,7 +757,7 @@ let test_supervisor_restarts_shard () =
            kills — the restarted worker sees larger values and lives. *)
         if shard = 0 && Atomic.fetch_and_add ticks 1 = die_at then
           raise (Conc.Chaos.Killed { domain = 0; point = die_at }))
-      ~supervisor:(fast_supervisor 5) ~shards ()
+      ~supervised:true ~shards ()
   in
   let n = 30_000 in
   let stream =
@@ -811,14 +793,15 @@ let test_supervisor_restarts_shard () =
 
 let test_supervisor_restart_cap_sheds () =
   (* A worker that dies on every incarnation must not crash-loop forever:
-     after [max_restarts] the watchdog sheds the shard permanently and
-     records why. *)
-  let max_restarts = 2 in
+     after the supervisor's 5 restarts (backoffs summing to at most
+     1.5 × 62 ms) the watchdog sheds the shard permanently and records
+     why. *)
+  let max_restarts = 5 in
   let p =
     PC.create ~queue_capacity:16 ~batch:8
       ~on_tick:(fun ~shard ->
         if shard = 0 then raise (Conc.Chaos.Killed { domain = 0; point = 1 }))
-      ~supervisor:(fast_supervisor max_restarts) ~shards:2 ()
+      ~supervised:true ~shards:2 ()
   in
   Alcotest.(check bool) "shard 0 eventually shed" true
     (wait_until (fun () -> (PC.stats p).PC.shards.(0).shed));
@@ -856,7 +839,7 @@ let test_q_fifo () =
   let q = Sq.create ~capacity:4 in
   List.iter (fun x -> Alcotest.(check bool) "push" true (Sq.push q x)) [ 1; 2; 3 ];
   Alcotest.(check int) "length" 3 (Sq.length q);
-  Alcotest.(check (list int)) "batch pops FIFO" [ 1; 2 ] (Sq.pop_batch q ~max:2);
+  Alcotest.(check (list int)) "batch pops FIFO" [ 1; 2 ] (pop_list q ~max:2);
   Alcotest.(check (option int)) "pop" (Some 3) (Sq.pop q);
   Alcotest.(check bool) "try_push ok" true (Sq.try_push q 9 = `Ok)
 
@@ -883,14 +866,13 @@ let test_q_close_semantics () =
   ignore (Sq.push q 2);
   Alcotest.(check bool) "try_push full" true (Sq.try_push q 3 = `Full);
   Sq.close q;
-  Alcotest.(check bool) "closed" true (Sq.is_closed q);
   Alcotest.(check bool) "push after close" false (Sq.push q 4);
   Alcotest.(check bool) "try_push closed" true (Sq.try_push q 4 = `Closed);
   (* Consumer still drains the queued elements, then sees the end mark. *)
   Alcotest.(check (option int)) "drain 1" (Some 1) (Sq.pop q);
-  Alcotest.(check (list int)) "drain 2" [ 2 ] (Sq.pop_batch q ~max:8);
+  Alcotest.(check (list int)) "drain 2" [ 2 ] (pop_list q ~max:8);
   Alcotest.(check (option int)) "end" None (Sq.pop q);
-  Alcotest.(check (list int)) "end batch" [] (Sq.pop_batch q ~max:8)
+  Alcotest.(check (list int)) "end batch" [] (pop_list q ~max:8)
 
 let test_q_reopen_backlog () =
   let q = Sq.create ~capacity:8 in
@@ -898,10 +880,9 @@ let test_q_reopen_backlog () =
   Sq.close q;
   Alcotest.(check bool) "push rejected while closed" false (Sq.push q 9);
   Sq.reopen q;
-  Alcotest.(check bool) "reopened" false (Sq.is_closed q);
-  Alcotest.(check bool) "push accepted again" true (Sq.push q 4);
+  Alcotest.(check bool) "push accepted again" true (Sq.try_push q 4 = `Ok);
   Alcotest.(check (list int)) "backlog first, in order" [ 1; 2; 3; 4 ]
-    (Sq.pop_batch q ~max:8)
+    (pop_list q ~max:8)
 
 let test_q_pop_into_conventions () =
   let q = Sq.create ~capacity:8 in
@@ -1023,7 +1004,7 @@ let test_q_slice_fifo () =
   Alcotest.(check int) "empty slice" 0 (Sq.push_slice q src ~off:6 ~len:0);
   Alcotest.(check int) "tail slice" 2 (Sq.push_slice q src ~off:4 ~len:2);
   Alcotest.(check (list int)) "fifo" [ 11; 12; 13; 99; 14; 15 ]
-    (Sq.pop_batch q ~max:8);
+    (pop_list q ~max:8);
   List.iter
     (fun (off, len) ->
       Alcotest.check_raises
@@ -1063,13 +1044,13 @@ let test_q_slice_close_midway () =
     Alcotest.(check int) "queue full, producer blocked" 4 (Sq.length q)
   in
   wait_full ();
-  Alcotest.(check (list int)) "first pops" [ 100; 101 ] (Sq.pop_batch q ~max:2);
+  Alcotest.(check (list int)) "first pops" [ 100; 101 ] (pop_list q ~max:2);
   wait_full ();
   Sq.close q;
   Alcotest.(check int) "returns the enqueued prefix" 6 (Domain.join producer);
   Alcotest.(check (list int)) "exactly that prefix is queued"
-    [ 102; 103; 104; 105 ] (Sq.pop_batch q ~max:10);
-  Alcotest.(check (list int)) "then the end mark" [] (Sq.pop_batch q ~max:10);
+    [ 102; 103; 104; 105 ] (pop_list q ~max:10);
+  Alcotest.(check (list int)) "then the end mark" [] (pop_list q ~max:10);
   Alcotest.(check int) "a slice into a closed queue" 0
     (Sq.push_slice q src ~off:0 ~len:3)
 
@@ -1138,6 +1119,26 @@ let test_q_push_allocates_nothing () =
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words for 100k push+pop" words)
     true (words < 1000.0)
+
+(* The merger and every subscriber pump pop one element at a time: a pop
+   allocates its [Some] (two words) and nothing else. *)
+let test_q_pop_allocates_only_some () =
+  let n = 10_000 in
+  let q = Sq.create ~capacity:n in
+  for x = 1 to n do
+    ignore (Sq.push q x)
+  done;
+  let sum = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    match Sq.pop q with Some x -> sum := !sum + x | None -> ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "every element popped" (n * (n + 1) / 2) !sum;
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for %d pops" words n)
+    true
+    (words <= float_of_int ((2 * n) + 64))
 
 (* Popped elements are not kept alive by their old slot, and float
    elements round-trip through a queue of floats and a flat float buffer. *)
@@ -1237,6 +1238,8 @@ let contract_suite =
       test_q_slots_release_and_floats;
     Alcotest.test_case "mutex: pop_into ~min wakes on progress" `Quick
       test_q_pop_into_min;
+    Alcotest.test_case "mutex: pop allocates only its Some" `Quick
+      test_q_pop_allocates_only_some;
   ]
 
 (* ------------------------- stealing ------------------------- *)
@@ -1315,8 +1318,8 @@ let () =
           Alcotest.test_case "blocking producer" `Quick test_mpsc_blocking_producer;
           Alcotest.test_case "close wakes all blocked producers" `Quick
             test_mpsc_close_wakes_all_producers;
-          Alcotest.test_case "pop_batch bound under close race" `Quick
-            test_mpsc_pop_batch_bound_under_close_race;
+          Alcotest.test_case "pop_into bound under close race" `Quick
+            test_mpsc_pop_into_bound_under_close_race;
           Alcotest.test_case "reopen preserves backlog" `Quick
             test_mpsc_reopen_preserves_backlog;
         ] );

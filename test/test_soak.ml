@@ -292,7 +292,6 @@ let test_check_slo () =
   let monitor =
     Obs.Slo.create
       ~budget:{ Obs.Slo.envelope_width = 100.0; staleness = 100.0; merge_lag = 1.0 }
-      ~breach_after:1 ~clear_after:1
       ~envelope:(fun () -> !level)
       ~staleness:(fun () -> -1.0)
       ~merge_lag:(fun () -> -1.0)
@@ -302,10 +301,15 @@ let test_check_slo () =
   level := 90.0;
   expect_fail (Net.Soak.slo monitor) "final state warning, not ok";
   level := 200.0;
-  ignore (Obs.Slo.eval monitor);
-  (* back in budget: Breach -> Warning -> Ok, yet the breach stays *)
+  for _ = 1 to Obs.Slo.breach_after do
+    ignore (Obs.Slo.eval monitor)
+  done;
+  (* back in budget: Breach -> Warning after clear_after evals, -> Ok on
+     the check's own eval, yet the breach stays *)
   level := 0.0;
-  ignore (Obs.Slo.eval monitor);
+  for _ = 1 to Obs.Slo.clear_after do
+    ignore (Obs.Slo.eval monitor)
+  done;
   let c = Net.Soak.slo monitor in
   expect_fail c "breached, last by envelope_width at 2.00x";
   Alcotest.(check bool) "only the breach fails it" true
