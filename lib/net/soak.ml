@@ -170,6 +170,15 @@ let ack_envelope ~acked ~published ~slack ~exhausted =
         slack;
     ]
 
+let freshness ~width ~waited ~deadline =
+  judge "freshness"
+    (Printf.sprintf "envelope width %d after %.1f ms quiet, deadline %.0f ms" width
+       (1e3 *. waited) (1e3 *. deadline))
+    [
+      fail_if (width > 0) "%d accepted keys still unpublished after %.0f ms" width
+        (1e3 *. waited);
+    ]
+
 let replica_envelope ~samples ~ahead ~faults ~resyncs =
   judge "replica envelope"
     (Printf.sprintf "%d samples, %d follower-ahead, %d resyncs" samples ahead resyncs)
@@ -332,6 +341,11 @@ let envelope_every = 8 (* sampler ticks between envelope-width samples *)
 let key_sample = 4096 (* max keys compared against the oracle *)
 let settle = 30.0 (* seconds the follower may take to reach the final epoch *)
 
+(* Seconds a quiet leader may take to publish every accepted key: the
+   engine's [max_age] plus room for its clock, a merge and a loaded
+   host. *)
+let freshness_deadline = 0.5
+
 (* One feeder's view of the engine sink: [gate] is held around every
    ingest, so a restart that takes every gate has no ingest in flight;
    [counts] is the feeder's slice of the ground-truth oracle. *)
@@ -483,7 +497,8 @@ module Make (S : SKETCH) = struct
             let eng =
               P.create ~batch
                 ~on_tick:(fun ~shard -> Conc.Chaos.point_once chaos ~domain:shard)
-                ~on_merge ~supervised:true ~metrics:reg ?tracer ?initial
+                ~on_merge ~supervised:true ~history:true ~metrics:reg ?tracer
+                ?initial
                 ~shards:c.shards ()
             in
             checkpoint_source := Some eng;
@@ -920,6 +935,19 @@ module Make (S : SKETCH) = struct
           Chaos_proxy.set_faults proxy Chaos_proxy.no_faults;
           Client.close cli;
           let cs = Client.stats cli in
+          (* quiet now: the engine must publish what it took without a
+             drain *)
+          let t0 = Unix.gettimeofday () in
+          let rec quiet () =
+            let width = P.envelope_width final_l.eng
+            and waited = Unix.gettimeofday () -. t0 in
+            if width = 0 || waited >= freshness_deadline then (width, waited)
+            else begin
+              Unix.sleepf 0.0005;
+              quiet ()
+            end
+          in
+          let width, waited = quiet () in
           P.drain final_l.eng;
           let leader_blob, epoch, pub = P.snapshot final_l.eng in
           ignore (Rep.wait_epoch ~timeout:settle rep epoch);
@@ -943,6 +971,7 @@ module Make (S : SKETCH) = struct
               ack_envelope ~acked:cs.Client.acked ~published:pub
                 ~slack:(!restarts_done * s.conns * client_batch)
                 ~exhausted:cs.Client.exhausted;
+              freshness ~width ~waited ~deadline:freshness_deadline;
               replica_envelope ~samples:(Atomic.get samples) ~ahead:n_ahead
                 ~faults:n_events ~resyncs:rs.Rep.resyncs;
               convergence
@@ -1091,6 +1120,7 @@ let bench v ~total_ops =
         [
           ("served-soak-conservation-violations", "violations", flag "conservation");
           ("served-soak-ack-violations", "violations", flag "ack envelope");
+          ("served-soak-freshness-violations", "violations", flag "freshness");
           ("served-soak-replica-violations", "violations", flag "replica envelope");
           ("served-soak-convergence-violations", "violations", flag "convergence");
           ("served-soak-exhausted", "violations", count s.client.Client.exhausted);

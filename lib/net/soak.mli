@@ -26,8 +26,10 @@
     Verdicts per sink (docs/SOAK.md states each): [Engine] checks
     {e monotone}, {e reader}, {e conservation}, {e recovery envelope},
     {e decode}, {e engine failures} and, for a sketch with a point-error
-    bound, {e oracle}; [Served] runs the five served checks below after
-    quiescing the wire and draining the last incarnation. *)
+    bound, {e oracle}; [Served] runs the six served checks below after
+    quiescing the wire and draining the last incarnation ({e freshness}
+    just before that drain: within 0.5 s of the client closing, the
+    leader publishes every key it accepted). *)
 
 type 'sk bound = {
   estimate : 'sk -> int -> int;  (** point estimate of one key *)
@@ -139,6 +141,12 @@ val conservation : ?miscounts:int -> leg list -> check
 val ack_envelope : acked:int -> published:int -> slack:int -> exhausted:int -> check
 (** [published <= acked <= published + slack], and no batch exhausted its
     retries (its fate is unknown, so [acked] is no longer exact). *)
+
+val freshness : width:int -> waited:float -> deadline:float -> check
+(** Quiet, the leader published every key it accepted: the envelope
+    width ({!Pipeline.Engine.Make.envelope_width}) read [0] within
+    [deadline] seconds of the client closing, without a drain. [waited]
+    is how long it took to read 0, or the time it gave up after. *)
 
 val replica_envelope : samples:int -> ahead:int -> faults:int -> resyncs:int -> check
 (** The follower led the leader in none of [samples > 0] samples, and

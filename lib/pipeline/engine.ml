@@ -1,9 +1,14 @@
 let default_queue_capacity = 1024
 
-(* The watchdog's policy for a dead shard worker: at most [max_restarts]
-   restarts per shard, beyond which the shard is permanently shed; backoff
-   doubling from [backoff_base] up to [backoff_cap] seconds, jittered from
-   [jitter_seed]; a scan every [poll_interval] seconds. *)
+(* The longest a shard holds unshipped weight before its worker ships a
+   partial delta (docs/PERFORMANCE.md §12 chose it). *)
+let max_age = 0.002
+
+(* The engine's clock ticks every [poll_interval] seconds. The supervisor's
+   policy for a dead shard worker: at most [max_restarts] restarts per
+   shard, beyond which the shard is permanently shed; backoff doubling from
+   [backoff_base] up to [backoff_cap] seconds, jittered from
+   [jitter_seed]. *)
 let max_restarts = 5
 let backoff_base = 0.002
 let backoff_cap = 0.05
@@ -34,6 +39,9 @@ module Make (M : Mergeable.S) = struct
     last_error : string option Atomic.t;
     beats : int Atomic.t; (* worker heartbeat, one per batch loop *)
     parks : int Atomic.t; (* idle waits: own queue empty *)
+    (* Set by the clock when the shard has held unshipped weight for
+       [max_age]: the worker ships what it has, however little. *)
+    due : bool Atomic.t;
     (* One-slot mailbox for a sampled batch's trace context: [trace_mark]
        stores (ctx, mark time) when a traced key lands in this shard's
        queue, and the worker's next flush claims it — the span covers
@@ -93,11 +101,12 @@ module Make (M : Mergeable.S) = struct
     merger_failed : exn option Atomic.t;
     lag_timer : Obs.Timer.t option; (* merge-lag quantiles, observed per merge *)
     tracer : Obs.Tracer.t option; (* span sink for queue/merge stages *)
-    rec_ : (int, int, int) Conc.Recorder.t;
+    rec_ : (int, int, int) Conc.Recorder.t option; (* [~history:true] *)
+    supervised : bool;
     mutable workers : unit Domain.t array;
     mutable merger : unit Domain.t option;
-    mutable watchdog : unit Domain.t option;
-    stopping : bool Atomic.t; (* tells the watchdog a drain has begun *)
+    mutable clock : unit Domain.t option;
+    stopping : bool Atomic.t; (* tells the clock a drain has begun *)
     dm : Mutex.t; (* serializes drain: concurrent callers both return *)
     mutable drained : bool;
     (* Queue-depth snapshot for the stats path: refreshed at most once per
@@ -152,6 +161,7 @@ module Make (M : Mergeable.S) = struct
       ignore (Atomic.fetch_and_add s.consumed n)
     in
     let flush () =
+      Atomic.set s.due false;
       if !count > 0 then begin
         (* Claim any traced batch that landed here since the last flush and
            close its queue-residency span. *)
@@ -185,12 +195,13 @@ module Make (M : Mergeable.S) = struct
       ignore (Atomic.fetch_and_add s.beats 1);
       (match t.on_tick with Some f -> f ~shard:i | None -> ());
       (* Count the would-block, then block on our own queue until enough
-         keys arrive to be worth a wake-up, or it closes. Enough is what
-         completes the delta, capped at a quarter batch (rounded up) so the
-         last keys of a delta never wait behind a whole batch's worth of
-         updates: at most four parks per shipped delta. A delta ships only
-         when full, so keys waiting here instead of in [local] are no less
-         visible. *)
+         keys arrive to be worth a wake-up, the clock kicks it, or it
+         closes. Enough is what completes the delta, capped at a quarter
+         batch (rounded up) so the last keys of a delta never wait behind a
+         whole batch's worth of updates: at most four parks per shipped
+         delta. A delta ships when full or when the clock marks it [due],
+         and the clock's kick ends the park, so keys waiting here instead
+         of in [local] are no less visible. *)
       let n =
         match Mpsc.try_pop_into s.q buf ~max:t.batch with
         | 0 ->
@@ -199,9 +210,9 @@ module Make (M : Mergeable.S) = struct
               ~min:(min (t.batch - !count) ((t.batch + 3) / 4))
         | n -> n
       in
-      if n > 0 then begin
+      if n >= 0 then begin
         absorb n;
-        if !count >= t.batch then flush ();
+        if !count >= t.batch || Atomic.get s.due then flush ();
         loop ()
       end
       else flush () (* closed and drained: final flush, then exit *)
@@ -244,21 +255,25 @@ module Make (M : Mergeable.S) = struct
           | Ok apply ->
               let stamped = ref 0 in
               let lag = ref 0.0 in
-              Conc.Recorder.record_update t.rec_ ~domain:dom ~obj:0 d.weight
-                (fun () ->
-                  Mutex.protect t.gm (fun () ->
-                      t.global <- apply t.global;
-                      t.epoch <- t.epoch + 1;
-                      t.published <- t.published + d.weight;
-                      lag := Unix.gettimeofday () -. d.born;
-                      if t.n_lags = Array.length t.lags then begin
-                        let a = Array.make (2 * t.n_lags) 0.0 in
-                        Array.blit t.lags 0 a 0 t.n_lags;
-                        t.lags <- a
-                      end;
-                      t.lags.(t.n_lags) <- !lag;
-                      t.n_lags <- t.n_lags + 1;
-                      stamped := t.epoch));
+              let merge () =
+                Mutex.protect t.gm (fun () ->
+                    t.global <- apply t.global;
+                    t.epoch <- t.epoch + 1;
+                    t.published <- t.published + d.weight;
+                    lag := Unix.gettimeofday () -. d.born;
+                    if t.n_lags = Array.length t.lags then begin
+                      let a = Array.make (2 * t.n_lags) 0.0 in
+                      Array.blit t.lags 0 a 0 t.n_lags;
+                      t.lags <- a
+                    end;
+                    t.lags.(t.n_lags) <- !lag;
+                    t.n_lags <- t.n_lags + 1;
+                    stamped := t.epoch)
+              in
+              (match t.rec_ with
+              | Some r ->
+                  Conc.Recorder.record_update r ~domain:dom ~obj:0 d.weight merge
+              | None -> merge ());
               ignore (Atomic.fetch_and_add t.merges 1);
               (match t.lag_timer with
               | Some tm -> Obs.Timer.observe tm !lag
@@ -285,21 +300,61 @@ module Make (M : Mergeable.S) = struct
     in
     try loop () with e -> Atomic.set t.merger_failed (Some e)
 
-  (* The watchdog: detect dead workers (their heartbeat loop has exited and
+  (* The clock: one domain per engine, ticking every [poll_interval]
+     until a drain begins. Each tick ages every shard's unshipped weight
+     and, when [supervised], restarts dead workers.
+
+     Ageing reads three counters the shards already keep. A shard holds
+     unshipped weight while [enqueued] exceeds [flushed_items]; the clock
+     times it from the tick that first sees it, or that sees a new flush
+     (what a flush left behind is timed afresh). Once it has been held for
+     [max_age] with no flush, the clock marks the shard [due] and kicks its
+     queue, ending the worker's park. One kick per held weight: if nothing
+     ships (the weight was lost with a killed worker) the clock waits for
+     new keys before it times again.
+
+     Supervision: detect dead workers (their heartbeat loop has exited and
      cleared [alive]) and restart them with capped exponential backoff plus
      jitter. A shard that keeps dying runs out of restart budget and is
      permanently shed — its queue stays closed, ingest fail-fast drops — with
      the reason kept in [last_error]. *)
-  let watchdog t =
+  let clock t =
     let g = Rng.Splitmix.create jitter_seed in
     let n = shard_count t in
     let restart_at = Array.make n None in
+    let since = Array.make n Float.infinity (* no held weight timed *)
+    and seen_flushes = Array.make n 0
+    and seen_enqueued = Array.make n 0
+    and kicked = Array.make n false in
+    let age i now =
+      let s = t.shards.(i) in
+      let e = Atomic.get s.enqueued and f = Atomic.get s.flushes in
+      if e - Atomic.get s.flushed_items <= 0 then since.(i) <- Float.infinity
+      else if
+        since.(i) = Float.infinity
+        || f <> seen_flushes.(i)
+        || (kicked.(i) && e <> seen_enqueued.(i))
+      then begin
+        since.(i) <- now;
+        seen_flushes.(i) <- f;
+        kicked.(i) <- false
+      end
+      else if (not kicked.(i)) && now -. since.(i) >= max_age then begin
+        Atomic.set s.due true;
+        Mpsc.kick s.q;
+        kicked.(i) <- true;
+        seen_enqueued.(i) <- e
+      end
+    in
     while not (Atomic.get t.stopping) do
       Unix.sleepf poll_interval;
+      let now = Unix.gettimeofday () in
       for i = 0 to n - 1 do
+        age i now;
         let s = t.shards.(i) in
         if
-          (not (Atomic.get s.alive))
+          t.supervised
+          && (not (Atomic.get s.alive))
           && (not (Atomic.get s.shed))
           && not (Atomic.get t.stopping)
         then begin
@@ -442,7 +497,8 @@ module Make (M : Mergeable.S) = struct
       t.shards
 
   let create ?(queue_capacity = default_queue_capacity) ?(batch = 512) ?on_tick
-      ?on_merge ?(supervised = false) ?metrics ?tracer ?initial ~shards () =
+      ?on_merge ?(supervised = false) ?(history = false) ?metrics ?tracer
+      ?initial ~shards () =
     if shards <= 0 then invalid_arg "Engine.create: shards must be positive";
     if queue_capacity <= 0 then
       invalid_arg "Engine.create: queue_capacity must be positive";
@@ -467,6 +523,7 @@ module Make (M : Mergeable.S) = struct
         last_error = Atomic.make None;
         beats = Atomic.make 0;
         parks = Atomic.make 0;
+        due = Atomic.make false;
         pending = Atomic.make None;
       }
     in
@@ -495,10 +552,13 @@ module Make (M : Mergeable.S) = struct
                 "pipeline_merge_lag_seconds")
             metrics;
         tracer;
-        rec_ = Conc.Recorder.create ~domains:(shards + 2);
+        rec_ =
+          (if history then Some (Conc.Recorder.create ~domains:(shards + 2))
+           else None);
+        supervised;
         workers = [||];
         merger = None;
-        watchdog = None;
+        clock = None;
         stopping = Atomic.make false;
         dm = Mutex.create ();
         drained = false;
@@ -515,17 +575,19 @@ module Make (M : Mergeable.S) = struct
        the borrow cannot race the real merger. *)
     (match initial with
     | None -> ()
-    | Some (g0, epoch0, published0) ->
+    | Some (g0, epoch0, published0) -> (
         t.global <- g0;
         t.epoch <- epoch0;
         t.published <- published0;
-        if published0 > 0 then
-          Conc.Recorder.record_update t.rec_ ~domain:shards ~obj:0 published0
-            (fun () -> ()));
+        match t.rec_ with
+        | Some r when published0 > 0 ->
+            Conc.Recorder.record_update r ~domain:shards ~obj:0 published0
+              (fun () -> ())
+        | _ -> ()));
     (match metrics with Some reg -> register_metrics t reg | None -> ());
     t.workers <- Array.init shards (fun i -> Domain.spawn (fun () -> worker t i));
     t.merger <- Some (Domain.spawn (fun () -> merger t));
-    if supervised then t.watchdog <- Some (Domain.spawn (fun () -> watchdog t));
+    t.clock <- Some (Domain.spawn (fun () -> clock t));
     t
 
   (* Relaxed depth read: the high-water mark is a heuristic, and taking the
@@ -601,13 +663,13 @@ module Make (M : Mergeable.S) = struct
   let drain t =
     (* The mutex makes drain safe for any number of concurrent callers: one
        performs the shutdown, the rest block until it completes, and every
-       caller returns with the pipeline fully drained. The watchdog is
+       caller returns with the pipeline fully drained. The clock is
        stopped first so no restart races the queue-closing sweep. *)
     Mutex.lock t.dm;
     if not t.drained then begin
       Atomic.set t.stopping true;
-      (match t.watchdog with Some d -> Domain.join d | None -> ());
-      t.watchdog <- None;
+      (match t.clock with Some d -> Domain.join d | None -> ());
+      t.clock <- None;
       Array.iter (fun (s : shard) -> Mpsc.close s.q) t.shards;
       Array.iter Domain.join t.workers;
       (* Whatever a dead worker left queued was never summarized: drops. *)
@@ -636,12 +698,11 @@ module Make (M : Mergeable.S) = struct
     (blob, e, p)
 
   let read_total t =
-    Conc.Recorder.record_query t.rec_ ~domain:(shard_count t + 1) ~obj:0 0
-      (fun () ->
-        Mutex.lock t.gm;
-        let v = t.published in
-        Mutex.unlock t.gm;
-        v)
+    match t.rec_ with
+    | Some r ->
+        Conc.Recorder.record_query r ~domain:(shard_count t + 1) ~obj:0 0
+          (fun () -> published t)
+    | None -> published t
 
   let epoch t =
     Mutex.lock t.gm;
@@ -703,5 +764,8 @@ module Make (M : Mergeable.S) = struct
     | Some e -> ("merger", e) :: worker_fails
     | None -> worker_fails
 
-  let history t = Conc.Recorder.history t.rec_
+  let history t =
+    match t.rec_ with
+    | Some r -> Conc.Recorder.history r
+    | None -> Hist.History.of_events []
 end

@@ -20,7 +20,8 @@
     shard and pushes each shard's keys with one {!Mpsc.push_slice}, so a
     frame costs each shard queue a few lock holds, not one per key.
     Each worker owns its shard's delta exclusively (no locks on the update
-    path) and keeps it for its whole life; every [batch] items it encodes
+    path) and keeps it for its whole life; every [batch] items, or once the
+    shard has held unshipped items for {!max_age}, it encodes
     the delta as a {!Wire.Codec} blob, empties it ({!Mergeable.S.ship}) and
     ships the blob to the merger, which validates it outside a mutex and folds
     it into the global sketch in place under it ({!Mergeable.S.fold}),
@@ -35,8 +36,10 @@
     invisible to queries until merged, so a smaller [batch] tightens the IVL
     envelope (less lag between v_min and what a query can return) while a
     larger one buys update throughput — the cadence/slack dial
-    [docs/PIPELINE.md] discusses. Backpressure is physical: bounded queues
-    block feeders when shards fall behind.
+    [docs/PIPELINE.md] discusses. {!max_age} bounds that price in time
+    below saturation: a quiescent engine publishes every accepted item
+    within about [max_age] plus a merge. Backpressure is physical: bounded
+    queues block feeders when shards fall behind.
 
     Crash-stop tolerant: a worker dying (e.g. {!Conc.Chaos.Killed} raised by
     an [on_tick] injection hook) closes its queue, so ingest sheds to drops
@@ -51,7 +54,8 @@
       every published delta, and snapshot the global sketch with
       {!Make.snapshot} from the same hook, so a crashed pipeline restarts
       inside the IVL envelope of its pre-crash history;
-    - a {e supervisor} (a watchdog domain) detects dead shard workers and
+    - a {e supervisor} (the engine's clock domain, when [supervised])
+      detects dead shard workers and
       restarts them with capped exponential backoff and jitter, reopening
       their queues so the backlog survives; a shard that exhausts its
       restart budget degrades to permanent shedding instead of
@@ -61,6 +65,12 @@ val default_queue_capacity : int
 (** 1024: {!Make.create}'s [queue_capacity] default, and what the
     Theorem-6 SLO budget ({!Obs.Slo.theorem6_budget}) assumes of an engine
     built with it. *)
+
+val max_age : float
+(** 0.002 seconds: how long a shard may hold unshipped items before its
+    worker ships a partial delta. The engine's clock ticks every 0.5 ms,
+    so a key accepted by an engine that then goes quiet is published
+    within [max_age] plus two ticks, a worker wake-up and a merge. *)
 
 module Make (M : Mergeable.S) : sig
   type t
@@ -80,7 +90,8 @@ module Make (M : Mergeable.S) : sig
     steals : int;  (** always [0]; [bench/stack] reports it as [engine.steals] *)
     parks : int;
         (** idle waits: the worker found its queue empty; at most four per
-            shipped delta, plus the one a close ends *)
+            shipped delta, plus one per clock kick, plus the one a close
+            ends *)
   }
 
   type stats = {
@@ -99,24 +110,30 @@ module Make (M : Mergeable.S) : sig
     ?on_merge:
       (ctx:Obs.Span.context -> epoch:int -> weight:int -> blob:Bytes.t -> unit) ->
     ?supervised:bool ->
+    ?history:bool ->
     ?metrics:Obs.Registry.t ->
     ?tracer:Obs.Tracer.t ->
     ?initial:M.t * int * int ->
     shards:int ->
     unit ->
     t
-  (** Spawn [shards] worker domains plus one merger domain (plus a watchdog
-      domain when [supervised], default [false]). Every shard queue and the
-      merger queue is a {!Mpsc}. [queue_capacity] (default
-      {!Engine.default_queue_capacity}) bounds each shard queue; [batch]
-      (default 512) is the merge cadence in items.
+  (** Spawn [shards] worker domains, one merger domain and one clock
+      domain. Every shard queue and the merger queue is a {!Mpsc}.
+      [queue_capacity] (default {!Engine.default_queue_capacity}) bounds
+      each shard queue; [batch] (default 512) is the merge cadence in
+      items.
 
       Each worker consumes only its own shard's queue: it pops up to
       [batch] items, blocks on the queue when it is empty until enough
       items arrive to complete its delta or fill a quarter batch (rounded
-      up), ships its delta once it holds at least [batch] items, and ships
-      the rest when the queue closes. So a shard whose worker never died has
-      [flushed_items = enqueued] after {!drain}.
+      up), and ships its delta once it holds at least [batch] items, once
+      the clock finds the shard has held unshipped items for
+      {!Engine.max_age} without a flush, and when the queue closes. The
+      clock reads the shards' [enqueued], [flushed_items] and [flushes]
+      every 0.5 ms, marks an over-age shard due and {!Mpsc.kick}s its
+      queue; the per-item path reads no clock. So a shard whose worker
+      never died has [flushed_items = enqueued] after {!drain}, and within
+      about [max_age] of going quiet.
 
       [on_tick] runs in the worker's domain once per batch loop — the
       chaos hook: raising {!Conc.Chaos.Killed} from it crash-stops that
@@ -124,10 +141,16 @@ module Make (M : Mergeable.S) : sig
       hook, so a hook that kills unconditionally produces a crash loop that
       ends in shedding — by design).
 
-      The supervisor restarts a dead shard's worker at most 5 times: after
+      When [supervised] (default [false]) the clock also restarts a dead
+      shard's worker, at most 5 times: after
       [r] restarts the next one waits min(50 ms, 2 ms × 2{^r}) times a
-      jitter in [0.5, 1.5) (seeded [0xD1ED]); it scans every 0.5 ms. A
+      jitter in [0.5, 1.5) (seeded [0xD1ED]); it scans every tick. A
       shard that dies a 6th time is shed for good.
+
+      [history] (default [false]) records every merge and {!read_total}
+      into the history {!history} returns: about 216 bytes of heap per
+      merge, kept for the engine's life. An engine that runs for long, such
+      as a served leader, leaves it off.
 
       [on_merge ~ctx ~epoch ~weight ~blob] runs in the merger's domain after
       each merge, in strict epoch order, outside the query mutex — the WAL
@@ -241,8 +264,9 @@ module Make (M : Mergeable.S) : sig
 
   val read_total : t -> int
   (** Total published weight (stream items merged so far), recorded into the
-      pipeline's history as a query op for the envelope checker. At most one
-      domain may call this (the recorder gives the reader one buffer). *)
+      pipeline's history as a query op for the envelope checker when
+      [history] is on. At most one domain may call this (the recorder gives
+      the reader one buffer). *)
 
   val epoch : t -> int
 
@@ -281,5 +305,6 @@ module Make (M : Mergeable.S) : sig
   val history : t -> (int, int, int) Hist.History.t
   (** The recorded merge/read history — feed to
       [Ivl.Monotone.Make (Spec.Counter_spec)]. Call after {!drain} and after
-      the reading domain has quiesced. *)
+      the reading domain has quiesced. Empty unless the engine was created
+      with [~history:true]. *)
 end

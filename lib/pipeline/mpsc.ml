@@ -11,6 +11,10 @@ type 'a t = {
      [len] reaches it (or the queue is full). 1 except while a
      [pop_into ~min] waits; one consumer, so one field. *)
   mutable want : int;
+  (* A pending {!kick}: the next [pop_into] returns without waiting for
+     [want], or the current one stops waiting. Cleared by that
+     [pop_into]. *)
+  mutable kicked : bool;
   m : Mutex.t;
   not_empty : Condition.t;
   not_full : Condition.t;
@@ -31,6 +35,7 @@ let create ~capacity =
     len = 0;
     closed = false;
     want = 1;
+    kicked = false;
     m = Mutex.create ();
     not_empty = Condition.create ();
     not_full = Condition.create ();
@@ -163,18 +168,29 @@ let pop_into ?min:(least = 1) t buf ~max =
   if least <= 0 then invalid_arg "Mpsc.pop_into: min must be positive";
   Mutex.lock t.m;
   let want = min least t.capacity in
-  if t.len < want && not t.closed then begin
+  if t.len < want && not (t.closed || t.kicked) then begin
     t.want <- want;
-    while t.len < want && not t.closed do
+    while t.len < want && not (t.closed || t.kicked) do
       Condition.wait t.not_empty t.m
     done;
     t.want <- 1
   end;
+  t.kicked <- false;
   let n = min (min max (Array.length buf)) t.len in
-  let r = if n = 0 then -1 (* closed and drained *) else n in
+  (* [n = 0] open: kicked with nothing queued *)
+  let r = if n > 0 then n else if t.closed then -1 else 0 in
   unsafe_take_into t buf n;
   Mutex.unlock t.m;
   r
+
+(* The flag is set under the mutex, so a consumer about to wait sees it;
+   the signal, sent after unlocking like a push's, ends a wait already
+   begun. *)
+let kick t =
+  Mutex.lock t.m;
+  t.kicked <- true;
+  Mutex.unlock t.m;
+  Condition.signal t.not_empty
 
 let close t =
   Mutex.lock t.m;

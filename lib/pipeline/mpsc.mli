@@ -51,13 +51,21 @@ val try_pop_into : 'a t -> 'a array -> max:int -> int
 
 val pop_into : ?min:int -> 'a t -> 'a array -> max:int -> int
 (** Blocking {!try_pop_into}: waits while fewer than [min] (default 1,
-    capped at the capacity) elements are queued and the queue is open;
-    returns [n > 0], or [-1] iff closed and drained. While it waits,
+    capped at the capacity) elements are queued, the queue is open and no
+    {!kick} is pending; returns [n > 0], [0] iff a kick ended it with
+    nothing queued, or [-1] iff closed and drained. While it waits,
     producers signal only once [min] elements are queued or the queue is
     full, so a consumer that wants a batch pays one wake-up for it, not one
-    per element; {!close} wakes it at once, with whatever is queued. [~min]
-    keeps one threshold per queue, so it assumes a single consumer.
+    per element; {!close} and {!kick} wake it at once, with whatever is
+    queued. Every return consumes the pending kick. [~min] keeps one
+    threshold per queue, so it assumes a single consumer.
     @raise Invalid_argument if [max <= 0] or [min <= 0]. *)
+
+val kick : 'a t -> unit
+(** End the consumer's {!pop_into} wait now, below its [min]; a kick sent
+    while no [pop_into] waits is kept for the next one, which returns
+    without waiting. Kicks do not queue up: one pending kick ends one
+    [pop_into]. {!try_pop_into} leaves a pending kick in place. *)
 
 val close : 'a t -> unit
 (** Idempotent. Wakes every blocked producer and the consumer. *)

@@ -561,7 +561,7 @@ let test_fault_window_restart_in_envelope () =
         let p =
           P.create ~shards:2 ~batch:8 ~queue_capacity:64
             ~on_tick:(fun ~shard -> Conc.Chaos.point_once chaos ~domain:shard)
-            ~supervised:true
+            ~supervised:true ~history:true
             ~initial:(g, rep.R.recovered_epoch, rec_pub)
             ()
         in

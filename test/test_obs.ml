@@ -239,6 +239,14 @@ let test_expose_json () =
 
 (* ------------------- envelope-width gauge soundness ------------------- *)
 
+(* An [on_tick] hook that holds every shard worker before its first pop
+   until [gate] opens: keys accepted meanwhile stay queued, unpublished,
+   whatever the engine's shipping cadence. *)
+let at_gate gate ~shard:_ =
+  while not (Atomic.get gate) do
+    Unix.sleepf 0.0005
+  done
+
 let test_envelope_gauge_bounds_read_error () =
   (* The Theorem-6-style property behind docs/OBSERVABILITY.md: at any
      scrape, [pipeline_envelope_width] must bound how stale the published
@@ -255,9 +263,14 @@ let test_envelope_gauge_bounds_read_error () =
   in
   let chunks = Workload.Stream.chunks stream ~pieces:feeders in
   let reg = Obs.Registry.create () in
-  (* batch > items per shard: deltas only flush at drain, so the scraper
-     is guaranteed to observe a nonzero gap. *)
-  let p = PC.create ~queue_capacity:n ~batch:(n * 2) ~metrics:reg ~shards () in
+  (* The workers wait at the gate until the scraper has run, so the
+     scraper is guaranteed to observe a nonzero gap: everything is still
+     queued. *)
+  let gate = Atomic.make false in
+  let p =
+    PC.create ~queue_capacity:n ~batch:(n * 2) ~on_tick:(at_gate gate)
+      ~metrics:reg ~history:true ~shards ()
+  in
   let accepted =
     Conc.Runner.parallel ~domains:feeders (fun i ->
         let ok = ref 0 in
@@ -281,10 +294,11 @@ let test_envelope_gauge_bounds_read_error () =
         in
         loop [])
   in
-  (* Let the scraper race the (idle-but-live) merger for a moment, then
-     drain while it is still sampling — restarts of the merge activity
-     must not open a window where the gauge under-reports. *)
+  (* Let the scraper sample the gated engine for a moment, then open the
+     gate and drain while it is still sampling — restarts of the merge
+     activity must not open a window where the gauge under-reports. *)
   Unix.sleepf 0.02;
+  Atomic.set gate true;
   PC.drain p;
   Atomic.set stop true;
   let samples = Domain.join scraper in
@@ -318,11 +332,15 @@ let test_envelope_gauge_bounds_read_error () =
 let test_envelope_gauge_counts_recovered_base () =
   (* A recovered engine starts with [published] at the recovered weight,
      so the gap must count that base as accepted: 100 keys accepted and
-     none merged (batch > keys) read 100 on a fresh engine and on one
-     seeded with published 1000 alike. *)
+     none merged (the workers wait at a gate) read 100 on a fresh engine
+     and on one seeded with published 1000 alike. *)
   let width ?initial () =
     let reg = Obs.Registry.create () in
-    let p = PC.create ~batch:512 ~metrics:reg ?initial ~shards:2 () in
+    let gate = Atomic.make false in
+    let p =
+      PC.create ~batch:512 ~on_tick:(at_gate gate) ~metrics:reg ?initial
+        ~shards:2 ()
+    in
     for k = 1 to 100 do
       ignore (PC.ingest p k)
     done;
@@ -331,6 +349,7 @@ let test_envelope_gauge_counts_recovered_base () =
         "pipeline_envelope_width"
     in
     let live = (gauge (), PC.envelope_width p) in
+    Atomic.set gate true;
     PC.drain p;
     Alcotest.(check int) "published after drain"
       (100 + Option.fold ~none:0 ~some:(fun (_, _, w) -> w) initial)

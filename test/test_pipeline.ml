@@ -110,7 +110,7 @@ let test_history_envelope () =
   let stream =
     Workload.Stream.generate ~seed:5L (Workload.Stream.Zipf (500, 1.1)) ~length:n
   in
-  let p = PC.create ~queue_capacity:128 ~batch:64 ~shards:2 () in
+  let p = PC.create ~queue_capacity:128 ~batch:64 ~history:true ~shards:2 () in
   let stop = Atomic.make false in
   let reader =
     Domain.spawn (fun () ->
@@ -221,15 +221,14 @@ let test_merger_fold_all_or_nothing () =
     done;
     if not (ok (P.stats p)) then Alcotest.failf "timed out waiting for %s" what
   in
-  for k = 1 to 8 do
-    ignore (P.ingest p k)
-  done;
+  (* Each round of 8 keys is one slice, so it ships as one delta whether
+     the batch fills or the shard's unshipped weight comes of age. *)
+  let keys = Array.init 8 (fun k -> k + 1) in
+  ignore (P.ingest_batch p keys);
   settle "the first merge" (fun s -> s.P.merges = 1);
   let blob0, epoch0, pub0 = P.snapshot p in
   Atomic.set poison true;
-  for k = 1 to 8 do
-    ignore (P.ingest p k)
-  done;
+  ignore (P.ingest_batch p keys);
   settle "the decode failure" (fun s -> s.P.decode_failures = 1);
   let blob1, epoch1, pub1 = P.snapshot p in
   P.drain p;
@@ -410,6 +409,52 @@ let test_published () =
   Alcotest.(check int) "after drain = read_total" (PC.read_total p)
     (PC.published p)
 
+(* An engine that goes quiet below [batch] still publishes what it took:
+   the clock ships each shard's partial delta once it is [max_age] old.
+   Three rounds of 100 keys into 4 shards of batch 512, no drain; each
+   round is published in full within [max_age] plus the allowance, which
+   covers the clock's tick, a wake-up and a merge on a loaded host. *)
+let freshness_allowance = 0.25
+
+let test_partial_delta_ships_by_age () =
+  let p = PC.create ~batch:512 ~shards:4 () in
+  for round = 1 to 3 do
+    let accepted =
+      PC.ingest_batch p (Array.init 100 (fun i -> (round * 1000) + i))
+    in
+    let t0 = Unix.gettimeofday () in
+    let deadline = t0 +. Pipeline.Engine.max_age +. freshness_allowance in
+    while PC.published p < round * accepted && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.0005
+    done;
+    let waited = Unix.gettimeofday () -. t0 in
+    let st = PC.stats p in
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: published = enqueued after %.1f ms" round
+         (1e3 *. waited))
+      (enqueued_sum st) (PC.published p);
+    Alcotest.(check int) (Printf.sprintf "round %d: envelope closed" round) 0
+      (PC.envelope_width p);
+    Array.iteri
+      (fun i (s : PC.shard_stats) ->
+        Alcotest.(check int)
+          (Printf.sprintf "round %d: shard %d shipped what it took" round i)
+          s.enqueued s.flushed_items)
+      st.PC.shards
+  done;
+  PC.drain p;
+  Alcotest.(check int) "drain adds nothing" 300 (PC.published p)
+
+(* History recording is opt-in: a default engine keeps no op per merge,
+   and [read_total] records none either. *)
+let test_history_off_by_default () =
+  let p = PC.create ~batch:1 ~shards:2 () in
+  ignore (PC.ingest_batch p (Array.init 10_000 Fun.id));
+  PC.drain p;
+  Alcotest.(check int) "10k merges" 10_000 (PC.stats p).PC.merges;
+  Alcotest.(check int) "read_total" 10_000 (PC.read_total p);
+  Alcotest.(check int) "history empty" 0 (Hist.History.length (PC.history p))
+
 (* ------------------------- reused delta ------------------------- *)
 
 (* A worker ships with [M.ship] and goes on with the delta it hands back.
@@ -502,7 +547,7 @@ let test_chaos_kill_drain () =
   let p =
     PC.create ~queue_capacity:64 ~batch:50
       ~on_tick:(fun ~shard -> Conc.Chaos.point ch ~domain:shard)
-      ~shards ()
+      ~history:true ~shards ()
   in
   let accepted = feed p stream ~feeders:2 in
   PC.drain p;
@@ -757,7 +802,7 @@ let test_supervisor_restarts_shard () =
            kills — the restarted worker sees larger values and lives. *)
         if shard = 0 && Atomic.fetch_and_add ticks 1 = die_at then
           raise (Conc.Chaos.Killed { domain = 0; point = die_at }))
-      ~supervised:true ~shards ()
+      ~supervised:true ~history:true ~shards ()
   in
   let n = 30_000 in
   let stream =
@@ -1100,6 +1145,91 @@ let test_q_pop_into_min () =
     (Invalid_argument "Mpsc.pop_into: min must be positive") (fun () ->
       ignore (Sq.pop_into q (Array.make 4 0) ~max:4 ~min:0))
 
+(* [kick]: it ends a [~min] park below [min], a kick sent before the park
+   is kept for it, a kick with nothing queued returns 0, and [close]
+   still ends the stream with -1 once it drains. Every wait runs in a
+   domain with a deadline, so a lost kick fails the test instead of
+   hanging it; [close] then releases the domain. *)
+let pop_in_domain q ~min:least =
+  let got = Atomic.make None in
+  let d =
+    Domain.spawn (fun () ->
+        let buf = Array.make 16 0 in
+        Atomic.set got (Some (Sq.pop_into q buf ~max:16 ~min:least)))
+  in
+  (got, d)
+
+(* Wait for the domain's [pop_into] to return and join it: its result, or
+   [None] if it was still parked after the deadline. *)
+let await q (got, d) =
+  let r =
+    if wait_until (fun () -> Atomic.get got <> None) then Atomic.get got
+    else None
+  in
+  if r = None then Sq.close q;
+  Domain.join d;
+  r
+
+let still_parked what (got, _) =
+  Unix.sleepf 0.05;
+  Alcotest.(check (option int)) what None (Atomic.get got)
+
+let test_q_kick_ends_min_park () =
+  let q = Sq.create ~capacity:8 in
+  let p = pop_in_domain q ~min:4 in
+  ignore (Sq.push q 1);
+  ignore (Sq.push q 2);
+  still_parked "2 below min 4: parked" p;
+  Sq.kick q;
+  Alcotest.(check (option int)) "the kick ends the park with what is queued"
+    (Some 2) (await q p);
+  (* the kick was consumed: the next park waits for min again *)
+  let p = pop_in_domain q ~min:2 in
+  ignore (Sq.push q 3);
+  still_parked "a spent kick ends no park" p;
+  ignore (Sq.push q 4);
+  Alcotest.(check (option int)) "min reached" (Some 2) (await q p)
+
+let test_q_kick_before_park () =
+  let q = Sq.create ~capacity:8 in
+  Sq.kick q;
+  ignore (Sq.push q 1);
+  Alcotest.(check int) "try_pop_into leaves the kick" 1
+    (Sq.try_pop_into q (Array.make 4 0) ~max:4);
+  ignore (Sq.push q 2);
+  Alcotest.(check (option int)) "the kick ends the next park at once" (Some 1)
+    (await q (pop_in_domain q ~min:4))
+
+let test_q_kick_empty () =
+  let q = Sq.create ~capacity:8 in
+  Sq.kick q;
+  Alcotest.(check (option int)) "pending kick, empty open queue" (Some 0)
+    (await q (pop_in_domain q ~min:1));
+  Sq.kick q;
+  Sq.kick q;
+  Alcotest.(check (option int)) "two kicks, one pending" (Some 0)
+    (await q (pop_in_domain q ~min:2));
+  let p = pop_in_domain q ~min:1 in
+  still_parked "the second kick was spent" p;
+  Sq.kick q;
+  Alcotest.(check (option int)) "a kick on an empty park returns 0" (Some 0)
+    (await q p)
+
+let test_q_kick_then_close () =
+  let q = Sq.create ~capacity:8 in
+  ignore (Sq.push q 1);
+  ignore (Sq.push q 2);
+  Sq.kick q;
+  Sq.close q;
+  Sq.kick q;
+  let buf = Array.make 8 0 in
+  Alcotest.(check int) "the backlog first" 2 (Sq.pop_into q buf ~max:8 ~min:4);
+  Alcotest.(check int) "then -1, kicked or not" (-1)
+    (Sq.pop_into q buf ~max:8 ~min:4);
+  Sq.kick q;
+  Alcotest.(check int) "a kick after the end changes nothing" (-1)
+    (Sq.pop_into q buf ~max:8)
+
 (* A push stores the element itself: steady-state push and pop allocate
    nothing (a boxed slot or a per-push closure would cost words per key). *)
 let test_q_push_allocates_nothing () =
@@ -1240,6 +1370,14 @@ let contract_suite =
       test_q_pop_into_min;
     Alcotest.test_case "mutex: pop allocates only its Some" `Quick
       test_q_pop_allocates_only_some;
+    Alcotest.test_case "mutex: kick ends a ~min park below min" `Quick
+      test_q_kick_ends_min_park;
+    Alcotest.test_case "mutex: a kick before the park is kept" `Quick
+      test_q_kick_before_park;
+    Alcotest.test_case "mutex: a kick with nothing queued returns 0" `Quick
+      test_q_kick_empty;
+    Alcotest.test_case "mutex: close after kicks still ends with -1" `Quick
+      test_q_kick_then_close;
   ]
 
 (* ------------------------- stealing ------------------------- *)
@@ -1348,6 +1486,10 @@ let () =
           Alcotest.test_case "published" `Quick test_published;
           Alcotest.test_case "parks per delta, not per key" `Quick
             test_parks_per_delta;
+          Alcotest.test_case "a partial delta ships by age" `Quick
+            test_partial_delta_ships_by_age;
+          Alcotest.test_case "history is off by default" `Quick
+            test_history_off_by_default;
         ] );
       ("reused delta", ship_qcheck);
       ( "chaos",

@@ -235,6 +235,18 @@ let test_check_ack_envelope () =
   expect_fail (env 109 100) "by more than the slack 8";
   expect_fail (env ~exhausted:3 100 100) "exhausted their retries"
 
+(* A leader that still holds accepted weight at the deadline fails, and
+   the detail says how long it waited and how much was held. *)
+let test_check_freshness () =
+  let c = Net.Soak.freshness ~width:0 ~waited:0.0031 ~deadline:0.5 in
+  expect_pass c;
+  Alcotest.(check bool) "names the wait" true
+    (contains c.Net.Soak.detail "envelope width 0 after 3.1 ms quiet, deadline 500 ms");
+  expect_fail
+    (Net.Soak.freshness ~width:481 ~waited:0.5 ~deadline:0.5)
+    "481 accepted keys still unpublished after 500 ms";
+  expect_fail (Net.Soak.freshness ~width:1 ~waited:0.5 ~deadline:0.5) "1 accepted keys"
+
 let test_check_replica_envelope () =
   let env ?(faults = 0) ?(resyncs = 0) samples ahead =
     Net.Soak.replica_envelope ~samples ~ahead ~faults ~resyncs
@@ -527,6 +539,7 @@ let () =
         [
           Alcotest.test_case "conservation can fail" `Quick test_check_conservation;
           Alcotest.test_case "ack envelope can fail" `Quick test_check_ack_envelope;
+          Alcotest.test_case "freshness can fail" `Quick test_check_freshness;
           Alcotest.test_case "replica envelope can fail" `Quick
             test_check_replica_envelope;
           Alcotest.test_case "convergence: empty leader fails" `Quick
