@@ -753,33 +753,20 @@ let chaos target domains ops kills seed rounds =
    bound). *)
 let cm_rows = 4
 let cm_width = 2048
-let hll_p = 12
-let kmv_k = 256
-let quantiles_k = 200
-let ss_capacity = 64
-
-let take_n n l =
-  let rec go n = function
-    | x :: rest when n > 0 -> x :: go (n - 1) rest
-    | _ -> []
-  in
-  go n l
-
-let sketch_names = "counter countmin hll kmv quantiles spacesaving"
-
-(* a sketch that answers no served query and states no point bound *)
-let unqueried (module X : Pipeline.Mergeable.S) : (module Net.Soak.SKETCH) =
-  (module struct
-    module M = X
-
-    let eval _ (_ : Net.Frame.query) = None
-    let bound = None
-  end)
+let sketch_names = "counter countmin"
 
 let sketch_of ~seed name : (module Net.Soak.SKETCH) option =
   let seed = Int64.add seed 7L in
   match name with
-  | "counter" -> Some (unqueried (module Pipeline.Targets.Counter))
+  | "counter" ->
+      (* answers only Total; conservation checks it *)
+      Some
+        (module struct
+          module M = Pipeline.Targets.Counter
+
+          let eval _ (_ : Net.Frame.query) = None
+          let bound = None
+        end)
   | "countmin" ->
       Some
         (module struct
@@ -791,7 +778,7 @@ let sketch_of ~seed name : (module Net.Soak.SKETCH) option =
 
           let eval g = function
             | Net.Frame.Point k -> Some [ (k, Sketches.Countmin.query g k) ]
-            | _ -> None
+            | Net.Frame.Total -> None
 
           (* est >= true always; est <= true + εn with ε = e/width, except
              with probability δ = e^-rows *)
@@ -803,49 +790,6 @@ let sketch_of ~seed name : (module Net.Soak.SKETCH) option =
                 epsilon = exp 1.0 /. float_of_int cm_width;
                 delta = exp (-.float_of_int cm_rows);
               }
-        end)
-  | "hll" ->
-      Some
-        (unqueried
-           (module Pipeline.Targets.Hll (struct
-             let seed = seed
-             let p = hll_p
-           end)))
-  | "kmv" ->
-      Some
-        (unqueried
-           (module Pipeline.Targets.Kmv (struct
-             let seed = seed
-             let k = kmv_k
-           end)))
-  | "quantiles" ->
-      Some
-        (module struct
-          module M = Pipeline.Targets.Quantiles (struct
-            let seed = seed
-            let k = quantiles_k
-          end)
-
-          let eval g = function
-            | Net.Frame.Quantile phi ->
-                Some [ (0, Sketches.Quantiles.quantile g phi) ]
-            | _ -> None
-
-          let bound = None
-        end)
-  | "spacesaving" ->
-      Some
-        (module struct
-          module M = Pipeline.Targets.Space_saving (struct
-            let capacity = ss_capacity
-          end)
-
-          let eval g = function
-            | Net.Frame.Point k -> Some [ (k, Sketches.Space_saving.query g k) ]
-            | Net.Frame.Top n -> Some (take_n n (Sketches.Space_saving.top g))
-            | _ -> None
-
-          let bound = None
         end)
   | _ -> None
 

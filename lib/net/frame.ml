@@ -21,7 +21,7 @@
 
 module Codec = Wire.Codec
 
-type query = Total | Point of int | Quantile of float | Top of int
+type query = Total | Point of int
 
 type request =
   | Batch of {
@@ -54,8 +54,6 @@ let err_code_to_string = function
 let query_to_string = function
   | Total -> "total"
   | Point k -> Printf.sprintf "point(%d)" k
-  | Quantile phi -> Printf.sprintf "quantile(%g)" phi
-  | Top n -> Printf.sprintf "top(%d)" n
 
 (* ------------------------------ requests ------------------------------ *)
 
@@ -75,16 +73,7 @@ let encode_request = function
           | Total -> Codec.u8 b 0
           | Point k ->
               Codec.u8 b 1;
-              Codec.int_ b k
-          | Quantile phi ->
-              if not (phi >= 0.0 && phi <= 1.0) then
-                invalid_arg "Net.Frame: quantile phi outside [0,1]";
-              Codec.u8 b 2;
-              Codec.float_ b phi
-          | Top n ->
-              if n <= 0 then invalid_arg "Net.Frame: top n must be positive";
-              Codec.u8 b 3;
-              Codec.int_ b n)
+              Codec.int_ b k)
   | Subscribe -> Codec.encode ~kind:Codec.net_subscribe_kind ignore
   | Hello { session } ->
       Codec.encode ~kind:Codec.net_hello_kind (fun b -> Codec.i64 b session)
@@ -106,15 +95,7 @@ let parse_query r =
   match Codec.read_u8 r with
   | 0 -> Query Total
   | 1 -> Query (Point (Codec.read_int r))
-  | 2 ->
-      let phi = Codec.read_float r in
-      if not (phi >= 0.0 && phi <= 1.0) then
-        Codec.corrupt "quantile phi %g outside [0,1]" phi;
-      Query (Quantile phi)
-  | 3 ->
-      let n = Codec.read_int r in
-      if n <= 0 then Codec.corrupt "top n %d must be positive" n;
-      Query (Top n)
+  (* tags 2 (quantile) and 3 (top) are retired and never reused *)
   | t -> Codec.corrupt "unknown query tag %d" t
 
 let parse_hello r = Hello { session = Codec.read_i64 r }

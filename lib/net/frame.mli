@@ -25,11 +25,12 @@
     retried batch without re-applying it, with [dup = true] in the
     {!Ack}. *)
 
+(** Query tags 2 and 3 (a quantile and a top-[n] query) are retired and
+    never reused: they decode as [Corrupt "unknown query tag"], which a
+    server answers [Malformed]. *)
 type query =
   | Total  (** Published weight — served from the engine, sketch-agnostic. *)
   | Point of int  (** Frequency estimate for one key (countmin). *)
-  | Quantile of float  (** Rank query, phi in [0,1] (quantiles sketch). *)
-  | Top of int  (** Heaviest [n] keys with counts (space-saving). *)
 
 type request =
   | Batch of {
@@ -66,8 +67,7 @@ type response =
           [accepted] then reports the original application's count. *)
   | Result of { epoch : int; pairs : (int * int) list }
       (** Query outcome at a published snapshot: [Total] and [Point k]
-          return one pair, [Top n] up to [n] pairs, [Quantile phi] one
-          pair [(0, estimate)]. *)
+          each return one pair. *)
   | Err of { code : err_code; msg : string }
 
 type push =

@@ -170,13 +170,14 @@ let ack_envelope ~acked ~published ~slack ~exhausted =
         slack;
     ]
 
-let freshness ~width ~waited ~deadline =
+let freshness ~width ~held ~deadline =
   judge "freshness"
-    (Printf.sprintf "envelope width %d after %.1f ms quiet, deadline %.0f ms" width
-       (1e3 *. waited) (1e3 *. deadline))
+    (Printf.sprintf "longest quiet hold %.1f ms, deadline %.0f ms, final envelope width %d"
+       (1e3 *. held) (1e3 *. deadline) width)
     [
-      fail_if (width > 0) "%d accepted keys still unpublished after %.0f ms" width
-        (1e3 *. waited);
+      fail_if (held > deadline) "a quiet leader held accepted keys for %.1f ms"
+        (1e3 *. held);
+      fail_if (width > 0) "%d accepted keys still unpublished at the end" width;
     ]
 
 let replica_envelope ~samples ~ahead ~faults ~resyncs =
@@ -341,10 +342,13 @@ let envelope_every = 8 (* sampler ticks between envelope-width samples *)
 let key_sample = 4096 (* max keys compared against the oracle *)
 let settle = 30.0 (* seconds the follower may take to reach the final epoch *)
 
-(* Seconds a quiet leader may take to publish every accepted key: the
-   engine's [max_age] plus room for its clock, a merge and a loaded
-   host. *)
-let freshness_deadline = 0.5
+(* Seconds a leader whose accepted count stopped growing may hold an
+   accepted key unpublished: the engine's [max_age] plus [freshness_slack]
+   for its clock, a wake-up and a merge on a loaded host. A correct engine
+   was seen holding up to about 60 ms on 2 vCPUs shared by a dozen domains;
+   one that ships partial deltas at 200 ms holds about 200 ms. *)
+let freshness_slack = 0.15
+let freshness_deadline = Pipeline.Engine.max_age +. freshness_slack
 
 (* One feeder's view of the engine sink: [gate] is held around every
    ingest, so a restart that takes every gate has no ingest in flight;
@@ -781,6 +785,28 @@ module Make (S : SKETCH) = struct
     (* ---- one sampler domain ---- *)
     let sampler_stop = Atomic.make false in
     let ahead = Atomic.make 0 and samples = Atomic.make 0 in
+    (* served: [held] is the longest the live leader was seen holding an
+       accepted key while its accepted count had not grown since
+       [grew_at]. A sample reads [published] at [t] before [accepted], so
+       an unchanged count above it was held at [t]. *)
+    let seen = Atomic.make (-1, 0) (* leader incarnation, accepted *)
+    and grew_at = ref 0.0
+    and held = Atomic.make 0.0 in
+    let watch_quiet () =
+      Mutex.protect sm (fun () ->
+          match !cur with
+          | Some l when l.live ->
+              let t = Unix.gettimeofday () in
+              let pub = P.published l.eng in
+              let acc = P.accepted l.eng in
+              if (l.index, acc) <> Atomic.get seen then begin
+                Atomic.set seen (l.index, acc);
+                grew_at := t
+              end
+              else if acc > pub && t -. !grew_at > Atomic.get held then
+                Atomic.set held (t -. !grew_at)
+          | _ -> ())
+    in
     let sample tick =
       match net with
       | None ->
@@ -804,6 +830,7 @@ module Make (S : SKETCH) = struct
           let lp = published_now () in
           if rp > lp then Atomic.incr ahead;
           Atomic.incr samples;
+          watch_quiet ();
           (* breach_after 5 at this cadence means >= 100 ms of sustained
              over-budget burn, not one unlucky sample *)
           if tick mod slo_every = 0 then ignore (Obs.Slo.eval monitor)
@@ -935,19 +962,20 @@ module Make (S : SKETCH) = struct
           Chaos_proxy.set_faults proxy Chaos_proxy.no_faults;
           Client.close cli;
           let cs = Client.stats cli in
-          (* quiet now: the engine must publish what it took without a
-             drain *)
-          let t0 = Unix.gettimeofday () in
-          let rec quiet () =
-            let width = P.envelope_width final_l.eng
-            and waited = Unix.gettimeofday () -. t0 in
-            if width = 0 || waited >= freshness_deadline then (width, waited)
+          (* quiet now: once the sampler has seen the last growth, the
+             engine must publish what it took without a drain *)
+          let rec wait_quiet () =
+            let width = P.envelope_width final_l.eng in
+            if
+              snd (Atomic.get seen) = P.accepted final_l.eng
+              && (width = 0 || Atomic.get held > freshness_deadline)
+            then (width, Atomic.get held)
             else begin
               Unix.sleepf 0.0005;
-              quiet ()
+              wait_quiet ()
             end
           in
-          let width, waited = quiet () in
+          let width, held = wait_quiet () in
           P.drain final_l.eng;
           let leader_blob, epoch, pub = P.snapshot final_l.eng in
           ignore (Rep.wait_epoch ~timeout:settle rep epoch);
@@ -971,7 +999,7 @@ module Make (S : SKETCH) = struct
               ack_envelope ~acked:cs.Client.acked ~published:pub
                 ~slack:(!restarts_done * s.conns * client_batch)
                 ~exhausted:cs.Client.exhausted;
-              freshness ~width ~waited ~deadline:freshness_deadline;
+              freshness ~width ~held ~deadline:freshness_deadline;
               replica_envelope ~samples:(Atomic.get samples) ~ahead:n_ahead
                 ~faults:n_events ~resyncs:rs.Rep.resyncs;
               convergence

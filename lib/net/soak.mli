@@ -28,8 +28,9 @@
     {e decode}, {e engine failures} and, for a sketch with a point-error
     bound, {e oracle}; [Served] runs the six served checks below after
     quiescing the wire and draining the last incarnation ({e freshness}
-    just before that drain: within 0.5 s of the client closing, the
-    leader publishes every key it accepted). *)
+    just before that drain: whenever the leader's accepted count stops
+    growing, it publishes every key it accepted within
+    {!Pipeline.Engine.max_age} plus 150 ms). *)
 
 type 'sk bound = {
   estimate : 'sk -> int -> int;  (** point estimate of one key *)
@@ -142,11 +143,13 @@ val ack_envelope : acked:int -> published:int -> slack:int -> exhausted:int -> c
 (** [published <= acked <= published + slack], and no batch exhausted its
     retries (its fate is unknown, so [acked] is no longer exact). *)
 
-val freshness : width:int -> waited:float -> deadline:float -> check
-(** Quiet, the leader published every key it accepted: the envelope
-    width ({!Pipeline.Engine.Make.envelope_width}) read [0] within
-    [deadline] seconds of the client closing, without a drain. [waited]
-    is how long it took to read 0, or the time it gave up after. *)
+val freshness : width:int -> held:float -> deadline:float -> check
+(** A quiet leader publishes every key it accepted without a drain: [held]
+    — the longest the leader was seen holding an accepted key unpublished
+    while its {!Pipeline.Engine.Make.accepted} had not grown — is at most
+    [deadline] seconds, and the envelope width
+    ({!Pipeline.Engine.Make.envelope_width}) after the client closed reads
+    [width = 0]. *)
 
 val replica_envelope : samples:int -> ahead:int -> faults:int -> resyncs:int -> check
 (** The follower led the leader in none of [samples > 0] samples, and

@@ -4,6 +4,16 @@ let default_queue_capacity = 1024
    partial delta (docs/PERFORMANCE.md §12 chose it). *)
 let max_age = 0.002
 
+(* [stats]'s merge lags stop growing at [max_lags] entries (8 MB). An
+   engine reads the cap once, at create; only [with_lag_cap] changes it. *)
+let max_lags = 1 lsl 20
+let lag_cap = ref max_lags
+
+let with_lag_cap cap f =
+  let old = !lag_cap in
+  lag_cap := cap;
+  Fun.protect ~finally:(fun () -> lag_cap := old) f
+
 (* The engine's clock ticks every [poll_interval] seconds. The supervisor's
    policy for a dead shard worker: at most [max_restarts] restarts per
    shard, beyond which the shard is permanently shed; backoff doubling from
@@ -89,13 +99,15 @@ module Make (M : Mergeable.S) = struct
     mutable epoch : int;
     mutable published : int;
     base : int; (* recovered published weight ([initial]), else 0 *)
-    (* Merge lags in seconds, oldest first, in [lags.(0 .. n_lags - 1)]: a
-       flat float array that doubles when full, so a merge stores its lag
-       unboxed and {!stats} copies them with one [Array.sub] while holding
-       [gm], instead of reversing a list of boxed floats that grows with
-       every merge. *)
+    (* The first [lag_cap] merge lags in seconds, oldest first, in
+       [lags.(0 .. n_lags - 1)]: a flat float array that doubles when full,
+       so a merge stores its lag unboxed and {!stats} copies them with one
+       [Array.sub] while holding [gm]. [last_lag] is the newest merge's lag,
+       nan before the first. *)
+    lag_cap : int;
     mutable lags : float array;
     mutable n_lags : int;
+    mutable last_lag : float;
     merges : int Atomic.t;
     decode_failures : int Atomic.t;
     merger_failed : exn option Atomic.t;
@@ -261,13 +273,16 @@ module Make (M : Mergeable.S) = struct
                     t.epoch <- t.epoch + 1;
                     t.published <- t.published + d.weight;
                     lag := Unix.gettimeofday () -. d.born;
-                    if t.n_lags = Array.length t.lags then begin
-                      let a = Array.make (2 * t.n_lags) 0.0 in
-                      Array.blit t.lags 0 a 0 t.n_lags;
-                      t.lags <- a
+                    t.last_lag <- !lag;
+                    if t.n_lags < t.lag_cap then begin
+                      if t.n_lags = Array.length t.lags then begin
+                        let a = Array.make (2 * t.n_lags) 0.0 in
+                        Array.blit t.lags 0 a 0 t.n_lags;
+                        t.lags <- a
+                      end;
+                      t.lags.(t.n_lags) <- !lag;
+                      t.n_lags <- t.n_lags + 1
                     end;
-                    t.lags.(t.n_lags) <- !lag;
-                    t.n_lags <- t.n_lags + 1;
                     stamped := t.epoch)
               in
               (match t.rec_ with
@@ -408,14 +423,13 @@ module Make (M : Mergeable.S) = struct
      total (docs/OBSERVABILITY.md proves this is the live v_max - v_min
      freshness bound once ingest quiesces). [dropped] plays no part: it
      also counts pushes that were never enqueued. *)
+  let accepted t =
+    Array.fold_left (fun acc (s : shard) -> acc + Atomic.get s.enqueued) t.base
+      t.shards
+
   let envelope_width t =
     let p = published t in
-    let e =
-      Array.fold_left
-        (fun acc (s : shard) -> acc + Atomic.get s.enqueued)
-        0 t.shards
-    in
-    max 0 (t.base + e - p)
+    max 0 (accepted t - p)
 
   (* Exporting the pipeline is pure registration: every series below is a
      scrape-time callback over counters the engine already maintains, so
@@ -539,8 +553,10 @@ module Make (M : Mergeable.S) = struct
         epoch = 0;
         published = 0;
         base = (match initial with Some (_, _, p) -> p | None -> 0);
+        lag_cap = !lag_cap;
         lags = Array.make 1024 0.0;
         n_lags = 0;
+        last_lag = Float.nan;
         merges = Atomic.make 0;
         decode_failures = Atomic.make 0;
         merger_failed = Atomic.make None;
@@ -712,7 +728,7 @@ module Make (M : Mergeable.S) = struct
 
   let last_merge_lag t =
     Mutex.protect t.gm (fun () ->
-        if t.n_lags = 0 then None else Some t.lags.(t.n_lags - 1))
+        if Float.is_nan t.last_lag then None else Some t.last_lag)
 
   let stats t =
     Mutex.lock t.gm;

@@ -72,6 +72,19 @@ val max_age : float
     so a key accepted by an engine that then goes quiet is published
     within [max_age] plus two ticks, a worker wake-up and a merge. *)
 
+val max_lags : int
+(** [1 lsl 20]: {!Make.stats}'s [merge_lag] keeps the first [max_lags]
+    merges' lags (8 MB) and then stops growing; [last_merge_lag] and the
+    [pipeline_merge_lag_seconds] summary still see every merge. *)
+
+(**/**)
+
+val with_lag_cap : int -> (unit -> 'a) -> 'a
+(** Test hook: an engine created while [with_lag_cap cap f] runs [f]
+    keeps [cap] merge lags instead of {!max_lags}. *)
+
+(**/**)
+
 module Make (M : Mergeable.S) : sig
   type t
 
@@ -100,7 +113,9 @@ module Make (M : Mergeable.S) : sig
     decode_failures : int;  (** blobs the merger could not decode *)
     published : int;  (** total weight merged — what {!read_total} returns *)
     epoch : int;  (** merge counter; stamps every query snapshot *)
-    merge_lag : float array;  (** seconds from delta encode to merge, per merge *)
+    merge_lag : float array;
+        (** seconds from delta encode to merge, per merge, for the first
+            {!max_lags} merges *)
   }
 
   val create :
@@ -275,10 +290,13 @@ module Make (M : Mergeable.S) : sig
       op or copying the merge lags. O(1): what a periodic probe such as a
       staleness SLO or a sampler should read. *)
 
+  val accepted : t -> int
+  (** [initial]'s recovered weight + Σ [enqueued]: every weight this engine
+      has taken, published or not. Only grows. *)
+
   val envelope_width : t -> int
   (** The live IVL freshness gap: accepted weight not yet published,
-      [initial]'s recovered weight + Σ [enqueued] − [published] (floored at
-      0). [published] is read before the shards' [enqueued], which only
+      {!accepted} − [published] (floored at 0). [published] is read before the shards' [enqueued], which only
       grows, so the gap never understates how far a concurrent
       {!read_total} trails the total of the pushes that have returned
       (docs/OBSERVABILITY.md). The
@@ -287,8 +305,8 @@ module Make (M : Mergeable.S) : sig
       that never got published. *)
 
   val last_merge_lag : t -> float option
-  (** The newest merge's lag in seconds (the last element of {!stats}'s
-      [merge_lag]), [None] before the first merge. O(1): what a periodic
+  (** The newest merge's lag in seconds (past {!max_lags} merges, newer
+      than {!stats}'s [merge_lag] holds), [None] before the first merge. O(1): what a periodic
       SLO probe should read instead of copying every lag with {!stats}. *)
 
   val stats : t -> stats

@@ -30,22 +30,6 @@ end) : Mergeable.S with type t = Sketches.Countmin.t = struct
       (Wire.Countmin.fold ~family blob)
 end
 
-module Hll (C : sig
-  val seed : int64
-  val p : int
-end) : Mergeable.S with type t = Sketches.Hyperloglog.t = struct
-  type t = Sketches.Hyperloglog.t
-
-  let name = "hll"
-  let create () = Sketches.Hyperloglog.create ~p:C.p ~seed:C.seed ()
-  let update = Sketches.Hyperloglog.update
-  let merge = Sketches.Hyperloglog.merge
-  let encode = Wire.Hll.encode
-  let ship d = (encode d, create ())
-  let decode = Wire.Hll.decode
-  let fold blob = Result.map (fun d acc -> merge acc d) (decode blob)
-end
-
 module Kmv (C : sig
   val seed : int64
   val k : int
@@ -59,37 +43,6 @@ end) : Mergeable.S with type t = Sketches.Kmv.t = struct
   let encode = Wire.Kmv.encode
   let ship d = (encode d, create ())
   let decode = Wire.Kmv.decode
-  let fold blob = Result.map (fun d acc -> merge acc d) (decode blob)
-end
-
-module Quantiles (C : sig
-  val seed : int64
-  val k : int
-end) : Mergeable.S with type t = Sketches.Quantiles.t = struct
-  type t = Sketches.Quantiles.t
-
-  let name = "quantiles"
-  let create () = Sketches.Quantiles.create ~k:C.k ~seed:C.seed ()
-  let update = Sketches.Quantiles.update
-  let merge = Sketches.Quantiles.merge
-  let encode = Wire.Quantiles.encode
-  let ship d = (encode d, create ())
-  let decode = Wire.Quantiles.decode
-  let fold blob = Result.map (fun d acc -> merge acc d) (decode blob)
-end
-
-module Space_saving (C : sig
-  val capacity : int
-end) : Mergeable.S with type t = Sketches.Space_saving.t = struct
-  type t = Sketches.Space_saving.t
-
-  let name = "space-saving"
-  let create () = Sketches.Space_saving.create ~capacity:C.capacity
-  let update = Sketches.Space_saving.update
-  let merge a b = Sketches.Space_saving.merge ~capacity:C.capacity a b
-  let encode = Wire.Space_saving.encode
-  let ship d = (encode d, create ())
-  let decode = Wire.Space_saving.decode
   let fold blob = Result.map (fun d acc -> merge acc d) (decode blob)
 end
 

@@ -18,24 +18,10 @@ module Countmin (_ : sig
   val width : int
 end) : Mergeable.S with type t = Sketches.Countmin.t
 
-module Hll (_ : sig
-  val seed : int64
-  val p : int
-end) : Mergeable.S with type t = Sketches.Hyperloglog.t
-
 module Kmv (_ : sig
   val seed : int64
   val k : int
 end) : Mergeable.S with type t = Sketches.Kmv.t
-
-module Quantiles (_ : sig
-  val seed : int64
-  val k : int
-end) : Mergeable.S with type t = Sketches.Quantiles.t
-
-module Space_saving (_ : sig
-  val capacity : int
-end) : Mergeable.S with type t = Sketches.Space_saving.t
 
 (** Each ingested element counts one event (Section 6.2's batched counter as
     the degenerate "sketch"); useful for pipeline plumbing tests where exact

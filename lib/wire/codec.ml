@@ -35,12 +35,11 @@ let error_to_string = function
   | Checksum_mismatch -> "payload checksum mismatch"
   | Corrupt msg -> Printf.sprintf "corrupt payload: %s" msg
 
-(* Kind tags are part of the wire format: never renumber, only append. *)
+(* Kind tags are part of the wire format: never renumber, only append.
+   Kinds 2 (hyperloglog), 4 (quantiles), 5 (space-saving) and 18 (a second
+   batch kind) are retired and never reused: they decode as Unknown_kind. *)
 let countmin_kind = 1
-let hll_kind = 2
 let kmv_kind = 3
-let quantiles_kind = 4
-let space_saving_kind = 5
 let counter_kind = 6
 let wal_record_kind = 7
 let checkpoint_kind = 8
@@ -56,10 +55,7 @@ let net_session_kind = 17
 
 let kind_name = function
   | 1 -> "countmin"
-  | 2 -> "hyperloglog"
   | 3 -> "kmv"
-  | 4 -> "quantiles"
-  | 5 -> "space-saving"
   | 6 -> "counter"
   | 7 -> "wal-record"
   | 8 -> "checkpoint"
@@ -74,7 +70,7 @@ let kind_name = function
   | 17 -> "net-session"
   | k -> Printf.sprintf "unknown(%d)" k
 
-let known_kind k = k >= 1 && k <= 17
+let known_kind k = k >= 1 && k <= 17 && k <> 2 && k <> 4 && k <> 5
 
 let corrupt fmt = Printf.ksprintf (fun msg -> raise (Decode_error (Corrupt msg))) fmt
 

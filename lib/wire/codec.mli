@@ -7,8 +7,8 @@
     blobs return a precise {!error} — never a raw [Failure],
     [Invalid_argument] or out-of-range [Bytes] read.
 
-    The per-sketch codecs ({!Countmin}, {!Hll}, {!Kmv}, {!Quantiles},
-    {!Space_saving}, {!Counter} in this library) are thin payload schemas on
+    The per-sketch codecs ({!Countmin}, {!Kmv}, {!Counter} in this
+    library) are thin payload schemas on
     top of this module; a shard delta travelling through the ingestion
     pipeline ({!Pipeline.Engine}) is exactly one such blob. *)
 
@@ -47,13 +47,12 @@ val peek : Bytes.t -> (string * int, error) result
 (** [peek blob] reads only the self-describing header: [(kind name,
     version)]. Works across versions (the header layout is frozen). *)
 
-(** {2 Kind tags} — wire constants; never renumber, only append. *)
+(** {2 Kind tags} — wire constants; never renumber, only append. Kinds 2,
+    4, 5 and 18 are retired and never reused: {!known_kind} is false for
+    them. *)
 
 val countmin_kind : int
-val hll_kind : int
 val kmv_kind : int
-val quantiles_kind : int
-val space_saving_kind : int
 val counter_kind : int
 
 val wal_record_kind : int
@@ -101,8 +100,8 @@ val net_session_kind : int
 val kind_name : int -> string
 
 val known_kind : int -> bool
-(** Whether this build understands the kind tag ([1..17]). Frames carrying
-    an unknown tag decode to {!Unknown_kind}. *)
+(** Whether this build understands the kind tag ([1..17] less the retired
+    2, 4 and 5). Frames carrying an unknown tag decode to {!Unknown_kind}. *)
 
 val frame_kind : Bytes.t -> (int, error) result
 (** [frame_kind blob] validates magic and version and returns the raw kind

@@ -92,13 +92,6 @@ let test_request_roundtrip () =
   (match roundtrip_request (Frame.Query (Frame.Point 42)) with
   | Frame.Query (Frame.Point 42) -> ()
   | _ -> Alcotest.fail "not Point 42");
-  (match roundtrip_request (Frame.Query (Frame.Quantile 0.99)) with
-  | Frame.Query (Frame.Quantile phi) ->
-      Alcotest.(check (float 1e-9)) "phi" 0.99 phi
-  | _ -> Alcotest.fail "not Quantile");
-  (match roundtrip_request (Frame.Query (Frame.Top 10)) with
-  | Frame.Query (Frame.Top 10) -> ()
-  | _ -> Alcotest.fail "not Top 10");
   match roundtrip_request Frame.Subscribe with
   | Frame.Subscribe -> ()
   | _ -> Alcotest.fail "not Subscribe"
@@ -260,6 +253,16 @@ let test_unknown_kind () =
   (match Frame.decode_request (Codec.encode ~kind:18 (fun w -> Codec.u8 w 0)) with
   | Error (Codec.Unknown_kind 18) -> ()
   | _ -> Alcotest.fail "kind 18 must decode to Unknown_kind 18");
+  (* Kinds 2, 4 and 5 (hyperloglog, quantiles, space-saving) are retired
+     sketch kinds, never reused. *)
+  List.iter
+    (fun k ->
+      check_bool (Printf.sprintf "%d unknown" k) false (Codec.known_kind k);
+      Alcotest.(check string)
+        (Printf.sprintf "%d unnamed" k)
+        (Printf.sprintf "unknown(%d)" k)
+        (Codec.kind_name k))
+    [ 2; 4; 5 ];
   (* The checksum is validated even for unknown kinds? No: frame_kind
      dispatches before checksum, and the distinct error is the point. *)
   check_bool "message names the tag" true
@@ -449,6 +452,37 @@ let test_subscribe_payload_malformed () =
   let stats = Srv.stop srv in
   check_int "no subscriber registered" 0 stats.Srv.subscribers;
   check_int "decode error counted" 1 stats.Srv.decode_errors
+
+(* Query tags 2 (quantile) and 3 (top) are retired: each decodes as
+   Corrupt, a live server answers it Err Malformed and resets, and a fresh
+   connection is still served. *)
+let test_retired_query_tags_malformed () =
+  let srv = start_server () in
+  List.iter
+    (fun (tag, payload) ->
+      let what = Printf.sprintf "query tag %d" tag in
+      let frame =
+        Codec.encode ~kind:Codec.net_query_kind (fun b ->
+            Codec.u8 b tag;
+            payload b)
+      in
+      (match Frame.decode_request frame with
+      | Error (Codec.Corrupt msg) ->
+          check_bool (what ^ " named") true
+            (String.starts_with ~prefix:"unknown query tag" msg)
+      | Ok _ -> Alcotest.failf "%s decoded" what
+      | Error e -> Alcotest.failf "%s: %s" what (Codec.error_to_string e));
+      let c = raw_dial srv in
+      send_raw c frame;
+      expect_err_malformed c what;
+      expect_reset c what;
+      Conn.close c)
+    [ (2, fun b -> Codec.float_ b 0.5); (3, fun b -> Codec.int_ b 10) ];
+  let c = dial srv in
+  check_int "fresh connection served" 3 (expect_ack c (batch [| 1; 2; 3 |]));
+  Conn.close c;
+  let stats = Srv.stop srv in
+  check_int "decode errors counted" 2 stats.Srv.decode_errors
 
 let test_adversarial_peers () =
   (* Short server-side read timeout so the slow-loris case resolves fast. *)
@@ -2048,6 +2082,10 @@ let () =
             (test_server_unknown_kind_over_wire ~kind:77);
           Alcotest.test_case "retired kind 18 over wire" `Quick
             (test_server_unknown_kind_over_wire ~kind:18);
+          Alcotest.test_case "retired kind 2 over wire" `Quick
+            (test_server_unknown_kind_over_wire ~kind:2);
+          Alcotest.test_case "retired query tags are malformed" `Quick
+            test_retired_query_tags_malformed;
           Alcotest.test_case "adversarial peers" `Quick test_adversarial_peers;
           Alcotest.test_case "partial ack with a dead shard" `Quick
             test_server_partial_ack_dead_shard;

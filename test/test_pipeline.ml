@@ -455,6 +455,47 @@ let test_history_off_by_default () =
   Alcotest.(check int) "read_total" 10_000 (PC.read_total p);
   Alcotest.(check int) "history empty" 0 (Hist.History.length (PC.history p))
 
+(* [stats]'s merge lags stop at the engine's cap ([Engine.max_lags],
+   lowered here to 1000 through the test hook), while the newest lag and
+   the lag timer still see every merge. Past the cap the fold sleeps, so
+   only a lag taken after the cap can read that long. *)
+module Slow_fold = struct
+  include Pipeline.Targets.Counter
+
+  let slow = Atomic.make false
+
+  let fold blob =
+    if Atomic.get slow then Unix.sleepf 0.03;
+    Pipeline.Targets.Counter.fold blob
+end
+
+module PS = Pipeline.Engine.Make (Slow_fold)
+
+let test_merge_lags_capped () =
+  let cap = 1000 in
+  let reg = Obs.Registry.create () in
+  let p =
+    Pipeline.Engine.with_lag_cap cap (fun () ->
+        PS.create ~batch:1 ~shards:2 ~metrics:reg ())
+  in
+  ignore (PS.ingest_batch p (Array.init (cap + 10) Fun.id));
+  while (PS.stats p).PS.merges < cap + 10 do
+    Unix.sleepf 0.001
+  done;
+  Atomic.set Slow_fold.slow true;
+  Alcotest.(check bool) "one more key" true (PS.ingest p 0);
+  PS.drain p;
+  let st = PS.stats p in
+  Alcotest.(check int) "every key merged" (cap + 11) st.PS.merges;
+  Alcotest.(check int) "lags stop at the cap" cap (Array.length st.PS.merge_lag);
+  (match PS.last_merge_lag p with
+  | Some lag -> Alcotest.(check bool) "newest lag is the slow fold's" true (lag >= 0.03)
+  | None -> Alcotest.fail "no newest lag");
+  match Obs.Snapshot.find (Obs.Registry.snapshot reg) "pipeline_merge_lag_seconds" with
+  | Some (Obs.Snapshot.Summary s) ->
+      Alcotest.(check int) "the lag timer sees every merge" (cap + 11) s.s_count
+  | _ -> Alcotest.fail "no pipeline_merge_lag_seconds summary"
+
 (* ------------------------- reused delta ------------------------- *)
 
 (* A worker ships with [M.ship] and goes on with the delta it hands back.
@@ -476,24 +517,10 @@ let ship_targets : (string * (module Pipeline.Mergeable.S)) list =
     cm 3 4;
     cm 1 1;
     ("counter", (module Pipeline.Targets.Counter));
-    ( "hll",
-      (module Pipeline.Targets.Hll (struct
-        let seed = 37L
-        let p = 6
-      end)) );
     ( "kmv",
       (module Pipeline.Targets.Kmv (struct
         let seed = 37L
         let k = 16
-      end)) );
-    ( "quantiles",
-      (module Pipeline.Targets.Quantiles (struct
-        let seed = 37L
-        let k = 16
-      end)) );
-    ( "space-saving",
-      (module Pipeline.Targets.Space_saving (struct
-        let capacity = 8
       end)) );
   ]
 
@@ -1490,6 +1517,8 @@ let () =
             test_partial_delta_ships_by_age;
           Alcotest.test_case "history is off by default" `Quick
             test_history_off_by_default;
+          Alcotest.test_case "merge lags stop at max_lags" `Quick
+            test_merge_lags_capped;
         ] );
       ("reused delta", ship_qcheck);
       ( "chaos",

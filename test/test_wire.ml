@@ -14,24 +14,9 @@ let cm_of xs =
   List.iter (Sketches.Countmin.update t) xs;
   t
 
-let hll_of xs =
-  let t = Sketches.Hyperloglog.create ~p:6 ~seed () in
-  List.iter (Sketches.Hyperloglog.update t) xs;
-  t
-
 let kmv_of xs =
   let t = Sketches.Kmv.create ~k:16 ~seed () in
   List.iter (Sketches.Kmv.update t) xs;
-  t
-
-let quantiles_of xs =
-  let t = Sketches.Quantiles.create ~k:32 ~seed () in
-  List.iter (Sketches.Quantiles.update t) xs;
-  t
-
-let space_saving_of xs =
-  let t = Sketches.Space_saving.create ~capacity:8 in
-  List.iter (Sketches.Space_saving.update t) xs;
   t
 
 let counter_of xs =
@@ -63,26 +48,10 @@ let cm_equal a b =
   done;
   !ok
 
-let hll_equal a b =
-  Sketches.Hyperloglog.p a = Sketches.Hyperloglog.p b
-  && Sketches.Hyperloglog.seed a = Sketches.Hyperloglog.seed b
-  && Sketches.Hyperloglog.registers a = Sketches.Hyperloglog.registers b
-
 let kmv_equal a b =
   Sketches.Kmv.k a = Sketches.Kmv.k b
   && Sketches.Kmv.seed a = Sketches.Kmv.seed b
   && Sketches.Kmv.hashes a = Sketches.Kmv.hashes b
-
-let quantiles_equal a b =
-  Sketches.Quantiles.k a = Sketches.Quantiles.k b
-  && Sketches.Quantiles.seed a = Sketches.Quantiles.seed b
-  && Sketches.Quantiles.total a = Sketches.Quantiles.total b
-  && Sketches.Quantiles.levels a = Sketches.Quantiles.levels b
-
-let space_saving_equal a b =
-  Sketches.Space_saving.capacity a = Sketches.Space_saving.capacity b
-  && Sketches.Space_saving.total a = Sketches.Space_saving.total b
-  && Sketches.Space_saving.entries a = Sketches.Space_saving.entries b
 
 let counter_equal a b =
   Sketches.Batched_counter.read a = Sketches.Batched_counter.read b
@@ -117,16 +86,6 @@ let codecs =
           Result.map (fun _ -> ()) (Wire.Countmin.decode ~family:cm_family b));
     };
     {
-      label = "hll";
-      kind = "hyperloglog";
-      blob_of = (fun xs -> Wire.Hll.encode (hll_of xs));
-      roundtrips =
-        (fun xs ->
-          let v = hll_of xs in
-          check_rt hll_equal Wire.Hll.decode (Wire.Hll.encode v) v);
-      decode_any = (fun b -> Result.map (fun _ -> ()) (Wire.Hll.decode b));
-    };
-    {
       label = "kmv";
       kind = "kmv";
       blob_of = (fun xs -> Wire.Kmv.encode (kmv_of xs));
@@ -135,30 +94,6 @@ let codecs =
           let v = kmv_of xs in
           check_rt kmv_equal Wire.Kmv.decode (Wire.Kmv.encode v) v);
       decode_any = (fun b -> Result.map (fun _ -> ()) (Wire.Kmv.decode b));
-    };
-    {
-      label = "quantiles";
-      kind = "quantiles";
-      blob_of = (fun xs -> Wire.Quantiles.encode (quantiles_of xs));
-      roundtrips =
-        (fun xs ->
-          let v = quantiles_of xs in
-          check_rt quantiles_equal Wire.Quantiles.decode
-            (Wire.Quantiles.encode v) v);
-      decode_any =
-        (fun b -> Result.map (fun _ -> ()) (Wire.Quantiles.decode b));
-    };
-    {
-      label = "space-saving";
-      kind = "space-saving";
-      blob_of = (fun xs -> Wire.Space_saving.encode (space_saving_of xs));
-      roundtrips =
-        (fun xs ->
-          let v = space_saving_of xs in
-          check_rt space_saving_equal Wire.Space_saving.decode
-            (Wire.Space_saving.encode v) v);
-      decode_any =
-        (fun b -> Result.map (fun _ -> ()) (Wire.Space_saving.decode b));
     };
     {
       label = "counter";
