@@ -847,7 +847,7 @@ let load_trace ~cmd ?(adjust = Fun.id) ~seed ~ops ~universe = function
    [deadline]. [follower] is read before each leader sample (the leader
    only grows, so follower > leader is a genuine lead). Returns the
    (follower, leader) samples, newest first. *)
-let quiesce cl ?(follower = Fun.const 0) ~every ~settle ~deadline () =
+let quiesce cl ~follower ~every ~settle ~deadline =
   let rec go stable acc =
     if stable >= settle || Unix.gettimeofday () >= deadline then acc
     else begin
@@ -1294,11 +1294,12 @@ let serve_run sketch host port shards batch max_conns read_timeout duration
   let http =
     mount_http ~what:"serve" ~reg ?tracer ~slo
       ~health:(fun () ->
-        let st = Srv.stats srv and eng = Srv.engine srv in
+        let st = Srv.stats srv
+        and published, epoch = Srv.P.published_at (Srv.engine srv) in
         [
           ("conns", string_of_int st.Srv.conns);
-          ("published", string_of_int (Srv.P.published eng));
-          ("epoch", string_of_int (Srv.P.epoch eng));
+          ("published", string_of_int published);
+          ("epoch", string_of_int epoch);
         ])
       http_port
   in
@@ -1337,7 +1338,7 @@ let serve_run sketch host port shards batch max_conns read_timeout duration
   verdict ~who:"serve" checks
 
 let client_run host port trace_file ops universe seed feeders conns batch
-    flush_age queue slack metrics_out trace_sample =
+    flush_age queue metrics_out trace_sample =
   let spec, trace = load_trace ~cmd:"client" ~seed ~ops ~universe trace_file in
   let reg = Obs.Registry.create () in
   let tracer = make_tracer ~reg trace_sample in
@@ -1357,12 +1358,24 @@ let client_run host port trace_file ops universe seed feeders conns batch
   in
   print_string (Workload.Driver.report_to_string report);
   Net.Client.flush cl;
-  (* the published total stops moving once the in-flight batches have
-     merged (partial shard deltas stay unflushed: the envelope's slack) *)
-  let samples =
-    quiesce cl ~every:0.1 ~settle:1 ~deadline:(Unix.gettimeofday () +. 5.0) ()
-  in
   let cs = Net.Client.stats cl in
+  (* a quiet leader publishes every acked key within Engine.max_age, so
+     the leader's total reaches the acked count well inside the deadline *)
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec wait_total last =
+    let last =
+      match Net.Client.query cl Net.Frame.Total with
+      | Ok (Net.Frame.Result { pairs = [ (_, l) ]; _ }) -> Some l
+      | _ -> last
+    in
+    match last with
+    | Some l when l >= cs.Net.Client.acked -> last
+    | _ when Unix.gettimeofday () >= deadline -> last
+    | _ ->
+        Unix.sleepf 0.01;
+        wait_total last
+  in
+  let published = wait_total None in
   Net.Client.close cl;
   Printf.printf
     "client: pushed %d, acked %d, sent %d, shed %d, errors %d, reconnects %d, \
@@ -1371,15 +1384,15 @@ let client_run host port trace_file ops universe seed feeders conns batch
     cs.Net.Client.shed cs.Net.Client.errors cs.Net.Client.reconnects
     cs.Net.Client.duplicates_suppressed;
   write_metrics reg metrics_out;
-  match samples with
-  | [] ->
+  match published with
+  | None ->
       prerr_endline "client: the leader answered no total";
       2
-  | (_, t) :: _ ->
+  | Some t ->
       verdict ~who:"client"
         [
-          Net.Soak.ack_envelope ~acked:cs.Net.Client.acked ~published:t ~slack
-            ~exhausted:cs.Net.Client.exhausted;
+          Net.Soak.ack_envelope ~acked:cs.Net.Client.acked ~published:t
+            ~slack:0 ~exhausted:cs.Net.Client.exhausted;
         ]
 
 let replica_run sketch host port seed duration settle metrics_out http_port
@@ -1409,7 +1422,7 @@ let replica_run sketch host port seed duration settle metrics_out http_port
   in
   let samples =
     quiesce cl ~follower:(fun () -> R.published r) ~every:0.05 ~settle
-      ~deadline:(Unix.gettimeofday () +. duration) ()
+      ~deadline:(Unix.gettimeofday () +. duration)
   in
   (* the leader's state at one epoch, read through a second subscription;
      then the follower must reach that epoch and hold the same bytes *)
@@ -1512,23 +1525,15 @@ let client_cmd =
       & info [ "queue" ]
           ~doc:"client buffer capacity in keys (default: Net.Client's, 8 x --batch)")
   in
-  let slack =
-    Arg.(
-      value & opt int 2048
-      & info [ "slack" ]
-          ~doc:
-            "max acked-minus-published lag at quiescence (server shards x \
-             batch: unflushed partial deltas)")
-  in
   Cmd.v
     (Cmd.info "client"
        ~doc:
          "Drive a workload trace through the batching client into a served \
           pipeline and check the ack envelope: at quiescence the leader's \
-          published total is within --slack below the acked total")
+          published total equals the acked total")
     Term.(
       const client_run $ host $ port $ trace_file $ ops $ universe $ seed
-      $ feeders $ conns $ batch $ flush_age $ queue $ slack
+      $ feeders $ conns $ batch $ flush_age $ queue
       $ metrics_flag $ trace_sample_flag)
 
 let replica_cmd =

@@ -12,9 +12,6 @@
     single hot counters — never for bulk storage like a sketch matrix
     (see {!Flat_pcm} for how bulk hot storage avoids sharing instead). *)
 
-val cache_line_words : int
-(** Words per assumed cache line (8 = 64 bytes). *)
-
 val copy : 'a -> 'a
 (** [copy v] returns a structurally identical copy of [v] whose block spans
     two cache lines. Returns [v] unchanged when padding is impossible or

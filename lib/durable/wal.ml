@@ -211,12 +211,6 @@ let merge_hook ?tracer w ~ctx ~epoch ~weight ~blob =
            ~end_ns:(Obs.Tracer.now_ns ()))
   | _ -> append w ~epoch ~weight ~blob
 
-let sync w =
-  if not w.closed then begin
-    writer_fsync w;
-    w.unsynced <- 0
-  end
-
 let close w =
   if not w.closed then begin
     w.closed <- true;

@@ -55,8 +55,8 @@ val create :
     [metrics] exports the writer: [wal_appends_total],
     [wal_rotations_total], [wal_segment_index], [wal_unsynced] (the live
     fsync-loss window), and a [wal_fsync_seconds] latency summary observed
-    at every durability point (policy-driven appends, rotations, explicit
-    {!sync}, {!close}).
+    at every durability point (policy-driven appends, rotations,
+    {!close}).
     @raise Invalid_argument on a non-positive [Every_n]. *)
 
 val append : writer -> epoch:int -> weight:int -> blob:Bytes.t -> unit
@@ -78,9 +78,6 @@ val merge_hook :
     [Pipeline.Engine.create]'s [on_merge] hook. With a [tracer] and a
     nonzero [ctx] (a sampled delta) the append is recorded as the
     waterfall's ["wal"] stage. *)
-
-val sync : writer -> unit
-(** Force an fsync now, regardless of policy. *)
 
 val close : writer -> unit
 (** Flush, fsync and close the current segment. Idempotent. *)

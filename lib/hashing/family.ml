@@ -44,16 +44,6 @@ let create g ~rows ~width =
     (Rows (Array.init rows (fun _ -> Universal_row (Universal.create g ~width))))
     width
 
-let of_functions fns =
-  if Array.length fns = 0 then invalid_arg "Family.of_functions: empty family";
-  let w = Universal.width fns.(0) in
-  Array.iter
-    (fun f ->
-      if Universal.width f <> w then
-        invalid_arg "Family.of_functions: all functions must share one width")
-    fns;
-  make (Rows (Array.map (fun f -> Universal_row f) fns)) w
-
 let of_mapping ~width fns =
   if Array.length fns = 0 then invalid_arg "Family.of_mapping: empty family";
   if width <= 0 then invalid_arg "Family.of_mapping: width must be positive";

@@ -21,10 +21,6 @@ val create : Rng.Splitmix.t -> rows:int -> width:int -> t
     functions with range [width].
     @raise Invalid_argument if [rows <= 0] or [width <= 0]. *)
 
-val of_functions : Universal.t array -> t
-(** Wrap explicit universal functions.
-    @raise Invalid_argument on an empty array or mismatched widths. *)
-
 val of_mapping : width:int -> (int -> int) array -> t
 (** [of_mapping ~width fns] builds a family from arbitrary row functions
     (each must map into [\[0, width)]; out-of-range results are reduced

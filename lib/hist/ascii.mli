@@ -10,15 +10,7 @@
     p2: |------r->2--------|
     v} *)
 
-val render :
-  pp_u:(Format.formatter -> 'u -> unit) ->
-  pp_q:(Format.formatter -> 'q -> unit) ->
-  pp_v:(Format.formatter -> 'v -> unit) ->
-  ('u, 'q, 'v) History.t ->
-  string
-(** Multi-line diagram; event index = horizontal position, so overlap in the
-    picture is exactly concurrency in the history. *)
-
 val render_int : (int, int, int) History.t -> string
-(** {!render} specialized to the int-typed histories the machine and the
-    test helpers produce. *)
+(** Multi-line diagram of the int-typed histories the machine and the test
+    helpers produce; event index = horizontal position, so overlap in the
+    picture is exactly concurrency in the history. *)

@@ -50,68 +50,11 @@ module Make (M : Pipeline.Mergeable.S) = struct
     Mutex.unlock t.m;
     c
 
-  (* Dial + subscribe, the whole handshake. The caller decides what a
-     [None] means (first connect raises, resync retries). *)
+  (* Open a connection to the leader; raises if it cannot. *)
   let dial t =
-    match Conn.connect ~host:t.host ~port:t.port with
-    | exception _ -> None
-    | conn ->
-        Conn.set_read_timeout conn read_timeout;
-        if Conn.send conn (Frame.encode_request Frame.Subscribe) then
-          Some conn
-        else begin
-          Conn.close conn;
-          None
-        end
-
-  (* Tear the stream down and re-subscribe from scratch. The old sketch is
-     kept queryable meanwhile — during catch-up the replica serves its last
-     applied epoch, which still sits inside the leader's envelope (it can
-     only lag further, never invent weight). Returns [true] once a new
-     subscription is live on the wire (the fresh snapshot then resets the
-     epoch filter), [false] once the replica is closing. *)
-  let resync t reason =
-    Mutex.lock t.m;
-    (match t.conn with Some c -> Conn.close c | None -> ());
-    t.conn <- None;
-    t.last_break <- Some reason;
-    if t.closing then begin
-      Mutex.unlock t.m;
-      false
-    end
-    else begin
-      t.st <- `Resyncing reason;
-      Mutex.unlock t.m;
-      let rec redial () =
-        if t.closing then false
-        else begin
-          (* pace every attempt, not just failed connects: a refusing
-             middlebox (partition, dead upstream) often accepts the dial
-             and swallows the subscribe before resetting, so a completed
-             handshake send is no proof the stream is healthy — without
-             this the break-redial cycle spins at wire speed *)
-          Unix.sleepf resync_backoff;
-          if t.closing then false
-          else
-            match dial t with
-            | None -> redial ()
-              | Some conn ->
-                Mutex.lock t.m;
-                if t.closing then begin
-                  Mutex.unlock t.m;
-                  Conn.close conn;
-                  false
-                end
-                else begin
-                  t.conn <- Some conn;
-                  t.resyncs <- t.resyncs + 1;
-                  Mutex.unlock t.m;
-                  true
-                end
-        end
-      in
-      redial ()
-    end
+    let conn = Conn.connect ~host:t.host ~port:t.port in
+    Conn.set_read_timeout conn read_timeout;
+    conn
 
   (* A seed snapshot that crossed the wire intact (its push frame's checksum
      held) but does not decode is what the leader holds: another sketch,
@@ -192,30 +135,86 @@ module Make (M : Pipeline.Mergeable.S) = struct
             | _ -> ());
             Ok ())
 
-  (* Subscribe on [conn] and apply the seed snapshot. A receive timeout
-     keeps waiting, as in the apply loop: the leader answers every
-     subscribe with its seed, and a dead peer surfaces as an error. *)
-  let handshake t conn =
-    if not (Conn.send conn (Frame.encode_request Frame.Subscribe)) then
-      `Failed
-    else
-      let rec seed () =
-        match Conn.recv conn with
-        | Error `Timeout -> seed ()
-        | Error _ -> `Failed
-        | Ok frame -> (
-            match Frame.decode_push frame with
-            | Ok (Frame.Snapshot { epoch; published; blob }) -> (
-                match apply_snapshot t ~epoch ~published ~blob with
-                | Ok () -> `Live
-                | Error msg -> `Refused msg)
-            | Ok (Frame.Delta _) | Error _ -> `Failed)
-      in
-      seed ()
+  (* The one way onto the stream, at connect and at every resync: send
+     Subscribe on a fresh [conn], install it (so [close] can reset it) and
+     apply the seed snapshot the leader answers with. The leader registers
+     the subscription before it sends the seed, so once the seed is applied
+     every later merge is queued for this follower. A receive timeout keeps
+     waiting, as in the apply loop: the leader answers every subscribe with
+     its seed, and a dead peer surfaces as an error. A resync counts once
+     its subscribe is on the wire. *)
+  let subscribe t conn ~resync =
+    let installed =
+      Conn.send conn (Frame.encode_request Frame.Subscribe)
+      && Mutex.protect t.m (fun () ->
+             if not t.closing then begin
+               t.conn <- Some conn;
+               if resync then t.resyncs <- t.resyncs + 1
+             end;
+             not t.closing)
+    in
+    let rec seed () =
+      match Conn.recv conn with
+      | Error `Timeout when not t.closing -> seed ()
+      | Error _ -> `Failed
+      | Ok frame -> (
+          match Frame.decode_push frame with
+          | Ok (Frame.Snapshot { epoch; published; blob }) -> (
+              match apply_snapshot t ~epoch ~published ~blob with
+              | Ok () -> `Live
+              | Error msg ->
+                  refuse t msg;
+                  `Refused)
+          | Ok (Frame.Delta _) | Error _ -> `Failed)
+    in
+    match if installed then seed () else `Failed with
+    | `Failed ->
+        (* under the mutex, like every other close, so [close] never
+           closes the same connection concurrently *)
+        Mutex.protect t.m (fun () ->
+            (match t.conn with
+            | Some c when c == conn -> t.conn <- None
+            | _ -> ());
+            Conn.close conn);
+        `Failed
+    | r -> r
+
+  (* Tear the stream down and re-subscribe from scratch. The old sketch is
+     kept queryable meanwhile — during catch-up the replica serves its last
+     applied epoch, which still sits inside the leader's envelope (it can
+     only lag further, never invent weight). Returns [true] once a fresh
+     seed is applied (its epoch resets the filter), [false] once the
+     replica is closing or the seed is refused. *)
+  let resync t reason =
+    Mutex.lock t.m;
+    (match t.conn with Some c -> Conn.close c | None -> ());
+    t.conn <- None;
+    t.last_break <- Some reason;
+    let closing = t.closing in
+    if not closing then t.st <- `Resyncing reason;
+    Mutex.unlock t.m;
+    let rec redial () =
+      (* pace every attempt, not just failed connects: a refusing
+         middlebox (partition, dead upstream) often accepts the dial and
+         swallows the subscribe before resetting, so without this the
+         break-redial cycle spins at wire speed *)
+      Unix.sleepf resync_backoff;
+      (not t.closing)
+      &&
+      match dial t with
+      | exception _ -> redial ()
+      | conn -> (
+          match subscribe t conn ~resync:true with
+          | `Live -> true
+          | `Failed -> redial ()
+          | `Refused -> false)
+    in
+    (not closing) && redial ()
 
   (* Every failure funnels into [resync]: transport errors, delta decode
-     failures, epoch gaps. The loop only exits on close, when the resync
-     budget marks the stream [`Broken], or on a seed snapshot it [refuse]s. *)
+     failures, epoch gaps, and a snapshot after the seed (a stream has one,
+     first). The loop only exits on close, or on a seed snapshot it
+     [refuse]s. *)
   let rec apply_loop t =
     if not t.closing then
       match current_conn t with
@@ -227,17 +226,16 @@ module Make (M : Pipeline.Mergeable.S) = struct
               if (not t.closing) && resync t (Conn.recv_error_to_string e)
               then apply_loop t
           | Ok frame -> (
-              match Frame.decode_push frame with
-              | Error e ->
-                  if resync t (Wire.Codec.error_to_string e) then apply_loop t
-              | Ok (Frame.Snapshot { epoch; published; blob }) -> (
-                  match apply_snapshot t ~epoch ~published ~blob with
-                  | Ok () -> apply_loop t
-                  | Error msg -> refuse t msg)
-              | Ok (Frame.Delta { epoch; weight; blob }) -> (
-                  match apply_delta t ~epoch ~weight ~blob with
-                  | Ok () -> apply_loop t
-                  | Error msg -> if resync t msg then apply_loop t)))
+              let applied =
+                match Frame.decode_push frame with
+                | Error e -> Error (Wire.Codec.error_to_string e)
+                | Ok (Frame.Snapshot _) -> Error "snapshot after the seed"
+                | Ok (Frame.Delta { epoch; weight; blob }) ->
+                    apply_delta t ~epoch ~weight ~blob
+              in
+              match applied with
+              | Ok () -> apply_loop t
+              | Error msg -> if resync t msg then apply_loop t))
 
   let query t f =
     Mutex.lock t.m;
@@ -277,15 +275,13 @@ module Make (M : Pipeline.Mergeable.S) = struct
     | `Closed -> 4.
 
   let connect ?metrics ?tracer ~host ~port () =
-    let conn = Conn.connect ~host ~port in
-    Conn.set_read_timeout conn read_timeout;
     let t =
       {
         host;
         port;
         tracer;
         m = Mutex.create ();
-        conn = Some conn;
+        conn = None;
         sketch = None;
         epoch = -1;
         published = 0;
@@ -298,20 +294,13 @@ module Make (M : Pipeline.Mergeable.S) = struct
         apply_d = None;
       }
     in
-    (* Synchronous handshake: the leader registers a subscription before
-       it sends the seed snapshot, so once the seed is applied every later
-       merge — a stopping leader's final fan-out included — is queued for
-       this follower. Returning any earlier, a leader stopped before it
+    (* Seed before returning: once the seed is applied every later merge —
+       a stopping leader's final fan-out included — is queued for this
+       follower. Returning any earlier, a leader stopped before it
        registered the subscriber would reset it, and a follower cannot
-       resync from a dead leader. A handshake that fails hands over to
-       the apply domain's resync path. *)
-    let seeded = handshake t conn in
-    (match seeded with
-    | `Live -> ()
-    | `Failed ->
-        Conn.close conn;
-        t.conn <- None
-    | `Refused msg -> refuse t msg);
+       resync from a dead leader. A handshake that fails hands over to the
+       apply domain's resync path. *)
+    let seeded = subscribe t (dial t) ~resync:false in
     (match metrics with
     | None -> ()
     | Some reg ->
@@ -331,7 +320,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
           "0 syncing, 1 live, 2 resyncing, 3 broken, 4 closed" (fun () ->
             status_code (stats t).status));
     (match seeded with
-    | `Refused _ -> ()
+    | `Refused -> ()
     | `Live | `Failed ->
         t.apply_d <- Some (Domain.spawn (fun () -> apply_loop t)));
     t

@@ -25,13 +25,16 @@
     state already inside the seed snapshot (skipped, counted); a gap means
     the leader dropped this subscriber (bounded queue overflow) or
     restarted underneath it. Any break — transport error, decode failure,
-    epoch gap — transitions to [`Resyncing]: the connection is torn down
-    and the replica redials with backoff until a new {!Frame.Subscribe}
-    handshake lands, taking a fresh seed snapshot (whose epoch resets the
-    filter). Only one thing makes the stream [`Broken]: a seed snapshot
-    that arrives intact but does not decode — a leader of another sketch,
-    shape or seed (the CountMin family fingerprint), which every resync
-    would fetch again; such a follower publishes nothing. Silently
+    epoch gap, a snapshot after the seed — transitions to [`Resyncing]: the
+    connection is torn down and the replica redials with backoff until a
+    new {!Frame.Subscribe} handshake applies a fresh seed snapshot (whose
+    epoch resets the filter). {!connect} and every resync join the stream
+    the same way: dial, send [Subscribe], apply the seed; after it the
+    stream carries only deltas. Only one thing makes the stream [`Broken]:
+    a seed snapshot that arrives intact but does not decode — a leader of
+    another sketch, shape or seed (the CountMin family fingerprint), which
+    every resync would fetch again; such a follower publishes nothing.
+    Silently
     resuming after a gap would undercount forever, so that is the one
     thing the replica never does. *)
 

@@ -47,12 +47,9 @@ module Make (M : Pipeline.Mergeable.S) = struct
     mutable gone_bytes_out : int;
     mutable gone_frames_in : int;
     mutable gone_frames_out : int;
-    (* replication: epoch/published mirror + fanout list, one mutex. Refs,
-       not mutable fields: the on_merge closure is created before [t] is
-       and must share the exact cells. *)
-    rep_m : Mutex.t;
-    rep_epoch : int ref;
-    rep_published : int ref;
+    (* replication fan-out list. A ref, not a mutable field: the on_merge
+       closure is created before [t] is and must share the exact cell. *)
+    subs_m : Mutex.t;
     subs : sub list ref;
     dedup : Dedup.t;
     c_conns : int Atomic.t;
@@ -87,9 +84,9 @@ module Make (M : Pipeline.Mergeable.S) = struct
         fo := !fo + Conn.frames_out e.conn)
       t.conns;
     Mutex.unlock t.conns_m;
-    Mutex.lock t.rep_m;
+    Mutex.lock t.subs_m;
     let subscribers = List.length !(t.subs) in
-    Mutex.unlock t.rep_m;
+    Mutex.unlock t.subs_m;
     let ds = Dedup.stats t.dedup in
     {
       conns = Atomic.get t.c_conns;
@@ -124,7 +121,8 @@ module Make (M : Pipeline.Mergeable.S) = struct
     | Dedup.Duplicate k ->
         Conn.send conn
           (Frame.encode_response
-             (Frame.Ack { epoch = P.epoch t.eng; accepted = k; dup = true }))
+             (Frame.Ack
+                { epoch = snd (P.published_at t.eng); accepted = k; dup = true }))
     | Dedup.Fresh ->
         (* Hand the sampled context to the engine before the keys land, so
            the shard's next flush claims the mark and opens the queue span. *)
@@ -146,13 +144,15 @@ module Make (M : Pipeline.Mergeable.S) = struct
         Dedup.record t.dedup ~session ~seq ~accepted;
         Conn.send conn
           (Frame.encode_response
-             (Frame.Ack { epoch = P.epoch t.eng; accepted; dup = false }))
+             (Frame.Ack
+                { epoch = snd (P.published_at t.eng); accepted; dup = false }))
 
   let handle_hello t conn ~session =
     Dedup.register t.dedup ~session;
     Conn.send conn
       (Frame.encode_response
-         (Frame.Ack { epoch = P.epoch t.eng; accepted = 0; dup = false }))
+         (Frame.Ack
+            { epoch = snd (P.published_at t.eng); accepted = 0; dup = false }))
 
   let handle_query t conn q =
     Atomic.incr t.c_queries;
@@ -160,9 +160,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
     let resp =
       match q with
       | Frame.Total ->
-          Mutex.lock t.rep_m;
-          let epoch = !(t.rep_epoch) and published = !(t.rep_published) in
-          Mutex.unlock t.rep_m;
+          let published, epoch = P.published_at t.eng in
           Frame.Result { epoch; pairs = [ (0, published) ] }
       | q -> (
           let r, epoch = P.query t.eng (fun g -> t.eval g q) in
@@ -182,16 +180,16 @@ module Make (M : Pipeline.Mergeable.S) = struct
 
   (* Replication sender: this handler stops serving requests and streams
      pushes until the follower dies, overflows, or the server stops.
-     Registration happens under rep_m BEFORE the snapshot is taken, so every
+     Registration happens under subs_m BEFORE the snapshot is taken, so every
      merge after this point is queued; a merge that is also already inside
      the snapshot arrives as a duplicate the follower's epoch filter skips.
      No ordering lets a delta fall into the gap. *)
   let sender_loop t (entry : conn_entry) =
     entry.is_sub <- true;
     let sub = { sq = Pipeline.Mpsc.create ~capacity:t.sub_cap } in
-    Mutex.lock t.rep_m;
+    Mutex.lock t.subs_m;
     t.subs := sub :: !(t.subs);
-    Mutex.unlock t.rep_m;
+    Mutex.unlock t.subs_m;
     let blob, epoch, published = P.snapshot t.eng in
     let seed = Frame.encode_push (Frame.Snapshot { epoch; published; blob }) in
     let rec pump ok =
@@ -201,9 +199,9 @@ module Make (M : Pipeline.Mergeable.S) = struct
         | Some frame -> pump (Conn.send entry.conn frame)
     in
     pump (Conn.send entry.conn seed);
-    Mutex.lock t.rep_m;
+    Mutex.lock t.subs_m;
     t.subs := List.filter (fun s -> s != sub) !(t.subs);
-    Mutex.unlock t.rep_m;
+    Mutex.unlock t.subs_m;
     Pipeline.Mpsc.close sub.sq
 
   let request_loop t entry =
@@ -360,17 +358,12 @@ module Make (M : Pipeline.Mergeable.S) = struct
       | _ -> port
     in
     (* The fanout closure is wired into the engine at creation, so the
-       replication state exists before the engine does. *)
-    let rep_m = Mutex.create () in
-    let rep_epoch = ref (-1) and rep_published = ref 0 in
+       subscriber list exists before the engine does. *)
+    let subs_m = Mutex.create () in
     let subs = ref [] in
     let on_merge ~ctx ~epoch ~weight ~blob =
       ignore ctx;
-      Mutex.lock rep_m;
-      if epoch > !rep_epoch then begin
-        rep_epoch := epoch;
-        rep_published := !rep_published + weight
-      end;
+      Mutex.lock subs_m;
       (match !subs with
       | [] -> ()
       | live ->
@@ -385,19 +378,9 @@ module Make (M : Pipeline.Mergeable.S) = struct
                      re-subscribe, never stall the merger *)
                   Pipeline.Mpsc.close s.sq)
             live);
-      Mutex.unlock rep_m
+      Mutex.unlock subs_m
     in
     let eng = make_engine ~on_merge in
-    (* Catch up with merges (or recovered [initial] state) that predate the
-       mirror: epoch filter in on_merge keeps this race-free. *)
-    let _, e0, p0 = P.snapshot eng in
-    Mutex.lock rep_m;
-    if e0 > !rep_epoch then begin
-      rep_epoch := e0;
-      rep_published := p0
-    end
-    else if !rep_epoch >= 0 && !rep_published < p0 then rep_published := p0;
-    Mutex.unlock rep_m;
     let dedup = Dedup.create ?dir:dedup_dir () in
     let t =
       {
@@ -417,9 +400,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
         gone_bytes_out = 0;
         gone_frames_in = 0;
         gone_frames_out = 0;
-        rep_m;
-        rep_epoch;
-        rep_published;
+        subs_m;
         subs;
         dedup;
         c_conns = Atomic.make 0;
@@ -469,9 +450,9 @@ module Make (M : Pipeline.Mergeable.S) = struct
             Mutex.unlock t.conns_m;
             float_of_int n);
         g "net_subscribers" "Live replication subscribers" (fun () ->
-            Mutex.lock t.rep_m;
+            Mutex.lock t.subs_m;
             let n = List.length !(t.subs) in
-            Mutex.unlock t.rep_m;
+            Mutex.unlock t.subs_m;
             float_of_int n));
     t.accept_d <- Some (Domain.spawn (fun () -> accept_loop t));
     t
@@ -493,9 +474,9 @@ module Make (M : Pipeline.Mergeable.S) = struct
       (* drain flushes the partial shard deltas an idle engine retains; the
          fanout forwards the resulting merges to subscribers in order *)
       P.drain t.eng;
-      Mutex.lock t.rep_m;
+      Mutex.lock t.subs_m;
       List.iter (fun s -> Pipeline.Mpsc.close s.sq) !(t.subs);
-      Mutex.unlock t.rep_m;
+      Mutex.unlock t.subs_m;
       (match t.accept_d with Some d -> Domain.join d | None -> ());
       t.accept_d <- None;
       Mutex.lock t.hm;

@@ -24,9 +24,11 @@
       client's sender), answered with an {!Frame.Ack} carrying the
       accepted count — exactly the keys the engine enqueued, so a dead
       shard's slice is not counted;
-    - {!Frame.Query} → [Total] is answered from the server's replication
-      state (published weight at the last merged epoch, no sketch access);
-      everything else runs [eval] under the engine's snapshot mutex;
+    - {!Frame.Query} → every query is answered from the engine under its
+      merge mutex: [Total] is [Engine.published_at] (published weight and
+      its epoch, no sketch access), everything else runs [eval] on the
+      global sketch. Like a point query, [Total] may include a merge whose
+      [on_merge] hook (the WAL append, the fan-out) is still running;
     - {!Frame.Subscribe} → the handler becomes a replication sender for the
       rest of the connection's life: it seeds the follower with
       [Engine.snapshot] and then forwards every merged epoch delta, in
@@ -41,12 +43,14 @@
 
     {2 Replication guarantees}
 
-    The server's [on_merge] hook (wired into the engine by the caller via
-    [make_engine]) updates the replication state and fans each delta out to
-    every subscriber under one mutex; a subscriber registers under the same
-    mutex {e before} taking its seed snapshot, so no delta can fall between
-    snapshot and stream — at worst a delta is both inside the snapshot and
-    queued, which the follower's epoch filter skips. A subscriber whose
+    The server keeps no copy of the published state: the served state flows
+    one way, engine → [on_merge] → fan-out → follower. The server's
+    [on_merge] hook (wired into the engine by the caller via [make_engine])
+    fans each delta out to every subscriber under one mutex; a subscriber
+    registers under the same mutex {e before} taking its seed snapshot, so
+    no delta can fall between snapshot and stream — at worst a delta is
+    both inside the snapshot and queued, which the follower's epoch filter
+    skips. A subscriber whose
     bounded queue overflows is dropped (its queue closed, its connection
     reset): a slow follower must re-subscribe rather than stall the merger.
 

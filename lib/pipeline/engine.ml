@@ -47,7 +47,6 @@ module Make (M : Mergeable.S) = struct
     restarts : int Atomic.t;
     shed : bool Atomic.t; (* permanently degraded: restart cap exceeded *)
     last_error : string option Atomic.t;
-    beats : int Atomic.t; (* worker heartbeat, one per batch loop *)
     parks : int Atomic.t; (* idle waits: own queue empty *)
     (* Set by the clock when the shard has held unshipped weight for
        [max_age]: the worker ships what it has, however little. *)
@@ -72,7 +71,6 @@ module Make (M : Mergeable.S) = struct
     restarts : int;
     shed : bool;
     last_error : string option;
-    beats : int;
     steals : int;
     parks : int;
   }
@@ -121,31 +119,7 @@ module Make (M : Mergeable.S) = struct
     stopping : bool Atomic.t; (* tells the clock a drain has begun *)
     dm : Mutex.t; (* serializes drain: concurrent callers both return *)
     mutable drained : bool;
-    (* Queue-depth snapshot for the stats path: refreshed at most once per
-       tick (TTL below) under [depth_m], so a metrics scrape costs one
-       length sweep total instead of one consumer-contending read per
-       shard gauge. *)
-    depth_m : Mutex.t;
-    depths : int array;
-    mutable depths_at : float;
   }
-
-  (* One refresh serves a whole scrape: every per-shard gauge lands within
-     this window, and queue depth is an operational signal, not an exact
-     invariant. *)
-  let depth_ttl = 0.02
-
-  let queue_depth t i =
-    Mutex.lock t.depth_m;
-    let now = Unix.gettimeofday () in
-    if now -. t.depths_at > depth_ttl then begin
-      Array.iteri (fun j (s : shard) -> t.depths.(j) <- Mpsc.length s.q)
-        t.shards;
-      t.depths_at <- now
-    end;
-    let d = t.depths.(i) in
-    Mutex.unlock t.depth_m;
-    d
 
   let shard_count t = Array.length t.shards
 
@@ -204,7 +178,6 @@ module Make (M : Mergeable.S) = struct
       end
     in
     let rec loop () =
-      ignore (Atomic.fetch_and_add s.beats 1);
       (match t.on_tick with Some f -> f ~shard:i | None -> ());
       (* Count the would-block, then block on our own queue until enough
          keys arrive to be worth a wake-up, the clock kicks it, or it
@@ -482,8 +455,9 @@ module Make (M : Mergeable.S) = struct
               Atomic.get (f s))
         in
         Obs.Registry.gauge_fn reg ~labels
-          ~help:"Current shard queue occupancy (TTL-cached snapshot)"
-          "pipeline_queue_depth" (fun () -> float_of_int (queue_depth t i));
+          ~help:"Current shard queue occupancy (relaxed read)"
+          "pipeline_queue_depth" (fun () ->
+            float_of_int (Mpsc.length_relaxed s.q));
         Obs.Registry.counter_fn reg ~labels
           ~help:"High-water queue depth observed at ingest"
           "pipeline_queue_max_depth" (fun () -> Atomic.get s.max_depth);
@@ -535,7 +509,6 @@ module Make (M : Mergeable.S) = struct
         restarts = Atomic.make 0;
         shed = Atomic.make false;
         last_error = Atomic.make None;
-        beats = Atomic.make 0;
         parks = Atomic.make 0;
         due = Atomic.make false;
         pending = Atomic.make None;
@@ -578,9 +551,6 @@ module Make (M : Mergeable.S) = struct
         stopping = Atomic.make false;
         dm = Mutex.create ();
         drained = false;
-        depth_m = Mutex.create ();
-        depths = Array.make shards 0;
-        depths_at = 0.0;
       }
     in
     (* Seeding recovered state must happen before any domain spawns: the
@@ -720,11 +690,11 @@ module Make (M : Mergeable.S) = struct
           (fun () -> published t)
     | None -> published t
 
-  let epoch t =
+  let published_at t =
     Mutex.lock t.gm;
-    let e = t.epoch in
+    let p = t.published and e = t.epoch in
     Mutex.unlock t.gm;
-    e
+    (p, e)
 
   let last_merge_lag t =
     Mutex.protect t.gm (fun () ->
@@ -750,7 +720,6 @@ module Make (M : Mergeable.S) = struct
               restarts = Atomic.get s.restarts;
               shed = Atomic.get s.shed;
               last_error = Atomic.get s.last_error;
-              beats = Atomic.get s.beats;
               steals = 0;
               parks = Atomic.get s.parks;
             })

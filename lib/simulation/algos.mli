@@ -51,7 +51,6 @@ module Pcm_sim : sig
   val zero_registers : t -> Machine.reg_spec array
   val cell : t -> int -> int -> int
   val update_prog : t -> int -> unit Program.t
-  val query_prog : t -> int -> int Program.t
   val update_op : ?obj:int -> t -> a:int -> unit -> Machine.operation
   val query_op : ?obj:int -> t -> a:int -> unit -> Machine.operation
 end
@@ -74,8 +73,6 @@ end
 module Updown_two_cell : sig
   val registers : Machine.reg_spec array
   val update_prog : base:int -> delta:int -> unit Program.t
-  val read_buggy_prog : base:int -> int Program.t
-  val read_safe_prog : base:int -> int Program.t
   val update_op : ?obj:int -> delta:int -> unit -> Machine.operation
 
   val read_op : ?obj:int -> variant:[ `Buggy | `Safe ] -> unit -> Machine.operation

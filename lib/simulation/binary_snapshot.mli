@@ -23,9 +23,8 @@ val update_prog : t -> proc:int -> v:int -> unit Program.t
     steps) when unchanged — line 4 of Algorithm 3.
     @raise Invalid_argument if [v] is not a bit. *)
 
-val scan_prog : t -> int Program.t
+val update_op : ?obj:int -> t -> proc:int -> v:int -> unit -> Machine.operation
+
+val scan_op : ?obj:int -> t -> unit -> Machine.operation
 (** Read the counter once; the result is the component vector encoded as a
     bitmask of the low [n] bits. *)
-
-val update_op : ?obj:int -> t -> proc:int -> v:int -> unit -> Machine.operation
-val scan_op : ?obj:int -> t -> unit -> Machine.operation

@@ -128,25 +128,3 @@ let merge a b =
   done;
   t
 
-let k t = t.k
-
-let seed t = t.seed
-
-let levels t = Array.map (fun l -> l) t.levels
-
-let of_levels ~k ~seed ~n levels =
-  if k < 2 then invalid_arg "Quantiles.of_levels: k must be at least 2";
-  if n < 0 then invalid_arg "Quantiles.of_levels: n must be non-negative";
-  if Array.length levels = 0 then invalid_arg "Quantiles.of_levels: no levels";
-  let t = create ~k ~seed () in
-  t.levels <- Array.map (fun l -> l) levels;
-  t.sizes <- Array.map List.length levels;
-  t.n <- n;
-  (* Restore the capacity invariant in case the image was produced by a
-     sketch with different compaction history. *)
-  let i = ref 0 in
-  while !i < Array.length t.levels do
-    if t.sizes.(!i) >= capacity t !i then compact t !i;
-    incr i
-  done;
-  t

@@ -37,20 +37,3 @@ val merge : t -> t -> t
     [a]'s parameters; both inputs are left untouched. Mergeability is the
     property (Agarwal et al., "Mergeable summaries") that makes the striped
     concurrent quantiles sketch possible. *)
-
-val k : t -> int
-(** The top-level capacity parameter. *)
-
-val seed : t -> int64
-(** The seed that drew the compaction coin flips. *)
-
-val levels : t -> int list array
-(** A copy of the compactor hierarchy: [levels.(i)] holds items of weight
-    2^i. Together with [(k, seed, n)] this is the sketch's whole state —
-    what the wire codec serializes. *)
-
-val of_levels : k:int -> seed:int64 -> n:int -> int list array -> t
-(** Rebuild a sketch from a level image. The compaction RNG restarts from
-    [seed] (future coin flips differ from the source's, which does not
-    affect the rank-error analysis). Levels over capacity are re-compacted.
-    @raise Invalid_argument if [k < 2], [n < 0] or the image is empty. *)

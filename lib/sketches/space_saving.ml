@@ -102,20 +102,3 @@ let capacity t = t.capacity
 let entries t =
   Hashtbl.fold (fun elt (e : entry) acc -> (elt, e.count, e.error) :: acc) t.table []
   |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
-
-let of_entries ~capacity ~n ents =
-  if capacity <= 0 then invalid_arg "Space_saving.of_entries: capacity must be positive";
-  if n < 0 then invalid_arg "Space_saving.of_entries: n must be non-negative";
-  if List.length ents > capacity then
-    invalid_arg "Space_saving.of_entries: more entries than capacity";
-  let t = create ~capacity in
-  t.n <- n;
-  List.iter
-    (fun (elt, count, error) ->
-      if count < 0 || error < 0 || error > count then
-        invalid_arg "Space_saving.of_entries: entry needs 0 <= error <= count";
-      if Hashtbl.mem t.table elt then
-        invalid_arg "Space_saving.of_entries: duplicate element";
-      Hashtbl.replace t.table elt { count; error })
-    ents;
-  t

@@ -46,11 +46,4 @@ val capacity : t -> int
 
 val entries : t -> (int * int * int) list
 (** Tracked [(element, count, error)] triples, ascending by element — the
-    sketch's whole state beyond [(capacity, n)]. Serialized by the wire
-    codec. *)
-
-val of_entries : capacity:int -> n:int -> (int * int * int) list -> t
-(** Rebuild a sketch from an entry image.
-    @raise Invalid_argument if [capacity <= 0], [n < 0], more than
-    [capacity] entries are given, an element repeats, or any entry violates
-    [0 <= error <= count]. *)
+    sketch's whole state beyond [(capacity, n)]. *)

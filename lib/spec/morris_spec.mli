@@ -15,9 +15,6 @@ type value = float
 val name : string
 val init : coin -> state
 
-val coin_at : int64 -> int -> float
-(** The k-th coin of a vector (uniform in [0,1)); exposed for tests. *)
-
 val apply_update : state -> update -> state
 val eval_query : state -> query -> value
 val compare_value : value -> value -> int

@@ -315,8 +315,8 @@ let test_server_batch_ack () =
   let keys = Array.init 100 (fun i -> i land 15) in
   check_int "all accepted" 100 (expect_ack c (batch keys));
   check_int "empty batch acked" 0 (expect_ack c (batch [||]));
-  (* Total is served from the replication mirror: it can lag the acked
-     count (partial shard batches), but never exceed it — the envelope. *)
+  (* Total is the engine's published weight: it can lag the acked count
+     (keys not merged yet), but never exceed it — the envelope. *)
   (match request c (Frame.Query Frame.Total) with
   | Frame.Result { pairs = [ (0, w) ]; _ } ->
       check_bool "0 <= total <= acked" true (w >= 0 && w <= 100)
@@ -332,6 +332,43 @@ let test_server_batch_ack () =
   (* Conservation after drain: everything acked is published. *)
   let est = Srv.P.stats (Srv.engine srv) in
   check_int "published = ingested" 100 est.Srv.P.published
+
+(* Total is read from the engine, under the merge mutex, like Point: once
+   a merge has landed, a wire Total returns the engine's published weight
+   even while the merge's on_merge hook (the WAL append and the fan-out)
+   is still held at a gate. *)
+let test_server_total_reads_engine () =
+  let gate = Atomic.make false in
+  let srv =
+    Srv.create ~read_timeout:5.0
+      ~eval:(fun _ _ -> None)
+      ~make_engine:(fun ~on_merge ->
+        Srv.P.create ~shards:1 ~batch:4
+          ~on_merge:(fun ~ctx ~epoch ~weight ~blob ->
+            while not (Atomic.get gate) do
+              Unix.sleepf 0.001
+            done;
+            on_merge ~ctx ~epoch ~weight ~blob)
+          ())
+      ()
+  in
+  let eng = Srv.engine srv in
+  let c = dial srv in
+  check_int "acked" 8 (expect_ack c (batch (Array.init 8 Fun.id)));
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  while Srv.P.published eng = 0 && Unix.gettimeofday () < deadline do
+    Unix.sleepf 0.001
+  done;
+  let published = Srv.P.published eng in
+  let answer = request c (Frame.Query Frame.Total) in
+  Atomic.set gate true;
+  Conn.close c;
+  ignore (Srv.stop srv);
+  check_bool "a merge landed behind the held hook" true (published > 0);
+  match answer with
+  | Frame.Result { pairs = [ (0, w) ]; _ } ->
+      check_int "Total = published while the hook is held" published w
+  | _ -> Alcotest.fail "total did not answer"
 
 (* A frame enters the engine one slice per shard. With shard 0's worker
    dead, its slice is shed and the ack counts exactly the keys the live
@@ -1320,12 +1357,12 @@ module SrvA = Net.Server.Make (CmA)
 module RepA = Net.Replica.Make (CmA)
 module RepB = Net.Replica.Make (CmB)
 
-(* A follower validates each delta whole before folding it in place: a
-   delta whose last row is bad (checksum intact) forces a resync and leaves
-   the served state as it was. A scripted leader sends a seed snapshot and
-   the bad delta, then holds the follower's resubscription without a new
-   snapshot, so the state seen after the resync dial is the pre-resync one. *)
-let test_replica_fold_all_or_nothing () =
+(* A follower seeded at epoch 5 with [seed_blob] by a scripted leader,
+   which then sends [next]: the follower must resync, with a break naming
+   [why], and keep serving the seed. The leader accepts the resync dial,
+   reads its subscribe and never seeds it, so the state seen after the
+   resync is the pre-resync one. *)
+let check_resync_keeps_seed ~seed_blob ~why next =
   let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
   Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
@@ -1335,10 +1372,6 @@ let test_replica_fold_all_or_nothing () =
     | Unix.ADDR_INET (_, p) -> p
     | _ -> assert false
   in
-  let seed = CmA.create () in
-  List.iter (CmA.update seed) [ 1; 2; 3 ];
-  let seed_blob = CmA.encode seed in
-  let family = Sketches.Countmin.family seed in
   let release = Atomic.make false in
   let peer =
     Domain.spawn (fun () ->
@@ -1354,19 +1387,9 @@ let test_replica_fold_all_or_nothing () =
         in
         (match accept () with
         | Some c ->
-            ignore
-              (Conn.send c
-                 (Frame.encode_push
-                    (Frame.Snapshot { epoch = 5; published = 3; blob = seed_blob })));
-            ignore
-              (Conn.send c
-                 (Frame.encode_push
-                    (Frame.Delta
-                       {
-                         epoch = 6;
-                         weight = 1;
-                         blob = Test_helpers.countmin_bad_last_row ~family;
-                       })));
+            List.iter
+              (fun f -> ignore (Conn.send c (Frame.encode_push f)))
+              [ Frame.Snapshot { epoch = 5; published = 3; blob = seed_blob }; next ];
             (* the resync dial: accepted and subscribed, never seeded *)
             (match accept () with
             | Some c2 ->
@@ -1379,9 +1402,7 @@ let test_replica_fold_all_or_nothing () =
         | None -> ());
         Unix.close lsock)
   in
-  let rep =
-    RepA.connect ~host:"127.0.0.1" ~port ()
-  in
+  let rep = RepA.connect ~host:"127.0.0.1" ~port () in
   let deadline = Unix.gettimeofday () +. 5.0 in
   while (RepA.stats rep).RepA.resyncs < 1 && Unix.gettimeofday () < deadline do
     Unix.sleepf 0.005
@@ -1392,9 +1413,9 @@ let test_replica_fold_all_or_nothing () =
   RepA.close rep;
   Domain.join peer;
   check_int "resynced" 1 rs.RepA.resyncs;
-  check_bool "break names the delta decode" true
+  check_bool ("break names the " ^ why) true
     (match rs.RepA.last_break with
-    | Some why -> Test_helpers.contains why "delta decode"
+    | Some b -> Test_helpers.contains b why
     | None -> false);
   check_int "no delta applied" 0 rs.RepA.deltas;
   check_int "epoch unchanged" 5 rs.RepA.epoch;
@@ -1403,6 +1424,28 @@ let test_replica_fold_all_or_nothing () =
   | Some (blob, 5) -> check_bool "state bit-identical" true (Bytes.equal blob seed_blob)
   | Some (_, e) -> Alcotest.failf "served epoch %d" e
   | None -> Alcotest.fail "follower lost its state"
+
+let cm_seed () =
+  let seed = CmA.create () in
+  List.iter (CmA.update seed) [ 1; 2; 3 ];
+  seed
+
+(* A follower validates each delta whole before folding it in place: a
+   delta whose last row is bad (checksum intact) forces a resync and leaves
+   the served state as it was. *)
+let test_replica_fold_all_or_nothing () =
+  let seed = cm_seed () in
+  let family = Sketches.Countmin.family seed in
+  check_resync_keeps_seed ~seed_blob:(CmA.encode seed) ~why:"delta decode"
+    (Frame.Delta
+       { epoch = 6; weight = 1; blob = Test_helpers.countmin_bad_last_row ~family })
+
+(* A stream has one snapshot, the seed, first: a later snapshot is a
+   protocol break that forces a resync, and is never applied. *)
+let test_replica_snapshot_after_seed () =
+  let seed_blob = CmA.encode (cm_seed ()) in
+  check_resync_keeps_seed ~seed_blob ~why:"snapshot after the seed"
+    (Frame.Snapshot { epoch = 9; published = 7; blob = seed_blob })
 
 (* A follower started with another seed than its leader must not adopt the
    leader's state: the snapshot's fingerprint does not match the follower's
@@ -2089,6 +2132,8 @@ let () =
           Alcotest.test_case "adversarial peers" `Quick test_adversarial_peers;
           Alcotest.test_case "partial ack with a dead shard" `Quick
             test_server_partial_ack_dead_shard;
+          Alcotest.test_case "Total reads the engine, not the hook" `Quick
+            test_server_total_reads_engine;
           Alcotest.test_case "subscribe with a payload is malformed" `Quick
             test_subscribe_payload_malformed;
         ] );
@@ -2148,6 +2193,8 @@ let () =
             test_replica_stop_after_connect;
           Alcotest.test_case "countmin delta fold is all or nothing" `Quick
             test_replica_fold_all_or_nothing;
+          Alcotest.test_case "a snapshot after the seed forces a resync" `Quick
+            test_replica_snapshot_after_seed;
           Alcotest.test_case "follower of another seed ends Broken" `Quick
             test_replica_seed_mismatch;
         ] );

@@ -233,7 +233,14 @@ let test_check_ack_envelope () =
   expect_pass (env 108 100);
   expect_fail (env 99 100) "weight appeared without an ack";
   expect_fail (env 109 100) "by more than the slack 8";
-  expect_fail (env ~exhausted:3 100 100) "exhausted their retries"
+  expect_fail (env ~exhausted:3 100 100) "exhausted their retries";
+  (* the CLI client judges at slack 0: one acked key still unpublished
+     fails *)
+  let exact acked published =
+    Net.Soak.ack_envelope ~acked ~published ~slack:0 ~exhausted:0
+  in
+  expect_pass (exact 100 100);
+  expect_fail (exact 101 100) "by more than the slack 0"
 
 (* A quiet leader that held accepted weight past the deadline fails, and
    so does one that still holds some at the end; the detail says how long
@@ -478,7 +485,7 @@ let test_cli_replica_converges () =
       ignore (CSrv.P.ingest eng k)
     done;
     let code, out = replica_cli srv ~duration:10.0 in
-    let published = CSrv.P.published eng and epoch = CSrv.P.epoch eng in
+    let published, epoch = CSrv.P.published_at eng in
     Alcotest.(check int) "exits 0" 0 code;
     Alcotest.(check bool) "leader published" true (published > 0);
     Alcotest.(check bool) "convergence PASS at the leader's state" true
