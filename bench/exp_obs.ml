@@ -1,16 +1,13 @@
 (* E14: what the observability layer costs.
 
-   The design claim behind lib/obs is that IVL instruments are cheap enough
-   to leave on: a counter add is one striped fetch-and-add, a gauge set one
-   padded plain store — neither allocates, neither locks. This experiment
-   pins that:
+   The design claim behind lib/obs is that watching a component is cheap
+   enough to leave on: every component keeps its own monotone atomics and
+   the registry only reads them, through callbacks, when scraped. This
+   experiment pins that:
 
-   - allocation audits (B/op) on every hot-path primitive, gated
-     structurally by `bench compare` — a nonzero counter-add audit is a
-     boxing bug, not noise;
-   - single-op latencies (ns/op) for the same primitives plus a full
-     registry scrape, so the "scrapes don't perturb writers" story has a
-     number attached;
+   - the latency (ns/op) of a registry scrape over one callback counter
+     and one callback gauge, so the "scrapes don't perturb writers" story
+     has a number attached;
    - the headline: end-to-end pipeline ingestion throughput bare vs fully
      instrumented (metrics registry + merge-lag timer + 1/64 spans),
      recorded both as Mops/s rows and as one "pct" overhead entry that
@@ -32,45 +29,17 @@ let seeded_stream () =
     (Workload.Stream.Zipf (50_000, 1.1))
     ~length:total_updates
 
-(* ---------------- allocation audits ---------------- *)
-
-let alloc_audits () =
-  Bench_util.subsection "allocation audits (bytes per op; 0 = silent hot path)";
-  let c = Obs.Counter.create () in
-  let g = Obs.Gauge.create () in
-  (* Compare matches entries by (name, params): the "-alloc" suffix keeps
-     these from colliding with the ns/op rows for the same paths. *)
-  let audit name f =
-    let bytes = Bench_util.allocated_bytes_per_op ~ops:200_000 f in
-    Bench_util.record ~exp:"obs" ~name:(name ^ "-alloc") ~unit_:"B/op" bytes;
-    [ name; Printf.sprintf "%.2f" bytes ]
-  in
-  Bench_util.table
-    ~header:[ "path"; "B/op" ]
-    [
-      audit "e14-counter-add" (fun () -> Obs.Counter.add c 1);
-      (* Constant operands: boxing a freshly computed float would bill the
-         caller, not the instrument — the audit isolates the store. *)
-      audit "e14-gauge-set" (fun () -> Obs.Gauge.set g 2.5);
-    ]
-
-(* ---------------- single-op latencies ---------------- *)
+(* ---------------- scrape latency ---------------- *)
 
 let micro () =
-  let c = Obs.Counter.create () in
-  let g = Obs.Gauge.create () in
   let reg = Obs.Registry.create () in
-  let rc = Obs.Registry.counter reg "bench_total" in
-  Obs.Counter.add rc 1;
-  ignore (Obs.Registry.gauge reg ~labels:[ ("shard", "0") ] "bench_depth");
+  let cell = Atomic.make 1 in
+  Obs.Registry.counter_fn reg "bench_total" (fun () -> Atomic.get cell);
+  Obs.Registry.gauge_fn reg ~labels:[ ("shard", "0") ] "bench_depth" (fun () ->
+      0.0);
   let open Bechamel in
   let tests =
     [
-      Test.make ~name:"e14-counter-add"
-        (Staged.stage (fun () -> Obs.Counter.add c 1));
-      Test.make ~name:"e14-counter-read"
-        (Staged.stage (fun () -> ignore (Obs.Counter.read c)));
-      Test.make ~name:"e14-gauge-set" (Staged.stage (fun () -> Obs.Gauge.set g 2.5));
       Test.make ~name:"e14-registry-scrape"
         (Staged.stage (fun () -> ignore (Obs.Registry.snapshot reg)));
     ]
@@ -212,13 +181,10 @@ let pipeline_overhead () =
      without rerunning anything. *)
   Option.iter
     (fun reg ->
-      let snap = Obs.Registry.snapshot reg in
-      write_file "BENCH_obs_metrics.prom" (Obs.Expose.to_prometheus snap);
-      write_file "BENCH_obs_metrics.json" (Obs.Expose.to_json snap);
+      write_file "BENCH_obs_metrics.prom"
+        (Obs.Expose.to_prometheus (Obs.Registry.snapshot reg));
       Bench_util.register_artifact ~name:"obs-metrics-prom"
-        ~path:"BENCH_obs_metrics.prom";
-      Bench_util.register_artifact ~name:"obs-metrics-json"
-        ~path:"BENCH_obs_metrics.json")
+        ~path:"BENCH_obs_metrics.prom")
     reg
 
 let run () =
@@ -227,6 +193,5 @@ let run () =
     "(counter pipeline, %d shards + 1 merger, batch %d, %d feeders; median of \
      %d paired reps of %d updates)\n"
     shards batch feeders reps total_updates;
-  alloc_audits ();
   micro ();
   pipeline_overhead ()

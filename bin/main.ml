@@ -805,20 +805,14 @@ let find_sketch ~cmd ~seed name =
 
 (* --------------------------- observability ---------------------------- *)
 
-(* [--metrics -] prints both expositions to stdout; [--metrics PATH] writes
-   PATH.prom and PATH.json; no --metrics, nothing. *)
+(* [--metrics -] prints the Prometheus text to stdout; [--metrics PATH]
+   writes PATH.prom; no --metrics, nothing. *)
 let write_metrics reg = Option.iter @@ fun path ->
-  let snap = Obs.Registry.snapshot reg in
-  let prom = Obs.Expose.to_prometheus snap and json = Obs.Expose.to_json snap in
-  if path = "-" then begin
-    print_string prom;
-    print_endline json
-  end
+  let prom = Obs.Expose.to_prometheus (Obs.Registry.snapshot reg) in
+  if path = "-" then print_string prom
   else begin
-    let out p s = Out_channel.with_open_text p (fun oc -> output_string oc s) in
-    out (path ^ ".prom") prom;
-    out (path ^ ".json") json;
-    Printf.printf "metrics: wrote %s.prom and %s.json\n" path path
+    Out_channel.with_open_text (path ^ ".prom") (fun oc -> output_string oc prom);
+    Printf.printf "metrics: wrote %s.prom\n" path
   end
 
 (* Observability-plane seams shared by every serving command — one tracer
@@ -928,9 +922,8 @@ let metrics_flag =
     & opt (some string) None
     & info [ "metrics" ] ~docv:"PATH|-"
         ~doc:
-          "export the final metrics snapshot: `-' prints the Prometheus \
-           text and JSON expositions to stdout, a path writes PATH.prom \
-           and PATH.json")
+          "export the final metrics snapshot as Prometheus text: `-' \
+           prints it to stdout, a path writes PATH.prom")
 
 let http_port_flag =
   Arg.(
@@ -939,8 +932,8 @@ let http_port_flag =
     & info [ "http-port" ] ~docv:"PORT"
         ~doc:
           "serve live telemetry over HTTP while running: /metrics \
-           (Prometheus text), /metrics.json, /healthz (SLO verdict, HTTP \
-           503 on breach) and /trace?n=K (recent spans as JSON); port 0 \
+           (Prometheus text), /healthz (SLO verdict, HTTP 503 on breach) \
+           and /trace?n=K (recent spans as JSON); port 0 \
            picks an ephemeral port, printed at startup")
 
 let trace_sample_flag =

@@ -28,6 +28,11 @@ val validate_dir :
     with [~must_exist:false] (a writer about to {!create} it) a missing
     directory is fine as long as its parent exists and is writable. *)
 
+val segments_of : string -> (int * string) list
+(** The WAL segment files in a directory, as (index, file name) in index
+    order, the order {!iter} reads them; other files are skipped.
+    @raise Sys_error if the directory cannot be read. *)
+
 val remove_segments : dir:string -> int
 (** Delete every [wal-*.seg] file in [dir] (other files, e.g. checkpoints,
     untouched) and return how many were removed. A missing directory removes

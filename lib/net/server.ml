@@ -60,7 +60,6 @@ module Make (M : Pipeline.Mergeable.S) = struct
     c_queries : int Atomic.t;
     query_timer : Obs.Timer.t option;
     tracer : Obs.Tracer.t option; (* decode/ingest spans for traced batches *)
-    metrics : Obs.Registry.t option;
     eval : M.t -> Frame.query -> (int * int) list option;
     read_timeout : float;
     sub_cap : int;
@@ -69,21 +68,23 @@ module Make (M : Pipeline.Mergeable.S) = struct
   let port t = t.port
   let engine t = t.eng
 
+  (* Byte and frame totals over every connection ever accepted: closed
+     connections' (folded in at teardown) plus the live ones', read under
+     [conns_m] so a closing connection counts exactly once. *)
+  let wire_totals t =
+    Mutex.protect t.conns_m @@ fun () ->
+    Hashtbl.fold
+      (fun _ e (bi, bo, fi, fo) ->
+        ( bi + Conn.bytes_in e.conn,
+          bo + Conn.bytes_out e.conn,
+          fi + Conn.frames_in e.conn,
+          fo + Conn.frames_out e.conn ))
+      t.conns
+      (t.gone_bytes_in, t.gone_bytes_out, t.gone_frames_in, t.gone_frames_out)
+
   let stats t =
-    Mutex.lock t.conns_m;
-    let bi = ref t.gone_bytes_in
-    and bo = ref t.gone_bytes_out
-    and fi = ref t.gone_frames_in
-    and fo = ref t.gone_frames_out in
-    let active = Hashtbl.length t.conns in
-    Hashtbl.iter
-      (fun _ e ->
-        bi := !bi + Conn.bytes_in e.conn;
-        bo := !bo + Conn.bytes_out e.conn;
-        fi := !fi + Conn.frames_in e.conn;
-        fo := !fo + Conn.frames_out e.conn)
-      t.conns;
-    Mutex.unlock t.conns_m;
+    let bytes_in, bytes_out, frames_in, frames_out = wire_totals t in
+    let active = Mutex.protect t.conns_m (fun () -> Hashtbl.length t.conns) in
     Mutex.lock t.subs_m;
     let subscribers = List.length !(t.subs) in
     Mutex.unlock t.subs_m;
@@ -92,10 +93,10 @@ module Make (M : Pipeline.Mergeable.S) = struct
       conns = Atomic.get t.c_conns;
       active;
       subscribers;
-      bytes_in = !bi;
-      bytes_out = !bo;
-      frames_in = !fi;
-      frames_out = !fo;
+      bytes_in;
+      bytes_out;
+      frames_in;
+      frames_out;
       decode_errors = Atomic.get t.c_decode_errors;
       batches = Atomic.get t.c_batches;
       ingested = Atomic.get t.c_ingested;
@@ -259,21 +260,6 @@ module Make (M : Pipeline.Mergeable.S) = struct
               continue := false)
     done
 
-  let register_conn_metrics t id conn =
-    match t.metrics with
-    | None -> ()
-    | Some reg ->
-        let labels = [ ("conn", string_of_int id) ] in
-        let c name help f = Obs.Registry.counter_fn reg ~help ~labels name f in
-        c "net_bytes_in_total" "Bytes received on this connection" (fun () ->
-            Conn.bytes_in conn);
-        c "net_bytes_out_total" "Bytes sent on this connection" (fun () ->
-            Conn.bytes_out conn);
-        c "net_frames_in_total" "Frames received on this connection" (fun () ->
-            Conn.frames_in conn);
-        c "net_frames_out_total" "Frames sent on this connection" (fun () ->
-            Conn.frames_out conn)
-
   let serve_conn t fd =
     let conn = Conn.of_fd fd in
     Conn.set_read_timeout conn t.read_timeout;
@@ -283,7 +269,6 @@ module Make (M : Pipeline.Mergeable.S) = struct
     Mutex.lock t.conns_m;
     Hashtbl.replace t.conns id entry;
     Mutex.unlock t.conns_m;
-    register_conn_metrics t id conn;
     (try request_loop t entry
      with e ->
        (* a handler must survive any one connection; engine bugs surface in
@@ -416,7 +401,6 @@ module Make (M : Pipeline.Mergeable.S) = struct
                 "net_query_seconds")
             metrics;
         tracer;
-        metrics;
         eval;
         read_timeout;
         sub_cap = sub_queue;
@@ -429,6 +413,17 @@ module Make (M : Pipeline.Mergeable.S) = struct
         let g name help f = Obs.Registry.gauge_fn reg ~help name f in
         c "net_conns_total" "Connections accepted" (fun () ->
             Atomic.get t.c_conns);
+        (* one series per direction over all connections, so the registry
+           does not grow with the connections served *)
+        let w name help f = c name help (fun () -> f (wire_totals t)) in
+        w "net_bytes_in_total" "Bytes received, all connections"
+          (fun (b, _, _, _) -> b);
+        w "net_bytes_out_total" "Bytes sent, all connections"
+          (fun (_, b, _, _) -> b);
+        w "net_frames_in_total" "Frames received, all connections"
+          (fun (_, _, f, _) -> f);
+        w "net_frames_out_total" "Frames sent, all connections"
+          (fun (_, _, _, f) -> f);
         c "net_decode_errors_total" "Frames that failed to decode" (fun () ->
             Atomic.get t.c_decode_errors);
         c "net_batches_total" "Batch requests served" (fun () ->

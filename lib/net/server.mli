@@ -136,8 +136,10 @@ module Make (M : Pipeline.Mergeable.S) : sig
       [net_subscribers], [net_decode_errors_total], [net_batches_total],
       [net_ingested_total], [net_shed_total], [net_queries_total],
       [net_duplicates_suppressed_total], [net_sessions], a
-      [net_query_seconds] timer, and per-connection
-      [net_{bytes,frames}_{in,out}_total] labelled [conn="id"]. *)
+      [net_query_seconds] timer, and [net_{bytes,frames}_{in,out}_total]
+      over all connections (the totals {!stats} reports, closed
+      connections included). The registry does not grow with the
+      connections served. *)
 
   val port : t -> int
   (** The actually-bound port (useful with [port:0]). *)

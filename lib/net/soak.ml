@@ -304,17 +304,9 @@ let record_ops ~path spec ops =
 (* Simulate a crash mid-append: cut up to 512 bytes off the newest WAL
    segment, so the next recovery must truncate a torn frame. *)
 let tear_wal_tail ~rng dir =
-  let segs =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun n ->
-           String.length n = 16
-           && String.sub n 0 4 = "wal-"
-           && Filename.check_suffix n ".seg")
-    |> List.sort (fun a b -> compare b a)
-  in
-  match segs with
+  match List.rev (Durable.Wal.segments_of dir) with
   | [] -> None
-  | name :: _ ->
+  | (_, name) :: _ ->
       let path = Filename.concat dir name in
       let size = (Unix.stat path).Unix.st_size in
       if size <= 8 then None

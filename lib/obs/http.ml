@@ -1,8 +1,8 @@
 (* One accept domain, 50ms select poll (a blocked accept would never
-   notice [closing]), connections served inline to completion. Scrape
-   requests are a few hundred bytes and responses are one string, so
-   inline serving keeps the module to a single domain with nothing to
-   reap. *)
+   notice [closing]), connections served inline to completion within
+   [request_timeout]. Scrape requests are a few hundred bytes and
+   responses are one string, so inline serving keeps the module to a
+   single domain with nothing to reap. *)
 
 type response = { status : int; content_type : string; body : string }
 
@@ -28,7 +28,25 @@ let status_text = function
   | 503 -> "Service Unavailable"
   | _ -> "Status"
 
-let read_request fd =
+(* The accept domain serves one connection at a time, so the whole
+   exchange shares one deadline from accept: a peer trickling header bytes
+   (or reading the response slowly) holds the telemetry plane for at most
+   [request_timeout], not for one timeout per read. *)
+let request_timeout = 2.0
+
+(* Arm [opt] (SO_RCVTIMEO or SO_SNDTIMEO) with the time left before
+   [deadline]; false once it has passed. At least 1 ms: a zero timeout
+   means "block forever". *)
+let arm fd opt ~deadline =
+  let left = deadline -. Unix.gettimeofday () in
+  left > 0.0
+  &&
+  try
+    Unix.setsockopt_float fd opt (Float.max left 0.001);
+    true
+  with _ -> false
+
+let read_request fd ~deadline =
   (* Read until the blank line ending the header block; scrape requests
      have no body. Bounded so a hostile peer cannot grow the buffer. *)
   let buf = Buffer.create 256 in
@@ -41,6 +59,7 @@ let read_request fd =
         String.length seen >= 4
         && String.sub seen (String.length seen - 4) 4 = "\r\n\r\n"
       then Some seen
+      else if not (arm fd Unix.SO_RCVTIMEO ~deadline) then None
       else
         match Unix.read fd chunk 0 (Bytes.length chunk) with
         | 0 -> if Buffer.length buf > 0 then Some (Buffer.contents buf) else None
@@ -81,18 +100,18 @@ let parse_request raw =
           | None -> Some (target, []))
       | _ -> None)
 
-let write_all fd s =
+let write_all fd ~deadline s =
   let b = Bytes.of_string s in
   let len = Bytes.length b in
   let off = ref 0 in
-  (try
-     while !off < len do
-       off := !off + Unix.write fd b !off (len - !off)
-     done
-   with _ -> ())
+  try
+    while !off < len && arm fd Unix.SO_SNDTIMEO ~deadline do
+      off := !off + Unix.write fd b !off (len - !off)
+    done
+  with _ -> ()
 
-let respond fd (r : response) =
-  write_all fd
+let respond fd ~deadline (r : response) =
+  write_all fd ~deadline
     (Printf.sprintf
        "HTTP/1.1 %d %s\r\n\
         Content-Type: %s\r\n\
@@ -104,20 +123,21 @@ let respond fd (r : response) =
        (String.length r.body) r.body)
 
 let serve_conn t fd =
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 2.0 with _ -> ());
+  let deadline = Unix.gettimeofday () +. request_timeout in
   Atomic.incr t.requests_n;
-  (match read_request fd with
+  (match read_request fd ~deadline with
   | None -> ()
   | Some raw -> (
+      let respond = respond fd ~deadline in
       match parse_request raw with
-      | None -> respond fd (response ~status:400 "bad request\n")
+      | None -> respond (response ~status:400 "bad request\n")
       | Some (path, query) -> (
           match
             try t.handler ~path ~query
             with _ -> Some (response ~status:503 "handler error\n")
           with
-          | Some r -> respond fd r
-          | None -> respond fd (response ~status:404 "not found\n"))));
+          | Some r -> respond r
+          | None -> respond (response ~status:404 "not found\n"))));
   try Unix.close fd with _ -> ()
 
 let accept_loop t =
@@ -218,10 +238,6 @@ let telemetry_handler ~registry ?tracer ?slo ?health () ~path ~query =
   match path with
   | "/metrics" ->
       Some (response (Expose.to_prometheus (Registry.snapshot registry)))
-  | "/metrics.json" ->
-      Some
-        (response ~content_type:"application/json"
-           (Expose.to_json (Registry.snapshot registry)))
   | "/healthz" ->
       let status, body = healthz ?slo ?health () in
       Some (response ~status ~content_type:"application/json" (body ^ "\n"))

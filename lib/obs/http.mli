@@ -6,21 +6,20 @@
     request parse, one handler call, one response, close. That is the
     right trade for a scrape plane: requests are tiny, responses are a
     metrics page, and serving inline means no per-connection domains to
-    reap. Not a general web server — no keep-alive, no chunking, no TLS.
+    reap. Each connection gets 2 s from accept to read its request and
+    write the response; a slower peer is closed unanswered, so one stalled
+    peer delays the next scrape by at most 2 s. Not a general web server —
+    no keep-alive, no chunking, no TLS.
 
     The handler is pure request → response; {!telemetry_handler} is the
-    standard one serving [/metrics], [/metrics.json], [/healthz] and
-    [/trace?n=K] over a registry, a tracer and an SLO monitor. *)
+    standard one serving [/metrics], [/healthz] and [/trace?n=K] over a
+    registry, a tracer and an SLO monitor. *)
 
 type response = {
   status : int;  (** e.g. 200, 404, 503 *)
   content_type : string;
   body : string;
 }
-
-val response : ?status:int -> ?content_type:string -> string -> response
-(** Defaults: status 200, [text/plain; version=0.0.4] (the Prometheus
-    exposition content type). *)
 
 type handler = path:string -> query:(string * string) list -> response option
 (** [None] means 404. [query] is the parsed [?k=v&k2=v2] part. *)
@@ -49,7 +48,6 @@ val telemetry_handler :
   handler
 (** The standard telemetry routes:
     - [/metrics] — Prometheus text via {!Expose.to_prometheus};
-    - [/metrics.json] — {!Expose.to_json};
     - [/healthz] — JSON status: SLO verdict (the response is HTTP 503
       when breached, so load balancers and [curl -f] see it) plus the
       [health] callback's key/value pairs (engine + WAL + supervisor

@@ -1,7 +1,5 @@
 type instrument =
-  | I_counter of Counter.t
   | I_counter_fn of (unit -> int)
-  | I_gauge of Gauge.t
   | I_gauge_fn of (unit -> float)
   | I_timer of Timer.t
 
@@ -21,95 +19,59 @@ type t = {
 let create ?(now = Unix.gettimeofday) () = { m = Mutex.create (); regs = []; now }
 
 let kind_name = function
-  | I_counter _ | I_counter_fn _ -> "counter"
-  | I_gauge _ | I_gauge_fn _ -> "gauge"
+  | I_counter_fn _ -> "counter"
+  | I_gauge_fn _ -> "gauge"
   | I_timer _ -> "summary"
 
-(* Get-or-create under the registry mutex. [same] decides whether an
-   existing instrument satisfies the request; [make] builds a fresh one. *)
-let intern t ~name ~help ~labels ~same ~make =
+(* Register [make ()] under (name, labels), holding the registry mutex, and
+   return the instrument the identity now names. A timer is get-or-create:
+   an existing one is kept. A callback replaces the existing one: a
+   restarted component re-exporting the same derived value is pointing the
+   scrape at its fresh state, which is exactly what the caller wants
+   (Recovery re-runs do this). Another kind under the same identity
+   raises. *)
+let register t ~name ~help ~labels ~kind make =
   let labels = List.sort compare labels in
-  Mutex.lock t.m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.m)
-    (fun () ->
-      match
-        List.find_opt (fun r -> r.name = name && r.labels = labels) t.regs
-      with
-      | Some r -> (
-          match same r.instrument with
-          | Some v -> v
-          | None ->
-              invalid_arg
-                (Printf.sprintf
-                   "Obs.Registry: %s%s is already registered as a %s" name
-                   (if labels = [] then ""
-                    else
-                      "{"
-                      ^ String.concat ","
-                          (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
-                      ^ "}")
-                   (kind_name r.instrument)))
-      | None ->
-          let instrument, v = make () in
-          t.regs <- { name; help; labels; instrument } :: t.regs;
-          v)
-
-let counter t ?(help = "") ?(labels = []) name =
-  intern t ~name ~help ~labels
-    ~same:(function I_counter c -> Some c | _ -> None)
-    ~make:(fun () ->
-      let c = Counter.create () in
-      (I_counter c, c))
-
-let gauge t ?(help = "") ?(labels = []) name =
-  intern t ~name ~help ~labels
-    ~same:(function I_gauge g -> Some g | _ -> None)
-    ~make:(fun () ->
-      let g = Gauge.create () in
-      (I_gauge g, g))
+  Mutex.protect t.m @@ fun () ->
+  match List.find_opt (fun r -> r.name = name && r.labels = labels) t.regs with
+  | Some r when kind_name r.instrument <> kind ->
+      invalid_arg
+        (Printf.sprintf "Obs.Registry: %s%s is already registered as a %s" name
+           (if labels = [] then ""
+            else
+              "{"
+              ^ String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels)
+              ^ "}")
+           (kind_name r.instrument))
+  | Some ({ instrument = I_timer _; _ } as r) -> r.instrument
+  | Some r ->
+      r.instrument <- make ();
+      r.instrument
+  | None ->
+      let instrument = make () in
+      t.regs <- { name; help; labels; instrument } :: t.regs;
+      instrument
 
 let timer_quantiles = [ 0.5; 0.9; 0.99; 1.0 ]
 
 let timer t ?(help = "") ?(labels = []) name =
-  intern t ~name ~help ~labels
-    ~same:(function I_timer tm -> Some tm | _ -> None)
-    ~make:(fun () ->
-      let tm = Timer.create ~seed:0x0B5EL () in
-      (I_timer tm, tm))
-
-(* Callback registrations replace rather than raise: a restarted component
-   re-exporting the same derived value is pointing the scrape at its fresh
-   state, which is exactly what the caller wants (Recovery re-runs do this). *)
-let register_fn t ~name ~help ~labels instrument =
-  let labels = List.sort compare labels in
-  Mutex.lock t.m;
-  (match
-     List.find_opt (fun r -> r.name = name && r.labels = labels) t.regs
-   with
-  | Some r ->
-      if kind_name r.instrument <> kind_name instrument then begin
-        Mutex.unlock t.m;
-        invalid_arg
-          (Printf.sprintf "Obs.Registry: %s is already registered as a %s" name
-             (kind_name r.instrument))
-      end
-      else r.instrument <- instrument
-  | None -> t.regs <- { name; help; labels; instrument } :: t.regs);
-  Mutex.unlock t.m
+  match
+    register t ~name ~help ~labels ~kind:"summary" (fun () ->
+        I_timer (Timer.create ~seed:0x0B5EL ()))
+  with
+  | I_timer tm -> tm
+  | I_counter_fn _ | I_gauge_fn _ -> assert false (* [register] checked *)
 
 let counter_fn t ?(help = "") ?(labels = []) name f =
-  register_fn t ~name ~help ~labels (I_counter_fn f)
+  ignore (register t ~name ~help ~labels ~kind:"counter" (fun () -> I_counter_fn f))
 
 let gauge_fn t ?(help = "") ?(labels = []) name f =
-  register_fn t ~name ~help ~labels (I_gauge_fn f)
+  ignore (register t ~name ~help ~labels ~kind:"gauge" (fun () -> I_gauge_fn f))
 
 let sample_of (r : reg) : Snapshot.sample =
   let value =
     match r.instrument with
-    | I_counter c -> Snapshot.Counter (Counter.read c)
     | I_counter_fn f -> Snapshot.Counter (f ())
-    | I_gauge g -> Snapshot.Gauge (Gauge.read g)
     | I_gauge_fn f -> Snapshot.Gauge (f ())
     | I_timer tm ->
         Snapshot.Summary
@@ -122,9 +84,7 @@ let sample_of (r : reg) : Snapshot.sample =
   { Snapshot.name = r.name; help = r.help; labels = r.labels; value }
 
 let snapshot t =
-  Mutex.lock t.m;
-  let regs = t.regs in
-  Mutex.unlock t.m;
+  let regs = Mutex.protect t.m (fun () -> t.regs) in
   let samples =
     List.map sample_of regs
     |> List.sort (fun (a : Snapshot.sample) b ->

@@ -9,12 +9,13 @@
     callback, divided by a budget, and folded through a burn-rate state
     machine with hysteresis:
 
-    - [Ok] → [Warning] when any ratio reaches {!warn_ratio};
+    - [Ok] → [Warning] when any ratio reaches 0.8 of its budget (ratios
+      >= 1.0 are over budget);
     - [Warning] → [Breach] only after {!breach_after} {e consecutive}
       over-budget evaluations (a single chaos-induced spike is not an
       incident);
     - downgrades require {!clear_after} consecutive evaluations under
-      {!warn_ratio} (no flapping at the boundary).
+      0.8 of budget (no flapping at the boundary).
 
     Evaluation is pull-based ({!eval} from a scrape, the HTTP [/healthz]
     handler or a soak's sampler loop) or push-based (a [poll] domain). *)
@@ -48,15 +49,11 @@ type verdict = {
 
 type t
 
-val warn_ratio : float
-(** 0.8: the fraction of budget that arms [Warning]; ratios >= 1.0 are
-    over budget. *)
-
 val breach_after : int
 (** 5: consecutive over-budget evaluations that enter [Breach]. *)
 
 val clear_after : int
-(** 3: consecutive evaluations under {!warn_ratio} that step the state
+(** 3: consecutive evaluations under 0.8 of budget that step the state
     down one level. *)
 
 val create :

@@ -46,7 +46,6 @@ let create ?(sample_every = 64) ?metrics () =
   | None -> ());
   t
 
-let sample_every t = t.sample_every
 let sampled t = Atomic.get t.sampled_n
 let spans t = Atomic.get t.spans_n
 

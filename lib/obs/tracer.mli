@@ -32,8 +32,6 @@ val create : ?sample_every:int -> ?metrics:Registry.t -> unit -> t
     and lazily one [trace_stage_seconds] timer per stage.
     @raise Invalid_argument if [sample_every < 0]. *)
 
-val sample_every : t -> int
-
 val sample : t -> Span.context option
 (** Roll the die for a fresh batch: [Some ctx] with a nonzero trace id
     (parent 0 — the root) about once per [sample_every] calls, [None]

@@ -1077,14 +1077,27 @@ let test_striped_total_basics () =
   Conc.Striped_total.add t 5;
   Conc.Striped_total.add t 7;
   Alcotest.(check int) "sums across slots" 12 (Conc.Striped_total.read t);
+  (* Racing adders from several domains land exactly. *)
+  let t = Conc.Striped_total.create ~slots:(Domain.recommended_domain_count () + 4) in
+  let per = 50_000 in
+  let _ =
+    Conc.Runner.parallel ~domains:4 (fun i ->
+        for _ = 1 to per do
+          Conc.Striped_total.add t (i + 1)
+        done)
+  in
+  Alcotest.(check int) "sum of concurrent adds" (per * (1 + 2 + 3 + 4))
+    (Conc.Striped_total.read t);
   Alcotest.check_raises "slots must be positive"
     (Invalid_argument "Striped_total.create: slots must be positive") (fun () ->
       ignore (Conc.Striped_total.create ~slots:0))
 
 let test_striped_updates_envelope () =
-  (* Pcm.updates is an intermediate-value read of the striped total: while
-     writers run it must stay within [0, total] and be monotone for a
-     single reader; after the join it must be exact. *)
+  (* Pcm.updates is an intermediate-value read of the striped total: each
+     slot is monotone, so a scan-sum lies between the total at the read's
+     invocation and at its response (Lemma 10). While writers run it must
+     stay within [0, total] and be monotone for a single reader; after the
+     join it must be exact. *)
   let family = Hashing.Family.seeded ~seed:210L ~rows:2 ~width:64 in
   let pcm = Conc.Pcm.create ~family in
   let writers = 3 in

@@ -432,6 +432,35 @@ let test_server_unknown_kind_over_wire ~kind () =
   check_int "warmup batch survived" 4
     (Srv.P.stats (Srv.engine srv)).Srv.P.published
 
+(* Serving connections must not grow the registry: every connection's
+   bytes and frames land in the four aggregate net_* series, so 200
+   connections leave as many samples as one. *)
+let test_registry_does_not_grow_with_connections () =
+  let reg = Obs.Registry.create () in
+  let srv = start_server ~metrics:reg () in
+  let serve_one i =
+    let c = dial srv in
+    let session = Int64.of_int (0xC0_0000 + i) in
+    check_int "hello acked" 0 (expect_ack c (Frame.Hello { session }));
+    check_int "batch acked" 3 (expect_ack c (batch ~session ~seq:0 [| 1; 2; 3 |]));
+    Conn.close c
+  in
+  let samples () = List.length (Obs.Registry.snapshot reg).Obs.Snapshot.samples in
+  serve_one 0;
+  let after_first = samples () in
+  for i = 1 to 199 do
+    serve_one i
+  done;
+  check_int "samples after 200 connections" after_first (samples ());
+  let snap = Obs.Registry.snapshot reg in
+  let st = Srv.stats srv in
+  check_int "two frames in per connection" 400 st.Srv.frames_in;
+  check_int "net_frames_in_total = stats frames_in" st.Srv.frames_in
+    (Obs.Snapshot.counter_value snap "net_frames_in_total");
+  check_int "net_bytes_in_total = stats bytes_in" st.Srv.bytes_in
+    (Obs.Snapshot.counter_value snap "net_bytes_in_total");
+  ignore (Srv.stop srv)
+
 (* ------------------------------------------------------------------ *)
 (* Adversarial peers                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -2011,7 +2040,7 @@ let test_incident_trace_replay () =
 (* ISSUE 7's end-to-end bar: Workload.Driver over a real socket, >= 1M ops
    total, >= 4 concurrent client connections, a live follower inside the
    envelope throughout, exact leader/follower equality after drain, and
-   the per-connection obs series visible in a scrape. *)
+   the server's wire totals visible in a scrape. *)
 let test_served_soak () =
   let reg = Obs.Registry.create () in
   let srv =
@@ -2082,19 +2111,11 @@ let test_served_soak () =
   let rs = settle () in
   check_int "follower converged exactly" est.Srv.P.published rs.Rep.published;
   Rep.close rep;
-  (* The scrape shows the per-connection series: at least the 4 sender
-     connections plus the subscriber, each labelled conn="<id>". *)
+  (* The scrape's wire series are the totals the server reports, every
+     connection (the 4 senders and the subscriber) folded in. *)
   let snap = Obs.Registry.snapshot reg in
-  let conn_labels =
-    List.filter_map
-      (fun s ->
-        if s.Obs.Snapshot.name = "net_frames_in_total" then
-          List.assoc_opt "conn" s.Obs.Snapshot.labels
-        else None)
-      snap.Obs.Snapshot.samples
-    |> List.sort_uniq compare
-  in
-  check_bool ">= 5 per-connection series" true (List.length conn_labels >= 5);
+  check_int "wire series = server frames_in" (Srv.stats srv).Srv.frames_in
+    (Obs.Snapshot.counter_value snap "net_frames_in_total");
   check_int "aggregate ingest series" cs.Net.Client.acked
     (Obs.Snapshot.counter_value snap "net_ingested_total");
   check_int "client series" cs.Net.Client.acked
@@ -2136,6 +2157,8 @@ let () =
             test_server_total_reads_engine;
           Alcotest.test_case "subscribe with a payload is malformed" `Quick
             test_subscribe_payload_malformed;
+          Alcotest.test_case "registry does not grow with connections" `Quick
+            test_registry_does_not_grow_with_connections;
         ] );
       ( "client",
         [

@@ -1,81 +1,14 @@
-(* Tests for the observability layer: the IVL semantics of each instrument
-   (counter scans, timer sketches), the sampled span
-   tracer, registry identity rules, the pure exposition formats, and —
-   the Theorem-6-style headline — that the live envelope-width gauge is a
-   sound bound on the staleness of every concurrent [read_total]. *)
+(* Tests for the observability layer: the timer sketch, the sampled span
+   tracer, registry identity rules, the pure exposition format, the HTTP
+   plane, and — the Theorem-6-style headline — that the live
+   envelope-width gauge is a sound bound on the staleness of every
+   concurrent [read_total]. *)
 
 module Mono = Ivl.Monotone.Make (Spec.Counter_spec)
 module PC = Pipeline.Engine.Make (Pipeline.Targets.Counter)
 
 let fcheck msg expected actual =
   Alcotest.(check (float 1e-9)) msg expected actual
-
-(* ------------------------- counter ------------------------- *)
-
-let test_counter_concurrent_adds () =
-  let c = Obs.Counter.create () in
-  let domains = 4 and per = 50_000 in
-  let _ =
-    Conc.Runner.parallel ~domains (fun i ->
-        for _ = 1 to per do
-          Obs.Counter.add c (i + 1)
-        done)
-  in
-  Alcotest.(check int) "sum of striped adds" (per * (1 + 2 + 3 + 4))
-    (Obs.Counter.read c);
-  Obs.Counter.incr c;
-  Alcotest.(check int) "incr" (per * 10 + 1) (Obs.Counter.read c)
-
-let test_counter_reads_are_ivl () =
-  (* A scraping domain racing the writers: every read must lie in
-     [0, final] and successive reads from the one scraper are monotone —
-     the Lemma-10 shape of a striped-sum read. *)
-  let c = Obs.Counter.create () in
-  let domains = 3 and per = 40_000 in
-  let stop = Atomic.make false in
-  let scraper =
-    Domain.spawn (fun () ->
-        let rec loop acc =
-          let v = Obs.Counter.read c in
-          if Atomic.get stop then List.rev (v :: acc) else loop (v :: acc)
-        in
-        loop [])
-  in
-  let _ =
-    Conc.Runner.parallel ~domains (fun _ ->
-        for _ = 1 to per do
-          Obs.Counter.incr c
-        done)
-  in
-  Atomic.set stop true;
-  let reads = Domain.join scraper in
-  let final = Obs.Counter.read c in
-  Alcotest.(check int) "final exact" (domains * per) final;
-  let rec monotone = function
-    | a :: (b :: _ as rest) -> a <= b && monotone rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "scrapes monotone" true (monotone reads);
-  Alcotest.(check bool) "scrapes within [0, final]" true
-    (List.for_all (fun v -> v >= 0 && v <= final) reads)
-
-(* ------------------------- gauge ------------------------- *)
-
-let test_gauge_set_read () =
-  let g = Obs.Gauge.create () in
-  fcheck "initial" 0.0 (Obs.Gauge.read g);
-  Obs.Gauge.set g (-7.25);
-  fcheck "set" (-7.25) (Obs.Gauge.read g);
-  (* Racing setters: the read is one of the stored values, never a tear. *)
-  let _ =
-    Conc.Runner.parallel ~domains:4 (fun i ->
-        for _ = 1 to 10_000 do
-          Obs.Gauge.set g (float_of_int i)
-        done)
-  in
-  let v = Obs.Gauge.read g in
-  Alcotest.(check bool) "one of the racing values" true
-    (List.mem v [ 0.; 1.; 2.; 3. ])
 
 (* ------------------------- timer ------------------------- *)
 
@@ -114,40 +47,58 @@ let test_timer_time_and_empty () =
 
 let test_registry_get_or_create () =
   let reg = Obs.Registry.create ~now:(fun () -> 123.0) () in
-  let c1 = Obs.Registry.counter reg ~help:"h" "requests_total" in
-  let c2 = Obs.Registry.counter reg "requests_total" in
-  Obs.Counter.add c1 5;
-  Alcotest.(check int) "same identity, same instrument" 5 (Obs.Counter.read c2);
+  (* A timer is get-or-create: the same identity is the same timer. *)
+  let t1 = Obs.Registry.timer reg ~help:"h" "lag_seconds" in
+  let t2 = Obs.Registry.timer reg "lag_seconds" in
+  Obs.Timer.observe t1 0.5;
+  Alcotest.(check int) "same identity, same instrument" 1 (Obs.Timer.count t2);
   (* Labels distinguish; label order does not. *)
-  let a = Obs.Registry.counter reg ~labels:[ ("x", "1"); ("y", "2") ] "lbl" in
-  let b = Obs.Registry.counter reg ~labels:[ ("y", "2"); ("x", "1") ] "lbl" in
-  let c = Obs.Registry.counter reg ~labels:[ ("x", "1") ] "lbl" in
-  Obs.Counter.incr a;
-  Alcotest.(check int) "label order irrelevant" 1 (Obs.Counter.read b);
+  let x = ("x", "1") and y = ("y", "2") in
+  let a = Obs.Registry.timer reg ~labels:[ x; y ] "lbl_seconds" in
+  let b = Obs.Registry.timer reg ~labels:[ y; x ] "lbl_seconds" in
+  let c = Obs.Registry.timer reg ~labels:[ x ] "lbl_seconds" in
+  Obs.Timer.observe a 0.1;
+  Alcotest.(check int) "label order irrelevant" 1 (Obs.Timer.count b);
   Alcotest.(check int) "different label set, different series" 0
-    (Obs.Counter.read c);
+    (Obs.Timer.count c);
+  (* The same for callbacks: one series per identity, whatever the label
+     order it was registered with. *)
+  Obs.Registry.counter_fn reg ~labels:[ x; y ] "req_total" (fun () -> 1);
+  Obs.Registry.counter_fn reg ~labels:[ y; x ] "req_total" (fun () -> 2);
+  Obs.Registry.counter_fn reg ~labels:[ x ] "req_total" (fun () -> 3);
+  let snap = Obs.Registry.snapshot reg in
+  Alcotest.(check int) "callback label order irrelevant" 2
+    (Obs.Snapshot.counter_value snap ~labels:[ x; y ] "req_total");
+  Alcotest.(check int) "callback: different label set, different series" 3
+    (Obs.Snapshot.counter_value snap ~labels:[ x ] "req_total");
+  Alcotest.(check int) "two req_total series" 2
+    (List.length
+       (List.filter
+          (fun s -> s.Obs.Snapshot.name = "req_total")
+          snap.Obs.Snapshot.samples));
   (* Same identity as a different kind must raise, not alias. *)
+  let raises f = try f (); false with Invalid_argument _ -> true in
   Alcotest.(check bool) "kind mismatch raises" true
-    (try
-       ignore (Obs.Registry.gauge reg "requests_total");
-       false
-     with Invalid_argument _ -> true)
+    (raises (fun () ->
+         Obs.Registry.gauge_fn reg ~labels:[ y; x ] "req_total" (fun () -> 0.0)));
+  Alcotest.(check bool) "timer over a counter raises" true
+    (raises (fun () -> ignore (Obs.Registry.timer reg ~labels:[ x ] "req_total")));
+  Alcotest.(check bool) "counter over a timer raises" true
+    (raises (fun () -> Obs.Registry.counter_fn reg "lag_seconds" (fun () -> 0)))
 
 let test_registry_snapshot_and_fns () =
   let reg = Obs.Registry.create ~now:(fun () -> 9.0) () in
-  let c = Obs.Registry.counter reg ~help:"c" "alpha_total" in
-  Obs.Counter.add c 7;
-  let g = Obs.Registry.gauge reg ~labels:[ ("shard", "0") ] "beta" in
-  Obs.Gauge.set g 1.5;
+  Obs.Registry.counter_fn reg ~help:"c" "alpha_total" (fun () -> 7);
+  Obs.Registry.gauge_fn reg ~labels:[ ("shard", "0") ] "beta" (fun () -> 1.5);
   let cell = Atomic.make 10 in
   Obs.Registry.counter_fn reg "gamma_total" (fun () -> Atomic.get cell);
   let snap = Obs.Registry.snapshot reg in
   fcheck "snapshot stamped by injected clock" 9.0 snap.Obs.Snapshot.at;
-  Alcotest.(check int) "owned counter" 7
+  Alcotest.(check int) "callback counter" 7
     (Obs.Snapshot.counter_value snap "alpha_total");
   fcheck "labelled gauge" 1.5
     (Obs.Snapshot.gauge_value snap ~labels:[ ("shard", "0") ] "beta");
-  Alcotest.(check int) "callback counter" 10
+  Alcotest.(check int) "callback over an atomic" 10
     (Obs.Snapshot.counter_value snap "gamma_total");
   (* A scrape-time callback reads live state; re-registering replaces it —
      how a restarted component re-points its series. *)
@@ -172,11 +123,9 @@ let test_registry_snapshot_and_fns () =
 
 let expose_fixture () =
   let reg = Obs.Registry.create ~now:(fun () -> 100.5) () in
-  let c = Obs.Registry.counter reg ~help:"a counter" "req_total" in
-  Obs.Counter.add c 3;
-  let g = Obs.Registry.gauge reg ~labels:[ ("shard", "1") ] "depth" in
-  Obs.Gauge.set g 4.0;
-  Obs.Gauge.set (Obs.Registry.gauge reg "ceiling") infinity;
+  Obs.Registry.counter_fn reg ~help:"a counter" "req_total" (fun () -> 3);
+  Obs.Registry.gauge_fn reg ~labels:[ ("shard", "1") ] "depth" (fun () -> 4.0);
+  Obs.Registry.gauge_fn reg "ceiling" (fun () -> infinity);
   let t = Obs.Registry.timer reg "lag_seconds" in
   Obs.Timer.observe t 0.25;
   Obs.Registry.snapshot reg
@@ -215,27 +164,6 @@ let test_expose_prometheus () =
     probes;
   Alcotest.(check bool) "ends with newline" true
     (String.length text > 0 && text.[String.length text - 1] = '\n')
-
-let test_expose_json () =
-  let snap = expose_fixture () in
-  let json = Obs.Expose.to_json snap in
-  List.iter
-    (fun piece ->
-      Alcotest.(check bool) (Printf.sprintf "json has %S" piece) true
-        (contains json piece))
-    [
-      "{\"at\":100.500000,\"metrics\":[";
-      "\"name\":\"req_total\"";
-      "\"type\":\"counter\"";
-      "\"value\":3";
-      "\"labels\":{\"shard\":\"1\"}";
-      "\"quantiles\":[{\"phi\":0.5,";
-      "\"name\":\"ceiling\",\"type\":\"gauge\",\"labels\":{},\"value\":null";
-    ];
-  (* NaN/inf must not leak into JSON: an infinite gauge is encoded as
-     null, keeping every parser happy. *)
-  Alcotest.(check bool) "no bare inf" false (contains json "inf");
-  Alcotest.(check bool) "no NaN" false (contains json "nan")
 
 (* ------------------- envelope-width gauge soundness ------------------- *)
 
@@ -410,12 +338,10 @@ let test_expose_prometheus_escaping () =
      newline; everything else (a tab here) travels raw. HELP text escapes
      backslash and newline only — quotes are legal there. *)
   let reg = Obs.Registry.create () in
-  let c =
-    Obs.Registry.counter reg ~help:"back\\slash and\nnewline \"quoted\""
-      ~labels:[ ("path", "a\\b\"c\nd\te") ]
-      "esc_total"
-  in
-  Obs.Counter.add c 1;
+  Obs.Registry.counter_fn reg ~help:"back\\slash and\nnewline \"quoted\""
+    ~labels:[ ("path", "a\\b\"c\nd\te") ]
+    "esc_total"
+    (fun () -> 1);
   let text = Obs.Expose.to_prometheus (Obs.Registry.snapshot reg) in
   Alcotest.(check bool) "label value escaped" true
     (contains text "esc_total{path=\"a\\\\b\\\"c\\nd\te\"} 1");
@@ -692,7 +618,7 @@ let http_get port path =
 
 let test_http_telemetry_plane () =
   let reg = Obs.Registry.create () in
-  Obs.Counter.add (Obs.Registry.counter reg "requests_total") 3;
+  Obs.Registry.counter_fn reg "requests_total" (fun () -> 3);
   let tr = Obs.Tracer.create ~sample_every:1 () in
   let ctx = Option.get (Obs.Tracer.sample tr) in
   ignore (Obs.Tracer.record tr ~ctx ~stage:"decode" ~start_ns:10 ~end_ns:20);
@@ -711,10 +637,10 @@ let test_http_telemetry_plane () =
   Alcotest.(check int) "metrics 200" 200 status;
   Alcotest.(check bool) "prometheus body" true
     (contains body "requests_total 3");
-  let status, body = http_get port "/metrics.json" in
-  Alcotest.(check int) "json 200" 200 status;
-  Alcotest.(check bool) "json body" true
-    (contains body "\"name\":\"requests_total\"");
+  (* Prometheus text is the one exposition: the retired JSON route is
+     gone. *)
+  let status, _ = http_get port ("/metrics" ^ ".json") in
+  Alcotest.(check int) "json route 404" 404 status;
   let status, body = http_get port "/trace?n=8" in
   Alcotest.(check int) "trace 200" 200 status;
   Alcotest.(check bool) "trace body" true
@@ -740,15 +666,44 @@ let test_http_telemetry_plane () =
   Obs.Http.stop h;
   Obs.Http.stop h (* idempotent *)
 
+(* The plane serves one connection at a time, so a peer that trickles its
+   request one byte at a time must lose the accept domain after one
+   request timeout (2 s), not hold it while each byte arrives in time. *)
+let test_http_slow_peer () =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let reg = Obs.Registry.create () in
+  Obs.Registry.counter_fn reg "requests_total" (fun () -> 3);
+  let h =
+    Obs.Http.create ~port:0 ~handler:(Obs.Http.telemetry_handler ~registry:reg ()) ()
+  in
+  let port = Obs.Http.port h in
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  (* A byte every 200 ms for 4 s, never ending the header block. *)
+  let trickler =
+    Domain.spawn (fun () ->
+        (try
+           for _ = 1 to 20 do
+             ignore (Unix.write_substring fd "G" 0 1);
+             Unix.sleepf 0.2
+           done
+         with Unix.Unix_error _ -> ());
+        Unix.close fd)
+  in
+  Unix.sleepf 0.3;
+  let t0 = Unix.gettimeofday () in
+  let status, body = http_get port "/metrics" in
+  let waited = Unix.gettimeofday () -. t0 in
+  Domain.join trickler;
+  Obs.Http.stop h;
+  Alcotest.(check int) "scrape answered" 200 status;
+  Alcotest.(check bool) "prometheus body" true (contains body "requests_total 3");
+  if waited >= 3.0 then
+    Alcotest.failf "a trickling peer held the scrape for %.2f s (limit 3 s)" waited
+
 let () =
   Alcotest.run "obs"
     [
-      ( "counter",
-        [
-          Alcotest.test_case "concurrent adds" `Quick test_counter_concurrent_adds;
-          Alcotest.test_case "reads are IVL" `Quick test_counter_reads_are_ivl;
-        ] );
-      ("gauge", [ Alcotest.test_case "set/read" `Quick test_gauge_set_read ]);
       ( "timer",
         [
           Alcotest.test_case "quantiles" `Quick test_timer_quantiles;
@@ -764,7 +719,6 @@ let () =
       ( "expose",
         [
           Alcotest.test_case "prometheus text" `Quick test_expose_prometheus;
-          Alcotest.test_case "json" `Quick test_expose_json;
           Alcotest.test_case "prometheus escaping" `Quick
             test_expose_prometheus_escaping;
         ] );
@@ -785,6 +739,8 @@ let () =
       ( "http",
         [
           Alcotest.test_case "telemetry plane" `Quick test_http_telemetry_plane;
+          Alcotest.test_case "a slow peer cannot stall a scrape" `Quick
+            test_http_slow_peer;
         ] );
       ( "pipeline",
         [

@@ -164,6 +164,61 @@ let test_engine_loss_without_death_fails () =
   Alcotest.(check bool) "prints FAIL" true
     (contains (Net.Soak.verdict_to_string v) "soak: conservation FAIL")
 
+(* Engine sink: the oracle can fail. The same CountMin behind a bound
+   whose estimates are skewed by [skew]. *)
+module Skewed (X : sig
+  val skew : int -> int
+end) =
+struct
+  module M = CM
+
+  let eval = Sk.eval
+
+  let bound =
+    Option.map
+      (fun b ->
+        { b with Net.Soak.estimate = (fun g k -> X.skew (b.Net.Soak.estimate g k)) })
+      Sk.bound
+end
+
+module S_zero = Net.Soak.Make (Skewed (struct
+  let skew _ = 0
+end))
+
+module S_high = Net.Soak.Make (Skewed (struct
+  let skew e = e + 1_000_000_000
+end))
+
+(* An estimate of 0 undercounts every key the trace touched ("low", the
+   unconditional bound); one that adds 10^9 overcounts every key, far
+   past the δ allowance ("high"). The honest bound passes the same
+   config. No kills, so no lost weight widens the low bound. *)
+let test_engine_oracle_can_fail () =
+  let spec = Workload.Trace.default_spec ~seed:0x0AC1EL ~ops:8_000 ~universe:512 () in
+  let ops = Workload.Trace.materialize spec in
+  let run soak =
+    with_dir @@ fun dir -> soak (engine_config ~kills:0 ~restarts:0 dir) ~spec ~ops ()
+  in
+  let oracle (v : Net.Soak.verdict) f =
+    List.fold_left
+      (fun acc (i : Net.Soak.incarnation) ->
+        match i.oracle with Some o -> acc + f o | None -> Alcotest.fail "no oracle")
+      0 v.Net.Soak.incarnations
+  in
+  let honest = run (fun c -> S.run c) in
+  Alcotest.(check bool) "honest oracle PASS" true (check_named honest "oracle");
+  Alcotest.(check bool) "honest verdict PASS" true honest.Net.Soak.pass;
+  let zero = run (fun c -> S_zero.run c) in
+  Alcotest.(check bool) "zero: oracle FAIL" false (check_named zero "oracle");
+  Alcotest.(check bool) "zero: low count" true (oracle zero (fun o -> o.lower) > 0);
+  Alcotest.(check bool) "zero: prints FAIL" true
+    (contains (Net.Soak.verdict_to_string zero) "soak: oracle FAIL");
+  let high = run (fun c -> S_high.run c) in
+  Alcotest.(check bool) "high: oracle FAIL" false (check_named high "oracle");
+  Alcotest.(check int) "high: nothing low" 0 (oracle high (fun o -> o.lower));
+  Alcotest.(check bool) "high: above the allowance" true
+    (oracle high (fun o -> o.upper) > oracle high (fun o -> o.allowance))
+
 (* Served sink: one key put into the leader's engine without going
    through the client is weight no ack accounts for. *)
 let test_served_unacked_weight_fails () =
@@ -511,6 +566,8 @@ let () =
             `Quick test_engine_loss_without_death_fails;
           Alcotest.test_case "served: unacked weight fails ack envelope" `Quick
             test_served_unacked_weight_fails;
+          Alcotest.test_case "engine: skewed estimates fail the oracle" `Quick
+            test_engine_oracle_can_fail;
         ] );
       ( "cli",
         [
