@@ -19,8 +19,9 @@ type t = {
   queue_cap : int;
   retries : int;
   read_timeout : float;
-  (* shared buffer; senders poll (stdlib Condition has no timed wait, so the
-     age trigger cannot be a blocking wait) while producers block properly *)
+  (* shared buffer; producers block on [nonfull], senders sleep in a
+     select on the wake pipe, since the age trigger needs a timed wait and
+     stdlib Condition has none *)
   m : Mutex.t;
   nonfull : Condition.t;
   drained : Condition.t;
@@ -34,6 +35,14 @@ type t = {
   mutable force : int;  (* pending flush requests: take partials now *)
   mutable in_flight : int;
   mutable closed : bool;
+  (* The wake pipe. [sleeping] senders were told to sleep by [take] and
+     have not yet woken; the pipe holds one byte iff [signalled]. Both are
+     changed, and the byte written and read, only under [m]. *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+  wake_byte : Bytes.t;
+  mutable sleeping : int;
+  mutable signalled : bool;
   mutable senders : unit Domain.t array;
   c_pushed : int Atomic.t;
   c_acked : int Atomic.t;
@@ -49,7 +58,6 @@ type t = {
   tracer : Obs.Tracer.t option; (* batch sampling + enqueue/flush spans *)
 }
 
-let poll_interval = 0.0005
 let window = 4
 let first_backoff = 0.005
 
@@ -200,26 +208,61 @@ let await_response t st conn =
           (* protocol confusion: the stream cannot be trusted *)
           fail t st)
 
-(* Whether a response is waiting on [conn], within [poll_interval]. If
-   select itself fails (a descriptor past FD_SETSIZE), say yes: the caller
-   then blocks on the response, which is correct, only not polled. *)
-let readable conn =
-  match Unix.select [ Conn.fd conn ] [] [] poll_interval with
-  | [], _, _ -> false
-  | _ -> true
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-  | exception Unix.Unix_error _ -> true
+(* With [t.m] held: wake the sleeping senders, unless none sleeps or the
+   byte that wakes them is already in the pipe. A push that completes a
+   batch, [flush] and [close] call it. *)
+let wake t =
+  if t.sleeping > 0 && not t.signalled then begin
+    t.signalled <- true;
+    ignore (Unix.write t.wake_w t.wake_byte 0 1)
+  end
 
+(* Sleep until [timeout] seconds pass (none if [timeout <= 0]), the wake
+   byte arrives, or a response waits on [acks]; returns [acks] iff one
+   does. The first sender awake drains the byte, except after [close],
+   whose byte stays to wake every sender. If select cannot watch the
+   descriptors (one past FD_SETSIZE), wait a millisecond and report them
+   all ready: the caller then blocks on the response, which is correct,
+   only not multiplexed. *)
+let sleep t acks timeout =
+  let fds =
+    match acks with Some c -> [ t.wake_r; Conn.fd c ] | None -> [ t.wake_r ]
+  in
+  let ready =
+    match Unix.select fds [] [] (if timeout > 0.0 then timeout else -1.0) with
+    | r, _, _ -> r
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+    | exception Unix.Unix_error _ ->
+        Unix.sleepf 0.001;
+        fds
+  in
+  Mutex.lock t.m;
+  t.sleeping <- t.sleeping - 1;
+  if t.signalled && not t.closed then begin
+    t.signalled <- false;
+    ignore (Unix.read t.wake_r t.wake_byte 0 1)
+  end;
+  Mutex.unlock t.m;
+  match acks with
+  | Some c when List.mem (Conn.fd c) ready -> acks
+  | _ -> None
+
+(* A chunk to send, [`Done] once closed and empty, or [`Sleep s]: nothing
+   is due for [s] seconds, the time left until the oldest key is
+   [flush_age] old ([flush_age] on an empty buffer, since no key pushed
+   from now on is due sooner). A sleeper is counted in [sleeping] here,
+   under [t.m], so whatever would make a batch due after this take sees
+   it and wakes it: no wake-up is lost. *)
 let take t =
   Mutex.lock t.m;
   let n = t.len in
-  let due =
-    n > 0
-    && (n >= t.batch || t.force > 0 || t.closed
-       || Unix.gettimeofday () -. Float.Array.get t.oldest 0 >= t.flush_age)
+  let left =
+    if n = 0 then t.flush_age
+    else if n >= t.batch || t.force > 0 || t.closed then 0.0
+    else Float.Array.get t.oldest 0 +. t.flush_age -. Unix.gettimeofday ()
   in
   let r =
-    if due then begin
+    if n > 0 && left <= 0.0 then begin
       let k = min n t.batch in
       let oldest_at = Float.Array.get t.oldest 0 in
       let arr = Array.make k 0 in
@@ -235,8 +278,11 @@ let take t =
          start when this chunk turns out to be sampled *)
       `Chunk (arr, oldest_at)
     end
-    else if t.closed && n = 0 then `Done
-    else `Wait
+    else if t.closed then `Done
+    else begin
+      t.sleeping <- t.sleeping + 1;
+      `Sleep left
+    end
   in
   Mutex.unlock t.m;
   r
@@ -295,7 +341,9 @@ let sender_loop t i =
         await_response t st conn;
         go ()
     | conn -> (
-        match (take t, conn) with
+        (* the connection, while it has batches to ack *)
+        let acks = if Queue.is_empty st.unacked then None else conn in
+        match (take t, acks) with
         | `Chunk (arr, oldest_at), _ ->
             let u = compose t st arr oldest_at in
             Queue.push u st.unacked;
@@ -304,16 +352,19 @@ let sender_loop t i =
             | Some c -> if not (Conn.send c u.frame) then fail t st
             | None -> ());
             go ()
-        | (`Wait | `Done), Some c when not (Queue.is_empty st.unacked) ->
-            (* poll the ack, not just the buffer: a batch that falls due
-               meanwhile goes out without waiting for it *)
-            if readable c then await_response t st c;
+        | `Sleep left, _ ->
+            (* wake for the ack too, not just the buffer: a batch that
+               falls due meanwhile goes out without waiting for it *)
+            (match sleep t acks left with
+            | Some c -> await_response t st c
+            | None -> ());
             go ()
-        | `Wait, _ ->
-            Unix.sleepf poll_interval;
+        | `Done, Some c ->
+            await_response t st c;
             go ()
-        | `Done, _ -> drop_conn st)
+        | `Done, None -> drop_conn st)
   in
+  Obs.Thread_name.set (Printf.sprintf "sender-%d" i);
   go ()
 
 (* ------------------------------ producers ----------------------------- *)
@@ -337,6 +388,8 @@ let push_aux t k ~block =
     let i = t.head + t.len in
     t.buf.(if i >= t.queue_cap then i - t.queue_cap else i) <- k;
     t.len <- t.len + 1;
+    (* the key completes a batch, or (flush_age 0) is due at once *)
+    if t.len = t.batch || t.flush_age <= 0.0 then wake t;
     Atomic.incr t.c_pushed
   end
   else if not t.closed then Atomic.incr t.c_shed;
@@ -349,6 +402,7 @@ let try_push t k = push_aux t k ~block:false
 let flush t =
   Mutex.lock t.m;
   t.force <- t.force + 1;
+  wake t;
   while not (t.len = 0 && t.in_flight = 0) do
     Condition.wait t.drained t.m
   done;
@@ -446,6 +500,7 @@ let create ?(conns = 1) ?(batch = 256) ?(flush_age = 0.05) ?queue
   let queue_cap = Option.value queue ~default:(8 * batch) in
   if queue_cap <= 0 then invalid_arg "Net.Client: queue must be positive";
   Conn.ignore_sigpipe ();
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let t =
     {
       host;
@@ -466,6 +521,11 @@ let create ?(conns = 1) ?(batch = 256) ?(flush_age = 0.05) ?queue
       force = 0;
       in_flight = 0;
       closed = false;
+      wake_r;
+      wake_w;
+      wake_byte = Bytes.make 1 '!';
+      sleeping = 0;
+      signalled = false;
       senders = [||];
       c_pushed = Atomic.make 0;
       c_acked = Atomic.make 0;
@@ -530,9 +590,12 @@ let close t =
     Mutex.lock t.m;
     t.closed <- true;
     Condition.broadcast t.nonfull;
+    wake t;
     Mutex.unlock t.m;
     Array.iter Domain.join t.senders;
     t.senders <- [||];
+    Unix.close t.wake_r;
+    Unix.close t.wake_w;
     Mutex.lock t.qm;
     (match t.qconn with
     | Some c ->

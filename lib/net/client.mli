@@ -12,8 +12,13 @@
     yet acked on its connection, and takes the next batch while earlier
     ones are on the wire. The server answers a connection's frames one at
     a time and in order, so each {!Frame.Ack} belongs to the oldest
-    unacked batch (FIFO). A sender waits for an ack only when its window
-    is full, or when it has batches in flight and nothing is due.
+    unacked batch (FIFO). A sender blocks on an ack only when its window
+    is full. When nothing is due it sleeps in one [select] on the
+    client's wake pipe and, while it has batches in flight, on its
+    connection, until the oldest buffered key is [flush_age] old (for
+    [flush_age] on an empty buffer). A {!push} that completes a batch,
+    {!flush} and {!close} wake a sleeping sender through the pipe, so a
+    full batch goes out at once and an idle client does not poll.
 
     Backpressure is explicit: on a full buffer {!push} blocks the producer
     (closed-loop behaviour) and {!try_push} sheds the key (open-loop
@@ -72,7 +77,8 @@ val create :
   port:int ->
   unit ->
   t
-(** Spawn [conns] (default 1) sender domains. [batch] (default 256) keys
+(** Spawn [conns] (default 1) sender domains, named [sender-N]
+    ({!Obs.Thread_name}), and open the wake pipe. [batch] (default 256) keys
     per frame; [flush_age] (default 50 ms) bounds how long a key may sit in
     a partial batch; [queue] (default [8 * batch]) bounds the buffer;
     [retries] (default 3) retries per batch after its first attempt;
@@ -133,5 +139,6 @@ val sink : t -> Workload.Sink.t
     caller owns the client's lifecycle). *)
 
 val close : t -> unit
-(** {!flush}, stop the senders, join them, close every connection.
+(** {!flush}, stop the senders, join them, close every connection and the
+    wake pipe.
     Idempotent; further pushes return [false]. *)

@@ -322,7 +322,11 @@ module Make (M : Pipeline.Mergeable.S) = struct
     (match seeded with
     | `Refused -> ()
     | `Live | `Failed ->
-        t.apply_d <- Some (Domain.spawn (fun () -> apply_loop t)));
+        t.apply_d <-
+          Some
+            (Domain.spawn (fun () ->
+                 Obs.Thread_name.set "replica";
+                 apply_loop t)));
     t
 
   let wait_epoch ?(timeout = 10.0) t e =

@@ -74,7 +74,7 @@ module Make (M : Pipeline.Mergeable.S) : sig
     unit ->
     t
   (** Dial the leader, send {!Frame.Subscribe}, apply the seed snapshot,
-      and spawn the apply domain. The leader registers the subscription
+      and spawn the apply domain (thread name [replica]). The leader registers the subscription
       before it sends the seed, so when [connect] returns [`Live] every
       later merge reaches this follower — including the final fan-out of
       a leader stopped right after [connect]. A handshake that breaks

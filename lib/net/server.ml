@@ -264,6 +264,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
     let conn = Conn.of_fd fd in
     Conn.set_read_timeout conn t.read_timeout;
     let id = Atomic.fetch_and_add t.conn_ids 1 in
+    Obs.Thread_name.set (Printf.sprintf "conn-%d" id);
     Atomic.incr t.c_conns;
     let entry = { conn; is_sub = false } in
     Mutex.lock t.conns_m;
@@ -298,6 +299,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
     n
 
   let accept_loop t =
+    Obs.Thread_name.set "accept";
     while not (Atomic.get t.stopping) do
       let live = reap t in
       if live >= t.max_conns then

@@ -7,7 +7,9 @@
     and stops accepting at [max_conns] live handlers, letting the kernel
     backlog absorb the excess. A fixed pre-spawned pool would starve —
     pooled senders and replication subscribers hold their connections open
-    for the client's whole life, pinning a fixed handler forever.
+    for the client's whole life, pinning a fixed handler forever. The
+    accept domain names its thread [accept], a handler [conn-N] after its
+    connection id ({!Obs.Thread_name}).
 
     {2 Protocol position}
 

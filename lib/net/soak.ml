@@ -337,8 +337,9 @@ let settle = 30.0 (* seconds the follower may take to reach the final epoch *)
 (* Seconds a leader whose accepted count stopped growing may hold an
    accepted key unpublished: the engine's [max_age] plus [freshness_slack]
    for its clock, a wake-up and a merge on a loaded host. A correct engine
-   was seen holding up to about 60 ms on 2 vCPUs shared by a dozen domains;
-   one that ships partial deltas at 200 ms holds about 200 ms. *)
+   was seen holding up to about 20 ms on 2 vCPUs shared by a dozen domains
+   (about 65 ms before a quiet shard shipped on the next tick); one that
+   ships partial deltas at 200 ms holds about 200 ms. *)
 let freshness_slack = 0.15
 let freshness_deadline = Pipeline.Engine.max_age +. freshness_slack
 

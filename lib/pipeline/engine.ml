@@ -25,6 +25,37 @@ let backoff_cap = 0.05
 let poll_interval = 0.0005
 let jitter_seed = 0xD1EDL
 
+(* The clock's ageing of one shard, one tick at a time (engine.mli states
+   the rule). A quiet shard has nothing more coming to fill its delta, so
+   waiting for [max_age] would buy nothing; what a flush left behind is
+   timed afresh; [kicked] keeps one kick per held weight, so a shard whose
+   worker died with its delta is not kicked on every tick. *)
+type age = {
+  since : float; (* when the held weight was first timed; infinity: none *)
+  flushes : int; (* the shard's [flushes] when [since] was set *)
+  enqueued : int; (* the shard's [enqueued] at the previous tick *)
+  kicked : bool; (* due once already for this held weight *)
+}
+
+let age_idle =
+  { since = Float.infinity; flushes = 0; enqueued = 0; kicked = false }
+
+let age_step a ~enqueued ~flushed_items ~flushes ~now =
+  let quiet = enqueued = a.enqueued in
+  if enqueued - flushed_items <= 0 then ({ age_idle with enqueued }, false)
+  else
+    let a =
+      if
+        a.since = Float.infinity
+        || flushes <> a.flushes
+        || (a.kicked && not quiet)
+      then { since = now; flushes; enqueued; kicked = false }
+      else { a with enqueued }
+    in
+    if (not a.kicked) && (quiet || now -. a.since >= max_age) then
+      ({ a with kicked = true }, true)
+    else (a, false)
+
 module Make (M : Mergeable.S) = struct
   type delta = {
     shard : int;
@@ -131,6 +162,7 @@ module Make (M : Mergeable.S) = struct
     (h lxor (h lsr 27)) land max_int mod shard_count t
 
   let worker t i =
+    Obs.Thread_name.set (Printf.sprintf "shard-%d" i);
     let s = t.shards.(i) in
     (* Worker-private pop buffer, so the steady-state consume path
        allocates nothing (the queue only boxes on the push side). *)
@@ -230,6 +262,7 @@ module Make (M : Mergeable.S) = struct
      mutex across disk writes (write-behind — a crash between merge and
      append loses that record, which recovery's envelope absorbs). *)
   let merger t =
+    Obs.Thread_name.set "merger";
     let dom = shard_count t in
     let rec loop () =
       match Mpsc.pop t.mq with
@@ -290,16 +323,8 @@ module Make (M : Mergeable.S) = struct
 
   (* The clock: one domain per engine, ticking every [poll_interval]
      until a drain begins. Each tick ages every shard's unshipped weight
-     and, when [supervised], restarts dead workers.
-
-     Ageing reads three counters the shards already keep. A shard holds
-     unshipped weight while [enqueued] exceeds [flushed_items]; the clock
-     times it from the tick that first sees it, or that sees a new flush
-     (what a flush left behind is timed afresh). Once it has been held for
-     [max_age] with no flush, the clock marks the shard [due] and kicks its
-     queue, ending the worker's park. One kick per held weight: if nothing
-     ships (the weight was lost with a killed worker) the clock waits for
-     new keys before it times again.
+     ({!age_step}), marking a shard [due] and kicking its queue to end the
+     worker's park, and, when [supervised], restarts dead workers.
 
      Supervision: detect dead workers (their heartbeat loop has exited and
      cleared [alive]) and restart them with capped exponential backoff plus
@@ -307,31 +332,21 @@ module Make (M : Mergeable.S) = struct
      permanently shed — its queue stays closed, ingest fail-fast drops — with
      the reason kept in [last_error]. *)
   let clock t =
+    Obs.Thread_name.set "clock";
     let g = Rng.Splitmix.create jitter_seed in
     let n = shard_count t in
     let restart_at = Array.make n None in
-    let since = Array.make n Float.infinity (* no held weight timed *)
-    and seen_flushes = Array.make n 0
-    and seen_enqueued = Array.make n 0
-    and kicked = Array.make n false in
+    let ages = Array.make n age_idle in
     let age i now =
       let s = t.shards.(i) in
-      let e = Atomic.get s.enqueued and f = Atomic.get s.flushes in
-      if e - Atomic.get s.flushed_items <= 0 then since.(i) <- Float.infinity
-      else if
-        since.(i) = Float.infinity
-        || f <> seen_flushes.(i)
-        || (kicked.(i) && e <> seen_enqueued.(i))
-      then begin
-        since.(i) <- now;
-        seen_flushes.(i) <- f;
-        kicked.(i) <- false
-      end
-      else if (not kicked.(i)) && now -. since.(i) >= max_age then begin
+      let enqueued = Atomic.get s.enqueued in
+      let flushes = Atomic.get s.flushes in
+      let flushed_items = Atomic.get s.flushed_items in
+      let a, due = age_step ages.(i) ~enqueued ~flushed_items ~flushes ~now in
+      ages.(i) <- a;
+      if due then begin
         Atomic.set s.due true;
-        Mpsc.kick s.q;
-        kicked.(i) <- true;
-        seen_enqueued.(i) <- e
+        Mpsc.kick s.q
       end
     in
     while not (Atomic.get t.stopping) do

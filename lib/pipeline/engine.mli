@@ -20,8 +20,9 @@
     shard and pushes each shard's keys with one {!Mpsc.push_slice}, so a
     frame costs each shard queue a few lock holds, not one per key.
     Each worker owns its shard's delta exclusively (no locks on the update
-    path) and keeps it for its whole life; every [batch] items, or once the
-    shard has held unshipped items for {!max_age}, it encodes
+    path) and keeps it for its whole life; every [batch] items, once the
+    shard goes quiet with unshipped items, or once it has held them for
+    {!max_age}, it encodes
     the delta as a {!Wire.Codec} blob, empties it ({!Mergeable.S.ship}) and
     ships the blob to the merger, which validates it outside a mutex and folds
     it into the global sketch in place under it ({!Mergeable.S.fold}),
@@ -36,9 +37,10 @@
     invisible to queries until merged, so a smaller [batch] tightens the IVL
     envelope (less lag between v_min and what a query can return) while a
     larger one buys update throughput — the cadence/slack dial
-    [docs/PIPELINE.md] discusses. {!max_age} bounds that price in time
+    [docs/PIPELINE.md] discusses. The clock bounds that price in time
     below saturation: a quiescent engine publishes every accepted item
-    within about [max_age] plus a merge. Backpressure is physical: bounded
+    within a clock tick or two plus a merge, and a busy one within about
+    {!max_age} plus a merge. Backpressure is physical: bounded
     queues block feeders when shards fall behind.
 
     Crash-stop tolerant: a worker dying (e.g. {!Conc.Chaos.Killed} raised by
@@ -67,15 +69,40 @@ val default_queue_capacity : int
     built with it. *)
 
 val max_age : float
-(** 0.002 seconds: how long a shard may hold unshipped items before its
-    worker ships a partial delta. The engine's clock ticks every 0.5 ms,
-    so a key accepted by an engine that then goes quiet is published
-    within [max_age] plus two ticks, a worker wake-up and a merge. The
-    wake-up and the merge are bound by the scheduler, not by the engine:
-    under the served chaos soak, on 2 vCPUs shared by about a dozen
-    domains, a quiet leader held an accepted key 14.4–50.3 ms over 20 runs
-    and 57.6 ms once. That is why the soak's [freshness] deadline is
-    [max_age] plus [Net.Soak]'s [freshness_slack] (150 ms). *)
+(** 0.002 seconds: how long a shard that keeps receiving may hold
+    unshipped items before its worker ships a partial delta. A shard that
+    goes quiet ships sooner ({!age_step}): the engine's clock ticks every
+    0.5 ms, so a key accepted by an engine that then goes quiet is
+    published within two ticks, a worker wake-up and a merge. The wake-up
+    and the merge are bound by the scheduler, not by the engine: under the
+    served chaos soak, on 2 vCPUs shared by about a dozen domains, a quiet
+    leader held an accepted key 8.8–19.5 ms over 11 runs (14.4–65.5 ms
+    under the age rule alone, docs/PIPELINE.md). That is why the soak's
+    [freshness] deadline is [max_age] plus [Net.Soak]'s
+    [freshness_slack] (150 ms). *)
+
+type age
+(** The clock's ageing state for one shard. *)
+
+val age_idle : age
+(** A shard the clock has not yet seen hold anything. *)
+
+val age_step :
+  age -> enqueued:int -> flushed_items:int -> flushes:int -> now:float ->
+  age * bool
+(** One clock tick for one shard: from the shard's [enqueued],
+    [flushed_items] and [flushes] counters read at time [now], the next
+    state and whether the shard is due now (the clock then marks it due
+    and {!Mpsc.kick}s its queue). A shard holds unshipped items while
+    [enqueued > flushed_items]; the clock times them from the tick that
+    first sees them or that sees a new flush. The shard is due on the
+    first tick that finds it {e quiet} — [enqueued] unchanged since the
+    previous tick — or holding items timed {!max_age} ago. So a shard
+    that goes quiet ships on the next tick, and one that keeps receiving
+    ships at [batch] or at [max_age]. Due once per held weight: after
+    that, not again before new keys or a new flush, so a shard whose
+    worker died with its delta is not kicked on every tick. Pure: the
+    clock's only state is the [age] it keeps per shard. *)
 
 val max_lags : int
 (** [1 lsl 20]: {!Make.stats}'s [merge_lag] keeps the first [max_lags]
@@ -137,7 +164,7 @@ module Make (M : Mergeable.S) : sig
     unit ->
     t
   (** Spawn [shards] worker domains, one merger domain and one clock
-      domain. Every shard queue and the merger queue is a {!Mpsc}.
+      domain, named [shard-N], [merger] and [clock] ({!Obs.Thread_name}). Every shard queue and the merger queue is a {!Mpsc}.
       [queue_capacity] (default {!Engine.default_queue_capacity}) bounds
       each shard queue; [batch] (default 512) is the merge cadence in
       items.
@@ -146,13 +173,13 @@ module Make (M : Mergeable.S) : sig
       [batch] items, blocks on the queue when it is empty until enough
       items arrive to complete its delta or fill a quarter batch (rounded
       up), and ships its delta once it holds at least [batch] items, once
-      the clock finds the shard has held unshipped items for
-      {!Engine.max_age} without a flush, and when the queue closes. The
-      clock reads the shards' [enqueued], [flushed_items] and [flushes]
-      every 0.5 ms, marks an over-age shard due and {!Mpsc.kick}s its
-      queue; the per-item path reads no clock. So a shard whose worker
-      never died has [flushed_items = enqueued] after {!drain}, and within
-      about [max_age] of going quiet.
+      the clock finds the shard quiet with unshipped items or holding them
+      for {!Engine.max_age} without a flush ({!Engine.age_step}), and when
+      the queue closes. The clock reads the shards' [enqueued],
+      [flushed_items] and [flushes] every 0.5 ms, marks a due shard and
+      {!Mpsc.kick}s its queue; the per-item path reads no clock. So a
+      shard whose worker never died has [flushed_items = enqueued] after
+      {!drain}, and within about two ticks of going quiet.
 
       [on_tick] runs in the worker's domain once per batch loop — the
       chaos hook: raising {!Conc.Chaos.Killed} from it crash-stops that

@@ -1143,6 +1143,112 @@ let test_client_push_allocates_nothing () =
     (Printf.sprintf "%.0f minor words for 100k pushes" words)
     true (words < 1000.0)
 
+(* Seconds until [f ()] holds, giving up after [within]. *)
+let wait_until ?(within = 1.0) f =
+  let t0 = Unix.gettimeofday () in
+  while (not (f ())) && Unix.gettimeofday () -. t0 < within do
+    Unix.sleepf 0.001
+  done;
+  Unix.gettimeofday () -. t0
+
+(* Senders sleep until a batch is due: with [flush_age] 10 s nothing ages
+   out during these tests, so whatever goes out promptly was woken. *)
+let sleepy_client ~conns port =
+  let cli =
+    Net.Client.create ~conns ~batch:8 ~flush_age:10.0 ~host:"127.0.0.1" ~port ()
+  in
+  (* let every sender reach its sleep *)
+  Unix.sleepf 0.05;
+  cli
+
+(* A push that completes a batch wakes a sleeping sender. *)
+let test_client_full_batch_wakes ~conns () =
+  let srv = start_server () in
+  let cli = sleepy_client ~conns (Srv.port srv) in
+  for i = 1 to 8 do
+    ignore (Net.Client.push cli i)
+  done;
+  let acked () = (Net.Client.stats cli).Net.Client.acked = 8 in
+  let waited = wait_until acked in
+  check_bool (Printf.sprintf "full batch acked after %.3f s" waited) true
+    (acked ());
+  Net.Client.close cli;
+  ignore (Srv.stop srv)
+
+(* [flush] and [close] wake a sleeping sender: a lone key goes out at
+   once on [flush], and [close] of an idle client returns at once. *)
+let test_client_flush_close_wake () =
+  let srv = start_server () in
+  let cli = sleepy_client ~conns:2 (Srv.port srv) in
+  ignore (Net.Client.push cli 1);
+  let t0 = Unix.gettimeofday () in
+  Net.Client.flush cli;
+  let flushed = Unix.gettimeofday () -. t0 in
+  check_bool (Printf.sprintf "flush returned in %.3f s" flushed) true
+    (flushed < 1.0);
+  check_int "the lone key acked" 1 (Net.Client.stats cli).Net.Client.acked;
+  Unix.sleepf 0.05;
+  let t0 = Unix.gettimeofday () in
+  Net.Client.close cli;
+  let closed = Unix.gettimeofday () -. t0 in
+  check_bool (Printf.sprintf "close returned in %.3f s" closed) true
+    (closed < 1.0);
+  ignore (Srv.stop srv)
+
+(* The age trigger still holds a lone key for [flush_age], and only that
+   long: a key pushed into an empty buffer reaches the peer no sooner. *)
+let test_client_lone_key_waits_flush_age () =
+  let flush_age = 0.3 in
+  let arrived = Atomic.make Float.nan in
+  let port, peer =
+    scripted_peer
+      [
+        (fun c ->
+          match recv_batch c with
+          | Some (_, keys) ->
+              Atomic.set arrived (Unix.gettimeofday ());
+              send_ack c ~accepted:(Array.length keys) ~dup:false;
+              ack_rest c
+          | None -> ());
+      ]
+  in
+  let cli =
+    Net.Client.create ~conns:1 ~batch:8 ~flush_age ~session:85L
+      ~host:"127.0.0.1" ~port ()
+  in
+  Unix.sleepf 0.05;
+  let pushed = Unix.gettimeofday () in
+  ignore (Net.Client.push cli 1);
+  ignore
+    (wait_until ~within:5.0 (fun () ->
+         (Net.Client.stats cli).Net.Client.acked = 1));
+  let held = Atomic.get arrived -. pushed in
+  check_bool (Printf.sprintf "held %.3f s, flush_age %.1f s" held flush_age)
+    true
+    (held >= flush_age && held < flush_age +. 1.0);
+  Net.Client.close cli;
+  Domain.join peer
+
+(* [close] closes every descriptor the client opened: its connections and
+   its wake pipe. *)
+let test_client_close_leaves_no_fd () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  if Sys.file_exists "/proc/self/fd" then begin
+    let before = open_fds () in
+    let srv = start_server () in
+    let cli =
+      Net.Client.create ~conns:2 ~batch:8 ~flush_age:0.01 ~host:"127.0.0.1"
+        ~port:(Srv.port srv) ()
+    in
+    for i = 1 to 100 do
+      ignore (Net.Client.push cli i)
+    done;
+    ignore (Net.Client.query cli Frame.Total);
+    Net.Client.close cli;
+    ignore (Srv.stop srv);
+    check_int "open descriptors after close" before (open_fds ())
+  end
+
 (* Satellite: the driver's sink seam. The default engine sink and the
    client sink implement the same signature; a bare Sink.make fills the
    optional operations with safe defaults. *)
@@ -2185,6 +2291,16 @@ let () =
             test_client_ring_wraps;
           Alcotest.test_case "push allocates nothing" `Quick
             test_client_push_allocates_nothing;
+          Alcotest.test_case "a full batch wakes the sender (1 conn)" `Quick
+            (test_client_full_batch_wakes ~conns:1);
+          Alcotest.test_case "a full batch wakes the sender (2 conns)" `Quick
+            (test_client_full_batch_wakes ~conns:2);
+          Alcotest.test_case "flush and close wake a sleeping sender" `Quick
+            test_client_flush_close_wake;
+          Alcotest.test_case "a lone key waits flush_age" `Quick
+            test_client_lone_key_waits_flush_age;
+          Alcotest.test_case "close leaves no descriptor open" `Quick
+            test_client_close_leaves_no_fd;
         ] );
       ( "effectively-once",
         [

@@ -410,10 +410,10 @@ let test_published () =
     (PC.published p)
 
 (* An engine that goes quiet below [batch] still publishes what it took:
-   the clock ships each shard's partial delta once it is [max_age] old.
+   the clock ships each shard's partial delta once the shard goes quiet.
    Three rounds of 100 keys into 4 shards of batch 512, no drain; each
    round is published in full within [max_age] plus the allowance, which
-   covers the clock's tick, a wake-up and a merge on a loaded host. *)
+   covers the clock's ticks, a wake-up and a merge on a loaded host. *)
 let freshness_allowance = 0.25
 
 let test_partial_delta_ships_by_age () =
@@ -444,6 +444,72 @@ let test_partial_delta_ships_by_age () =
   done;
   PC.drain p;
   Alcotest.(check int) "drain adds nothing" 300 (PC.published p)
+
+(* The clock's ageing step, driven tick by tick with no clock and no
+   sleeps. [ticks] feeds (now, enqueued, flushed_items, flushes) readings
+   to [Engine.age_step] from [Engine.age_idle] and returns, per tick,
+   whether the shard was due. Ticks are 0.7 ms apart, so no tick lands on
+   the [max_age] (2 ms) boundary. *)
+let tick = 0.0007
+
+let ticks readings =
+  let _, dues =
+    List.fold_left
+      (fun (a, dues) (now, enqueued, flushed_items, flushes) ->
+        let a, due =
+          Pipeline.Engine.age_step a ~enqueued ~flushed_items ~flushes ~now
+        in
+        (a, due :: dues))
+      (Pipeline.Engine.age_idle, [])
+      readings
+  in
+  List.rev dues
+
+let check_dues name expected readings =
+  Alcotest.(check (list bool)) name expected (ticks readings)
+
+(* A shard that takes keys and then none is due on the first tick that
+   sees no growth: one tick after the keys, far inside [max_age]. The
+   age-only rule kept it until the keys were [max_age] old. *)
+let test_age_quiet_shard_due () =
+  check_dues "due on the first tick with no growth"
+    [ false; false; true ]
+    [ (0.0, 0, 0, 0); (tick, 100, 0, 0); (2.0 *. tick, 100, 0, 0) ];
+  check_dues "nothing held, never due" [ false; false; false ]
+    [ (0.0, 0, 0, 0); (tick, 100, 100, 1); (2.0 *. tick, 100, 100, 1) ]
+
+(* A shard that grows on every tick is never quiet: it is due only once
+   the weight first timed is [max_age] old (timed at 0.7 ms, due at
+   2.8 ms, not at 2.1 ms). *)
+let test_age_growing_shard_due_at_max_age () =
+  let readings = List.init 6 (fun k -> (float_of_int k *. tick, 10 * k, 0, 0)) in
+  check_dues "due only at max_age"
+    [ false; false; false; false; true; false ]
+    readings
+
+(* One kick per held weight: a shard that stays due-but-unshipped (its
+   worker died with the delta) is not due again, however long it holds,
+   until new keys arrive; then it is timed afresh and due on the next
+   quiet tick. *)
+let test_age_no_second_kick () =
+  let held = List.init 8 (fun k -> (float_of_int (k + 3) *. tick, 100, 0, 0)) in
+  check_dues "one kick, then none without new keys"
+    ([ false; false; true ] @ List.init 8 (fun _ -> false) @ [ false; true ])
+    ([ (0.0, 0, 0, 0); (tick, 100, 0, 0); (2.0 *. tick, 100, 0, 0) ]
+    @ held
+    @ [ (11.0 *. tick, 101, 0, 0); (12.0 *. tick, 101, 0, 0) ])
+
+(* A flush restarts the timing: a growing shard that ships part of what it
+   holds at 2.1 ms is due [max_age] after that tick (at 4.2 ms), not after
+   its first timing (at 2.8 ms). *)
+let test_age_flush_restarts_timing () =
+  let reading k =
+    let flushes = if k >= 3 then 1 else 0 in
+    (float_of_int k *. tick, 10 * k, 5 * flushes, flushes)
+  in
+  check_dues "due max_age after the flush"
+    [ false; false; false; false; false; false; true; false ]
+    (List.init 8 reading)
 
 (* History recording is opt-in: a default engine keeps no op per merge,
    and [read_total] records none either. *)
@@ -1515,6 +1581,14 @@ let () =
             test_parks_per_delta;
           Alcotest.test_case "a partial delta ships by age" `Quick
             test_partial_delta_ships_by_age;
+          Alcotest.test_case "age: a quiet shard is due at once" `Quick
+            test_age_quiet_shard_due;
+          Alcotest.test_case "age: a growing shard is due at max_age" `Quick
+            test_age_growing_shard_due_at_max_age;
+          Alcotest.test_case "age: no second kick without new keys" `Quick
+            test_age_no_second_kick;
+          Alcotest.test_case "age: a flush restarts the timing" `Quick
+            test_age_flush_restarts_timing;
           Alcotest.test_case "history is off by default" `Quick
             test_history_off_by_default;
           Alcotest.test_case "merge lags stop at max_lags" `Quick
