@@ -134,6 +134,15 @@ let ops_per_sec ~unit_ mean =
   | "ns/op" -> if mean > 0.0 then Some (1e9 /. mean) else None
   | _ -> None
 
+(* Words the current domain has allocated: minor words up to the
+   allocation pointer, plus words allocated directly on the major heap.
+   [Gc.allocated_bytes] is not used: under OCaml 5.1 it reads the minor
+   count through [Gc.counters], which lags until the next minor
+   collection, so a path allocating a few words per call read 0. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
 (* Bytes the current domain allocates per call of [f] (minor + major,
    from the GC's own counters — exact, not sampled). Used by the
    allocation audits: the flat/one-pass hot paths are designed to
@@ -143,11 +152,13 @@ let allocated_bytes_per_op ~ops f =
   (* Warm once so one-time laziness (format strings, closures) doesn't
      bill the first measured batch. *)
   f ();
-  let before = Gc.allocated_bytes () in
+  let before = allocated_words () in
   for _ = 1 to ops do
     f ()
   done;
-  (Gc.allocated_bytes () -. before) /. float_of_int ops
+  (allocated_words () -. before)
+  *. float_of_int (Sys.word_size / 8)
+  /. float_of_int ops
 
 (* Best-effort provenance for the summary manifest: the commit the numbers
    were measured at, or null outside a git checkout. *)

@@ -331,7 +331,7 @@ let main args =
                       end
                       else "ok"
                     else if structural_unit o.unit_ then
-                      (* float dust from Gc.allocated_bytes division *)
+                      (* float dust from the per-op division *)
                       if nw.mean > o.mean +. 0.5 then begin
                         fatal
                           "STRUCTURAL %s: %.1f -> %.1f %s (hot path now \

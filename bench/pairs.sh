@@ -21,6 +21,14 @@
 # first eight fields (user to steal; guest time is already in user). A spread
 # that follows steal is the host's, not the program's.
 #
+# After its line, each run prints its per-thread CPU, indented and
+# labelled, one line per thread name from bench/threads.sh over the
+# window from 40% to 70% of the run (6 s from 8 s in, at 20 s):
+#
+#     <old|new> <name> threads=<N> cpu_pct=<P> user_pct=<U> sys_pct=<S>
+#
+# so every pair carries the sender-N and conn-N CPU beside its numbers.
+#
 # SECONDS_PER_RUN (default 20) sets --seconds; the rest of the command
 # line is the one BENCHMARK.json runs (--trace 0). A run that prints no
 # JSON line reports `json=none` and its exit status.
@@ -37,6 +45,11 @@ new=$2
 workload=$3
 shift 3
 seconds=${SECONDS_PER_RUN:-20}
+threads=$(dirname "$0")/threads.sh
+window_start=$(awk -v s="$seconds" 'BEGIN { print 0.4 * s }')
+window_len=$(awk -v s="$seconds" 'BEGIN { print 0.3 * s }')
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
 
 for exe in "$old" "$new"; do
   if [ ! -x "$exe" ]; then
@@ -76,9 +89,14 @@ run_one() {
   set -- $(cpu_times)
   s0=$1
   t0=$2
-  out=$(cd "$dir" && "$exe" --workload "$workload" --seed "$seed" \
-    --seconds "$seconds" --trace 0 2>&1)
+  (cd "$dir" && exec "$exe" --workload "$workload" --seed "$seed" \
+    --seconds "$seconds" --trace 0 >"$tmp/out" 2>&1) &
+  pid=$!
+  sleep "$window_start"
+  "$threads" "$pid" "$window_len" >"$tmp/threads" 2>/dev/null || : >"$tmp/threads"
+  wait "$pid"
   status=$?
+  out=$(cat "$tmp/out")
   set -- $(cpu_times)
   steal=$(awk -v s="$(($1 - s0))" -v t="$(($2 - t0))" \
     'BEGIN { if (t > 0) printf "%.2f", 100 * s / t; else print "nan" }')
@@ -88,6 +106,7 @@ run_one() {
   else
     echo "$label seed=$seed steal_pct=$steal json=none status=$status"
   fi
+  sed "s/^/    $label /" "$tmp/threads"
 }
 
 i=0

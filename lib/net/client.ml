@@ -63,13 +63,16 @@ let first_backoff = 0.005
 
 (* ------------------------------ senders ------------------------------- *)
 
-(* A batch on the wire, not yet acked. Its frame is encoded once and
-   resent as is, so a retry carries the same (session, seq). *)
-type unacked = {
-  n : int;  (* keys *)
-  frame : Bytes.t;
-  ctx : Obs.Span.context;
-  start_ns : int;  (* flush span start: when the batch was taken *)
+(* A batch on the wire, not yet acked, in one of a sender's [window]
+   pooled slots. Its frame is encoded once into the slot's buffer and
+   resent as is, so a retry carries the same (session, seq); the slot, and
+   its buffer, is reused once the batch resolves. *)
+type slot = {
+  mutable frame : Bytes.t;  (* grows to the largest frame composed *)
+  mutable len : int;  (* frame bytes *)
+  mutable n : int;  (* keys *)
+  mutable ctx : Obs.Span.context;
+  mutable start_ns : int;  (* flush span start: when the batch was taken *)
   mutable left : int;  (* retries left *)
 }
 
@@ -77,16 +80,31 @@ type unacked = {
    (re)connection, plus a seq counter bumped once per composed batch.
    Retries resend the same (session, seq), which is what lets the server
    suppress the re-application when only the ack was lost. Up to [window]
-   batches are on the wire at once, oldest first in [unacked]; they were
-   all sent, in seq order, on [conn] when it is [Some]. *)
+   batches are on the wire at once: the [unacked] slots from [head],
+   oldest first, wrapping; they were all sent, in seq order, on [conn]
+   when it is [Some]. [take] copies a batch's keys into [keys] and the
+   arrival of its oldest key into [oldest_at]. *)
 type sender_state = {
   session : int64;
   mutable seq : int;
   mutable conn : Conn.t option;
   mutable ever_connected : bool;
-  unacked : unacked Queue.t;
+  slots : slot array;
+  mutable head : int;
+  mutable unacked : int;
+  keys : int array;
+  oldest_at : Float.Array.t;
   mutable backoff : float;
 }
+
+(* The [i]th oldest unacked slot. *)
+let slot st i = st.slots.((st.head + i) mod window)
+
+let pop_oldest st =
+  let u = st.slots.(st.head) in
+  st.head <- (st.head + 1) mod window;
+  st.unacked <- st.unacked - 1;
+  u
 
 let drop_conn st =
   match st.conn with
@@ -144,11 +162,16 @@ let settle t =
 let fail t st =
   Atomic.incr t.c_errors;
   drop_conn st;
-  for _ = 1 to Queue.length st.unacked do
-    let u = Queue.pop st.unacked in
+  (* keep the slots with attempts left in order, at the front *)
+  let kept = ref 0 in
+  for i = 0 to st.unacked - 1 do
+    let u = slot st i in
     if u.left > 0 then begin
       u.left <- u.left - 1;
-      Queue.push u st.unacked
+      let j = (st.head + !kept) mod window and k = (st.head + i) mod window in
+      st.slots.(k) <- st.slots.(j);
+      st.slots.(j) <- u;
+      incr kept
     end
     else begin
       ignore (Atomic.fetch_and_add t.c_shed u.n);
@@ -156,7 +179,8 @@ let fail t st =
       settle t
     end
   done;
-  if not (Queue.is_empty st.unacked) then begin
+  st.unacked <- !kept;
+  if st.unacked > 0 then begin
     Unix.sleepf st.backoff;
     st.backoff <- Float.min 0.2 (st.backoff *. 2.0)
   end
@@ -166,8 +190,12 @@ let resend t st =
   match ensure_conn t st with
   | None -> fail t st
   | Some c ->
-      if not (Queue.fold (fun ok u -> ok && Conn.send c u.frame) true st.unacked)
-      then fail t st
+      let rec go i =
+        i = st.unacked
+        || (let u = slot st i in
+            Conn.send_sub c u.frame ~len:u.len && go (i + 1))
+      in
+      if not (go 0) then fail t st
 
 (* Read one response. The server answers a connection's frames one at a
    time and in order, so it is the oldest unacked batch's. *)
@@ -177,7 +205,7 @@ let await_response t st conn =
   | Ok frame -> (
       match Frame.decode_response frame with
       | Ok (Frame.Ack { accepted; dup; _ }) ->
-          let u = Queue.pop st.unacked in
+          let u = pop_oldest st in
           if dup then Atomic.incr t.c_duplicates;
           ignore (Atomic.fetch_and_add t.c_sent u.n);
           ignore (Atomic.fetch_and_add t.c_acked accepted);
@@ -199,7 +227,7 @@ let await_response t st conn =
           fail t st
       | Ok (Frame.Err _) ->
           (* the server answered: resending the same bytes cannot help *)
-          let u = Queue.pop st.unacked in
+          let u = pop_oldest st in
           Atomic.incr t.c_errors;
           ignore (Atomic.fetch_and_add t.c_sent u.n);
           ignore (Atomic.fetch_and_add t.c_shed u.n);
@@ -225,16 +253,20 @@ let wake t =
    all ready: the caller then blocks on the response, which is correct,
    only not multiplexed. *)
 let sleep t acks timeout =
+  (* a response already in the receive buffer is not on the socket *)
+  let buffered = match acks with Some c -> Conn.buffered c | None -> false in
   let fds =
     match acks with Some c -> [ t.wake_r; Conn.fd c ] | None -> [ t.wake_r ]
   in
   let ready =
-    match Unix.select fds [] [] (if timeout > 0.0 then timeout else -1.0) with
-    | r, _, _ -> r
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-    | exception Unix.Unix_error _ ->
-        Unix.sleepf 0.001;
-        fds
+    if buffered then []
+    else
+      match Unix.select fds [] [] (if timeout > 0.0 then timeout else -1.0) with
+      | r, _, _ -> r
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+      | exception Unix.Unix_error _ ->
+          Unix.sleepf 0.001;
+          fds
   in
   Mutex.lock t.m;
   t.sleeping <- t.sleeping - 1;
@@ -244,16 +276,16 @@ let sleep t acks timeout =
   end;
   Mutex.unlock t.m;
   match acks with
-  | Some c when List.mem (Conn.fd c) ready -> acks
+  | Some c when buffered || List.mem (Conn.fd c) ready -> acks
   | _ -> None
 
-(* A chunk to send, [`Done] once closed and empty, or [`Sleep s]: nothing
-   is due for [s] seconds, the time left until the oldest key is
-   [flush_age] old ([flush_age] on an empty buffer, since no key pushed
-   from now on is due sooner). A sleeper is counted in [sleeping] here,
-   under [t.m], so whatever would make a batch due after this take sees
-   it and wakes it: no wake-up is lost. *)
-let take t =
+(* [`Chunk k] once [k] keys are copied into [st.keys], [`Done] once closed
+   and empty, or [`Sleep s]: nothing is due for [s] seconds, the time left
+   until the oldest key is [flush_age] old ([flush_age] on an empty
+   buffer, since no key pushed from now on is due sooner). A sleeper is
+   counted in [sleeping] here, under [t.m], so whatever would make a batch
+   due after this take sees it and wakes it: no wake-up is lost. *)
+let take t st =
   Mutex.lock t.m;
   let n = t.len in
   let left =
@@ -264,19 +296,18 @@ let take t =
   let r =
     if n > 0 && left <= 0.0 then begin
       let k = min n t.batch in
-      let oldest_at = Float.Array.get t.oldest 0 in
-      let arr = Array.make k 0 in
+      (* the arrival of the chunk's oldest key: the enqueue span's start
+         when this chunk turns out to be sampled *)
+      Float.Array.set st.oldest_at 0 (Float.Array.get t.oldest 0);
       let run = min k (t.queue_cap - t.head) in
-      Array.blit t.buf t.head arr 0 run;
-      Array.blit t.buf 0 arr run (k - run);
+      Array.blit t.buf t.head st.keys 0 run;
+      Array.blit t.buf 0 st.keys run (k - run);
       t.head <- (if t.head + k >= t.queue_cap then t.head + k - t.queue_cap else t.head + k);
       t.len <- n - k;
       if t.len = 0 then Float.Array.set t.oldest 0 infinity;
       t.in_flight <- t.in_flight + 1;
       Condition.broadcast t.nonfull;
-      (* oldest_at: arrival of the chunk's oldest key — the enqueue span's
-         start when this chunk turns out to be sampled *)
-      `Chunk (arr, oldest_at)
+      `Chunk k
     end
     else if t.closed then `Done
     else begin
@@ -287,10 +318,11 @@ let take t =
   Mutex.unlock t.m;
   r
 
-(* Number a taken chunk and encode its frame. A sampled chunk gets an
-   "enqueue" span (oldest buffered arrival → take) and carries its
-   re-parented context on the wire. *)
-let compose t st arr oldest_at =
+(* Number a taken chunk of [k] keys and encode its frame into the next
+   free slot, whose buffer is allocated at full batch size on its first
+   use. A sampled chunk gets an "enqueue" span (oldest buffered arrival →
+   take) and carries its re-parented context on the wire. *)
+let compose t st k =
   let ctx =
     match t.tracer with
     | None -> Obs.Span.zero
@@ -299,6 +331,7 @@ let compose t st arr oldest_at =
         | None -> Obs.Span.zero
         | Some ctx ->
             let now = Obs.Tracer.now_ns () in
+            let oldest_at = Float.Array.get st.oldest_at 0 in
             let start_ns =
               if Float.is_finite oldest_at then int_of_float (oldest_at *. 1e9)
               else now
@@ -310,15 +343,16 @@ let compose t st arr oldest_at =
   in
   let seq = st.seq in
   st.seq <- seq + 1;
-  {
-    n = Array.length arr;
-    frame =
-      Frame.encode_request
-        (Frame.Batch { session = st.session; seq; ctx; keys = arr });
-    ctx;
-    start_ns = (match t.tracer with Some _ -> Obs.Tracer.now_ns () | None -> 0);
-    left = t.retries;
-  }
+  let u = slot st st.unacked in
+  if Bytes.length u.frame < Frame.batch_frame_size k then
+    u.frame <- Bytes.create (Frame.batch_frame_size t.batch);
+  u.len <- Frame.write_batch u.frame ~session:st.session ~seq ~ctx st.keys ~len:k;
+  u.n <- k;
+  u.ctx <- ctx;
+  u.start_ns <- (match t.tracer with Some _ -> Obs.Tracer.now_ns () | None -> 0);
+  u.left <- t.retries;
+  st.unacked <- st.unacked + 1;
+  u
 
 let sender_loop t i =
   let session = Int64.add t.session_base (Int64.of_int i) in
@@ -328,28 +362,40 @@ let sender_loop t i =
       seq = 0;
       conn = None;
       ever_connected = false;
-      unacked = Queue.create ();
+      slots =
+        Array.init window (fun _ ->
+            {
+              frame = Bytes.empty;
+              len = 0;
+              n = 0;
+              ctx = Obs.Span.zero;
+              start_ns = 0;
+              left = 0;
+            });
+      head = 0;
+      unacked = 0;
+      keys = Array.make t.batch 0;
+      oldest_at = Float.Array.make 1 infinity;
       backoff = first_backoff;
     }
   in
   let rec go () =
     match st.conn with
-    | None when not (Queue.is_empty st.unacked) ->
+    | None when st.unacked > 0 ->
         resend t st;
         go ()
-    | Some conn when Queue.length st.unacked >= window ->
+    | Some conn when st.unacked >= window ->
         await_response t st conn;
         go ()
     | conn -> (
         (* the connection, while it has batches to ack *)
-        let acks = if Queue.is_empty st.unacked then None else conn in
-        match (take t, acks) with
-        | `Chunk (arr, oldest_at), _ ->
-            let u = compose t st arr oldest_at in
-            Queue.push u st.unacked;
+        let acks = if st.unacked = 0 then None else conn in
+        match (take t st, acks) with
+        | `Chunk k, _ ->
+            let u = compose t st k in
             (* without a connection, the next turn dials and sends it *)
             (match conn with
-            | Some c -> if not (Conn.send c u.frame) then fail t st
+            | Some c -> if not (Conn.send_sub c u.frame ~len:u.len) then fail t st
             | None -> ());
             go ()
         | `Sleep left, _ ->
@@ -498,7 +544,10 @@ let create ?(conns = 1) ?(batch = 256) ?(flush_age = 0.05) ?queue
     | None -> default_session_base ()
   in
   let queue_cap = Option.value queue ~default:(8 * batch) in
-  if queue_cap <= 0 then invalid_arg "Net.Client: queue must be positive";
+  (* a ring that cannot hold a full batch never fills one: every push
+     into it would wait out [flush_age] *)
+  if queue_cap < batch then
+    invalid_arg "Net.Client: queue must hold at least one batch";
   Conn.ignore_sigpipe ();
   let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let t =

@@ -103,7 +103,14 @@ val create :
     waterfall. Unsampled batches carry the zero context, exactly as a
     tracerless client's do.
 
-    @raise Invalid_argument on non-positive [conns]/[batch]/[queue]. *)
+    Each sender copies a taken batch into its own key array and encodes
+    its frame into one of {!window} pooled buffers, which a retry resends
+    as is; the buffer is reused once its batch resolves. So the steady
+    state allocates no heap block per frame.
+
+    @raise Invalid_argument on non-positive [conns] or [batch], or a
+    [queue] smaller than [batch] (the ring could never hold a full batch,
+    so every push into a full ring would wait out [flush_age]). *)
 
 val window : int
 (** Batches a sender keeps sent and unacked: 4. At most

@@ -1,13 +1,24 @@
+type view = { mutable buf : Bytes.t; mutable off : int; mutable len : int }
+
+type recv_error = [ `Eof | `Timeout | `Oversized of int | `Bad_header ]
+
+(* The receive buffer holds the stream's unconsumed bytes at
+   [rbuf.(start .. stop - 1)]. It starts at [initial_buffer] and grows to
+   the largest frame seen; [recv_view] hands a frame up as [view], in
+   place, and the same preallocated [Ok view] is returned every time. *)
 type t = {
   fd : Unix.file_descr;
+  mutable rbuf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+  view : view;
+  ok_view : (view, recv_error) result;
   mutable bytes_in : int;
   mutable bytes_out : int;
   mutable frames_in : int;
   mutable frames_out : int;
   mutable closed : bool;
 }
-
-type recv_error = [ `Eof | `Timeout | `Oversized of int | `Bad_header ]
 
 let recv_error_to_string = function
   | `Eof -> "peer closed the connection"
@@ -16,6 +27,10 @@ let recv_error_to_string = function
   | `Bad_header -> "stream desync: bytes are not an IVLW frame"
 
 let max_frame = 16 * 1024 * 1024
+
+(* Small, so an idle or short-lived connection costs little; a served
+   batch frame (about 2 KB at 256 keys) fits without growing. *)
+let initial_buffer = 4096
 
 let sigpipe_ignored = Atomic.make false
 
@@ -27,7 +42,20 @@ let set_nodelay fd = try Unix.setsockopt fd Unix.TCP_NODELAY true with _ -> ()
 
 let make fd =
   set_nodelay fd;
-  { fd; bytes_in = 0; bytes_out = 0; frames_in = 0; frames_out = 0; closed = false }
+  let view = { buf = Bytes.empty; off = 0; len = 0 } in
+  {
+    fd;
+    rbuf = Bytes.create initial_buffer;
+    start = 0;
+    stop = 0;
+    view;
+    ok_view = Ok view;
+    bytes_in = 0;
+    bytes_out = 0;
+    frames_in = 0;
+    frames_out = 0;
+    closed = false;
+  }
 
 let connect ~host ~port =
   ignore_sigpipe ();
@@ -46,65 +74,94 @@ let of_fd fd =
 let set_read_timeout t s =
   try Unix.setsockopt_float t.fd Unix.SO_RCVTIMEO s with _ -> ()
 
-(* Fill buf[off..off+len) from the socket. EINTR retries; a receive-timeout
-   expiry (EAGAIN/EWOULDBLOCK with SO_RCVTIMEO armed) is `Timeout; EOF or a
-   reset mid-fill is `Eof — which is exactly where a truncated frame or an
-   abrupt disconnect surfaces. *)
-let read_exact t buf off len =
-  let rec go off len =
-    if len = 0 then Ok ()
-    else
-      match Unix.read t.fd buf off len with
-      | 0 -> Error `Eof
-      | n ->
-          t.bytes_in <- t.bytes_in + n;
-          go (off + n) (len - n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off len
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          Error `Timeout
-      | exception Unix.Unix_error (_, _, _) -> Error `Eof
-  in
-  go off len
-
 let header_size = Wire.Codec.header_size
-let magic = "IVLW"
+
+(* One read into the buffer's free tail: whatever the socket holds, up to
+   the buffer's end. EINTR retries; a receive-timeout expiry
+   (EAGAIN/EWOULDBLOCK with SO_RCVTIMEO armed) is `Timeout; EOF or a reset
+   is `Eof — which is exactly where a truncated frame or an abrupt
+   disconnect surfaces. *)
+let rec read_tail t =
+  match Unix.read t.fd t.rbuf t.stop (Bytes.length t.rbuf - t.stop) with
+  | 0 -> Error `Eof
+  | n ->
+      t.bytes_in <- t.bytes_in + n;
+      t.stop <- t.stop + n;
+      Ok ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_tail t
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      Error `Timeout
+  | exception Unix.Unix_error (_, _, _) -> Error `Eof
+
+(* Make room for a frame of [need] bytes, then read. The unconsumed bytes,
+   less than one frame, move to the front first, so the free tail is as
+   long as it can be; the frame last handed up is overwritten only here,
+   in the next receive. *)
+let fill t ~need =
+  let have = t.stop - t.start in
+  if need > Bytes.length t.rbuf then begin
+    let grown = Bytes.create (max need (2 * Bytes.length t.rbuf)) in
+    Bytes.blit t.rbuf t.start grown 0 have;
+    t.rbuf <- grown
+  end
+  else if t.start > 0 then Bytes.blit t.rbuf t.start t.rbuf 0 have;
+  t.start <- 0;
+  t.stop <- have;
+  read_tail t
+
+let rec recv_view t =
+  let have = t.stop - t.start in
+  if have < header_size then
+    match fill t ~need:header_size with
+    | Ok () -> recv_view t
+    | Error e -> Error e
+  else if not (Wire.Codec.has_magic t.rbuf t.start) then Error `Bad_header
+  else
+    (* payload length: u32 BE right after magic+version+kind *)
+    let plen =
+      Int32.to_int (Bytes.get_int32_be t.rbuf (t.start + 6)) land 0xFFFFFFFF
+    in
+    if plen > max_frame then Error (`Oversized plen)
+    else
+      let len = header_size + plen in
+      if have < len then
+        match fill t ~need:len with
+        | Ok () -> recv_view t
+        | Error e -> Error e
+      else begin
+        t.view.buf <- t.rbuf;
+        t.view.off <- t.start;
+        t.view.len <- len;
+        t.start <- t.start + len;
+        t.frames_in <- t.frames_in + 1;
+        t.ok_view
+      end
 
 let recv t =
-  let header = Bytes.create header_size in
-  match read_exact t header 0 header_size with
+  match recv_view t with
+  | Ok v -> Ok (Bytes.sub v.buf v.off v.len)
   | Error e -> Error e
-  | Ok () ->
-      if Bytes.sub_string header 0 4 <> magic then Error `Bad_header
-      else
-        (* payload length: u32 BE right after magic+version+kind *)
-        let len = Int32.to_int (Bytes.get_int32_be header 6) land 0xFFFFFFFF in
-        if len > max_frame then Error (`Oversized len)
-        else
-          let frame = Bytes.create (header_size + len) in
-          Bytes.blit header 0 frame 0 header_size;
-          match read_exact t frame header_size len with
-          | Error e -> Error e
-          | Ok () ->
-              t.frames_in <- t.frames_in + 1;
-              Ok frame
 
-let send t frame =
+let buffered t = t.stop > t.start
+
+let rec write_from t frame off len =
+  if off = len then true
+  else
+    match Unix.write t.fd frame off (len - off) with
+    | n ->
+        t.bytes_out <- t.bytes_out + n;
+        write_from t frame (off + n) len
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_from t frame off len
+    | exception Unix.Unix_error (_, _, _) -> false
+
+let send_sub t frame ~len =
   if t.closed then false
   else
-    let len = Bytes.length frame in
-    let rec go off =
-      if off = len then true
-      else
-        match Unix.write t.fd frame off (len - off) with
-        | n ->
-            t.bytes_out <- t.bytes_out + n;
-            go (off + n)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-        | exception Unix.Unix_error (_, _, _) -> false
-    in
-    let ok = go 0 in
+    let ok = write_from t frame 0 len in
     if ok then t.frames_out <- t.frames_out + 1;
     ok
+
+let send t frame = send_sub t frame ~len:(Bytes.length frame)
 
 let close t =
   if not t.closed then begin

@@ -2,6 +2,11 @@
     socket, with partial-IO loops, receive timeouts, a frame-size cap and
     byte/frame accounting.
 
+    Each connection owns a receive buffer. It starts at 4 KB and grows to
+    the largest frame seen; one [read] takes whatever the socket holds, and
+    complete frames are cut from the buffer in place ({!recv_view}), so a
+    burst of frames costs one system call and no copy.
+
     The connection layer validates only what it must to stay framed — the
     magic (desync is unrecoverable) and the declared payload length (an
     adversarial 2 GiB header must not allocate) — and hands the complete
@@ -41,15 +46,32 @@ val set_read_timeout : t -> float -> unit
 (** Seconds of [SO_RCVTIMEO]; [0.] means block forever. Applies to every
     subsequent {!recv}. *)
 
+type view = private { mutable buf : Bytes.t; mutable off : int; mutable len : int }
+(** A received frame in place: [len] bytes (header + payload) at [off] in
+    [buf], the connection's receive buffer. *)
+
+val recv_view : t -> (view, recv_error) result
+(** Receive one framed blob whose {e payload} is at most {!max_frame} bytes,
+    without copying it. The view is valid until the next receive on this
+    connection, which may overwrite or replace [buf]; every call returns
+    the same view value. Allocates nothing unless the buffer grows. *)
+
 val recv : t -> (Bytes.t, recv_error) result
-(** Read exactly one framed blob (header + payload) whose {e payload} is at
-    most {!max_frame} bytes. The returned bytes are the whole frame, ready
-    for [Frame.decode_*]. *)
+(** {!recv_view}, copied out: the whole frame, ready for
+    [Frame.decode_*], and the caller's to keep. *)
+
+val buffered : t -> bool
+(** Bytes of the stream sit in the receive buffer, unconsumed: the next
+    receive may not need the socket, so a caller that [select]s on {!fd}
+    before receiving must not wait. *)
 
 val send : t -> Bytes.t -> bool
 (** Write one frame, looping over partial writes. [false] if the peer is
     gone ([EPIPE]/[ECONNRESET]/closed) — the connection is then dead and
     should be closed. Never raises on peer failure. *)
+
+val send_sub : t -> Bytes.t -> len:int -> bool
+(** {!send} of the frame in the first [len] bytes of a reused buffer. *)
 
 val close : t -> unit
 (** Shutdown + close; idempotent. *)

@@ -83,9 +83,74 @@ val query_to_string : query -> string
 
 val encode_request : request -> Bytes.t
 val decode_request : Bytes.t -> (request, Wire.Codec.error) result
+(** A {!Batch} goes through {!write_batch} and {!decode_batch}: there is
+    one batch codec, and these two only add the fresh buffer and array. *)
+
+(** {2 Batches in place}
+
+    The served write path's batch codec: a sender writes each frame into a
+    pooled buffer, and a server parses each one from its receive buffer
+    into a reused {!batch}, so a steady stream of batches allocates no
+    heap block per frame. *)
+
+type batch = {
+  mutable session : int64;
+  mutable seq : int;
+  mutable ctx : Obs.Span.context;
+  mutable keys : int array;
+      (** Grown to the largest count parsed into this batch; the batch is
+          its first [count] keys. *)
+  mutable count : int;
+}
+(** The fields of the last batch frame {!decode_batch} parsed into it. *)
+
+val batch : unit -> batch
+(** An empty batch to parse into. *)
+
+val batch_frame_size : int -> int
+(** Bytes of a batch frame carrying that many keys: 50 + 8 per key. *)
+
+val write_batch :
+  Bytes.t ->
+  session:int64 ->
+  seq:int ->
+  ctx:Obs.Span.context ->
+  int array ->
+  len:int ->
+  int
+(** [write_batch buf ~session ~seq ~ctx keys ~len] writes the batch frame
+    of [keys.(0 .. len - 1)] at the start of [buf], checksummed in place,
+    and returns its length, {!batch_frame_size}[ len]. Its bytes are those
+    of [encode_request (Batch …)] for the same batch.
+    @raise Invalid_argument on a negative [seq], [len] outside [keys], or
+    a [buf] shorter than the frame. *)
+
+val is_batch : Bytes.t -> off:int -> len:int -> bool
+(** Whether the frame at [off] carries the [net-batch] kind tag: the
+    dispatch test before {!decode_batch}, which validates everything else. *)
+
+val decode_batch :
+  batch -> Bytes.t -> off:int -> len:int -> (unit, Wire.Codec.error) result
+(** Parse the batch frame held in [len] bytes at [off] into [batch], in
+    place. Every error is the one {!decode_request} gives on a copy of the
+    same bytes. After an [Error] the batch's fields are unspecified. *)
 
 val encode_response : response -> Bytes.t
 val decode_response : Bytes.t -> (response, Wire.Codec.error) result
 
+val ack_frame_size : int
+(** Bytes of an {!Ack} frame: 32. *)
+
+val write_ack : Bytes.t -> epoch:int -> accepted:int -> dup:bool -> int
+(** Write the {!Ack} frame at the start of a reused buffer and return its
+    length, {!ack_frame_size}: the bytes of [encode_response (Ack …)],
+    which goes through it. @raise Invalid_argument on a shorter buffer. *)
+
 val encode_push : push -> Bytes.t
 val decode_push : Bytes.t -> (push, Wire.Codec.error) result
+
+val decode_push_sub :
+  Bytes.t -> off:int -> len:int -> (push, Wire.Codec.error) result
+(** {!decode_push} of the frame held in [len] bytes at [off], read in place
+    (a received {!Conn.view}); the blob is copied out, so the result
+    outlives the view. *)

@@ -154,11 +154,11 @@ module Make (M : Pipeline.Mergeable.S) = struct
              not t.closing)
     in
     let rec seed () =
-      match Conn.recv conn with
+      match Conn.recv_view conn with
       | Error `Timeout when not t.closing -> seed ()
       | Error _ -> `Failed
-      | Ok frame -> (
-          match Frame.decode_push frame with
+      | Ok { buf; off; len } -> (
+          match Frame.decode_push_sub buf ~off ~len with
           | Ok (Frame.Snapshot { epoch; published; blob }) -> (
               match apply_snapshot t ~epoch ~published ~blob with
               | Ok () -> `Live
@@ -220,14 +220,14 @@ module Make (M : Pipeline.Mergeable.S) = struct
       match current_conn t with
       | None -> if resync t "no connection" then apply_loop t
       | Some conn -> (
-          match Conn.recv conn with
+          match Conn.recv_view conn with
           | Error `Timeout -> apply_loop t (* idle leader: keep waiting *)
           | Error e ->
               if (not t.closing) && resync t (Conn.recv_error_to_string e)
               then apply_loop t
-          | Ok frame -> (
+          | Ok { buf; off; len } -> (
               let applied =
-                match Frame.decode_push frame with
+                match Frame.decode_push_sub buf ~off ~len with
                 | Error e -> Error (Wire.Codec.error_to_string e)
                 | Ok (Frame.Snapshot _) -> Error "snapshot after the seed"
                 | Ok (Frame.Delta { epoch; weight; blob }) ->

@@ -111,49 +111,47 @@ module Make (M : Pipeline.Mergeable.S) = struct
   let send_err conn code msg =
     ignore (Conn.send conn (Frame.encode_response (Frame.Err { code; msg })))
 
+  (* The ack goes out of the connection's reused [ack] buffer. *)
+  let send_ack t conn ack ~accepted ~dup =
+    let len =
+      Frame.write_ack ack ~epoch:(snd (P.published_at t.eng)) ~accepted ~dup
+    in
+    Conn.send_sub conn ack ~len
+
   (* Effectively-once: classify the batch against the dedup window BEFORE
      any key touches the engine. A duplicate is acked (with the original
      accepted count) but never re-applied; a fresh batch is journaled
      first, applied, then its actual accepted count recorded so an
      in-incarnation retry's ack stays exact. *)
-  let handle_batch t conn ~session ~seq ~ctx keys =
+  let handle_batch t conn ack (b : Frame.batch) ~ctx =
     Atomic.incr t.c_batches;
-    match Dedup.begin_batch t.dedup ~session ~seq ~count:(Array.length keys) with
-    | Dedup.Duplicate k ->
-        Conn.send conn
-          (Frame.encode_response
-             (Frame.Ack
-                { epoch = snd (P.published_at t.eng); accepted = k; dup = true }))
+    let session = b.session and seq = b.seq and n = b.count in
+    match Dedup.begin_batch t.dedup ~session ~seq ~count:n with
+    | Dedup.Duplicate k -> send_ack t conn ack ~accepted:k ~dup:true
     | Dedup.Fresh ->
         (* Hand the sampled context to the engine before the keys land, so
            the shard's next flush claims the mark and opens the queue span. *)
-        if (not (Obs.Span.is_zero ctx)) && Array.length keys > 0 then
-          P.trace_mark t.eng ~key:keys.(0) ~ctx;
+        if (not (Obs.Span.is_zero ctx)) && n > 0 then
+          P.trace_mark t.eng ~key:b.keys.(0) ~ctx;
         let ingest_start =
           match t.tracer with Some _ -> Obs.Tracer.now_ns () | None -> 0
         in
-        let accepted = P.ingest_batch t.eng keys in
+        let accepted = P.ingest_batch t.eng b.keys ~len:n in
         (match t.tracer with
         | Some tr ->
             ignore
               (Obs.Tracer.record tr ~ctx ~stage:"ingest" ~start_ns:ingest_start
                  ~end_ns:(Obs.Tracer.now_ns ()))
         | None -> ());
-        let shed = Array.length keys - accepted in
+        let shed = n - accepted in
         ignore (Atomic.fetch_and_add t.c_ingested accepted);
         ignore (Atomic.fetch_and_add t.c_shed shed);
         Dedup.record t.dedup ~session ~seq ~accepted;
-        Conn.send conn
-          (Frame.encode_response
-             (Frame.Ack
-                { epoch = snd (P.published_at t.eng); accepted; dup = false }))
+        send_ack t conn ack ~accepted ~dup:false
 
-  let handle_hello t conn ~session =
+  let handle_hello t conn ack ~session =
     Dedup.register t.dedup ~session;
-    Conn.send conn
-      (Frame.encode_response
-         (Frame.Ack
-            { epoch = snd (P.published_at t.eng); accepted = 0; dup = false }))
+    send_ack t conn ack ~accepted:0 ~dup:false
 
   let handle_query t conn q =
     Atomic.incr t.c_queries;
@@ -205,11 +203,26 @@ module Make (M : Pipeline.Mergeable.S) = struct
     Mutex.unlock t.subs_m;
     Pipeline.Mpsc.close sub.sq
 
+  (* A batch frame is parsed in place, from the connection's receive
+     buffer into the connection's reused [batch], and acked from its reused
+     [ack]; only the other requests are copied out and decoded whole. *)
   let request_loop t entry =
     let conn = entry.conn in
+    let batch = Frame.batch () and ack = Bytes.create Frame.ack_frame_size in
     let continue = ref true in
+    let decode_failed = function
+      | Codec.Unknown_kind k ->
+          Atomic.incr t.c_decode_errors;
+          send_err conn Frame.Unsupported
+            (Printf.sprintf "unknown frame kind %d" k);
+          continue := false
+      | e ->
+          Atomic.incr t.c_decode_errors;
+          send_err conn Frame.Malformed (Codec.error_to_string e);
+          continue := false
+    in
     while !continue && not (Atomic.get t.stopping) do
-      match Conn.recv conn with
+      match Conn.recv_view conn with
       | Error `Eof -> continue := false
       | Error `Timeout ->
           (* slow-loris or long-idle peer: reset without a response (there
@@ -224,35 +237,32 @@ module Make (M : Pipeline.Mergeable.S) = struct
           Atomic.incr t.c_decode_errors;
           send_err conn Frame.Malformed "stream desync: not an IVLW frame";
           continue := false
-      | Ok frame -> (
+      | Ok { buf; off; len } when Frame.is_batch buf ~off ~len -> (
           let decode_start =
             match t.tracer with Some _ -> Obs.Tracer.now_ns () | None -> 0
           in
-          match Frame.decode_request frame with
-          | Error (Codec.Unknown_kind k) ->
-              Atomic.incr t.c_decode_errors;
-              send_err conn Frame.Unsupported
-                (Printf.sprintf "unknown frame kind %d" k);
-              continue := false
-          | Error e ->
-              Atomic.incr t.c_decode_errors;
-              send_err conn Frame.Malformed (Codec.error_to_string e);
-              continue := false
-          | Ok (Frame.Batch { session; seq; ctx; keys }) ->
+          match Frame.decode_batch batch buf ~off ~len with
+          | Error e -> decode_failed e
+          | Ok () ->
               let ctx =
                 match t.tracer with
-                | Some tr when not (Obs.Span.is_zero ctx) ->
+                | Some tr when not (Obs.Span.is_zero batch.ctx) ->
                     let sid =
-                      Obs.Tracer.record tr ~ctx ~stage:"decode"
+                      Obs.Tracer.record tr ~ctx:batch.ctx ~stage:"decode"
                         ~start_ns:decode_start ~end_ns:(Obs.Tracer.now_ns ())
                     in
-                    Obs.Span.with_parent ctx sid
-                | _ -> ctx
+                    Obs.Span.with_parent batch.ctx sid
+                | _ -> batch.ctx
               in
-              if not (handle_batch t conn ~session ~seq ~ctx keys) then
-                continue := false
+              if not (handle_batch t conn ack batch ~ctx) then continue := false)
+      | Ok { buf; off; len } -> (
+          match Frame.decode_request (Bytes.sub buf off len) with
+          | Error e -> decode_failed e
+          | Ok (Frame.Batch _) ->
+              (* unreachable: a batch-kind frame took the arm above *)
+              decode_failed (Codec.Corrupt "batch outside the batch path")
           | Ok (Frame.Hello { session }) ->
-              if not (handle_hello t conn ~session) then continue := false
+              if not (handle_hello t conn ack ~session) then continue := false
           | Ok (Frame.Query q) ->
               if not (handle_query t conn q) then continue := false
           | Ok Frame.Subscribe ->

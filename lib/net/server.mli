@@ -25,7 +25,11 @@
       channel: a full shard queue stalls the handler, which stalls the
       client's sender), answered with an {!Frame.Ack} carrying the
       accepted count — exactly the keys the engine enqueued, so a dead
-      shard's slice is not counted;
+      shard's slice is not counted. A batch frame is parsed in place from
+      the connection's receive buffer ({!Conn.recv_view}) into the
+      handler's reused {!Frame.batch} and acked from a reused buffer, so a
+      steady batch stream allocates no heap block per frame; the other
+      requests are copied out and decoded whole;
     - {!Frame.Query} → every query is answered from the engine under its
       merge mutex: [Total] is [Engine.published_at] (published weight and
       its epoch, no sketch access), everything else runs [eval] on the

@@ -611,21 +611,50 @@ module Make (M : Mergeable.S) = struct
     account s ~n:1 ~pushed:(Bool.to_int ok);
     ok
 
+  (* The counting sort's arrays, one set per domain and reused: every
+     server connection runs in its own domain, so a 256-key frame routes
+     without allocating. They grow to the largest batch and shard count
+     seen. No systhread calls [ingest_batch], so one domain never runs two
+     at once. *)
+  type scratch = {
+    mutable shard : int array;
+    mutable sorted : int array;
+    mutable start : int array;
+    mutable next : int array;
+  }
+
+  let scratch_key =
+    Domain.DLS.new_key (fun () ->
+        { shard = [||]; sorted = [||]; start = [||]; next = [||] })
+
   (* A stable counting sort by shard turns the batch into one slice per
      shard, each pushed with one [Mpsc.push_slice]: a 256-key frame costs a
      few lock holds and wake-ups per shard instead of one per key. *)
-  let ingest_batch t keys =
-    let n = Array.length keys and ns = shard_count t in
-    let shard = Array.make n 0 and start = Array.make (ns + 1) 0 in
+  let ingest_batch t keys ~len:n =
+    if n < 0 || n > Array.length keys then
+      invalid_arg "Engine.ingest_batch: len out of bounds";
+    let ns = shard_count t in
+    let sc = Domain.DLS.get scratch_key in
+    if Array.length sc.shard < n then begin
+      sc.shard <- Array.make n 0;
+      sc.sorted <- Array.make n 0
+    end;
+    if Array.length sc.start < ns + 1 then begin
+      sc.start <- Array.make (ns + 1) 0;
+      sc.next <- Array.make ns 0
+    end;
+    let shard = sc.shard and sorted = sc.sorted in
+    let start = sc.start and next = sc.next in
+    Array.fill start 0 (ns + 1) 0;
     for i = 0 to n - 1 do
-      let j = shard_of t keys.(i) in
+      let j = shard_of t (Array.unsafe_get keys i) in
       shard.(i) <- j;
       start.(j + 1) <- start.(j + 1) + 1
     done;
     for j = 1 to ns do
       start.(j) <- start.(j) + start.(j - 1)
     done;
-    let sorted = Array.make n 0 and next = Array.sub start 0 ns in
+    Array.blit start 0 next 0 ns;
     for i = 0 to n - 1 do
       let j = shard.(i) in
       sorted.(next.(j)) <- keys.(i);

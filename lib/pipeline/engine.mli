@@ -256,11 +256,14 @@ module Make (M : Mergeable.S) : sig
       worker is dead, or the pipeline is drained. Any number of domains may
       ingest concurrently. *)
 
-  val ingest_batch : t -> int array -> int
-  (** Ingest a batch as one slice per shard: the keys are stably sorted by
-      shard and each non-empty shard's slice is enqueued with one
-      {!Mpsc.push_slice}, blocking while that queue is full. Returns the
-      number of keys accepted. Within a shard the keys keep the batch's
+  val ingest_batch : t -> int array -> len:int -> int
+  (** [ingest_batch t keys ~len] ingests [keys.(0 .. len - 1)] as one slice
+      per shard: the keys are stably sorted by shard and each non-empty
+      shard's slice is enqueued with one {!Mpsc.push_slice}, blocking while
+      that queue is full. Returns the number of keys accepted. The sort
+      reuses per-domain arrays, so a call allocates nothing once they have
+      grown to the batch. @raise Invalid_argument if [len] is outside
+      [keys]. Within a shard the keys keep the batch's
       order; each shard's [enqueued], [dropped] and depth high-water mark
       are updated once per slice.
 

@@ -73,23 +73,24 @@ let push_slice t src ~off ~len =
   if off < 0 || len < 0 || off > Array.length src - len then
     invalid_arg "Mpsc.push_slice: slice out of bounds";
   Mutex.lock t.m;
-  let rec go pushed =
-    if pushed = len || t.closed then pushed
-    else if t.len = t.capacity then begin
+  (* a loop, as in [push]: a local recursive function would close over
+     the slice and be allocated on every call *)
+  let pushed = ref 0 in
+  while !pushed < len && not t.closed do
+    if t.len = t.capacity then begin
       (* the consumer must hear of a full queue before we sleep on it *)
       Condition.signal t.not_empty;
-      Condition.wait t.not_full t.m;
-      go pushed
+      Condition.wait t.not_full t.m
     end
     else begin
-      let k = min (len - pushed) (t.capacity - t.len) in
-      for j = off + pushed to off + pushed + k - 1 do
+      let k = min (len - !pushed) (t.capacity - t.len) in
+      for j = off + !pushed to off + !pushed + k - 1 do
         unsafe_put t (Array.unsafe_get src j)
       done;
-      go (pushed + k)
+      pushed := !pushed + k
     end
-  in
-  let n = go 0 in
+  done;
+  let n = !pushed in
   let wake = n > 0 && progress t in
   Mutex.unlock t.m;
   if wake then Condition.signal t.not_empty;

@@ -117,16 +117,21 @@ let varint b v =
   done;
   Buffer.add_uint8 b !v
 
+(* Write the header of a frame whose [plen] payload bytes already sit at
+   [off + header_size] in [out], checksumming them in place. *)
+let seal_into out ~off ~kind ~plen =
+  Bytes.blit_string magic 0 out off 4;
+  Bytes.set_uint8 out (off + 4) version;
+  Bytes.set_uint8 out (off + 5) kind;
+  Bytes.set_int32_be out (off + 6) (Int32.of_int plen);
+  Bytes.set_int32_be out (off + 10)
+    (Int32.of_int (fnv1a out ~off:(off + header_size) ~len:plen))
+
 let seal ~kind payload =
   let plen = Buffer.length payload in
-  let total = header_size + plen in
-  let out = Bytes.create total in
-  Bytes.blit_string magic 0 out 0 4;
-  Bytes.set_uint8 out 4 version;
-  Bytes.set_uint8 out 5 kind;
-  Bytes.set_int32_be out 6 (Int32.of_int plen);
+  let out = Bytes.create (header_size + plen) in
   Buffer.blit payload 0 out header_size plen;
-  Bytes.set_int32_be out 10 (Int32.of_int (fnv1a out ~off:header_size ~len:plen));
+  seal_into out ~off:0 ~kind ~plen;
   out
 
 let encode ~kind build =
@@ -136,11 +141,16 @@ let encode ~kind build =
 
 (* ------------------------------ reader ------------------------------ *)
 
-type reader = { buf : Bytes.t; limit : int; mutable pos : int }
+(* A reader over the frame at [base] in [buf]: [pos] and [limit] index
+   [buf], while errors and {!position} count from the frame's first byte,
+   so a frame parsed in place reads exactly as a copy of it would. *)
+type reader = { buf : Bytes.t; base : int; limit : int; mutable pos : int }
 
 let need r n =
   if r.pos + n > r.limit then
-    raise (Decode_error (Truncated { expected = r.pos + n; got = r.limit }))
+    raise
+      (Decode_error
+         (Truncated { expected = r.pos + n - r.base; got = r.limit - r.base }))
 
 let read_u8 r =
   need r 1;
@@ -210,11 +220,11 @@ let[@inline] read_varint r =
     else read_varint_groups r
   else read_varint_groups r
 
-let position r = r.pos
+let position r = r.pos - r.base
 
 let seek r pos =
-  if pos < header_size || pos > r.limit then invalid_arg "Wire.Codec.seek";
-  r.pos <- pos
+  if pos < header_size || r.base + pos > r.limit then invalid_arg "Wire.Codec.seek";
+  r.pos <- r.base + pos
 
 let read_bytes r =
   let len = read_u32 r in
@@ -223,16 +233,22 @@ let read_bytes r =
   r.pos <- r.pos + len;
   v
 
+let has_magic bytes off =
+  Bytes.unsafe_get bytes off = 'I'
+  && Bytes.unsafe_get bytes (off + 1) = 'V'
+  && Bytes.unsafe_get bytes (off + 2) = 'L'
+  && Bytes.unsafe_get bytes (off + 3) = 'W'
+
 let peek bytes =
   let got = Bytes.length bytes in
   if got < header_size then Error (Truncated { expected = header_size; got })
-  else if Bytes.sub_string bytes 0 4 <> magic then Error Bad_magic
+  else if not (has_magic bytes 0) then Error Bad_magic
   else Ok (kind_name (Bytes.get_uint8 bytes 5), Bytes.get_uint8 bytes 4)
 
 let frame_kind bytes =
   let got = Bytes.length bytes in
   if got < header_size then Error (Truncated { expected = header_size; got })
-  else if Bytes.sub_string bytes 0 4 <> magic then Error Bad_magic
+  else if not (has_magic bytes 0) then Error Bad_magic
   else
     let v = Bytes.get_uint8 bytes 4 in
     if v <> version then Error (Unsupported_version v)
@@ -240,33 +256,34 @@ let frame_kind bytes =
       let k = Bytes.get_uint8 bytes 5 in
       if known_kind k then Ok k else Error (Unknown_kind k)
 
-let open_frame ~kind bytes =
-  let got = Bytes.length bytes in
+let open_frame ~kind bytes ~off ~len:got =
   if got < header_size then
     raise (Decode_error (Truncated { expected = header_size; got }));
-  if Bytes.sub_string bytes 0 4 <> magic then raise (Decode_error Bad_magic);
-  let v = Bytes.get_uint8 bytes 4 in
+  if not (has_magic bytes off) then raise (Decode_error Bad_magic);
+  let v = Bytes.get_uint8 bytes (off + 4) in
   if v <> version then raise (Decode_error (Unsupported_version v));
-  let k = Bytes.get_uint8 bytes 5 in
+  let k = Bytes.get_uint8 bytes (off + 5) in
   if k <> kind then
     raise
       (Decode_error
          (if known_kind k then
             Wrong_kind { expected = kind_name kind; got = kind_name k }
           else Unknown_kind k));
-  let plen = Int32.to_int (Bytes.get_int32_be bytes 6) land 0xFFFFFFFF in
+  let plen = Int32.to_int (Bytes.get_int32_be bytes (off + 6)) land 0xFFFFFFFF in
   if header_size + plen > got then
     raise (Decode_error (Truncated { expected = header_size + plen; got }));
   if header_size + plen < got then
     corrupt "%d trailing bytes after payload" (got - header_size - plen);
-  let stored = Int32.to_int (Bytes.get_int32_be bytes 10) land 0xFFFFFFFF in
-  if fnv1a bytes ~off:header_size ~len:plen <> stored then
+  let stored = Int32.to_int (Bytes.get_int32_be bytes (off + 10)) land 0xFFFFFFFF in
+  if fnv1a bytes ~off:(off + header_size) ~len:plen <> stored then
     raise (Decode_error Checksum_mismatch);
-  { buf = bytes; limit = header_size + plen; pos = header_size }
+  { buf = bytes; base = off; limit = off + got; pos = off + header_size }
 
-let decode ~kind parse bytes =
+let decode_sub ~kind parse bytes ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length bytes - len then
+    invalid_arg "Wire.Codec.decode_sub: range out of bounds";
   match
-    let r = open_frame ~kind bytes in
+    let r = open_frame ~kind bytes ~off ~len in
     let v = parse r in
     if r.pos <> r.limit then corrupt "%d unread payload bytes" (r.limit - r.pos);
     v
@@ -278,3 +295,6 @@ let decode ~kind parse bytes =
      exception leaking to the caller. *)
   | exception Invalid_argument msg -> Error (Corrupt msg)
   | exception Failure msg -> Error (Corrupt msg)
+
+let decode ~kind parse bytes =
+  decode_sub ~kind parse bytes ~off:0 ~len:(Bytes.length bytes)

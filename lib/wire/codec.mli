@@ -103,6 +103,10 @@ val known_kind : int -> bool
 (** Whether this build understands the kind tag ([1..17] less the retired
     2, 4 and 5). Frames carrying an unknown tag decode to {!Unknown_kind}. *)
 
+val has_magic : Bytes.t -> int -> bool
+(** [has_magic buf off]: the four bytes at [off] are the IVLW magic. The
+    caller guarantees they are within [buf]. *)
+
 val frame_kind : Bytes.t -> (int, error) result
 (** [frame_kind blob] validates magic and version and returns the raw kind
     tag — the dispatch step for readers (servers) that accept several frame
@@ -136,6 +140,12 @@ val varint : writer -> int -> unit
 val encode : kind:int -> (writer -> unit) -> Bytes.t
 (** [encode ~kind build] runs [build] on a fresh payload buffer and seals it
     with the header and checksum. *)
+
+val seal_into : Bytes.t -> off:int -> kind:int -> plen:int -> unit
+(** [seal_into out ~off ~kind ~plen] writes the header of a frame whose
+    [plen] payload bytes the caller already wrote at [off + header_size],
+    checksumming them in place — for encoders that fill a reused buffer
+    instead of a fresh one ({!encode} seals through it too). *)
 
 (** {2 Payload readers} — bounds-checked; raise {!Decode_error} internally. *)
 
@@ -175,3 +185,11 @@ val decode : kind:int -> (reader -> 'a) -> Bytes.t -> ('a, error) result
     exactly. All failure modes — including [Invalid_argument]/[Failure]
     raised by sketch constructors on semantically bad images — come back as
     [Error]. *)
+
+val decode_sub :
+  kind:int -> (reader -> 'a) -> Bytes.t -> off:int -> len:int -> ('a, error) result
+(** [decode_sub ~kind parse buf ~off ~len] is {!decode} on the frame held in
+    [len] bytes at [off], read in place: the same checks, the same errors
+    (a [Truncated] counts from the frame's first byte) and the same
+    {!position}s as {!decode} on a copy of those bytes.
+    @raise Invalid_argument if the range is not within [buf]. *)

@@ -224,11 +224,11 @@ let test_merger_fold_all_or_nothing () =
   (* Each round of 8 keys is one slice, so it ships as one delta whether
      the batch fills or the shard's unshipped weight comes of age. *)
   let keys = Array.init 8 (fun k -> k + 1) in
-  ignore (P.ingest_batch p keys);
+  ignore (P.ingest_batch p keys ~len:(Array.length keys));
   settle "the first merge" (fun s -> s.P.merges = 1);
   let blob0, epoch0, pub0 = P.snapshot p in
   Atomic.set poison true;
-  ignore (P.ingest_batch p keys);
+  ignore (P.ingest_batch p keys ~len:(Array.length keys));
   settle "the decode failure" (fun s -> s.P.decode_failures = 1);
   let blob1, epoch1, pub1 = P.snapshot p in
   P.drain p;
@@ -260,7 +260,7 @@ let test_ingest_batch_matches_per_key () =
   let off = ref 0 and i = ref 0 and accepted = ref 0 in
   while !off < Array.length stream do
     let len = min sizes.(!i mod Array.length sizes) (Array.length stream - !off) in
-    accepted := !accepted + P.ingest_batch batched (Array.sub stream !off len);
+    accepted := !accepted + P.ingest_batch batched (Array.sub stream !off len) ~len;
     off := !off + len;
     incr i
   done;
@@ -285,11 +285,11 @@ let dropped_sum (st : PC.stats) =
 let test_ingest_batch_after_drain () =
   let p = PC.create ~shards:2 () in
   Alcotest.(check int) "accepted before drain" 100
-    (PC.ingest_batch p (Array.init 100 Fun.id));
+    (PC.ingest_batch p (Array.init 100 Fun.id) ~len:100);
   PC.drain p;
   let before = PC.stats p in
   Alcotest.(check int) "accepted after drain" 0
-    (PC.ingest_batch p (Array.init 40 Fun.id));
+    (PC.ingest_batch p (Array.init 40 Fun.id) ~len:40);
   let after = PC.stats p in
   Alcotest.(check int) "dropped grows by n" (dropped_sum before + 40)
     (dropped_sum after);
@@ -313,7 +313,7 @@ let test_ingest_batch_dead_shard () =
   Alcotest.(check (list int)) "shard 0 dead" [ 0 ] (PC.dead p);
   let n = 3_000 in
   let before = PC.stats p in
-  let accepted = PC.ingest_batch p (Array.init n (fun i -> i * 7)) in
+  let accepted = PC.ingest_batch p (Array.init n (fun i -> i * 7)) ~len:n in
   let after = PC.stats p in
   Alcotest.(check int) "accepted = growth of Σ enqueued"
     (enqueued_sum after - enqueued_sum before) accepted;
@@ -354,7 +354,7 @@ let test_last_merge_lag () =
   let p = PC.create ~batch:10 ~shards:2 () in
   Alcotest.(check (option (float 0.0))) "none before any merge" None
     (PC.last_merge_lag p);
-  ignore (PC.ingest_batch p (Array.init 95 Fun.id));
+  ignore (PC.ingest_batch p (Array.init 95 Fun.id) ~len:95);
   PC.drain p;
   let lags = (PC.stats p).PC.merge_lag in
   Alcotest.(check bool) "merged" true (Array.length lags > 1);
@@ -366,7 +366,7 @@ let test_last_merge_lag () =
    (batch 1: a merge per key). *)
 let test_merge_lag_per_merge () =
   let p = PC.create ~batch:1 ~shards:2 () in
-  ignore (PC.ingest_batch p (Array.init 3_000 Fun.id));
+  ignore (PC.ingest_batch p (Array.init 3_000 Fun.id) ~len:3_000);
   PC.drain p;
   let st = PC.stats p in
   Alcotest.(check int) "3000 merges" 3_000 st.PC.merges;
@@ -387,7 +387,7 @@ let test_published () =
   let feeder =
     Domain.spawn (fun () ->
         for i = 0 to 199 do
-          ignore (PC.ingest_batch p (Array.init 50 (fun j -> (i * 50) + j)))
+          ignore (PC.ingest_batch p (Array.init 50 (fun j -> (i * 50) + j)) ~len:50)
         done)
   in
   let reads = ref 0 in
@@ -420,7 +420,7 @@ let test_partial_delta_ships_by_age () =
   let p = PC.create ~batch:512 ~shards:4 () in
   for round = 1 to 3 do
     let accepted =
-      PC.ingest_batch p (Array.init 100 (fun i -> (round * 1000) + i))
+      PC.ingest_batch p (Array.init 100 (fun i -> (round * 1000) + i)) ~len:100
     in
     let t0 = Unix.gettimeofday () in
     let deadline = t0 +. Pipeline.Engine.max_age +. freshness_allowance in
@@ -515,7 +515,7 @@ let test_age_flush_restarts_timing () =
    and [read_total] records none either. *)
 let test_history_off_by_default () =
   let p = PC.create ~batch:1 ~shards:2 () in
-  ignore (PC.ingest_batch p (Array.init 10_000 Fun.id));
+  ignore (PC.ingest_batch p (Array.init 10_000 Fun.id) ~len:10_000);
   PC.drain p;
   Alcotest.(check int) "10k merges" 10_000 (PC.stats p).PC.merges;
   Alcotest.(check int) "read_total" 10_000 (PC.read_total p);
@@ -544,7 +544,7 @@ let test_merge_lags_capped () =
     Pipeline.Engine.with_lag_cap cap (fun () ->
         PS.create ~batch:1 ~shards:2 ~metrics:reg ())
   in
-  ignore (PS.ingest_batch p (Array.init (cap + 10) Fun.id));
+  ignore (PS.ingest_batch p (Array.init (cap + 10) Fun.id) ~len:(cap + 10));
   while (PS.stats p).PS.merges < cap + 10 do
     Unix.sleepf 0.001
   done;
