@@ -80,5 +80,19 @@ let candidates ~dir =
       ([], 0) (checkpoints_of dir)
     |> fun (good, bad) -> (List.rev good, bad)
 
+let other_version ~dir =
+  if not (Sys.file_exists dir && Sys.is_directory dir) then None
+  else
+    List.find_map
+      (fun (_, name) ->
+        match
+          Wire.Codec.frame_kind
+            (Bytes.of_string (read_file (Filename.concat dir name)))
+        with
+        | Error (Wire.Codec.Unsupported_version v) -> Some v
+        | _ -> None
+        | exception Sys_error _ -> None)
+      (checkpoints_of dir)
+
 let latest ~dir =
   match candidates ~dir with s :: _, _ -> Some s | [], _ -> None

@@ -24,5 +24,10 @@ val candidates : dir:string -> snapshot list * int
     files passed over. Sketch-level decodability is the caller's check
     ([Durable.Recovery] walks the list until [M.decode] succeeds). *)
 
+val other_version : dir:string -> int option
+(** The wire version of the newest checkpoint file written under a format
+    version other than {!Wire.Codec.version}, if any: {!candidates} counts
+    such a file as corrupt, though no byte of it is damaged. *)
+
 val latest : dir:string -> snapshot option
 (** Head of {!candidates}. *)

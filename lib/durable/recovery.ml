@@ -23,6 +23,9 @@ module Make (M : Pipeline.Mergeable.S) = struct
            when no frame-valid checkpoint decoded *)
     bytes_truncated : int; (* torn/corrupt WAL tail dropped *)
     truncated_reason : string option;
+    other_version : int option;
+        (* a wire version other than Codec.version, met where the WAL was
+           cut or in a checkpoint passed over *)
     recovered_epoch : int;
     recovered_published : int;
   }
@@ -31,7 +34,7 @@ module Make (M : Pipeline.Mergeable.S) = struct
     Printf.sprintf
       "checkpoint epoch %d (published %d, %d skipped); wal: %d segment(s), %d \
        replayed, %d skipped, %d delta decode failure(s), %d byte(s) \
-       truncated%s; recovered epoch %d, published %d%s"
+       truncated%s; recovered epoch %d, published %d%s%s"
       r.checkpoint_epoch r.checkpoint_published r.checkpoints_skipped
       r.wal_segments r.replayed r.skipped r.decode_failures r.bytes_truncated
       (match r.truncated_reason with
@@ -40,6 +43,9 @@ module Make (M : Pipeline.Mergeable.S) = struct
       r.recovered_epoch r.recovered_published
       (match r.decode_error with
       | Some why -> Printf.sprintf "; first decode error: %s" why
+      | None -> "")
+      (match r.other_version with
+      | Some v -> Printf.sprintf "; holds wire version %d, which is not read" v
       | None -> "")
 
   (* One-shot export: the report's numbers are scraped as-of this recovery.
@@ -133,6 +139,11 @@ module Make (M : Pipeline.Mergeable.S) = struct
           decode_error = !decode_error;
           bytes_truncated = wal.bytes_truncated;
           truncated_reason = wal.truncated_reason;
+          other_version =
+            (match wal.other_version with
+            | Some _ as v -> v
+            | None when corrupt > 0 -> Checkpoint.other_version ~dir
+            | None -> None);
           recovered_epoch = !epoch;
           recovered_published = !published;
         }
@@ -164,8 +175,18 @@ module Make (M : Pipeline.Mergeable.S) = struct
            without those records and delete the only copy of them. *)
         Error
           (Printf.sprintf
-             "Durable.recover_compact: %s; the WAL segments in %s are kept               (recover with the writer's sketch and hash-family seed)"
+             "Durable.recover_compact: %s; the WAL segments in %s are kept \
+              (recover with the writer's sketch and hash-family seed)"
              why dir)
+    | Ok (_, { other_version = Some v; _ }) ->
+        (* Frames of another wire version are intact data this build has no
+           reader for, not a torn tail: compacting would delete them. *)
+        Error
+          (Printf.sprintf
+             "Durable.recover_compact: %s holds wire version %d frames and \
+              this build reads version %d; its WAL segments and checkpoints \
+              are kept"
+             dir v Wire.Codec.version)
     | Ok (global, report) ->
         Checkpoint.write ~dir ~epoch:report.recovered_epoch
           ~published:report.recovered_published ~blob:(M.encode global) ();

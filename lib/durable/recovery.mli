@@ -27,6 +27,11 @@ module Make (M : Pipeline.Mergeable.S) : sig
             blob recovery used decoded *)
     bytes_truncated : int;  (** torn/corrupt WAL tail dropped *)
     truncated_reason : string option;
+    other_version : int option;
+        (** [Some v] when the WAL was cut at a frame header of wire version
+            [v] other than {!Wire.Codec.version} ({!Wal.read_report}), or,
+            failing that, a checkpoint passed over is of such a version
+            ({!Checkpoint.other_version}) *)
     recovered_epoch : int;
     recovered_published : int;
   }
@@ -71,5 +76,7 @@ module Make (M : Pipeline.Mergeable.S) : sig
       its checksum but not [M]'s decode. That is the mark of an [M] built
       with other parameters than the writer's (another seed: a CountMin
       blob carries only its family's fingerprint), and compacting would
-      delete the only copy of those records. *)
+      delete the only copy of those records. Likewise when the report
+      has an [other_version]: those frames are intact, in a wire version
+      this build has no reader for. *)
 end

@@ -230,6 +230,7 @@ type read_report = {
   segments : int;
   bytes_truncated : int;
   truncated_reason : string option;
+  other_version : int option;
 }
 
 let decode_record frame =
@@ -249,11 +250,17 @@ let decode_record frame =
    frame, so a replay holds one record at a time, whatever the log's size. *)
 let iter ~dir f =
   if not (Sys.file_exists dir && Sys.is_directory dir) then
-    { segments = 0; bytes_truncated = 0; truncated_reason = None }
+    {
+      segments = 0;
+      bytes_truncated = 0;
+      truncated_reason = None;
+      other_version = None;
+    }
   else begin
     let segs = segments_of dir in
     let last_epoch = ref min_int in
     let truncated = ref None in
+    let other_version = ref None in
     let bytes_truncated = ref 0 in
     List.iter
       (fun (_, name) ->
@@ -296,14 +303,17 @@ let iter ~dir f =
                 (fun () -> Wire.Segment.iter ic record)
             with
             | Wire.Segment.Clean -> ()
-            | Wire.Segment.Torn { dropped_bytes; reason; _ } ->
+            | Wire.Segment.Torn { dropped_bytes; reason; version; _ } ->
                 bytes_truncated := !bytes_truncated + dropped_bytes;
-                if !truncated = None then
-                  truncated := Some (Printf.sprintf "%s: %s" name reason)))
+                if !truncated = None then begin
+                  truncated := Some (Printf.sprintf "%s: %s" name reason);
+                  other_version := version
+                end))
       segs;
     {
       segments = List.length segs;
       bytes_truncated = !bytes_truncated;
       truncated_reason = !truncated;
+      other_version = !other_version;
     }
   end

@@ -99,6 +99,10 @@ type read_report = {
   segments : int;  (** segment files present *)
   bytes_truncated : int;  (** bytes past the first bad frame, all segments *)
   truncated_reason : string option;  (** why the log was cut, if it was *)
+  other_version : int option;
+      (** the wire version of the frame header the log was cut at, when it
+          is not {!Wire.Codec.version}: the rest of the log is in another
+          format, not torn *)
 }
 
 val iter : dir:string -> (record -> unit) -> read_report

@@ -2,9 +2,9 @@
     on top of {!Wire.Codec}'s versioned, checksummed framing.
 
     Every frame on a connection is a standard IVLW blob (magic, version,
-    kind tag, payload length, FNV-1a payload checksum), so the transport
-    inherits the codec's guarantees: truncation, bit flips, version skew
-    and foreign kinds all decode to a precise {!Wire.Codec.error} — never
+    kind tag, payload length, {!Wire.Codec.fnv1a} payload checksum), so the
+    transport inherits the codec's guarantees: truncation, bit flips,
+    version skew and foreign kinds all decode to a precise {!Wire.Codec.error} — never
     an exception — and a frame whose kind tag this build does not know at
     all surfaces as {!Wire.Codec.Unknown_kind}, which a server answers
     with a distinct "unsupported" error instead of a parse failure.

@@ -1,16 +1,19 @@
 (* Framing: every blob is
 
      magic "IVLW" (4) | version u8 | kind u8 | payload length u32 (BE)
-     | FNV-1a-32 checksum of payload (BE) | payload
+     | checksum of payload u32 (BE) | payload
 
    Every header field is validated before a single payload byte is parsed,
    so mixed-version or mixed-kind blobs fail with a precise error instead of
    a garbage sketch, and any single-bit flip is caught: flips in the header
    break the magic/version/kind/length checks, flips in the payload or the
-   checksum break the checksum comparison. *)
+   checksum break the checksum comparison.
+
+   Version 3's checksum is FNV-1a-32 over folded words (see [fnv1a]);
+   versions 1 and 2 ran FNV-1a-32 a byte at a time and have no reader. *)
 
 let magic = "IVLW"
-let version = 2
+let version = 3
 let header_size = 4 + 1 + 1 + 4 + 4
 
 type error =
@@ -74,14 +77,67 @@ let known_kind k = k >= 1 && k <= 17 && k <> 2 && k <> 4 && k <> 5
 
 let corrupt fmt = Printf.ksprintf (fun msg -> raise (Decode_error (Corrupt msg))) fmt
 
-(* The low 32 bits of [(h lxor c) * prime] depend only on the low 32 bits
-   of [h], so masking once at the end gives the per-byte-masked value. *)
+(* FNV-1a-32's step, h <- (h xor w) * 16777619 mod 2^32, over the payload
+   as folded 32-bit little-endian words in two interleaved lanes: each
+   8-byte group is one little-endian read, its low word stepped into lane [a]
+   and its high word into lane [b], so the two multiply chains overlap. The
+   lanes are then stepped, [a] before [b], into a fresh FNV-1a state, and
+   the last [len mod 8] bytes are stepped in one at a time.
+
+   Each word w is folded first, w xor (w >> 2) xor (w >> 11) xor (w >> 17).
+   A multiply mod 2^32 only carries upward, so a word error that reached
+   the chain only in bits >= j would be checked by 32 - j bits once other
+   words err too, and a lone bit-31 error stays the same xor in every
+   later state: two of them, in any two words, would cancel. Folded, an
+   error of at most three bits of a word, or confined to one of its bytes,
+   enters the chain at bit 14 or below, and one confined to two adjacent
+   bytes at bit 16 or below; an error that the fold sends to bit 31 alone
+   flips 23 bits of the word.
+
+   The fold and every step are bijections (the prime is odd), in the
+   state and in the word, so an error confined to one word or one tail
+   byte always changes the result: every single-bit flip is caught. The
+   low 32 bits of [(h lxor w) * prime] depend only on the low 32 bits of
+   [h] and [w], so the lanes run on whole, unboxed int64s (lane [a] xors
+   in the group's high word too), both words of a group fold at once under
+   masks that keep each word's shifts inside it, and one mask at the end
+   gives the exact value. The range is checked once, up front, so the
+   8-byte reads skip [Bytes.get_int64_le]'s per-read bounds check, which
+   cost more than the fold. *)
+external get_int64_ne_unsafe : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external swap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] get_int64_le_unsafe b i =
+  if Sys.big_endian then swap64 (get_int64_ne_unsafe b i)
+  else get_int64_ne_unsafe b i
+
 let fnv1a bytes ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length bytes - len then
     invalid_arg "Wire.Codec.fnv1a: range out of bounds";
-  let h = ref 0x811c9dc5 in
-  for i = off to off + len - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get bytes i)) * 0x01000193
+  let prime = 0x01000193 and basis = 0x811c9dc5 in
+  let a = ref (Int64.of_int basis) and b = ref (Int64.of_int basis) in
+  let words_end = off + (len land lnot 7) in
+  let i = ref off in
+  while !i < words_end do
+    let g = get_int64_le_unsafe bytes !i in
+    let g =
+      Int64.logxor
+        (Int64.logxor g
+           (Int64.logand (Int64.shift_right_logical g 2) 0x3FFFFFFF3FFFFFFFL))
+        (Int64.logxor
+           (Int64.logand (Int64.shift_right_logical g 11) 0x001FFFFF001FFFFFL)
+           (Int64.logand (Int64.shift_right_logical g 17) 0x00007FFF00007FFFL))
+    in
+    a := Int64.mul (Int64.logxor !a g) 0x01000193L;
+    b :=
+      Int64.mul (Int64.logxor !b (Int64.shift_right_logical g 32)) 0x01000193L;
+    i := !i + 8
+  done;
+  let h =
+    ref ((((basis lxor Int64.to_int !a) * prime) lxor Int64.to_int !b) * prime)
+  in
+  for j = words_end to off + len - 1 do
+    h := (!h lxor Char.code (Bytes.unsafe_get bytes j)) * prime
   done;
   !h land 0xFFFFFFFF
 

@@ -1,9 +1,9 @@
 (** Versioned, checksummed binary framing for sketch blobs.
 
     Every blob is self-describing: a fixed magic, a format version, a kind
-    tag naming the codec, the payload length, and an FNV-1a checksum of the
-    payload. {!decode} validates all of these before parsing a single
-    payload byte, so truncated, bit-flipped, mixed-version or mixed-kind
+    tag naming the codec, the payload length, and a checksum of the
+    payload ({!fnv1a}). {!decode} validates all of these before parsing a
+    single payload byte, so truncated, bit-flipped, mixed-version or mixed-kind
     blobs return a precise {!error} — never a raw [Failure],
     [Invalid_argument] or out-of-range [Bytes] read.
 
@@ -38,7 +38,8 @@ exception Decode_error of error
 val error_to_string : error -> string
 
 val version : int
-(** Current wire-format version, stamped into every blob. *)
+(** Current wire-format version, stamped into every blob: 3. Versions 1
+    and 2 have no reader and decode to [Unsupported_version]. *)
 
 val header_size : int
 (** Bytes of framing before the payload. *)
@@ -114,10 +115,20 @@ val frame_kind : Bytes.t -> (int, error) result
     so callers can answer "unsupported" distinctly. *)
 
 val fnv1a : Bytes.t -> off:int -> len:int -> int
-(** The framing checksum (FNV-1a-32) over [len] bytes at [off] — exposed so
-    stream scanners ({!Segment}) can validate frames in place without
-    copying. @raise Invalid_argument if the range is not within the
-    bytes. *)
+(** The framing checksum over [len] bytes at [off] — exposed so stream
+    scanners ({!Segment}) can validate frames in place without copying.
+
+    Version 3's rule: FNV-1a-32's step, [h <- (h xor w) * 16777619 mod
+    2^32], over the range's 32-bit little-endian words, each folded to
+    [w xor (w lsr 2) xor (w lsr 11) xor (w lsr 17)] first, in two lanes:
+    word [k] of the first [len - len mod 8] bytes into lane [k mod 2] (both
+    starting at the offset basis [0x811c9dc5]); then lane 0 and lane 1 are
+    stepped, in that order, into a fresh basis, and each of the last
+    [len mod 8] bytes is stepped in. Any error confined to one word or one
+    tail byte changes the result; the fold keeps errors in several words'
+    high bits from cancelling (see the implementation). Allocates
+    nothing.
+    @raise Invalid_argument if the range is not within the bytes. *)
 
 (** {2 Payload writers} *)
 

@@ -9,7 +9,12 @@
 
 type tail =
   | Clean
-  | Torn of { valid_prefix : int; dropped_bytes : int; reason : string }
+  | Torn of {
+      valid_prefix : int;
+      dropped_bytes : int;
+      reason : string;
+      version : int option;
+    }
 
 let magic = "IVLW"
 
@@ -18,12 +23,13 @@ let torn_header ~avail ~at =
     Codec.header_size
 
 (* Validate the complete header at [off]; [Ok payload_length] or
-   [Error reason]. *)
+   [Error (reason, version)], [version] naming another wire version. *)
 let check_header buf ~off =
-  if Bytes.sub_string buf off 4 <> magic then Error "bad magic"
+  if Bytes.sub_string buf off 4 <> magic then Error ("bad magic", None)
   else
     let v = Bytes.get_uint8 buf (off + 4) in
-    if v <> Codec.version then Error (Printf.sprintf "unsupported version %d" v)
+    if v <> Codec.version then
+      Error (Printf.sprintf "unsupported version %d" v, Some v)
     else Ok (Int32.to_int (Bytes.get_int32_be buf (off + 6)) land 0xFFFFFFFF)
 
 let check_payload buf ~off ~plen =
@@ -54,14 +60,14 @@ let iter ic f =
   let rec go off =
     if off = len then Clean
     else
-      let torn reason =
-        Torn { valid_prefix = off; dropped_bytes = len - off; reason }
+      let torn ?version reason =
+        Torn { valid_prefix = off; dropped_bytes = len - off; reason; version }
       in
       let got = input_upto ic hdr ~off:0 ~len:Codec.header_size in
       if got < Codec.header_size then torn (torn_header ~avail:got ~at:off)
       else
         match check_header hdr ~off:0 with
-        | Error reason -> torn reason
+        | Error (reason, version) -> torn ?version reason
         | Ok plen -> (
             let total = Codec.header_size + plen in
             if total > len - off then torn (torn_payload ~total ~avail:(len - off))

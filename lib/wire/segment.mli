@@ -3,9 +3,9 @@
 
     An append-only log written as back-to-back frames needs no index: each
     frame's header declares its own length, so a reader can walk the file and
-    re-validate every frame (magic, version, length, FNV-1a checksum) as it
-    goes. Crash tolerance falls out of one rule: {e the log is the longest
-    valid prefix}. Whatever a crash left after that prefix — a torn
+    re-validate every frame (magic, version, length, {!Codec.fnv1a}
+    checksum) as it goes. Crash tolerance falls out of one rule: {e the log
+    is the longest valid prefix}. Whatever a crash left after that prefix — a torn
     half-written frame, a checksum-corrupt record, stale garbage — is
     reported as a {!tail} for the caller ([Durable.Wal]) to truncate away.
 
@@ -13,9 +13,17 @@
 
 type tail =
   | Clean  (** The file ends exactly on a frame boundary. *)
-  | Torn of { valid_prefix : int; dropped_bytes : int; reason : string }
+  | Torn of {
+      valid_prefix : int;
+      dropped_bytes : int;
+      reason : string;
+      version : int option;
+    }
       (** Bytes past [valid_prefix] are not a valid frame; a recovering
-          writer should truncate the file to [valid_prefix]. *)
+          writer should truncate the file to [valid_prefix]. [version] is
+          [Some v] when the walk stopped at a frame header of wire version
+          [v] other than {!Codec.version}: data in another format, which
+          no reader here reads, rather than damage. *)
 
 val iter : in_channel -> (Bytes.t -> unit) -> tail
 (** [iter ic f] reads the frames of the segment file open on [ic] (from

@@ -5,9 +5,10 @@
     {!shape}. Materialization is a pure function of the trace seed — the
     same spec replays bit-for-bit across runs and across domains — and a
     materialized trace can be frozen to disk in the repository's standard
-    wire framing ({!Wire.Codec}: magic, version, kind tag, FNV-1a checksum
-    per frame), so a soak run can be reproduced from the file alone even if
-    the generator code later changes.
+    wire framing ({!Wire.Codec}: magic, version, kind tag,
+    {!Wire.Codec.fnv1a} checksum per frame), so a soak run can be
+    reproduced from the file alone even if the generator code later
+    changes.
 
     File layout: one [trace-header] frame (format version, seed, phase
     descriptors) followed by [trace-block] frames, each holding up to

@@ -123,6 +123,24 @@ let golden_keys = Array.init 512 (fun i -> ((i - 256) * 0x9E3779B97F4A7C1) + i)
 
 let golden_family () = Hashing.Family.seeded ~seed:49L ~rows:4 ~width:2048
 
+(* The checksum of wire versions 1 and 2: FNV-1a-32 one byte at a time. *)
+let fnv1a_v2 bytes ~off ~len =
+  let h = ref 0x811c9dc5 in
+  for i = off to off + len - 1 do
+    h := (!h lxor Char.code (Bytes.get bytes i)) * 0x01000193 land 0xFFFFFFFF
+  done;
+  !h
+
+(* Rewrite the frame at [off] in [b] as the same payload under wire
+   version [v] (1 or 2): the version byte and that version's checksum.
+   Returns the frame's length. *)
+let reframe_old ~v b ~off =
+  let plen = Int32.to_int (Bytes.get_int32_be b (off + 6)) land 0xFFFFFFFF in
+  Bytes.set_uint8 b (off + 4) v;
+  Bytes.set_int32_be b (off + 10)
+    (Int32.of_int (fnv1a_v2 b ~off:(off + Wire.Codec.header_size) ~len:plen));
+  Wire.Codec.header_size + plen
+
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
   let rec at i = i + n <= h && (String.sub hay i n = needle || at (i + 1)) in

@@ -677,22 +677,19 @@ let test_recover_compact_other_seed_keeps_log () =
       Alcotest.(check int) "checkpoint kept" 8 r.RC.recovered_published;
       Alcotest.(check int) "recovered from it" 4 r.RC.checkpoint_epoch
 
-(* Rewrite every frame header of a segment file to another format version
-   (the checksum covers the payload only, so the frames stay intact). *)
+(* Rewrite every frame of a segment file as an older format version wrote
+   it: the same payload, that version's byte and checksum. *)
 let set_segment_version path v =
   let b = read_file path in
   let off = ref 0 in
   while !off < Bytes.length b do
-    Bytes.set_uint8 b (!off + 4) v;
-    off :=
-      !off + Wire.Codec.header_size
-      + (Int32.to_int (Bytes.get_int32_be b (!off + 6)) land 0xFFFFFFFF)
+    off := !off + Test_helpers.reframe_old ~v b ~off:!off
   done;
   write_file path b
 
-(* No version-1 reader exists: a v1 segment is where the log ends, reported
-   as such, and nothing of it is replayed. *)
-let test_recovery_v1_segment () =
+(* No reader of an older version exists: an old segment is where the log
+   ends, reported as such, and nothing of it is replayed. *)
+let check_old_segment_truncated v =
   with_dir @@ fun dir ->
   let w = Durable.Wal.create ~dir () in
   for e = 1 to 3 do
@@ -701,7 +698,7 @@ let test_recovery_v1_segment () =
   Durable.Wal.close w;
   let seg = sole_segment dir in
   let size = Bytes.length (read_file seg) in
-  set_segment_version seg 1;
+  set_segment_version seg v;
   match RC.recover ~dir () with
   | Error e -> Alcotest.failf "recover: %s" e
   | Ok (g, r) ->
@@ -710,9 +707,67 @@ let test_recovery_v1_segment () =
       Alcotest.(check int) "the whole segment truncated" size r.RC.bytes_truncated;
       Alcotest.(check bool) "reason names the version" true
         (match r.RC.truncated_reason with
-        | Some why -> Test_helpers.contains why "unsupported version 1"
+        | Some why ->
+            Test_helpers.contains why (Printf.sprintf "unsupported version %d" v)
         | None -> false);
-      Alcotest.(check int) "empty sketch" 0 (Sketches.Countmin.updates g)
+      Alcotest.(check int) "empty sketch" 0 (Sketches.Countmin.updates g);
+      Alcotest.(check (option int)) "the version is reported" (Some v)
+        r.RC.other_version
+
+let test_recovery_v1_segment () = check_old_segment_truncated 1
+
+(* Version 2 framed the same payloads under a byte-serial checksum. *)
+let test_recovery_v2_segment () = check_old_segment_truncated 2
+
+(* An older version's frames are intact data without a reader, not a torn
+   tail: compaction refuses, and the segment, byte for byte, and the
+   checkpoints stay. A newer server started on an older directory keeps
+   that log for a reader of its version. *)
+let test_recover_compact_keeps_v2_segment () =
+  with_dir @@ fun dir ->
+  let w = Durable.Wal.create ~dir () in
+  for e = 1 to 3 do
+    Durable.Wal.append w ~epoch:e ~weight:1 ~blob:(Cm.encode (cm_of [ e ]))
+  done;
+  Durable.Wal.close w;
+  let seg = sole_segment dir in
+  set_segment_version seg 2;
+  let before = read_file seg in
+  (match RC.recover_compact ~dir () with
+  | Ok _ -> Alcotest.fail "compacted a version-2 log"
+  | Error e ->
+      Alcotest.(check bool) ("the error names the version: " ^ e) true
+        (Test_helpers.contains e "wire version 2"));
+  Alcotest.(check int) "segment kept" 1 (segment_count dir);
+  Alcotest.(check bool) "byte for byte" true (Bytes.equal before (read_file seg));
+  Alcotest.(check bool) "no checkpoint written" true
+    (Durable.Checkpoint.latest ~dir = None)
+
+(* The same for a directory whose state lives only in a version-2
+   checkpoint: it is passed over, reported, and not pruned. *)
+let test_recover_compact_keeps_v2_checkpoint () =
+  with_dir @@ fun dir ->
+  Durable.Checkpoint.write ~dir ~epoch:4 ~published:8
+    ~blob:(Cm.encode (cm_of [ 1; 2 ])) ();
+  let path =
+    match Sys.readdir dir with
+    | [| name |] -> Filename.concat dir name
+    | names -> Alcotest.failf "expected one checkpoint, found %d files" (Array.length names)
+  in
+  let b = read_file path in
+  ignore (Test_helpers.reframe_old ~v:2 b ~off:0);
+  write_file path b;
+  Alcotest.(check (option int)) "other_version" (Some 2)
+    (Durable.Checkpoint.other_version ~dir);
+  (match RC.recover_compact ~dir () with
+  | Ok _ -> Alcotest.fail "compacted over a version-2 checkpoint"
+  | Error e ->
+      Alcotest.(check bool) ("the error names the version: " ^ e) true
+        (Test_helpers.contains e "wire version 2"));
+  Alcotest.(check bool) "the checkpoint stays, byte for byte" true
+    (Bytes.equal b (read_file path));
+  Alcotest.(check (list string)) "and nothing else is written" [ Filename.basename path ]
+    (Array.to_list (Sys.readdir dir))
 
 (* Replay streams and folds in place: the major heap grows by about one
    sketch however long the log is. Holding the log, or a decoded sketch per
@@ -796,5 +851,11 @@ let () =
             test_recovery_v1_segment;
           Alcotest.test_case "countmin replay streams in constant memory" `Quick
             test_recovery_streams_in_constant_memory;
+          Alcotest.test_case "v2 segment is truncated, nothing replayed" `Quick
+            test_recovery_v2_segment;
+          Alcotest.test_case "recover_compact keeps a v2 segment" `Quick
+            test_recover_compact_keeps_v2_segment;
+          Alcotest.test_case "recover_compact keeps a v2 checkpoint" `Quick
+            test_recover_compact_keeps_v2_checkpoint;
         ] );
     ]

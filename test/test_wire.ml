@@ -411,30 +411,119 @@ let test_cm_varint_edges () =
          Buffer.add_string b "\x80\x00";
          one_per_row b))
 
-(* The per-byte-masked FNV-1a-32 the checksum must keep equal to. *)
+(* Version 3's checksum spelled out: 32-bit little-endian words assembled
+   byte by byte and folded, word k of the first [len - len mod 8] bytes
+   stepped into lane [k mod 2], every step masked; then the two lanes
+   stepped, in order, into a fresh FNV-1a state, then each remaining byte. *)
 let fnv1a_reference bytes ~off ~len =
-  let h = ref 0x811c9dc5 in
-  for i = off to off + len - 1 do
-    h := (!h lxor Char.code (Bytes.get bytes i)) * 0x01000193 land 0xFFFFFFFF
+  let step h w = (h lxor w) * 0x01000193 land 0xFFFFFFFF in
+  let byte i = Char.code (Bytes.get bytes i) in
+  let fold w = w lxor (w lsr 2) lxor (w lsr 11) lxor (w lsr 17) in
+  let word k =
+    let p = off + (4 * k) in
+    fold
+      (byte p lor (byte (p + 1) lsl 8) lor (byte (p + 2) lsl 16) lor (byte (p + 3) lsl 24))
+  in
+  let basis = 0x811c9dc5 in
+  let lanes = [| basis; basis |] in
+  let words = 2 * (len / 8) in
+  for k = 0 to words - 1 do
+    lanes.(k mod 2) <- step lanes.(k mod 2) (word k)
+  done;
+  let h = ref (step (step basis lanes.(0)) lanes.(1)) in
+  for i = off + (4 * words) to off + len - 1 do
+    h := step !h (byte i)
   done;
   !h
 
 let test_fnv1a () =
   let g = Rng.Splitmix.create 3L in
   let b = Bytes.init 4096 (fun _ -> Char.chr (Rng.Splitmix.next_int g 256)) in
+  let small = List.concat_map (fun off -> List.init 68 (fun len -> (off, len))) (List.init 8 Fun.id) in
   List.iter
     (fun (off, len) ->
       Alcotest.(check int)
         (Printf.sprintf "off %d len %d" off len)
         (fnv1a_reference b ~off ~len)
         (Wire.Codec.fnv1a b ~off ~len))
-    [ (0, 0); (0, 1); (0, 4096); (17, 1000); (4095, 1); (4096, 0) ];
+    (small @ [ (0, 0); (0, 1); (0, 4096); (17, 1000); (4095, 1); (4096, 0) ]);
   List.iter
     (fun (off, len) ->
       match Wire.Codec.fnv1a b ~off ~len with
       | _ -> Alcotest.failf "off %d len %d: no Invalid_argument" off len
       | exception Invalid_argument _ -> ())
     [ (-1, 1); (0, 4097); (4096, 1); (4000, 97); (0, -1); (4097, 0) ]
+
+(* The checksum's guarantee: an error confined to one 32-bit word of the
+   lanes, or to one tail byte, always changes it. [pick] chooses the word
+   or byte, [mask] the non-zero error; the payload sits at [off] inside a
+   larger buffer. *)
+let checksum_error_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"checksum catches any one-word or tail-byte error"
+       ~count:2000
+       QCheck.(
+         quad (string_of_size Gen.(int_range 1 80)) (int_bound 7) small_nat
+           (int_range 1 0xFFFFFFFF))
+       (fun (s, off, pick, mask) ->
+         let len = String.length s in
+         let b = Bytes.make (off + len + 3) '\x5a' in
+         Bytes.blit_string s 0 b off len;
+         let before = Wire.Codec.fnv1a b ~off ~len in
+         let words = 2 * (len / 8) and tail = len mod 8 in
+         if words > 0 && (tail = 0 || pick land 1 = 0) then begin
+           let p = off + (4 * (pick / 2 mod words)) in
+           for j = 0 to 3 do
+             Bytes.set_uint8 b (p + j)
+               (Bytes.get_uint8 b (p + j) lxor ((mask lsr (8 * j)) land 0xFF))
+           done
+         end
+         else begin
+           let p = off + (4 * words) + (pick / 2 mod tail) in
+           Bytes.set_uint8 b p (Bytes.get_uint8 b p lxor (1 + (mask mod 255)))
+         end;
+         Wire.Codec.fnv1a b ~off ~len <> before))
+
+(* Errors in two words, which a multiply chain mod 2^32 sees only in the
+   bits it carries into: a multiply never carries downward, so without the
+   fold a flip of bit 31 in any two words cancels, and errors confined to
+   words' top bytes are checked by the top byte alone. Every pair of words
+   of a 64-byte payload, both at lane-aligned and odd offsets: the same bit
+   flipped in both (bit 31 among them), and the same non-zero top byte
+   error in both. *)
+let test_checksum_two_word_errors () =
+  let g = Rng.Splitmix.create 11L in
+  let len = 64 in
+  let words = len / 4 in
+  List.iter
+    (fun off ->
+      let b = Bytes.init (off + len) (fun _ -> Char.chr (Rng.Splitmix.next_int g 256)) in
+      let sum = Wire.Codec.fnv1a b ~off ~len in
+      let xor_word k e =
+        let p = off + (4 * k) in
+        Bytes.set_int32_le b p (Int32.logxor (Bytes.get_int32_le b p) (Int32.of_int e))
+      in
+      let missed = ref [] in
+      let check i j e =
+        xor_word i e;
+        xor_word j e;
+        if Wire.Codec.fnv1a b ~off ~len = sum then
+          missed := Printf.sprintf "off %d words %d,%d error %#x" off i j e :: !missed;
+        xor_word i e;
+        xor_word j e
+      in
+      for i = 0 to words - 1 do
+        for j = i + 1 to words - 1 do
+          for bit = 0 to 31 do
+            check i j (1 lsl bit)
+          done;
+          for v = 1 to 255 do
+            check i j (v lsl 24)
+          done
+        done
+      done;
+      Alcotest.(check (list string)) "every two-word error caught" [] !missed)
+    [ 0; 3 ]
 
 (* A sketch with the given counter image (row-major) and stream length. *)
 let cm_of_cells ?(n = 0) counts =
@@ -483,9 +572,10 @@ let test_cm_canonical () =
   | Ok t -> Alcotest.(check bytes) "encode ∘ decode = id on bytes" blob (enc t)
   | Error e -> Alcotest.failf "decode: %s" (Wire.Codec.error_to_string e)
 
-(* Captured before the field multiply and the codec readers were
-   rewritten: the deployment family's blob over the golden keys, each once
-   and the first 64 twice. *)
+(* The deployment family's blob over the golden keys, each once and the
+   first 64 twice. The fingerprint, length and payload digest were captured
+   before the field multiply and the codec readers were rewritten, and kept
+   through wire version 3; the whole-blob digest is version 3's header. *)
 let test_cm_golden_blob () =
   let family = Test_helpers.golden_family () in
   let cm = Sketches.Countmin.create ~family in
@@ -497,7 +587,11 @@ let test_cm_golden_blob () =
   Alcotest.(check int64) "fingerprint" 0x3cf47302daf34a2eL
     (Wire.Countmin.fingerprint family);
   Alcotest.(check int) "length" 3784 (Bytes.length blob);
-  Alcotest.(check string) "digest" "bd4695699f456806e093616d9fdc5083"
+  Alcotest.(check string) "payload digest" "3a0939c54288cdf65c958ad500157063"
+    (Digest.to_hex
+       (Digest.subbytes blob Wire.Codec.header_size
+          (Bytes.length blob - Wire.Codec.header_size)));
+  Alcotest.(check string) "digest" "99f2179dc6b09d89134c2fb155588e11"
     (Digest.to_hex (Digest.bytes blob));
   match Wire.Countmin.decode ~family blob with
   | Ok t -> Alcotest.(check bytes) "decodes to itself" blob (Wire.Countmin.encode t)
@@ -553,6 +647,19 @@ let test_cm_v1_dense_unsupported () =
       Alcotest.failf "expected Unsupported_version 1, got %s"
         (Wire.Codec.error_to_string e)
   | Ok _ -> Alcotest.fail "a v1 dense blob decoded"
+
+(* Version 2 framed the same payloads under a byte-serial checksum. No v2
+   reader is kept: an intact v2 blob is refused by its version, not read as
+   a v3 blob with a bad checksum. *)
+let test_cm_v2_unsupported () =
+  let blob = Wire.Countmin.encode (cm_of sample) in
+  ignore (Test_helpers.reframe_old ~v:2 blob ~off:0);
+  match cm_decode blob with
+  | Error (Wire.Codec.Unsupported_version 2) -> ()
+  | Error e ->
+      Alcotest.failf "expected Unsupported_version 2, got %s"
+        (Wire.Codec.error_to_string e)
+  | Ok _ -> Alcotest.fail "a v2 blob decoded"
 
 let cm_qcheck =
   let cell = QCheck.Gen.(frequency [ (4, return 0); (3, int_bound 600); (1, int_range 0 max_int) ]) in
@@ -834,6 +941,9 @@ let () =
           Alcotest.test_case "wrong kind" `Quick test_wrong_kind;
           Alcotest.test_case "trailing bytes" `Quick test_trailing_garbage;
           Alcotest.test_case "fnv1a: value and range check" `Quick test_fnv1a;
+          checksum_error_qcheck;
+          Alcotest.test_case "checksum catches two-word top-bit and top-byte errors"
+            `Quick test_checksum_two_word_errors;
         ] );
       ( "segment",
         [
@@ -854,6 +964,8 @@ let () =
             test_cm_fold_all_or_nothing;
           Alcotest.test_case "v1 dense blob is Unsupported_version 1" `Quick
             test_cm_v1_dense_unsupported;
+          Alcotest.test_case "v2 blob is Unsupported_version 2" `Quick
+            test_cm_v2_unsupported;
           cm_qcheck;
           cm_reference_qcheck;
           Alcotest.test_case "varint edges via fold and decode" `Quick
