@@ -327,9 +327,37 @@ let run () =
       ~unit_:"B/op" bytes;
     [ "alloc-net-batch-frame (per key)"; Printf.sprintf "%.2f" bytes ]
   in
-  Bench_util.table ~header:[ "path"; "B/op" ] (rows @ [ frame_row ]);
+  (* A shard's ship, per key: 600 keys into a delta of the deployment's
+     shape, then [ship] encodes it into the domain's reused buffer, copies
+     out the blob and resets the delta. The blob (~4.2 KB, ~7 B/key) is
+     all it allocates; a ship that built it in a growing buffer again, or
+     copied it twice, would add at least as much again and fail the gate. *)
+  let ship_row =
+    let module M = Pipeline.Targets.Countmin (struct
+      let seed = 49L
+      let rows = 4
+      let width = 2048
+    end) in
+    let keys = 600 in
+    let d = ref (M.create ()) in
+    let round () =
+      for i = 1 to keys do
+        M.update !d ((i * 7919) + 1)
+      done;
+      d := snd (M.ship !d)
+    in
+    let bytes =
+      Bench_util.allocated_bytes_per_op ~ops:(audit_ops / 100) round
+      /. float_of_int keys
+    in
+    Bench_util.record ~exp:"throughput" ~name:"alloc-countmin-ship"
+      ~params:[ ("per", Bench_util.json_string "key") ]
+      ~unit_:"B/op" bytes;
+    [ "alloc-countmin-ship (per key)"; Printf.sprintf "%.2f" bytes ]
+  in
+  Bench_util.table ~header:[ "path"; "B/op" ] (rows @ [ frame_row; ship_row ]);
   print_endline
     "shape check: every update row must read 0.00 — a nonzero value means a";
   print_endline
     "hot path is boxing (and `bench compare' will hard-fail it); the frame";
-  print_endline "row reads its parse's 12 words a frame, 0.38 B/key."
+  print_endline "row reads its parse's 12 words a frame, 0.38 B/key; the ship row its blob."

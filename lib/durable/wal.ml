@@ -88,6 +88,7 @@ type writer = {
   mutable appended : int;
   mutable rotations : int;
   mutable closed : bool;
+  mutable frame : Bytes.t; (* each record is written here, then output *)
   fsync_timer : Obs.Timer.t option;
 }
 
@@ -136,6 +137,7 @@ let create ?(fsync = Every_n 64) ?metrics ~dir () =
       appended = 0;
       rotations = 0;
       closed = false;
+      frame = Bytes.create 4096;
       fsync_timer =
         Option.map
           (fun reg ->
@@ -160,11 +162,18 @@ let create ?(fsync = Every_n 64) ?metrics ~dir () =
   open_segment w next;
   w
 
-let encode_record ~epoch ~weight ~blob =
-  Wire.Codec.encode ~kind:Wire.Codec.wal_record_kind (fun b ->
-      Wire.Codec.int_ b epoch;
-      Wire.Codec.int_ b weight;
-      Wire.Codec.bytes_ b blob)
+(* Payload: i64 epoch, i64 weight, u32 length, the blob. *)
+let record_size blob = Wire.Codec.header_size + 8 + 8 + 4 + Bytes.length blob
+
+let write_record frame ~epoch ~weight ~blob =
+  let p = Wire.Codec.header_size and len = Bytes.length blob in
+  if len > 0xFFFFFFFF then invalid_arg "Wire.Codec.u32: out of range";
+  Bytes.set_int64_be frame p (Int64.of_int epoch);
+  Bytes.set_int64_be frame (p + 8) (Int64.of_int weight);
+  Bytes.set_int32_be frame (p + 16) (Int32.of_int len);
+  Bytes.blit blob 0 frame (p + 20) len;
+  Wire.Codec.seal_into frame ~off:0 ~kind:Wire.Codec.wal_record_kind
+    ~plen:(20 + len)
 
 let rotate w =
   writer_fsync w;
@@ -180,11 +189,13 @@ let append w ~epoch ~weight ~blob =
          w.last_epoch);
   if weight < 0 then invalid_arg "Wal.append: negative weight";
   w.last_epoch <- epoch;
-  let frame = encode_record ~epoch ~weight ~blob in
-  if w.seg_size > 0 && w.seg_size + Bytes.length frame > segment_bytes then
-    rotate w;
-  output_bytes w.oc frame;
-  w.seg_size <- w.seg_size + Bytes.length frame;
+  let size = record_size blob in
+  if Bytes.length w.frame < size then
+    w.frame <- Bytes.create (max size (2 * Bytes.length w.frame));
+  write_record w.frame ~epoch ~weight ~blob;
+  if w.seg_size > 0 && w.seg_size + size > segment_bytes then rotate w;
+  output w.oc w.frame 0 size;
+  w.seg_size <- w.seg_size + size;
   w.appended <- w.appended + 1;
   w.unsynced <- w.unsynced + 1;
   match w.fsync with

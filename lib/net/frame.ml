@@ -265,19 +265,22 @@ let decode_response bytes =
 
 (* ------------------------------ pushes -------------------------------- *)
 
+(* One exact-size frame: it waits in every subscriber's queue. *)
+let write_push ~tag ~epoch ~w blob =
+  let p = Codec.header_size and len = Bytes.length blob in
+  if len > 0xFFFFFFFF then invalid_arg "Wire.Codec.u32: out of range";
+  let buf = Bytes.create (p + 1 + 8 + 8 + 4 + len) in
+  Bytes.set_uint8 buf p tag;
+  Bytes.set_int64_be buf (p + 1) (Int64.of_int epoch);
+  Bytes.set_int64_be buf (p + 9) (Int64.of_int w);
+  Bytes.set_int32_be buf (p + 17) (Int32.of_int len);
+  Bytes.blit blob 0 buf (p + 21) len;
+  Codec.seal_into buf ~off:0 ~kind:Codec.net_delta_kind ~plen:(21 + len);
+  buf
+
 let encode_push = function
-  | Snapshot { epoch; published; blob } ->
-      Codec.encode ~kind:Codec.net_delta_kind (fun b ->
-          Codec.u8 b 0;
-          Codec.int_ b epoch;
-          Codec.int_ b published;
-          Codec.bytes_ b blob)
-  | Delta { epoch; weight; blob } ->
-      Codec.encode ~kind:Codec.net_delta_kind (fun b ->
-          Codec.u8 b 1;
-          Codec.int_ b epoch;
-          Codec.int_ b weight;
-          Codec.bytes_ b blob)
+  | Snapshot { epoch; published; blob } -> write_push ~tag:0 ~epoch ~w:published blob
+  | Delta { epoch; weight; blob } -> write_push ~tag:1 ~epoch ~w:weight blob
 
 let parse_push r =
   let tag = Codec.read_u8 r in

@@ -101,6 +101,9 @@ let debruijn =
 let[@inline] bit_index low =
   Array.unsafe_get debruijn (((low * 0x077CB531) land 0xFFFFFFFF) lsr 27)
 
+let occupancy t ~row = t.occ.(row)
+let counters t ~row = t.cells.(row)
+
 let iter_row t ~row f =
   let r = t.cells.(row) and occ = t.occ.(row) in
   for j = 0 to Array.length occ - 1 do
@@ -113,11 +116,22 @@ let iter_row t ~row f =
     done
   done
 
+(* [iter_row]'s scan with the write in the loop: a shard resets its delta
+   after every ship, and a closure call per cell cost more than the write. *)
 let reset t =
   for i = 0 to Array.length t.cells - 1 do
     let r = t.cells.(i) and occ = t.occ.(i) in
-    iter_row t ~row:i (fun col _ -> Array.unsafe_set r col 0);
-    Array.fill occ 0 (Array.length occ) 0;
+    for j = 0 to Array.length occ - 1 do
+      let w = ref (Array.unsafe_get occ j) in
+      if !w <> 0 then begin
+        while !w <> 0 do
+          let low = !w land (- !w) in
+          Array.unsafe_set r ((j lsl 5) lor bit_index low) 0;
+          w := !w lxor low
+        done;
+        Array.unsafe_set occ j 0
+      end
+    done;
     t.nz.(i) <- 0
   done;
   t.n <- 0
@@ -139,6 +153,8 @@ let add t ~row ~col c =
   let v = r.(col) in
   if v = 0 && c <> 0 then mark t row col;
   Array.unsafe_set r col (v + c)
+
+let[@inline] unsafe_add t ~row ~col c = bump t row col c
 
 let add_updates t n =
   if n < 0 then invalid_arg "Countmin.add_updates: negative count";

@@ -59,10 +59,24 @@ val nonzero : t -> row:int -> int
 
 val iter_row : t -> row:int -> (int -> int -> unit) -> unit
 (** [iter_row t ~row f] calls [f col count] on each non-zero counter of
-    [row], in ascending column order — the wire encoder's walk. It visits
+    [row], in ascending column order. It visits
     the set bits of the row's occupancy bitmap, so it costs
     O(width/32 + non-zero counters), not O(width).
     @raise Invalid_argument if [row] is out of range. *)
+
+val occupancy : t -> row:int -> int array
+val counters : t -> row:int -> int array
+(** [occupancy t ~row] and [counters t ~row] are [row]'s occupancy bitmap
+    and counters themselves, not copies, for walks that must not call a
+    closure per cell ([Wire.Countmin.encode]): bit [col land 31] of bitmap
+    word [col lsr 5] is set iff counter [col] is non-zero, and
+    [(j lsl 5) lor bit_index low] is the column of the lowest set bit [low]
+    of word [j]. Read them only; a write through either breaks the sketch.
+    @raise Invalid_argument if [row] is out of range. *)
+
+val bit_index : int -> int
+(** [bit_index low] is [k] for [low = 1 lsl k], [0 <= k < 32]; any other
+    argument gives a meaningless index. *)
 
 val reset : t -> unit
 (** Zero all counters and the update count. Only the occupied counters are
@@ -79,10 +93,15 @@ val merge : t -> t -> t
 
 val add : t -> row:int -> col:int -> int -> unit
 (** [add t ~row ~col c] adds [c] to one counter and leaves the stream length
-    alone — how a sparse wire delta folds into a sketch in place
-    ([Wire.Countmin.fold]), one call per non-zero cell, closed by one
-    {!add_updates}.
+    alone: a sparse delta folds into a sketch in place one cell at a time,
+    closed by one {!add_updates}.
     @raise Invalid_argument if [c < 0] or the cell is out of range. *)
+
+val unsafe_add : t -> row:int -> col:int -> int -> unit
+(** {!add} without its checks, inlined and making no call: for a walk that
+    has validated [row], [col] and [c >= 0] itself ([Wire.Countmin.fold],
+    one call per non-zero cell). Anything else writes out of bounds or
+    breaks the occupancy count. *)
 
 val add_updates : t -> int -> unit
 (** [add_updates t n] grows the stream length by [n].

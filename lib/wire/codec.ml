@@ -198,8 +198,8 @@ let encode ~kind build =
 (* ------------------------------ reader ------------------------------ *)
 
 (* A reader over the frame at [base] in [buf]: [pos] and [limit] index
-   [buf], while errors and {!position} count from the frame's first byte,
-   so a frame parsed in place reads exactly as a copy of it would. *)
+   [buf], while errors count from the frame's first byte, so a frame
+   parsed in place reads exactly as a copy of it would. *)
 type reader = { buf : Bytes.t; base : int; limit : int; mutable pos : int }
 
 let need r n =
@@ -276,11 +276,14 @@ let[@inline] read_varint r =
     else read_varint_groups r
   else read_varint_groups r
 
-let position r = r.pos - r.base
+let buffer r = r.buf
+let cursor r = r.pos
+let limit r = r.limit
 
-let seek r pos =
-  if pos < header_size || r.base + pos > r.limit then invalid_arg "Wire.Codec.seek";
-  r.pos <- r.base + pos
+let set_cursor r pos =
+  if pos < r.base + header_size || pos > r.limit then
+    invalid_arg "Wire.Codec.set_cursor";
+  r.pos <- pos
 
 let read_bytes r =
   let len = read_u32 r in

@@ -180,11 +180,18 @@ val read_varint : reader -> int
     final group, more than 9 bytes) or a value past the native range is
     [Corrupt], so equal values always arrive as equal bytes. *)
 
-val position : reader -> int
-val seek : reader -> int -> unit
-(** [seek r (position r)] rewinds a reader to a position it already passed —
-    for parsers that validate a payload in one pass and apply it in a second
-    ([Countmin.fold]). @raise Invalid_argument outside the payload. *)
+val buffer : reader -> Bytes.t
+val cursor : reader -> int
+val limit : reader -> int
+(** For walks that read a payload in place instead of through the readers
+    above ([Countmin.fold]): the bytes [r] reads, the index in them of its
+    next unread byte, and the index one past the frame's last byte. *)
+
+val set_cursor : reader -> int -> unit
+(** [set_cursor r i] moves [r] to index [i] of {!buffer}: a walk hands a
+    varint it does not read itself back to {!read_varint}, and leaves [r]
+    where it stopped so {!decode} can check the payload was consumed.
+    @raise Invalid_argument outside the payload. *)
 
 val corrupt : ('a, unit, string, 'b) format4 -> 'a
 (** [corrupt fmt …] raises {!Decode_error} with a [Corrupt] payload — for
@@ -201,6 +208,6 @@ val decode_sub :
   kind:int -> (reader -> 'a) -> Bytes.t -> off:int -> len:int -> ('a, error) result
 (** [decode_sub ~kind parse buf ~off ~len] is {!decode} on the frame held in
     [len] bytes at [off], read in place: the same checks, the same errors
-    (a [Truncated] counts from the frame's first byte) and the same
-    {!position}s as {!decode} on a copy of those bytes.
+    (a [Truncated] counts from the frame's first byte) as {!decode} on a
+    copy of those bytes.
     @raise Invalid_argument if the range is not within [buf]. *)

@@ -16,12 +16,16 @@ val kind : int
 
 val fingerprint : Hashing.Family.t -> int64
 (** FNV-1a-64 over the family's row count, width and per-row coefficients.
+    The last family's value is kept, so a process that uses one family
+    computes it once.
     @raise Invalid_argument if the family was built with
     {!Hashing.Family.of_mapping} or {!Hashing.Family.seeded_km}
     ({!Hashing.Family.coefficients} is [None]). *)
 
 val encode : Sketches.Countmin.t -> Bytes.t
-(** @raise Invalid_argument as {!fingerprint}. *)
+(** The blob, written into a buffer the calling domain reuses and copied
+    out at its exact size: it allocates the blob and nothing else.
+    @raise Invalid_argument as {!fingerprint}. *)
 
 val decode :
   family:Hashing.Family.t -> Bytes.t -> (Sketches.Countmin.t, Codec.error) result

@@ -123,7 +123,25 @@ let test_wal_roundtrip () =
         (Printf.sprintf "blob %d decodes" e)
         e
         (weight_of_blob rec_.blob))
-    records
+    records;
+  (* The segment holds exactly the records' bytes, field by field through
+     Codec's writers, whichever record grew the writer's buffer. *)
+  with_dir @@ fun dir ->
+  let blobs = [ delta_blob 1; Bytes.make 10_000 'x'; delta_blob 2 ] in
+  let w = Durable.Wal.create ~dir ~fsync:Durable.Wal.Never () in
+  List.iteri
+    (fun i blob -> Durable.Wal.append w ~epoch:i ~weight:(7 * i) ~blob)
+    blobs;
+  Durable.Wal.close w;
+  let reference i blob =
+    Wire.Codec.encode ~kind:Wire.Codec.wal_record_kind (fun b ->
+        Wire.Codec.int_ b i;
+        Wire.Codec.int_ b (7 * i);
+        Wire.Codec.bytes_ b blob)
+  in
+  Alcotest.(check string) "segment bytes"
+    (String.concat "" (List.mapi (fun i b -> Bytes.to_string (reference i b)) blobs))
+    (In_channel.with_open_bin (sole_segment dir) In_channel.input_all)
 
 let test_wal_epoch_monotonicity_enforced () =
   with_dir @@ fun dir ->

@@ -131,10 +131,22 @@ let test_push_roundtrip () =
   | Frame.Snapshot { epoch = 12; published = 999; blob = b } ->
       check_bool "snapshot blob" true (Bytes.equal blob b)
   | _ -> Alcotest.fail "not the snapshot");
-  match roundtrip_push (Frame.Delta { epoch = 13; weight = 8; blob }) with
+  (match roundtrip_push (Frame.Delta { epoch = 13; weight = 8; blob }) with
   | Frame.Delta { epoch = 13; weight = 8; blob = b } ->
       check_bool "delta blob" true (Bytes.equal blob b)
-  | _ -> Alcotest.fail "not the delta"
+  | _ -> Alcotest.fail "not the delta");
+  (* The bytes are the schema's, field by field through Codec's writers. *)
+  let reference tag epoch w =
+    Codec.encode ~kind:Codec.net_delta_kind (fun b ->
+        Codec.u8 b tag;
+        Codec.int_ b epoch;
+        Codec.int_ b w;
+        Codec.bytes_ b blob)
+  in
+  Alcotest.(check bytes) "snapshot bytes" (reference 0 12 999)
+    (Frame.encode_push (Frame.Snapshot { epoch = 12; published = 999; blob }));
+  Alcotest.(check bytes) "delta bytes" (reference 1 13 8)
+    (Frame.encode_push (Frame.Delta { epoch = 13; weight = 8; blob }))
 
 let test_frame_schema_validation () =
   (* A response frame fed to the request decoder is a *known* foreign

@@ -834,6 +834,237 @@ let occupancy_qcheck =
              shipped_ok && agrees !t)
            ops))
 
+(* The encoder against the reference over random shapes: 1-5 rows of width
+   1-700 (so column gaps reach past 127), each row empty, sparse, sparse
+   with wide gaps or full, counts of one byte, two, three and up to
+   max_int, and a stream length past 2^14. The blob decodes back. *)
+let cm_reference_shapes_qcheck =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"encode = the reference over random dimensions"
+       ~count:200
+       QCheck.(triple (int_range 1 5) (int_range 1 700) (int_bound 1_000_000))
+       (fun (rows, width, s) ->
+         let st = Random.State.make [| s |] in
+         let family =
+           Hashing.Family.seeded ~seed:(Int64.of_int s) ~rows ~width
+         in
+         let t = Sketches.Countmin.create ~family in
+         let count () =
+           match Random.State.int st 10 with
+           | 0 | 1 | 2 | 3 | 4 -> 1 + Random.State.int st 127
+           | 5 | 6 -> 128 + Random.State.int st (16384 - 128)
+           | 7 | 8 -> 16384 + Random.State.full_int st (1 lsl 40)
+           | _ -> max_int
+         in
+         for row = 0 to rows - 1 do
+           let one_in = [| 0; 8; 300; 1 |].(Random.State.int st 4) in
+           if one_in > 0 then
+             for col = 0 to width - 1 do
+               if Random.State.int st one_in = 0 then
+                 Sketches.Countmin.add t ~row ~col (count ())
+             done
+         done;
+         Sketches.Countmin.add_updates t (Random.State.int st 1_000_000);
+         let blob = Wire.Countmin.encode t in
+         Bytes.equal blob (cm_reference_encode t)
+         &&
+         match Wire.Countmin.decode ~family blob with
+         | Ok t' -> cm_equal t t'
+         | Error _ -> false))
+
+(* A ship sends the reference bytes and hands back a delta equal to
+   [create ()] — cells, occupancy, per-row counts and n — and shipping
+   that same delta again sends the reference bytes again. *)
+module Ship_cm = Pipeline.Targets.Countmin (struct
+  let seed = 13L
+  let rows = 4
+  let width = 300
+end)
+
+let test_cm_ship_empties () =
+  let module C = Sketches.Countmin in
+  let empty = Wire.Countmin.encode (Ship_cm.create ()) in
+  let ship d salt =
+    for i = 0 to 199 do
+      C.update d ((i * 7919) + salt)
+    done;
+    C.add d ~row:1 ~col:299 20_000;
+    C.add d ~row:3 ~col:0 (1 lsl 40);
+    let expect = cm_reference_encode d in
+    let blob, d = Ship_cm.ship d in
+    Alcotest.(check bytes) "ship sends the reference bytes" expect blob;
+    Alcotest.(check int) "n" 0 (C.updates d);
+    for row = 0 to C.rows d - 1 do
+      Alcotest.(check int) "row count" 0 (C.nonzero d ~row);
+      Alcotest.(check bool) "occupancy clear" true
+        (Array.for_all (( = ) 0) (C.occupancy d ~row));
+      Alcotest.(check bool) "cells zero" true
+        (Array.for_all (( = ) 0) (C.counters d ~row))
+    done;
+    Alcotest.(check bytes) "encodes as create ()" empty (Wire.Countmin.encode d);
+    d
+  in
+  ignore (ship (ship (Ship_cm.create ()) 1) 2)
+
+(* The first row's pair count written by hand, then one valid pair, and
+   the other rows valid. *)
+let raw_first_count bytes b =
+  Buffer.add_string b bytes;
+  Wire.Codec.varint b 0;
+  Wire.Codec.varint b 1;
+  cm_row b [ (0, 1) ];
+  cm_row b [ (0, 1) ]
+
+(* The first row's only pair, with its count written by hand. *)
+let raw_count bytes b =
+  Wire.Codec.varint b 1;
+  Wire.Codec.varint b 0;
+  Buffer.add_string b bytes
+
+let rest b =
+  cm_row b [ (0, 1) ];
+  cm_row b [ (0, 1) ]
+
+let other ~seed ~rows ~width =
+  let t =
+    Sketches.Countmin.create ~family:(Hashing.Family.seeded ~seed ~rows ~width)
+  in
+  List.iter (Sketches.Countmin.update t) sample;
+  Wire.Countmin.encode t
+
+(* Every CountMin blob the suites above reject, with the error each gave
+   before the cell walks read their varints in place. *)
+let cm_corrupt_cases =
+  [
+    ("sketch from another seed", "corrupt payload: family fingerprint eed4484f78d138b5 does not match 87ffb414bdbfee67", other ~seed:100L ~rows:3 ~width:32);
+    ( "forged fingerprint",
+      "corrupt payload: family fingerprint 2ec0177c92ff84c2 does not match 87ffb414bdbfee67",
+      cm_blob
+        ~fingerprint:
+          (Wire.Countmin.fingerprint
+             (Hashing.Family.seeded ~seed:7L ~rows:3 ~width:32))
+        ~n:1 one_per_row );
+    ("more rows", "corrupt payload: dimensions 4x32 do not match the family's 3x32", other ~seed ~rows:4 ~width:32);
+    ("wider", "corrupt payload: dimensions 3x64 do not match the family's 3x32", other ~seed ~rows:3 ~width:64);
+    ("header claims 4 rows", "corrupt payload: dimensions 4x32 do not match the family's 3x32", cm_blob ~rows:4 ~n:1 one_per_row);
+    ("header claims width 64", "corrupt payload: dimensions 3x64 do not match the family's 3x32", cm_blob ~width:64 ~n:1 one_per_row);
+    ( "column = width",
+      "corrupt payload: row 0: column gap 32 runs past width 32",
+      cm_blob ~n:1 (fun b ->
+          cm_row b [ (cm_width, 1) ];
+          rest b) );
+    ( "gaps run past the width",
+      "corrupt payload: row 0: column gap 11 runs past width 32",
+      cm_blob ~n:2 (fun b ->
+          cm_row b [ (20, 1); (11, 1) ];
+          cm_row b [ (0, 2) ];
+          cm_row b [ (0, 2) ]) );
+    ( "gap that would overflow",
+      "corrupt payload: row 0: column gap 4611686018427387903 runs past width 32",
+      cm_blob ~n:2 (fun b ->
+          cm_row b [ (5, 1); (max_int, 1) ];
+          cm_row b [ (0, 2) ];
+          cm_row b [ (0, 2) ]) );
+    ( "explicit zero count",
+      "corrupt payload: row 1 col 5: explicit zero count",
+      cm_blob ~n:1 (fun b ->
+          cm_row b [ (0, 1) ];
+          cm_row b [ (0, 1); (4, 0) ];
+          cm_row b [ (0, 1) ]) );
+    ( "row lists more cells than the width",
+      "corrupt payload: row 0 lists 33 non-zero cells in width 32",
+      cm_blob ~n:1 (fun b ->
+          cm_row b (List.init (cm_width + 1) (fun _ -> (0, 1)));
+          rest b) );
+    ( "overlong pair count (zero final group)",
+      "corrupt payload: overlong varint (zero final group)",
+      cm_blob ~n:1 (raw_first_count "\x81\x00") );
+    ( "overlong pair count (10 bytes)",
+      "corrupt payload: overlong varint (more than 9 bytes)",
+      cm_blob ~n:1 (raw_first_count "\x81\x80\x80\x80\x80\x80\x80\x80\x80\x00") );
+    ( "pair count past the native range",
+      "corrupt payload: varint exceeds native range",
+      cm_blob ~n:1 (raw_first_count "\x81\x80\x80\x80\x80\x80\x80\x80\x40") );
+    ("two-byte count cut at the payload's end", "truncated blob: needed 35 bytes, have 34", cm_blob ~n:1 (raw_count "\x81"));
+    ( "nine-byte count cut at the payload's end",
+      "truncated blob: needed 42 bytes, have 41",
+      cm_blob ~n:1 (raw_count "\x81\x80\x80\x80\x80\x80\x80\x80") );
+    ( "payload ends where a varint should start",
+      "truncated blob: needed 34 bytes, have 33",
+      cm_blob ~n:1 (fun b ->
+          Wire.Codec.varint b 1;
+          Wire.Codec.varint b 0) );
+    ( "count with a zero final group",
+      "corrupt payload: overlong varint (zero final group)",
+      cm_blob ~n:1 (fun b ->
+          raw_count "\x81\x00" b;
+          rest b) );
+    ( "count of more than 9 groups",
+      "corrupt payload: overlong varint (more than 9 bytes)",
+      cm_blob ~n:1 (fun b ->
+          raw_count "\x81\x80\x80\x80\x80\x80\x80\x80\x80\x01" b;
+          rest b) );
+    ( "count past the native range",
+      "corrupt payload: varint exceeds native range",
+      cm_blob ~n:1 (fun b ->
+          raw_count "\x81\x80\x80\x80\x80\x80\x80\x80\x40" b;
+          rest b) );
+    ( "overlong stream length",
+      "corrupt payload: overlong varint (zero final group)",
+      Wire.Codec.encode ~kind:Wire.Countmin.kind (fun b ->
+          Wire.Codec.u32 b (Hashing.Family.rows cm_family);
+          Wire.Codec.u32 b cm_width;
+          Wire.Codec.i64 b (Wire.Countmin.fingerprint cm_family);
+          Buffer.add_string b "\x80\x00";
+          one_per_row b) );
+    ("bad last row", "corrupt payload: row 2 col 3: explicit zero count", Test_helpers.countmin_bad_last_row ~family:cm_family);
+    ( "zero count after a run of one-byte pairs",
+      "corrupt payload: row 0 col 11: explicit zero count",
+      cm_blob ~n:9 (fun b ->
+          cm_row b [ (0, 1); (1, 2); (0, 3); (4, 1); (2, 0) ];
+          rest b) );
+    ( "two-byte gap past the width after a run",
+      "corrupt payload: row 0: column gap 200 runs past width 32",
+      cm_blob ~n:9 (fun b ->
+          cm_row b [ (0, 1); (1, 2); (200, 1) ];
+          rest b) );
+    ( "two-byte count, then a gap past the width",
+      "corrupt payload: row 0: column gap 31 runs past width 32",
+      cm_blob ~n:300 (fun b ->
+          cm_row b [ (0, 300); (31, 1) ];
+          rest b) );
+    ( "a row's pairs cut by the payload's end",
+      "truncated blob: needed 44 bytes, have 43",
+      cm_blob ~n:3 (fun b ->
+          cm_row b [ (0, 1); (1, 1) ];
+          cm_row b [ (0, 1) ];
+          Wire.Codec.varint b 2;
+          Wire.Codec.varint b 0;
+          Wire.Codec.varint b 1;
+          Wire.Codec.varint b 0) );
+  ]
+
+let test_cm_corrupt_pinned () =
+  let acc = cm_of sample in
+  let before = Wire.Countmin.encode acc in
+  List.iter
+    (fun (name, want, blob) ->
+      (match Wire.Countmin.fold ~family:cm_family blob with
+      | Ok apply ->
+          apply acc;
+          Alcotest.failf "%s: folded" name
+      | Error e ->
+          Alcotest.(check string) (name ^ " via fold") want
+            (Wire.Codec.error_to_string e));
+      (match cm_decode blob with
+      | Ok _ -> Alcotest.failf "%s: decoded" name
+      | Error e ->
+          Alcotest.(check string) (name ^ " via decode") want
+            (Wire.Codec.error_to_string e));
+      Alcotest.(check bytes) (name ^ ": accumulator untouched") before
+        (Wire.Countmin.encode acc))
+    cm_corrupt_cases
+
 (* ------------------------- segment reading ------------------------- *)
 
 (* A segment file is a concatenation of frames; [Wire.Segment.iter] must
@@ -973,6 +1204,11 @@ let () =
           Alcotest.test_case "golden blob (seed 49, 4x2048)" `Quick
             test_cm_golden_blob;
           occupancy_qcheck;
+          cm_reference_shapes_qcheck;
+          Alcotest.test_case "ship empties the delta, re-ships the reference"
+            `Quick test_cm_ship_empties;
+          Alcotest.test_case "corrupt blobs: pinned errors, accumulator untouched"
+            `Quick test_cm_corrupt_pinned;
         ] );
       ("properties", qcheck_tests);
     ]
